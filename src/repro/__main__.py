@@ -95,6 +95,7 @@ Examples
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -102,6 +103,30 @@ from typing import Any
 
 from .analysis import registry, runner
 from .analysis.reporting import ascii_table
+
+
+def _add_preset_flags(
+    command: argparse.ArgumentParser, smoke_help: str, full_help: str
+) -> None:
+    """Attach the mutually exclusive ``--smoke``/``--full`` preset pair."""
+    preset = command.add_mutually_exclusive_group()
+    preset.add_argument("--smoke", action="store_true", help=smoke_help)
+    preset.add_argument("--full", action="store_true", help=full_help)
+
+
+def _add_cache_flags(command: argparse.ArgumentParser, force_help: str) -> None:
+    """Attach ``--cache-dir``/``--no-cache``/``--force`` to a cached command."""
+    command.add_argument(
+        "--cache-dir",
+        default=None,
+        help="result-cache location (default: $REPRO_CACHE_DIR or ./.repro-cache)",
+    )
+    command.add_argument(
+        "--no-cache",
+        action="store_true",
+        help="bypass the on-disk result cache entirely",
+    )
+    command.add_argument("--force", action="store_true", help=force_help)
 
 
 def _add_resilience_flags(command: argparse.ArgumentParser) -> None:
@@ -211,16 +236,10 @@ def _build_parser() -> argparse.ArgumentParser:
         nargs="+",
         help="experiment names, or 'all' for every registered experiment",
     )
-    preset = run.add_mutually_exclusive_group()
-    preset.add_argument(
-        "--smoke",
-        action="store_true",
-        help="scaled-down preset (seconds; the default)",
-    )
-    preset.add_argument(
-        "--full",
-        action="store_true",
-        help="paper-sized preset (minutes for the heavy experiments)",
+    _add_preset_flags(
+        run,
+        "scaled-down preset (seconds; the default)",
+        "paper-sized preset (minutes for the heavy experiments)",
     )
     run.add_argument(
         "--set",
@@ -286,16 +305,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "bench",
         help="run the benchmark registry and emit BENCH_<label>.json",
     )
-    bench_preset = bench.add_mutually_exclusive_group()
-    bench_preset.add_argument(
-        "--smoke",
-        action="store_true",
-        help="benchmark at smoke size (the default)",
-    )
-    bench_preset.add_argument(
-        "--full",
-        action="store_true",
-        help="benchmark at full size instead of smoke size",
+    _add_preset_flags(
+        bench,
+        "benchmark at smoke size (the default)",
+        "benchmark at full size instead of smoke size",
     )
     bench.add_argument(
         "--out",
@@ -320,16 +333,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "validate",
         help="run the paper-fidelity validation suite",
     )
-    validate_preset = validate.add_mutually_exclusive_group()
-    validate_preset.add_argument(
-        "--smoke",
-        action="store_true",
-        help="validate at smoke scale (the default; seconds, CI-gated)",
-    )
-    validate_preset.add_argument(
-        "--full",
-        action="store_true",
-        help="validate the paper-sized preset (minutes, unpinned)",
+    _add_preset_flags(
+        validate,
+        "validate at smoke scale (the default; seconds, CI-gated)",
+        "validate the paper-sized preset (minutes, unpinned)",
     )
     validate.add_argument(
         "--experiment",
@@ -350,20 +357,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=".",
         help="directory for the VALIDATION_<preset>.json report (default: .)",
     )
-    validate.add_argument(
-        "--cache-dir",
-        default=None,
-        help="result-cache location (default: $REPRO_CACHE_DIR or ./.repro-cache)",
-    )
-    validate.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="bypass the on-disk result cache entirely",
-    )
-    validate.add_argument(
-        "--force",
-        action="store_true",
-        help="recompute replicates even when cached results exist",
+    _add_cache_flags(
+        validate, "recompute replicates even when cached results exist"
     )
     validate.add_argument(
         "--golden",
@@ -377,200 +372,51 @@ def _build_parser() -> argparse.ArgumentParser:
         help="rewrite the golden record from this run instead of checking drift",
     )
 
-    scenarios = sub.add_parser(
-        "scenarios",
-        help="run the fault-scenario matrix across both engines",
-    )
-    scenarios_preset = scenarios.add_mutually_exclusive_group()
-    scenarios_preset.add_argument(
-        "--smoke",
-        action="store_true",
-        help="matrix at smoke scale (the default; seconds)",
-    )
-    scenarios_preset.add_argument(
-        "--full",
-        action="store_true",
-        help="paper-sized matrix (minutes)",
-    )
-    scenarios.add_argument(
-        "--kind",
-        dest="kinds",
-        action="append",
-        default=[],
-        metavar="NAME",
-        help="run only the named scenario kind (repeatable; default: all)",
-    )
-    scenarios.add_argument(
-        "--set",
-        dest="overrides",
-        action="append",
-        default=[],
-        metavar="FIELD=JSON",
-        help="override a ScenarioMatrixConfig field (JSON value; repeatable)",
-    )
-    scenarios.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="fan scenario kinds out over N worker processes",
-    )
-    scenarios.add_argument(
-        "--out",
-        default=".",
-        help="directory for the SCENARIOS_<preset>.json report (default: .)",
-    )
-    scenarios.add_argument(
-        "--cache-dir",
-        default=None,
-        help="result-cache location (default: $REPRO_CACHE_DIR or ./.repro-cache)",
-    )
-    scenarios.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="bypass the on-disk result cache entirely",
-    )
-    scenarios.add_argument(
-        "--force",
-        action="store_true",
-        help="recompute even when cached results exist",
-    )
-    _add_resilience_flags(scenarios)
-    _add_service_flags(scenarios)
-
-    arena = sub.add_parser(
-        "arena",
-        help="run the diagnoser tournament over the scenario matrix",
-    )
-    arena_preset = arena.add_mutually_exclusive_group()
-    arena_preset.add_argument(
-        "--smoke",
-        action="store_true",
-        help="tournament at smoke scale (the default; seconds)",
-    )
-    arena_preset.add_argument(
-        "--full",
-        action="store_true",
-        help="paper-sized tournament (minutes)",
-    )
-    arena.add_argument(
-        "--kind",
-        dest="kinds",
-        action="append",
-        default=[],
-        metavar="NAME",
-        help="run only the named scenario kind (repeatable; default: all)",
-    )
-    arena.add_argument(
-        "--set",
-        dest="overrides",
-        action="append",
-        default=[],
-        metavar="FIELD=JSON",
-        help="override an ArenaConfig field (JSON value; repeatable)",
-    )
-    arena.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="fan scenario kinds out over N worker processes",
-    )
-    arena.add_argument(
-        "--out",
-        default=".",
-        help="directory for the ARENA_<preset>.json report (default: .)",
-    )
-    arena.add_argument(
-        "--cache-dir",
-        default=None,
-        help="result-cache location (default: $REPRO_CACHE_DIR or ./.repro-cache)",
-    )
-    arena.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="bypass the on-disk result cache entirely",
-    )
-    arena.add_argument(
-        "--force",
-        action="store_true",
-        help="recompute even when cached results exist",
-    )
-    _add_resilience_flags(arena)
-    _add_service_flags(arena)
-
-    fleet = sub.add_parser(
-        "fleet",
-        help="simulate maintenance policies over a fleet of drifting traps",
-    )
-    fleet_preset = fleet.add_mutually_exclusive_group()
-    fleet_preset.add_argument(
-        "--smoke",
-        action="store_true",
-        help="fleet sweep at smoke scale (the default; seconds)",
-    )
-    fleet_preset.add_argument(
-        "--full",
-        action="store_true",
-        help="full-window fleet sweep (minutes)",
-    )
-    fleet.add_argument(
-        "--policy",
-        dest="policies",
-        action="append",
-        default=[],
-        metavar="NAME",
-        help="run only the named maintenance policy (repeatable; default: all)",
-    )
-    fleet.add_argument(
-        "--set",
-        dest="overrides",
-        action="append",
-        default=[],
-        metavar="FIELD=JSON",
-        help="override a FleetConfig field (JSON value; repeatable)",
-    )
-    fleet.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="fan policies out over N worker processes",
-    )
-    fleet.add_argument(
-        "--out",
-        default=".",
-        help="directory for the FLEET_<preset>.json report (default: .)",
-    )
-    fleet.add_argument(
-        "--cache-dir",
-        default=None,
-        help="result-cache location (default: $REPRO_CACHE_DIR or ./.repro-cache)",
-    )
-    fleet.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="bypass the on-disk result cache entirely",
-    )
-    fleet.add_argument(
-        "--force",
-        action="store_true",
-        help="recompute even when cached results exist",
-    )
-    _add_resilience_flags(fleet)
-    _add_service_flags(fleet)
+    for matrix in runner.MATRIX_SPECS.values():
+        command = sub.add_parser(matrix.experiment, help=matrix.help)
+        _add_preset_flags(command, matrix.smoke_help, matrix.full_help)
+        command.add_argument(
+            matrix.flag,
+            dest=matrix.key,
+            action="append",
+            default=[],
+            metavar="NAME",
+            help=f"run only the named {matrix.one} (repeatable; default: all)",
+        )
+        command.add_argument(
+            "--set",
+            dest="overrides",
+            action="append",
+            default=[],
+            metavar="FIELD=JSON",
+            help=matrix.set_help,
+        )
+        command.add_argument(
+            "--jobs",
+            type=int,
+            default=1,
+            help=f"fan {matrix.many} out over N worker processes",
+        )
+        command.add_argument(
+            "--out",
+            default=".",
+            help=(
+                f"directory for the {matrix.prefix}_<preset>.json report "
+                "(default: .)"
+            ),
+        )
+        _add_cache_flags(command, "recompute even when cached results exist")
+        _add_resilience_flags(command)
+        _add_service_flags(command)
 
     chaos = sub.add_parser(
         "chaos",
         help="run the fault-injection harness and emit CHAOS_<label>.json",
     )
-    chaos_preset = chaos.add_mutually_exclusive_group()
-    chaos_preset.add_argument(
-        "--smoke",
-        action="store_true",
-        help="harness at smoke scale (the default; seconds, CI-gated)",
-    )
-    chaos_preset.add_argument(
-        "--full",
-        action="store_true",
-        help="harness at full scale (more cells, higher concurrency)",
+    _add_preset_flags(
+        chaos,
+        "harness at smoke scale (the default; seconds, CI-gated)",
+        "harness at full scale (more cells, higher concurrency)",
     )
     chaos.add_argument(
         "--seed",
@@ -892,6 +738,26 @@ def _report_degradation(result) -> None:
     )
 
 
+@contextlib.contextmanager
+def _cli_errors(
+    kinds: tuple[type[Exception], ...] = (KeyError, ValueError, TypeError),
+):
+    """Turn a bad request into a one-line ``error:`` exit, not a traceback.
+
+    ``kinds`` are the exception types that mean "bad request" (unknown
+    names, bad overrides); a degraded sweep also lists its failed cells
+    on stderr first.
+    """
+    try:
+        yield
+    except runner.SweepDegradedError as exc:
+        _report_degradation(exc.result)
+        raise SystemExit(f"error: {exc}") from exc
+    except kinds as exc:
+        message = exc.args[0] if exc.args else str(exc)
+        raise SystemExit(f"error: {message}") from exc
+
+
 def _emit_record(
     record, args: argparse.Namespace, preset: str, suffix: str | None = None
 ) -> None:
@@ -1102,7 +968,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if sweep:
         if len(names) != 1:
             raise SystemExit("--sweep applies to a single experiment only")
-        try:
+        with _cli_errors():
             results = runner.run_sweep(
                 names[0],
                 sweep,
@@ -1116,9 +982,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 journal=_journal_arg(args, f"{names[0]}-{preset}"),
                 resume=args.resume,
             )
-        except (KeyError, ValueError, TypeError) as exc:
-            message = exc.args[0] if exc.args else str(exc)
-            raise SystemExit(f"error: {message}") from exc
         for point, record in results:
             print(
                 "sweep point: "
@@ -1138,7 +1001,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "error: --retries/--attempt-timeout/--journal/--resume/"
             "--min-complete apply to --sweep runs only"
         )
-    try:
+    with _cli_errors():
         records = runner.run_many(
             names,
             preset=preset,
@@ -1148,10 +1011,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             use_cache=not args.no_cache,
             force=args.force,
         )
-    except (KeyError, ValueError, TypeError) as exc:
-        # Unknown names / bad overrides get a clean CLI error, not a trace.
-        message = exc.args[0] if exc.args else str(exc)
-        raise SystemExit(f"error: {message}") from exc
     for record in records:
         _emit_record(record, args, preset)
     return 0
@@ -1162,16 +1021,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     from .analysis import bench
 
     preset = "full" if args.full else "smoke"
-    try:
+    with _cli_errors((ValueError,)):
         payload, path = bench.run_bench(
             preset,
             case_names=args.cases or None,
             out_dir=args.out,
             label=args.label,
         )
-    except ValueError as exc:
-        message = exc.args[0] if exc.args else str(exc)
-        raise SystemExit(f"error: {message}") from exc
     rows = [
         [
             case["name"],
@@ -1198,7 +1054,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     from .validation import cli as validation_cli
 
     preset = "full" if args.full else "smoke"
-    try:
+    with _cli_errors():
         report = validation_cli.run_validation(
             preset,
             experiments=args.experiments or None,
@@ -1209,9 +1065,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             golden_path=args.golden,
             update_golden=args.update_golden,
         )
-    except (KeyError, ValueError, TypeError) as exc:
-        message = exc.args[0] if exc.args else str(exc)
-        raise SystemExit(f"error: {message}") from exc
     rows = []
     for name, checks in report.checks_by_experiment.items():
         for c in checks:
@@ -1239,44 +1092,22 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def _cmd_scenarios(args: argparse.Namespace) -> int:
-    """Run the scenario matrix, print the cell table, emit the report."""
-    from .scenarios.report import write_matrix_json
+def _print_checks(checks: list[dict[str, Any]]) -> bool:
+    """Print a report's embedded checks; True when a hard check failed."""
+    for check in checks:
+        status = "PASS" if check["passed"] else "FAIL"
+        grade = "hard" if check["hard"] else "soft"
+        print(f"[{status}] ({grade}) {check['check_id']}: {check['observed']}")
+    return any(check["hard"] and not check["passed"] for check in checks)
 
-    preset = "full" if args.full else "smoke"
-    overrides = _parse_overrides(args.overrides)
-    if args.service:
-        return _cmd_via_service(
-            args,
-            "scenarios",
-            {
-                "preset": preset,
-                "kinds": args.kinds or None,
-                "overrides": overrides,
-                "use_cache": not args.no_cache,
-                "force": args.force,
-            },
-        )
-    try:
-        payload, records = runner.run_scenario_matrix(
-            preset,
-            kinds=args.kinds or None,
-            overrides=overrides,
-            jobs=args.jobs,
-            cache_dir=args.cache_dir,
-            use_cache=not args.no_cache,
-            force=args.force,
-            retry=_retry_policy(args),
-            journal=_journal_arg(args, f"scenarios-{preset}"),
-            resume=args.resume,
-            min_complete=args.min_complete,
-        )
-    except runner.SweepDegradedError as exc:
-        _report_degradation(exc.result)
-        raise SystemExit(f"error: {exc}") from exc
-    except (KeyError, ValueError, TypeError) as exc:
-        message = exc.args[0] if exc.args else str(exc)
-        raise SystemExit(f"error: {message}") from exc
+
+def _or_dash(value: float | None, spec: str) -> str:
+    """Format a measured value, or ``-`` when it was never measured."""
+    return "-" if value is None else format(value, spec)
+
+
+def _render_scenarios(payload: dict[str, Any], preset: str, served: str) -> str:
+    """Print the scenario-matrix cell table; return the summary line."""
     rows = []
     for cell in payload["cells"]:
         detection = {e: (s, t) for e, s, t in cell["detection"]}
@@ -1309,102 +1140,62 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
             f"resolved 2-MS {anchor['largest_resolved_2ms']}, "
             f"4-MS {anchor['largest_resolved_4ms']}"
         )
-    cached = sum(r.cache_hit for r in records)
-    path = write_matrix_json(payload, args.out)
-    print(
-        f"\n{len(payload['cells'])} cells across "
+    return (
+        f"{len(payload['cells'])} cells across "
         f"{len(payload['kinds'])} scenario kinds "
-        f"({cached}/{len(records)} kind jobs cache-served) -> {path}"
+        f"({served} kind jobs cache-served)"
     )
-    return 0
 
 
-def _cmd_arena(args: argparse.Namespace) -> int:
-    """Run the diagnoser tournament, print the leaderboard, emit the report.
-
-    Exits 1 when any embedded hard check fails — the arena's pass/fail
-    verdict is part of the artifact, not just the JSON.
-    """
-    from .arena.report import write_arena_json
-
-    preset = "full" if args.full else "smoke"
-    overrides = _parse_overrides(args.overrides)
-    if args.service:
-        return _cmd_via_service(
-            args,
-            "arena",
-            {
-                "preset": preset,
-                "kinds": args.kinds or None,
-                "overrides": overrides,
-                "use_cache": not args.no_cache,
-                "force": args.force,
-            },
-        )
-    try:
-        payload, records = runner.run_arena(
-            preset,
-            kinds=args.kinds or None,
-            overrides=overrides,
-            jobs=args.jobs,
-            cache_dir=args.cache_dir,
-            use_cache=not args.no_cache,
-            force=args.force,
-            retry=_retry_policy(args),
-            journal=_journal_arg(args, f"arena-{preset}"),
-            resume=args.resume,
-            min_complete=args.min_complete,
-        )
-    except runner.SweepDegradedError as exc:
-        _report_degradation(exc.result)
-        raise SystemExit(f"error: {exc}") from exc
-    except (KeyError, ValueError, TypeError) as exc:
-        message = exc.args[0] if exc.args else str(exc)
-        raise SystemExit(f"error: {message}") from exc
-    rows = []
-    for entry in payload["leaderboard"]:
-        fault, clean = entry["fault_trials"], entry["clean_trials"]
-        rows.append(
-            [
-                entry["rank"],
-                entry["diagnoser"],
-                f"{entry['detections']}/{fault}" if fault else "-",
-                (
-                    f"{entry['detection_ci_lower']:.2f}"
-                    if entry["detection_ci_lower"] is not None
-                    else "-"
-                ),
-                (
-                    f"{entry['false_alarm_rate']:.2f}"
-                    if entry["false_alarm_rate"] is not None
-                    else "-"
-                ),
-                (
-                    f"{entry['mean_precision']:.2f}"
-                    if entry["mean_precision"] is not None
-                    else "-"
-                ),
-                f"{entry['mean_shots']:.0f}",
-                f"{entry['mean_adaptations']:.1f}",
-                entry["timeouts"],
-            ]
-        )
+def _print_leaderboard(
+    entries: list[dict[str, Any]], columns: tuple, title: str
+) -> None:
+    """Print leaderboard ``entries`` as a table of ``(header, cell)`` columns."""
     print(
         ascii_table(
-            [
-                "rank",
-                "diagnoser",
-                "detected",
-                "ci-lower",
-                "false-alarm",
-                "precision",
-                "shots",
-                "adapt",
-                "timeouts",
-            ],
-            rows,
-            title=f"diagnoser arena ({preset})",
+            [header for header, _ in columns],
+            [[cell(entry) for _, cell in columns] for entry in entries],
+            title=title,
         )
+    )
+
+
+#: The arena leaderboard table: header and cell formatter per column.
+_ARENA_COLUMNS = (
+    ("rank", lambda e: e["rank"]),
+    ("diagnoser", lambda e: e["diagnoser"]),
+    (
+        "detected",
+        lambda e: (
+            f"{e['detections']}/{e['fault_trials']}" if e["fault_trials"] else "-"
+        ),
+    ),
+    ("ci-lower", lambda e: _or_dash(e["detection_ci_lower"], ".2f")),
+    ("false-alarm", lambda e: _or_dash(e["false_alarm_rate"], ".2f")),
+    ("precision", lambda e: _or_dash(e["mean_precision"], ".2f")),
+    ("shots", lambda e: f"{e['mean_shots']:.0f}"),
+    ("adapt", lambda e: f"{e['mean_adaptations']:.1f}"),
+    ("timeouts", lambda e: e["timeouts"]),
+)
+
+#: The fleet policy table: header and cell formatter per column.
+_FLEET_COLUMNS = (
+    ("rank", lambda e: e["rank"]),
+    ("policy", lambda e: e["policy"]),
+    ("uptime", lambda e: f"{e['uptime']:.3f}"),
+    ("jobs/h", lambda e: f"{e['good_jobs_per_hour']:.1f}"),
+    ("corrupted", lambda e: f"{e['corrupted_job_rate']:.3f}"),
+    ("mttr-s", lambda e: _or_dash(e["mttr_seconds"], ".0f")),
+    ("repaired", lambda e: e["faults_repaired"]),
+    ("quarantined", lambda e: e["faults_quarantined"]),
+    ("stalls", lambda e: e["stalls"]),
+)
+
+
+def _render_arena(payload: dict[str, Any], preset: str, served: str) -> str:
+    """Print the arena leaderboard and shot-cost crossover; return a summary."""
+    _print_leaderboard(
+        payload["leaderboard"], _ARENA_COLUMNS, f"diagnoser arena ({preset})"
     )
     crossover = payload["crossover"]
     for row in crossover["per_n"]:
@@ -1424,103 +1215,20 @@ def _cmd_arena(args: argparse.Namespace) -> int:
             else "not reached in the measured range"
         )
     )
-    failed_hard = [
-        check
-        for check in payload["checks"]
-        if check["hard"] and not check["passed"]
-    ]
-    for check in payload["checks"]:
-        status = "PASS" if check["passed"] else "FAIL"
-        grade = "hard" if check["hard"] else "soft"
-        print(f"[{status}] ({grade}) {check['check_id']}: {check['observed']}")
-    cached = sum(r.cache_hit for r in records)
-    path = write_arena_json(payload, args.out)
-    print(
-        f"\n{len(payload['cells'])} cells across "
+    return (
+        f"{len(payload['cells'])} cells across "
         f"{len(payload['kinds'])} scenario kinds, "
         f"{len(payload['diagnosers'])} diagnosers "
-        f"({cached}/{len(records)} kind jobs cache-served) -> {path}"
+        f"({served} kind jobs cache-served)"
     )
-    return 1 if failed_hard else 0
 
 
-def _cmd_fleet(args: argparse.Namespace) -> int:
-    """Run the fleet sweep, print the policy table, emit the report.
-
-    Exits 1 when any embedded hard check fails — the Fig. 2 uptime
-    verdict is part of the artifact, not just the JSON.
-    """
-    from .fleet.report import write_fleet_json
-
-    preset = "full" if args.full else "smoke"
-    overrides = _parse_overrides(args.overrides)
-    if args.service:
-        return _cmd_via_service(
-            args,
-            "fleet",
-            {
-                "preset": preset,
-                "policies": args.policies or None,
-                "overrides": overrides,
-                "use_cache": not args.no_cache,
-                "force": args.force,
-            },
-        )
-    try:
-        payload, records = runner.run_fleet(
-            preset,
-            policies=args.policies or None,
-            overrides=overrides,
-            jobs=args.jobs,
-            cache_dir=args.cache_dir,
-            use_cache=not args.no_cache,
-            force=args.force,
-            retry=_retry_policy(args),
-            journal=_journal_arg(args, f"fleet-{preset}"),
-            resume=args.resume,
-            min_complete=args.min_complete,
-        )
-    except runner.SweepDegradedError as exc:
-        _report_degradation(exc.result)
-        raise SystemExit(f"error: {exc}") from exc
-    except (KeyError, ValueError, TypeError) as exc:
-        message = exc.args[0] if exc.args else str(exc)
-        raise SystemExit(f"error: {message}") from exc
-    rows = []
-    for entry in payload["leaderboard"]:
-        rows.append(
-            [
-                entry["rank"],
-                entry["policy"],
-                f"{entry['uptime']:.3f}",
-                f"{entry['good_jobs_per_hour']:.1f}",
-                f"{entry['corrupted_job_rate']:.3f}",
-                (
-                    f"{entry['mttr_seconds']:.0f}"
-                    if entry["mttr_seconds"] is not None
-                    else "-"
-                ),
-                entry["faults_repaired"],
-                entry["faults_quarantined"],
-                entry["stalls"],
-            ]
-        )
-    print(
-        ascii_table(
-            [
-                "rank",
-                "policy",
-                "uptime",
-                "jobs/h",
-                "corrupted",
-                "mttr-s",
-                "repaired",
-                "quarantined",
-                "stalls",
-            ],
-            rows,
-            title=f"fleet maintenance policies ({preset})",
-        )
+def _render_fleet(payload: dict[str, Any], preset: str, served: str) -> str:
+    """Print the fleet policy table and duty cycles; return the summary line."""
+    _print_leaderboard(
+        payload["leaderboard"],
+        _FLEET_COLUMNS,
+        f"fleet maintenance policies ({preset})",
     )
     for cell in payload["cells"]:
         duty = cell["duty_cycle"]
@@ -1532,21 +1240,64 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             f"{states['healthy']}H/{states['under-repair']}R/"
             f"{states['quarantined-degraded']}Q"
         )
-    failed_hard = [
-        check
-        for check in payload["checks"]
-        if check["hard"] and not check["passed"]
-    ]
-    for check in payload["checks"]:
-        status = "PASS" if check["passed"] else "FAIL"
-        grade = "hard" if check["hard"] else "soft"
-        print(f"[{status}] ({grade}) {check['check_id']}: {check['observed']}")
-    cached = sum(r.cache_hit for r in records)
-    path = write_fleet_json(payload, args.out)
-    print(
-        f"\n{len(payload['cells'])} policy cells "
-        f"({cached}/{len(records)} policy jobs cache-served) -> {path}"
+    return (
+        f"{len(payload['cells'])} policy cells "
+        f"({served} policy jobs cache-served)"
     )
+
+
+#: Table renderer per matrix front door (see ``runner.MATRIX_SPECS``).
+_MATRIX_RENDERERS = {
+    "scenarios": _render_scenarios,
+    "arena": _render_arena,
+    "fleet": _render_fleet,
+}
+
+
+def _cmd_matrix(args: argparse.Namespace) -> int:
+    """Run one matrix front door, print its tables and checks, emit the report.
+
+    Exits 1 when any embedded hard check fails — the verdict is part of
+    the artifact, not just the JSON.
+    """
+    matrix = runner.MATRIX_SPECS[args.command]
+    preset = "full" if args.full else "smoke"
+    overrides = _parse_overrides(args.overrides)
+    values = getattr(args, matrix.key) or None
+    if args.service:
+        return _cmd_via_service(
+            args,
+            matrix.experiment,
+            {
+                "preset": preset,
+                matrix.key: values,
+                "overrides": overrides,
+                "use_cache": not args.no_cache,
+                "force": args.force,
+            },
+        )
+    with _cli_errors():
+        payload, records = runner.run_matrix(
+            matrix.experiment,
+            preset,
+            values=values,
+            overrides=overrides,
+            jobs=args.jobs,
+            cache_dir=args.cache_dir,
+            use_cache=not args.no_cache,
+            force=args.force,
+            retry=_retry_policy(args),
+            journal=_journal_arg(args, f"{matrix.experiment}-{preset}"),
+            resume=args.resume,
+            min_complete=args.min_complete,
+        )
+    served = f"{sum(r.cache_hit for r in records)}/{len(records)}"
+    summary = _MATRIX_RENDERERS[matrix.experiment](payload, preset, served)
+    failed_hard = _print_checks(payload.get("checks", []))
+    path = runner.write_labelled_json(
+        payload, args.out, matrix.prefix, matrix.validate
+    )
+    print(f"\n{summary} -> {path}")
     return 1 if failed_hard else 0
 
 
@@ -1559,7 +1310,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     from .exec.report import run_chaos
 
     preset = "full" if args.full else "smoke"
-    try:
+    with _cli_errors():
         payload, path = run_chaos(
             preset=preset,
             out_dir=args.out,
@@ -1572,9 +1323,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             corrupt_rate=args.corrupt_rate,
             keep_workdir=args.keep_workdir,
         )
-    except (KeyError, ValueError, TypeError) as exc:
-        message = exc.args[0] if exc.args else str(exc)
-        raise SystemExit(f"error: {message}") from exc
     rows = [
         [
             cell["key"].split(":", 1)[-1],
@@ -1606,15 +1354,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         f"{resume['dispatched']}/{resume['n_points']} dispatched, "
         f"complete={resume['complete']}"
     )
-    failed_hard = [
-        check
-        for check in payload["checks"]
-        if check["hard"] and not check["passed"]
-    ]
-    for check in payload["checks"]:
-        status = "PASS" if check["passed"] else "FAIL"
-        grade = "hard" if check["hard"] else "soft"
-        print(f"[{status}] ({grade}) {check['check_id']}: {check['observed']}")
+    failed_hard = _print_checks(payload["checks"])
     print(
         f"\ninjected {json.dumps(payload['injected'])} + "
         f"{len(payload['corruption']['predicted'])} corrupted cache "
@@ -1637,12 +1377,8 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_bench(args)
     if args.command == "validate":
         return _cmd_validate(args)
-    if args.command == "scenarios":
-        return _cmd_scenarios(args)
-    if args.command == "arena":
-        return _cmd_arena(args)
-    if args.command == "fleet":
-        return _cmd_fleet(args)
+    if args.command in runner.MATRIX_SPECS:
+        return _cmd_matrix(args)
     if args.command == "chaos":
         return _cmd_chaos(args)
     if args.command == "serve":

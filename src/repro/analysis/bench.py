@@ -64,7 +64,6 @@ __all__ = [
     "bench_payload",
     "run_bench",
     "validate_bench_payload",
-    "write_bench_json",
 ]
 
 #: Schema identifier stamped into (and required of) every bench payload.
@@ -548,20 +547,6 @@ def validate_bench_payload(payload: Any) -> None:
         )
 
 
-def write_bench_json(payload: dict[str, Any], out_dir: Path | str) -> Path:
-    """Validate and write the payload as ``<out>/BENCH_<label>.json``."""
-    from .runner import _atomic_write_json
-
-    validate_bench_payload(payload)
-    label = "".join(
-        c if c.isalnum() or c in "._-" else "-" for c in str(payload["label"])
-    )
-    out = Path(out_dir)
-    path = out / f"BENCH_{label}.json"
-    _atomic_write_json(path, payload)
-    return path
-
-
 def run_bench(
     preset: str = "smoke",
     case_names: list[str] | None = None,
@@ -573,6 +558,8 @@ def run_bench(
     Returns the payload and the ``BENCH_<label>.json`` path it was
     written to (label defaults to the preset).
     """
+    from .runner import write_labelled_json
+
     payload = bench_payload(preset, case_names=case_names, label=label)
-    path = write_bench_json(payload, out_dir)
+    path = write_labelled_json(payload, out_dir, "BENCH", validate_bench_payload)
     return payload, path

@@ -17,6 +17,10 @@ This is the execution layer over :mod:`repro.analysis.registry`:
   cells a previous, possibly killed, invocation already finished) and
   graceful degradation (partial results plus a ``degradation`` section
   rather than all-or-nothing).
+* **Matrix front doors** — ``run_matrix`` sweeps one
+  :data:`MATRIX_SPECS` row (``scenarios``, ``arena`` or ``fleet``) one
+  scenario kind or policy at a time, each a cached sweep cell, and
+  merges the cells into one labelled ``<PREFIX>_<label>.json`` report.
 * **Structured emission** — results serialize to JSON (``to_jsonable``
   handles the dataclass/numpy/frozenset shapes the experiments produce)
   and flatten to CSV via each spec's ``to_rows``.
@@ -34,35 +38,41 @@ import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
+from ..arena.report import arena_payload, validate_arena_payload
 from ..exec.integrity import load_verified_json, stamp_integrity
 from ..exec.journal import JournalWriter, load_journal
 from ..exec.outcomes import JobOutcome, raise_outcome
 from ..exec.pool import run_supervised
 from ..exec.retry import RetryPolicy
+from ..fleet.policies import POLICY_NAMES
+from ..fleet.report import fleet_payload, validate_fleet_payload
+from ..scenarios.report import matrix_payload, validate_matrix_payload
+from ..scenarios.spec import SCENARIO_KINDS
 from .registry import ExperimentSpec, get_experiment
 
 __all__ = [
+    "MATRIX_SPECS",
+    "MatrixSpec",
     "RunRecord",
     "SweepDegradedError",
     "SweepResult",
     "config_digest",
     "default_cache_dir",
     "fan_out",
-    "run_arena",
     "run_experiment",
-    "run_fleet",
     "run_many",
+    "run_matrix",
     "run_replicates",
-    "run_scenario_matrix",
     "run_sweep",
     "sweep_grid",
     "to_jsonable",
     "write_csv",
     "write_json",
+    "write_labelled_json",
 ]
 
 #: Environment variable overriding the default cache location.
@@ -725,183 +735,91 @@ def _gate_sweep(
     return completed
 
 
-def run_scenario_matrix(
-    preset: str = "smoke",
-    kinds: list[str] | None = None,
-    overrides: dict[str, Any] | None = None,
-    jobs: int = 1,
-    cache_dir: Path | str | None = None,
-    use_cache: bool = True,
-    force: bool = False,
-    retry: RetryPolicy | None = None,
-    timeout: float | None = None,
-    journal: Path | str | None = None,
-    resume: bool = False,
-    min_complete: float = 1.0,
-) -> tuple[dict[str, Any], list[RunRecord]]:
-    """Sweep the ``scenarios`` experiment per kind and merge the matrix.
+@dataclasses.dataclass(frozen=True)
+class MatrixSpec:
+    """One matrix front door: a registered experiment swept one name at a time.
 
-    The scenario-matrix front door behind ``python -m repro scenarios``:
-    each scenario kind runs as its *own* ``scenarios``-experiment job
-    (``run_sweep`` over the ``scenarios`` config field), so kinds are
-    cached independently — re-running with one new kind only simulates
-    that kind — and fan out over ``jobs`` worker processes.  The per-kind
-    records merge into one schema-validated matrix payload
-    (:mod:`repro.scenarios.report`), carrying every cell plus the fig6
-    anchor verdicts from the under-rotation record.
-
-    Returns ``(matrix_payload, records)``; write the payload with
-    :func:`repro.scenarios.report.write_matrix_json`.
+    ``experiment`` names the registry entry, the CLI subcommand and the
+    service job kind.  Each name of ``field`` (the swept config field)
+    runs as its own cached ``run_sweep`` cell; ``merge`` folds the cells
+    into one report, which ``validate`` checks and :func:`write_labelled_json`
+    writes as ``<prefix>_<label>.json``.  ``key`` is the request and
+    ``records[]`` key of the chosen names.  The remaining fields are
+    literal CLI help strings, kept here so building the parser never
+    loads the experiment modules.
     """
-    from ..scenarios.report import matrix_payload, validate_matrix_payload
-    from ..scenarios.spec import SCENARIO_KINDS
 
-    spec = get_experiment("scenarios")
-    base = dict(overrides or {})
-    # "scenarios" must never stay in the base overrides: the sweep owns
-    # that field (an explicit ``kinds`` argument wins over the override).
-    override_kinds = base.pop("scenarios", None)
-    kinds = list(
-        kinds
-        if kinds is not None
-        else (override_kinds or spec.config(preset).scenarios)
-    )
-    unknown = set(kinds) - set(SCENARIO_KINDS)
-    if unknown:
-        raise ValueError(
-            "unknown scenario kinds: "
-            + ", ".join(sorted(unknown))
-            + "; known: "
-            + ", ".join(SCENARIO_KINDS)
-        )
-    sweep_result = run_sweep(
-        "scenarios",
-        {"scenarios": [[kind] for kind in kinds]},
-        preset=preset,
-        base_overrides=base or None,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        use_cache=use_cache,
-        force=force,
-        retry=retry,
-        timeout=timeout,
-        journal=journal,
-        resume=resume,
-    )
-    results = _gate_sweep(sweep_result, min_complete)
-    cells: list[dict[str, Any]] = []
+    experiment: str
+    field: str
+    key: str
+    known: tuple[str, ...]
+    merge: Callable[..., dict[str, Any]]
+    prefix: str
+    validate: Callable[[Any], None]
+    flag: str
+    one: str
+    many: str
+    help: str
+    smoke_help: str
+    full_help: str
+    set_help: str
+
+    def check(self, values: list[str]) -> None:
+        """Reject names outside ``known`` (``ValueError``)."""
+        if not isinstance(values, list):
+            raise ValueError(f"{self.key!r} must be a list of names")
+        unknown = set(values) - set(self.known)
+        if unknown:
+            raise ValueError(
+                f"unknown {self.many}: "
+                + ", ".join(sorted(unknown))
+                + "; known: "
+                + ", ".join(self.known)
+            )
+
+    def check_request(self, payload: dict[str, Any]) -> None:
+        """Reject a service job payload this front door cannot run as asked."""
+        allowed = {"preset", "overrides", "use_cache", "force", self.key}
+        unknown = set(payload) - allowed
+        if unknown:
+            raise ValueError(
+                f"unknown {self.experiment} job payload fields: "
+                f"{sorted(unknown)} (expected any of {sorted(allowed)})"
+            )
+        if payload.get(self.key) is not None:
+            self.check(payload[self.key])
+
+
+def _merge_scenarios(
+    preset: str, cells: list[dict], runs: list[dict], records: list[dict]
+) -> dict[str, Any]:
+    """Scenario-matrix report, carrying the fig6 anchor verdicts."""
     anchor: dict[str, Any] = {
         "largest_resolved_2ms": None,
         "largest_resolved_4ms": None,
     }
-    record_info: list[dict[str, Any]] = []
-    for point, record in results:
-        result = record.payload["result"]
-        cells.extend(result["cells"])
+    for run in runs:
+        result = run["result"]
         if result.get("anchor_largest_resolved_2ms") is not None:
             anchor = {
                 "largest_resolved_2ms": result["anchor_largest_resolved_2ms"],
                 "largest_resolved_4ms": result["anchor_largest_resolved_4ms"],
             }
-        record_info.append(
-            {
-                "kinds": list(point["scenarios"]),
-                "config_digest": record.config_digest,
-                "cache_hit": record.cache_hit,
-            }
-        )
-    detect_floor = float(results[0][1].payload["config"]["detect_floor"])
-    payload = matrix_payload(
+    return matrix_payload(
         preset=preset,
         cells=cells,
         anchor=anchor,
-        detect_floor=detect_floor,
-        records=record_info,
+        detect_floor=float(runs[0]["config"]["detect_floor"]),
+        records=records,
     )
-    if not sweep_result.complete:
-        payload["degradation"] = sweep_result.degradation()
-    validate_matrix_payload(payload)
-    return payload, [record for _, record in results]
 
 
-def run_arena(
-    preset: str = "smoke",
-    kinds: list[str] | None = None,
-    overrides: dict[str, Any] | None = None,
-    jobs: int = 1,
-    cache_dir: Path | str | None = None,
-    use_cache: bool = True,
-    force: bool = False,
-    retry: RetryPolicy | None = None,
-    timeout: float | None = None,
-    journal: Path | str | None = None,
-    resume: bool = False,
-    min_complete: float = 1.0,
-) -> tuple[dict[str, Any], list[RunRecord]]:
-    """Sweep the ``arena`` experiment per scenario kind and merge the tournament.
-
-    The arena front door behind ``python -m repro arena``, shaped exactly
-    like :func:`run_scenario_matrix`: each scenario kind runs as its own
-    ``arena``-experiment job (``run_sweep`` over the arena config's
-    ``scenarios`` field) so kinds cache independently and fan out over
-    ``jobs`` worker processes; the per-kind records merge into one
-    schema-validated ``ARENA_<label>`` payload
-    (:mod:`repro.arena.report`) — every (diagnoser, kind, N) cell, the
-    pooled leaderboard, the measured battery-vs-binary-search shot-cost
-    crossover and the embedded pass/fail checks.
-
-    Returns ``(arena_payload, records)``; write the payload with
-    :func:`repro.arena.report.write_arena_json`.
-    """
-    from ..arena.report import arena_payload, validate_arena_payload
-    from ..scenarios.spec import SCENARIO_KINDS
-
-    spec = get_experiment("arena")
-    base = dict(overrides or {})
-    # The sweep owns the ``scenarios`` field (explicit ``kinds`` wins).
-    override_kinds = base.pop("scenarios", None)
-    kinds = list(
-        kinds
-        if kinds is not None
-        else (override_kinds or spec.config(preset).scenarios)
-    )
-    unknown = set(kinds) - set(SCENARIO_KINDS)
-    if unknown:
-        raise ValueError(
-            "unknown scenario kinds: "
-            + ", ".join(sorted(unknown))
-            + "; known: "
-            + ", ".join(SCENARIO_KINDS)
-        )
-    sweep_result = run_sweep(
-        "arena",
-        {"scenarios": [[kind] for kind in kinds]},
-        preset=preset,
-        base_overrides=base or None,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        use_cache=use_cache,
-        force=force,
-        retry=retry,
-        timeout=timeout,
-        journal=journal,
-        resume=resume,
-    )
-    results = _gate_sweep(sweep_result, min_complete)
-    cells: list[dict[str, Any]] = []
-    record_info: list[dict[str, Any]] = []
-    for point, record in results:
-        result = record.payload["result"]
-        cells.extend(result["cells"])
-        record_info.append(
-            {
-                "kinds": list(point["scenarios"]),
-                "config_digest": record.config_digest,
-                "cache_hit": record.cache_hit,
-            }
-        )
-    config = results[0][1].payload["config"]
-    payload = arena_payload(
+def _merge_arena(
+    preset: str, cells: list[dict], runs: list[dict], records: list[dict]
+) -> dict[str, Any]:
+    """Arena report: leaderboard, crossover and embedded checks."""
+    config = runs[0]["config"]
+    return arena_payload(
         preset=preset,
         cells=cells,
         budget={
@@ -910,17 +828,84 @@ def run_arena(
         },
         detect_floor=float(config["detect_floor"]),
         random_detect_rate=float(config["random_detect_rate"]),
-        records=record_info,
+        records=records,
     )
-    if not sweep_result.complete:
-        payload["degradation"] = sweep_result.degradation()
-    validate_arena_payload(payload)
-    return payload, [record for _, record in results]
 
 
-def run_fleet(
+def _merge_fleet(
+    preset: str, cells: list[dict], runs: list[dict], records: list[dict]
+) -> dict[str, Any]:
+    """Fleet report: policy leaderboard and embedded checks."""
+    config = runs[0]["config"]
+    return fleet_payload(
+        preset=preset,
+        cells=cells,
+        detect_floor=float(config["detect_floor"]),
+        corruption_floor=float(config["corruption_floor"]),
+        records=records,
+    )
+
+
+#: The matrix front doors, in CLI order.
+MATRIX_SPECS: dict[str, MatrixSpec] = {
+    spec.experiment: spec
+    for spec in (
+        MatrixSpec(
+            experiment="scenarios",
+            field="scenarios",
+            key="kinds",
+            known=SCENARIO_KINDS,
+            merge=_merge_scenarios,
+            prefix="SCENARIOS",
+            validate=validate_matrix_payload,
+            flag="--kind",
+            one="scenario kind",
+            many="scenario kinds",
+            help="run the fault-scenario matrix across both engines",
+            smoke_help="matrix at smoke scale (the default; seconds)",
+            full_help="paper-sized matrix (minutes)",
+            set_help="override a ScenarioMatrixConfig field (JSON value; repeatable)",
+        ),
+        MatrixSpec(
+            experiment="arena",
+            field="scenarios",
+            key="kinds",
+            known=SCENARIO_KINDS,
+            merge=_merge_arena,
+            prefix="ARENA",
+            validate=validate_arena_payload,
+            flag="--kind",
+            one="scenario kind",
+            many="scenario kinds",
+            help="run the diagnoser tournament over the scenario matrix",
+            smoke_help="tournament at smoke scale (the default; seconds)",
+            full_help="paper-sized tournament (minutes)",
+            set_help="override an ArenaConfig field (JSON value; repeatable)",
+        ),
+        MatrixSpec(
+            experiment="fleet",
+            field="policies",
+            key="policies",
+            known=POLICY_NAMES,
+            merge=_merge_fleet,
+            prefix="FLEET",
+            validate=validate_fleet_payload,
+            flag="--policy",
+            one="maintenance policy",
+            many="policies",
+            help="simulate maintenance policies over a fleet of drifting traps",
+            smoke_help="fleet sweep at smoke scale (the default; seconds)",
+            full_help="full-window fleet sweep (minutes)",
+            set_help="override a FleetConfig field (JSON value; repeatable)",
+        ),
+    )
+}
+
+
+def run_matrix(
+    name: str,
     preset: str = "smoke",
-    policies: list[str] | None = None,
+    values: list[str] | None = None,
     overrides: dict[str, Any] | None = None,
     jobs: int = 1,
     cache_dir: Path | str | None = None,
@@ -932,44 +917,34 @@ def run_fleet(
     resume: bool = False,
     min_complete: float = 1.0,
 ) -> tuple[dict[str, Any], list[RunRecord]]:
-    """Sweep the ``fleet`` experiment per policy and merge the report.
+    """Sweep a matrix experiment one name at a time and merge the report.
 
-    The fleet front door behind ``python -m repro fleet``, shaped exactly
-    like :func:`run_arena`: each maintenance policy runs as its own
-    ``fleet``-experiment job (``run_sweep`` over the fleet config's
-    ``policies`` field) so policies cache independently and fan out over
-    ``jobs`` worker processes; the per-policy records merge into one
-    schema-validated ``FLEET_<label>`` payload
-    (:mod:`repro.fleet.report`) — every policy's uptime / throughput /
-    MTTR / corruption cell, the leaderboard and the embedded pass/fail
-    checks (including the Fig. 2 duty-cycle reconciliation).
+    The front door behind ``python -m repro scenarios|arena|fleet`` and
+    the service's matrix jobs, driven by the :data:`MATRIX_SPECS` row
+    ``name``.  Each of ``values`` (scenario kinds or maintenance
+    policies; default: the preset's) runs as its *own* experiment job
+    (``run_sweep`` over the row's config field), so names cache
+    independently — re-running with one new name only simulates that
+    name — and fan out over ``jobs`` worker processes.  The per-name
+    records merge into one schema-validated payload.
 
-    Returns ``(fleet_payload, records)``; write the payload with
-    :func:`repro.fleet.report.write_fleet_json`.
+    Returns ``(payload, records)``; write the payload with
+    :func:`write_labelled_json` under the row's prefix.
     """
-    from ..fleet.policies import POLICY_NAMES
-    from ..fleet.report import fleet_payload, validate_fleet_payload
-
-    spec = get_experiment("fleet")
+    matrix = MATRIX_SPECS[name]
     base = dict(overrides or {})
-    # The sweep owns the ``policies`` field (explicit ``policies`` wins).
-    override_policies = base.pop("policies", None)
-    policies = list(
-        policies
-        if policies is not None
-        else (override_policies or spec.config(preset).policies)
-    )
-    unknown = set(policies) - set(POLICY_NAMES)
-    if unknown:
-        raise ValueError(
-            "unknown policies: "
-            + ", ".join(sorted(unknown))
-            + "; known: "
-            + ", ".join(POLICY_NAMES)
+    # The sweep owns the swept field: it must never stay in the base
+    # overrides, and an explicit ``values`` argument wins over it.
+    override_values = base.pop(matrix.field, None)
+    if values is None:
+        values = override_values or getattr(
+            get_experiment(name).config(preset), matrix.field
         )
+    values = list(values)
+    matrix.check(values)
     sweep_result = run_sweep(
-        "fleet",
-        {"policies": [[policy] for policy in policies]},
+        name,
+        {matrix.field: [[value] for value in values]},
         preset=preset,
         base_overrides=base or None,
         jobs=jobs,
@@ -982,30 +957,37 @@ def run_fleet(
         resume=resume,
     )
     results = _gate_sweep(sweep_result, min_complete)
-    cells: list[dict[str, Any]] = []
-    record_info: list[dict[str, Any]] = []
-    for point, record in results:
-        result = record.payload["result"]
-        cells.extend(result["cells"])
-        record_info.append(
-            {
-                "policies": list(point["policies"]),
-                "config_digest": record.config_digest,
-                "cache_hit": record.cache_hit,
-            }
-        )
-    config = results[0][1].payload["config"]
-    payload = fleet_payload(
-        preset=preset,
-        cells=cells,
-        detect_floor=float(config["detect_floor"]),
-        corruption_floor=float(config["corruption_floor"]),
-        records=record_info,
-    )
+    runs = [record.payload for _, record in results]
+    cells = [cell for run in runs for cell in run["result"]["cells"]]
+    records = [
+        {
+            matrix.key: list(point[matrix.field]),
+            "config_digest": record.config_digest,
+            "cache_hit": record.cache_hit,
+        }
+        for point, record in results
+    ]
+    payload = matrix.merge(preset, cells, runs, records)
     if not sweep_result.complete:
         payload["degradation"] = sweep_result.degradation()
-    validate_fleet_payload(payload)
+    matrix.validate(payload)
     return payload, [record for _, record in results]
+
+
+def write_labelled_json(
+    payload: dict[str, Any],
+    out_dir: Path | str,
+    prefix: str,
+    validate: Callable[[Any], None],
+) -> Path:
+    """Validate and write a labelled report as ``<out>/<prefix>_<label>.json``."""
+    validate(payload)
+    label = "".join(
+        c if c.isalnum() or c in "._-" else "-" for c in str(payload["label"])
+    )
+    path = Path(out_dir) / f"{prefix}_{label}.json"
+    _atomic_write_json(path, payload)
+    return path
 
 
 def _out_stem(record: RunRecord, suffix: str | None) -> str:

@@ -41,7 +41,6 @@ from .report import (
     ARENA_SCHEMA_ID,
     arena_payload,
     validate_arena_payload,
-    write_arena_json,
 )
 from .scoring import CellScore, TrialScore, grade_trial, score_trial
 
@@ -75,5 +74,4 @@ __all__ = [
     "run_with_thread_deadline",
     "score_trial",
     "validate_arena_payload",
-    "write_arena_json",
 ]

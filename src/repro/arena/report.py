@@ -1,25 +1,28 @@
 """Schema'd arena leaderboards (``ARENA_<label>.json``).
 
-The arena runner (:func:`repro.analysis.runner.run_arena` behind
-``python -m repro arena``) merges per-scenario-kind experiment records
-into one tournament payload: every (diagnoser, scenario kind, machine
-size) cell's detection/isolation/cost aggregates, a pooled per-diagnoser
-leaderboard, the measured battery-vs-binary-search shot-cost crossover
-(Fig. 10's economics claim, measured rather than assumed), and the
-embedded golden-style checks that gate the CLI exit code.  Like the
-scenario matrix, the schema is hand-validated
-(:func:`validate_arena_payload`) so the report stays dependency-free and
-diffable across PRs.
+The matrix runner (:func:`repro.analysis.runner.run_matrix` with
+``"arena"``, behind ``python -m repro arena``) merges per-scenario-kind
+experiment records into one tournament payload: every (diagnoser,
+scenario kind, machine size) cell's detection/isolation/cost aggregates,
+a pooled per-diagnoser leaderboard, the measured
+battery-vs-binary-search shot-cost crossover (Fig. 10's economics claim,
+measured rather than assumed), and the embedded golden-style checks that
+gate the CLI exit code. Like the scenario matrix, the schema is
+hand-validated (:func:`validate_arena_payload`) so the report stays
+dependency-free and diffable across PRs.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import asdict
-from pathlib import Path
 from typing import Any
 
-from ..provenance import provenance, validate_provenance_block
+from ..provenance import (
+    provenance,
+    validate_matrix_records,
+    validate_report_envelope,
+)
 from ..scenarios.spec import SCENARIO_KINDS
 from ..validation.specs import Check
 from ..validation.stats import binomial_ci
@@ -34,7 +37,6 @@ __all__ = [
     "crossover_section",
     "leaderboard",
     "validate_arena_payload",
-    "write_arena_json",
 ]
 
 #: Schema identifier stamped into (and required of) every arena payload.
@@ -443,23 +445,7 @@ def validate_arena_payload(payload: Any) -> None:
     _check(isinstance(payload, dict), "payload must be a JSON object")
     if not isinstance(payload, dict):
         raise ValueError("invalid arena payload: payload must be a JSON object")
-    _check(
-        payload.get("schema") == ARENA_SCHEMA_ID,
-        f"schema must be {ARENA_SCHEMA_ID!r}",
-    )
-    _check(
-        payload.get("preset") in ("smoke", "full"),
-        "preset must be 'smoke' or 'full'",
-    )
-    _check(
-        isinstance(payload.get("label"), str) and payload.get("label"),
-        "label must be a non-empty string",
-    )
-    _check(
-        isinstance(payload.get("created_unix"), (int, float)),
-        "created_unix must be a number",
-    )
-    problems.extend(validate_provenance_block(payload.get("provenance")))
+    problems.extend(validate_report_envelope(payload, ARENA_SCHEMA_ID))
     for scalar in ("detect_floor", "random_detect_rate"):
         _check(
             isinstance(payload.get(scalar), (int, float)),
@@ -575,38 +561,6 @@ def validate_arena_payload(payload: Any) -> None:
                     isinstance(check.get(flag), bool),
                     f"{where}.{flag} must be a boolean",
                 )
-    records = payload.get("records")
-    _check(isinstance(records, list), "records must be an array")
-    if isinstance(records, list):
-        for k, record in enumerate(records):
-            where = f"records[{k}]"
-            if not isinstance(record, dict):
-                problems.append(f"{where} must be an object")
-                continue
-            _check(
-                isinstance(record.get("kinds"), list),
-                f"{where}.kinds must be an array",
-            )
-            _check(
-                isinstance(record.get("config_digest"), str),
-                f"{where}.config_digest must be a string",
-            )
-            _check(
-                isinstance(record.get("cache_hit"), bool),
-                f"{where}.cache_hit must be a boolean",
-            )
+    problems.extend(validate_matrix_records(payload.get("records"), "kinds"))
     if problems:
         raise ValueError("invalid arena payload: " + "; ".join(problems))
-
-
-def write_arena_json(payload: dict[str, Any], out_dir: Path | str) -> Path:
-    """Validate and write the payload as ``<out>/ARENA_<label>.json``."""
-    from ..analysis.runner import _atomic_write_json
-
-    validate_arena_payload(payload)
-    label = "".join(
-        c if c.isalnum() or c in "._-" else "-" for c in str(payload["label"])
-    )
-    path = Path(out_dir) / f"ARENA_{label}.json"
-    _atomic_write_json(path, payload)
-    return path

@@ -45,7 +45,7 @@ from typing import Any
 from ..provenance import (
     payload_fingerprint,
     provenance,
-    validate_provenance_block,
+    validate_report_envelope,
 )
 from ..validation.specs import Check
 from .chaos import CHAOS_ENV_VARS, ChaosConfig, _uniform, decide
@@ -58,7 +58,6 @@ __all__ = [
     "chaos_checks",
     "run_chaos",
     "validate_chaos_payload",
-    "write_chaos_json",
 ]
 
 #: Schema identifier stamped into (and required of) every chaos payload.
@@ -432,7 +431,9 @@ def run_chaos(
         "checks": [asdict(check) for check in checks],
         "elapsed_seconds": time.perf_counter() - started,
     }
-    path = write_chaos_json(payload, out_dir)
+    from ..analysis.runner import write_labelled_json
+
+    path = write_labelled_json(payload, out_dir, "CHAOS", validate_chaos_payload)
     return payload, path
 
 
@@ -613,23 +614,7 @@ def validate_chaos_payload(payload: Any) -> None:
     _check(isinstance(payload, dict), "payload must be a JSON object")
     if not isinstance(payload, dict):
         raise ValueError("invalid chaos payload: payload must be a JSON object")
-    _check(
-        payload.get("schema") == CHAOS_SCHEMA_ID,
-        f"schema must be {CHAOS_SCHEMA_ID!r}",
-    )
-    _check(
-        isinstance(payload.get("label"), str) and payload.get("label"),
-        "label must be a non-empty string",
-    )
-    _check(
-        payload.get("preset") in ("smoke", "full"),
-        "preset must be 'smoke' or 'full'",
-    )
-    _check(
-        isinstance(payload.get("created_unix"), (int, float)),
-        "created_unix must be a number",
-    )
-    problems.extend(validate_provenance_block(payload.get("provenance")))
+    problems.extend(validate_report_envelope(payload, CHAOS_SCHEMA_ID))
     _check(
         isinstance(payload.get("experiment"), str) and payload.get("experiment"),
         "experiment must be a non-empty string",
@@ -721,16 +706,3 @@ def validate_chaos_payload(payload: Any) -> None:
                 )
     if problems:
         raise ValueError("invalid chaos payload: " + "; ".join(problems))
-
-
-def write_chaos_json(payload: dict[str, Any], out_dir: Path | str) -> Path:
-    """Validate and write the payload as ``<out>/CHAOS_<label>.json``."""
-    from ..analysis.runner import _atomic_write_json
-
-    validate_chaos_payload(payload)
-    label = "".join(
-        c if c.isalnum() or c in "._-" else "-" for c in str(payload["label"])
-    )
-    path = Path(out_dir) / f"CHAOS_{label}.json"
-    _atomic_write_json(path, payload)
-    return path

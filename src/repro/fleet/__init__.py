@@ -37,7 +37,6 @@ from .report import (
     fleet_leaderboard,
     fleet_payload,
     validate_fleet_payload,
-    write_fleet_json,
 )
 from .simulator import derive_check_interval, simulate_policy
 from .traps import TRAP_STATES, FaultRecord, FleetTrap, build_trap
@@ -63,5 +62,4 @@ __all__ = [
     "plan_repairs",
     "simulate_policy",
     "validate_fleet_payload",
-    "write_fleet_json",
 ]

@@ -1,26 +1,29 @@
 """Schema'd fleet reports (``FLEET_<label>.json``).
 
-The fleet runner (:func:`repro.analysis.runner.run_fleet` behind
-``python -m repro fleet``) merges per-policy experiment records into one
-payload: every policy's uptime / throughput / MTTR / corruption cell, a
-leaderboard ranked by good jobs per hour, and embedded golden-style
-checks that gate the CLI exit code — including the Fig. 2
-reconciliation: the simulated point-check baseline must land on the
-paper's duty-cycle fractions, and the battery's measured jobs share must
-agree with what :func:`~repro.trap.duty_cycle.improved_duty_cycle`
-projects from the measured episode speed-up.  Hand-validated like the
-arena and scenario reports, so the artifact stays dependency-free and
-diffable across PRs.
+The matrix runner (:func:`repro.analysis.runner.run_matrix` with
+``"fleet"``, behind ``python -m repro fleet``) merges per-policy
+experiment records into one payload: every policy's uptime / throughput
+/ MTTR / corruption cell, a leaderboard ranked by good jobs per hour,
+and embedded golden-style checks that gate the CLI exit code — including
+the Fig. 2 reconciliation: the simulated point-check baseline must land
+on the paper's duty-cycle fractions, and the battery's measured jobs
+share must agree with what
+:func:`~repro.trap.duty_cycle.improved_duty_cycle` projects from the
+measured episode speed-up. Hand-validated like the arena and scenario
+reports, so the artifact stays dependency-free and diffable across PRs.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import asdict
-from pathlib import Path
 from typing import Any
 
-from ..provenance import provenance, validate_provenance_block
+from ..provenance import (
+    provenance,
+    validate_matrix_records,
+    validate_report_envelope,
+)
 from ..trap.duty_cycle import DutyCycleBreakdown, improved_duty_cycle
 from ..validation.specs import Check
 from .policies import POLICY_NAMES
@@ -32,7 +35,6 @@ __all__ = [
     "fleet_leaderboard",
     "fleet_payload",
     "validate_fleet_payload",
-    "write_fleet_json",
 ]
 
 #: Schema identifier stamped into (and required of) every fleet payload.
@@ -376,23 +378,7 @@ def validate_fleet_payload(payload: Any) -> None:
     _check(isinstance(payload, dict), "payload must be a JSON object")
     if not isinstance(payload, dict):
         raise ValueError("invalid fleet payload: payload must be a JSON object")
-    _check(
-        payload.get("schema") == FLEET_SCHEMA_ID,
-        f"schema must be {FLEET_SCHEMA_ID!r}",
-    )
-    _check(
-        payload.get("preset") in ("smoke", "full"),
-        "preset must be 'smoke' or 'full'",
-    )
-    _check(
-        isinstance(payload.get("label"), str) and payload.get("label"),
-        "label must be a non-empty string",
-    )
-    _check(
-        isinstance(payload.get("created_unix"), (int, float)),
-        "created_unix must be a number",
-    )
-    problems.extend(validate_provenance_block(payload.get("provenance")))
+    problems.extend(validate_report_envelope(payload, FLEET_SCHEMA_ID))
     for scalar in ("detect_floor", "corruption_floor"):
         _check(
             isinstance(payload.get(scalar), (int, float)),
@@ -532,38 +518,6 @@ def validate_fleet_payload(payload: Any) -> None:
                     isinstance(check.get(flag), bool),
                     f"{where}.{flag} must be a boolean",
                 )
-    records = payload.get("records")
-    _check(isinstance(records, list), "records must be an array")
-    if isinstance(records, list):
-        for k, record in enumerate(records):
-            where = f"records[{k}]"
-            if not isinstance(record, dict):
-                problems.append(f"{where} must be an object")
-                continue
-            _check(
-                isinstance(record.get("policies"), list),
-                f"{where}.policies must be an array",
-            )
-            _check(
-                isinstance(record.get("config_digest"), str),
-                f"{where}.config_digest must be a string",
-            )
-            _check(
-                isinstance(record.get("cache_hit"), bool),
-                f"{where}.cache_hit must be a boolean",
-            )
+    problems.extend(validate_matrix_records(payload.get("records"), "policies"))
     if problems:
         raise ValueError("invalid fleet payload: " + "; ".join(problems))
-
-
-def write_fleet_json(payload: dict[str, Any], out_dir: Path | str) -> Path:
-    """Validate and write the payload as ``<out>/FLEET_<label>.json``."""
-    from ..analysis.runner import _atomic_write_json
-
-    validate_fleet_payload(payload)
-    label = "".join(
-        c if c.isalnum() or c in "._-" else "-" for c in str(payload["label"])
-    )
-    path = Path(out_dir) / f"FLEET_{label}.json"
-    _atomic_write_json(path, payload)
-    return path

@@ -24,7 +24,9 @@ __all__ = [
     "payloads_equivalent",
     "provenance",
     "strip_volatile",
+    "validate_matrix_records",
     "validate_provenance_block",
+    "validate_report_envelope",
 ]
 
 #: Payload keys that legitimately differ between equivalent runs:
@@ -127,4 +129,47 @@ def validate_provenance_block(
     for key in ("python", "numpy"):
         if not isinstance(block.get(key), str):
             problems.append(f"{where}.{key} must be a string")
+    return problems
+
+
+def validate_report_envelope(payload: dict[str, Any], schema_id: str) -> list[str]:
+    """Schema problems of the fields every labelled report shares.
+
+    ``SCENARIOS_``/``ARENA_``/``FLEET_``/``CHAOS_`` payloads all carry
+    ``schema``, ``preset``, ``label``, ``created_unix`` and a stamped
+    ``provenance`` block.
+    """
+    problems: list[str] = []
+    if payload.get("schema") != schema_id:
+        problems.append(f"schema must be {schema_id!r}")
+    if payload.get("preset") not in ("smoke", "full"):
+        problems.append("preset must be 'smoke' or 'full'")
+    if not (isinstance(payload.get("label"), str) and payload.get("label")):
+        problems.append("label must be a non-empty string")
+    if not isinstance(payload.get("created_unix"), (int, float)):
+        problems.append("created_unix must be a number")
+    return problems + validate_provenance_block(payload.get("provenance"))
+
+
+def validate_matrix_records(records: Any, key: str) -> list[str]:
+    """Schema problems of a matrix report's ``records[]``.
+
+    One entry per swept cell: the ``key`` list it ran (``kinds`` or
+    ``policies``), its config digest and whether the cache served it.
+    """
+    if not isinstance(records, list):
+        return ["records must be an array"]
+    problems: list[str] = []
+    for k, record in enumerate(records):
+        where = f"records[{k}]"
+        if not isinstance(record, dict):
+            problems.append(f"{where} must be an object")
+            continue
+        for field, kind, shape in (
+            (key, list, "an array"),
+            ("config_digest", str, "a string"),
+            ("cache_hit", bool, "a boolean"),
+        ):
+            if not isinstance(record.get(field), kind):
+                problems.append(f"{where}.{field} must be {shape}")
     return problems

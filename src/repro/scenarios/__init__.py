@@ -4,7 +4,7 @@ The substrate every workload PR plugs into: :class:`ScenarioSpec`
 describes *what is wrong with the machine* (which couplings, which fault
 species, which noise environment) as pure data; the matrix runner
 (``python -m repro scenarios``, backed by the ``scenarios`` experiment
-and :func:`repro.analysis.runner.run_scenario_matrix`) sweeps the
+and :func:`repro.analysis.runner.run_matrix`) sweeps the
 detection and identification batteries across an N x scenario grid
 through both simulation engines.
 """
@@ -13,7 +13,6 @@ from .report import (
     SCENARIO_MATRIX_SCHEMA_ID,
     matrix_payload,
     validate_matrix_payload,
-    write_matrix_json,
 )
 from .spec import (
     SCENARIO_KINDS,
@@ -36,5 +35,4 @@ __all__ = [
     "default_scenarios",
     "matrix_payload",
     "validate_matrix_payload",
-    "write_matrix_json",
 ]

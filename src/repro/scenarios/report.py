@@ -1,28 +1,31 @@
 """Schema'd scenario-matrix reports (``SCENARIOS_<label>.json``).
 
-The scenario-matrix runner (:func:`repro.analysis.runner.run_scenario_matrix`
-behind ``python -m repro scenarios``) merges the per-kind experiment
-records into one matrix payload: every (scenario, machine size) cell's
-per-engine detection counts, identification counts and engine-routing
-flags, plus the fig6 anchor verdicts.  Like the bench registry, the
-schema is deliberately hand-validated (:func:`validate_matrix_payload`)
-so the report stays dependency-free and diffable across PRs.
+The matrix runner (:func:`repro.analysis.runner.run_matrix` with
+``"scenarios"``, behind ``python -m repro scenarios``) merges the
+per-kind experiment records into one matrix payload: every (scenario,
+machine size) cell's per-engine detection counts, identification counts
+and engine-routing flags, plus the fig6 anchor verdicts. Like the bench
+registry, the schema is deliberately hand-validated
+(:func:`validate_matrix_payload`) so the report stays dependency-free
+and diffable across PRs.
 """
 
 from __future__ import annotations
 
 import time
-from pathlib import Path
 from typing import Any
 
-from ..provenance import provenance, validate_provenance_block
+from ..provenance import (
+    provenance,
+    validate_matrix_records,
+    validate_report_envelope,
+)
 from .spec import SCENARIO_KINDS
 
 __all__ = [
     "SCENARIO_MATRIX_SCHEMA_ID",
     "matrix_payload",
     "validate_matrix_payload",
-    "write_matrix_json",
 ]
 
 #: Schema identifier stamped into (and required of) every matrix payload.
@@ -89,23 +92,7 @@ def validate_matrix_payload(payload: Any) -> None:
 
     _check(isinstance(payload, dict), "payload must be a JSON object")
     if isinstance(payload, dict):
-        _check(
-            payload.get("schema") == SCENARIO_MATRIX_SCHEMA_ID,
-            f"schema must be {SCENARIO_MATRIX_SCHEMA_ID!r}",
-        )
-        _check(
-            payload.get("preset") in ("smoke", "full"),
-            "preset must be 'smoke' or 'full'",
-        )
-        _check(
-            isinstance(payload.get("label"), str) and payload.get("label"),
-            "label must be a non-empty string",
-        )
-        _check(
-            isinstance(payload.get("created_unix"), (int, float)),
-            "created_unix must be a number",
-        )
-        problems.extend(validate_provenance_block(payload.get("provenance")))
+        problems.extend(validate_report_envelope(payload, SCENARIO_MATRIX_SCHEMA_ID))
         _check(
             isinstance(payload.get("detect_floor"), (int, float)),
             "detect_floor must be a number",
@@ -166,38 +153,6 @@ def validate_matrix_payload(payload: Any) -> None:
                     or isinstance(anchor.get(field), bool),
                     f"anchor.{field} must be a boolean or null",
                 )
-        records = payload.get("records")
-        _check(isinstance(records, list), "records must be an array")
-        if isinstance(records, list):
-            for k, record in enumerate(records):
-                where = f"records[{k}]"
-                if not isinstance(record, dict):
-                    problems.append(f"{where} must be an object")
-                    continue
-                _check(
-                    isinstance(record.get("kinds"), list),
-                    f"{where}.kinds must be an array",
-                )
-                _check(
-                    isinstance(record.get("config_digest"), str),
-                    f"{where}.config_digest must be a string",
-                )
-                _check(
-                    isinstance(record.get("cache_hit"), bool),
-                    f"{where}.cache_hit must be a boolean",
-                )
+        problems.extend(validate_matrix_records(payload.get("records"), "kinds"))
     if problems:
         raise ValueError("invalid scenario matrix payload: " + "; ".join(problems))
-
-
-def write_matrix_json(payload: dict[str, Any], out_dir: Path | str) -> Path:
-    """Validate and write the payload as ``<out>/SCENARIOS_<label>.json``."""
-    from ..analysis.runner import _atomic_write_json
-
-    validate_matrix_payload(payload)
-    label = "".join(
-        c if c.isalnum() or c in "._-" else "-" for c in str(payload["label"])
-    )
-    path = Path(out_dir) / f"SCENARIOS_{label}.json"
-    _atomic_write_json(path, payload)
-    return path

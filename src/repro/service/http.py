@@ -17,10 +17,11 @@ POST   ``/v1/jobs/<id>/cancel``     Cancel (idempotent; 200 either way)
 ====== ============================ ===========================================
 
 Error mapping: an unknown job id is 404, asking for the result of an
-unfinished job is 409, an invalid spec is 400, a corrupted (quarantined)
-artifact is 500 — always ``{"error": ...}`` bodies.  The server thread
-pool only handles I/O; the actual work still runs in the service's
-supervised worker processes.
+unfinished job is 409, an invalid spec or a negative ``Content-Length``
+is 400, a body over :data:`MAX_BODY_BYTES` is 413 (refused unread), a
+corrupted (quarantined) artifact is 500 — always ``{"error": ...}``
+bodies. The server thread pool only handles I/O; the actual work still
+runs in the service's supervised worker processes.
 """
 
 from __future__ import annotations
@@ -41,7 +42,15 @@ from .service import (
     JobNotFoundError,
 )
 
-__all__ = ["make_server", "serve_forever"]
+__all__ = ["MAX_BODY_BYTES", "make_server", "serve_forever"]
+
+#: Largest request body the server reads; a longer declared
+#: ``Content-Length`` is refused with 413 before any byte is read.
+MAX_BODY_BYTES = 1 << 20
+
+
+class _BodyTooLargeError(ValueError):
+    """The declared request body exceeds :data:`MAX_BODY_BYTES` (HTTP 413)."""
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -71,6 +80,15 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _read_body(self) -> dict[str, Any]:
         length = int(self.headers.get("Content-Length") or 0)
+        # Checked before reading: rfile.read(-1) would block until the
+        # client hangs up, pinning this handler thread.
+        if length < 0:
+            raise ValueError(f"negative Content-Length {length}")
+        if length > MAX_BODY_BYTES:
+            raise _BodyTooLargeError(
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit"
+            )
         raw = self.rfile.read(length) if length else b"{}"
         payload = json.loads(raw.decode("utf-8")) if raw else {}
         if not isinstance(payload, dict):
@@ -139,6 +157,8 @@ class _Handler(BaseHTTPRequestHandler):
                 self._error(404, f"no such endpoint: POST {url.path}")
         except JobNotFoundError as exc:
             self._error(404, f"no such job: {exc.args[0]}")
+        except _BodyTooLargeError as exc:
+            self._error(413, str(exc))
         except (ValueError, TypeError, json.JSONDecodeError) as exc:
             self._error(400, f"invalid request: {exc}")
         except RuntimeError as exc:

@@ -11,11 +11,11 @@ kinds map one-to-one onto the repo's existing front doors:
     :func:`repro.analysis.runner.run_experiment` — payload
     ``{"name": ..., "preset": ..., "overrides": {...}}``.
 ``scenarios`` / ``arena`` / ``fleet``
-    The matrix / tournament / fleet front doors
-    (:func:`~repro.analysis.runner.run_scenario_matrix`,
-    :func:`~repro.analysis.runner.run_arena`,
-    :func:`~repro.analysis.runner.run_fleet`) — payload
-    ``{"preset": ..., "kinds"|"policies": [...], "overrides": {...}}``.
+    The matrix front doors, one
+    :func:`~repro.analysis.runner.run_matrix` row each — payload
+    ``{"preset": ..., "kinds"|"policies": [...], "overrides": {...}}``
+    (``kinds`` for scenarios and arena, ``policies`` for fleet); the
+    service rejects any other key, or an unknown name, at submit.
 ``diagnose``
     A single bounded diagnosis of one machine snapshot: the payload
     names a scenario cell (``scenario``, ``n_qubits``, ``trial``) and a
@@ -185,24 +185,18 @@ def _run_experiment_job(payload: dict[str, Any], cache_dir: str) -> dict[str, An
 def _run_matrix_job(
     kind: str, payload: dict[str, Any], cache_dir: str
 ) -> dict[str, Any]:
-    from ..analysis import runner
+    from ..analysis.runner import MATRIX_SPECS, run_matrix
 
-    common = dict(
+    report, _ = run_matrix(
+        kind,
         preset=payload.get("preset", "smoke"),
+        values=payload.get(MATRIX_SPECS[kind].key),
         overrides=payload.get("overrides"),
         jobs=1,  # the service already supervises this job; no nested pools
         cache_dir=cache_dir,
         use_cache=payload.get("use_cache", True),
         force=payload.get("force", False),
     )
-    if kind == "scenarios":
-        report, _ = runner.run_scenario_matrix(
-            kinds=payload.get("kinds"), **common
-        )
-    elif kind == "arena":
-        report, _ = runner.run_arena(kinds=payload.get("kinds"), **common)
-    else:
-        report, _ = runner.run_fleet(policies=payload.get("policies"), **common)
     return report
 
 

@@ -39,14 +39,13 @@ as an explicit error instead of silently serving garbage.
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 import time
 import uuid
 from pathlib import Path
 from typing import Any
 
+from ..analysis.runner import MATRIX_SPECS, _atomic_write_json
 from ..exec.integrity import load_verified_json, stamp_integrity
 from ..exec.outcomes import JobOutcome
 from ..exec.pool import run_supervised
@@ -287,7 +286,10 @@ class DiagnosisService:
         """Accept a job; the id is durable before this returns.
 
         Accepts a :class:`JobSpec`, a spec payload dict, or keyword
-        fields (``submit(kind="sleep", payload={...})``).
+        fields (``submit(kind="sleep", payload={...})``).  A matrix job
+        whose payload carries a key its front door does not read, or an
+        unknown scenario kind / policy, is refused with ``ValueError``
+        before it is journaled.
         """
         if isinstance(spec, dict):
             spec = JobSpec.from_payload(spec)
@@ -295,6 +297,8 @@ class DiagnosisService:
             raise TypeError("submit expects a JobSpec or a spec dict")
         if kwargs:
             raise TypeError("pass spec fields inside the JobSpec/dict")
+        if spec.kind in MATRIX_SPECS:
+            MATRIX_SPECS[spec.kind].check_request(spec.payload)
         job_id = uuid.uuid4().hex[:16]
         # Sequence bump, journal append and table insert happen under
         # the one service lock so a concurrent GC compaction (which
@@ -606,11 +610,3 @@ class DiagnosisService:
             "journal": journal_stats,
             "swept": swept,
         }
-
-
-def _atomic_write_json(path: Path, payload: dict[str, Any]) -> None:
-    """Write-then-rename so readers never see a half-written artifact."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(json.dumps(payload, indent=2, sort_keys=True))
-    os.replace(tmp, path)

@@ -1,10 +1,10 @@
 """Tier-2 arena suite: the full smoke tournament, end to end.
 
-Runs the real ``run_arena`` sweep (every diagnoser x every scenario kind
-x both machine sizes at smoke scale) once per session and checks the
-assembled ``ARENA_smoke.json`` payload: schema validity, the embedded
-hard checks, leaderboard sanity, and the measured shot-cost crossover
-section.  Statistical and minutes-long, so it is excluded from tier-1
+Runs the real ``run_matrix("arena")`` sweep (every diagnoser x every
+scenario kind x both machine sizes at smoke scale) once per session and
+checks the assembled ``ARENA_smoke.json`` payload: schema validity, the
+embedded hard checks, leaderboard sanity, and the measured shot-cost
+crossover section.  Statistical and minutes-long, so it is excluded from tier-1
 and selected explicitly with ``-m arena`` (CI's arena-smoke job).
 """
 
@@ -12,7 +12,7 @@ import math
 
 import pytest
 
-from repro.analysis.runner import run_arena
+from repro.analysis.runner import run_matrix
 from repro.arena.report import ARENA_SCHEMA_ID, validate_arena_payload
 
 pytestmark = pytest.mark.arena
@@ -22,7 +22,7 @@ pytestmark = pytest.mark.arena
 def arena_payload():
     """One shared smoke sweep (served from the default on-disk cache
     when the CLI's ``arena --smoke`` ran first, as in CI)."""
-    payload, _records = run_arena("smoke", jobs=2)
+    payload, _records = run_matrix("arena", "smoke", jobs=2)
     return payload
 
 

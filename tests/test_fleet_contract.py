@@ -1,7 +1,7 @@
 """Tier-2 fleet suite: the full smoke policy sweep, end to end.
 
-Runs the real ``run_fleet`` sweep (every maintenance policy over the
-same fleet window) and asserts the report contract the CI gate relies
+Runs the real ``run_matrix("fleet")`` sweep (every maintenance policy
+over the same fleet window) and asserts the report contract the CI gate relies
 on: schema-valid payload, every hard check passing — including the
 battery-beats-periodic uptime comparison and the Fig. 2 duty-cycle
 reconciliation — and bit-reproducibility of a same-seed re-run.  Slow
@@ -14,7 +14,7 @@ import json
 
 import pytest
 
-from repro.analysis.runner import run_fleet
+from repro.analysis.runner import run_matrix
 from repro.fleet.report import FLEET_SCHEMA_ID, validate_fleet_payload
 
 pytestmark = pytest.mark.fleet
@@ -23,7 +23,7 @@ pytestmark = pytest.mark.fleet
 @pytest.fixture(scope="module")
 def smoke(tmp_path_factory):
     cache = tmp_path_factory.mktemp("fleet-cache")
-    payload, records = run_fleet(preset="smoke", cache_dir=cache)
+    payload, records = run_matrix("fleet", preset="smoke", cache_dir=cache)
     return payload, records, cache
 
 
@@ -82,12 +82,12 @@ class TestReproducibility:
 
     def test_cache_served_rerun_is_identical(self, smoke):
         payload, _records, cache = smoke
-        again, _records2 = run_fleet(preset="smoke", cache_dir=cache)
+        again, _records2 = run_matrix("fleet", preset="smoke", cache_dir=cache)
         assert _stable(again) == _stable(payload)
 
     def test_uncached_rerun_is_identical(self, smoke):
         payload, _records, _cache = smoke
-        fresh, _records2 = run_fleet(preset="smoke", use_cache=False)
+        fresh, _records2 = run_matrix("fleet", preset="smoke", use_cache=False)
         assert json.dumps(_stable(fresh), sort_keys=True) == json.dumps(
             _stable(payload), sort_keys=True
         )
@@ -98,4 +98,6 @@ class TestRunnerGuards:
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
-            run_fleet(preset="smoke", policies=["crystal-ball"], use_cache=False)
+            run_matrix(
+                "fleet", preset="smoke", values=["crystal-ball"], use_cache=False
+            )

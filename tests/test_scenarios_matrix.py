@@ -13,7 +13,6 @@ from repro.scenarios import (
     build_scenario,
     matrix_payload,
     validate_matrix_payload,
-    write_matrix_json,
 )
 from repro.trap.faults import Determinism, TimeScale, Unitarity
 from repro.trap.machine import VirtualIonTrap
@@ -112,7 +111,9 @@ def test_matrix_payload_schema_round_trip(tmp_path):
         records=[{"kinds": ["over-rotation"], "config_digest": "ab", "cache_hit": False}],
     )
     validate_matrix_payload(payload)
-    path = write_matrix_json(payload, tmp_path)
+    path = runner.write_labelled_json(
+        payload, tmp_path, "SCENARIOS", validate_matrix_payload
+    )
     assert path.name == "SCENARIOS_smoke.json"
 
     broken = dict(payload, schema="bench/v0")
@@ -125,7 +126,7 @@ def test_matrix_payload_schema_round_trip(tmp_path):
         validate_matrix_payload(dict(payload, cells=[]))
 
 
-def test_run_scenario_matrix_merges_and_caches(tmp_path):
+def test_run_matrix_scenarios_merges_and_caches(tmp_path):
     """Per-kind jobs cache independently and merge into one report."""
     cache = tmp_path / "cache"
     kinds = ["over-rotation", "phase-miscalibration"]
@@ -138,9 +139,10 @@ def test_run_scenario_matrix_merges_and_caches(tmp_path):
         "verify_shots": 100,
         "fig6_anchor": False,
     }
-    payload, records = runner.run_scenario_matrix(
+    payload, records = runner.run_matrix(
+        "scenarios",
         "smoke",
-        kinds=kinds,
+        values=kinds,
         overrides=overrides,
         cache_dir=cache,
     )
@@ -157,19 +159,22 @@ def test_run_scenario_matrix_merges_and_caches(tmp_path):
     assert over["engines"] == ["xx", "dense"] and not over["fallback_to_dense"]
     assert phase["engines"] == ["dense"] and phase["fallback_to_dense"]
     # A rerun is served from the per-kind cache entries.
-    payload2, records2 = runner.run_scenario_matrix(
-        "smoke", kinds=kinds, overrides=overrides, cache_dir=cache
+    payload2, records2 = runner.run_matrix(
+        "scenarios", "smoke", values=kinds, overrides=overrides, cache_dir=cache
     )
     assert all(r.cache_hit for r in records2)
     assert payload2["cells"] == payload["cells"]
     with pytest.raises(ValueError, match="unknown scenario kinds"):
-        runner.run_scenario_matrix("smoke", kinds=["warp-core"], cache_dir=cache)
-    # An explicit kinds argument wins over a "scenarios" override (the
+        runner.run_matrix(
+            "scenarios", "smoke", values=["warp-core"], cache_dir=cache
+        )
+    # An explicit values argument wins over a "scenarios" override (the
     # sweep owns that field); the combination must not trip the sweep's
     # duplicate-override guard.
-    payload3, _ = runner.run_scenario_matrix(
+    payload3, _ = runner.run_matrix(
+        "scenarios",
         "smoke",
-        kinds=["over-rotation"],
+        values=["over-rotation"],
         overrides={**overrides, "scenarios": ["phase-miscalibration"]},
         cache_dir=cache,
     )

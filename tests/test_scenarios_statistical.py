@@ -28,7 +28,7 @@ def smoke_matrix():
     validation-contract test below runs the all-kinds experiment job
     instead, which keys its own cache entry.
     """
-    payload, _ = runner.run_scenario_matrix("smoke")
+    payload, _ = runner.run_matrix("scenarios", "smoke")
     return payload
 
 

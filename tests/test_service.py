@@ -8,6 +8,7 @@ queued and running jobs, and the ``/v1`` HTTP API over a real socket.
 """
 
 import json
+import socket
 import threading
 import time
 
@@ -364,6 +365,29 @@ def test_http_error_mapping(http_service):
             client.result(job_id)
         finally:
             client.cancel(job_id)
+
+
+def _raw_post(client, content_length):
+    """Status code of a bodiless POST /v1/jobs declaring ``content_length``."""
+    host, port = client.base_url.split("//")[1].split(":")
+    with socket.create_connection((host, int(port)), timeout=3) as sock:
+        sock.sendall(
+            (
+                "POST /v1/jobs HTTP/1.1\r\n"
+                f"Host: {host}\r\n"
+                f"Content-Length: {content_length}\r\n\r\n"
+            ).encode()
+        )
+        status_line = sock.makefile("rb").readline().decode()
+    return int(status_line.split()[1])
+
+
+def test_http_refuses_bad_content_length_before_reading(http_service):
+    from repro.service.http import MAX_BODY_BYTES
+
+    assert _raw_post(http_service, -1) == 400
+    assert _raw_post(http_service, MAX_BODY_BYTES + 1) == 413
+    assert http_service.health()["ok"]
 
 
 def test_http_cancel(http_service):
