@@ -40,8 +40,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cost import CostTracker
-from .protocol import TestResult
-from .tests_builder import TestSpec, build_test_circuit, expected_output
+from .protocol import TestResult, built_test
+from .tests_builder import TestSpec
 
 __all__ = ["FidelityModel", "fit_fidelity_model", "ContrastExecutor"]
 
@@ -88,8 +88,9 @@ def fit_fidelity_model(
         machine = machine_factory()
         specs = _model_fit_specs(n_qubits, repetition_counts, trial)
         for spec in specs:
-            circuit = build_test_circuit(spec, n_qubits)
-            expected = expected_output(spec, n_qubits)
+            circuit, expected = built_test(
+                tuple(spec.pairs), spec.repetitions, n_qubits
+            )
             counts = machine.run_match(circuit, expected, shots)
             fidelity = match_fraction(counts, expected)
             samples[spec.repetitions].append(
@@ -179,8 +180,9 @@ class ContrastExecutor:
 
         if not spec.pairs:
             return 1.0
-        circuit = build_test_circuit(spec, self.machine.n_qubits)
-        expected = expected_output(spec, self.machine.n_qubits)
+        circuit, expected = built_test(
+            tuple(spec.pairs), spec.repetitions, self.machine.n_qubits
+        )
         counts = self.machine.run_match(circuit, expected, self.shots)
         self.cost.record_run(spec, self.shots)
         return match_fraction(counts, expected)

@@ -13,6 +13,7 @@ Fig. 5 adjusts thresholds to maximize fault/no-fault contrast).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Protocol as TypingProtocol
 
 from ..sim.circuit import Circuit
@@ -32,6 +33,11 @@ __all__ = [
 ]
 
 Pair = frozenset[int]
+
+#: Built test circuits kept per process (least recently used dropped
+#: first).  Each circuit holds one shared frozen operation per coupling,
+#: so entries stay small.
+_BUILT_TEST_CACHE_SIZE = 2048
 
 
 class MatchBackend(TypingProtocol):
@@ -144,8 +150,7 @@ class TestExecutor:
             return TestResult(
                 spec=spec, fidelity=1.0, threshold=threshold, shots=self.shots
             )
-        circuit = build_test_circuit(spec, n)
-        expected = expected_output(spec, n)
+        circuit, expected = built_test(tuple(spec.pairs), spec.repetitions, n)
         if self.shot_batch is None:
             counts = self.machine.run_match(circuit, expected, self.shots)
         else:
@@ -161,6 +166,20 @@ class TestExecutor:
     def execute_batch(self, specs: list[TestSpec]) -> list[TestResult]:
         """Run a predetermined batch (no adaptation between tests)."""
         return [self.execute(spec) for spec in specs]
+
+
+@lru_cache(maxsize=_BUILT_TEST_CACHE_SIZE)
+def built_test(
+    pairs: tuple[Pair, ...], repetitions: int, n_qubits: int
+) -> tuple[Circuit, int]:
+    """The nominal ``(circuit, expected)`` of a test, built once per key.
+
+    Only the couplings, the repetition count and the machine size shape a
+    test circuit, so every spec sharing them shares one circuit.  Callers
+    must not mutate it.
+    """
+    spec = TestSpec("built", pairs, repetitions)
+    return build_test_circuit(spec, n_qubits), expected_output(spec, n_qubits)
 
 
 def compile_test_battery(

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from ..sim.circuit import Circuit
+from ..sim.circuit import Circuit, Operation
 
 __all__ = ["TestSpec", "expected_output", "build_test_circuit"]
 
@@ -128,13 +128,15 @@ def build_test_circuit(
             if spare in pair or not 0 <= spare < n_qubits:
                 raise ValueError(f"invalid spare qubit {spare} for {sorted(pair)}")
             half = spec.repetitions // 2
-            for _ in range(half):
-                circ.ms(q1, q2, theta)
+            circ.extend([_ms(q1, q2, theta)] * half)
             circ.swap(q2, spare)
-            for _ in range(spec.repetitions - half):
-                circ.ms(q1, spare, theta)
+            circ.extend([_ms(q1, spare, theta)] * (spec.repetitions - half))
             circ.swap(q2, spare)
         else:
-            for _ in range(spec.repetitions):
-                circ.ms(q1, q2, theta)
+            circ.extend([_ms(q1, q2, theta)] * spec.repetitions)
     return circ
+
+
+def _ms(q1: int, q2: int, theta: float) -> Operation:
+    """One nominal MS gate, shared by every repetition of a stack."""
+    return Operation("MS", (q1, q2), (theta, 0.0, 0.0))

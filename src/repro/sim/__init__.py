@@ -33,7 +33,6 @@ from .statevector import (
 from .xx_engine import (
     CompiledPlan,
     ContractionPlan,
-    XXBatchEvaluator,
     XXCircuitEvaluator,
 )
 
@@ -54,6 +53,5 @@ __all__ = [
     "ContractionPlan",
     "DensePlan",
     "DensePlanCache",
-    "XXBatchEvaluator",
     "XXCircuitEvaluator",
 ]

@@ -39,7 +39,6 @@ from .circuit import Circuit
 __all__ = [
     "ms_axis_sign",
     "XXCircuitEvaluator",
-    "XXBatchEvaluator",
     "CouplingTerms",
     "CompiledPlan",
     "ContractionPlan",
@@ -694,12 +693,12 @@ def batch_amplitudes_from_terms(
     The terms carry one accumulated angle *per noise realization* (shape
     ``(G,)`` values in both dicts).  Every coupling-graph component is
     summed once over its shared spin table, contracting all G realization
-    rows in a single matmul — this is the batched spin-table evaluation
-    behind the virtual machine's shot-batched XX path.  Internally this
-    builds a one-shot *streaming* :class:`ContractionPlan` (spin blocks
-    are materialized transiently, never pinned); callers evaluating the
-    same circuit structure repeatedly should build a precomputing plan
-    themselves and reuse it (see
+    rows in a single matmul.  Internally this builds a one-shot
+    *streaming* :class:`ContractionPlan` (spin blocks are materialized
+    transiently, never pinned).  The virtual machine's ``run_match`` now
+    keeps one plan per test structure in its compiled-test cache, so this
+    serves only its per-call slot fallback; callers evaluating the same
+    structure repeatedly should build and reuse a plan themselves (see
     :class:`~repro.trap.machine.CompiledBattery`).
 
     ``max_batch_bytes`` chunks the realization rows so transient memory
@@ -734,78 +733,3 @@ def batch_amplitudes_from_terms(
         else None
     )
     return plan.amplitudes(thetas, lin_thetas, max_batch_bytes=max_batch_bytes)
-
-
-class XXBatchEvaluator:
-    """Batched exact evaluation of noise realizations of one XX circuit.
-
-    The G realized circuits of a nominal XX-only test share their coupling
-    structure (same edges, same touched qubits) and differ only in
-    accumulated angles.  This evaluator extracts each realization's
-    :class:`CouplingTerms` and sums every coupling-graph component once
-    over the shared spin table, contracting all G angle rows in a single
-    matmul — the per-group work of G separate
-    :class:`XXCircuitEvaluator` runs collapses into one vectorized pass.
-
-    Raises ``ValueError`` if the circuits do not share coupling structure
-    (callers fall back to per-circuit evaluation) or if a component
-    exceeds ``max_exact_qubits`` (the Monte-Carlo branch stays
-    per-circuit).
-    """
-
-    def __init__(self, circuits: list[Circuit], max_exact_qubits: int = 20):
-        if not circuits:
-            raise ValueError("need at least one circuit")
-        for circuit in circuits:
-            if not circuit.is_xx_only():
-                raise ValueError(
-                    "circuit contains gates not diagonal in the X basis"
-                )
-        self.n_qubits = circuits[0].n_qubits
-        if any(c.n_qubits != self.n_qubits for c in circuits):
-            raise ValueError("circuits act on different register widths")
-        self.terms_list = [_extract_terms(c) for c in circuits]
-        first = self.terms_list[0]
-        self._edge_keys = sorted(first.edge_angles, key=sorted)
-        self._linear_keys = sorted(first.linear_angles)
-        for terms in self.terms_list[1:]:
-            if (
-                set(terms.edge_angles) != set(first.edge_angles)
-                or set(terms.linear_angles) != set(first.linear_angles)
-            ):
-                raise ValueError("realizations do not share coupling structure")
-        self.max_exact_qubits = max_exact_qubits
-        self.components = _connected_components(
-            first.touched_qubits(), first.edge_angles
-        )
-        if any(len(c) > max_exact_qubits for c in self.components):
-            raise ValueError(
-                "component exceeds the exact-summation limit; "
-                "use per-circuit Monte-Carlo evaluation"
-            )
-
-    def amplitudes(self, bitstring: int) -> np.ndarray:
-        """Per-realization amplitudes ``<z|U_g|0...0>``, up to global phase."""
-        edge_angles = {
-            e: np.array(
-                [terms.edge_angles[e] for terms in self.terms_list]
-            )
-            for e in self._edge_keys
-        }
-        linear_angles = {
-            q: np.array(
-                [terms.linear_angles[q] for terms in self.terms_list]
-            )
-            for q in self._linear_keys
-        }
-        return batch_amplitudes_from_terms(
-            self.n_qubits,
-            edge_angles,
-            linear_angles,
-            bitstring,
-            max_exact_qubits=self.max_exact_qubits,
-        )
-
-    def probabilities_of(self, bitstring: int) -> np.ndarray:
-        """Per-realization probabilities of ``bitstring``, clipped to [0, 1]."""
-        return np.clip(np.abs(self.amplitudes(bitstring)) ** 2, 0.0, 1.0)

@@ -15,7 +15,15 @@ before simulation:
 Engine selection is automatic: noisy realizations that remain XX-only run
 on the fast exact engine (any machine size); anything else runs densely on
 the compacted sub-register of touched qubits (sufficient for the paper's
-physical-scale experiments).
+physical-scale experiments).  ``run_match`` compiles each XX test once per
+process: a shared, bounded cache maps (machine size, exact-summation
+limit, expected bitstring, nominal ops) to the test's edge columns,
+nominal angles and phases, static RX/X angles and a streaming
+:class:`~repro.sim.xx_engine.ContractionPlan`, so a call only draws its
+amplitude noise, forms the ``(G, E)`` angle matrix and contracts.  Tests
+the compiled route does not cover (non-XX-preserving noise, drive phases
+off the pi grid, non-XX gates, components above ``max_exact_qubits``,
+``batched=False``) take the per-call slot path.
 
 Shot batching: stochastic noise is re-drawn per *realization group* rather
 than per shot (control noise varies slowly compared to a ~ms shot cycle);
@@ -26,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -246,6 +255,13 @@ class VirtualIonTrap:
         multi-group binomial call.  Returned counts lump all mismatches
         into a single placeholder state.  ``realizations`` overrides the
         machine's noise-realization count for this call.
+
+        Under XX-preserving noise with pi-multiple realized drive phases
+        the test is served from the process-wide compiled-test cache (one
+        contraction plan per test structure, shared by every machine);
+        everything else realizes per-call slots.  Both routes consume the
+        RNG stream and advance the clock identically and return
+        bit-identical probabilities.
         """
         if shots < 1:
             raise ValueError("shots must be positive")
@@ -267,11 +283,17 @@ class VirtualIonTrap:
                     )
                 )
             return merge_counts(*counts_parts)
-        slots = self._realize_slots(circuit, len(groups))
-        if slots:
-            p_match_all = self._match_probabilities_slots(slots, expected)
-        else:
-            p_match_all = np.full(len(groups), 1.0 if expected == 0 else 0.0)
+        p_match_all = self._compiled_match_probabilities(
+            circuit, expected, len(groups)
+        )
+        if p_match_all is None:
+            slots = self._realize_slots(circuit, len(groups))
+            if slots:
+                p_match_all = self._match_probabilities_slots(slots, expected)
+            else:
+                p_match_all = np.full(
+                    len(groups), 1.0 if expected == 0 else 0.0
+                )
         return sample_bernoulli_counts_batch(
             p_match_all * spam_factor,
             expected,
@@ -301,6 +323,52 @@ class VirtualIonTrap:
             )
             return evaluator.probability_of(expected)
         return self._dense_match_probability(realized, expected)
+
+    # -- compiled XX route -------------------------------------------------------
+
+    def _compiled_match_probabilities(
+        self, circuit: Circuit, expected: int, n_batch: int
+    ) -> np.ndarray | None:
+        """Match probabilities through the shared compiled-test cache.
+
+        Returns ``None`` (nothing drawn, clock untouched) when the slot
+        path must run instead.  Otherwise replicates exactly what
+        :meth:`_realize_slots` followed by :meth:`_match_probabilities_slots`
+        computes on the XX route: one ``(n_ms, G)`` amplitude-noise draw,
+        each slot's angle as ``theta * (1 - u) * (1 + xi)``, per-edge
+        accumulation in slot order and the same clock advance.  Equal
+        realized drive phases make the X-basis axis sign exactly +1.
+        """
+        if not self.noise.is_xx_preserving():
+            return None
+        test = _compiled_xx_test(
+            self.n_qubits, self.max_exact_qubits, tuple(circuit.ops), expected
+        )
+        if test is None:
+            return None
+        unders = np.empty(len(test.pairs))
+        offsets = np.empty(len(test.pairs))
+        for col, pair in enumerate(test.pairs):
+            unders[col] = self.calibration.under_rotation(pair)
+            offsets[col] = self.calibration.phase_offset(pair)
+        if offsets.any():
+            realized = test.slot_phase + offsets[test.slot_edge]
+            if not np.all(is_multiple_of_pi(realized)):
+                return None
+        elif not test.nominal_xx:
+            return None
+        n_ms = test.slot_theta.size
+        angles = (test.slot_theta * (1.0 - unders[test.slot_edge]))[:, None]
+        sigma = self.noise.amplitude_sigma
+        if sigma > 0 and n_ms:
+            angles = angles * (1.0 + self.rng.normal(0.0, sigma, (n_ms, n_batch)))
+        acc = np.zeros((len(test.pairs), n_batch))
+        np.add.at(acc, test.slot_edge, np.broadcast_to(angles, (n_ms, n_batch)))
+        lin = np.tile(test.linear, (n_batch, 1)) if test.linear.size else None
+        self._clock += n_batch * n_ms * self.timing.gate_time(self.n_qubits)
+        return test.plan.probabilities(
+            np.ascontiguousarray(acc.T), lin, self.max_batch_bytes
+        )
 
     # -- batched (slot-based) realization and evaluation ---------------------------
 
@@ -1110,6 +1178,90 @@ class CompiledBattery:
             * n_runs
         )
         return matches.sum(axis=2) / shots
+
+
+@dataclass(frozen=True)
+class _CompiledXXTest:
+    """Machine-independent structure of one ``run_match`` XX test.
+
+    ``pairs`` fixes the plan's edge-column order (first appearance);
+    ``slot_edge``/``slot_theta``/``slot_phase`` give each MS/XX
+    application's column, nominal angle and nominal drive phase, and
+    ``nominal_xx`` records whether those phases already sit on the pi
+    grid.  ``linear`` holds the static RX/X angle per ``plan.linear_keys``
+    entry, summed in program order.
+    """
+
+    pairs: tuple[Pair, ...]
+    slot_edge: np.ndarray
+    slot_theta: np.ndarray
+    slot_phase: np.ndarray
+    nominal_xx: bool
+    linear: np.ndarray
+    plan: ContractionPlan
+
+
+#: Compiled XX tests kept per process; the least recently used entry is
+#: dropped first.  Entries hold streaming plans (no pinned spin blocks),
+#: so each costs a few kilobytes of index arrays.
+_XX_TEST_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=_XX_TEST_CACHE_SIZE)
+def _compiled_xx_test(
+    n_qubits: int,
+    max_exact_qubits: int,
+    ops: tuple[Operation, ...],
+    expected: int,
+) -> _CompiledXXTest | None:
+    """The compiled XX structure of a nominal op list, cached per process.
+
+    Returns ``None`` for structures the XX route cannot take (non-XX
+    gates, a component above ``max_exact_qubits``); that verdict is
+    cached too, so such tests fall back to the slot path without being
+    re-examined.  The cache is thread-safe: concurrent misses on one key
+    may both compile, and either result is equivalent.
+    """
+    edge_index: dict[Pair, int] = {}
+    slot_edge: list[int] = []
+    slot_theta: list[float] = []
+    slot_phase: list[float] = []
+    linear: dict[int, float] = {}
+    for op in ops:
+        if op.gate in ("MS", "XX"):
+            col = edge_index.setdefault(frozenset(op.qubits), len(edge_index))
+            slot_edge.append(col)
+            slot_theta.append(op.params[0])
+            slot_phase.append(op.params[1] if op.gate == "MS" else 0.0)
+        elif op.gate == "RX":
+            q = op.qubits[0]
+            linear[q] = linear.get(q, 0.0) + op.params[0]
+        elif op.gate == "X":
+            q = op.qubits[0]
+            linear[q] = linear.get(q, 0.0) + math.pi
+        else:
+            return None
+    try:
+        plan = ContractionPlan(
+            n_qubits,
+            list(edge_index),
+            list(linear),
+            expected,
+            max_exact_qubits=max_exact_qubits,
+            precompute=False,
+        )
+    except ValueError:
+        return None
+    phases = np.array(slot_phase, dtype=np.float64)
+    return _CompiledXXTest(
+        pairs=tuple(edge_index),
+        slot_edge=np.array(slot_edge, dtype=np.intp),
+        slot_theta=np.array(slot_theta, dtype=np.float64),
+        slot_phase=phases,
+        nominal_xx=bool(np.all(is_multiple_of_pi(phases))),
+        linear=np.array(list(linear.values()), dtype=np.float64),
+        plan=plan,
+    )
 
 
 def _compact_circuit(

@@ -11,7 +11,7 @@ from repro.sim.statevector import (
     StatevectorSimulator,
     simulate,
 )
-from repro.sim.xx_engine import XXBatchEvaluator, XXCircuitEvaluator
+from repro.sim.xx_engine import XXCircuitEvaluator
 
 
 def _xx_circuit(delta: float) -> Circuit:
@@ -34,17 +34,6 @@ def test_xx_engine_matches_statevector():
         assert evaluator.probability_of(bitstring) == pytest.approx(
             dense_p, abs=1e-9
         )
-
-
-def test_xx_batch_matches_single(rng):
-    """Batched spin-table evaluation equals per-circuit evaluation."""
-    circuits = [_xx_circuit(d) for d in rng.normal(0.0, 0.1, 6)]
-    batch = XXBatchEvaluator(circuits)
-    for bitstring in (0, 5, 9, 12, 31):
-        single = np.array(
-            [XXCircuitEvaluator(c).probability_of(bitstring) for c in circuits]
-        )
-        assert np.allclose(batch.probabilities_of(bitstring), single, atol=1e-12)
 
 
 def test_batched_statevector_matches_single(rng):
