@@ -308,10 +308,17 @@ def _crossover_sizes(result: dict) -> float:
     )
 
 
+def _pooled_precision(cells: list[dict[str, Any]], name: str) -> float:
+    """Fault-trial-weighted mean precision of one diagnoser."""
+    rows = [c for c in cells if c["diagnoser"] == name]
+    fault = sum(c["fault_trials"] for c in rows)
+    if not fault:
+        return 0.0
+    return sum(c["mean_precision"] * c["fault_trials"] for c in rows) / fault
+
+
 def _precision_edge(result: dict) -> float:
     """Battery pooled precision minus the Worst baseline's."""
-    from ...arena.report import _pooled_precision
-
     cells = list(result["cells"])
     return _pooled_precision(cells, "battery") - _pooled_precision(
         cells, "worst"

@@ -814,6 +814,26 @@ def _merge_scenarios(
     )
 
 
+def _contract_checks(
+    name: str, preset: str, cells: list[dict], runs: list[dict]
+) -> list[dict[str, Any]]:
+    """The registered validation contract, graded over the merged cells.
+
+    The report's embedded ``checks[]`` are therefore the very ``Check``s
+    ``validate`` grades and the golden record tracks.
+    """
+    from ..validation.specs import ValidationContext, evaluate_expectations
+
+    context = ValidationContext(
+        experiment=name,
+        preset=preset,
+        results=({**runs[0]["result"], "cells": cells},),
+        configs=(runs[0]["config"],),
+    )
+    checks = evaluate_expectations(get_experiment(name).validation, context)
+    return [dataclasses.asdict(check) for check in checks]
+
+
 def _merge_arena(
     preset: str, cells: list[dict], runs: list[dict], records: list[dict]
 ) -> dict[str, Any]:
@@ -828,6 +848,7 @@ def _merge_arena(
         },
         detect_floor=float(config["detect_floor"]),
         random_detect_rate=float(config["random_detect_rate"]),
+        checks=_contract_checks("arena", preset, cells, runs),
         records=records,
     )
 
@@ -842,6 +863,7 @@ def _merge_fleet(
         cells=cells,
         detect_floor=float(config["detect_floor"]),
         corruption_floor=float(config["corruption_floor"]),
+        checks=_contract_checks("fleet", preset, cells, runs),
         records=records,
     )
 

@@ -6,32 +6,35 @@ experiment records into one tournament payload: every (diagnoser,
 scenario kind, machine size) cell's detection/isolation/cost aggregates,
 a pooled per-diagnoser leaderboard, the measured
 battery-vs-binary-search shot-cost crossover (Fig. 10's economics claim,
-measured rather than assumed), and the embedded golden-style checks that
-gate the CLI exit code. Like the scenario matrix, the schema is
-hand-validated (:func:`validate_arena_payload`) so the report stays
-dependency-free and diffable across PRs.
+measured rather than assumed), and the embedded checks that gate the CLI
+exit code. Those checks are the registered arena contract's graded
+``Check``s over the merged cells — the same ones ``validate`` grades and
+``GOLDEN_smoke.json`` tracks. The schema is one declarative
+:data:`ARENA_SHAPE` for the shared checker in :mod:`repro.provenance`,
+so the report stays dependency-free and diffable.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import asdict
 from typing import Any
 
 from ..provenance import (
+    Shape,
+    check_payload,
+    checks_shape,
     provenance,
-    validate_matrix_records,
-    validate_report_envelope,
+    records_shape,
+    report_fields,
 )
 from ..scenarios.spec import SCENARIO_KINDS
-from ..validation.specs import Check
 from ..validation.stats import binomial_ci
 from .diagnosers import BASELINE_NAMES, STRATEGY_NAMES
 from .scoring import CellScore
 
 __all__ = [
     "ARENA_SCHEMA_ID",
-    "arena_checks",
+    "ARENA_SHAPE",
     "arena_payload",
     "cell_payload",
     "crossover_section",
@@ -44,6 +47,9 @@ ARENA_SCHEMA_ID = "repro-arena/v1"
 
 #: Every registered diagnoser, leaderboard order.
 ALL_DIAGNOSERS = (*STRATEGY_NAMES, *BASELINE_NAMES)
+
+_DIAGNOSER = Shape(None, one_of=ALL_DIAGNOSERS, says="a registered diagnoser")
+_KIND = Shape(None, one_of=SCENARIO_KINDS, says="a known scenario kind")
 
 #: Cell fields that must be non-negative integers.
 _CELL_COUNTS = (
@@ -227,194 +233,24 @@ def crossover_section(cells: list[dict[str, Any]]) -> dict[str, Any]:
     return {"per_n": per_n, "crossover_n": crossover_n}
 
 
-def arena_checks(
-    cells: list[dict[str, Any]],
-    crossover: dict[str, Any],
-    random_detect_rate: float,
-) -> list[Check]:
-    """The payload's embedded golden-style checks.
-
-    Hard checks gate the CLI exit code (and, via the registered
-    validation contract, the validate command): the battery's detection
-    CI lower bound beats the Random baseline's *analytic* rate in every
-    (kind, N) cell, no diagnoser ever hit its hard timeout, Null never
-    raised an alarm, Worst's ambiguity group is maximal everywhere, and
-    the shot-cost crossover was actually measured on at least two
-    machine sizes.
-    """
-    checks: list[Check] = []
-
-    battery = [c for c in cells if c["diagnoser"] == "battery"]
-    worst_cell, worst_ci = None, 1.0
-    all_beat = bool(battery)
-    for cell in battery:
-        if not cell["fault_trials"]:
-            continue
-        ci = binomial_ci(cell["detections"], cell["fault_trials"])
-        if ci.lower <= random_detect_rate:
-            all_beat = False
-        if ci.lower < worst_ci:
-            worst_ci, worst_cell = ci.lower, cell
-    checks.append(
-        Check(
-            check_id="arena.battery_beats_random",
-            description=(
-                "battery detection CI lower bound beats Random's analytic "
-                f"rate ({random_detect_rate:.2f}) in every (kind, N) cell"
-            ),
-            passed=all_beat,
-            hard=True,
-            observed=(
-                "worst cell "
-                f"{worst_cell['scenario']}/n={worst_cell['n_qubits']} "
-                f"{worst_cell['detections']}/{worst_cell['fault_trials']} "
-                f"(CI lower {worst_ci:.3f})"
-                if worst_cell
-                else "no battery fault trials"
-            ),
-            target=f"every cell's CI lower bound > {random_detect_rate:.2f}",
-            value=worst_ci if worst_cell else None,
-            drift_tolerance=0.25,
-        )
-    )
-
-    timeouts = sum(c["timeouts"] for c in cells)
-    checks.append(
-        Check(
-            check_id="arena.no_hard_timeouts",
-            description="no diagnoser exceeded its hard time budget",
-            passed=timeouts == 0,
-            hard=True,
-            observed=f"{timeouts} timeout(s) across {len(cells)} cells",
-            target="0 timeouts",
-            value=float(timeouts),
-            drift_tolerance=0.0,
-        )
-    )
-
-    null_alarms = sum(
-        c["detections"] + c["false_alarms"]
-        for c in cells
-        if c["diagnoser"] == "null"
-    )
-    checks.append(
-        Check(
-            check_id="arena.null_never_detects",
-            description="the Null baseline never raises an alarm",
-            passed=null_alarms == 0,
-            hard=True,
-            observed=f"{null_alarms} alarm(s)",
-            target="0 alarms",
-            value=float(null_alarms),
-            drift_tolerance=0.0,
-        )
-    )
-
-    worst_rows = [
-        c for c in cells if c["diagnoser"] == "worst" and c["fault_trials"]
-    ]
-    maximal = all(
-        abs(c["mean_ambiguity"] - _n_pairs(c["n_qubits"])) < 1e-9
-        for c in worst_rows
-    )
-    checks.append(
-        Check(
-            check_id="arena.worst_max_ambiguity",
-            description=(
-                "the Worst baseline's ambiguity group is all C(N,2) "
-                "couplings on every fault trial"
-            ),
-            passed=bool(worst_rows) and maximal,
-            hard=True,
-            observed=f"{len(worst_rows)} cells checked",
-            target="mean ambiguity == C(N,2) in every cell",
-            value=float(len(worst_rows)),
-            drift_tolerance=None,
-        )
-    )
-
-    measured = [
-        row
-        for row in crossover["per_n"]
-        if row["battery_shots"] > 0 and row["binary_search_shots"] > 0
-    ]
-    checks.append(
-        Check(
-            check_id="arena.crossover_measured",
-            description=(
-                "the battery-vs-binary-search shot-cost crossover is "
-                "measured on at least two machine sizes"
-            ),
-            passed=len(measured) >= 2,
-            hard=True,
-            observed=(
-                f"{len(measured)} size(s): "
-                + ", ".join(
-                    f"N={row['n_qubits']} ratio {row['shot_ratio']:.2f}"
-                    for row in measured
-                )
-                + f"; crossover_n={crossover['crossover_n']}"
-            ),
-            target=">= 2 sizes with positive shot costs for both",
-            value=float(len(measured)),
-            drift_tolerance=None,
-        )
-    )
-
-    battery_precision = _pooled_precision(cells, "battery")
-    worst_precision = _pooled_precision(cells, "worst")
-    checks.append(
-        Check(
-            check_id="arena.battery_precision_beats_worst",
-            description=(
-                "battery isolation precision exceeds the accuse-everything "
-                "baseline's"
-            ),
-            passed=battery_precision > worst_precision,
-            hard=False,
-            observed=(
-                f"battery {battery_precision:.3f} vs worst "
-                f"{worst_precision:.3f}"
-            ),
-            target="battery > worst",
-            value=battery_precision,
-            drift_tolerance=0.25,
-        )
-    )
-    return checks
-
-
-def _n_pairs(n_qubits: int) -> float:
-    """C(N, 2) as a float."""
-    return n_qubits * (n_qubits - 1) / 2.0
-
-
-def _pooled_precision(cells: list[dict[str, Any]], name: str) -> float:
-    """Fault-trial-weighted mean precision of one diagnoser."""
-    rows = [c for c in cells if c["diagnoser"] == name]
-    fault = sum(c["fault_trials"] for c in rows)
-    if not fault:
-        return 0.0
-    return sum(c["mean_precision"] * c["fault_trials"] for c in rows) / fault
-
-
 def arena_payload(
     preset: str,
     cells: list[dict[str, Any]],
     budget: dict[str, Any],
     detect_floor: float,
     random_detect_rate: float,
+    checks: list[dict[str, Any]],
     records: list[dict[str, Any]],
     label: str | None = None,
 ) -> dict[str, Any]:
     """Assemble the schema'd arena report from merged cell dicts.
 
-    Derives the leaderboard, crossover section and embedded checks from
-    ``cells``; ``records`` carries per-kind run provenance (config
-    digest, cache hit), mirroring the scenario-matrix report.
+    Derives the leaderboard and crossover section from ``cells``;
+    ``checks`` are the arena contract's graded checks and ``records``
+    carries per-kind run provenance (config digest, cache hit),
+    mirroring the scenario-matrix report.
     """
     crossover = crossover_section(cells)
-    checks = arena_checks(cells, crossover, random_detect_rate)
     return {
         "schema": ARENA_SCHEMA_ID,
         "label": label or preset,
@@ -429,138 +265,62 @@ def arena_payload(
         "cells": cells,
         "leaderboard": leaderboard(cells),
         "crossover": crossover,
-        "checks": [asdict(check) for check in checks],
+        "checks": checks,
         "records": records,
     }
 
 
+#: The schema every arena payload must match.
+ARENA_SHAPE = Shape(
+    "object",
+    fields={
+        **report_fields(ARENA_SCHEMA_ID),
+        "detect_floor": Shape("number"),
+        "random_detect_rate": Shape("number"),
+        "budget": Shape(
+            "object",
+            fields={
+                "soft_seconds": Shape("number", nullable=True),
+                "hard_seconds": Shape("number", nullable=True),
+            },
+        ),
+        "kinds": Shape("list", nonempty=True, items=_KIND),
+        "diagnosers": Shape("list", nonempty=True, items=_DIAGNOSER),
+        "cells": Shape(
+            "list",
+            nonempty=True,
+            items=Shape(
+                "object",
+                fields={
+                    "diagnoser": _DIAGNOSER,
+                    "scenario": _KIND,
+                    "n_qubits": Shape("int", lo=4),
+                    **{count: Shape("int", lo=0) for count in _CELL_COUNTS},
+                    **{mean: Shape("number", lo=0) for mean in _CELL_MEANS},
+                },
+            ),
+        ),
+        "leaderboard": Shape(
+            "list",
+            nonempty=True,
+            items=Shape(
+                "object",
+                fields={"diagnoser": _DIAGNOSER, "rank": Shape("int", lo=1)},
+            ),
+        ),
+        "crossover": Shape(
+            "object",
+            fields={
+                "per_n": Shape("list"),
+                "crossover_n": Shape("int", nullable=True),
+            },
+        ),
+        "checks": checks_shape("arena."),
+        "records": records_shape("kinds"),
+    },
+)
+
+
 def validate_arena_payload(payload: Any) -> None:
     """Raise ``ValueError`` listing every way ``payload`` violates the schema."""
-    problems: list[str] = []
-
-    def _check(cond: bool, message: str) -> None:
-        if not cond:
-            problems.append(message)
-
-    _check(isinstance(payload, dict), "payload must be a JSON object")
-    if not isinstance(payload, dict):
-        raise ValueError("invalid arena payload: payload must be a JSON object")
-    problems.extend(validate_report_envelope(payload, ARENA_SCHEMA_ID))
-    for scalar in ("detect_floor", "random_detect_rate"):
-        _check(
-            isinstance(payload.get(scalar), (int, float)),
-            f"{scalar} must be a number",
-        )
-    budget = payload.get("budget")
-    _check(isinstance(budget, dict), "budget must be an object")
-    if isinstance(budget, dict):
-        for bound in ("soft_seconds", "hard_seconds"):
-            value = budget.get(bound)
-            _check(
-                value is None or isinstance(value, (int, float)),
-                f"budget.{bound} must be a number or null",
-            )
-    kinds = payload.get("kinds")
-    _check(
-        isinstance(kinds, list)
-        and kinds
-        and all(k in SCENARIO_KINDS for k in kinds),
-        "kinds must be a non-empty list of known scenario kinds",
-    )
-    diagnosers = payload.get("diagnosers")
-    _check(
-        isinstance(diagnosers, list)
-        and diagnosers
-        and all(d in ALL_DIAGNOSERS for d in diagnosers),
-        "diagnosers must be a non-empty list of registered diagnosers",
-    )
-    cells = payload.get("cells")
-    _check(
-        isinstance(cells, list) and len(cells) > 0,
-        "cells must be a non-empty array",
-    )
-    if isinstance(cells, list):
-        for k, cell in enumerate(cells):
-            where = f"cells[{k}]"
-            if not isinstance(cell, dict):
-                problems.append(f"{where} must be an object")
-                continue
-            _check(
-                cell.get("diagnoser") in ALL_DIAGNOSERS,
-                f"{where}.diagnoser must be a registered diagnoser",
-            )
-            _check(
-                cell.get("scenario") in SCENARIO_KINDS,
-                f"{where}.scenario must be a known kind",
-            )
-            _check(
-                isinstance(cell.get("n_qubits"), int)
-                and cell.get("n_qubits", 0) >= 4,
-                f"{where}.n_qubits must be an integer >= 4",
-            )
-            for count in _CELL_COUNTS:
-                _check(
-                    isinstance(cell.get(count), int)
-                    and cell.get(count, -1) >= 0
-                    and not isinstance(cell.get(count), bool),
-                    f"{where}.{count} must be a non-negative integer",
-                )
-            for mean in _CELL_MEANS:
-                _check(
-                    isinstance(cell.get(mean), (int, float))
-                    and cell.get(mean, -1) >= 0,
-                    f"{where}.{mean} must be a non-negative number",
-                )
-    board = payload.get("leaderboard")
-    _check(
-        isinstance(board, list) and len(board) > 0,
-        "leaderboard must be a non-empty array",
-    )
-    if isinstance(board, list):
-        for k, row in enumerate(board):
-            where = f"leaderboard[{k}]"
-            if not isinstance(row, dict):
-                problems.append(f"{where} must be an object")
-                continue
-            _check(
-                row.get("diagnoser") in ALL_DIAGNOSERS,
-                f"{where}.diagnoser must be a registered diagnoser",
-            )
-            _check(
-                isinstance(row.get("rank"), int) and row.get("rank", 0) >= 1,
-                f"{where}.rank must be a positive integer",
-            )
-    crossover = payload.get("crossover")
-    _check(isinstance(crossover, dict), "crossover must be an object")
-    if isinstance(crossover, dict):
-        per_n = crossover.get("per_n")
-        _check(isinstance(per_n, list), "crossover.per_n must be an array")
-        n_value = crossover.get("crossover_n")
-        _check(
-            n_value is None or isinstance(n_value, int),
-            "crossover.crossover_n must be an integer or null",
-        )
-    checks = payload.get("checks")
-    _check(
-        isinstance(checks, list) and len(checks) > 0,
-        "checks must be a non-empty array",
-    )
-    if isinstance(checks, list):
-        for k, check in enumerate(checks):
-            where = f"checks[{k}]"
-            if not isinstance(check, dict):
-                problems.append(f"{where} must be an object")
-                continue
-            _check(
-                isinstance(check.get("check_id"), str)
-                and check.get("check_id", "").startswith("arena."),
-                f"{where}.check_id must be an 'arena.'-prefixed string",
-            )
-            for flag in ("passed", "hard"):
-                _check(
-                    isinstance(check.get(flag), bool),
-                    f"{where}.{flag} must be a boolean",
-                )
-    problems.extend(validate_matrix_records(payload.get("records"), "kinds"))
-    if problems:
-        raise ValueError("invalid arena payload: " + "; ".join(problems))
+    check_payload(payload, ARENA_SHAPE, "arena")

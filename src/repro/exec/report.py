@@ -43,18 +43,23 @@ from pathlib import Path
 from typing import Any
 
 from ..provenance import (
+    Shape,
+    check_payload,
+    checks_shape,
     payload_fingerprint,
     provenance,
-    validate_report_envelope,
+    report_fields,
 )
 from ..validation.specs import Check
 from .chaos import CHAOS_ENV_VARS, ChaosConfig, _uniform, decide
 from .integrity import QUARANTINE_DIRNAME
 from .journal import load_journal
+from .outcomes import JOB_STATES
 from .retry import RetryPolicy
 
 __all__ = [
     "CHAOS_SCHEMA_ID",
+    "CHAOS_SHAPE",
     "chaos_checks",
     "run_chaos",
     "validate_chaos_payload",
@@ -603,106 +608,63 @@ def chaos_checks(
     return checks
 
 
+_COUNT = Shape("int", lo=0)
+
+#: The schema every chaos payload must match.
+CHAOS_SHAPE = Shape(
+    "object",
+    fields={
+        **report_fields(CHAOS_SCHEMA_ID),
+        "experiment": Shape("str", nonempty=True),
+        "chaos": Shape(
+            "object",
+            fields={
+                rate: Shape("number", lo=0.0, hi=1.0)
+                for rate in (
+                    "crash_rate",
+                    "stall_rate",
+                    "flaky_rate",
+                    "corrupt_rate",
+                )
+            },
+        ),
+        "policy": Shape("object", fields={"max_attempts": Shape("int", lo=1)}),
+        "cells": Shape(
+            "list",
+            nonempty=True,
+            items=Shape(
+                "object",
+                fields={
+                    "key": Shape("str", nonempty=True),
+                    "status": Shape(
+                        None, one_of=JOB_STATES, says="a known job state"
+                    ),
+                    "n_attempts": _COUNT,
+                    "injected": Shape("list"),
+                },
+            ),
+        ),
+        "injected": Shape(
+            "object",
+            fields={kind: _COUNT for kind in ("crash", "stall", "flaky")},
+        ),
+        "resume": Shape(
+            "object",
+            fields={
+                key: _COUNT
+                for key in (
+                    "n_points",
+                    "finished_before",
+                    "resumed",
+                    "dispatched",
+                )
+            },
+        ),
+        "checks": checks_shape("chaos."),
+    },
+)
+
+
 def validate_chaos_payload(payload: Any) -> None:
     """Raise ``ValueError`` listing every way ``payload`` violates the schema."""
-    problems: list[str] = []
-
-    def _check(cond: bool, message: str) -> None:
-        if not cond:
-            problems.append(message)
-
-    _check(isinstance(payload, dict), "payload must be a JSON object")
-    if not isinstance(payload, dict):
-        raise ValueError("invalid chaos payload: payload must be a JSON object")
-    problems.extend(validate_report_envelope(payload, CHAOS_SCHEMA_ID))
-    _check(
-        isinstance(payload.get("experiment"), str) and payload.get("experiment"),
-        "experiment must be a non-empty string",
-    )
-    chaos = payload.get("chaos")
-    _check(isinstance(chaos, dict), "chaos must be an object")
-    if isinstance(chaos, dict):
-        for rate in ("crash_rate", "stall_rate", "flaky_rate", "corrupt_rate"):
-            value = chaos.get(rate)
-            _check(
-                isinstance(value, (int, float)) and 0.0 <= value <= 1.0,
-                f"chaos.{rate} must be a number in [0, 1]",
-            )
-    policy = payload.get("policy")
-    _check(isinstance(policy, dict), "policy must be an object")
-    if isinstance(policy, dict):
-        _check(
-            isinstance(policy.get("max_attempts"), int)
-            and policy.get("max_attempts", 0) >= 1,
-            "policy.max_attempts must be an integer >= 1",
-        )
-    cells = payload.get("cells")
-    _check(
-        isinstance(cells, list) and len(cells) > 0,
-        "cells must be a non-empty array",
-    )
-    if isinstance(cells, list):
-        from .outcomes import JOB_STATES
-
-        for k, cell in enumerate(cells):
-            where = f"cells[{k}]"
-            if not isinstance(cell, dict):
-                problems.append(f"{where} must be an object")
-                continue
-            _check(
-                isinstance(cell.get("key"), str) and cell.get("key"),
-                f"{where}.key must be a non-empty string",
-            )
-            _check(
-                cell.get("status") in JOB_STATES,
-                f"{where}.status must be a known job state",
-            )
-            _check(
-                isinstance(cell.get("n_attempts"), int)
-                and cell.get("n_attempts", -1) >= 0,
-                f"{where}.n_attempts must be a non-negative integer",
-            )
-            _check(
-                isinstance(cell.get("injected"), list),
-                f"{where}.injected must be an array",
-            )
-    injected = payload.get("injected")
-    _check(isinstance(injected, dict), "injected must be an object")
-    if isinstance(injected, dict):
-        for kind in ("crash", "stall", "flaky"):
-            _check(
-                isinstance(injected.get(kind), int)
-                and injected.get(kind, -1) >= 0,
-                f"injected.{kind} must be a non-negative integer",
-            )
-    resume = payload.get("resume")
-    _check(isinstance(resume, dict), "resume must be an object")
-    if isinstance(resume, dict):
-        for key in ("n_points", "finished_before", "resumed", "dispatched"):
-            _check(
-                isinstance(resume.get(key), int) and resume.get(key, -1) >= 0,
-                f"resume.{key} must be a non-negative integer",
-            )
-    checks = payload.get("checks")
-    _check(
-        isinstance(checks, list) and len(checks) > 0,
-        "checks must be a non-empty array",
-    )
-    if isinstance(checks, list):
-        for k, check in enumerate(checks):
-            where = f"checks[{k}]"
-            if not isinstance(check, dict):
-                problems.append(f"{where} must be an object")
-                continue
-            _check(
-                isinstance(check.get("check_id"), str)
-                and check.get("check_id", "").startswith("chaos."),
-                f"{where}.check_id must be a 'chaos.'-prefixed string",
-            )
-            for flag in ("passed", "hard"):
-                _check(
-                    isinstance(check.get(flag), bool),
-                    f"{where}.{flag} must be a boolean",
-                )
-    if problems:
-        raise ValueError("invalid chaos payload: " + "; ".join(problems))
+    check_payload(payload, CHAOS_SHAPE, "chaos")

@@ -33,7 +33,6 @@ from .policies import (
 from .repair import RepairAction, RepairModel, plan_repairs
 from .report import (
     FLEET_SCHEMA_ID,
-    fleet_checks,
     fleet_leaderboard,
     fleet_payload,
     validate_fleet_payload,
@@ -56,7 +55,6 @@ __all__ = [
     "build_policy",
     "build_trap",
     "derive_check_interval",
-    "fleet_checks",
     "fleet_leaderboard",
     "fleet_payload",
     "plan_repairs",

@@ -4,10 +4,12 @@ The matrix runner (:func:`repro.analysis.runner.run_matrix` with
 ``"scenarios"``, behind ``python -m repro scenarios``) merges the
 per-kind experiment records into one matrix payload: every (scenario,
 machine size) cell's per-engine detection counts, identification counts
-and engine-routing flags, plus the fig6 anchor verdicts. Like the bench
-registry, the schema is deliberately hand-validated
-(:func:`validate_matrix_payload`) so the report stays dependency-free
-and diffable across PRs.
+and engine-routing flags, plus the fig6 anchor verdicts. The schema is
+one declarative :data:`MATRIX_SHAPE` for the shared checker in
+:mod:`repro.provenance`, so the report stays dependency-free and
+diffable. It embeds no ``checks[]``: the scenarios contract's fig6
+anchor needs the whole taxonomy, so a ``--kind`` subset would always
+fail it; ``validate`` grades that contract instead.
 """
 
 from __future__ import annotations
@@ -16,13 +18,16 @@ import time
 from typing import Any
 
 from ..provenance import (
+    Shape,
+    check_payload,
     provenance,
-    validate_matrix_records,
-    validate_report_envelope,
+    records_shape,
+    report_fields,
 )
 from .spec import SCENARIO_KINDS
 
 __all__ = [
+    "MATRIX_SHAPE",
     "SCENARIO_MATRIX_SCHEMA_ID",
     "matrix_payload",
     "validate_matrix_payload",
@@ -64,95 +69,65 @@ def matrix_payload(
     }
 
 
+def _count_triples(value: list[Any]) -> bool:
+    """[[engine, successes, trials], ...] with 0 <= successes <= trials."""
+    return all(
+        isinstance(entry, list)
+        and len(entry) == 3
+        and entry[0] in ("xx", "dense")
+        and all(
+            isinstance(n, int) and not isinstance(n, bool) for n in entry[1:]
+        )
+        and 0 <= entry[1] <= entry[2]
+        for entry in value
+    )
+
+
+_KIND = Shape(None, one_of=SCENARIO_KINDS, says="a known scenario kind")
+
+#: The schema every scenario-matrix payload must match.
+MATRIX_SHAPE = Shape(
+    "object",
+    fields={
+        **report_fields(SCENARIO_MATRIX_SCHEMA_ID),
+        "detect_floor": Shape("number"),
+        "kinds": Shape("list", nonempty=True, items=_KIND),
+        "cells": Shape(
+            "list",
+            nonempty=True,
+            items=Shape(
+                "object",
+                fields={
+                    "scenario": _KIND,
+                    "n_qubits": Shape("int", lo=4),
+                    "xx_preserving": Shape("bool"),
+                    "fallback_to_dense": Shape("bool"),
+                    **{
+                        field: Shape(
+                            "list",
+                            test=_count_triples,
+                            says="[[engine, successes, trials], ...] "
+                            "count triples",
+                        )
+                        for field in _COUNT_FIELDS
+                    },
+                    "identification_successes": Shape("int", lo=0),
+                    "identification_trials": Shape("int", lo=0),
+                },
+            ),
+        ),
+        "anchor": Shape(
+            "object",
+            fields={
+                "largest_resolved_2ms": Shape("bool", nullable=True),
+                "largest_resolved_4ms": Shape("bool", nullable=True),
+            },
+        ),
+        "records": records_shape("kinds"),
+    },
+)
+
+
 def validate_matrix_payload(payload: Any) -> None:
     """Raise ``ValueError`` listing every way ``payload`` violates the schema."""
-    problems: list[str] = []
-
-    def _check(cond: bool, message: str) -> None:
-        if not cond:
-            problems.append(message)
-
-    def _counts_ok(value: Any) -> bool:
-        """[[engine, successes, trials], ...] with 0 <= successes <= trials."""
-        if not isinstance(value, list):
-            return False
-        for entry in value:
-            if not (isinstance(entry, list) and len(entry) == 3):
-                return False
-            engine, successes, trials = entry
-            if engine not in ("xx", "dense"):
-                return False
-            if not (
-                isinstance(successes, int)
-                and isinstance(trials, int)
-                and 0 <= successes <= trials
-            ):
-                return False
-        return True
-
-    _check(isinstance(payload, dict), "payload must be a JSON object")
-    if isinstance(payload, dict):
-        problems.extend(validate_report_envelope(payload, SCENARIO_MATRIX_SCHEMA_ID))
-        _check(
-            isinstance(payload.get("detect_floor"), (int, float)),
-            "detect_floor must be a number",
-        )
-        kinds = payload.get("kinds")
-        _check(
-            isinstance(kinds, list)
-            and kinds
-            and all(k in SCENARIO_KINDS for k in kinds),
-            "kinds must be a non-empty list of known scenario kinds",
-        )
-        cells = payload.get("cells")
-        _check(
-            isinstance(cells, list) and len(cells) > 0,
-            "cells must be a non-empty array",
-        )
-        if isinstance(cells, list):
-            for k, cell in enumerate(cells):
-                where = f"cells[{k}]"
-                if not isinstance(cell, dict):
-                    problems.append(f"{where} must be an object")
-                    continue
-                _check(
-                    cell.get("scenario") in SCENARIO_KINDS,
-                    f"{where}.scenario must be a known kind",
-                )
-                _check(
-                    isinstance(cell.get("n_qubits"), int)
-                    and cell.get("n_qubits", 0) >= 4,
-                    f"{where}.n_qubits must be an integer >= 4",
-                )
-                for flag in ("xx_preserving", "fallback_to_dense"):
-                    _check(
-                        isinstance(cell.get(flag), bool),
-                        f"{where}.{flag} must be a boolean",
-                    )
-                for field in _COUNT_FIELDS:
-                    _check(
-                        _counts_ok(cell.get(field)),
-                        f"{where}.{field} must be [[engine, successes, "
-                        "trials], ...] count triples",
-                    )
-                for field in (
-                    "identification_successes",
-                    "identification_trials",
-                ):
-                    _check(
-                        isinstance(cell.get(field), int)
-                        and cell.get(field, -1) >= 0,
-                        f"{where}.{field} must be a non-negative integer",
-                    )
-        anchor = payload.get("anchor")
-        _check(isinstance(anchor, dict), "anchor must be an object")
-        if isinstance(anchor, dict):
-            for field in ("largest_resolved_2ms", "largest_resolved_4ms"):
-                _check(
-                    anchor.get(field) is None
-                    or isinstance(anchor.get(field), bool),
-                    f"anchor.{field} must be a boolean or null",
-                )
-        problems.extend(validate_matrix_records(payload.get("records"), "kinds"))
-    if problems:
-        raise ValueError("invalid scenario matrix payload: " + "; ".join(problems))
+    check_payload(payload, MATRIX_SHAPE, "scenario matrix")

@@ -203,11 +203,26 @@ def _grade_ci_lower(exp: Expectation, observation: Any) -> Check:
 
 
 def _grade_ci_lower_each(exp: Expectation, observation: Any) -> Check:
-    """Grade a per-label count matrix: every label's CI must clear target."""
-    if not isinstance(observation, dict) or not observation:
+    """Grade a per-label count matrix: every label's CI must clear target.
+
+    An empty mapping (nothing labelled was measured) fails the check
+    rather than passing vacuously.
+    """
+    if not isinstance(observation, dict):
         raise ValueError(
-            f"{exp.check_id}: ci-lower-each needs a non-empty "
-            "label -> counts mapping"
+            f"{exp.check_id}: ci-lower-each needs a label -> counts mapping"
+        )
+    target = f"every label's CI lower bound > {float(exp.target):.2f}"
+    if not observation:
+        return Check(
+            check_id=exp.check_id,
+            description=exp.description,
+            passed=False,
+            hard=exp.hard,
+            observed="no labelled counts",
+            target=target,
+            value=None,
+            drift_tolerance=exp.drift_tolerance,
         )
     cis = {
         label: binomial_ci(*_as_counts(counts), exp.confidence, exp.method)
@@ -228,7 +243,7 @@ def _grade_ci_lower_each(exp: Expectation, observation: Any) -> Check:
         observed=(
             f"{observed} (worst: {worst_label} CI lower {worst.lower:.3f})"
         ),
-        target=f"every label's CI lower bound > {float(exp.target):.2f}",
+        target=target,
         value=worst.estimate,
         drift_tolerance=exp.drift_tolerance,
     )

@@ -1,4 +1,5 @@
-"""Test bootstrap: ``src/`` importability and the shared seeded RNG."""
+"""Test bootstrap: ``src/`` importability, the shared seeded RNG and the
+golden-record check of embedded report checks."""
 
 import sys
 import zlib
@@ -24,3 +25,32 @@ def rng(request: pytest.FixtureRequest) -> np.random.Generator:
     """
     seed = zlib.crc32(request.node.nodeid.encode())
     return np.random.default_rng(seed)
+
+
+@pytest.fixture
+def assert_golden_tracked():
+    """Check a report's embedded ``checks[]`` against GOLDEN_smoke.json.
+
+    Every drift-tracked check (non-null ``drift_tolerance``) must be the
+    golden record's entry of the same id under ``prefix`` — same
+    tolerance, value within it — and every golden ``prefix`` entry must
+    be embedded.
+    """
+    from repro.validation.golden import load_golden
+
+    golden = load_golden(SRC.parent / "GOLDEN_smoke.json")["checks"]
+
+    def check(checks, prefix):
+        tracked = {
+            c["check_id"]: c for c in checks if c["drift_tolerance"] is not None
+        }
+        assert sorted(tracked) == sorted(
+            k for k in golden if k.startswith(prefix)
+        )
+        for check_id, embedded in tracked.items():
+            entry = golden[check_id]
+            assert embedded["drift_tolerance"] == entry["tolerance"], check_id
+            drift = abs(embedded["value"] - entry["value"])
+            assert drift <= entry["tolerance"], check_id
+
+    return check

@@ -27,7 +27,7 @@ def arena_payload():
 
 
 def test_payload_is_schema_valid(arena_payload):
-    """The merged payload passes the hand-rolled schema validator."""
+    """The merged payload passes the declared arena schema."""
     validate_arena_payload(arena_payload)
     assert arena_payload["schema"] == ARENA_SCHEMA_ID
 
@@ -40,6 +40,13 @@ def test_every_hard_check_passes(arena_payload):
         if c["hard"] and not c["passed"]
     ]
     assert failed == []
+
+
+def test_checks_are_the_golden_tracked_contract(
+    arena_payload, assert_golden_tracked
+):
+    """The embedded checks are the golden-tracked ``arena.*`` checks."""
+    assert_golden_tracked(arena_payload["checks"], "arena.")
 
 
 def test_full_grid_is_covered(arena_payload):

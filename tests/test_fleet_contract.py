@@ -48,11 +48,18 @@ class TestReportContract:
     def test_all_hard_checks_pass(self, smoke):
         payload, _records, _cache = smoke
         failed = [
-            check["id"]
+            check["check_id"]
             for check in payload["checks"]
             if check["hard"] and not check["passed"]
         ]
         assert failed == []
+
+    def test_checks_are_the_golden_tracked_contract(
+        self, smoke, assert_golden_tracked
+    ):
+        """The embedded checks are the golden-tracked ``fleet.*`` checks."""
+        payload, _records, _cache = smoke
+        assert_golden_tracked(payload["checks"], "fleet.")
 
     def test_battery_beats_periodic_on_uptime(self, smoke):
         payload, _records, _cache = smoke

@@ -115,6 +115,39 @@ def test_expectation_kinds_grade_correctly():
     assert not checks["x.inc"].hard
 
 
+def test_ci_lower_each_grades_every_label_and_fails_when_empty():
+    """Each label must clear the target on its own; an empty mapping
+    (nothing measured) is a failed check, not an exception."""
+
+    def contract(counts):
+        return FigureValidation(
+            expectations=(
+                Expectation(
+                    check_id="x.each",
+                    description="each",
+                    kind="ci-lower-each",
+                    target=0.25,
+                    extract=lambda ctx: counts,
+                ),
+            )
+        )
+
+    (strong,) = evaluate_expectations(
+        contract({"a": (6, 6), "b": (3, 3)}), _context([{}])
+    )
+    assert strong.passed
+    assert strong.value == pytest.approx(1.0)
+    (weak,) = evaluate_expectations(
+        contract({"a": (6, 6), "b": (0, 3)}), _context([{}])
+    )
+    assert not weak.passed
+    (empty,) = evaluate_expectations(contract({}), _context([{}]))
+    assert not empty.passed
+    assert empty.hard
+    assert empty.observed == "no labelled counts"
+    assert empty.value is None
+
+
 def test_expectation_rejects_unknown_kind():
     contract = FigureValidation(
         expectations=(
