@@ -30,28 +30,56 @@ Workers are forked where the platform allows (inheriting the warmed
 interpreter: no re-import cost per worker) and spawned elsewhere; in
 both cases ``fn`` and the items must pickle, the same contract the old
 ``ProcessPoolExecutor`` path imposed.
+
+A caller that runs many small calls (the job service: one call per job)
+can pass a :class:`WorkerSet`: healthy idle workers then outlive the
+call and serve the next one with everything they have already imported
+and cached.  A worker is only reused by a call with the same ``fn`` and
+the same ``REPRO_CHAOS_*`` environment it was forked under, and a
+crashed, timed-out or cancelled worker is never kept.  Every worker
+exits on its own once its supervisor process is gone.
 """
 
 from __future__ import annotations
 
 import heapq
 import multiprocessing
+import multiprocessing.util
+import os
+import threading
 import time
 import traceback
 from collections import deque
 from multiprocessing.connection import wait as _wait_connections
 from typing import Any, Callable
 
+from .chaos import CHAOS_ENV_VARS
 from .outcomes import AttemptRecord, JobOutcome
 from .retry import RetryPolicy
 
-__all__ = ["run_supervised"]
+__all__ = ["WorkerSet", "run_supervised"]
 
 #: Grace period for a worker to exit after the shutdown sentinel.
 _SHUTDOWN_GRACE_SECONDS = 0.5
 
+#: How often a worker checks that its supervisor process is still alive.
+_ORPHAN_CHECK_SECONDS = 0.2
 
-def _worker_main(conn, fn) -> None:
+
+def _exit_when_orphaned(supervisor_pid: int) -> None:
+    """Worker watchdog: ``os._exit`` as soon as the supervisor is gone.
+
+    Pipe EOF is not enough: workers forked concurrently by different
+    threads inherit each other's pipe ends, so a dead supervisor's pipes
+    may never close.  Checked mid-job too — a ``kill -9`` of the
+    supervisor must not leave a worker finishing an orphaned job.
+    """
+    while os.getppid() == supervisor_pid:
+        time.sleep(_ORPHAN_CHECK_SECONDS)
+    os._exit(1)
+
+
+def _worker_main(conn, fn, supervisor_pid: int) -> None:
     """Worker process loop: receive jobs, run them, post outcomes.
 
     Messages in: ``(index, attempt, key, item)`` tuples, or ``None`` to
@@ -62,6 +90,9 @@ def _worker_main(conn, fn) -> None:
     """
     from .chaos import chaos_hook
 
+    threading.Thread(
+        target=_exit_when_orphaned, args=(supervisor_pid,), daemon=True
+    ).start()
     while True:
         try:
             message = conn.recv()
@@ -95,15 +126,28 @@ def _worker_main(conn, fn) -> None:
                     return
 
 
+def _chaos_env() -> tuple[str | None, ...]:
+    """The ``REPRO_CHAOS_*`` block a worker forked now would inherit."""
+    return tuple(os.environ.get(name) for name in CHAOS_ENV_VARS)
+
+
 class _Worker:
     """Supervisor-side handle on one worker process."""
 
-    __slots__ = ("process", "conn", "job", "dispatched_at")
+    __slots__ = (
+        "process", "conn", "fn", "chaos_env", "job", "dispatched_at", "fresh"
+    )
 
     def __init__(self, ctx, fn) -> None:
+        #: What the worker was forked to run, and under which chaos
+        #: hooks: a :class:`WorkerSet` reuses it only for the same pair.
+        self.fn = fn
+        self.chaos_env = _chaos_env()
         parent_conn, child_conn = ctx.Pipe(duplex=True)
         self.process = ctx.Process(
-            target=_worker_main, args=(child_conn, fn), name="repro-exec-worker"
+            target=_worker_main,
+            args=(child_conn, fn, os.getpid()),
+            name="repro-exec-worker",
         )
         self.process.start()
         child_conn.close()
@@ -111,12 +155,15 @@ class _Worker:
         #: ``(index, attempt)`` of the in-flight job, or ``None`` when idle.
         self.job: tuple[int, int] | None = None
         self.dispatched_at: float = 0.0
+        #: True until the first job reaches the worker.
+        self.fresh = True
 
     def dispatch(self, index: int, attempt: int, key: str, item: Any) -> None:
         """Send one job attempt to the worker and mark it in flight."""
         self.conn.send((index, attempt, key, item))
         self.job = (index, attempt)
         self.dispatched_at = time.monotonic()
+        self.fresh = False
 
     def kill(self) -> None:
         """Hard-stop the worker process (stall or shutdown path)."""
@@ -137,6 +184,71 @@ class _Worker:
             self.process.kill()
             self.process.join()
         self.conn.close()
+
+
+class WorkerSet:
+    """Idle workers a caller keeps alive across :func:`run_supervised` calls.
+
+    The caller owns the set and must :meth:`close` it; a worker handed
+    back after :meth:`close` is shut down at once.  Safe to close from
+    another thread while a call has workers borrowed.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._idle: list[_Worker] = []
+        self._closed = False
+        # An unclosed set must not hang interpreter exit, which joins
+        # every live non-daemon child: multiprocessing runs this before.
+        multiprocessing.util.Finalize(
+            self, _shutdown_all, args=(self._idle,), exitpriority=0
+        )
+
+    def take(self, fn: Callable[[Any], Any]) -> _Worker | None:
+        """Borrow a live idle worker forked for ``fn`` under the current
+        chaos environment; retire idle workers that no longer qualify."""
+        chaos_env = _chaos_env()
+        found = None
+        keep: list[_Worker] = []
+        retire: list[_Worker] = []
+        with self._lock:
+            for worker in self._idle:
+                if not (
+                    worker.fn is fn
+                    and worker.chaos_env == chaos_env
+                    and worker.process.is_alive()
+                ):
+                    retire.append(worker)
+                elif found is None:
+                    found = worker
+                else:
+                    keep.append(worker)
+            self._idle[:] = keep
+        for worker in retire:
+            worker.shutdown()
+        return found
+
+    def give(self, worker: _Worker) -> None:
+        """Keep an idle worker for a later call (shut it down if closed)."""
+        with self._lock:
+            if not self._closed:
+                self._idle.append(worker)
+                return
+        worker.shutdown()
+
+    def close(self) -> None:
+        """Shut down every idle worker; later hand-backs shut down too."""
+        with self._lock:
+            self._closed = True
+            idle = list(self._idle)
+            self._idle.clear()
+        _shutdown_all(idle)
+
+
+def _shutdown_all(workers: list[_Worker]) -> None:
+    """Shut down each worker in ``workers`` (a snapshot is iterated)."""
+    for worker in list(workers):
+        worker.shutdown()
 
 
 def _pool_context(start_method: str | None):
@@ -161,6 +273,7 @@ def run_supervised(
     on_event: Callable[[str, JobOutcome], None] | None = None,
     start_method: str | None = None,
     cancel: Callable[[], bool] | None = None,
+    worker_set: WorkerSet | None = None,
 ) -> list[JobOutcome]:
     """Map ``fn`` over ``items`` under supervision; return one outcome each.
 
@@ -194,6 +307,12 @@ def run_supervised(
         unterminated job lands in the ``cancelled`` state — the
         service's ``cancel(job_id)`` path.  Jobs that already finished
         keep their outcomes.
+    worker_set:
+        Optional caller-owned :class:`WorkerSet`.  The call borrows its
+        idle workers that were forked for this ``fn`` before forking new
+        ones, and hands its healthy idle workers back on exit instead of
+        shutting them down.  A worker found dead when its job is sent is
+        replaced without spending an attempt.
 
     Outcomes return in input order; no exception from a job ever
     propagates — inspect :attr:`JobOutcome.status`.
@@ -295,6 +414,11 @@ def run_supervised(
         index, attempt = worker.job
         wall = time.monotonic() - worker.dispatched_at
         worker.job = None
+        _record_crash(worker, index, attempt, wall)
+
+    def _record_crash(
+        worker: _Worker, index: int, attempt: int, wall: float
+    ) -> None:
         worker.kill()
         workers.remove(worker)
         _register_failure(
@@ -309,6 +433,27 @@ def run_supervised(
                 message=f"worker died (exit code {worker.process.exitcode})",
             ),
         )
+
+    def _dispatch(worker: _Worker, index: int, attempt: int) -> None:
+        """Send one attempt; a worker that died idle costs no attempt."""
+        crashed = False
+        try:
+            worker.dispatch(index, attempt, keys[index], items[index])
+        except (BrokenPipeError, OSError):
+            if not worker.fresh:
+                # The attempt never started: replace the worker.
+                worker.kill()
+                workers.remove(worker)
+                pending.appendleft((index, attempt))
+                return
+            # A worker that cannot take its first job counts as a crash,
+            # so a host that cannot keep workers alive runs out of
+            # attempts instead of forking forever.
+            crashed = True
+        if attempt == 0:
+            _emit("started", index)
+        if crashed:
+            _record_crash(worker, index, attempt, 0.0)
 
     def _handle_timeout(worker: _Worker) -> None:
         index, attempt = worker.job
@@ -378,13 +523,15 @@ def run_supervised(
             idle = [w for w in workers if w.job is None]
             while pending and (idle or len(workers) < jobs_cap):
                 worker = idle.pop() if idle else None
+                if worker is None and worker_set is not None:
+                    worker = worker_set.take(fn)
+                    if worker is not None:
+                        workers.append(worker)
                 if worker is None:
                     worker = _Worker(ctx, fn)
                     workers.append(worker)
                 index, attempt = pending.popleft()
-                if attempt == 0:
-                    _emit("started", index)
-                worker.dispatch(index, attempt, keys[index], items[index])
+                _dispatch(worker, index, attempt)
 
             busy = [w for w in workers if w.job is not None]
             if not busy:
@@ -450,7 +597,14 @@ def run_supervised(
                     ):
                         _handle_timeout(worker)
     finally:
-        for worker in list(workers):
-            worker.shutdown()
+        for worker in workers:
+            if (
+                worker_set is not None
+                and worker.job is None
+                and worker.process.is_alive()
+            ):
+                worker_set.give(worker)
+            else:
+                worker.shutdown()
 
     return [outcome for outcome in outcomes if outcome is not None]

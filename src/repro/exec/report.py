@@ -183,15 +183,17 @@ def _resume_drill(
         cwd=str(workdir),
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
+        # Its own process group, so the kill reaches its pool worker too.
+        start_new_session=True,
     )
     deadline = time.monotonic() + _RESUME_DRILL_DEADLINE
     killed = False
     try:
         while time.monotonic() < deadline:
             if journal.exists() and load_journal(journal)["finished"]:
-                # At least one cell journaled: kill the child mid-sweep,
-                # the hard way — no cleanup, no atexit, nothing.
-                child.send_signal(signal.SIGKILL)
+                # At least one cell journaled: kill the child and its
+                # worker mid-sweep, the hard way — no cleanup, no atexit.
+                os.killpg(child.pid, signal.SIGKILL)
                 killed = True
                 break
             if child.poll() is not None:
@@ -199,7 +201,7 @@ def _resume_drill(
             time.sleep(0.02)
     finally:
         if child.poll() is None and not killed:
-            child.kill()
+            os.killpg(child.pid, signal.SIGKILL)
         child.wait()
 
     finished_before = len(load_journal(journal)["finished"])

@@ -28,7 +28,10 @@ death.
     ``status`` / ``result`` / ``cancel`` / ``wait`` over dispatcher
     threads driving :func:`repro.exec.pool.run_supervised`, with
     per-namespace cache/result isolation and integrity-stamped
-    artifacts.
+    artifacts.  Each dispatcher keeps one warm worker process for as
+    long as it lives (replaced after a crash, timeout or cancel; gone
+    when the service stops or dies), and each worker memoizes the
+    calibration of the scenario cells it has diagnosed.
 :mod:`~repro.service.client`
     :class:`~repro.service.client.ServiceClient` (in-process) and
     :class:`~repro.service.client.HttpServiceClient` (urllib).

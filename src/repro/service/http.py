@@ -100,9 +100,6 @@ class _Handler(BaseHTTPRequestHandler):
         parts = [p for p in url.path.split("/") if p]
         try:
             if parts == ["v1", "health"]:
-                counts: dict[str, int] = {}
-                for row in self.service.list_jobs():
-                    counts[row["state"]] = counts.get(row["state"], 0) + 1
                 self._send(
                     200,
                     {
@@ -110,7 +107,7 @@ class _Handler(BaseHTTPRequestHandler):
                         "schema": "repro-service/v1",
                         "root": str(self.service.root),
                         "workers": self.service.workers,
-                        "jobs": counts,
+                        "jobs": self.service.job_state_counts(),
                     },
                 )
             elif parts == ["v1", "queue"]:

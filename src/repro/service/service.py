@@ -9,6 +9,15 @@ are killed at the spec's deadline, failures retry under the spec's
 budget, and a ``cancel`` kills the in-flight worker within the pool's
 cancellation poll interval.
 
+Workers are warm: each dispatcher thread keeps one supervised worker
+(a :class:`~repro.exec.pool.WorkerSet`) that lives as long as the
+dispatcher and serves job after job with its imports and caches
+intact — including a memo of calibrated scenario cells
+(:mod:`repro.service.jobs`), so a repeated cell is calibrated once per
+worker.  A worker that crashes, times out or is cancelled is replaced
+by a fresh fork for the next job; every worker exits when the service
+stops, and on its own when the service process dies.
+
 Dispatch order is owned by the
 :class:`~repro.service.scheduler.FairScheduler`, not a FIFO: weighted
 fair share across namespaces, ``interactive`` > ``normal`` > ``batch``
@@ -42,13 +51,14 @@ from __future__ import annotations
 import threading
 import time
 import uuid
+from collections import Counter
 from pathlib import Path
 from typing import Any
 
 from ..analysis.runner import MATRIX_SPECS, _atomic_write_json
 from ..exec.integrity import load_verified_json, stamp_integrity
 from ..exec.outcomes import JobOutcome
-from ..exec.pool import run_supervised
+from ..exec.pool import WorkerSet, run_supervised
 from ..exec.retry import RetryPolicy
 from .jobs import TERMINAL_STATES, JobSpec, execute_job, outcome_state
 from .retention import RetentionPolicy, select_prunable, sweep_artifacts
@@ -105,8 +115,9 @@ class DiagnosisService:
         (terminal jobs stay queryable, orphans are re-adopted).
     workers:
         Dispatcher threads, i.e. how many jobs run concurrently.  Each
-        dispatcher drives one job at a time through its own supervised
-        worker process.
+        dispatcher drives one job at a time through its own warm
+        supervised worker process, kept across jobs and replaced after
+        a crash, timeout or cancel.
     default_timeout, default_max_attempts:
         Fallback resilience parameters for specs that do not set their
         own.
@@ -155,6 +166,7 @@ class DiagnosisService:
         self._changed = threading.Condition(self._lock)
         self._seq = 0
         self._threads: list[threading.Thread] = []
+        self._worker_sets: list[WorkerSet] = []
         self._gc_thread: threading.Thread | None = None
         self._gc_wake = threading.Event()
         self._started = False
@@ -222,13 +234,16 @@ class DiagnosisService:
                 return self
             self._started = True
         for index in range(self.workers):
+            worker_set = WorkerSet()
             thread = threading.Thread(
                 target=self._dispatch_loop,
+                args=(worker_set,),
                 name=f"repro-service-dispatch-{index}",
                 daemon=True,
             )
             thread.start()
             self._threads.append(thread)
+            self._worker_sets.append(worker_set)
         if self.retention is not None and self._gc_thread is None:
             self._gc_thread = threading.Thread(
                 target=self._gc_loop, name="repro-service-gc", daemon=True
@@ -244,7 +259,10 @@ class DiagnosisService:
         supervised call.  Shutdown is a scheduler-level broadcast
         (:meth:`FairScheduler.stop`), not a sentinel per thread: every
         dispatcher's ``acquire`` returns ``None`` no matter how many
-        threads there are or what order they drain in.
+        threads there are or what order they drain in.  Idle warm
+        workers are shut down here; a worker still running a job (only
+        with ``wait=False``) exits as soon as its dispatcher hands it
+        back.
         """
         with self._lock:
             self._stopping = True
@@ -256,6 +274,9 @@ class DiagnosisService:
             if self._gc_thread is not None:
                 self._gc_thread.join()
                 self._gc_thread = None
+        for worker_set in self._worker_sets:
+            worker_set.close()
+        self._worker_sets = []
         self._threads = []
         self._started = False
 
@@ -416,21 +437,28 @@ class DiagnosisService:
 
     # ------------------------------------------------------------ scheduler
 
+    def job_state_counts(self) -> dict[str, int]:
+        """How many known jobs are in each state (one pass, one lock)."""
+        with self._lock:
+            return dict(Counter(job.state for job in self._jobs.values()))
+
     def queue_snapshot(self) -> dict[str, Any]:
         """Scheduler introspection (the ``/v1/queue`` payload):
         per-namespace queues by priority band, inflight counts, token
         and virtual-time state, plus job-state totals."""
         snapshot = self.scheduler.snapshot()
-        states: dict[str, int] = {}
-        with self._lock:
-            for job in self._jobs.values():
-                states[job.state] = states.get(job.state, 0) + 1
-        snapshot["job_states"] = states
+        snapshot["job_states"] = self.job_state_counts()
         return snapshot
 
     # ------------------------------------------------------------ dispatch
 
-    def _dispatch_loop(self) -> None:
+    def _dispatch_loop(self, worker_set: WorkerSet) -> None:
+        try:
+            self._dispatch_jobs(worker_set)
+        finally:
+            worker_set.close()
+
+    def _dispatch_jobs(self, worker_set: WorkerSet) -> None:
         while True:
             job_id = self.scheduler.acquire()
             if job_id is None:
@@ -451,7 +479,7 @@ class DiagnosisService:
                 job_id, "running", dispatch_seq=self.scheduler.dispatch_seq(job_id)
             )
             try:
-                self._run_job(job)
+                self._run_job(job, worker_set)
             except Exception as exc:  # noqa: BLE001 — a dispatcher must not die
                 self._finish(
                     job,
@@ -465,7 +493,7 @@ class DiagnosisService:
                     error=f"{type(exc).__name__}: {exc}",
                 )
 
-    def _run_job(self, job: _Job) -> None:
+    def _run_job(self, job: _Job, worker_set: WorkerSet) -> None:
         spec = job.spec
         cache_dir = self.cache_dir(spec.namespace)
         cache_dir.mkdir(parents=True, exist_ok=True)
@@ -490,6 +518,7 @@ class DiagnosisService:
             timeout=timeout,
             keys=[job.job_id],
             cancel=job.cancel_event.is_set,
+            worker_set=worker_set,
         )
         self._finish(job, outcomes[0])
 

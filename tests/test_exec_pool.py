@@ -5,13 +5,18 @@ multiprocessing start method (the same contract the old
 ``ProcessPoolExecutor`` path imposed).
 """
 
+import multiprocessing
 import os
+import signal
+import threading
 import time
 
 import pytest
 
+from repro.exec import pool
+from repro.exec.chaos import CHAOS_ENV_VARS, CRASH_EXIT_CODE, ChaosConfig, decide
 from repro.exec.outcomes import JobFailedError, raise_outcome
-from repro.exec.pool import run_supervised
+from repro.exec.pool import WorkerSet, run_supervised
 from repro.exec.retry import RetryPolicy
 
 
@@ -184,3 +189,147 @@ def test_cancel_mid_flight_kills_running_worker():
     # The in-flight attempt is recorded as killed; the queued job never ran.
     assert outcomes[0].attempts and outcomes[0].attempts[0].error_type == "Cancelled"
     assert outcomes[1].attempts == []
+
+
+# ------------------------------------------------------------ kept workers
+
+
+def _pid_unless(x):
+    """The worker's pid — unless told to crash or stall first."""
+    if x == "crash":
+        os._exit(41)
+    if x == "stall":
+        time.sleep(60)
+    return os.getpid()
+
+
+def _pid(_x):
+    return os.getpid()
+
+
+@pytest.fixture()
+def worker_set(monkeypatch):
+    for name in CHAOS_ENV_VARS:
+        monkeypatch.delenv(name, raising=False)
+    workers = WorkerSet()
+    yield workers
+    workers.close()
+
+
+def _run_pid(workers, item="ok", **kwargs):
+    return run_supervised(_pid_unless, [item], worker_set=workers, **kwargs)[0]
+
+
+def _live_child_pids():
+    return [process.pid for process in multiprocessing.active_children()]
+
+
+def test_calls_sharing_a_worker_set_share_the_worker(worker_set):
+    first = _run_pid(worker_set).value
+    second = _run_pid(worker_set).value
+    assert first == second
+    assert _live_child_pids() == [first]
+
+
+def test_without_a_worker_set_every_call_forks_afresh():
+    first = run_supervised(_pid_unless, ["ok"])[0].value
+    assert run_supervised(_pid_unless, ["ok"])[0].value != first
+
+
+@pytest.mark.parametrize(
+    "item, kwargs, status",
+    [("crash", {}, "crashed"), ("stall", {"timeout": 0.3}, "timed_out")],
+)
+def test_a_crashed_or_timed_out_worker_is_never_kept(
+    worker_set, item, kwargs, status
+):
+    first = _run_pid(worker_set).value
+    assert _run_pid(worker_set, item, **kwargs).status == status
+    assert _live_child_pids() == []
+    assert _run_pid(worker_set).value != first
+
+
+def test_a_cancelled_worker_is_never_kept(worker_set):
+    first = _run_pid(worker_set).value
+    flag = threading.Event()
+    timer = threading.Timer(0.3, flag.set)
+    timer.start()
+    try:
+        outcome = _run_pid(worker_set, "stall", cancel=flag.is_set)
+    finally:
+        timer.cancel()
+    assert outcome.status == "cancelled"
+    assert _live_child_pids() == []
+    assert _run_pid(worker_set).value != first
+
+
+def test_a_chaos_crash_retires_the_kept_worker(worker_set, monkeypatch):
+    config = ChaosConfig(crash_rate=0.5, seed=13)
+    for name, value in config.to_env().items():
+        monkeypatch.setenv(name, value)
+    keys = [f"job-{i}" for i in range(64)]
+    survives = next(k for k in keys if decide(config, f"{k}#a0") is None)
+    crashes = next(k for k in keys if decide(config, f"{k}#a0") == "crash")
+
+    first = _run_pid(worker_set, keys=[survives]).value
+    assert _run_pid(worker_set, keys=[survives]).value == first
+    crashed = _run_pid(worker_set, keys=[crashes])
+    assert crashed.status == "crashed"
+    assert f"exit code {CRASH_EXIT_CODE}" in crashed.attempts[0].message
+    assert _run_pid(worker_set, keys=[survives]).value != first
+
+
+def test_a_changed_chaos_environment_retires_the_kept_worker(
+    worker_set, monkeypatch
+):
+    """Chaos hooks are read from the worker's inherited environment, so
+    a worker forked before they were armed must not serve the call."""
+    first = _run_pid(worker_set).value
+    monkeypatch.setenv("REPRO_CHAOS_CRASH_RATE", "1.0")
+    assert _run_pid(worker_set).status == "crashed"
+    assert _live_child_pids() == []
+
+
+def test_a_different_fn_retires_the_kept_worker(worker_set):
+    first = _run_pid(worker_set).value
+    other = run_supervised(_pid, [0], worker_set=worker_set)[0].value
+    assert other != first
+    assert _live_child_pids() == [other]
+
+
+def test_a_kept_worker_found_dead_costs_no_attempt(worker_set):
+    first = _run_pid(worker_set).value
+    os.kill(first, signal.SIGKILL)
+    time.sleep(0.2)
+    outcome = _run_pid(worker_set)
+    assert outcome.status == "ok" and outcome.n_attempts == 1
+    assert outcome.value != first
+
+
+def test_a_send_error_on_a_kept_worker_costs_no_attempt(worker_set, monkeypatch):
+    """A kept worker whose pipe breaks on dispatch is replaced; the job
+    neither fails nor spends its only attempt."""
+    first = _run_pid(worker_set).value
+    dispatch = pool._Worker.dispatch
+    broken = []
+
+    def dispatch_once_broken(worker, *args):
+        if not worker.fresh and not broken:
+            broken.append(worker.process.pid)
+            raise BrokenPipeError("pipe closed")
+        return dispatch(worker, *args)
+
+    monkeypatch.setattr(pool._Worker, "dispatch", dispatch_once_broken)
+    outcome = _run_pid(worker_set)
+    assert broken == [first]
+    assert outcome.status == "ok" and outcome.n_attempts == 1
+    assert outcome.value != first
+
+
+def test_closing_a_worker_set_stops_its_workers(worker_set):
+    _run_pid(worker_set)
+    worker_set.close()
+    assert _live_child_pids() == []
+    # A worker handed back after close is shut down, not kept.
+    _run_pid(worker_set)
+    assert _live_child_pids() == []

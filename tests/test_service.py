@@ -8,9 +8,17 @@ queued and running jobs, and the ``/v1`` HTTP API over a real socket.
 """
 
 import json
+import multiprocessing
+import os
+import random
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -25,7 +33,8 @@ from repro.service import (
     ServiceClient,
     ServiceError,
 )
-from repro.service.jobs import TERMINAL_STATES
+from repro.service import jobs
+from repro.service.jobs import TERMINAL_STATES, execute_job
 from repro.service.store import JobStore, replay_store
 
 
@@ -581,3 +590,221 @@ def test_queue_snapshot_parity_between_clients(tmp_path):
         server.server_close()
         thread.join(timeout=5)
         service.close()
+
+
+# ------------------------------------------------------------ warm workers
+
+
+def test_dispatcher_keeps_its_worker_warm_across_jobs(tmp_path):
+    with _service(tmp_path, workers=1) as svc:
+        pids = []
+        for _ in range(3):
+            job_id = svc.submit(JobSpec(kind="sleep", payload={"seconds": 0}))
+            assert svc.wait(job_id, timeout=30) == "done"
+            pids.append([p.pid for p in multiprocessing.active_children()])
+        assert len(pids[0]) == 1 and pids == [pids[0]] * 3
+
+
+def test_close_leaves_no_live_workers(tmp_path):
+    svc = _service(tmp_path, workers=2).start()
+    job_ids = [
+        svc.submit(JobSpec(kind="sleep", payload={"seconds": 0.2}, namespace=ns))
+        for ns in ("alice", "bob")
+    ]
+    for job_id in job_ids:
+        assert svc.wait(job_id, timeout=30) == "done"
+    assert multiprocessing.active_children()  # warm between jobs
+    svc.close()
+    assert multiprocessing.active_children() == []
+
+
+def _stub_calibration(monkeypatch):
+    """Count ``calibrate_cell`` calls behind a fresh, stubbed memo."""
+    from repro.analysis.experiments import scenarios
+
+    calls = []
+    monkeypatch.setattr(
+        scenarios,
+        "calibrate_cell",
+        lambda cfg, n_qubits, spec: calls.append(cfg) or ("t", "b", {}),
+    )
+    jobs._calibrated_cell.cache_clear()
+    return calls
+
+
+def _bumped(value):
+    if isinstance(value, tuple):
+        return value + (max(value) + 2,)
+    if isinstance(value, int):
+        return value + 1
+    return value / 2
+
+
+def test_calibration_memo_keys_on_calibration_fields_not_seed(monkeypatch):
+    from repro.analysis.registry import get_experiment
+
+    calls = _stub_calibration(monkeypatch)
+    try:
+        cfg = get_experiment("arena").config("smoke")
+
+        def calibrate(config):
+            key = jobs._calibration_key(config)
+            return jobs._calibrated_cell("static-under-rotation", 6, key)
+
+        calibrate(cfg)
+        calibrate(replace(cfg, seed=cfg.seed + 1))
+        assert len(calls) == 1  # seed is not a calibration input
+        for n, name in enumerate(jobs.CALIBRATION_FIELDS, start=2):
+            changed = replace(cfg, **{name: _bumped(getattr(cfg, name))})
+            calibrate(changed)
+            assert len(calls) == n, name
+            assert getattr(calls[-1], name) == getattr(changed, name)
+    finally:
+        jobs._calibrated_cell.cache_clear()
+
+
+def test_calibration_memo_is_bounded(monkeypatch):
+    from repro.analysis.registry import get_experiment
+
+    _stub_calibration(monkeypatch)
+    try:
+        cfg = get_experiment("arena").config("smoke")
+        for shots in range(jobs.CALIBRATION_MEMO_CELLS + 5):
+            key = jobs._calibration_key(replace(cfg, shots=100 + shots))
+            jobs._calibrated_cell("over-rotation", 6, key)
+        info = jobs._calibrated_cell.cache_info()
+        assert info.maxsize == jobs.CALIBRATION_MEMO_CELLS
+        assert info.currsize == jobs.CALIBRATION_MEMO_CELLS
+    finally:
+        jobs._calibrated_cell.cache_clear()
+
+
+def _without_wall(result):
+    stable = json.loads(json.dumps(result))
+    stable.pop("wall_seconds")
+    return stable
+
+
+def test_warm_service_results_match_cold_execution(tmp_path):
+    """Differential: a seeded sequence of diagnose jobs — several kinds
+    and diagnosers, repeated cells under varying machine seeds — served
+    by one warm worker equals each job run cold with the memo cleared."""
+    rng = random.Random(17)
+    kinds = ("static-under-rotation", "correlated-burst", "phase-miscalibration")
+    diagnosers = ("battery", "binary-search", "contrast-ranked", "syndrome")
+    # Every kind at both sizes, twice over: repeated cells hit the memo.
+    cells = [(kind, n) for kind in kinds for n in (6, 8)] * 2
+    rng.shuffle(cells)
+    payloads = [
+        {
+            "scenario": kind,
+            "n_qubits": n_qubits,
+            "trial": rng.randrange(2),
+            "diagnoser": rng.choice(diagnosers),
+            "overrides": {"seed": rng.randrange(1, 50)},
+        }
+        for kind, n_qubits in cells
+    ]
+    with _service(tmp_path, workers=1) as svc:
+        job_ids = [
+            svc.submit(JobSpec(kind="diagnose", payload=p)) for p in payloads
+        ]
+        served = []
+        for job_id in job_ids:
+            assert svc.wait(job_id, timeout=120) == "done", svc.status(job_id)
+            served.append(svc.result(job_id)["result"])
+    try:
+        for payload, warm in zip(payloads, served):
+            jobs._calibrated_cell.cache_clear()
+            cold = execute_job(
+                {
+                    "job_id": "cold",
+                    "kind": "diagnose",
+                    "payload": payload,
+                    "cache_dir": str(tmp_path / "cold"),
+                }
+            )
+            assert _without_wall(warm) == _without_wall(cold), payload
+    finally:
+        jobs._calibrated_cell.cache_clear()
+
+
+def _live_group_members(pgid):
+    """Pids in process group ``pgid`` that have not exited.
+
+    An orphaned worker is reparented to init, and an init that does not
+    reap leaves an exited one behind as a zombie: that counts as gone.
+    """
+    members = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue
+        if int(fields[2]) == pgid and fields[0] != "Z":
+            members.append(int(stat.parent.name))
+    return members
+
+
+def _group_gone(pgid):
+    try:
+        os.killpg(pgid, 0)
+    except ProcessLookupError:
+        return True
+    return not _live_group_members(pgid)
+
+
+@pytest.mark.skipif(
+    not Path("/proc/self/stat").exists(), reason="reads process groups from /proc"
+)
+def test_kill_9_of_serve_leaves_no_worker_behind(tmp_path):
+    """Warm workers outlive jobs, not their server: after ``kill -9`` of
+    ``repro serve`` — one worker idle, one mid-job — the server's whole
+    process group is gone within seconds."""
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--root", str(tmp_path / "svc"),
+         "--port", "0", "--workers", "2", "--quiet"],
+        env={**os.environ, "PYTHONPATH": src},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        text=True,
+        start_new_session=True,
+    )
+    pgid = server.pid
+    try:
+        line = server.stdout.readline()
+        assert "repro-service ready" in line, line
+        client = HttpServiceClient(line.split()[2])
+        # Two overlapping sleeps occupy both dispatchers, so both fork.
+        job_ids = [
+            client.submit("sleep", {"seconds": 0.5}, namespace=ns)
+            for ns in ("alice", "bob")
+        ]
+        job_ids += [
+            client.submit(
+                "diagnose",
+                {"scenario": "over-rotation", "n_qubits": 6, "diagnoser": "battery"},
+                namespace=ns,
+            )
+            for ns in ("alice", "bob")
+        ]
+        for job_id in job_ids:
+            assert client.wait(job_id, timeout=120, poll_seconds=0.05) == "done"
+        running = client.submit("sleep", {"seconds": 60}, namespace="alice")
+        while client.status(running)["state"] != "running":
+            time.sleep(0.02)
+        assert len(_live_group_members(pgid)) == 3  # server + two workers
+    finally:
+        os.kill(server.pid, signal.SIGKILL)
+        server.wait()
+        server.stdout.close()
+    deadline = time.monotonic() + 5.0
+    while not _group_gone(pgid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    survivors = _live_group_members(pgid)
+    if survivors:
+        os.killpg(pgid, signal.SIGKILL)
+    assert not survivors, f"workers outlived their server: {survivors}"
