@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..sim.circuit import Operation
-from .one_over_f import OneOverFProcess
+from .one_over_f import SERIES_DT, SERIES_SAMPLES, one_over_f_block
 from .spam import SpamModel
 
 __all__ = ["NoiseParameters", "GateNoiseModel"]
@@ -120,23 +120,42 @@ class GateNoiseModel:
         Noise strengths.
     rng:
         Random generator driving all stochastic draws.
+
+    With phase noise on, each ion's 1/f drive-phase series is one row of
+    a stacked ``(n_qubits, SERIES_SAMPLES)`` array, drawn in one block
+    (equal to building one :class:`~repro.noise.one_over_f.OneOverFProcess`
+    per ion in turn), so a batch of lookups is a single gather.
     """
 
     n_qubits: int
     params: NoiseParameters
     rng: np.random.Generator
-    _phase_processes: list[OneOverFProcess] = field(init=False, repr=False)
+    _phase_series: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n_qubits < 1:
             raise ValueError("need at least one qubit")
-        if self.params.phase_noise_rms > 0:
-            self._phase_processes = [
-                OneOverFProcess(self.params.phase_noise_rms, self.rng)
-                for _ in range(self.n_qubits)
-            ]
-        else:
-            self._phase_processes = []
+        self._phase_series = (
+            one_over_f_block(
+                self.n_qubits,
+                SERIES_SAMPLES,
+                self.params.phase_noise_rms,
+                self.rng,
+            )
+            if self.params.phase_noise_rms > 0
+            else None
+        )
+
+    def _phase_index(self, ts: np.ndarray) -> np.ndarray:
+        """Series sample index of each gate time (nearest sample, wrapped)."""
+        ts = np.asarray(ts, dtype=float)
+        if np.any(ts < 0):
+            raise ValueError("time must be non-negative")
+        return np.rint(ts / SERIES_DT).astype(np.int64) % SERIES_SAMPLES
+
+    def _phase_at(self, q: int, t: float) -> float:
+        """Ion ``q``'s drive-phase noise at one time ``t``."""
+        return float(self._phase_series[q, self._phase_index(t)])
 
     # -- MS gates ---------------------------------------------------------------
 
@@ -174,9 +193,9 @@ class GateNoiseModel:
         theta = theta_nominal * (1.0 - under_rotation) * (1.0 + xi)
         phi1 = phase_offset
         phi2 = phase_offset
-        if self._phase_processes:
-            phi1 += self._phase_processes[q1].value_at(t)
-            phi2 += self._phase_processes[q2].value_at(t)
+        if self._phase_series is not None:
+            phi1 += self._phase_at(q1, t)
+            phi2 += self._phase_at(q2, t)
         ops = [Operation("MS", (q1, q2), (theta, phi1, phi2))]
         ops.extend(self._residual_kicks(q1, q2))
         return ops
@@ -204,25 +223,27 @@ class GateNoiseModel:
 
     def noisy_ms_params_block(
         self,
-        specs: list[tuple[int, int, float, float, float]],
+        q1: np.ndarray,
+        q2: np.ndarray,
+        thetas: np.ndarray,
+        unders: np.ndarray,
+        offsets: np.ndarray,
         ts: np.ndarray,
     ) -> np.ndarray:
         """Per-realization MS parameters for a whole circuit's MS slots.
 
-        ``specs`` rows are ``(q1, q2, theta_nominal, under_rotation,
-        phase_offset)`` — one per MS/XX application, in program order;
+        ``q1``/``q2``/``thetas``/``unders``/``offsets`` hold one entry per
+        MS/XX application, in program order: the targets, the nominal
+        angle, the coupling's under-rotation and its drive-phase offset.
         ``ts`` has shape ``(n_ms, n_batch)`` with each slot's per-
         realization gate times.  All amplitude noise is drawn in a single
-        RNG call and phase-noise lookups are grouped per ion, so the cost
-        is a handful of vectorized operations regardless of circuit
-        depth.  Returns shape ``(n_ms, n_batch, 3)``.
+        RNG call and the phase noise of both targets is read with one
+        gather each, so the cost is a handful of vectorized operations
+        regardless of circuit depth.  Returns shape ``(n_ms, n_batch, 3)``.
         """
         n_ms, n_batch = ts.shape
-        if len(specs) != n_ms:
-            raise ValueError("one spec row per MS slot required")
-        thetas = np.array([s[2] for s in specs], dtype=float)
-        unders = np.array([s[3] for s in specs], dtype=float)
-        offsets = np.array([s[4] for s in specs], dtype=float)
+        if len(thetas) != n_ms:
+            raise ValueError("one MS slot entry per row of ts required")
         if self.params.amplitude_sigma > 0:
             xi = self.rng.normal(0.0, self.params.amplitude_sigma, ts.shape)
         else:
@@ -231,15 +252,10 @@ class GateNoiseModel:
         out[:, :, 0] = thetas[:, None] * (1.0 - unders[:, None]) * (1.0 + xi)
         out[:, :, 1] = offsets[:, None]
         out[:, :, 2] = offsets[:, None]
-        if self._phase_processes:
-            for col, pos in ((1, 0), (2, 1)):
-                by_qubit: dict[int, list[int]] = {}
-                for k, spec in enumerate(specs):
-                    by_qubit.setdefault(spec[pos], []).append(k)
-                for q, rows in by_qubit.items():
-                    out[rows, :, col] += self._phase_processes[q].values_at(
-                        ts[rows]
-                    )
+        if self._phase_series is not None:
+            idx = self._phase_index(ts)
+            out[:, :, 1] += self._phase_series[q1[:, None], idx]
+            out[:, :, 2] += self._phase_series[q2[:, None], idx]
         return out
 
     def residual_kick_params_block(
@@ -268,8 +284,8 @@ class GateNoiseModel:
             xi = np.zeros(n_batch)
         theta = theta_nominal * (1.0 + xi)
         phi_a = np.full(n_batch, phi, dtype=float)
-        if self._phase_processes:
-            phi_a += self._phase_processes[q].values_at(ts)
+        if self._phase_series is not None:
+            phi_a += self._phase_series[q, self._phase_index(ts)]
         return np.stack([theta, phi_a], axis=1)
 
     # -- one-qubit gates ----------------------------------------------------------
@@ -284,6 +300,6 @@ class GateNoiseModel:
             else 0.0
         )
         theta = theta_nominal * (1.0 + xi)
-        if self._phase_processes:
-            phi = phi + self._phase_processes[q].value_at(t)
+        if self._phase_series is not None:
+            phi = phi + self._phase_at(q, t)
         return [Operation("R", (q,), (theta, phi))]

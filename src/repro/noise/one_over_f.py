@@ -16,7 +16,16 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["one_over_f_series", "OneOverFProcess", "estimate_psd_exponent"]
+#: Default series length and sample spacing (seconds) of a phase process.
+SERIES_SAMPLES = 4096
+SERIES_DT = 1e-3
+
+__all__ = [
+    "one_over_f_series",
+    "one_over_f_block",
+    "OneOverFProcess",
+    "estimate_psd_exponent",
+]
 
 
 def one_over_f_series(
@@ -38,6 +47,23 @@ def one_over_f_series(
     alpha:
         Spectral exponent; 1.0 gives classic flicker noise.
     """
+    return one_over_f_block(1, n_samples, rms, rng, alpha=alpha)[0]
+
+
+def one_over_f_block(
+    n_series: int,
+    n_samples: int,
+    rms: float,
+    rng: np.random.Generator,
+    alpha: float = 1.0,
+) -> np.ndarray:
+    """``n_series`` independent 1/f^alpha series, ``(n_series, n_samples)``.
+
+    Equal, row for row and in the RNG state it leaves, to ``n_series``
+    consecutive :func:`one_over_f_series` calls: each row's real and
+    imaginary spectrum draws come from one ``standard_normal`` block in
+    the same order, and one inverse FFT transforms every row.
+    """
     if n_samples < 2:
         raise ValueError("need at least two samples")
     if rms < 0:
@@ -46,16 +72,15 @@ def one_over_f_series(
     shaping = np.zeros_like(freqs)
     nonzero = freqs > 0
     shaping[nonzero] = freqs[nonzero] ** (-alpha / 2.0)
-    spectrum = shaping * (
-        rng.standard_normal(len(freqs)) + 1.0j * rng.standard_normal(len(freqs))
-    )
+    draws = rng.standard_normal((n_series, 2, len(freqs)))
+    spectrum = shaping * (draws[:, 0] + 1.0j * draws[:, 1])
     series = np.fft.irfft(spectrum, n=n_samples)
-    series -= series.mean()
-    std = series.std()
-    if std > 0 and rms > 0:
-        series *= rms / std
-    else:
-        series[:] = 0.0
+    series -= series.mean(axis=-1, keepdims=True)
+    for row, std in zip(series, series.std(axis=-1)):
+        if std > 0 and rms > 0:
+            row *= rms / std
+        else:
+            row[:] = 0.0
     return series
 
 
@@ -70,8 +95,8 @@ class OneOverFProcess:
         self,
         rms: float,
         rng: np.random.Generator,
-        n_samples: int = 4096,
-        dt: float = 1e-3,
+        n_samples: int = SERIES_SAMPLES,
+        dt: float = SERIES_DT,
         alpha: float = 1.0,
     ):
         if dt <= 0:

@@ -36,9 +36,10 @@ buckets, and multiplied out as a logarithmic tree of
 scatter entirely and reshape the link block in place.
 
 Evaluation then takes one ``(B, n_params)`` parameter block per slot (the
-rows of the machine's :class:`~repro.trap.machine.RealizedSlot` batch) and
-returns per-realization states or match probabilities, chunked to a byte
-budget.  Plans depend only on ``(n_qubits, skeleton)`` — they are machine-
+machine's noise draws, laid out per slot by its compiled dense test or
+carried by :class:`~repro.trap.machine.RealizedSlot` objects) and returns
+per-realization states or match probabilities, chunked to a byte budget.
+Plans depend only on ``(n_qubits, skeleton)`` — they are machine-
 independent and meant to be cached across trials (see
 :class:`DensePlanCache`).
 """

@@ -15,15 +15,31 @@ before simulation:
 Engine selection is automatic: noisy realizations that remain XX-only run
 on the fast exact engine (any machine size); anything else runs densely on
 the compacted sub-register of touched qubits (sufficient for the paper's
-physical-scale experiments).  ``run_match`` compiles each XX test once per
-process: a shared, bounded cache maps (machine size, exact-summation
-limit, expected bitstring, nominal ops) to the test's edge columns,
-nominal angles and phases, static RX/X angles and a streaming
-:class:`~repro.sim.xx_engine.ContractionPlan`, so a call only draws its
-amplitude noise, forms the ``(G, E)`` angle matrix and contracts.  Tests
-the compiled route does not cover (non-XX-preserving noise, drive phases
-off the pi grid, non-XX gates, components above ``max_exact_qubits``,
-``batched=False``) take the per-call slot path.
+physical-scale experiments).  Every test is compiled once per process, in
+one of two shared, bounded caches:
+
+* ``_compiled_xx_test`` maps (machine size, exact-summation limit,
+  nominal ops, expected bitstring) to the test's edge columns, nominal
+  angles and phases, static RX/X angles and a streaming
+  :class:`~repro.sim.xx_engine.ContractionPlan`, so an XX call only draws
+  its amplitude noise, forms the ``(G, E)`` angle matrix and contracts.
+* ``_compiled_dense_test`` maps (machine size, nominal ops, residual
+  kicks on) to the test's couplings, per-MS-slot columns, angles, phases
+  and targets, R and fixed-gate parameters, slot skeleton and the layout
+  of realized rows onto that skeleton.  A dense call makes one
+  calibration lookup per coupling, draws its noise as blocks straight
+  into the layout and evaluates the skeleton's cached
+  :class:`~repro.sim.dense_plan.DensePlan`.
+
+``run_match`` takes the XX cache where it applies and draws through the
+dense one otherwise (non-XX-preserving noise, drive phases off the pi
+grid, non-XX gates, components above ``max_exact_qubits``); a dense draw
+that still stays X-diagonal is evaluated on the slot XX path, and
+``batched=False`` keeps the per-realization path.
+A :class:`CompiledBattery` keeps each test's dense layout from its first
+dense call on.  ``_realize_slots`` builds the same draws as :class:`RealizedSlot`
+objects: it serves ``run`` and is the oracle the compiled routes are
+tested against, bit for bit.
 
 Shot batching: stochastic noise is re-drawn per *realization group* rather
 than per shot (control noise varies slowly compared to a ~ms shot cycle);
@@ -47,7 +63,7 @@ from ..sim.sampling import (
     sample_bernoulli_counts_batch,
     sample_counts_from_probs,
 )
-from ..sim.dense_plan import DensePlan, DensePlanCache
+from ..sim.dense_plan import DensePlan, DensePlanCache, Skeleton
 from ..sim.statevector import (
     MAX_DENSE_QUBITS,
     StatevectorSimulator,
@@ -259,9 +275,11 @@ class VirtualIonTrap:
         Under XX-preserving noise with pi-multiple realized drive phases
         the test is served from the process-wide compiled-test cache (one
         contraction plan per test structure, shared by every machine);
-        everything else realizes per-call slots.  Both routes consume the
-        RNG stream and advance the clock identically and return
-        bit-identical probabilities.
+        everything else draws its noise into the test's compiled dense
+        layout and runs the cached dense plan, or the slot XX path when
+        the draw happens to stay X-diagonal.  Every route consumes the
+        RNG stream and advances the clock exactly as :meth:`_realize_slots`
+        does and returns bit-identical probabilities.
         """
         if shots < 1:
             raise ValueError("shots must be positive")
@@ -287,13 +305,9 @@ class VirtualIonTrap:
             circuit, expected, len(groups)
         )
         if p_match_all is None:
-            slots = self._realize_slots(circuit, len(groups))
-            if slots:
-                p_match_all = self._match_probabilities_slots(slots, expected)
-            else:
-                p_match_all = np.full(
-                    len(groups), 1.0 if expected == 0 else 0.0
-                )
+            p_match_all = self._dense_test_probabilities(
+                self._dense_test(tuple(circuit.ops)), expected, len(groups)
+            )
         return sample_bernoulli_counts_batch(
             p_match_all * spam_factor,
             expected,
@@ -410,9 +424,15 @@ class VirtualIonTrap:
                 )
         ms_params = None
         if n_ms:
+            q1s, q2s, thetas, unders, offsets = zip(*ms_specs)
             ts_block = start[None, :] + np.arange(n_ms)[:, None] * gate_dt
             ms_params = self.noise_model.noisy_ms_params_block(
-                ms_specs, ts_block
+                np.array(q1s, dtype=np.intp),
+                np.array(q2s, dtype=np.intp),
+                np.array(thetas, dtype=float),
+                np.array(unders, dtype=float),
+                np.array(offsets, dtype=float),
+                ts_block,
             )
         kick_params = None
         if n_ms and p_odd > 0:
@@ -452,6 +472,93 @@ class VirtualIonTrap:
                 slots.append(RealizedSlot(op.gate, op.qubits, params))
         self._clock += n_batch * n_ms * gate_dt
         return slots
+
+    # -- compiled dense route ------------------------------------------------------
+
+    def _dense_test(self, ops: tuple[Operation, ...]) -> "_CompiledDenseTest":
+        """The compiled dense layout of ``ops`` under this machine's noise."""
+        return _compiled_dense_test(
+            self.n_qubits, ops, self.noise.residual_odd_population > 0
+        )
+
+    def _draw_dense(
+        self, test: "_CompiledDenseTest", n_batch: int
+    ) -> tuple[list[np.ndarray], np.ndarray | None]:
+        """Draw ``n_batch`` realizations straight into ``test``'s layout.
+
+        Returns one ``(n_batch, n_params)`` block per skeleton slot and
+        the ``(n_ms, n_batch, 3)`` MS block (``None`` without MS slots).
+        Draw for draw, value for value and clock for clock this is
+        :meth:`_realize_slots`: one calibration lookup per coupling
+        instead of per slot, then the MS block, the kick block and each R
+        slot's draw in program order, and no slot objects.
+        """
+        gate_dt = self.timing.gate_time(self.n_qubits)
+        n_ms = test.ms_theta.size
+        start = self._clock + np.arange(n_batch) * (n_ms * gate_dt)
+        rows: list[np.ndarray] = []
+        ms_params = None
+        if n_ms:
+            unders = np.array(
+                [self.calibration.under_rotation(p) for p in test.pairs],
+                dtype=float,
+            )
+            offsets = np.array(
+                [self.calibration.phase_offset(p) for p in test.pairs],
+                dtype=float,
+            )
+            ms_params = self.noise_model.noisy_ms_params_block(
+                test.ms_q1,
+                test.ms_q2,
+                test.ms_theta,
+                unders[test.ms_edge],
+                test.ms_phase + offsets[test.ms_edge],
+                start[None, :] + np.arange(n_ms)[:, None] * gate_dt,
+            )
+            rows.extend(ms_params)
+            if test.kicks:
+                rows.extend(
+                    self.noise_model.residual_kick_params_block(
+                        2 * n_ms, n_batch
+                    )
+                )
+        for q, theta, phi, k_ms in test.r_slots:
+            rows.append(
+                self.noise_model.noisy_r_params(
+                    q, theta, phi, start + k_ms * gate_dt
+                )
+            )
+        rows.extend(np.broadcast_to(p, (n_batch, p.size)) for p in test.fixed)
+        self._clock += n_batch * n_ms * gate_dt
+        return [rows[i] for i in test.layout], ms_params
+
+    def _dense_test_probabilities(
+        self,
+        test: "_CompiledDenseTest",
+        expected: int,
+        n_batch: int,
+        plans: DensePlanCache | None = None,
+        force: bool = False,
+    ) -> np.ndarray:
+        """Match probabilities of ``n_batch`` draws of a compiled dense test.
+
+        A draw that stays X-diagonal runs the slot XX path (unless
+        ``force``); anything else runs the dense plan of the test's
+        skeleton, resolved through ``plans`` (a battery's cache) or this
+        machine's own cache.
+        """
+        params, ms_params = self._draw_dense(test, n_batch)
+        if not params:
+            return np.full(n_batch, 1.0 if expected == 0 else 0.0)
+        if not force and test.x_diagonal(ms_params):
+            return self._match_probabilities_slots(test.slots(params), expected)
+        if plans is None:
+            plan = self._dense_plan_for(test.skeleton)
+        else:
+            plan = self._cached_plan(plans, test.skeleton)
+        return plan.probabilities(params, expected, self.max_batch_bytes)
+
+    # -- batched (slot-based) evaluation -------------------------------------------
 
     @staticmethod
     def _slots_xx_only(slots: list[RealizedSlot]) -> bool:
@@ -527,8 +634,22 @@ class VirtualIonTrap:
             )
         return self._dense_match_probabilities_slots(slots, expected)
 
-    def _dense_plan_for(self, slots: list[RealizedSlot]) -> DensePlan:
-        """The compiled :class:`~repro.sim.dense_plan.DensePlan` for a batch.
+    def _cached_plan(
+        self, plans: DensePlanCache, skeleton: Skeleton
+    ) -> DensePlan:
+        """``skeleton``'s plan from ``plans``, counted in :class:`MachineStats`."""
+        plan, hit = plans.get(self.n_qubits, skeleton)
+        rebinds = plans.take_rebinds()
+        self.stats.dense_plan_rebinds += rebinds
+        if hit:
+            self.stats.dense_plan_hits += 1
+        elif not rebinds:
+            self.stats.dense_plan_builds += 1
+        self.stats.dense_plan_invalidations += plans.take_invalidations()
+        return plan
+
+    def _dense_plan_for(self, skeleton: Skeleton) -> DensePlan:
+        """The compiled :class:`~repro.sim.dense_plan.DensePlan` for a skeleton.
 
         Plans are cached on the machine keyed by the slot skeleton, so
         repeated executions of one nominal circuit (a diagnosis loop, a
@@ -537,21 +658,11 @@ class VirtualIonTrap:
         With ``dense_compiled=False`` an unfused plan is rebuilt per call
         (the pre-compilation reference path).
         """
-        skeleton = tuple((s.gate, s.qubits) for s in slots)
         if not self.dense_compiled:
             self.stats.dense_plan_builds += 1
             plan = DensePlan(self.n_qubits, skeleton, fuse=False)
         else:
-            plan, hit = self._dense_plans.get(self.n_qubits, skeleton)
-            rebinds = self._dense_plans.take_rebinds()
-            self.stats.dense_plan_rebinds += rebinds
-            if hit:
-                self.stats.dense_plan_hits += 1
-            elif not rebinds:
-                self.stats.dense_plan_builds += 1
-            self.stats.dense_plan_invalidations += (
-                self._dense_plans.take_invalidations()
-            )
+            plan = self._cached_plan(self._dense_plans, skeleton)
         if plan.n_local > MAX_DENSE_QUBITS:
             raise ValueError(
                 f"circuit touches {plan.n_local} qubits; run_match handles "
@@ -568,10 +679,7 @@ class VirtualIonTrap:
         chunked inside :meth:`DensePlan.probabilities` so peak memory
         stays within ``max_batch_bytes`` (or the global amplitude cap).
         """
-        if not slots:
-            n_batch = 1
-            return np.ones(n_batch) if expected == 0 else np.zeros(n_batch)
-        plan = self._dense_plan_for(slots)
+        plan = self._dense_plan_for(_skeleton(slots))
         return plan.probabilities(
             [s.params for s in slots], expected, self.max_batch_bytes
         )
@@ -586,7 +694,7 @@ class VirtualIonTrap:
         """
         if not slots or not {q for slot in slots for q in slot.qubits}:
             return {0: sum(groups)}
-        plan = self._dense_plan_for(slots)
+        plan = self._dense_plan_for(_skeleton(slots))
         counts_parts = []
         for start, stop in realization_chunks(
             plan.n_local, len(groups), self.max_batch_bytes
@@ -751,8 +859,11 @@ class CompiledBattery:
     (phase noise, residual kicks — the Figs. 6/7 setting) the realized
     slots fall off the XX form and the test transparently dispatches to a
     cached :class:`~repro.sim.dense_plan.DensePlan`, stacking all trials
-    and realization groups into one chunked dense batch.  Magnitude
-    sweeps (:meth:`sweep_fidelities`) remain XX-only.
+    and realization groups into one chunked dense batch.  The battery
+    keeps each test's compiled dense layout from its first dense call
+    on, so a dense call only draws noise into it — no slot objects, no
+    skeleton rebuilt or hashed.  Magnitude sweeps
+    (:meth:`sweep_fidelities`) remain XX-only.
 
     Parameters
     ----------
@@ -780,6 +891,9 @@ class CompiledBattery:
         self.max_exact_qubits = max_exact_qubits
         self.tests = [self._compile(c, e) for c, e in items]
         self._dense_plans = DensePlanCache()
+        #: ``(index, kicks) -> _CompiledDenseTest``, filled on first use:
+        #: batteries that never leave the XX route hold no dense layouts.
+        self._dense_tests: dict[tuple[int, bool], _CompiledDenseTest] = {}
 
     # -- compilation -----------------------------------------------------------
 
@@ -1083,51 +1197,49 @@ class CompiledBattery:
             ).reshape(trials, len(groups))
         else:
             probs = self._dense_trial_probabilities(
-                machine, ct, n_batch, force=(engine == "dense")
+                machine, index, n_batch, force=(engine == "dense")
             )
             probs = probs.reshape(trials, len(groups))
         return ct, groups, probs
 
+    def _dense_test(self, index: int, kicks: bool) -> "_CompiledDenseTest":
+        """Test ``index``'s compiled dense layout, with or without kicks."""
+        test = self._dense_tests.get((index, kicks))
+        if test is None:
+            test = self._dense_tests[index, kicks] = _compiled_dense_test(
+                self.n_qubits, tuple(self.tests[index].circuit.ops), kicks
+            )
+        return test
+
     def _dense_trial_probabilities(
         self,
         machine: VirtualIonTrap,
-        ct: CompiledTest,
+        index: int,
         n_batch: int,
         force: bool = False,
     ) -> np.ndarray:
         """Match probabilities of ``n_batch`` stacked dense realizations.
 
-        The whole trials-times-groups batch of one test is realized in a
-        single slot draw and evolved through the battery's cached
-        :class:`~repro.sim.dense_plan.DensePlan` — the plan cache lives on
-        the battery, so it survives across trial machines (each fresh
-        machine of a calibration sweep reuses the same compiled
-        skeleton).  Realization rows are chunked to the machine's
-        ``max_batch_bytes``.  ``force`` skips the cheap exact-XX shortcut
-        for realizations that happen to stay X-diagonal — the
-        scenario-matrix conformance mode, where the dense engine must
-        actually evaluate.
+        The whole trials-times-groups batch of test ``index`` is drawn in
+        one pass straight into its compiled dense layout (see
+        :meth:`VirtualIonTrap._draw_dense`) and evolved through the
+        battery's cached :class:`~repro.sim.dense_plan.DensePlan` — the
+        plan cache lives on the battery, so it survives across trial
+        machines (each fresh machine of a calibration sweep reuses the
+        same compiled skeleton).  Realization rows are chunked to the
+        machine's ``max_batch_bytes``.  ``force`` skips the cheap
+        exact-XX shortcut for realizations that happen to stay
+        X-diagonal — the scenario-matrix conformance mode, where the
+        dense engine must actually evaluate.
         """
-        slots = machine._realize_slots(ct.circuit, n_batch)
-        if not slots:
-            return np.full(n_batch, 1.0 if ct.expected == 0 else 0.0)
-        if not force and machine._slots_xx_only(slots):
-            # Noise structure happens to stay X-diagonal (e.g. disabled
-            # error sources): the exact XX path is cheaper.
-            return machine._match_probabilities_slots(slots, ct.expected)
-        skeleton = tuple((s.gate, s.qubits) for s in slots)
-        plan, hit = self._dense_plans.get(self.n_qubits, skeleton)
-        rebinds = self._dense_plans.take_rebinds()
-        machine.stats.dense_plan_rebinds += rebinds
-        if hit:
-            machine.stats.dense_plan_hits += 1
-        elif not rebinds:
-            machine.stats.dense_plan_builds += 1
-        machine.stats.dense_plan_invalidations += (
-            self._dense_plans.take_invalidations()
-        )
-        return plan.probabilities(
-            [s.params for s in slots], ct.expected, machine.max_batch_bytes
+        return machine._dense_test_probabilities(
+            self._dense_test(
+                index, machine.noise.residual_odd_population > 0
+            ),
+            self.tests[index].expected,
+            n_batch,
+            plans=self._dense_plans,
+            force=force,
         )
 
     @staticmethod
@@ -1262,6 +1374,130 @@ def _compiled_xx_test(
         linear=np.array(list(linear.values()), dtype=np.float64),
         plan=plan,
     )
+
+
+@dataclass(frozen=True)
+class _CompiledDenseTest:
+    """Machine-independent dense layout of one nominal op list.
+
+    ``pairs`` lists the couplings in first-appearance order; each MS/XX
+    application has its column (``ms_edge``), nominal angle, nominal
+    drive phase (0 for XX) and targets ``ms_q1``/``ms_q2``.  ``r_slots``
+    holds each R gate's ``(qubit, theta, phi, MS slots before it)`` and
+    ``fixed`` every other gate's parameter row, both in program order.
+    ``kicks`` says whether a residual-kick slot pair follows each MS slot.
+
+    One call's realized rows are concatenated as MS rows, kick rows, R
+    rows, fixed rows; ``layout`` maps each ``skeleton`` slot to its row.
+    ``x_static`` records that no slot but an MS one can leave the X
+    basis, so a draw is X-diagonal exactly when its MS phases sit on the
+    pi grid.
+    """
+
+    pairs: tuple[Pair, ...]
+    ms_edge: np.ndarray
+    ms_theta: np.ndarray
+    ms_phase: np.ndarray
+    ms_q1: np.ndarray
+    ms_q2: np.ndarray
+    kicks: bool
+    r_slots: tuple[tuple[int, float, float, int], ...]
+    fixed: tuple[np.ndarray, ...]
+    skeleton: Skeleton
+    layout: tuple[int, ...]
+    x_static: bool
+
+    def x_diagonal(self, ms_params: np.ndarray | None) -> bool:
+        """:meth:`VirtualIonTrap._slots_xx_only` of one draw of this test."""
+        return self.x_static and (
+            ms_params is None
+            or bool(np.all(is_multiple_of_pi(ms_params[:, :, 1:])))
+        )
+
+    def slots(self, params: list[np.ndarray]) -> list[RealizedSlot]:
+        """One draw's parameter blocks as :class:`RealizedSlot` objects."""
+        return [
+            RealizedSlot(gate, qubits, p)
+            for (gate, qubits), p in zip(self.skeleton, params)
+        ]
+
+
+#: Compiled dense layouts kept per process, least recently used dropped
+#: first.  Entries hold index arrays and a skeleton tuple, no plans.
+_DENSE_TEST_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=_DENSE_TEST_CACHE_SIZE)
+def _compiled_dense_test(
+    n_qubits: int, ops: tuple[Operation, ...], kicks: bool
+) -> _CompiledDenseTest:
+    """The dense layout of a nominal op list, cached per process.
+
+    ``kicks`` (residual motional coupling on) inserts the two kick slots
+    after every MS slot, as :meth:`VirtualIonTrap._realize_slots` does.
+    ``n_qubits`` keeps tests of different machine widths apart: their
+    plans live on different registers.
+    """
+    edge_index: dict[Pair, int] = {}
+    ms_edge: list[int] = []
+    ms_theta: list[float] = []
+    ms_phase: list[float] = []
+    ms_qubits: list[tuple[int, int]] = []
+    r_slots: list[tuple[int, float, float, int]] = []
+    fixed: list[np.ndarray] = []
+    skeleton: list[tuple[str, tuple[int, ...]]] = []
+    rows: list[tuple[str, int]] = []
+    x_static = True
+    for op in ops:
+        if op.gate in ("MS", "XX"):
+            k = len(ms_edge)
+            ms_edge.append(
+                edge_index.setdefault(frozenset(op.qubits), len(edge_index))
+            )
+            ms_theta.append(op.params[0])
+            ms_phase.append(op.params[1] if op.gate == "MS" else 0.0)
+            ms_qubits.append(op.qubits)
+            skeleton.append(("MS", op.qubits))
+            rows.append(("ms", k))
+            if kicks:
+                skeleton += [("R", (q,)) for q in op.qubits]
+                rows += [("kick", 2 * k), ("kick", 2 * k + 1)]
+        elif op.gate == "R":
+            skeleton.append(("R", op.qubits))
+            rows.append(("r", len(r_slots)))
+            r_slots.append(
+                (op.qubits[0], op.params[0], op.params[1], len(ms_edge))
+            )
+        else:
+            skeleton.append((op.gate, op.qubits))
+            rows.append(("fixed", len(fixed)))
+            fixed.append(np.array(op.params, dtype=float))
+            x_static = x_static and op.gate in ("RX", "X")
+    n_ms = len(ms_edge)
+    kicks = kicks and n_ms > 0
+    first_row = {"ms": 0, "kick": n_ms}
+    first_row["r"] = n_ms + (2 * n_ms if kicks else 0)
+    first_row["fixed"] = first_row["r"] + len(r_slots)
+    qubits = np.array(ms_qubits, dtype=np.intp).reshape(n_ms, 2)
+    return _CompiledDenseTest(
+        pairs=tuple(edge_index),
+        ms_edge=np.array(ms_edge, dtype=np.intp),
+        ms_theta=np.array(ms_theta, dtype=float),
+        ms_phase=np.array(ms_phase, dtype=float),
+        ms_q1=qubits[:, 0].copy(),
+        ms_q2=qubits[:, 1].copy(),
+        kicks=kicks,
+        r_slots=tuple(r_slots),
+        fixed=tuple(fixed),
+        skeleton=tuple(skeleton),
+        layout=tuple(first_row[block] + i for block, i in rows),
+        x_static=x_static and not kicks and not r_slots,
+    )
+
+
+def _skeleton(slots: list[RealizedSlot]) -> Skeleton:
+    """The ``(gate, qubits)`` sequence of a realized slot list."""
+    return tuple((s.gate, s.qubits) for s in slots)
 
 
 def _compact_circuit(

@@ -1,0 +1,351 @@
+"""The compiled dense route must equal the slot oracle bit for bit.
+
+Batteries and ``run_match``'s non-XX fallback draw their noise straight
+into a process-wide compiled dense layout (``_compiled_dense_test``)
+instead of realizing slot objects per call.  The oracle is the per-call
+path: ``_realize_slots`` followed by a :class:`DensePlan` resolved
+through a plan cache (or the slot XX path when a draw stays
+X-diagonal).  On twin same-seed machines both must return ``==``-equal
+probabilities and counts, and leave the same clock, RNG state and
+:class:`MachineStats`, first pass of a fresh battery included.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from repro.core.multi_fault import battery_specs
+from repro.core.protocol import compile_test_battery
+from repro.core.tests_builder import TestSpec as Spec
+from repro.core.tests_builder import build_test_circuit, expected_output
+from repro.noise.models import GateNoiseModel, NoiseParameters
+from repro.noise.one_over_f import OneOverFProcess
+from repro.sim.circuit import Circuit
+from repro.sim.sampling import sample_bernoulli_counts_batch
+from repro.trap import machine as machine_mod
+from repro.trap.faults import CouplingFault, CouplingPhaseFault
+from repro.trap.machine import CompiledBattery, VirtualIonTrap
+
+N = 6
+
+#: The full Sec. VI error model (Figs. 6/7): phase noise and kicks.
+SEC6 = NoiseParameters(
+    amplitude_sigma=0.10, phase_noise_rms=0.05, residual_odd_population=0.01
+)
+#: Phase noise without residual kicks: X-diagonality is decided on the
+#: drawn MS phase block.
+PHASE_ONLY = NoiseParameters(amplitude_sigma=0.10, phase_noise_rms=0.05)
+#: Kicks without phase noise, plus one-qubit amplitude noise on R gates.
+KICKS_1Q = NoiseParameters(
+    amplitude_sigma=0.10, amplitude_sigma_1q=0.02, residual_odd_population=0.01
+)
+AMPLITUDE = NoiseParameters.paper_scaling()
+
+
+def _class_test() -> tuple[Circuit, int]:
+    spec = Spec("t", (frozenset({0, 3}), frozenset({1, 4}), frozenset({0, 1})), 2)
+    return build_test_circuit(spec, N), expected_output(spec, N)
+
+
+def _mixed() -> tuple[Circuit, int]:
+    """MS (on and off the pi grid), XX, R and fixed gates interleaved."""
+    c = Circuit(N).r(2, 0.4, 0.3).ms(0, 1, math.pi / 2).h(3)
+    c.xx(1, 2, 0.7).ms(2, 3, math.pi / 2, math.pi / 2, math.pi / 2)
+    c.rx(0, 0.2).r(1, math.pi, 0.0).cnot(3, 4).ms(0, 1, math.pi / 2, math.pi)
+    return c.rz(4, 0.3).x(5), 0b100001
+
+
+def _no_ms() -> tuple[Circuit, int]:
+    """``n_ms = 0``: R and fixed gates only."""
+    return Circuit(N).r(0, 0.5, 0.1).h(2).rx(1, 0.3).r(2, 0.2, 0.0), 0
+
+
+CIRCUITS = {
+    "class": _class_test,
+    "mixed": _mixed,
+    "no-ms": _no_ms,
+    "empty": lambda: (Circuit(N), 0),
+}
+
+
+def _twins(noise, seed=5, faults=(), **kwargs):
+    twins = []
+    for _ in range(2):
+        m = VirtualIonTrap(N, noise=noise, seed=seed, **kwargs)
+        for fault in faults:
+            m.inject_fault(fault)
+        twins.append(m)
+    return twins
+
+
+def _assert_same_machine_state(a: VirtualIonTrap, b: VirtualIonTrap):
+    assert a._clock == b._clock
+    assert a.rng.bit_generator.state == b.rng.bit_generator.state
+    assert a.stats == b.stats
+
+
+def _oracle_probabilities(machine, plans, circuit, expected, n_batch, force):
+    """The per-call slot path the compiled route replaces."""
+    slots = machine._realize_slots(circuit, n_batch)
+    if not slots:
+        return np.full(n_batch, 1.0 if expected == 0 else 0.0)
+    if not force and machine._slots_xx_only(slots):
+        return machine._match_probabilities_slots(slots, expected)
+    if plans is None:
+        return machine._dense_match_probabilities_slots(slots, expected)
+    skeleton = tuple((s.gate, s.qubits) for s in slots)
+    plan, hit = plans.get(machine.n_qubits, skeleton)
+    rebinds = plans.take_rebinds()
+    machine.stats.dense_plan_rebinds += rebinds
+    if hit:
+        machine.stats.dense_plan_hits += 1
+    elif not rebinds:
+        machine.stats.dense_plan_builds += 1
+    machine.stats.dense_plan_invalidations += plans.take_invalidations()
+    return plan.probabilities(
+        [s.params for s in slots], expected, machine.max_batch_bytes
+    )
+
+
+def _oracle_run_match(machine, circuit, expected, shots):
+    """``run_match`` with the slot path as its non-XX fallback."""
+    machine._account(circuit, shots)
+    groups = machine._shot_groups(shots)
+    p = machine._compiled_match_probabilities(circuit, expected, len(groups))
+    if p is None:
+        p = _oracle_probabilities(
+            machine, None, circuit, expected, len(groups), force=False
+        )
+    spam = machine.noise.spam
+    factor = spam.match_probability_factor(expected, N) if spam else 1.0
+    return sample_bernoulli_counts_batch(
+        p * factor, expected, np.asarray(groups, dtype=np.int64), machine.rng
+    )
+
+
+def _oracle_trial_fidelities(battery, machine, index, shots, trials, force):
+    ct = battery.tests[index]
+    groups = np.asarray(machine._shot_groups(shots), dtype=np.int64)
+    probs = _oracle_probabilities(
+        machine,
+        battery._dense_plans,
+        ct.circuit,
+        ct.expected,
+        trials * len(groups),
+        force,
+    ).reshape(trials, len(groups))
+    return battery._sample_fidelities(
+        machine, ct, probs[None], shots, groups
+    )[0]
+
+
+# -- the 1/f series block ---------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_phase_series_block_equals_per_process_construction(seed):
+    rng_block = np.random.default_rng(seed)
+    rng_each = np.random.default_rng(seed)
+    model = GateNoiseModel(12, PHASE_ONLY, rng_block)
+    rms = PHASE_ONLY.phase_noise_rms
+    each = np.stack([OneOverFProcess(rms, rng_each).series for _ in range(12)])
+    assert np.array_equal(model._phase_series, each)
+    assert rng_block.bit_generator.state == rng_each.bit_generator.state
+
+
+def test_ms_block_reads_each_targets_own_phase_process():
+    """The block gather equals per-ion :class:`OneOverFProcess` lookups."""
+    model = GateNoiseModel(5, PHASE_ONLY, np.random.default_rng(3))
+    rng = np.random.default_rng(3)
+    procs = [OneOverFProcess(PHASE_ONLY.phase_noise_rms, rng) for _ in range(5)]
+    q1 = np.array([0, 3, 4, 1])
+    q2 = np.array([2, 1, 0, 4])
+    offsets = np.array([0.0, 0.2, -0.1, math.pi])
+    ts = np.linspace(0.0, 9.0, 4 * 6).reshape(4, 6)
+    out = model.noisy_ms_params_block(
+        q1, q2, np.full(4, math.pi / 2), np.zeros(4), offsets, ts
+    )
+    for k in range(4):
+        assert (out[k, :, 1] == offsets[k] + procs[q1[k]].values_at(ts[k])).all()
+        assert (out[k, :, 2] == offsets[k] + procs[q2[k]].values_at(ts[k])).all()
+
+
+# -- the draw itself --------------------------------------------------------
+
+
+@pytest.mark.parametrize("noise", [SEC6, PHASE_ONLY, KICKS_1Q, AMPLITUDE])
+@pytest.mark.parametrize("name", sorted(CIRCUITS))
+def test_draw_matches_realize_slots(noise, name):
+    circuit, _ = CIRCUITS[name]()
+    faults = (
+        CouplingFault(frozenset({0, 1}), 0.1),
+        CouplingPhaseFault(frozenset({1, 2}), 0.4),
+    )
+    compiled, oracle = _twins(noise, faults=faults)
+    for n_batch in (1, 5):
+        test = compiled._dense_test(tuple(circuit.ops))
+        params, _ = compiled._draw_dense(test, n_batch)
+        slots = oracle._realize_slots(circuit, n_batch)
+        assert test.skeleton == tuple((s.gate, s.qubits) for s in slots)
+        assert len(params) == len(slots)
+        for p, slot in zip(params, slots):
+            assert p.shape == slot.params.shape
+            assert np.array_equal(p, slot.params)
+        _assert_same_machine_state(compiled, oracle)
+
+
+# -- run_match's non-XX fallback --------------------------------------------
+
+RUN_MATCH_CASES = {
+    "sec6": (SEC6, (), {}),
+    "phase-noise": (PHASE_ONLY, (), {}),
+    "kicks-1q": (KICKS_1Q, (), {}),
+    "phase-fault": (
+        AMPLITUDE,
+        (
+            CouplingPhaseFault(frozenset({0, 3}), 0.5),
+            CouplingFault(frozenset({1, 4}), 0.15),
+        ),
+        {},
+    ),
+    # Components above max_exact_qubits keep XX tests off the compiled
+    # XX route; their draws stay X-diagonal, so the compiled dense draw
+    # feeds the slot XX path (and its Monte-Carlo fallback).
+    "oversized-component": (
+        AMPLITUDE,
+        (CouplingFault(frozenset({0, 3}), 0.2),),
+        {"max_exact_qubits": 2},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RUN_MATCH_CASES))
+@pytest.mark.parametrize("name", sorted(CIRCUITS))
+def test_run_match_fallback_equals_slot_oracle(case, name):
+    noise, faults, kwargs = RUN_MATCH_CASES[case]
+    circuit, expected = CIRCUITS[name]()
+    compiled, oracle = _twins(noise, faults=faults, **kwargs)
+    for shots in (40, 300, 300):
+        assert compiled.run_match(circuit, expected, shots) == _oracle_run_match(
+            oracle, circuit, expected, shots
+        )
+    _assert_same_machine_state(compiled, oracle)
+
+
+@pytest.mark.parametrize("case", sorted(RUN_MATCH_CASES))
+def test_fallback_probabilities_bit_identical(case):
+    noise, faults, kwargs = RUN_MATCH_CASES[case]
+    for name in sorted(CIRCUITS):
+        circuit, expected = CIRCUITS[name]()
+        compiled, oracle = _twins(noise, faults=faults, **kwargs)
+        p = compiled._dense_test_probabilities(
+            compiled._dense_test(tuple(circuit.ops)), expected, 7
+        )
+        ref = _oracle_probabilities(oracle, None, circuit, expected, 7, False)
+        assert p.dtype == ref.dtype and p.shape == ref.shape
+        assert (p == ref).all(), name
+        _assert_same_machine_state(compiled, oracle)
+
+
+# -- batteries ----------------------------------------------------------------
+
+
+def _battery_items():
+    specs = battery_specs(N, 2)
+    items = [(build_test_circuit(s, N), expected_output(s, N)) for s in specs]
+    return items + [_mixed(), _no_ms(), (Circuit(N), 0)]
+
+
+@pytest.mark.parametrize(
+    "noise, faults, engine",
+    [
+        (SEC6, (), "auto"),
+        (PHASE_ONLY, (), "auto"),
+        (KICKS_1Q, (), "dense"),
+        (AMPLITUDE, (CouplingPhaseFault(frozenset({0, 3}), -0.6),), "auto"),
+        (AMPLITUDE, (CouplingFault(frozenset({1, 4}), 0.2),), "dense"),
+        # A pi offset leaves the draws X-diagonal: the slot XX shortcut.
+        (AMPLITUDE, (CouplingPhaseFault(frozenset({0, 1}), math.pi),), "auto"),
+    ],
+)
+def test_fresh_battery_passes_equal_slot_oracle(noise, faults, engine):
+    """First and second pass: fidelities, clock, RNG and plan counts."""
+    items = _battery_items()
+    battery = CompiledBattery(N, items)
+    reference = CompiledBattery(N, items)
+    compiled, oracle = _twins(noise, faults=faults, noise_realizations=3)
+    for _ in range(2):
+        for index, ct in enumerate(battery.tests):
+            if engine == "auto" and battery.xx_eligible(compiled, index):
+                continue
+            fids = battery.trial_fidelities(
+                compiled, index, 60, trials=2, engine=engine
+            )
+            ref = _oracle_trial_fidelities(
+                reference, oracle, index, 60, 2, force=(engine == "dense")
+            )
+            assert (fids == ref).all()
+        _assert_same_machine_state(compiled, oracle)
+    assert compiled.stats.dense_plan_builds > 0
+    assert compiled.stats.dense_plan_hits > 0
+
+
+def test_tiny_batch_budget_is_bit_identical():
+    """Realization rows chunked two at a time change nothing."""
+    budget = 2 * 16 * 2**N
+    circuit, expected = _mixed()
+    battery = CompiledBattery(N, [(circuit, expected)])
+    reference = CompiledBattery(N, [(circuit, expected)])
+    compiled, oracle = _twins(SEC6, max_batch_bytes=budget)
+    for _ in range(2):
+        fids = battery.trial_fidelities(compiled, 0, 50, trials=3, engine="dense")
+        ref = _oracle_trial_fidelities(reference, oracle, 0, 50, 3, force=True)
+        assert (fids == ref).all()
+    _assert_same_machine_state(compiled, oracle)
+
+
+# -- the cache ----------------------------------------------------------------
+
+
+def test_compiled_dense_tests_are_cached_bounded_and_held_by_batteries():
+    cache = machine_mod._compiled_dense_test
+    assert cache.cache_info().maxsize == machine_mod._DENSE_TEST_CACHE_SIZE
+    circuit, expected = _mixed()
+    ops = tuple(circuit.ops)
+    # Two machines share one compiled layout.
+    a, b = _twins(SEC6)
+    assert a._dense_test(ops) is b._dense_test(ops)
+    assert a._dense_test(ops).kicks
+    # A battery takes its layouts from the shared cache on first dense
+    # use and holds them: later calls hash no op tuple.
+    battery = compile_test_battery(N, battery_specs(N, 2))
+    assert not battery._dense_tests, "an unused battery holds no layouts"
+    mixed = CompiledBattery(N, [(circuit, expected)])
+    mixed.trial_fidelities(a, 0, 30, trials=1)
+    assert mixed._dense_tests == {(0, True): cache(N, ops, True)}
+    for index in range(len(battery.tests)):
+        battery.trial_fidelities(a, index, 30, trials=1)
+    before = cache.cache_info()
+    for index in range(len(battery.tests)):
+        battery.trial_fidelities(a, index, 30, trials=1)
+    mixed.trial_fidelities(a, 0, 30, trials=1)
+    after = cache.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+def test_layout_without_kicks_or_ms_slots():
+    circuit, _ = _no_ms()
+    test = machine_mod._compiled_dense_test(N, tuple(circuit.ops), True)
+    assert not test.kicks, "no MS slot, so no kick slots"
+    assert test.ms_theta.size == 0 and not test.x_static
+    assert test.skeleton == tuple((op.gate, op.qubits) for op in circuit.ops)
+    class_test = machine_mod._compiled_dense_test(
+        N, tuple(_class_test()[0].ops), False
+    )
+    assert class_test.x_static
+    ms_block = np.zeros((class_test.ms_theta.size, 2, 3))
+    ms_block[:, :, 1:] = math.pi
+    assert class_test.x_diagonal(ms_block)
+    ms_block[-1, 1, 2] += 1e-6
+    assert not class_test.x_diagonal(ms_block)
