@@ -13,9 +13,9 @@ Subcommands
     FIELD=[v1,v2,...]`` (repeatable) a single experiment runs over the
     Cartesian grid of the swept fields, sharing the cache across points.
 ``bench``
-    Run the benchmark registry (compiled-battery sweep broadcast,
-    batched simulation paths, the fig6/fig7 compiled-dense batteries,
-    contraction-plan reuse), print the speedups and emit a schema'd
+    Run the benchmark registry (the fig6/fig7 compiled-dense
+    batteries, scenario batteries, contraction-plan reuse, supervised
+    pool overhead), print the speedups and emit a schema'd
     ``BENCH_<label>.json`` record.
 ``validate``
     Run the paper-fidelity validation suite: seeded replicates of every

@@ -7,19 +7,16 @@ wall-clock), and :func:`run_bench` writes the results as a schema'd
 ``BENCH_<label>.json`` with full provenance, so future PRs can diff
 speedups across commits instead of re-deriving them.
 
+No experiment config selects a reference path: every experiment runs
+one evaluation pipeline.  The reference sides below are workloads kept
+in this module, plus the machine's ``dense_compiled=False`` switch.
+
 Registered cases
 ----------------
-``fig3-vectorized``
-    PR 1's vectorized fig3 echo sweep vs the per-realization loop.
-``fig7-batched``
-    Slot-batched machine simulation vs the per-realization reference on
-    the fig7 diagnosis workflow.
-``fig8-sweep-broadcast``
-    The compiled-battery magnitude-broadcast fig8 sweep vs the PR 1
-    batched per-point loop (the headline case of PR 2).
 ``fig6-dense``
-    The fig6 experiment with its batteries evaluated through compiled
-    dense plans vs the per-test executor loop (``compiled=False``).
+    The fig6 fault batteries over replicate machines, evaluated through
+    warm compiled dense plans vs the per-test executor loop on a
+    ``dense_compiled=False`` machine.
 ``fig7-dense``
     The headline dense-plan case: the fig7 threshold-calibration
     battery (2/4/8-repetition families) evaluated for 24 trials of each
@@ -55,7 +52,6 @@ from typing import Any, Callable
 import numpy as np
 
 from ..provenance import provenance
-from . import registry
 
 __all__ = [
     "BENCH_SCHEMA_ID",
@@ -84,26 +80,6 @@ class BenchCase:
     reference: Callable[[], Any]
     optimized: Callable[[], Any]
     repeats: int = 1
-
-
-def _experiment_case(
-    name: str,
-    experiment: str,
-    description: str,
-    preset: str,
-    reference_overrides: dict[str, Any],
-    optimized_overrides: dict[str, Any] | None = None,
-    repeats: int = 1,
-) -> BenchCase:
-    """A case that times one registered experiment under two configs."""
-    spec = registry.get_experiment(experiment)
-    return BenchCase(
-        name=name,
-        description=description,
-        reference=lambda: spec.run(preset, reference_overrides),
-        optimized=lambda: spec.run(preset, optimized_overrides),
-        repeats=repeats,
-    )
 
 
 def _plan_micro_workload(reuse_plan: bool, iterations: int = 400) -> None:
@@ -335,34 +311,6 @@ def bench_cases(preset: str = "smoke") -> list[BenchCase]:
     """The registered benchmark cases at the given preset."""
     repeats = 2 if preset == "smoke" else 1
     return [
-        _experiment_case(
-            "fig3-vectorized",
-            "fig3",
-            "vectorized echo sweep vs per-realization loop",
-            preset,
-            reference_overrides={"vectorized": False},
-            repeats=repeats,
-        ),
-        _experiment_case(
-            "fig7-batched",
-            "fig7",
-            "slot-batched machine vs per-realization reference",
-            preset,
-            # Both sides keep compiled=False so this case isolates the
-            # PR 1 batching axis; fig7-dense measures the compiled axis.
-            reference_overrides={"batched": False, "compiled": False},
-            optimized_overrides={"compiled": False},
-            repeats=1,
-        ),
-        _experiment_case(
-            "fig8-sweep-broadcast",
-            "fig8",
-            "compiled-battery magnitude broadcast vs batched per-point loop",
-            preset,
-            reference_overrides={"broadcast": False},
-            optimized_overrides={"broadcast": True},
-            repeats=repeats,
-        ),
         BenchCase(
             name="fig6-dense",
             description=(

@@ -19,14 +19,13 @@ deterministic miscalibration, with stochastic noise unaffected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ...noise.one_over_f import OneOverFProcess
 from ...sim import gates
-from ...sim.circuit import Circuit
-from ...sim.statevector import BatchedStatevectorSimulator, StatevectorSimulator
+from ...sim.statevector import BatchedStatevectorSimulator
 
 __all__ = ["Fig3Config", "Fig3Point", "run_fig3"]
 
@@ -47,10 +46,6 @@ class Fig3Config:
     shots: int = 1000
     realizations: int = 40
     seed: int = 2
-    #: Evolve all noise realizations of a point in one batched pass;
-    #: ``False`` selects the per-realization reference path (statistically
-    #: equivalent, different RNG stream).
-    vectorized: bool = True
 
 
 @dataclass(frozen=True)
@@ -72,44 +67,6 @@ def _ideal_state(n_gates: int) -> np.ndarray:
     )
 
 
-def _sequence_fidelity(
-    static_error: float,
-    n_gates: int,
-    echoed: bool,
-    cfg: Fig3Config,
-    rng: np.random.Generator,
-    phase_proc_1: OneOverFProcess,
-    phase_proc_2: OneOverFProcess,
-) -> float:
-    """Simulate one noisy q-gate sequence on an isolated pair.
-
-    The pair is simulated on its own two-qubit register (residual kicks act
-    on the pair's qubits; spectators stay |0> and drop out of the overlap).
-    """
-    circ = Circuit(2)
-    gate_time = 0.2e-3
-    for k in range(n_gates):
-        sign = -1.0 if (echoed and k % 2 == 1) else 1.0
-        xi = rng.normal(0.0, cfg.amplitude_sigma)
-        theta = math.pi / 2.0 + sign * static_error + xi * math.pi / 2.0
-        t = k * gate_time
-        phi1 = phase_proc_1.value_at(t)
-        phi2 = phase_proc_2.value_at(t)
-        circ.ms(0, 1, theta, phi1, phi2)
-        if cfg.residual_odd_population > 0:
-            d0 = math.sqrt(2.0 * cfg.residual_odd_population)
-            for q in (0, 1):
-                circ.r(
-                    q,
-                    float(rng.normal(0.0, d0)),
-                    float(rng.uniform(0.0, 2.0 * math.pi)),
-                )
-    sim = StatevectorSimulator(2)
-    sim.run(circ)
-    overlap = np.vdot(_ideal_state(n_gates), sim.state)
-    return float(abs(overlap) ** 2)
-
-
 def _sequence_fidelities_batch(
     static_error: float,
     n_gates: int,
@@ -121,10 +78,11 @@ def _sequence_fidelities_batch(
 ) -> np.ndarray:
     """All realizations of one noisy q-gate sequence in one batched pass.
 
-    Vectorized counterpart of :func:`_sequence_fidelity`: each gate's
-    amplitude noise (and residual kicks) is drawn for every realization at
-    once, and the whole realization batch evolves through one fused gate
-    application per sequence position.
+    The pair is simulated on its own two-qubit register (residual kicks
+    act on the pair's qubits; spectators stay |0> and drop out of the
+    overlap).  Each gate's amplitude noise (and residual kicks) is drawn
+    for every realization at once, and the whole realization batch
+    evolves through one fused gate application per sequence position.
     """
     n_real = cfg.realizations
     sim = BatchedStatevectorSimulator(2, n_real)
@@ -161,23 +119,9 @@ def run_fig3(cfg: Fig3Config | None = None) -> list[Fig3Point]:
         phase_2 = OneOverFProcess(cfg.phase_noise_rms, rng)
         for echoed in (False, True):
             for n_gates in range(1, cfg.max_gates + 1):
-                if cfg.vectorized:
-                    fidelities = _sequence_fidelities_batch(
-                        static_error, n_gates, echoed, cfg, rng, phase_1, phase_2
-                    )
-                else:
-                    fidelities = [
-                        _sequence_fidelity(
-                            static_error,
-                            n_gates,
-                            echoed,
-                            cfg,
-                            rng,
-                            phase_1,
-                            phase_2,
-                        )
-                        for _ in range(cfg.realizations)
-                    ]
+                fidelities = _sequence_fidelities_batch(
+                    static_error, n_gates, echoed, cfg, rng, phase_1, phase_2
+                )
                 mean_f = float(np.mean(fidelities))
                 # Shot noise of the measured estimate.
                 measured = rng.binomial(cfg.shots, min(1.0, mean_f)) / cfg.shots

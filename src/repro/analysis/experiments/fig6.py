@@ -37,7 +37,6 @@ import numpy as np
 from ...core.multi_fault import battery_specs as _battery_specs
 from ...core.protocol import (
     FixedThresholds,
-    TestExecutor,
     compile_test_battery,
     execute_compiled_battery,
 )
@@ -75,10 +74,6 @@ class Fig6Config:
     residual_odd_population: float = 0.03
     phase_noise_rms: float = 0.08
     spam_flip: float = 0.005
-    #: Evaluate the batteries through their compiled dense plans (one
-    #: stacked realization batch per test); ``False`` selects the
-    #: per-test ``TestExecutor`` reference loop (for benchmarking).
-    compiled: bool = True
     seed: int = 7
 
 
@@ -168,9 +163,7 @@ def run_fig6(cfg: Fig6Config | None = None) -> Fig6Result:
         phase_noise_rms=cfg.phase_noise_rms,
         spam=SpamModel(cfg.spam_flip, cfg.spam_flip) if cfg.spam_flip else None,
     )
-    machine = VirtualIonTrap(
-        cfg.n_qubits, noise=noise, seed=cfg.seed, dense_compiled=cfg.compiled
-    )
+    machine = VirtualIonTrap(cfg.n_qubits, noise=noise, seed=cfg.seed)
     fault_pairs: set[Pair] = set()
     for pair, under in cfg.faults:
         machine.inject_fault(CouplingFault(frozenset(pair), under))
@@ -179,21 +172,16 @@ def run_fig6(cfg: Fig6Config | None = None) -> Fig6Result:
     thresholds = FixedThresholds(
         by_repetitions=((2, cfg.threshold_2ms), (4, cfg.threshold_4ms))
     )
-    executor = TestExecutor(machine, thresholds=thresholds, shots=cfg.shots)
     rows: list[Fig6Row] = []
     for repetitions in (2, 4):
         specs = battery_specs(cfg.n_qubits, repetitions)
-        if cfg.compiled:
-            battery = compile_test_battery(cfg.n_qubits, specs)
-            results = execute_compiled_battery(
-                machine,
-                specs,
-                battery=battery,
-                thresholds=thresholds,
-                shots=cfg.shots,
-            )
-        else:
-            results = executor.execute_batch(specs)
+        results = execute_compiled_battery(
+            machine,
+            specs,
+            battery=compile_test_battery(cfg.n_qubits, specs),
+            thresholds=thresholds,
+            shots=cfg.shots,
+        )
         for spec, result in zip(specs, results):
             rows.append(
                 Fig6Row(

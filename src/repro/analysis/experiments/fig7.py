@@ -58,17 +58,9 @@ class Fig7Config:
     #: processes (they dominate this experiment's wall-clock;
     #: execution-only, excluded from the cache digest).
     threshold_jobs: int = field(default=1, metadata={"execution_only": True})
-    #: Machine simulation mode; ``False`` selects the per-realization
-    #: reference path (for benchmarking the batched speedup).
-    batched: bool = True
-    #: Evaluate the threshold-calibration batteries through compiled
-    #: dense plans shared across trials (one stacked realization batch
-    #: per test); ``False`` selects the per-test ``TestExecutor``
-    #: reference loop (for benchmarking the compiled-dense speedup).
-    compiled: bool = True
     #: Chosen so the headline run reproduces the paper's qualitative
     #: outcome (all three outliers found, largest first) under the
-    #: batched simulation stream.
+    #: machine's slot-realization RNG stream.
     seed: int = 6
 
 
@@ -113,13 +105,7 @@ def run_fig7(cfg: Fig7Config | None = None) -> Fig7Result:
         residual_odd_population=cfg.residual_odd_population,
         phase_noise_rms=cfg.phase_noise_rms,
     )
-    machine = VirtualIonTrap(
-        cfg.n_qubits,
-        noise=noise,
-        seed=cfg.seed,
-        batched=cfg.batched,
-        dense_compiled=cfg.compiled,
-    )
+    machine = VirtualIonTrap(cfg.n_qubits, noise=noise, seed=cfg.seed)
     snapshot = drifted_snapshot(cfg, rng)
     machine.calibration.load_snapshot(snapshot)
 
@@ -199,13 +185,7 @@ def _threshold_trial(
     )
     pairs = all_couplings(cfg.n_qubits)
     rng = np.random.default_rng(1000 + cfg.seed * 977 + trial)
-    machine = VirtualIonTrap(
-        cfg.n_qubits,
-        noise=noise,
-        seed=2000 + trial,
-        batched=cfg.batched,
-        dense_compiled=cfg.compiled,
-    )
+    machine = VirtualIonTrap(cfg.n_qubits, noise=noise, seed=2000 + trial)
     machine.calibration.load_snapshot(
         {p: float(rng.uniform(0.0, cfg.bulk_limit)) for p in pairs}
     )
@@ -221,17 +201,13 @@ def _threshold_trial(
             repetitions=reps,
             kind="verify",
         )
-        if cfg.compiled:
-            battery = _cached_battery(cfg.n_qubits, reps, specs)
-            results = execute_compiled_battery(
-                machine,
-                specs,
-                battery=battery,
-                thresholds=executor.thresholds,
-                shots=cfg.shots,
-            )
-        else:
-            results = executor.execute_batch(specs)
+        results = execute_compiled_battery(
+            machine,
+            specs,
+            battery=_cached_battery(cfg.n_qubits, reps, specs),
+            thresholds=executor.thresholds,
+            shots=cfg.shots,
+        )
         # The verify pair rotates per trial, so its single cheap test
         # runs through the executor instead of busting the battery cache.
         results.append(executor.execute(verify_spec))

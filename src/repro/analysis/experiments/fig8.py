@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ...core.protocol import FixedThresholds, TestExecutor, compile_test_battery
+from ...core.protocol import compile_test_battery
 from ...core.single_fault import SingleFaultProtocol
 from ...core.tests_builder import TestSpec
 from ...noise.models import NoiseParameters
@@ -48,11 +48,6 @@ class Fig8Config:
     detection_quantile: float = 0.05
     target_detection: float = 0.95
     noise_realizations: int = 4
-    #: Evaluate the under-rotation sweep through the compiled battery's
-    #: magnitude broadcast (all sweep points in one stacked contraction,
-    #: sharing noise draws across points).  ``False`` selects the PR 1
-    #: per-point loop — the benchmark registry's reference path.
-    broadcast: bool = True
     #: Fan the (N, repetitions) series grid out over worker processes
     #: (execution-only: never changes results, excluded from the cache
     #: digest).
@@ -85,68 +80,16 @@ def class_test_for_pair(
     raise ValueError(f"pair {pair} is bit-complementary; no class contains it")
 
 
-def _fidelity_samples(
-    cfg: Fig8Config,
-    n_qubits: int,
-    spec: TestSpec,
-    under_rotation: float,
-    pair: tuple[int, int],
-    trials: int,
-    seed: int,
-) -> np.ndarray:
-    noise = NoiseParameters(amplitude_sigma=cfg.amplitude_sigma)
-    machine = VirtualIonTrap(
-        n_qubits,
-        noise=noise,
-        seed=seed,
-        noise_realizations=cfg.noise_realizations,
-    )
-    machine.set_under_rotation(pair, under_rotation)
-    executor = TestExecutor(
-        machine, thresholds=FixedThresholds(), shots=cfg.shots
-    )
-    return np.array(
-        [executor.execute(spec).fidelity for _ in range(trials)]
-    )
-
-
-def _series_reference(
-    cfg: Fig8Config, n_qubits: int, repetitions: int
-) -> Fig8Series:
-    """One (N, repetitions) sweep via the per-point loop (PR 1 path)."""
-    pair = (0, 1)
-    spec = class_test_for_pair(n_qubits, pair, repetitions)
-    baseline = _fidelity_samples(
-        cfg, n_qubits, spec, 0.0, pair, cfg.baseline_trials, seed=cfg.seed
-    )
-    threshold = float(np.quantile(baseline, cfg.detection_quantile))
-    means: list[float] = []
-    rates: list[float] = []
-    for idx, u in enumerate(cfg.under_rotations):
-        samples = _fidelity_samples(
-            cfg,
-            n_qubits,
-            spec,
-            u,
-            pair,
-            cfg.trials,
-            seed=cfg.seed + 13 * idx + n_qubits,
-        )
-        means.append(float(samples.mean()))
-        rates.append(float(np.mean(samples < threshold)))
-    return _grade_series(cfg, n_qubits, repetitions, baseline, threshold, means, rates)
-
-
-def _series_broadcast(
-    cfg: Fig8Config, n_qubits: int, repetitions: int
-) -> Fig8Series:
+def _run_series(args: tuple[Fig8Config, int, int]) -> Fig8Series:
     """One (N, repetitions) sweep via the compiled magnitude broadcast.
 
     The class test is compiled once; the baseline's trials and the whole
     magnitude grid's ``(M, trials, realizations)`` block then run against
     the cached contraction plan — sweep points share noise draws, so the
     sweep costs one stacked matmul instead of M independent point runs.
+    Worker entry point for the series fan-out (must be module-level).
     """
+    cfg, n_qubits, repetitions = args
     pair = (0, 1)
     spec = class_test_for_pair(n_qubits, pair, repetitions)
     battery = compile_test_battery(n_qubits, [spec])
@@ -175,26 +118,12 @@ def _series_broadcast(
         cfg.shots,
         cfg.trials,
     )
-    means = [float(row.mean()) for row in samples]
     rates = [float(np.mean(row < threshold)) for row in samples]
-    return _grade_series(cfg, n_qubits, repetitions, baseline, threshold, means, rates)
-
-
-def _grade_series(
-    cfg: Fig8Config,
-    n_qubits: int,
-    repetitions: int,
-    baseline: np.ndarray,
-    threshold: float,
-    means: list[float],
-    rates: list[float],
-) -> Fig8Series:
-    """Fold sweep statistics into the reported series record."""
     return Fig8Series(
         n_qubits=n_qubits,
         repetitions=repetitions,
         under_rotations=cfg.under_rotations,
-        mean_fidelity=tuple(means),
+        mean_fidelity=tuple(float(row.mean()) for row in samples),
         detection_rate=tuple(rates),
         baseline_mean=float(baseline.mean()),
         threshold=threshold,
@@ -202,14 +131,6 @@ def _grade_series(
             cfg.under_rotations, rates, cfg.target_detection
         ),
     )
-
-
-def _run_series(args: tuple[Fig8Config, int, int]) -> Fig8Series:
-    """Worker entry point for the series fan-out (must be module-level)."""
-    cfg, n_qubits, repetitions = args
-    if cfg.broadcast:
-        return _series_broadcast(cfg, n_qubits, repetitions)
-    return _series_reference(cfg, n_qubits, repetitions)
 
 
 def run_fig8(cfg: Fig8Config | None = None) -> list[Fig8Series]:

@@ -65,13 +65,30 @@ _SHUTDOWN_GRACE_SECONDS = 0.5
 #: How often a worker checks that its supervisor process is still alive.
 _ORPHAN_CHECK_SECONDS = 0.2
 
+#: Held while a worker's pipes are open on both ends in this process.
+#: A fork from another thread inside that window would hand the new
+#: sibling this worker's child-side ends, and while the sibling lives
+#: the worker's death would close neither its sentinel nor its pipe:
+#: the supervisor would wait on a dead worker forever.
+_spawn_lock = threading.Lock()
+
+
+def _reset_spawn_lock() -> None:
+    """In a forked child, drop the lock state copied from the parent."""
+    global _spawn_lock
+    _spawn_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_spawn_lock)
+
 
 def _exit_when_orphaned(supervisor_pid: int) -> None:
     """Worker watchdog: ``os._exit`` as soon as the supervisor is gone.
 
-    Pipe EOF is not enough: workers forked concurrently by different
-    threads inherit each other's pipe ends, so a dead supervisor's pipes
-    may never close.  Checked mid-job too — a ``kill -9`` of the
+    Pipe EOF is not enough: each worker inherits the supervisor's ends of
+    the workers forked before it, so a dead supervisor's pipes may never
+    close.  Checked mid-job too — a ``kill -9`` of the
     supervisor must not leave a worker finishing an orphaned job.
     """
     while os.getppid() == supervisor_pid:
@@ -143,14 +160,15 @@ class _Worker:
         #: hooks: a :class:`WorkerSet` reuses it only for the same pair.
         self.fn = fn
         self.chaos_env = _chaos_env()
-        parent_conn, child_conn = ctx.Pipe(duplex=True)
-        self.process = ctx.Process(
-            target=_worker_main,
-            args=(child_conn, fn, os.getpid()),
-            name="repro-exec-worker",
-        )
-        self.process.start()
-        child_conn.close()
+        with _spawn_lock:
+            parent_conn, child_conn = ctx.Pipe(duplex=True)
+            self.process = ctx.Process(
+                target=_worker_main,
+                args=(child_conn, fn, os.getpid()),
+                name="repro-exec-worker",
+            )
+            self.process.start()
+            child_conn.close()
         self.conn = parent_conn
         #: ``(index, attempt)`` of the in-flight job, or ``None`` when idle.
         self.job: tuple[int, int] | None = None

@@ -14,9 +14,10 @@ On top of these, each coupling carries a *deterministic* miscalibration
 (the under-rotation being diagnosed), applied multiplicatively:
 ``theta_actual = theta_nominal * (1 - under_rotation) * (1 + xi)``.
 
-:class:`GateNoiseModel` converts a nominal MS gate application into a short
-list of concrete operations.  When only amplitude noise is enabled the
-output stays XX-only, so the fast engine remains applicable (the setting
+:class:`GateNoiseModel` draws the realized parameters of a circuit's MS,
+residual-kick and R slots, one ``(n_batch, ...)`` block per call.  When
+only amplitude noise is enabled the realized MS phases stay on the pi
+grid (XX-only), so the fast engine remains applicable (the setting
 used for the 16/32-qubit scaling runs, matching Sec. VII's "we suppress
 phase noise and residual couplings ... leaving only 10 % random amplitude
 errors").
@@ -29,7 +30,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..sim.circuit import Operation
 from .one_over_f import SERIES_DT, SERIES_SAMPLES, one_over_f_block
 from .spam import SpamModel
 
@@ -153,73 +153,7 @@ class GateNoiseModel:
             raise ValueError("time must be non-negative")
         return np.rint(ts / SERIES_DT).astype(np.int64) % SERIES_SAMPLES
 
-    def _phase_at(self, q: int, t: float) -> float:
-        """Ion ``q``'s drive-phase noise at one time ``t``."""
-        return float(self._phase_series[q, self._phase_index(t)])
-
-    # -- MS gates ---------------------------------------------------------------
-
-    def noisy_ms_ops(
-        self,
-        q1: int,
-        q2: int,
-        theta_nominal: float,
-        under_rotation: float,
-        t: float = 0.0,
-        phase_offset: float = 0.0,
-    ) -> list[Operation]:
-        """Concrete operations realizing one noisy MS gate application.
-
-        Parameters
-        ----------
-        q1, q2:
-            Target qubits.
-        theta_nominal:
-            Intended MS rotation angle.
-        under_rotation:
-            Deterministic fractional miscalibration of this coupling
-            (the fault being diagnosed): ``theta *= 1 - under_rotation``.
-        t:
-            Wall-clock time of the gate, for time-correlated phase noise.
-        phase_offset:
-            Deliberate common drive-phase shift (pi-stepped offsets build
-            the echoed sequences of Fig. 3).
-        """
-        xi = (
-            self.rng.normal(0.0, self.params.amplitude_sigma)
-            if self.params.amplitude_sigma > 0
-            else 0.0
-        )
-        theta = theta_nominal * (1.0 - under_rotation) * (1.0 + xi)
-        phi1 = phase_offset
-        phi2 = phase_offset
-        if self._phase_series is not None:
-            phi1 += self._phase_at(q1, t)
-            phi2 += self._phase_at(q2, t)
-        ops = [Operation("MS", (q1, q2), (theta, phi1, phi2))]
-        ops.extend(self._residual_kicks(q1, q2))
-        return ops
-
-    def _residual_kicks(self, q1: int, q2: int) -> list[Operation]:
-        """Random single-qubit rotations modelling residual bus coupling.
-
-        A kick of angle ``d`` on one qubit of a pair leaves ``sin^2(d/2)``
-        population in odd states; for small angles two independent kicks of
-        std. dev. ``d0`` give mean odd population ``d0^2 / 2``, hence
-        ``d0 = sqrt(2 p_odd)``.
-        """
-        p_odd = self.params.residual_odd_population
-        if p_odd <= 0:
-            return []
-        d0 = math.sqrt(2.0 * p_odd)
-        ops = []
-        for q in (q1, q2):
-            delta = self.rng.normal(0.0, d0)
-            axis = self.rng.uniform(0.0, 2.0 * math.pi)
-            ops.append(Operation("R", (q,), (delta, axis)))
-        return ops
-
-    # -- batched (per-noise-realization) parameter draws --------------------------
+    # -- per-noise-realization parameter draws ------------------------------------
 
     def noisy_ms_params_block(
         self,
@@ -263,9 +197,13 @@ class GateNoiseModel:
     ) -> np.ndarray:
         """Per-realization kick parameters for ``n_kicks`` residual slots.
 
-        Vectorized counterpart of :meth:`residual_kick_params` drawing the
-        whole circuit's kicks at once; returns shape
-        ``(n_kicks, n_batch, 2)``.
+        Residual bus coupling is modelled as random single-qubit
+        rotations after each MS gate, one per target.  A kick of angle
+        ``d`` leaves ``sin^2(d/2)`` population in odd states; for small
+        angles two independent kicks of std. dev. ``d0`` give mean odd
+        population ``d0^2 / 2``, hence ``d0 = sqrt(2 p_odd)``.  The whole
+        circuit's kicks are drawn at once; returns shape
+        ``(n_kicks, n_batch, 2)`` of ``(angle, axis)`` rows.
         """
         d0 = math.sqrt(2.0 * self.params.residual_odd_population)
         out = np.empty((n_kicks, n_batch, 2))
@@ -287,19 +225,3 @@ class GateNoiseModel:
         if self._phase_series is not None:
             phi_a += self._phase_series[q, self._phase_index(ts)]
         return np.stack([theta, phi_a], axis=1)
-
-    # -- one-qubit gates ----------------------------------------------------------
-
-    def noisy_r_ops(
-        self, q: int, theta_nominal: float, phi: float, t: float = 0.0
-    ) -> list[Operation]:
-        """Concrete operations realizing one noisy R gate application."""
-        xi = (
-            self.rng.normal(0.0, self.params.amplitude_sigma_1q)
-            if self.params.amplitude_sigma_1q > 0
-            else 0.0
-        )
-        theta = theta_nominal * (1.0 + xi)
-        if self._phase_series is not None:
-            phi = phi + self._phase_at(q, t)
-        return [Operation("R", (q,), (theta, phi))]

@@ -34,11 +34,12 @@ one of two shared, bounded caches:
 ``run_match`` takes the XX cache where it applies and draws through the
 dense one otherwise (non-XX-preserving noise, drive phases off the pi
 grid, non-XX gates, components above ``max_exact_qubits``); a dense draw
-that still stays X-diagonal is evaluated on the slot XX path, and
-``batched=False`` keeps the per-realization path.
+that still stays X-diagonal is evaluated on the slot XX path, and a
+component above ``max_exact_qubits`` falls back to a per-realization
+Monte-Carlo :class:`~repro.sim.xx_engine.XXCircuitEvaluator`.
 A :class:`CompiledBattery` keeps each test's dense layout from its first
 dense call on.  ``_realize_slots`` builds the same draws as :class:`RealizedSlot`
-objects: it serves ``run`` and is the oracle the compiled routes are
+objects: it serves ``run`` and is the one oracle the compiled routes are
 tested against, bit for bit.
 
 Shot batching: stochastic noise is re-drawn per *realization group* rather
@@ -59,16 +60,11 @@ from ..sim.circuit import Circuit, Operation, is_multiple_of_pi
 from ..sim.sampling import (
     Counts,
     merge_counts,
-    sample_bernoulli_counts,
     sample_bernoulli_counts_batch,
     sample_counts_from_probs,
 )
 from ..sim.dense_plan import DensePlan, DensePlanCache, Skeleton
-from ..sim.statevector import (
-    MAX_DENSE_QUBITS,
-    StatevectorSimulator,
-    realization_chunks,
-)
+from ..sim.statevector import MAX_DENSE_QUBITS, realization_chunks
 from ..sim.xx_engine import (
     ContractionPlan,
     XXCircuitEvaluator,
@@ -109,9 +105,10 @@ class MachineStats:
     """Usage counters for cost accounting and plan-cache introspection.
 
     ``dense_plan_builds``/``dense_plan_hits`` count dense-plan compilations
-    vs. cache reuses across the machine's own dense paths *and* any
-    :class:`CompiledBattery` evaluated against this machine — a warm trial
-    loop should stop accumulating builds after its first pass.
+    vs. cache reuses across the machine's own dense route (``run`` and
+    ``run_match``) *and* any :class:`CompiledBattery` evaluated against
+    this machine — a warm trial loop should stop accumulating builds
+    after its first pass.
     """
 
     circuit_runs: int = 0
@@ -161,18 +158,13 @@ class VirtualIonTrap:
     max_exact_qubits:
         Largest coupling-graph component evaluated exactly by the XX
         engine; bigger components use Monte-Carlo amplitude estimation.
-    batched:
-        Evaluate all noise-realization groups of a ``run``/``run_match``
-        call in one vectorized pass (batched statevector / batched XX
-        sums, single multi-group binomial draw).  ``False`` selects the
-        per-realization reference path; results are statistically
-        equivalent but consume the RNG stream in a different order.
     dense_compiled:
         Serve dense slot evaluation from cached
         :class:`~repro.sim.dense_plan.DensePlan` objects with fused
         apply groups (the default).  ``False`` rebuilds an unfused plan
-        per call — the pre-compilation reference behaviour, kept for
-        benchmarking; results agree to float rounding (~1e-15).
+        per call — the pre-compilation reference behaviour, kept only as
+        the reference side of the ``repro bench`` dense-plan cases;
+        results agree to float rounding (~1e-15).
     max_batch_bytes:
         Optional memory budget for batched evaluation: dense
         realization batches are chunked so the state block stays within
@@ -185,7 +177,6 @@ class VirtualIonTrap:
     seed: int = 0
     noise_realizations: int = 8
     max_exact_qubits: int = 20
-    batched: bool = True
     dense_compiled: bool = True
     max_batch_bytes: int | None = None
     timing: TimingModel = field(default_factory=TimingModel)
@@ -238,16 +229,8 @@ class VirtualIonTrap:
             raise ValueError("shots must be positive")
         self._account(circuit, shots)
         groups = self._shot_groups(shots, realizations)
-        if self.batched:
-            slots = self._realize_slots(circuit, len(groups))
-            counts = self._run_dense_slots(slots, groups)
-        else:
-            counts = merge_counts(
-                *(
-                    self._run_dense(self._realize(circuit), group_shots)
-                    for group_shots in groups
-                )
-            )
+        slots = self._realize_slots(circuit, len(groups))
+        counts = self._run_dense_slots(slots, groups)
         if self.noise.spam is not None:
             counts = self.noise.spam.apply_to_counts(
                 counts, self.n_qubits, self.rng
@@ -265,12 +248,12 @@ class VirtualIonTrap:
 
         This is the fast path for single-output tests: XX-only noisy
         realizations are evaluated exactly per coupling-graph component,
-        which keeps 32-qubit class tests cheap.  In batched mode every
-        realization group's match probability is computed in one
-        vectorized pass and all groups' shots are drawn with a single
-        multi-group binomial call.  Returned counts lump all mismatches
-        into a single placeholder state.  ``realizations`` overrides the
-        machine's noise-realization count for this call.
+        which keeps 32-qubit class tests cheap.  Every realization group's
+        match probability is computed in one vectorized pass and all
+        groups' shots are drawn with a single multi-group binomial call.
+        Returned counts lump all mismatches into a single placeholder
+        state.  ``realizations`` overrides the machine's noise-realization
+        count for this call.
 
         Under XX-preserving noise with pi-multiple realized drive phases
         the test is served from the process-wide compiled-test cache (one
@@ -290,17 +273,6 @@ class VirtualIonTrap:
             else 1.0
         )
         groups = self._shot_groups(shots, realizations)
-        if not self.batched:
-            counts_parts: list[Counts] = []
-            for group_shots in groups:
-                realized = self._realize(circuit)
-                p_match = self._match_probability(realized, expected)
-                counts_parts.append(
-                    sample_bernoulli_counts(
-                        p_match * spam_factor, expected, group_shots, self.rng
-                    )
-                )
-            return merge_counts(*counts_parts)
         p_match_all = self._compiled_match_probabilities(
             circuit, expected, len(groups)
         )
@@ -326,17 +298,6 @@ class VirtualIonTrap:
         groups = min(wanted, shots)
         base, extra = divmod(shots, groups)
         return [base + (1 if g < extra else 0) for g in range(groups)]
-
-    def _match_probability(self, realized: Circuit, expected: int) -> float:
-        """Expected-bitstring probability of one realized circuit."""
-        if realized.is_xx_only():
-            evaluator = XXCircuitEvaluator(
-                realized,
-                max_exact_qubits=self.max_exact_qubits,
-                rng=self.rng,
-            )
-            return evaluator.probability_of(expected)
-        return self._dense_match_probability(realized, expected)
 
     # -- compiled XX route -------------------------------------------------------
 
@@ -391,11 +352,10 @@ class VirtualIonTrap:
     ) -> list[RealizedSlot]:
         """Realize ``n_batch`` noisy copies of a nominal circuit as slots.
 
-        The vectorized counterpart of calling :meth:`_realize` once per
-        noise-realization group: each slot draws its per-realization noise
-        parameters in one RNG call, and no per-realization ``Operation``
-        objects are built.  Clock semantics match the sequential path —
-        realization g starts where realization g-1 ended.
+        One copy per noise-realization group: each slot draws its
+        per-realization noise parameters in one RNG call, and no
+        per-realization ``Operation`` objects are built.  Realization g's
+        clock starts where realization g-1's gates ended.
         """
         gate_dt = self.timing.gate_time(self.n_qubits)
         n_ms = sum(1 for op in circuit.ops if op.gate in ("MS", "XX"))
@@ -628,7 +588,9 @@ class VirtualIonTrap:
                 pass
             return np.array(
                 [
-                    self._match_probability(c, expected)
+                    XXCircuitEvaluator(
+                        c, max_exact_qubits=self.max_exact_qubits, rng=self.rng
+                    ).probability_of(expected)
                     for c in self._slots_to_circuits(slots)
                 ]
             )
@@ -714,77 +676,6 @@ class VirtualIonTrap:
                 for g in range(start, stop)
             )
         return merge_counts(*counts_parts)
-
-    def _realize(self, circuit: Circuit) -> Circuit:
-        """Apply calibration errors and noise to a nominal circuit."""
-        realized = Circuit(circuit.n_qubits)
-        t = self._clock
-        for op in circuit.ops:
-            if op.gate in ("MS", "XX"):
-                q1, q2 = op.qubits
-                theta = op.params[0]
-                phase_offset = op.params[1] if op.gate == "MS" else 0.0
-                phase_offset += self.calibration.phase_offset((q1, q2))
-                under = self.calibration.under_rotation((q1, q2))
-                realized.extend(
-                    self.noise_model.noisy_ms_ops(
-                        q1,
-                        q2,
-                        theta,
-                        under,
-                        t=t,
-                        phase_offset=phase_offset,
-                    )
-                )
-                t += self.timing.gate_time(self.n_qubits)
-            elif op.gate == "R":
-                realized.extend(
-                    self.noise_model.noisy_r_ops(
-                        op.qubits[0], op.params[0], op.params[1], t=t
-                    )
-                )
-            else:
-                realized.append(op)
-        self._clock = t
-        return realized
-
-    def _run_dense(self, realized: Circuit, shots: int) -> Counts:
-        touched = sorted(realized.touched_qubits())
-        if len(touched) > MAX_DENSE_QUBITS:
-            raise ValueError(
-                f"circuit touches {len(touched)} qubits; run_match handles "
-                "larger XX-only tests"
-            )
-        if not touched:
-            return {0: shots}
-        compact, mapping = _compact_circuit(realized, touched)
-        sim = StatevectorSimulator(compact.n_qubits)
-        sim.run(compact)
-        compact_counts = sim.sample_counts(shots, self.rng)
-        return _expand_counts(compact_counts, mapping, self.n_qubits)
-
-    def _dense_match_probability(self, realized: Circuit, expected: int) -> float:
-        touched = sorted(realized.touched_qubits())
-        for q in range(self.n_qubits):
-            if q not in touched:
-                bit = (expected >> (self.n_qubits - 1 - q)) & 1
-                if bit:
-                    return 0.0
-        if not touched:
-            return 1.0
-        if len(touched) > MAX_DENSE_QUBITS:
-            raise ValueError(
-                f"non-XX circuit touches {len(touched)} qubits "
-                f"(dense limit {MAX_DENSE_QUBITS})"
-            )
-        compact, mapping = _compact_circuit(realized, touched)
-        sub_expected = 0
-        for q in mapping:
-            bit = (expected >> (self.n_qubits - 1 - q)) & 1
-            sub_expected = (sub_expected << 1) | bit
-        sim = StatevectorSimulator(compact.n_qubits)
-        sim.run(compact)
-        return sim.probability_of(sub_expected)
 
     def _account(self, circuit: Circuit, shots: int) -> None:
         n2q = circuit.depth_two_qubit()
@@ -1094,8 +985,8 @@ class CompiledBattery:
         cached :class:`~repro.sim.dense_plan.DensePlan` otherwise; shots
         are then sampled per (trial, group) with a single batched
         binomial draw.  Statistically equivalent to ``trials`` calls of
-        ``TestExecutor.execute`` on the batched machine path (the RNG
-        stream is consumed in a different order).
+        ``TestExecutor.execute`` on the machine (the RNG stream is
+        consumed in a different order).
 
         ``engine`` selects the evaluation path: ``"auto"`` dispatches on
         :meth:`xx_eligible` (the default), ``"dense"`` forces the dense
@@ -1498,19 +1389,6 @@ def _compiled_dense_test(
 def _skeleton(slots: list[RealizedSlot]) -> Skeleton:
     """The ``(gate, qubits)`` sequence of a realized slot list."""
     return tuple((s.gate, s.qubits) for s in slots)
-
-
-def _compact_circuit(
-    circuit: Circuit, touched: list[int]
-) -> tuple[Circuit, list[int]]:
-    """Project a circuit onto its touched qubits (untouched stay |0>)."""
-    index = {q: k for k, q in enumerate(touched)}
-    compact = Circuit(len(touched))
-    for op in circuit.ops:
-        compact.append(
-            Operation(op.gate, tuple(index[q] for q in op.qubits), op.params)
-        )
-    return compact, touched
 
 
 def _expand_counts(

@@ -1,48 +1,15 @@
-"""Batched simulation must beat the per-realization reference path.
+"""Compiled dense batteries must beat the per-trial reference loop.
 
-``python -m repro bench`` reports the headline numbers (typically ~7x on
-the fig3 smoke run and ~10x on fig7); the assertions here use a loose
-margin so scheduler jitter on busy CI machines cannot flake the suite.
+``python -m repro bench`` reports the headline number (``fig7-dense``,
+gated at 4.0x in CI); the assertion here uses a looser margin so
+scheduler jitter on busy CI machines cannot flake the suite.
 """
 
 import time
 
-from repro.analysis import registry
-
-
-def _time_run(name: str, overrides: dict | None, repeats: int = 3) -> float:
-    """Best-of-N wall-clock, to shrug off scheduler stalls on busy CI."""
-    spec = registry.get_experiment(name)
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        spec.run("smoke", overrides)
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def test_fig3_vectorized_is_faster():
-    spec = registry.get_experiment("fig3")
-    spec.run("smoke")  # warm imports/caches outside the timed region
-    batched = _time_run("fig3", None)
-    reference = _time_run("fig3", {"vectorized": False})
-    assert reference > 1.5 * batched, (
-        f"vectorized fig3 not faster: {batched:.3f}s vs {reference:.3f}s"
-    )
-
-
-def test_fig7_batched_is_faster():
-    batched = _time_run("fig7", {"compiled": False}, repeats=2)
-    reference = _time_run(
-        "fig7", {"batched": False, "compiled": False}, repeats=1
-    )
-    assert reference > 1.5 * batched, (
-        f"batched fig7 not faster: {batched:.3f}s vs {reference:.3f}s"
-    )
-
 
 def test_fig7_dense_compiled_battery_is_faster():
-    """The compiled dense battery beats the per-trial loop by >= 5x."""
+    """The compiled dense battery beats the per-trial loop by > 3.5x."""
     from repro.analysis.bench import _fig7_dense_battery_workload
 
     def best(compiled, repeats):

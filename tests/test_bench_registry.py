@@ -35,14 +35,13 @@ def test_unknown_case_names_fail_fast(tmp_path):
 
 def test_registered_cases_cover_the_headline_paths():
     names = {case.name for case in bench.bench_cases("smoke")}
-    assert {
-        "fig3-vectorized",
-        "fig7-batched",
-        "fig8-sweep-broadcast",
+    assert names == {
         "fig6-dense",
         "fig7-dense",
+        "scenarios-compiled",
         "xx-contraction-plan",
-    } <= names
+        "exec-overhead",
+    }
 
 
 def test_validator_rejects_malformed_payloads():

@@ -163,6 +163,8 @@ def test_deterministic_machine_matches_realized_evaluator():
     xi = np.zeros((ct.slot_theta.size, 1))
     under = battery._current_under(machine, ct)
     compiled = battery.probabilities_from_noise(0, xi, under)[0]
-    realized = machine._realize(circuit)
+    (realized,) = machine._slots_to_circuits(
+        machine._realize_slots(circuit, 1)
+    )
     reference = XXCircuitEvaluator(realized).probability_of(expected)
     assert abs(compiled - reference) < 1e-12

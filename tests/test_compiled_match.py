@@ -142,17 +142,6 @@ def test_component_above_exact_limit_falls_back_to_monte_carlo():
     _assert_counts_identical(compiled, slots, circuit, expected, rounds=1)
 
 
-def test_unbatched_machine_keeps_reference_path(monkeypatch):
-    circuit, expected = _class_test(8)
-    m = VirtualIonTrap(8, seed=3, batched=False)
-
-    def compiled_route(*args):
-        raise AssertionError("batched=False must not take the compiled route")
-
-    monkeypatch.setattr(m, "_compiled_match_probabilities", compiled_route)
-    assert sum(m.run_match(circuit, expected, 100).values()) == 100
-
-
 # -- cache behaviour ------------------------------------------------------------
 
 

@@ -401,17 +401,19 @@ def test_tiny_byte_bound_with_plan_cache_eviction_stays_exact():
     assert len(cache) == 1
 
 
-def test_fig6_compiled_and_reference_paths_run():
-    """Both fig6 paths produce full row sets with finite fidelities."""
-    from repro.analysis.experiments.fig6 import Fig6Config, run_fig6
+def test_fig6_rows_follow_battery_order():
+    """fig6 reports one row per battery test, in battery order, in [0, 1]."""
+    from repro.analysis.experiments.fig6 import (
+        Fig6Config,
+        battery_specs,
+        run_fig6,
+    )
 
-    rows = {}
-    for compiled in (True, False):
-        cfg = Fig6Config(shots=60, compiled=compiled)
-        result = run_fig6(cfg)
-        rows[compiled] = result.rows
-        assert all(0.0 <= r.fidelity <= 1.0 for r in result.rows)
-    assert len(rows[True]) == len(rows[False])
-    assert [r.test_name for r in rows[True]] == [
-        r.test_name for r in rows[False]
+    cfg = Fig6Config(shots=60)
+    result = run_fig6(cfg)
+    assert [(r.repetitions, r.test_name) for r in result.rows] == [
+        (reps, spec.name)
+        for reps in (2, 4)
+        for spec in battery_specs(cfg.n_qubits, reps)
     ]
+    assert all(0.0 <= r.fidelity <= 1.0 for r in result.rows)

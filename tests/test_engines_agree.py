@@ -58,7 +58,8 @@ def test_batched_statevector_matches_single(rng):
 
 
 def test_batched_machine_matches_reference_statistically():
-    """Batched and per-realization machine paths agree in distribution."""
+    """Batched slot evaluation agrees in distribution with per-circuit
+    dense evaluation of single realizations from ``_realize_slots``."""
     from repro.noise.models import NoiseParameters
     from repro.trap.machine import VirtualIonTrap
 
@@ -74,7 +75,7 @@ def test_batched_machine_matches_reference_statistically():
     circ.ms(2, 3, math.pi / 2)
     expected = 0b1111
 
-    batched = VirtualIonTrap(4, noise=noise, seed=11, batched=True)
+    batched = VirtualIonTrap(4, noise=noise, seed=11)
     p_batched = np.concatenate(
         [
             batched._match_probabilities_slots(
@@ -83,31 +84,46 @@ def test_batched_machine_matches_reference_statistically():
             for _ in range(25)
         ]
     )
-    reference = VirtualIonTrap(4, noise=noise, seed=11, batched=False)
-    p_reference = np.array(
-        [
-            reference._match_probability(reference._realize(circ), expected)
-            for _ in range(200)
-        ]
-    )
+    reference = VirtualIonTrap(4, noise=noise, seed=11)
+    p_reference = []
+    for _ in range(200):
+        (realized,) = reference._slots_to_circuits(
+            reference._realize_slots(circ, 1)
+        )
+        sim = StatevectorSimulator(4)
+        sim.run(realized)
+        p_reference.append(sim.probability_of(expected))
+    p_reference = np.array(p_reference)
     assert p_batched.mean() == pytest.approx(p_reference.mean(), abs=0.02)
     assert p_batched.std() == pytest.approx(p_reference.std(), abs=0.03)
 
 
 def test_batched_machine_full_counts_agree():
-    """``run`` totals and dominant outcome agree across machine paths."""
+    """``run`` totals and dominant outcome agree with sampling each shot
+    group from a dense simulation of one ``_realize_slots`` realization."""
     from repro.noise.models import NoiseParameters
+    from repro.sim.sampling import merge_counts
     from repro.trap.machine import VirtualIonTrap
 
     circ = Circuit(4).ms(0, 1, math.pi / 2).ms(2, 3, math.pi / 2)
     shots = 4000
-    counts = {}
-    for mode in (True, False):
-        machine = VirtualIonTrap(
-            4, noise=NoiseParameters.paper_scaling(), seed=1, batched=mode
+    noise = NoiseParameters.paper_scaling()
+    assert noise.spam is None
+    machine = VirtualIonTrap(4, noise=noise, seed=1)
+    counts = machine.run(circ, shots)
+    assert sum(counts.values()) == shots
+
+    reference = VirtualIonTrap(4, noise=noise, seed=1)
+    parts = []
+    for group_shots in reference._shot_groups(shots):
+        (realized,) = reference._slots_to_circuits(
+            reference._realize_slots(circ, 1)
         )
-        counts[mode] = machine.run(circ, shots)
-        assert sum(counts[mode].values()) == shots
-    p_true = counts[True].get(0b1111, 0) / shots
-    p_false = counts[False].get(0b1111, 0) / shots
-    assert p_true == pytest.approx(p_false, abs=0.05)
+        sim = StatevectorSimulator(4)
+        sim.run(realized)
+        parts.append(sim.sample_counts(group_shots, reference.rng))
+    reference_counts = merge_counts(*parts)
+    assert sum(reference_counts.values()) == shots
+    p_run = counts.get(0b1111, 0) / shots
+    p_reference = reference_counts.get(0b1111, 0) / shots
+    assert p_run == pytest.approx(p_reference, abs=0.05)

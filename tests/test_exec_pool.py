@@ -333,3 +333,47 @@ def test_closing_a_worker_set_stops_its_workers(worker_set):
     # A worker handed back after close is shut down, not kept.
     _run_pid(worker_set)
     assert _live_child_pids() == []
+
+
+def test_a_worker_forked_beside_others_is_seen_dying(monkeypatch):
+    """Workers forked by several threads at once hold none of each
+    other's child-side pipe ends, so killing one closes its sentinel and
+    its pipe while its siblings live.  Each fork is delayed so that,
+    were forks not serialized, every sibling would fork while the
+    others' pipes are still open in the supervisor."""
+    from multiprocessing.connection import wait
+
+    real_fork = os.fork
+
+    def slow_fork():
+        time.sleep(0.1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", slow_fork)
+    ctx = pool._pool_context("fork")
+    workers = []
+    start = threading.Barrier(4)
+
+    def spawn():
+        start.wait()
+        workers.append(pool._Worker(ctx, _square))
+
+    threads = [threading.Thread(target=spawn) for _ in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    monkeypatch.undo()
+    try:
+        assert len(workers) == 4
+        # The last worker forked is the one earlier siblings could hold.
+        victim = workers[-1]
+        victim.process.kill()
+        assert wait([victim.process.sentinel], timeout=5)
+        assert victim.conn.poll(5)
+        with pytest.raises(EOFError):
+            victim.conn.recv()
+        assert all(w.process.is_alive() for w in workers[:-1])
+    finally:
+        for worker in workers:
+            worker.kill()

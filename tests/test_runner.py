@@ -45,6 +45,32 @@ def test_unknown_experiment_and_field_error():
         registry.get_experiment("fig3").config("full", {"no_such_field": 1})
 
 
+def test_retired_reference_switches_fail_closed(tmp_path):
+    """Removed reference-path options are unknown, not silently ignored."""
+    from repro.__main__ import main
+    from repro.trap.machine import VirtualIonTrap
+
+    retired = [
+        ("fig3", "vectorized"),
+        ("fig6", "compiled"),
+        ("fig7", "batched"),
+        ("fig7", "compiled"),
+        ("fig8", "broadcast"),
+    ]
+    for name, key in retired:
+        with pytest.raises(ValueError, match="unknown config field"):
+            registry.get_experiment(name).run("smoke", {key: False})
+        with pytest.raises(SystemExit, match="unknown config field"):
+            main(
+                [
+                    "run", name, "--smoke", "--no-cache",
+                    "--out", str(tmp_path), "--set", f"{key}=false",
+                ]
+            )
+    with pytest.raises(TypeError):
+        VirtualIonTrap(4, batched=False)
+
+
 def test_override_coercion_to_tuples():
     cfg = registry.get_experiment("fig10").config(
         "full", {"qubit_counts": [8, 16]}

@@ -17,8 +17,10 @@ import subprocess
 import sys
 import threading
 import time
+import uuid
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -202,9 +204,32 @@ def test_concurrent_jobs_across_namespaces_none_lost(tmp_path):
 
 def test_chaos_worker_crashes_absorbed_by_retries(tmp_path, monkeypatch):
     """With a 50% per-attempt crash rate injected, a generous retry
-    budget still lands every job in ``done`` — zero lost jobs."""
+    budget still lands every job in ``done`` — zero lost jobs.
+
+    Injection is a function of the chaos seed and the job id, so the
+    ids come from a seeded generator: with ``uuid4`` ids about one run
+    in 140 drew a job that crashed ten times in a row, whose retry
+    backoff alone outlasts the wait.  Each job's attempt count must
+    match the offline replay of :func:`repro.exec.chaos.decide`.
+    """
+    from repro.exec.chaos import ChaosConfig, decide
+
     monkeypatch.setenv("REPRO_CHAOS_CRASH_RATE", "0.5")
     monkeypatch.setenv("REPRO_CHAOS_SEED", "13")
+    id_rng = random.Random(4)
+    monkeypatch.setattr(
+        sys.modules["repro.service.service"],
+        "uuid",
+        SimpleNamespace(uuid4=lambda: uuid.UUID(int=id_rng.getrandbits(128))),
+    )
+    chaos = ChaosConfig.from_env()
+
+    def expected_attempts(job_id: str) -> int:
+        attempt = 0
+        while decide(chaos, f"{job_id}#a{attempt}") == "crash":
+            attempt += 1
+        return attempt + 1
+
     with _service(tmp_path, workers=4) as svc:
         client = ServiceClient(svc)
         jobs = [
@@ -220,8 +245,10 @@ def test_chaos_worker_crashes_absorbed_by_retries(tmp_path, monkeypatch):
             assert client.wait(job_id, timeout=60) == "done"
         statuses = [client.status(j) for j in jobs]
         assert all(s["status"] in ("ok", "retried") for s in statuses)
-        # ~50% crash rate over 8 jobs: essentially certain that at
-        # least one attempt crashed and was retried through.
+        assert [s["n_attempts"] for s in statuses] == [
+            expected_attempts(j) for j in jobs
+        ]
+        # At least one attempt crashed and was retried through.
         assert sum(s["n_attempts"] for s in statuses) > 8
 
 
