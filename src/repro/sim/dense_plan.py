@@ -15,9 +15,7 @@ realization of one nominal circuit under one noise structure) it compiles
 once:
 
 * the compacted register of touched qubits and its index map;
-* the per-slot local qubit tuples and axis-permutation tuples (warmed
-  into the module-level cache of
-  :func:`~repro.sim.statevector.axis_permutations`);
+* the per-slot local qubit tuples;
 * broadcast matrix stacks for parameter-free gate slots;
 * **fused apply groups**: maximal runs of adjacent slots whose combined
   support stays within two qubits collapse into a single gate
@@ -35,17 +33,37 @@ buckets, and multiplied out as a logarithmic tree of
 ``(G, L/2, B, 4, 4)`` matmuls; buckets whose chains are uniform skip the
 scatter entirely and reshape the link block in place.
 
-Evaluation then takes one ``(B, n_params)`` parameter block per slot (the
-machine's noise draws, laid out per slot by its compiled dense test or
-carried by :class:`~repro.trap.machine.RealizedSlot` objects) and returns
-per-realization states or match probabilities, chunked to a byte budget.
-Plans depend only on ``(n_qubits, skeleton)`` — they are machine-
-independent and meant to be cached across trials (see
-:class:`DensePlanCache`).
+**Input.**  Evaluation takes one parameter block per gate kind,
+``{kind: (rows of that kind in program order, B, n_params)}`` —
+``n_params`` is 3 for ``MS``, 2 for ``R``, 1 for ``RX``/``RY``/``RZ``
+and 0 for parameter-free gates.  The machine's compiled dense test
+draws its noise straight into that form and ``slot_blocks`` in
+:mod:`repro.trap.machine` groups :class:`~repro.trap.machine.RealizedSlot`
+lists into it.  The plan compiles one gather index per kind for its
+builder stacks and one for its merged-MS links (``None`` where the rows
+already sit in stack order, as for every battery test), so a call builds
+each kind's matrices from one reshaped block.  Row counts, the shared
+batch size and parameter widths are checked per kind.
+
+**Apply.**  The apply order is compiled into an *axis-order program*:
+the state tensor is never permuted back between applications.  Each
+step records the transpose that brings its qubits to the front from
+the axis order the previous step left (``None`` when they are already
+there) and the gate width it applies, so a step is one reshape (plus
+that transpose) and one batched ``matmul``.  The plan also records the
+final axis order: :meth:`DensePlan.probabilities` reads the expected
+amplitude at its index in that order, and :meth:`DensePlan.states`
+un-permutes once at the end.  Every link and amplitude is formed from
+the same per-element expressions in the same order as an apply-and-
+restore evolution, so results are bit-identical to it.  Realization
+rows are chunked to a byte budget.  Plans depend only on
+``(n_qubits, skeleton)`` — they are machine-independent and meant to be
+cached across trials (see :class:`DensePlanCache`).
 """
 
 from __future__ import annotations
 
+import copy
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -53,13 +71,18 @@ import numpy as np
 
 from .statevector import (
     BatchedStatevectorSimulator,
-    axis_permutations,
     batched_matrices_from_params,
     realization_chunks,
     subregister_bitstring,
 )
 
-__all__ = ["DensePlan", "DensePlanCache", "Skeleton", "canonical_skeleton"]
+__all__ = [
+    "Blocks",
+    "DensePlan",
+    "DensePlanCache",
+    "Skeleton",
+    "canonical_skeleton",
+]
 
 #: A slot skeleton: the ``(gate, qubits)`` sequence of a realized batch.
 Skeleton = tuple[tuple[str, tuple[int, ...]], ...]
@@ -81,8 +104,12 @@ def canonical_skeleton(skeleton: Skeleton) -> Skeleton:
         (gate, tuple(index[q] for q in qubits)) for gate, qubits in skeleton
     )
 
-#: Gates whose slot matrices depend on per-realization parameters.
-_PARAMETERIZED = ("MS", "R", "RX", "RY", "RZ")
+#: Parameter columns of the gates whose slot matrices depend on
+#: per-realization parameters; every other gate takes none.
+_PARAM_WIDTH = {"MS": 3, "R": 2, "RX": 1, "RY": 1, "RZ": 1}
+
+#: Per-kind parameter blocks: ``{kind: (rows, B, n_params)}``.
+Blocks = dict[str, np.ndarray]
 
 #: Basis permutation exchanging the two qubits of a 4x4 gate matrix.
 _SWAP_PERM = np.array([0, 2, 1, 3], dtype=np.intp)
@@ -181,7 +208,7 @@ class DensePlan:
         self._local_slots = local
         self._fixed: dict[int, np.ndarray] = {}
         for i, (gate, _) in enumerate(local):
-            if gate not in _PARAMETERIZED:
+            if gate not in _PARAM_WIDTH:
                 self._fixed[i] = batched_matrices_from_params(
                     gate, np.zeros((1, 0))
                 )[0]
@@ -195,8 +222,8 @@ class DensePlan:
         self._ms_swapped: list[bool] = []
         self._compile_schedule(self._segment(local, fuse))
         self._ms_swapped = np.array(self._ms_swapped, dtype=bool)
-        for _, qubits, _ in self._order:
-            axis_permutations(self.n_local, qubits)
+        self._compile_gathers()
+        self._compile_program()
 
     # -- compilation -----------------------------------------------------------
 
@@ -425,34 +452,118 @@ class DensePlan:
             return np.kron(matrix, _I2)
         return np.kron(_I2, matrix)
 
+    def _compile_gathers(self) -> None:
+        """Per-kind row counts and the gathers from blocks to stacks.
+
+        A slot's *row* is its rank among the slots of its kind in
+        program order — its row in that kind's input block.  Builder
+        stacks and merged-MS links list their slots in link order; each
+        compiles one gather of rows, or ``None`` when the order is
+        already the block's own.
+        """
+        self._kind_rows: dict[str, int] = {}
+        row: dict[int, int] = {}
+        for i, (gate, _) in enumerate(self._local_slots):
+            row[i] = self._kind_rows.get(gate, 0)
+            self._kind_rows[gate] = row[i] + 1
+
+        def gather(slots: list[int]) -> np.ndarray | None:
+            rows = [row[i] for i in slots]
+            if rows == list(range(len(rows))):
+                return None
+            return np.array(rows, dtype=np.intp)
+
+        self._stack_gather = {
+            kind: gather(slots) for kind, slots in self._stack_slots.items()
+        }
+        self._ms_gather = gather(self._ms_slots)
+
+    def _compile_program(self) -> None:
+        """Turn the apply order into the axis-order program.
+
+        The evolving ``(B, 2, ..., 2)`` state keeps its qubit axes in a
+        tracked order instead of restoring them after each application.
+        Each step of ``_order`` becomes ``(source, qubits, payload, perm,
+        dim)``: ``perm`` transposes the state from the previous step's
+        order so ``qubits`` lead (``None`` when they already do) and
+        ``dim`` is the applied gate's width.  ``_final_order`` is the
+        axis order evaluation ends in; ``_unpermute`` restores logical
+        order from it (``None`` when it already is).
+        """
+        order = tuple(range(self.n_local))
+        program = []
+        for source, qubits, payload in self._order:
+            k = len(qubits)
+            perm = None
+            if order[:k] != qubits:
+                rest = tuple(q for q in order if q not in qubits)
+                perm = (0, *(1 + order.index(q) for q in qubits + rest))
+                order = qubits + rest
+            program.append((source, qubits, payload, perm, 2**k))
+        self._order = tuple(program)
+        self._final_order = order
+        self._unpermute = (
+            None
+            if order == tuple(range(self.n_local))
+            else (0, *(1 + order.index(q) for q in range(self.n_local)))
+        )
+
     # -- evaluation ------------------------------------------------------------
 
-    def _kind_stacks(
-        self, slot_params: list[np.ndarray]
-    ) -> dict[str, np.ndarray]:
+    def _check_blocks(self, blocks: Blocks) -> int:
+        """Validate per-kind parameter blocks; returns the batch size.
+
+        Every kind of the skeleton needs one ``(rows, B, n_params)``
+        block with exactly that kind's row count and parameter width,
+        and all blocks share one batch size ``B``.
+        """
+        if blocks.keys() != self._kind_rows.keys():
+            raise ValueError(
+                f"parameter blocks for kinds {sorted(blocks)}; the plan "
+                f"needs {sorted(self._kind_rows)}"
+            )
+        n_batch = None
+        for kind, rows in self._kind_rows.items():
+            shape = np.shape(blocks[kind])
+            width = _PARAM_WIDTH.get(kind, 0)
+            if len(shape) != 3 or shape[0] != rows or shape[2] != width:
+                raise ValueError(
+                    f"{kind} block has shape {shape}; expected "
+                    f"({rows}, B, {width})"
+                )
+            if n_batch is None:
+                n_batch = shape[1]
+            elif shape[1] != n_batch:
+                raise ValueError(
+                    f"{kind} block has batch size {shape[1]}, other "
+                    f"kinds {n_batch}"
+                )
+        return n_batch
+
+    @staticmethod
+    def _gathered(block: np.ndarray, index: np.ndarray | None) -> np.ndarray:
+        """A block's gathered rows, flattened to ``(rows * B, n_params)``."""
+        if index is not None:
+            block = block[index]
+        return block.reshape(-1, block.shape[2])
+
+    def _kind_stacks(self, blocks: Blocks, n_batch: int) -> dict[str, np.ndarray]:
         """Per-gate-kind matrix stacks ``(n_slots_needed, B, d, d)``.
 
-        One batched-builder call per parameterized kind over the
-        concatenated parameter rows of the slots that need full
-        matrices (MS slots merged into mskron links are excluded — see
-        :meth:`_ms_links`).
+        One batched-builder call per parameterized kind over the rows of
+        the slots that need full matrices (MS slots merged into mskron
+        links are excluded — see :meth:`_ms_links`).
         """
-        if len(slot_params) != len(self.skeleton):
-            raise ValueError(
-                f"{len(slot_params)} parameter blocks for "
-                f"{len(self.skeleton)} slots"
-            )
-        n_batch = slot_params[0].shape[0]
         stacks: dict[str, np.ndarray] = {}
         for gate, slots in self._stack_slots.items():
-            params = np.concatenate([slot_params[i] for i in slots], axis=0)
+            params = self._gathered(blocks[gate], self._stack_gather[gate])
             stack = batched_matrices_from_params(gate, params)
             dim = stack.shape[-1]
             stacks[gate] = stack.reshape(len(slots), n_batch, dim, dim)
         return stacks
 
     def _ms_links(
-        self, slot_params: list[np.ndarray], n_batch: int
+        self, blocks: Blocks, n_batch: int
     ) -> tuple[np.ndarray, np.ndarray] | tuple[None, None]:
         """Compact ``(c, anti)`` form of every merged MS slot.
 
@@ -463,9 +574,7 @@ class DensePlan:
         """
         if not self._ms_slots:
             return None, None
-        params = np.concatenate(
-            [slot_params[i] for i in self._ms_slots], axis=0
-        )
+        params = self._gathered(blocks["MS"], self._ms_gather)
         theta, phi1, phi2 = params[:, 0], params[:, 1], params[:, 2]
         c = np.cos(theta / 2.0)
         s = np.sin(theta / 2.0)
@@ -475,9 +584,9 @@ class DensePlan:
         outer3 = -1.0j * e_pp * s
         mid1 = -1.0j * np.conj(e_pm) * s
         mid2 = -1.0j * e_pm * s
-        swapped = np.repeat(self._ms_swapped, n_batch)
         anti = np.empty((theta.size, 4), dtype=complex)
         anti[:, 0] = outer0
+        swapped = np.repeat(self._ms_swapped, n_batch)
         anti[:, 1] = np.where(swapped, mid2, mid1)
         anti[:, 2] = np.where(swapped, mid1, mid2)
         anti[:, 3] = outer3
@@ -590,28 +699,23 @@ class DensePlan:
             )
         return out
 
-    def states(
-        self,
-        slot_params: list[np.ndarray],
-        max_batch_bytes: int | None = None,
+    def _evolve(
+        self, blocks: Blocks, n_batch: int, max_batch_bytes: int | None
     ) -> np.ndarray:
-        """Evolved compacted states, shape ``(B, 2^n_local)``.
+        """Run the axis-order program: ``(B, 2^n_local)`` in final order.
 
-        ``slot_params`` carries one ``(B, n_params)`` block per skeleton
-        slot (``[slot.params for slot in realized_slots]``).  The state
-        block must fit ``max_batch_bytes`` (callers chunk realization rows
-        first — see :meth:`probabilities`); the budget is enforced by the
-        underlying :class:`~repro.sim.statevector.BatchedStatevectorSimulator`
-        constructor, so chunker and guard agree.
+        The state block must fit ``max_batch_bytes``; the budget is
+        enforced by the :class:`~repro.sim.statevector.BatchedStatevectorSimulator`
+        constructor that allocates it, so chunker and guard agree.
         """
-        n_batch = slot_params[0].shape[0]
-        stacks = self._kind_stacks(slot_params)
-        ms_c, ms_anti = self._ms_links(slot_params, n_batch)
+        stacks = self._kind_stacks(blocks, n_batch)
+        ms_c, ms_anti = self._ms_links(blocks, n_batch)
         fused = self._fused_products(stacks, ms_c, ms_anti, n_batch)
-        sim = BatchedStatevectorSimulator(
+        psi = BatchedStatevectorSimulator(
             self.n_local, n_batch, max_batch_bytes
-        )
-        for source, qubits, payload in self._order:
+        ).states
+        shape = (n_batch,) + (2,) * self.n_local
+        for source, qubits, payload, perm, dim in self._order:
             if source == "single":
                 us = self._single_matrices(payload, stacks, n_batch)
             elif source == "bucket":
@@ -619,12 +723,36 @@ class DensePlan:
                 us = fused[length][g]
             else:
                 us = self._generic_product(payload, stacks, n_batch)
-            sim.apply_gates(us, qubits)
-        return sim.states
+            if us.shape != (n_batch, dim, dim):
+                raise ValueError(
+                    f"gate stack shape {us.shape} does not act on "
+                    f"{len(qubits)} qubits for batch {n_batch}"
+                )
+            if perm is not None:
+                psi = psi.reshape(shape).transpose(perm)
+            psi = np.matmul(us, psi.reshape(n_batch, dim, -1))
+        return psi.reshape(n_batch, -1)
+
+    def states(
+        self, blocks: Blocks, max_batch_bytes: int | None = None
+    ) -> np.ndarray:
+        """Evolved compacted states in logical qubit order, ``(B, 2^n_local)``.
+
+        ``blocks`` maps each gate kind to its ``(rows, B, n_params)``
+        parameter block (see the module docstring).  The state block must
+        fit ``max_batch_bytes``: callers chunk realization rows first
+        (see :meth:`probabilities`).
+        """
+        n_batch = self._check_blocks(blocks)
+        psi = self._evolve(blocks, n_batch, max_batch_bytes)
+        if self._unpermute is None:
+            return psi
+        shape = (n_batch,) + (2,) * self.n_local
+        return psi.reshape(shape).transpose(self._unpermute).reshape(n_batch, -1)
 
     def probabilities(
         self,
-        slot_params: list[np.ndarray],
+        blocks: Blocks,
         expected: int,
         max_batch_bytes: int | None = None,
     ) -> np.ndarray:
@@ -634,25 +762,29 @@ class DensePlan:
         ``max_batch_bytes`` (or the global amplitude cap), so peak memory
         stays bounded for stacked trials-times-groups batches.  Untouched
         qubits must read 0 in ``expected``; otherwise the probability is
-        identically zero.
+        identically zero.  ``expected`` outside ``[0, 2^n_qubits)``
+        raises ``ValueError``.
         """
-        n_batch = slot_params[0].shape[0]
         sub, forced_zero = subregister_bitstring(
             self.n_qubits, self.touched, expected
         )
+        n_batch = self._check_blocks(blocks)
         if forced_zero:
             return np.zeros(n_batch)
+        # The expected amplitude's index in the final axis order.
+        n = self.n_local
+        index = 0
+        for pos, q in enumerate(self._final_order):
+            index |= ((sub >> (n - 1 - q)) & 1) << (n - 1 - pos)
         parts = []
-        for start, stop in realization_chunks(
-            self.n_local, n_batch, max_batch_bytes
-        ):
+        for start, stop in realization_chunks(n, n_batch, max_batch_bytes):
             chunk = (
-                slot_params
+                blocks
                 if (start, stop) == (0, n_batch)
-                else [p[start:stop] for p in slot_params]
+                else {k: b[:, start:stop] for k, b in blocks.items()}
             )
-            states = self.states(chunk, max_batch_bytes)
-            parts.append(np.abs(states[:, sub]) ** 2)
+            psi = self._evolve(chunk, stop - start, max_batch_bytes)
+            parts.append(np.abs(psi[:, index]) ** 2)
         return np.clip(np.concatenate(parts), 0.0, 1.0)
 
     def apply_count(self) -> int:
@@ -671,33 +803,25 @@ class DensePlan:
         expected bitstring) is rebuilt, which is O(slots) dict work
         instead of a full schedule compile.
 
-        The clone aliases the donor's compiled structures; they are
+        The clone aliases the donor's compiled structures — the
+        axis-order program and the per-kind gathers included; they are
         read-only after compilation, so sharing is safe.
         """
         skeleton = tuple(skeleton)
-        clone = object.__new__(DensePlan)
-        clone.n_qubits = n_qubits
-        clone.skeleton = skeleton
-        clone.fused = self.fused
-        clone.touched = sorted({q for _, qubits in skeleton for q in qubits})
-        clone.index = {q: k for k, q in enumerate(clone.touched)}
-        clone.n_local = len(clone.touched)
+        touched = sorted({q for _, qubits in skeleton for q in qubits})
+        index = {q: k for k, q in enumerate(touched)}
         local = [
-            (gate, tuple(clone.index[q] for q in qubits))
-            for gate, qubits in skeleton
+            (gate, tuple(index[q] for q in qubits)) for gate, qubits in skeleton
         ]
-        if clone.n_local != self.n_local or local != self._local_slots:
+        if len(touched) != self.n_local or local != self._local_slots:
             raise ValueError(
                 "skeleton is not structurally identical to this plan"
             )
-        clone._local_slots = self._local_slots
-        clone._fixed = self._fixed
-        clone._stack_slots = self._stack_slots
-        clone._stack_pos = self._stack_pos
-        clone._ms_slots = self._ms_slots
-        clone._ms_swapped = self._ms_swapped
-        clone._buckets = self._buckets
-        clone._order = self._order
+        clone = copy.copy(self)
+        clone.n_qubits = n_qubits
+        clone.skeleton = skeleton
+        clone.touched = touched
+        clone.index = index
         return clone
 
 

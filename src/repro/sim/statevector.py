@@ -29,6 +29,7 @@ __all__ = [
     "circuits_aligned",
     "axis_permutations",
     "permutation_cache_info",
+    "check_bitstring",
     "subregister_bitstring",
     "batched_matrices",
     "batched_matrices_from_params",
@@ -222,6 +223,18 @@ def permutation_cache_info() -> dict[str, int]:
     return {"entries": len(_PERM_CACHE), "builds": _PERM_BUILDS}
 
 
+def check_bitstring(bitstring: int, n_qubits: int) -> None:
+    """Refuse a basis-state integer outside ``[0, 2^n_qubits)``.
+
+    Bit arithmetic on such a value would silently alias it onto a
+    register state (or, negative, onto none), so it fails closed.
+    """
+    if not 0 <= bitstring < 1 << n_qubits:
+        raise ValueError(
+            f"bitstring {bitstring} is outside [0, 2^{n_qubits})"
+        )
+
+
 def subregister_bitstring(
     n_qubits: int, touched: list[int], bitstring: int
 ) -> tuple[int, bool]:
@@ -231,8 +244,10 @@ def subregister_bitstring(
     when an *untouched* qubit would have to read ``1`` — impossible from
     ``|0...0>``, so the amplitude is identically zero.  ``touched`` must be
     sorted ascending (the compaction order used throughout the dense
-    paths).
+    paths).  A ``bitstring`` outside ``[0, 2^n_qubits)`` raises
+    ``ValueError`` (see :func:`check_bitstring`).
     """
+    check_bitstring(bitstring, n_qubits)
     touched_set = set(touched)
     for q in range(n_qubits):
         if q not in touched_set and (bitstring >> (n_qubits - 1 - q)) & 1:

@@ -25,11 +25,12 @@ one of two shared, bounded caches:
   its amplitude noise, forms the ``(G, E)`` angle matrix and contracts.
 * ``_compiled_dense_test`` maps (machine size, nominal ops, residual
   kicks on) to the test's couplings, per-MS-slot columns, angles, phases
-  and targets, R and fixed-gate parameters, slot skeleton and the layout
-  of realized rows onto that skeleton.  A dense call makes one
-  calibration lookup per coupling, draws its noise as blocks straight
-  into the layout and evaluates the skeleton's cached
-  :class:`~repro.sim.dense_plan.DensePlan`.
+  and targets, R and fixed-gate parameters, slot skeleton and the index
+  merging kick and R rows into program order.  A dense call makes one
+  calibration lookup per coupling, draws its noise straight into the
+  per-kind parameter blocks a :class:`~repro.sim.dense_plan.DensePlan`
+  takes (the MS block as drawn) and evaluates the skeleton's cached
+  plan.
 
 ``run_match`` takes the XX cache where it applies and draws through the
 dense one otherwise (non-XX-preserving noise, drive phases off the pi
@@ -63,8 +64,12 @@ from ..sim.sampling import (
     sample_bernoulli_counts_batch,
     sample_counts_from_probs,
 )
-from ..sim.dense_plan import DensePlan, DensePlanCache, Skeleton
-from ..sim.statevector import MAX_DENSE_QUBITS, realization_chunks
+from ..sim.dense_plan import Blocks, DensePlan, DensePlanCache, Skeleton
+from ..sim.statevector import (
+    MAX_DENSE_QUBITS,
+    check_bitstring,
+    realization_chunks,
+)
 from ..sim.xx_engine import (
     ContractionPlan,
     XXCircuitEvaluator,
@@ -262,10 +267,12 @@ class VirtualIonTrap:
         layout and runs the cached dense plan, or the slot XX path when
         the draw happens to stay X-diagonal.  Every route consumes the
         RNG stream and advances the clock exactly as :meth:`_realize_slots`
-        does and returns bit-identical probabilities.
+        does and returns bit-identical probabilities.  An ``expected``
+        outside ``[0, 2^n_qubits)`` raises ``ValueError``.
         """
         if shots < 1:
             raise ValueError("shots must be positive")
+        check_bitstring(expected, self.n_qubits)
         self._account(circuit, shots)
         spam_factor = (
             self.noise.spam.match_probability_factor(expected, self.n_qubits)
@@ -441,23 +448,24 @@ class VirtualIonTrap:
             self.n_qubits, ops, self.noise.residual_odd_population > 0
         )
 
-    def _draw_dense(
-        self, test: "_CompiledDenseTest", n_batch: int
-    ) -> tuple[list[np.ndarray], np.ndarray | None]:
-        """Draw ``n_batch`` realizations straight into ``test``'s layout.
+    def _draw_dense(self, test: "_CompiledDenseTest", n_batch: int) -> Blocks:
+        """Draw ``n_batch`` realizations straight into ``test``'s blocks.
 
-        Returns one ``(n_batch, n_params)`` block per skeleton slot and
-        the ``(n_ms, n_batch, 3)`` MS block (``None`` without MS slots).
-        Draw for draw, value for value and clock for clock this is
-        :meth:`_realize_slots`: one calibration lookup per coupling
-        instead of per slot, then the MS block, the kick block and each R
-        slot's draw in program order, and no slot objects.
+        Returns the per-kind parameter blocks a
+        :class:`~repro.sim.dense_plan.DensePlan` takes: the
+        ``(n_ms, n_batch, 3)`` MS block as drawn, the kick and R rows
+        merged into program order, and the static rows of every other
+        kind broadcast over the batch.  Draw for draw, value for value
+        and clock for clock this is :meth:`_realize_slots`: one
+        calibration lookup per coupling instead of per slot, then the MS
+        block, the kick block and each R slot's draw in program order,
+        and no slot objects.
         """
         gate_dt = self.timing.gate_time(self.n_qubits)
         n_ms = test.ms_theta.size
         start = self._clock + np.arange(n_batch) * (n_ms * gate_dt)
-        rows: list[np.ndarray] = []
-        ms_params = None
+        blocks: Blocks = {}
+        r_blocks: list[np.ndarray] = []
         if n_ms:
             unders = np.array(
                 [self.calibration.under_rotation(p) for p in test.pairs],
@@ -467,7 +475,7 @@ class VirtualIonTrap:
                 [self.calibration.phase_offset(p) for p in test.pairs],
                 dtype=float,
             )
-            ms_params = self.noise_model.noisy_ms_params_block(
+            blocks["MS"] = self.noise_model.noisy_ms_params_block(
                 test.ms_q1,
                 test.ms_q2,
                 test.ms_theta,
@@ -475,22 +483,36 @@ class VirtualIonTrap:
                 test.ms_phase + offsets[test.ms_edge],
                 start[None, :] + np.arange(n_ms)[:, None] * gate_dt,
             )
-            rows.extend(ms_params)
             if test.kicks:
-                rows.extend(
+                r_blocks.append(
                     self.noise_model.residual_kick_params_block(
                         2 * n_ms, n_batch
                     )
                 )
-        for q, theta, phi, k_ms in test.r_slots:
-            rows.append(
-                self.noise_model.noisy_r_params(
-                    q, theta, phi, start + k_ms * gate_dt
+        if test.r_slots:
+            r_blocks.append(
+                np.stack(
+                    [
+                        self.noise_model.noisy_r_params(
+                            q, theta, phi, start + k_ms * gate_dt
+                        )
+                        for q, theta, phi, k_ms in test.r_slots
+                    ]
                 )
             )
-        rows.extend(np.broadcast_to(p, (n_batch, p.size)) for p in test.fixed)
+        if r_blocks:
+            r_block = (
+                r_blocks[0] if len(r_blocks) == 1 else np.concatenate(r_blocks)
+            )
+            blocks["R"] = (
+                r_block if test.r_order is None else r_block[test.r_order]
+            )
+        for kind, rows in test.static:
+            blocks[kind] = np.broadcast_to(
+                rows, (rows.shape[0], n_batch, rows.shape[2])
+            )
         self._clock += n_batch * n_ms * gate_dt
-        return [rows[i] for i in test.layout], ms_params
+        return blocks
 
     def _dense_test_probabilities(
         self,
@@ -507,16 +529,18 @@ class VirtualIonTrap:
         skeleton, resolved through ``plans`` (a battery's cache) or this
         machine's own cache.
         """
-        params, ms_params = self._draw_dense(test, n_batch)
-        if not params:
+        blocks = self._draw_dense(test, n_batch)
+        if not test.skeleton:
             return np.full(n_batch, 1.0 if expected == 0 else 0.0)
-        if not force and test.x_diagonal(ms_params):
-            return self._match_probabilities_slots(test.slots(params), expected)
+        if not force and test.x_diagonal(blocks.get("MS")):
+            return self._match_probabilities_slots(
+                test.slots(blocks), expected
+            )
         if plans is None:
             plan = self._dense_plan_for(test.skeleton)
         else:
             plan = self._cached_plan(plans, test.skeleton)
-        return plan.probabilities(params, expected, self.max_batch_bytes)
+        return plan.probabilities(blocks, expected, self.max_batch_bytes)
 
     # -- batched (slot-based) evaluation -------------------------------------------
 
@@ -643,7 +667,7 @@ class VirtualIonTrap:
         """
         plan = self._dense_plan_for(_skeleton(slots))
         return plan.probabilities(
-            [s.params for s in slots], expected, self.max_batch_bytes
+            slot_blocks(slots), expected, self.max_batch_bytes
         )
 
     def _run_dense_slots(
@@ -657,12 +681,14 @@ class VirtualIonTrap:
         if not slots or not {q for slot in slots for q in slot.qubits}:
             return {0: sum(groups)}
         plan = self._dense_plan_for(_skeleton(slots))
+        blocks = slot_blocks(slots)
         counts_parts = []
         for start, stop in realization_chunks(
             plan.n_local, len(groups), self.max_batch_bytes
         ):
             states = plan.states(
-                [s.params[start:stop] for s in slots], self.max_batch_bytes
+                {k: b[:, start:stop] for k, b in blocks.items()},
+                self.max_batch_bytes,
             )
             probs = np.abs(states) ** 2
             counts_parts.extend(
@@ -795,6 +821,7 @@ class CompiledBattery:
                 f"circuit is on {circuit.n_qubits} qubits, "
                 f"battery on {self.n_qubits}"
             )
+        check_bitstring(expected, self.n_qubits)
         if not circuit.is_xx_only():
             # No XX structure to contract: the test is dense-only and
             # always evaluates through its DensePlan.
@@ -1275,14 +1302,17 @@ class _CompiledDenseTest:
     application has its column (``ms_edge``), nominal angle, nominal
     drive phase (0 for XX) and targets ``ms_q1``/``ms_q2``.  ``r_slots``
     holds each R gate's ``(qubit, theta, phi, MS slots before it)`` and
-    ``fixed`` every other gate's parameter row, both in program order.
-    ``kicks`` says whether a residual-kick slot pair follows each MS slot.
+    ``static`` the ``(rows, 1, n_params)`` parameter rows of every other
+    kind, in program order.  ``kicks`` says whether a residual-kick slot
+    pair follows each MS slot.
 
-    One call's realized rows are concatenated as MS rows, kick rows, R
-    rows, fixed rows; ``layout`` maps each ``skeleton`` slot to its row.
-    ``x_static`` records that no slot but an MS one can leave the X
-    basis, so a draw is X-diagonal exactly when its MS phases sit on the
-    pi grid.
+    One call's draw is a :class:`~repro.sim.dense_plan.DensePlan`'s
+    per-kind blocks.  The R block stacks the kick rows, then the R rows;
+    ``r_order`` puts them into program order (``None`` when they already
+    are, as in every battery test).  ``slot_rows`` gives each
+    ``skeleton`` slot's row in its kind's block.  ``x_static`` records
+    that no slot but an MS one can leave the X basis, so a draw is
+    X-diagonal exactly when its MS phases sit on the pi grid.
     """
 
     pairs: tuple[Pair, ...]
@@ -1293,9 +1323,10 @@ class _CompiledDenseTest:
     ms_q2: np.ndarray
     kicks: bool
     r_slots: tuple[tuple[int, float, float, int], ...]
-    fixed: tuple[np.ndarray, ...]
+    r_order: np.ndarray | None
+    static: tuple[tuple[str, np.ndarray], ...]
     skeleton: Skeleton
-    layout: tuple[int, ...]
+    slot_rows: tuple[int, ...]
     x_static: bool
 
     def x_diagonal(self, ms_params: np.ndarray | None) -> bool:
@@ -1305,11 +1336,11 @@ class _CompiledDenseTest:
             or bool(np.all(is_multiple_of_pi(ms_params[:, :, 1:])))
         )
 
-    def slots(self, params: list[np.ndarray]) -> list[RealizedSlot]:
+    def slots(self, blocks: Blocks) -> list[RealizedSlot]:
         """One draw's parameter blocks as :class:`RealizedSlot` objects."""
         return [
-            RealizedSlot(gate, qubits, p)
-            for (gate, qubits), p in zip(self.skeleton, params)
+            RealizedSlot(gate, qubits, blocks[gate][row])
+            for (gate, qubits), row in zip(self.skeleton, self.slot_rows)
         ]
 
 
@@ -1335,9 +1366,11 @@ def _compiled_dense_test(
     ms_phase: list[float] = []
     ms_qubits: list[tuple[int, int]] = []
     r_slots: list[tuple[int, float, float, int]] = []
-    fixed: list[np.ndarray] = []
+    static: dict[str, list[tuple[float, ...]]] = {}
     skeleton: list[tuple[str, tuple[int, ...]]] = []
-    rows: list[tuple[str, int]] = []
+    # Program-order R-kind rows as ("kick", k) or ("r", k) draws.
+    r_rows: list[tuple[str, int]] = []
+    slot_rows: list[int] = []
     x_static = True
     for op in ops:
         if op.gate in ("MS", "XX"):
@@ -1349,26 +1382,28 @@ def _compiled_dense_test(
             ms_phase.append(op.params[1] if op.gate == "MS" else 0.0)
             ms_qubits.append(op.qubits)
             skeleton.append(("MS", op.qubits))
-            rows.append(("ms", k))
+            slot_rows.append(k)
             if kicks:
                 skeleton += [("R", (q,)) for q in op.qubits]
-                rows += [("kick", 2 * k), ("kick", 2 * k + 1)]
+                slot_rows += [len(r_rows), len(r_rows) + 1]
+                r_rows += [("kick", 2 * k), ("kick", 2 * k + 1)]
         elif op.gate == "R":
             skeleton.append(("R", op.qubits))
-            rows.append(("r", len(r_slots)))
+            slot_rows.append(len(r_rows))
+            r_rows.append(("r", len(r_slots)))
             r_slots.append(
                 (op.qubits[0], op.params[0], op.params[1], len(ms_edge))
             )
         else:
             skeleton.append((op.gate, op.qubits))
-            rows.append(("fixed", len(fixed)))
-            fixed.append(np.array(op.params, dtype=float))
+            rows = static.setdefault(op.gate, [])
+            slot_rows.append(len(rows))
+            rows.append(op.params)
             x_static = x_static and op.gate in ("RX", "X")
     n_ms = len(ms_edge)
     kicks = kicks and n_ms > 0
-    first_row = {"ms": 0, "kick": n_ms}
-    first_row["r"] = n_ms + (2 * n_ms if kicks else 0)
-    first_row["fixed"] = first_row["r"] + len(r_slots)
+    first_row = {"kick": 0, "r": 2 * n_ms if kicks else 0}
+    r_order = [first_row[block] + i for block, i in r_rows]
     qubits = np.array(ms_qubits, dtype=np.intp).reshape(n_ms, 2)
     return _CompiledDenseTest(
         pairs=tuple(edge_index),
@@ -1379,11 +1414,34 @@ def _compiled_dense_test(
         ms_q2=qubits[:, 1].copy(),
         kicks=kicks,
         r_slots=tuple(r_slots),
-        fixed=tuple(fixed),
+        r_order=(
+            None
+            if r_order == list(range(len(r_order)))
+            else np.array(r_order, dtype=np.intp)
+        ),
+        static=tuple(
+            (
+                gate,
+                np.array(rows, dtype=float).reshape(len(rows), 1, len(rows[0])),
+            )
+            for gate, rows in static.items()
+        ),
         skeleton=tuple(skeleton),
-        layout=tuple(first_row[block] + i for block, i in rows),
+        slot_rows=tuple(slot_rows),
         x_static=x_static and not kicks and not r_slots,
     )
+
+
+def slot_blocks(slots: list[RealizedSlot]) -> Blocks:
+    """Realized slots as a :class:`~repro.sim.dense_plan.DensePlan`'s input.
+
+    One ``np.stack`` per gate kind of the slots' ``(B, n_params)`` rows,
+    in program order: ``{kind: (rows, B, n_params)}``.
+    """
+    rows: dict[str, list[np.ndarray]] = {}
+    for slot in slots:
+        rows.setdefault(slot.gate, []).append(slot.params)
+    return {gate: np.stack(params) for gate, params in rows.items()}
 
 
 def _skeleton(slots: list[RealizedSlot]) -> Skeleton:

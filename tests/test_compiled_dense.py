@@ -22,10 +22,11 @@ from repro.core.tests_builder import build_test_circuit, expected_output
 from repro.noise.models import GateNoiseModel, NoiseParameters
 from repro.noise.one_over_f import OneOverFProcess
 from repro.sim.circuit import Circuit
+from repro.sim.dense_plan import DensePlan
 from repro.sim.sampling import sample_bernoulli_counts_batch
 from repro.trap import machine as machine_mod
 from repro.trap.faults import CouplingFault, CouplingPhaseFault
-from repro.trap.machine import CompiledBattery, VirtualIonTrap
+from repro.trap.machine import CompiledBattery, VirtualIonTrap, slot_blocks
 
 N = 6
 
@@ -104,7 +105,7 @@ def _oracle_probabilities(machine, plans, circuit, expected, n_batch, force):
         machine.stats.dense_plan_builds += 1
     machine.stats.dense_plan_invalidations += plans.take_invalidations()
     return plan.probabilities(
-        [s.params for s in slots], expected, machine.max_batch_bytes
+        slot_blocks(slots), expected, machine.max_batch_bytes
     )
 
 
@@ -185,13 +186,18 @@ def test_draw_matches_realize_slots(noise, name):
     compiled, oracle = _twins(noise, faults=faults)
     for n_batch in (1, 5):
         test = compiled._dense_test(tuple(circuit.ops))
-        params, _ = compiled._draw_dense(test, n_batch)
+        blocks = compiled._draw_dense(test, n_batch)
         slots = oracle._realize_slots(circuit, n_batch)
         assert test.skeleton == tuple((s.gate, s.qubits) for s in slots)
-        assert len(params) == len(slots)
-        for p, slot in zip(params, slots):
-            assert p.shape == slot.params.shape
-            assert np.array_equal(p, slot.params)
+        oracle_blocks = slot_blocks(slots)
+        assert blocks.keys() == oracle_blocks.keys()
+        for kind, block in oracle_blocks.items():
+            assert np.array_equal(blocks[kind], block), kind
+        drawn = test.slots(blocks)
+        assert len(drawn) == len(slots)
+        for d, slot in zip(drawn, slots):
+            assert d.params.shape == slot.params.shape
+            assert np.array_equal(d.params, slot.params)
         _assert_same_machine_state(compiled, oracle)
 
 
@@ -349,3 +355,35 @@ def test_layout_without_kicks_or_ms_slots():
     assert class_test.x_diagonal(ms_block)
     ms_block[-1, 1, 2] += 1e-6
     assert not class_test.x_diagonal(ms_block)
+
+
+# -- out-of-range expected bitstrings ----------------------------------------
+
+
+@pytest.mark.parametrize("expected", [28, -1])
+@pytest.mark.parametrize(
+    "noise, route",
+    [
+        (NoiseParameters.paper_scaling(), "xx"),
+        (NoiseParameters.paper_physical(), "dense"),
+    ],
+)
+def test_out_of_range_expected_fails_closed(noise, route, expected):
+    """A bitstring outside [0, 2^N) raises before anything is drawn."""
+    machine = VirtualIonTrap(4, noise=noise, seed=1)
+    circuit = Circuit(4).ms(0, 1, math.pi / 2, 0, 0)
+    # The in-range call takes the route under test.
+    xx = machine_mod._compiled_xx_test(4, 20, tuple(circuit.ops), 12)
+    assert (xx is not None and noise.is_xx_preserving()) == (route == "xx")
+    state = machine.rng.bit_generator.state
+    with pytest.raises(ValueError, match="outside"):
+        machine.run_match(circuit, expected, 100)
+    assert machine.rng.bit_generator.state == state
+    assert machine._clock == 0.0 and machine.stats.circuit_runs == 0
+    assert sum(machine.run_match(circuit, 12, 100).values()) == 100
+    with pytest.raises(ValueError, match="outside"):
+        CompiledBattery(4, [(circuit, expected)])
+    slots = machine._realize_slots(circuit, 3)
+    plan = DensePlan(4, tuple((s.gate, s.qubits) for s in slots))
+    with pytest.raises(ValueError, match="outside"):
+        plan.probabilities(slot_blocks(slots), expected)

@@ -20,7 +20,7 @@ from repro.sim import statevector
 from repro.sim.circuit import Circuit
 from repro.sim.dense_plan import DensePlan, DensePlanCache, canonical_skeleton
 from repro.sim.statevector import StatevectorSimulator, subregister_bitstring
-from repro.trap.machine import VirtualIonTrap
+from repro.trap.machine import VirtualIonTrap, slot_blocks
 
 
 def _fig6_noise() -> NoiseParameters:
@@ -71,7 +71,7 @@ def test_dense_plan_matches_reference_on_fig6_battery(repetitions):
         slots = machine._realize_slots(circuit, 6)
         skeleton = tuple((s.gate, s.qubits) for s in slots)
         plan = DensePlan(n_qubits, skeleton)
-        compiled = plan.probabilities([s.params for s in slots], expected)
+        compiled = plan.probabilities(slot_blocks(slots), expected)
         reference = _reference_probabilities(machine, slots, plan, expected)
         assert np.max(np.abs(compiled - reference)) < 1e-9, spec.name
 
@@ -94,7 +94,7 @@ def test_dense_plan_matches_reference_on_fig7_drift_scenario(rng):
         slots = machine._realize_slots(circuit, 5)
         skeleton = tuple((s.gate, s.qubits) for s in slots)
         plan = DensePlan(n_qubits, skeleton)
-        compiled = plan.probabilities([s.params for s in slots], expected)
+        compiled = plan.probabilities(slot_blocks(slots), expected)
         reference = _reference_probabilities(machine, slots, plan, expected)
         assert np.max(np.abs(compiled - reference)) < 1e-9, spec.name
 
@@ -110,8 +110,8 @@ def test_fused_and_unfused_plans_agree_and_fuse_counts_drop():
     fused = DensePlan(n_qubits, skeleton)
     unfused = DensePlan(n_qubits, skeleton, fuse=False)
     assert fused.apply_count() < unfused.apply_count() == len(skeleton)
-    params = [s.params for s in slots]
-    assert np.max(np.abs(fused.states(params) - unfused.states(params))) < 1e-9
+    blocks = slot_blocks(slots)
+    assert np.max(np.abs(fused.states(blocks) - unfused.states(blocks))) < 1e-9
 
 
 def test_plan_chunking_is_exact():
@@ -122,10 +122,10 @@ def test_plan_chunking_is_exact():
     slots = machine._realize_slots(circuit, 12)
     skeleton = tuple((s.gate, s.qubits) for s in slots)
     plan = DensePlan(n_qubits, skeleton)
-    params = [s.params for s in slots]
-    full = plan.probabilities(params, 0)
+    blocks = slot_blocks(slots)
+    full = plan.probabilities(blocks, 0)
     chunked = plan.probabilities(
-        params, 0, max_batch_bytes=2 * 2**plan.n_local * 16
+        blocks, 0, max_batch_bytes=2 * 2**plan.n_local * 16
     )
     assert np.array_equal(full, chunked)
 
@@ -222,11 +222,13 @@ def test_structural_rebind_matches_fresh_compile():
     plan_b, slots_b, expected_b = plans["b"]
     assert plan_b._order is plan_a._order  # shared compiled core
     assert plan_b._buckets is plan_a._buckets
+    assert plan_b._stack_gather is plan_a._stack_gather
+    assert plan_b._final_order is plan_a._final_order
     assert plan_b.skeleton != plan_a.skeleton
     fresh = DensePlan(n_qubits, plan_b.skeleton)
-    params = [s.params for s in slots_b]
-    rebound_probs = plan_b.probabilities(params, expected_b)
-    assert np.array_equal(rebound_probs, fresh.probabilities(params, expected_b))
+    blocks = slot_blocks(slots_b)
+    rebound_probs = plan_b.probabilities(blocks, expected_b)
+    assert np.array_equal(rebound_probs, fresh.probabilities(blocks, expected_b))
     reference = _reference_probabilities(machine, slots_b, plan_b, expected_b)
     assert np.max(np.abs(rebound_probs - reference)) < 1e-9
 
@@ -334,7 +336,7 @@ def test_single_slot_chain_matches_reference():
     plan = DensePlan(n_qubits, skeleton)
     # Only the touched pair survives compaction.
     assert plan.n_local == 2
-    compiled = plan.probabilities([s.params for s in slots], 0)
+    compiled = plan.probabilities(slot_blocks(slots), 0)
     reference = _reference_probabilities(machine, slots, plan, 0)
     assert np.max(np.abs(compiled - reference)) < 1e-9
 
@@ -357,7 +359,7 @@ def test_two_qubit_register_end_to_end():
     skeleton = tuple((s.gate, s.qubits) for s in slots)
     plan = DensePlan(n_qubits, skeleton)
     assert plan.n_local == 2
-    compiled = plan.probabilities([s.params for s in slots], 0b11)
+    compiled = plan.probabilities(slot_blocks(slots), 0b11)
     reference = _reference_probabilities(machine, slots, plan, 0b11)
     assert np.max(np.abs(compiled - reference)) < 1e-9
     counts = machine.run_match(circuit, 0b11, shots=80)
@@ -383,7 +385,7 @@ def test_tiny_byte_bound_with_plan_cache_eviction_stays_exact():
             DensePlan(n_qubits, tuple((s.gate, s.qubits) for s in slots))
         )
     unchunked = [
-        plan.probabilities([s.params for s in slots], 0)
+        plan.probabilities(slot_blocks(slots), 0)
         for plan, slots in zip(plans, slot_sets)
     ]
     cache = DensePlanCache(max_plans=1)
@@ -395,7 +397,7 @@ def test_tiny_byte_bound_with_plan_cache_eviction_stays_exact():
             plan, was_cached = cache.get(n_qubits, skeleton)
             assert not was_cached  # max_plans=1 evicts the other skeleton
             chunked = plan.probabilities(
-                [s.params for s in slots], 0, max_batch_bytes=1
+                slot_blocks(slots), 0, max_batch_bytes=1
             )
             assert np.array_equal(chunked, reference)
     assert len(cache) == 1
@@ -417,3 +419,70 @@ def test_fig6_rows_follow_battery_order():
         for spec in battery_specs(cfg.n_qubits, reps)
     ]
     assert all(0.0 <= r.fidelity <= 1.0 for r in result.rows)
+
+
+def _mixed_plan():
+    """A plan over MS, R and RX slots with its realized blocks (B = 3)."""
+    n_qubits = 4
+    machine = VirtualIonTrap(n_qubits, noise=_fig7_noise(), seed=3)
+    circuit = Circuit(n_qubits).ms(0, 1, np.pi / 2).rx(2, 0.3).ms(1, 2, 0.4)
+    slots = machine._realize_slots(circuit, 3)
+    plan = DensePlan(n_qubits, tuple((s.gate, s.qubits) for s in slots))
+    return plan, slot_blocks(slots)
+
+
+def test_slot_blocks_group_rows_by_kind_in_program_order():
+    n_qubits = 4
+    machine = VirtualIonTrap(n_qubits, noise=_fig7_noise(), seed=3)
+    circuit = Circuit(n_qubits).ms(0, 1, np.pi / 2).rx(2, 0.3).h(3)
+    slots = machine._realize_slots(circuit, 3)
+    blocks = slot_blocks(slots)
+    assert {k: b.shape for k, b in blocks.items()} == {
+        "MS": (1, 3, 3),
+        "R": (2, 3, 2),
+        "RX": (1, 3, 1),
+        "H": (1, 3, 0),
+    }
+    kicks = [s.params for s in slots if s.gate == "R"]
+    assert np.array_equal(blocks["R"], np.stack(kicks))
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda b: b.update(R=b["R"][:-1]), "R block has shape"),
+        (lambda b: b.update(MS=b["MS"][:, :2]), "batch size"),
+        (lambda b: b.update(RX=np.zeros(b["RX"].shape[:2] + (2,))), "RX block"),
+        (lambda b: b.update(R=b["R"][0]), "R block has shape"),
+        (lambda b: b.pop("RX"), "kinds"),
+        (lambda b: b.update(H=np.zeros((1, 3, 0))), "kinds"),
+    ],
+    ids=["rows", "batch", "width", "ndim", "missing-kind", "extra-kind"],
+)
+def test_wrong_block_shapes_raise(mutate, message):
+    plan, blocks = _mixed_plan()
+    good = plan.probabilities(blocks, 0)
+    mutate(blocks)
+    with pytest.raises(ValueError, match=message):
+        plan.probabilities(blocks, 0)
+    with pytest.raises(ValueError, match=message):
+        plan.states(blocks)
+    assert good.shape == (3,)
+
+
+def test_axis_order_program_and_final_index():
+    """Steps transpose only when their qubits do not already lead."""
+    plan, blocks = _mixed_plan()
+    perms = [step[3] for step in plan._order]
+    assert perms[0] is None  # the first group's qubits start in front
+    assert any(p is not None for p in perms)
+    assert sorted(plan._final_order) == list(range(plan.n_local))
+    states = plan.states(blocks)
+    for expected in range(2**plan.n_local):
+        full = 0
+        for k, q in enumerate(plan.touched):
+            full |= ((expected >> (plan.n_local - 1 - k)) & 1) << (3 - q)
+        assert np.array_equal(
+            plan.probabilities(blocks, full),
+            np.clip(np.abs(states[:, expected]) ** 2, 0.0, 1.0),
+        )

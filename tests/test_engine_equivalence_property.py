@@ -23,7 +23,7 @@ from repro.sim.statevector import StatevectorSimulator, subregister_bitstring
 from repro.sim.xx_engine import XXCircuitEvaluator
 from repro.sim.circuit import Circuit
 from repro.trap.calibration import all_pairs
-from repro.trap.machine import VirtualIonTrap
+from repro.trap.machine import VirtualIonTrap, slot_blocks
 
 
 def _random_xx_circuit(
@@ -88,7 +88,7 @@ def test_random_circuits_agree_across_all_three_engines(case, rng):
     plan = DensePlan(n_qubits, skeleton)
     realized = machine._slots_to_circuits(slots)
     for expected in (0, int(rng.integers(0, 2**n_qubits))):
-        compiled = plan.probabilities([s.params for s in slots], expected)
+        compiled = plan.probabilities(slot_blocks(slots), expected)
         dense = _dense_reference(machine, slots, plan, expected)
         xx = np.array(
             [XXCircuitEvaluator(c).probability_of(expected) for c in realized]

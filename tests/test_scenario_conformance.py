@@ -25,7 +25,7 @@ from repro.scenarios.spec import SCENARIO_KINDS, build_scenario
 from repro.sim.dense_plan import DensePlan
 from repro.sim.statevector import StatevectorSimulator, subregister_bitstring
 from repro.sim.xx_engine import XXCircuitEvaluator
-from repro.trap.machine import VirtualIonTrap
+from repro.trap.machine import VirtualIonTrap, slot_blocks
 
 #: Taxonomy kinds whose default instance stays on the exact XX engine.
 XX_KINDS = [k for k in SCENARIO_KINDS if build_scenario(k).is_xx_preserving()]
@@ -90,7 +90,7 @@ def test_xx_scenarios_agree_across_all_three_engines(
     xx = machine._match_probabilities_slots(slots, expected)
     skeleton = tuple((s.gate, s.qubits) for s in slots)
     plan = DensePlan(n_qubits, skeleton)
-    compiled = plan.probabilities([s.params for s in slots], expected)
+    compiled = plan.probabilities(slot_blocks(slots), expected)
     dense = _dense_reference(machine, slots, plan, expected)
     assert xx.shape == compiled.shape == dense.shape == (REALIZATIONS,)
     assert np.max(np.abs(xx - compiled)) < 1e-9
@@ -163,7 +163,7 @@ def test_non_xx_scenario_dense_plan_matches_per_trial_reference(kind):
     assert not machine._slots_xx_only(slots)
     skeleton = tuple((s.gate, s.qubits) for s in slots)
     plan = DensePlan(n_qubits, skeleton)
-    compiled = plan.probabilities([s.params for s in slots], expected)
+    compiled = plan.probabilities(slot_blocks(slots), expected)
     dense = _dense_reference(machine, slots, plan, expected)
     assert np.max(np.abs(compiled - dense)) < 1e-9
 
