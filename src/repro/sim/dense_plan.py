@@ -458,8 +458,10 @@ class DensePlan:
         A slot's *row* is its rank among the slots of its kind in
         program order — its row in that kind's input block.  Builder
         stacks and merged-MS links list their slots in link order; each
-        compiles one gather of rows, or ``None`` when the order is
-        already the block's own.
+        compiles one gather of rows, or ``None`` when it takes the whole
+        block in the block's own order.  MS rows may be split between
+        the builder stack and the merged links, so neither side may
+        skip its gather just because its rows start at 0.
         """
         self._kind_rows: dict[str, int] = {}
         row: dict[int, int] = {}
@@ -467,16 +469,17 @@ class DensePlan:
             row[i] = self._kind_rows.get(gate, 0)
             self._kind_rows[gate] = row[i] + 1
 
-        def gather(slots: list[int]) -> np.ndarray | None:
+        def gather(kind: str, slots: list[int]) -> np.ndarray | None:
             rows = [row[i] for i in slots]
-            if rows == list(range(len(rows))):
+            if rows == list(range(self._kind_rows.get(kind, 0))):
                 return None
             return np.array(rows, dtype=np.intp)
 
         self._stack_gather = {
-            kind: gather(slots) for kind, slots in self._stack_slots.items()
+            kind: gather(kind, slots)
+            for kind, slots in self._stack_slots.items()
         }
-        self._ms_gather = gather(self._ms_slots)
+        self._ms_gather = gather("MS", self._ms_slots)
 
     def _compile_program(self) -> None:
         """Turn the apply order into the axis-order program.

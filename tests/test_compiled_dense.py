@@ -62,10 +62,25 @@ def _no_ms() -> tuple[Circuit, int]:
     return Circuit(N).r(0, 0.5, 0.1).h(2).rx(1, 0.3).r(2, 0.2, 0.0), 0
 
 
+def _split_ms(bare_first: bool) -> tuple[Circuit, int]:
+    """One MS merged with R/RX on both its qubits and one bare MS.
+
+    Without kicks the MS block's rows split between a merged link and
+    the plan's builder stack.
+    """
+    c = Circuit(N)
+    if bare_first:
+        c.ms(2, 3, math.pi / 2)
+    c.ms(0, 1, math.pi / 2).r(0, 0.3, 0.1).rx(1, 0.2)
+    return (c if bare_first else c.ms(2, 3, math.pi / 2)), 0b110000
+
+
 CIRCUITS = {
     "class": _class_test,
     "mixed": _mixed,
     "no-ms": _no_ms,
+    "split-ms-bare-first": lambda: _split_ms(True),
+    "split-ms-bare-last": lambda: _split_ms(False),
     "empty": lambda: (Circuit(N), 0),
 }
 

@@ -9,6 +9,8 @@ compiles its :class:`~repro.sim.dense_plan.DensePlan` and evaluates it:
 * battery shapes on 2/4/6/8 compacted qubits at 2 and 4 MS repetitions;
 * qubit-swapped MS groups, with and without residual kicks;
 * R-gate and fixed-gate slots (non-uniform link buckets);
+* an MS block split between merged links and the builder stack, with
+  the bare MS first and last;
 * a fused one-qubit ("generic") run;
 * an unfused plan, a structurally rebound plan and a call chunked under
   a tight ``max_batch_bytes``.
@@ -98,6 +100,19 @@ def _generic() -> Circuit:
     return c.rz(2, 0.5).h(2).ms(0, 2, HALF).r(7, 0.3, 0.0).rz(7, 0.1)
 
 
+def _split_ms(bare_first: bool) -> Circuit:
+    """One MS merged with R/RX on both its qubits and one bare MS.
+
+    Without kicks the merged MS becomes an mskron link and the bare one
+    a builder-stack slot, so the MS block's rows split between the two.
+    """
+    c = Circuit(N)
+    if bare_first:
+        c.ms(2, 3, HALF)
+    c.ms(0, 1, HALF).r(0, 0.3, 0.1).rx(1, 0.2)
+    return c if bare_first else c.ms(2, 3, HALF)
+
+
 def _machine(noise: NoiseParameters, seed: int) -> VirtualIonTrap:
     m = VirtualIonTrap(N, noise=noise, seed=seed)
     m.set_under_rotation((0, 1), 0.2)
@@ -148,6 +163,11 @@ def _cases() -> dict:
     cases["mixed-no-kicks"] = lambda: _plan_case(
         NO_KICKS, 24, _mixed(), _bit(1) | _bit(2) | _bit(5)
     )
+    split = {"bare-then-merged": True, "merged-then-bare": False}
+    for order, bare_first in split.items():
+        cases[f"split-ms-{order}"] = lambda b=bare_first: _plan_case(
+            NO_KICKS, 28 + b, _split_ms(b), _bit(0) | _bit(2) | _bit(3)
+        )
     cases["generic-1q-run"] = lambda: _plan_case(
         KICKS_1Q, 25, _generic(), _bit(0) | _bit(2)
     )
