@@ -102,29 +102,6 @@ class Fig6Result:
         """Rows of the battery with the given gate-repetition count."""
         return [r for r in self.rows if r.repetitions == repetitions]
 
-    def clean_fidelities(self, repetitions: int) -> list[float]:
-        """Fidelities of fault-free tests at one depth."""
-        return [
-            r.fidelity
-            for r in self.rows_for(repetitions)
-            if not r.contains_fault
-        ]
-
-    def faulty_fidelities(self, repetitions: int) -> list[float]:
-        """Fidelities of fault-containing tests at one depth."""
-        return [
-            r.fidelity for r in self.rows_for(repetitions) if r.contains_fault
-        ]
-
-    def best_threshold(self, repetitions: int) -> float:
-        """Contrast-maximizing threshold over this battery's fidelities
-        (how the paper's 0.45 / 0.25 were chosen from their data)."""
-        from ...analysis.detection import two_cluster_threshold
-
-        return two_cluster_threshold(
-            np.array([r.fidelity for r in self.rows_for(repetitions)])
-        )
-
     def largest_fault_resolved(self, repetitions: int) -> bool:
         """Tests containing the 47 % fault fail; clean tests pass."""
         rows = self.rows_for(repetitions)

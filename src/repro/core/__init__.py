@@ -8,14 +8,12 @@
 * :mod:`repro.core.multi_fault` — the Fig. 5 loop with magnitude search.
 * :mod:`repro.core.binary_search`, :mod:`repro.core.point_check` —
   baselines.
-* :mod:`repro.core.canary` — fault separation in time.
 * :mod:`repro.core.cost` — Sec. V-C cost accounting.
 * :mod:`repro.core.oracle` — deterministic executor for combinatorial
   studies.
 """
 
 from .binary_search import AdaptiveBinarySearch, BinarySearchOutcome
-from .canary import CanaryDetection, CanaryScheduler
 from .cost import CostTracker, predicted_adaptations, predicted_circuit_runs
 from .multi_fault import MagnitudeSearchConfig, MultiFaultProtocol, MultiFaultReport
 from .oracle import OracleExecutor
@@ -34,8 +32,6 @@ from .tests_builder import TestSpec, build_test_circuit, expected_output
 __all__ = [
     "AdaptiveBinarySearch",
     "BinarySearchOutcome",
-    "CanaryDetection",
-    "CanaryScheduler",
     "CostTracker",
     "predicted_adaptations",
     "predicted_circuit_runs",

@@ -44,18 +44,6 @@ class CostTracker:
         """One round of classical feedback: decide + recompile + upload."""
         self.adaptations += 1
 
-    def merged_with(self, other: "CostTracker") -> "CostTracker":
-        """A new tracker summing this session's costs with ``other``'s."""
-        merged = CostTracker(
-            adaptations=self.adaptations + other.adaptations,
-            circuit_runs=self.circuit_runs + other.circuit_runs,
-            shots=self.shots + other.shots,
-        )
-        for kind_map in (self.runs_by_kind, other.runs_by_kind):
-            for kind, count in kind_map.items():
-                merged.runs_by_kind[kind] = merged.runs_by_kind.get(kind, 0) + count
-        return merged
-
 
 def predicted_adaptations(k_faults: int) -> int:
     """Sec. V-C: ``4k + 1`` adaptations to diagnose ``k`` faults."""

@@ -20,14 +20,19 @@ Error mapping: an unknown job id is 404, asking for the result of an
 unfinished job is 409, an invalid spec or a negative ``Content-Length``
 is 400, a body over :data:`MAX_BODY_BYTES` is 413 (refused unread), a
 corrupted (quarantined) artifact is 500 — always ``{"error": ...}``
-bodies. The server thread pool only handles I/O; the actual work still
-runs in the service's supervised worker processes.
+bodies.  Any other exception is a 500 whose error names an id; the
+same id is logged with the traceback on the ``repro.service.http``
+logger, and the server keeps serving.  The server thread pool only
+handles I/O; the actual work still runs in the service's supervised
+worker processes.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import sys
+import uuid
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any
@@ -47,6 +52,8 @@ __all__ = ["MAX_BODY_BYTES", "make_server", "serve_forever"]
 #: Largest request body the server reads; a longer declared
 #: ``Content-Length`` is refused with 413 before any byte is read.
 MAX_BODY_BYTES = 1 << 20
+
+_LOG = logging.getLogger(__name__)
 
 
 class _BodyTooLargeError(ValueError):
@@ -77,6 +84,19 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _error(self, code: int, message: str) -> None:
         self._send(code, {"error": message})
+
+    def _unexpected(self, exc: Exception) -> None:
+        """Answer an unmapped exception with a 500 and a logged error id."""
+        error_id = uuid.uuid4().hex[:12]
+        _LOG.error(
+            "error id %s: %s %s raised %r",
+            error_id,
+            self.command,
+            self.path,
+            exc,
+            exc_info=exc,
+        )
+        self._error(500, f"internal error {error_id} ({type(exc).__name__})")
 
     def _read_body(self) -> dict[str, Any]:
         length = int(self.headers.get("Content-Length") or 0)
@@ -135,6 +155,8 @@ class _Handler(BaseHTTPRequestHandler):
             self._error(409, str(exc))
         except RuntimeError as exc:
             self._error(500, str(exc))
+        except Exception as exc:  # noqa: BLE001 - fail closed, keep serving
+            self._unexpected(exc)
 
     def do_POST(self) -> None:  # noqa: N802 — http.server API
         url = urlparse(self.path)
@@ -160,6 +182,8 @@ class _Handler(BaseHTTPRequestHandler):
             self._error(400, f"invalid request: {exc}")
         except RuntimeError as exc:
             self._error(503, str(exc))
+        except Exception as exc:  # noqa: BLE001 - fail closed, keep serving
+            self._unexpected(exc)
 
 
 def make_server(

@@ -104,10 +104,12 @@ def sample_bernoulli_counts_batch(
     shots = np.asarray(shots_per_group, dtype=np.int64)
     if p.shape != shots.shape:
         raise ValueError("p_matches and shots_per_group must align")
-    if np.any(shots <= 0):
-        raise ValueError("shots must be positive")
-    if np.any(p < -1e-9) or np.any(p > 1.0 + 1e-9):
-        raise ValueError("match probabilities outside [0, 1]")
+    # One reduction per check; an empty batch has nothing to check.
+    if p.size:
+        if shots.min() <= 0:
+            raise ValueError("shots must be positive")
+        if p.min() < -1e-9 or p.max() > 1.0 + 1e-9:
+            raise ValueError("match probabilities outside [0, 1]")
     p = np.clip(p, 0.0, 1.0)
     matches = int(rng.binomial(shots, p).sum())
     total = int(shots.sum())

@@ -19,6 +19,12 @@ vectorized numpy; larger components fall back to a Monte-Carlo estimate of
 the same expectation (the sum is ``E_s[chi_z(s) e^{i phase(s)}]`` over
 uniform spins).
 
+The compiled :class:`ContractionPlan` also uses the global spin flip: a
+component without linear terms has a flip-even phase, so its sum is
+``(1 + (-1)^|z|)`` times the sum over ``s_0 = +1`` — zero for odd ``|z|``
+and twice the half-table sum otherwise.  :class:`XXCircuitEvaluator`
+keeps the full table and serves as its reference.
+
 Supported operations: ``XX``, ``MS`` with drive phases that are multiples of
 pi (the axis stays on +-X), ``RX``, and ``X``.  Use
 :meth:`Circuit.is_xx_only` to check eligibility; anything else belongs on
@@ -27,7 +33,9 @@ the dense simulator.
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Protocol, runtime_checkable
@@ -180,6 +188,10 @@ def _connected_components(
 
 _SPIN_TABLE_CACHE: OrderedDict[int, np.ndarray] = OrderedDict()
 
+#: Guards every read and write of :data:`_SPIN_TABLE_CACHE`: the LRU
+#: reorders entries on each hit, so even lookups mutate it.
+_SPIN_TABLE_LOCK = threading.Lock()
+
 #: Total bytes of spin tables kept resident; least-recently-used tables
 #: are evicted first once the budget is exceeded (the table being
 #: returned is never evicted).
@@ -191,17 +203,19 @@ def set_spin_table_cache_bytes(max_bytes: int) -> None:
     global _SPIN_TABLE_CACHE_MAX_BYTES
     if max_bytes < 0:
         raise ValueError("cache budget must be non-negative")
-    _SPIN_TABLE_CACHE_MAX_BYTES = max_bytes
-    _evict_spin_tables()
+    with _SPIN_TABLE_LOCK:
+        _SPIN_TABLE_CACHE_MAX_BYTES = max_bytes
+        _evict_spin_tables()
 
 
 def spin_table_cache_info() -> dict[str, int]:
     """Cache occupancy: resident table sizes, total bytes, byte budget."""
-    return {
-        "tables": len(_SPIN_TABLE_CACHE),
-        "total_bytes": sum(t.nbytes for t in _SPIN_TABLE_CACHE.values()),
-        "max_bytes": _SPIN_TABLE_CACHE_MAX_BYTES,
-    }
+    with _SPIN_TABLE_LOCK:
+        return {
+            "tables": len(_SPIN_TABLE_CACHE),
+            "total_bytes": sum(t.nbytes for t in _SPIN_TABLE_CACHE.values()),
+            "max_bytes": _SPIN_TABLE_CACHE_MAX_BYTES,
+        }
 
 
 def _evict_spin_tables() -> None:
@@ -209,6 +223,7 @@ def _evict_spin_tables() -> None:
 
     The most-recently-used table always survives, so the table a caller
     just requested stays resident even when it alone exceeds the budget.
+    Callers hold :data:`_SPIN_TABLE_LOCK`.
     """
     while (
         len(_SPIN_TABLE_CACHE) > 1
@@ -221,23 +236,28 @@ def _evict_spin_tables() -> None:
 def _spin_table(m: int) -> np.ndarray:
     """All 2^m spin assignments as a (2^m, m) int8 array of +-1 (cached).
 
-    The cache is an LRU bounded by total bytes (see
+    Row order is big-endian in the spins: the first half of the table
+    has ``s_0 = +1``.  The cache is an LRU bounded by total bytes (see
     :func:`set_spin_table_cache_bytes`), so a long-running sweep over many
     component sizes keeps its working set resident without pinning the
-    largest table ever built forever.
+    largest table ever built forever.  Safe under concurrent callers.
     """
-    table = _SPIN_TABLE_CACHE.get(m)
-    if table is None:
-        idx = np.arange(2**m, dtype=np.uint32)
-        cols = [
-            1 - 2 * ((idx >> (m - 1 - i)) & 1).astype(np.int8) for i in range(m)
-        ]
-        table = np.stack(cols, axis=1) if m else np.zeros((1, 0), dtype=np.int8)
-        _SPIN_TABLE_CACHE[m] = table
-    else:
-        _SPIN_TABLE_CACHE.move_to_end(m)
-    _evict_spin_tables()
-    return table
+    with _SPIN_TABLE_LOCK:
+        table = _SPIN_TABLE_CACHE.get(m)
+        if table is None:
+            idx = np.arange(2**m, dtype=np.uint32)
+            cols = [
+                1 - 2 * ((idx >> (m - 1 - i)) & 1).astype(np.int8)
+                for i in range(m)
+            ]
+            table = (
+                np.stack(cols, axis=1) if m else np.zeros((1, 0), dtype=np.int8)
+            )
+            _SPIN_TABLE_CACHE[m] = table
+        else:
+            _SPIN_TABLE_CACHE.move_to_end(m)
+        _evict_spin_tables()
+        return table
 
 
 #: Spin-table blocks larger than this many (spin, edge) entries are
@@ -282,20 +302,29 @@ def _component_amplitudes_vectorized(
 
 @dataclass(frozen=True)
 class _PlanComponent:
-    """Cached contraction data for one coupling-graph component.
+    """Contraction data for one coupling-graph component.
+
+    ``rows`` is the number of spin-table rows summed.  A component with
+    no linear (RX/X) terms has a phase that is even under the global
+    spin flip ``s -> -s``, while its character picks up ``(-1)^|z|``;
+    for even ``|z|`` the two halves of the table contribute equally, so
+    only the ``s_0 = +1`` half (the first ``2^(m-1)`` rows) is summed
+    with weight ``2 / 2^m``.  Odd ``|z|`` never compiles to a component:
+    the plan is zero outright.
 
     ``blocks`` holds the pre-chunked spin-table artifacts: the float64
-    ``(S, E)`` pair-product matrix, the ``(S, L)`` linear-spin matrix and
-    the ``(S,)`` character vector — everything circuit-static the hot
-    loop used to recompute per evaluation.  In streaming mode
-    (``precompute=False``) ``blocks`` is ``None`` and the artifacts are
-    rebuilt transiently per evaluation from the index arrays, trading
-    repeat-evaluation speed for zero resident block memory.
+    ``(E, S)`` pair-product matrix and ``(L, S)`` linear-spin matrix,
+    both scaled by the phase's ``-1/2``, and the ``(S,)`` character
+    vector scaled by the weight.  When ``blocks`` is ``None`` (a large
+    streaming plan) the same arrays are rebuilt per evaluation from the
+    index arrays, trading repeat-evaluation speed for zero resident
+    block memory.
     """
 
     weight: float
     m: int
-    edge_cols: np.ndarray
+    rows: int
+    edge_cols: np.ndarray | slice
     lin_cols: np.ndarray
     i_idx: np.ndarray
     j_idx: np.ndarray
@@ -304,35 +333,61 @@ class _PlanComponent:
     blocks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...] | None
 
     def iter_blocks(self):
-        """Yield ``(pair, lin, chi)`` blocks, cached or rebuilt on the fly."""
+        """The ``(pair, lin, chi)`` blocks: cached, or rebuilt on the fly."""
         if self.blocks is not None:
-            yield from self.blocks
-            return
+            return self.blocks
+        return self._stream_blocks()
+
+    def _stream_blocks(self):
         spins = _spin_table(self.m)
-        for start in range(0, spins.shape[0], _CHUNK_SPINS):
+        for start in range(0, self.rows, _CHUNK_SPINS):
             yield _spin_blocks(
-                spins[start : start + _CHUNK_SPINS],
+                spins[start : min(start + _CHUNK_SPINS, self.rows)],
+                self.weight,
                 self.i_idx,
                 self.j_idx,
                 self.lin_idx,
                 self.z_idx,
             )
 
+    def amplitudes(self, th: np.ndarray, ln: np.ndarray | None) -> np.ndarray:
+        """Weighted component sums for the ``(B, E)`` / ``(B, L)`` rows.
+
+        ``sum_s chi(s) e^{i phase(s)}`` in real arithmetic: one
+        ``cos(phase) @ chi`` and one ``sin(phase) @ chi`` per block.
+        """
+        th = th[:, self.edge_cols]
+        ln = ln[:, self.lin_cols] if self.lin_cols.size else None
+        re = im = None
+        for pair, lin, chi in self.iter_blocks():
+            phase = th @ pair
+            if ln is not None:
+                phase += ln @ lin
+            if re is None:
+                re, im = np.cos(phase) @ chi, np.sin(phase) @ chi
+            else:
+                re += np.cos(phase) @ chi
+                im += np.sin(phase) @ chi
+        return re + 1j * im
+
 
 def _spin_blocks(
     block: np.ndarray,
+    weight: float,
     i_idx: np.ndarray,
     j_idx: np.ndarray,
     lin_idx: np.ndarray,
     z_idx: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One spin chunk's pair-product / linear / character arrays."""
-    pair = (block[:, i_idx] * block[:, j_idx]).astype(np.float64)
-    lin = block[:, lin_idx].astype(np.float64)
-    if z_idx.size:
-        chi = np.prod(block[:, z_idx], axis=1).astype(np.float64)
-    else:
-        chi = np.ones(block.shape[0])
+    """One spin chunk's ``(E, S)`` pair / ``(L, S)`` linear / chi arrays.
+
+    The phase's ``-1/2`` and the component weight are powers of two, so
+    folding them in here is exact.
+    """
+    cols = block.T
+    pair = -0.5 * (cols[i_idx] * cols[j_idx])
+    lin = -0.5 * cols[lin_idx]
+    chi = weight * np.prod(cols[z_idx], axis=0)
     return pair, lin, chi
 
 
@@ -340,6 +395,11 @@ def _spin_blocks(
 #: this raises ``ValueError`` so callers fall back to the per-call
 #: evaluation path instead of pinning gigabytes of pair products.
 MAX_PLAN_BYTES = 512 * 1024 * 1024
+
+#: Streaming plans at or under this many block bytes keep their blocks
+#: resident anyway: rebuilding them costs more than the contraction, and
+#: the bound keeps the 1024-entry compiled-test cache under 64 MiB.
+_RESIDENT_PLAN_BYTES = 64 * 1024
 
 
 class ContractionPlan:
@@ -349,10 +409,11 @@ class ContractionPlan:
     across noise realizations, trials, or magnitude sweep points: the
     coupling-graph components, the per-component local edge/linear
     indexing, the expected-bitstring characters, and — most importantly —
-    the ``(S, E)`` spin-table pair-product blocks.  Evaluating a batch of
-    realizations then reduces to one ``(B, E) @ (E, S)`` matmul per
-    block instead of re-deriving the graph and re-multiplying spin
-    columns per call.
+    the spin-table pair-product blocks.  Evaluating a batch of
+    realizations then reduces to one ``(B, E) @ (E, S)`` matmul and two
+    real trig passes per block instead of re-deriving the graph and
+    re-multiplying spin columns per call.  Components without linear
+    terms sum only half their spin table (see :class:`_PlanComponent`).
 
     Parameters
     ----------
@@ -372,13 +433,16 @@ class ContractionPlan:
         back to per-realization Monte-Carlo evaluation).
     max_plan_bytes:
         Resident-byte bound for the cached blocks (default
-        :data:`MAX_PLAN_BYTES`); structures whose blocks would exceed it
-        raise ``ValueError`` before anything is materialized.
+        :data:`MAX_PLAN_BYTES`); precomputing structures whose blocks
+        would exceed it raise ``ValueError`` before anything is
+        materialized.
     precompute:
         ``True`` (the default) caches the spin blocks for repeated
-        evaluation; ``False`` streams them transiently per evaluation —
-        the right mode for one-shot calls, and exempt from
-        ``max_plan_bytes`` since nothing stays resident.
+        evaluation.  ``False`` makes a streaming plan: blocks of at most
+        :data:`_RESIDENT_PLAN_BYTES` (and ``max_plan_bytes``) are still
+        cached, larger ones are rebuilt transiently per evaluation.  A
+        streaming plan never raises for its size.  Both modes hold the
+        same block values, so their results are ``==``.
     """
 
     def __init__(
@@ -419,33 +483,46 @@ class ContractionPlan:
                 "use per-realization Monte-Carlo evaluation"
             )
         self.component_qubits = components
-        if precompute:
-            # Size the resident blocks before materializing anything:
-            # per spin, E + L float64 products plus the chi vector.
-            plan_bytes = 0
-            for comp in components:
-                local = set(comp)
-                n_edges = sum(1 for e in self.edge_keys if min(e) in local)
-                n_lin = sum(1 for q in self.linear_keys if q in local)
-                plan_bytes += 2 ** len(comp) * 8 * (n_edges + n_lin + 1)
-            if plan_bytes > max_plan_bytes:
-                raise ValueError(
-                    f"plan blocks would pin {plan_bytes} resident bytes "
-                    f"(bound {max_plan_bytes}); use a streaming plan "
-                    "(precompute=False) or the per-call evaluation path"
-                )
+        linear = set(self.linear_keys)
+        # Per component: (qubits, summed rows, edge count, linear count).
+        shapes = []
+        for comp in components:
+            local = set(comp)
+            n_lin = len(local & linear)
+            if not n_lin and sum(z_bits[q] for q in comp) % 2:
+                # Flip-odd character against a flip-even phase.
+                self.forced_zero = True
+                shapes = []
+                break
+            n_edges = sum(1 for e in self.edge_keys if min(e) in local)
+            rows = 2 ** (len(comp) - (0 if n_lin else 1))
+            shapes.append((comp, rows, n_edges, n_lin))
+        # Size the blocks before materializing anything: per spin row,
+        # E + L float64 products plus the chi entry.
+        plan_bytes = sum(
+            8 * rows * (n_edges + n_lin + 1) for _, rows, n_edges, n_lin in shapes
+        )
+        if precompute and plan_bytes > max_plan_bytes:
+            raise ValueError(
+                f"plan blocks would pin {plan_bytes} resident bytes "
+                f"(bound {max_plan_bytes}); use a streaming plan "
+                "(precompute=False) or the per-call evaluation path"
+            )
+        resident = precompute or plan_bytes <= min(
+            _RESIDENT_PLAN_BYTES, max_plan_bytes
+        )
         self._components = tuple(
-            self._compile_component(comp, z_bits, precompute)
-            for comp in components
+            self._compile_component(comp, rows, z_bits, resident)
+            for comp, rows, _, _ in shapes
         )
         #: Largest spin-chunk length, for memory-budget row chunking.
         self._max_block_spins = max(
-            (min(2**c.m, _CHUNK_SPINS) for c in self._components),
+            (min(c.rows, _CHUNK_SPINS) for c in self._components),
             default=1,
         )
 
     def _compile_component(
-        self, comp: list[int], z_bits: list[int], precompute: bool
+        self, comp: list[int], rows: int, z_bits: list[int], resident: bool
     ) -> _PlanComponent:
         """Hoist one component's spin-table contraction artifacts."""
         m = len(comp)
@@ -470,30 +547,25 @@ class ContractionPlan:
         z_idx = np.array(
             [k for k, q in enumerate(comp) if z_bits[q]], dtype=np.intp
         )
-        blocks = None
-        if precompute:
-            spins = _spin_table(m)
-            blocks = tuple(
-                _spin_blocks(
-                    spins[start : start + _CHUNK_SPINS],
-                    i_idx,
-                    j_idx,
-                    lin_idx,
-                    z_idx,
-                )
-                for start in range(0, spins.shape[0], _CHUNK_SPINS)
-            )
-        return _PlanComponent(
-            weight=1.0 / 2**m,
+        if np.array_equal(edge_cols, np.arange(len(self.edge_keys))):
+            # One component owns every edge: a slice skips the gather.
+            edge_cols = slice(None)
+        component = _PlanComponent(
+            weight=1.0 / rows,
             m=m,
+            rows=rows,
             edge_cols=edge_cols,
             lin_cols=lin_cols,
             i_idx=i_idx,
             j_idx=j_idx,
             lin_idx=lin_idx,
             z_idx=z_idx,
-            blocks=blocks,
+            blocks=None,
         )
+        if not resident:
+            return component
+        blocks = tuple(component.iter_blocks())
+        return dataclasses.replace(component, blocks=blocks)
 
     def amplitudes(
         self,
@@ -513,8 +585,8 @@ class ContractionPlan:
             may be omitted when the plan has no linear terms.
         max_batch_bytes:
             When set, realization rows are processed in chunks sized so
-            the transient phase/exponential blocks stay within this
-            budget (peak memory stays bounded for very large batches).
+            the transient phase/trig blocks stay within this budget
+            (peak memory stays bounded for very large batches).
         """
         thetas = np.asarray(thetas, dtype=np.float64)
         if thetas.ndim != 2 or thetas.shape[1] != len(self.edge_keys):
@@ -530,33 +602,26 @@ class ContractionPlan:
                 raise ValueError(
                     f"lin_thetas must be (B, {len(self.linear_keys)})"
                 )
+        else:
+            lin_thetas = None
         if self.forced_zero:
             return np.zeros(n_batch, dtype=complex)
+        if not (self._components and n_batch):
+            return np.ones(n_batch, dtype=complex)
         if max_batch_bytes is None:
             rows = n_batch
         else:
-            # Transient per chunk: (rows, S) float64 phase + complex exp.
+            # Transient per chunk: (rows, S) float64 phase, cos and sin.
             rows = max(1, max_batch_bytes // (24 * self._max_block_spins))
-        amps = np.ones(n_batch, dtype=complex)
-        for start in range(0, n_batch, max(rows, 1)):
-            stop = min(start + rows, n_batch)
-            th = thetas[start:stop]
-            ln = lin_thetas[start:stop] if self.linear_keys else None
-            for comp in self._components:
-                part = np.zeros(stop - start, dtype=complex)
-                comp_th = -0.5 * th[:, comp.edge_cols]
-                comp_ln = (
-                    -0.5 * ln[:, comp.lin_cols]
-                    if ln is not None and comp.lin_cols.size
-                    else None
-                )
-                for pair, lin, chi in comp.iter_blocks():
-                    phase = comp_th @ pair.T
-                    if comp_ln is not None:
-                        phase += comp_ln @ lin.T
-                    part += np.exp(1.0j * phase) @ chi
-                amps[start:stop] *= comp.weight * part
-        return amps
+        chunks = []
+        for start in range(0, n_batch, rows):
+            th = thetas[start : start + rows]
+            ln = None if lin_thetas is None else lin_thetas[start : start + rows]
+            amps = self._components[0].amplitudes(th, ln)
+            for comp in self._components[1:]:
+                amps *= comp.amplitudes(th, ln)
+            chunks.append(amps)
+        return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
     def probabilities(
         self,
@@ -566,7 +631,8 @@ class ContractionPlan:
     ) -> np.ndarray:
         """Per-realization probabilities of the bitstring, clipped to [0, 1]."""
         amps = self.amplitudes(thetas, lin_thetas, max_batch_bytes)
-        return np.clip(np.abs(amps) ** 2, 0.0, 1.0)
+        # |amp|^2 >= 0, so only the upper clip can bind.
+        return np.minimum(np.abs(amps) ** 2, 1.0)
 
 
 class XXCircuitEvaluator:
@@ -694,12 +760,13 @@ def batch_amplitudes_from_terms(
     ``(G,)`` values in both dicts).  Every coupling-graph component is
     summed once over its shared spin table, contracting all G realization
     rows in a single matmul.  Internally this builds a one-shot
-    *streaming* :class:`ContractionPlan` (spin blocks are materialized
-    transiently, never pinned).  The virtual machine's ``run_match`` now
-    keeps one plan per test structure in its compiled-test cache, so this
-    serves only its per-call slot fallback; callers evaluating the same
-    structure repeatedly should build and reuse a plan themselves (see
-    :class:`~repro.trap.machine.CompiledBattery`).
+    *streaming* :class:`ContractionPlan` and discards it after the call,
+    so it computes exactly what the machine's cached plans compute.  The
+    virtual machine's ``run_match`` keeps one plan per test structure in
+    its compiled-test cache, so this serves only its per-call slot path
+    (the oracle the compiled routes are checked against); callers
+    evaluating the same structure repeatedly should build and reuse a
+    plan themselves (see :class:`~repro.trap.machine.CompiledBattery`).
 
     ``max_batch_bytes`` chunks the realization rows so transient memory
     stays bounded for very large batches (full-size N = 32 runs).

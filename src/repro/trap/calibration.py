@@ -106,15 +106,6 @@ class CalibrationState:
         """
         return dict(self._under_rotation)
 
-    def phase_snapshot(self) -> dict[Pair, float]:
-        """Copy of the current per-coupling drive-phase offsets."""
-        return dict(self._phase_offset)
-
-    def load_phase_snapshot(self, snapshot: dict[Pair, float]) -> None:
-        """Overwrite drive-phase offsets from a snapshot."""
-        for pair, value in snapshot.items():
-            self.set_phase_offset(pair, value)
-
     def recalibrate(self, pair: Pair | tuple[int, int] | None = None) -> None:
         """Zero one coupling's errors — amplitude and phase (or all)."""
         if pair is None:
@@ -127,17 +118,6 @@ class CalibrationState:
             self._phase_offset[key] = 0.0
 
     # -- analysis ----------------------------------------------------------------
-
-    def faulty_pairs(self, threshold: float) -> list[Pair]:
-        """Couplings whose |under-rotation| exceeds ``threshold``."""
-        return sorted(
-            (
-                p
-                for p, u in self._under_rotation.items()
-                if abs(u) > threshold
-            ),
-            key=lambda p: -abs(self._under_rotation[p]),
-        )
 
     def largest_faults(self, k: int) -> list[CouplingFault]:
         """The ``k`` worst-calibrated couplings, sorted by magnitude."""

@@ -21,8 +21,9 @@ one of two shared, bounded caches:
 * ``_compiled_xx_test`` maps (machine size, exact-summation limit,
   nominal ops, expected bitstring) to the test's edge columns, nominal
   angles and phases, static RX/X angles and a streaming
-  :class:`~repro.sim.xx_engine.ContractionPlan`, so an XX call only draws
-  its amplitude noise, forms the ``(G, E)`` angle matrix and contracts.
+  :class:`~repro.sim.xx_engine.ContractionPlan` (small plans keep their
+  spin blocks resident), so an XX call only draws its amplitude noise,
+  forms the ``(G, E)`` angle matrix and contracts.
 * ``_compiled_dense_test`` maps (machine size, nominal ops, residual
   kicks on) to the test's couplings, per-MS-slot columns, angles, phases
   and targets, R and fixed-gate parameters, slot skeleton and the index
@@ -1232,8 +1233,9 @@ class _CompiledXXTest:
 
 
 #: Compiled XX tests kept per process; the least recently used entry is
-#: dropped first.  Entries hold streaming plans (no pinned spin blocks),
-#: so each costs a few kilobytes of index arrays.
+#: dropped first.  Entries hold streaming plans: index arrays plus, for
+#: plans under the 64 KiB resident-block bound, their spin blocks, so the
+#: full cache pins at most 64 MiB of blocks.
 _XX_TEST_CACHE_SIZE = 1024
 
 

@@ -1,5 +1,8 @@
 """Memory-bound satellites: LRU spin-table cache and batch chunking."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -54,6 +57,40 @@ def test_spin_cache_keeps_working_set_under_budget(spin_cache):
     xx_engine._spin_table(14)
     xx_engine._spin_table(17)
     assert 16 not in spin_cache and 14 in spin_cache
+
+
+def test_spin_cache_survives_concurrent_callers(spin_cache):
+    """Four threads hitting and evicting tables never trip the LRU.
+
+    A budget that holds only a couple of small tables makes every call
+    reorder or evict; a microsecond switch interval interleaves them.
+    """
+    xx_engine.set_spin_table_cache_bytes(4_000)
+    errors: list[Exception] = []
+    barrier = threading.Barrier(4)
+
+    def worker(k):
+        try:
+            barrier.wait(timeout=30)
+            for step in range(5_000):
+                m = 1 + (3 * k + step) % 9
+                assert xx_engine._spin_table(m).shape == (2**m, m)
+                xx_engine.spin_table_cache_info()
+        except Exception as exc:  # noqa: BLE001 - surfaced below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors[:1]
 
 
 def test_batch_amplitudes_chunking_is_exact(rng):

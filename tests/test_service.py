@@ -438,6 +438,37 @@ def test_http_cancel(http_service):
     assert client.cancel(job_id) is False
 
 
+@pytest.mark.parametrize(
+    "method, path, attribute, error",
+    [
+        ("GET", "/v1/queue", "queue_snapshot", KeyError("lost")),
+        ("GET", "/v1/jobs/abc", "status", OSError(5, "disk gone")),
+        ("POST", "/v1/jobs/abc/cancel", "cancel", KeyError("lost")),
+        ("POST", "/v1/jobs/abc/cancel", "cancel", OSError(5, "disk gone")),
+    ],
+)
+def test_http_unmapped_errors_are_logged_500s(
+    http_service, monkeypatch, caplog, method, path, attribute, error
+):
+    def boom(*_args, **_kwargs):
+        raise error
+
+    monkeypatch.setattr(DiagnosisService, attribute, boom)
+    with caplog.at_level("ERROR", logger="repro.service.http"):
+        with pytest.raises(ServiceError, match="internal error") as info:
+            http_service._call(method, path, {} if method == "POST" else None)
+    assert info.value.__cause__.code == 500
+    message = str(info.value)
+    assert type(error).__name__ in message
+    error_id = message.split()[2]
+    assert any(error_id in r.getMessage() for r in caplog.records)
+    # The handler thread survived: the server keeps serving.
+    monkeypatch.undo()
+    assert http_service.health()["ok"]
+    with pytest.raises(ServiceError, match="no such job"):
+        http_service.status("abc")
+
+
 # ------------------------------------------------- scheduler integration
 
 
