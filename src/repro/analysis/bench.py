@@ -28,9 +28,6 @@ Registered cases
     The scenario matrix's detection hot loop: repeated battery trials of
     one taxonomy scenario through compiled batteries (stacked trials per
     test) vs the per-trial ``TestExecutor`` loop.
-``xx-contraction-plan``
-    Micro-benchmark: reusing a :class:`~repro.sim.xx_engine.ContractionPlan`
-    vs rebuilding the spin-table contraction on every call.
 ``exec-overhead``
     The supervised worker pool (:mod:`repro.exec.pool`) vs the bare
     ``ProcessPoolExecutor`` fan-out it replaced, on a fault-free fig8
@@ -48,8 +45,6 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
-
-import numpy as np
 
 from ..provenance import provenance
 
@@ -80,36 +75,6 @@ class BenchCase:
     reference: Callable[[], Any]
     optimized: Callable[[], Any]
     repeats: int = 1
-
-
-def _plan_micro_workload(reuse_plan: bool, iterations: int = 400) -> None:
-    """Evaluate one term structure many times, with or without plan reuse.
-
-    Mirrors the protocol's trial pattern — many small realization
-    batches of one fixed circuit structure — where the per-call graph
-    discovery and spin-column products the plan caches dominate the
-    actual contraction.
-    """
-    from itertools import combinations
-
-    from ..sim.xx_engine import ContractionPlan, batch_amplitudes_from_terms
-
-    n_qubits = 12
-    edge_keys = [frozenset(p) for p in combinations(range(10), 2)]
-    rng = np.random.default_rng(7)
-    thetas = rng.normal(np.pi / 2, 0.1, (4, len(edge_keys)))
-    if reuse_plan:
-        plan = ContractionPlan(n_qubits, edge_keys, [], 0)
-        for _ in range(iterations):
-            plan.amplitudes(thetas)
-    else:
-        for _ in range(iterations):
-            batch_amplitudes_from_terms(
-                n_qubits,
-                {e: thetas[:, c] for c, e in enumerate(edge_keys)},
-                {},
-                0,
-            )
 
 
 def _fig7_dense_battery_workload(
@@ -341,13 +306,6 @@ def bench_cases(preset: str = "smoke") -> list[BenchCase]:
             reference=lambda: _scenario_battery_workload(compiled=False),
             optimized=lambda: _scenario_battery_workload(compiled=True),
             repeats=repeats,
-        ),
-        BenchCase(
-            name="xx-contraction-plan",
-            description="ContractionPlan reuse vs per-call spin contraction",
-            reference=lambda: _plan_micro_workload(reuse_plan=False),
-            optimized=lambda: _plan_micro_workload(reuse_plan=True),
-            repeats=max(repeats, 2),
         ),
         BenchCase(
             name="exec-overhead",

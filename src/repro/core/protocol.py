@@ -185,18 +185,19 @@ def built_test(
 def compile_test_battery(
     n_qubits: int, specs: list[TestSpec], max_exact_qubits: int = 20
 ):
-    """Compile a battery of test specs into a reusable contraction bundle.
+    """Compile a battery of test specs for repeated evaluation.
 
     Builds each spec's circuit and expected output once and hands them to
-    :class:`~repro.trap.machine.CompiledBattery`, which hoists coupling
-    terms, connected components and spin-table pair products out of the
-    per-trial hot loop.  The battery is machine-independent — compile per
-    ``(n_qubits, repetitions)`` family, evaluate against every trial
-    machine, calibration snapshot and sweep point.
+    :class:`~repro.trap.machine.CompiledBattery`, which holds each test's
+    compiled XX structure (and, from its first dense call, its dense
+    layout) outside the per-trial hot loop.  The battery is
+    machine-independent — compile per ``(n_qubits, repetitions)`` family,
+    evaluate against every trial machine, calibration snapshot and sweep
+    point.  Tests with non-XX gates compile dense-only.
 
-    Raises ``ValueError`` when a spec cannot be compiled (non-XX gates or
-    a coupling component above ``max_exact_qubits``, e.g. a full canary
-    at N = 32); callers fall back to :class:`TestExecutor`.
+    Raises ``ValueError`` when an XX-only spec has a coupling component
+    above ``max_exact_qubits`` (e.g. a full canary at N = 32); callers
+    fall back to :class:`TestExecutor`.
     """
     from ..trap.machine import CompiledBattery
 

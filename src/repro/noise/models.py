@@ -161,14 +161,16 @@ class GateNoiseModel:
         q2: np.ndarray,
         thetas: np.ndarray,
         unders: np.ndarray,
-        offsets: np.ndarray,
+        phi1: np.ndarray,
+        phi2: np.ndarray,
         ts: np.ndarray,
     ) -> np.ndarray:
         """Per-realization MS parameters for a whole circuit's MS slots.
 
-        ``q1``/``q2``/``thetas``/``unders``/``offsets`` hold one entry per
-        MS/XX application, in program order: the targets, the nominal
-        angle, the coupling's under-rotation and its drive-phase offset.
+        ``q1``/``q2``/``thetas``/``unders``/``phi1``/``phi2`` hold one
+        entry per MS/XX application, in program order: the targets, the
+        nominal angle, the coupling's under-rotation and the two drive
+        phases (nominal phase plus the coupling's drive-phase offset).
         ``ts`` has shape ``(n_ms, n_batch)`` with each slot's per-
         realization gate times.  All amplitude noise is drawn in a single
         RNG call and the phase noise of both targets is read with one
@@ -184,8 +186,8 @@ class GateNoiseModel:
             xi = np.zeros(ts.shape)
         out = np.empty((n_ms, n_batch, 3))
         out[:, :, 0] = thetas[:, None] * (1.0 - unders[:, None]) * (1.0 + xi)
-        out[:, :, 1] = offsets[:, None]
-        out[:, :, 2] = offsets[:, None]
+        out[:, :, 1] = phi1[:, None]
+        out[:, :, 2] = phi2[:, None]
         if self._phase_series is not None:
             idx = self._phase_index(ts)
             out[:, :, 1] += self._phase_series[q1[:, None], idx]

@@ -25,7 +25,6 @@ from .sampling import (
 )
 from .statevector import (
     MAX_DENSE_QUBITS,
-    BatchedStatevectorSimulator,
     StatevectorSimulator,
     simulate,
     zero_state,
@@ -45,7 +44,6 @@ __all__ = [
     "sample_bernoulli_counts_batch",
     "sample_counts_from_probs",
     "StatevectorSimulator",
-    "BatchedStatevectorSimulator",
     "simulate",
     "zero_state",
     "MAX_DENSE_QUBITS",

@@ -70,10 +70,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .statevector import (
-    BatchedStatevectorSimulator,
     batched_matrices_from_params,
     realization_chunks,
     subregister_bitstring,
+    zero_states,
 )
 
 __all__ = [
@@ -708,15 +708,13 @@ class DensePlan:
         """Run the axis-order program: ``(B, 2^n_local)`` in final order.
 
         The state block must fit ``max_batch_bytes``; the budget is
-        enforced by the :class:`~repro.sim.statevector.BatchedStatevectorSimulator`
-        constructor that allocates it, so chunker and guard agree.
+        enforced by :func:`~repro.sim.statevector.zero_states`, which
+        allocates it, so chunker and guard agree.
         """
         stacks = self._kind_stacks(blocks, n_batch)
         ms_c, ms_anti = self._ms_links(blocks, n_batch)
         fused = self._fused_products(stacks, ms_c, ms_anti, n_batch)
-        psi = BatchedStatevectorSimulator(
-            self.n_local, n_batch, max_batch_bytes
-        ).states
+        psi = zero_states(self.n_local, n_batch, max_batch_bytes)
         shape = (n_batch,) + (2,) * self.n_local
         for source, qubits, payload, perm, dim in self._order:
             if source == "single":

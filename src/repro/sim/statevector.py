@@ -18,20 +18,16 @@ from __future__ import annotations
 import numpy as np
 
 from . import gates
-from .circuit import Circuit, Operation
-from .sampling import Counts, sample_counts_from_probs
+from .circuit import Circuit
+from .sampling import sample_counts_from_probs
 
 __all__ = [
     "StatevectorSimulator",
-    "BatchedStatevectorSimulator",
     "zero_state",
+    "zero_states",
     "simulate",
-    "circuits_aligned",
-    "axis_permutations",
-    "permutation_cache_info",
     "check_bitstring",
     "subregister_bitstring",
-    "batched_matrices",
     "batched_matrices_from_params",
     "realization_chunks",
     "MAX_DENSE_QUBITS",
@@ -154,6 +150,43 @@ def simulate(circuit: Circuit) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def zero_states(
+    n_qubits: int, batch: int, max_batch_bytes: int | None = None
+) -> np.ndarray:
+    """``batch`` copies of ``|0...0>`` as a ``(batch, 2^n)`` state block.
+
+    Refuses blocks above the dense caps: :data:`MAX_DENSE_QUBITS` per
+    state, :data:`MAX_BATCH_AMPLITUDES` combined and, when given,
+    ``max_batch_bytes`` of complex128.  Like :func:`realization_chunks`,
+    a single realization is always within the byte budget, so every
+    chunk that helper emits passes.
+    """
+    if n_qubits < 1:
+        raise ValueError("need at least one qubit")
+    if n_qubits > MAX_DENSE_QUBITS:
+        raise ValueError(
+            f"{n_qubits} qubits exceeds dense limit of {MAX_DENSE_QUBITS}"
+        )
+    if batch < 1:
+        raise ValueError("batch must be positive")
+    if batch * 2**n_qubits > MAX_BATCH_AMPLITUDES:
+        raise ValueError(
+            f"batch of {batch} states on {n_qubits} qubits exceeds the "
+            f"combined amplitude cap (2^{MAX_BATCH_AMPLITUDES.bit_length() - 1})"
+        )
+    if max_batch_bytes is not None:
+        budget_amps = max(1, max_batch_bytes // 16)
+        if batch > max(1, budget_amps // 2**n_qubits):
+            raise ValueError(
+                f"batch of {batch} states on {n_qubits} qubits exceeds "
+                f"the {max_batch_bytes}-byte budget; chunk realization "
+                "groups with realization_chunks()"
+            )
+    states = np.zeros((batch, 2**n_qubits), dtype=complex)
+    states[:, 0] = 1.0
+    return states
+
+
 def realization_chunks(
     n_qubits: int, n_batch: int, max_batch_bytes: int | None = None
 ) -> list[tuple[int, int]]:
@@ -171,56 +204,13 @@ def realization_chunks(
         budget_amps = MAX_BATCH_AMPLITUDES
     else:
         # A user budget can tighten the global cap but never widen it —
-        # chunks must stay constructible as batched simulators.
+        # every chunk must pass the zero_states guard.
         budget_amps = min(MAX_BATCH_AMPLITUDES, max(1, max_batch_bytes // 16))
     per_chunk = max(1, budget_amps // 2**n_qubits)
     return [
         (start, min(start + per_chunk, n_batch))
         for start in range(0, n_batch, per_chunk)
     ]
-
-
-#: Axis permutations keyed by ``(n_qubits, qubits)``.  Module-level so the
-#: cache survives across the short-lived :class:`BatchedStatevectorSimulator`
-#: instances the machine constructs per call — one build per gate-target
-#: pattern per register width, ever.
-_PERM_CACHE: dict[
-    tuple[int, tuple[int, ...]], tuple[tuple[int, ...], tuple[int, ...]]
-] = {}
-
-#: How many permutations have been derived (cache misses); exposed via
-#: :func:`permutation_cache_info` so plan-reuse tests can assert that a
-#: warm path performs no rebuilds.
-_PERM_BUILDS = 0
-
-
-def axis_permutations(
-    n_qubits: int, qubits: tuple[int, ...]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Axis permutations pulling ``qubits`` to the front of a batched state.
-
-    Returns ``(forward, inverse)`` for a ``(B, 2, ..., 2)`` state tensor
-    (batch axis first): ``forward`` moves the target-qubit axes directly
-    behind the batch axis, ``inverse`` undoes it.  Results are cached at
-    module level, keyed by ``(n_qubits, qubits)``.
-    """
-    global _PERM_BUILDS
-    key = (n_qubits, qubits)
-    cached = _PERM_CACHE.get(key)
-    if cached is None:
-        rest = [1 + q for q in range(n_qubits) if q not in qubits]
-        forward = (0, *(1 + q for q in qubits), *rest)
-        order = np.argsort(forward)
-        inverse = tuple(int(i) for i in order)
-        cached = (forward, inverse)
-        _PERM_CACHE[key] = cached
-        _PERM_BUILDS += 1
-    return cached
-
-
-def permutation_cache_info() -> dict[str, int]:
-    """Occupancy and build count of the module-level permutation cache."""
-    return {"entries": len(_PERM_CACHE), "builds": _PERM_BUILDS}
 
 
 def check_bitstring(bitstring: int, n_qubits: int) -> None:
@@ -258,25 +248,6 @@ def subregister_bitstring(
     return sub, False
 
 
-def circuits_aligned(circuits: list[Circuit]) -> bool:
-    """True if all circuits share one op skeleton (gate names and qubits).
-
-    Noise realizations of the same nominal circuit differ only in gate
-    *parameters*; their op lists align slot by slot, which lets the whole
-    batch evolve through one fused gate application per slot.
-    """
-    if not circuits:
-        return False
-    first = circuits[0]
-    for other in circuits[1:]:
-        if other.n_qubits != first.n_qubits or len(other.ops) != len(first.ops):
-            return False
-        for a, b in zip(first.ops, other.ops):
-            if a.gate != b.gate or a.qubits != b.qubits:
-                return False
-    return True
-
-
 def batched_matrices_from_params(gate: str, params: np.ndarray) -> np.ndarray:
     """Gate matrices for one op slot from a ``(B, n_params)`` array.
 
@@ -308,149 +279,3 @@ def batched_matrices_from_params(gate: str, params: np.ndarray) -> np.ndarray:
         raise ValueError(f"gate {gate!r} has no batched construction")
     matrix = fixed[gate]
     return np.broadcast_to(matrix, (n_batch,) + matrix.shape)
-
-
-def batched_matrices(ops: list[Operation]) -> np.ndarray:
-    """Gate matrices for one op slot across the batch, shape ``(B, d, d)``."""
-    params = np.array([op.params for op in ops], dtype=float).reshape(
-        len(ops), -1
-    )
-    return batched_matrices_from_params(ops[0].gate, params)
-
-
-class BatchedStatevectorSimulator:
-    """Evolves ``batch`` dense statevectors through aligned circuits at once.
-
-    Used for noise-realization batching: the B realized circuits of one
-    nominal circuit share an op skeleton, so each op slot applies a
-    ``(B, d, d)`` stack of gates to a ``(B, 2^n)`` state block with a single
-    einsum instead of B separate axis-shuffling gate applications.
-
-    Parameters
-    ----------
-    n_qubits:
-        Register width per batch entry.
-    batch:
-        Number of simultaneously evolved statevectors.
-    max_batch_bytes:
-        Optional memory budget for the state block (complex128 bytes);
-        tighter than the global cap, it lets callers bound peak memory
-        explicitly and chunk realization groups with
-        :func:`realization_chunks`.  Like that helper, a single
-        realization is always accepted (the per-state dense cap governs
-        it), so chunks the helper emits are always constructible.
-    """
-
-    def __init__(
-        self, n_qubits: int, batch: int, max_batch_bytes: int | None = None
-    ):
-        if n_qubits < 1:
-            raise ValueError("need at least one qubit")
-        if n_qubits > MAX_DENSE_QUBITS:
-            raise ValueError(
-                f"{n_qubits} qubits exceeds dense limit of {MAX_DENSE_QUBITS}"
-            )
-        if batch < 1:
-            raise ValueError("batch must be positive")
-        if batch * 2**n_qubits > MAX_BATCH_AMPLITUDES:
-            raise ValueError(
-                f"batch of {batch} states on {n_qubits} qubits exceeds the "
-                f"combined amplitude cap (2^{MAX_BATCH_AMPLITUDES.bit_length() - 1})"
-            )
-        if max_batch_bytes is not None:
-            budget_amps = max(1, max_batch_bytes // 16)
-            if batch > max(1, budget_amps // 2**n_qubits):
-                raise ValueError(
-                    f"batch of {batch} states on {n_qubits} qubits exceeds "
-                    f"the {max_batch_bytes}-byte budget; chunk realization "
-                    "groups with realization_chunks()"
-                )
-        self.n_qubits = n_qubits
-        self.batch = batch
-        self.states = np.zeros((batch, 2**n_qubits), dtype=complex)
-        self.states[:, 0] = 1.0
-
-    def _permutations(
-        self, qubits: tuple[int, ...]
-    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Axis permutations pulling ``qubits`` to the front (and back).
-
-        Served from the module-level cache (:func:`axis_permutations`), so
-        the derivation survives across the per-call simulator instances
-        the virtual machine constructs in its trial loops.
-        """
-        return axis_permutations(self.n_qubits, qubits)
-
-    def apply_gates(self, us: np.ndarray, qubits: tuple[int, ...]) -> None:
-        """Apply per-batch-entry gates ``us`` (shape ``(B, d, d)``) in place."""
-        k = len(qubits)
-        if us.shape != (self.batch, 2**k, 2**k):
-            raise ValueError(
-                f"gate stack shape {us.shape} does not act on {k} qubits "
-                f"for batch {self.batch}"
-            )
-        n = self.n_qubits
-        forward, inverse = self._permutations(qubits)
-        psi = self.states.reshape((self.batch,) + (2,) * n)
-        psi = psi.transpose(forward)
-        shape = psi.shape
-        psi = psi.reshape(self.batch, 2**k, -1)
-        psi = np.matmul(us, psi)
-        psi = psi.reshape(shape).transpose(inverse)
-        self.states = np.ascontiguousarray(psi).reshape(self.batch, -1)
-
-    def run_aligned(self, circuits: list[Circuit]) -> np.ndarray:
-        """Evolve every batch entry through its circuit; returns the states.
-
-        The circuits must satisfy :func:`circuits_aligned` and match the
-        batch size.
-        """
-        if len(circuits) != self.batch:
-            raise ValueError(
-                f"{len(circuits)} circuits for a batch of {self.batch}"
-            )
-        if circuits[0].n_qubits != self.n_qubits:
-            raise ValueError(
-                f"circuits are on {circuits[0].n_qubits} qubits, "
-                f"simulator on {self.n_qubits}"
-            )
-        if not circuits_aligned(circuits):
-            raise ValueError("circuits do not share an op skeleton")
-        for slot in range(len(circuits[0].ops)):
-            ops = [c.ops[slot] for c in circuits]
-            self.apply_gates(batched_matrices(ops), ops[0].qubits)
-        return self.states
-
-    def probabilities(self) -> np.ndarray:
-        """Measurement probabilities, shape ``(B, 2^n)``."""
-        return np.abs(self.states) ** 2
-
-    def probability_of(self, bitstring: int) -> np.ndarray:
-        """Per-batch-entry probability of one basis state, shape ``(B,)``."""
-        return np.abs(self.states[:, bitstring]) ** 2
-
-    def sample_counts_per_entry(
-        self, shots_per_entry: list[int], rng: np.random.Generator
-    ) -> list[Counts]:
-        """One multinomial counts map per batch entry.
-
-        All entries are drawn with a single stacked multinomial over the
-        ``(B, 2^n)`` probability block — one RNG call instead of one per
-        entry (equivalent in distribution; the stream is consumed in a
-        different order than a per-entry loop).
-        """
-        if len(shots_per_entry) != self.batch:
-            raise ValueError("need one shot count per batch entry")
-        shots = np.asarray(shots_per_entry, dtype=np.int64)
-        if np.any(shots <= 0):
-            raise ValueError("shots must be positive")
-        probs = np.clip(self.probabilities(), 0.0, None)
-        totals = probs.sum(axis=1, keepdims=True)
-        if np.any(totals <= 0):
-            raise ValueError("probability vector sums to zero")
-        draws = rng.multinomial(shots, probs / totals)
-        rows, cols = np.nonzero(draws)
-        out: list[Counts] = [{} for _ in range(self.batch)]
-        for b, k in zip(rows, cols):
-            out[b][int(k)] = int(draws[b, k])
-        return out

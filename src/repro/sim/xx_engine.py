@@ -50,7 +50,6 @@ __all__ = [
     "CouplingTerms",
     "CompiledPlan",
     "ContractionPlan",
-    "MAX_PLAN_BYTES",
     "batch_amplitudes_from_terms",
     "set_spin_table_cache_bytes",
     "spin_table_cache_info",
@@ -315,10 +314,10 @@ class _PlanComponent:
     ``blocks`` holds the pre-chunked spin-table artifacts: the float64
     ``(E, S)`` pair-product matrix and ``(L, S)`` linear-spin matrix,
     both scaled by the phase's ``-1/2``, and the ``(S,)`` character
-    vector scaled by the weight.  When ``blocks`` is ``None`` (a large
-    streaming plan) the same arrays are rebuilt per evaluation from the
-    index arrays, trading repeat-evaluation speed for zero resident
-    block memory.
+    vector scaled by the weight.  When ``blocks`` is ``None`` (a plan
+    above the resident bound) the same arrays are rebuilt per evaluation
+    from the index arrays, trading repeat-evaluation speed for zero
+    resident block memory.
     """
 
     weight: float
@@ -391,14 +390,10 @@ def _spin_blocks(
     return pair, lin, chi
 
 
-#: Resident-byte bound for one plan's cached blocks.  Compilation above
-#: this raises ``ValueError`` so callers fall back to the per-call
-#: evaluation path instead of pinning gigabytes of pair products.
-MAX_PLAN_BYTES = 512 * 1024 * 1024
-
-#: Streaming plans at or under this many block bytes keep their blocks
-#: resident anyway: rebuilding them costs more than the contraction, and
-#: the bound keeps the 1024-entry compiled-test cache under 64 MiB.
+#: Plans at or under this many block bytes keep their blocks resident:
+#: rebuilding them costs more than the contraction.  Larger plans stream
+#: their blocks per evaluation, which keeps the 1024-entry compiled-test
+#: cache under 64 MiB.
 _RESIDENT_PLAN_BYTES = 64 * 1024
 
 
@@ -431,18 +426,10 @@ class ContractionPlan:
     max_exact_qubits:
         Components above this size raise ``ValueError`` (callers fall
         back to per-realization Monte-Carlo evaluation).
-    max_plan_bytes:
-        Resident-byte bound for the cached blocks (default
-        :data:`MAX_PLAN_BYTES`); precomputing structures whose blocks
-        would exceed it raise ``ValueError`` before anything is
-        materialized.
-    precompute:
-        ``True`` (the default) caches the spin blocks for repeated
-        evaluation.  ``False`` makes a streaming plan: blocks of at most
-        :data:`_RESIDENT_PLAN_BYTES` (and ``max_plan_bytes``) are still
-        cached, larger ones are rebuilt transiently per evaluation.  A
-        streaming plan never raises for its size.  Both modes hold the
-        same block values, so their results are ``==``.
+
+    Blocks of at most :data:`_RESIDENT_PLAN_BYTES` in total stay
+    resident; larger ones are rebuilt transiently per evaluation.  Both
+    hold the same block values, so their results are ``==``.
     """
 
     def __init__(
@@ -452,8 +439,6 @@ class ContractionPlan:
         linear_keys: list[int],
         bitstring: int,
         max_exact_qubits: int = 20,
-        max_plan_bytes: int = MAX_PLAN_BYTES,
-        precompute: bool = True,
     ):
         if not 0 <= bitstring < 2**n_qubits:
             raise ValueError("bitstring out of range")
@@ -502,15 +487,7 @@ class ContractionPlan:
         plan_bytes = sum(
             8 * rows * (n_edges + n_lin + 1) for _, rows, n_edges, n_lin in shapes
         )
-        if precompute and plan_bytes > max_plan_bytes:
-            raise ValueError(
-                f"plan blocks would pin {plan_bytes} resident bytes "
-                f"(bound {max_plan_bytes}); use a streaming plan "
-                "(precompute=False) or the per-call evaluation path"
-            )
-        resident = precompute or plan_bytes <= min(
-            _RESIDENT_PLAN_BYTES, max_plan_bytes
-        )
+        resident = plan_bytes <= _RESIDENT_PLAN_BYTES
         self._components = tuple(
             self._compile_component(comp, rows, z_bits, resident)
             for comp, rows, _, _ in shapes
@@ -760,13 +737,12 @@ def batch_amplitudes_from_terms(
     ``(G,)`` values in both dicts).  Every coupling-graph component is
     summed once over its shared spin table, contracting all G realization
     rows in a single matmul.  Internally this builds a one-shot
-    *streaming* :class:`ContractionPlan` and discards it after the call,
-    so it computes exactly what the machine's cached plans compute.  The
-    virtual machine's ``run_match`` keeps one plan per test structure in
-    its compiled-test cache, so this serves only its per-call slot path
-    (the oracle the compiled routes are checked against); callers
-    evaluating the same structure repeatedly should build and reuse a
-    plan themselves (see :class:`~repro.trap.machine.CompiledBattery`).
+    :class:`ContractionPlan` and discards it after the call, so it
+    computes exactly what the machine's cached plans compute.  The
+    virtual machine's ``run_match`` and batteries share one plan per test
+    structure in its compiled-test cache, so this serves only its
+    per-call slot path (the oracle the compiled routes are checked
+    against).
 
     ``max_batch_bytes`` chunks the realization rows so transient memory
     stays bounded for very large batches (full-size N = 32 runs).
@@ -787,7 +763,6 @@ def batch_amplitudes_from_terms(
         linear_keys,
         bitstring,
         max_exact_qubits=max_exact_qubits,
-        precompute=False,
     )
     thetas = (
         np.stack([edge_angles[e] for e in edge_keys], axis=1)

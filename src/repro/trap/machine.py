@@ -20,10 +20,12 @@ one of two shared, bounded caches:
 
 * ``_compiled_xx_test`` maps (machine size, exact-summation limit,
   nominal ops, expected bitstring) to the test's edge columns, nominal
-  angles and phases, static RX/X angles and a streaming
-  :class:`~repro.sim.xx_engine.ContractionPlan` (small plans keep their
-  spin blocks resident), so an XX call only draws its amplitude noise,
-  forms the ``(G, E)`` angle matrix and contracts.
+  angles, drive phases and axis signs, static RX/X angles and a
+  :class:`~repro.sim.xx_engine.ContractionPlan` (spin blocks resident up
+  to 64 KiB, streamed above).  An XX call takes each slot's
+  calibrated angle (:meth:`VirtualIonTrap._xx_slot_angles`), draws its
+  amplitude noise, forms the ``(G, E)`` angle matrix and contracts
+  (:meth:`VirtualIonTrap._xx_probabilities`).
 * ``_compiled_dense_test`` maps (machine size, nominal ops, residual
   kicks on) to the test's couplings, per-MS-slot columns, angles, phases
   and targets, R and fixed-gate parameters, slot skeleton and the index
@@ -39,10 +41,11 @@ grid, non-XX gates, components above ``max_exact_qubits``); a dense draw
 that still stays X-diagonal is evaluated on the slot XX path, and a
 component above ``max_exact_qubits`` falls back to a per-realization
 Monte-Carlo :class:`~repro.sim.xx_engine.XXCircuitEvaluator`.
-A :class:`CompiledBattery` keeps each test's dense layout from its first
-dense call on.  ``_realize_slots`` builds the same draws as :class:`RealizedSlot`
-objects: it serves ``run`` and is the one oracle the compiled routes are
-tested against, bit for bit.
+A :class:`CompiledBattery` shares both caches: it holds each test's XX
+entry from construction and its dense layout from its first dense call
+on, and evaluates through the same two routes.  ``_realize_slots`` builds
+the same draws as :class:`RealizedSlot` objects: it serves ``run`` and is
+the one oracle the compiled routes are tested against, bit for bit.
 
 Shot batching: stochastic noise is re-drawn per *realization group* rather
 than per shot (control noise varies slowly compared to a ~ms shot cycle);
@@ -281,10 +284,17 @@ class VirtualIonTrap:
             else 1.0
         )
         groups = self._shot_groups(shots, realizations)
-        p_match_all = self._compiled_match_probabilities(
-            circuit, expected, len(groups)
+        test = (
+            _compiled_xx_test(
+                self.n_qubits, self.max_exact_qubits, tuple(circuit.ops), expected
+            )
+            if self.noise.is_xx_preserving()
+            else None
         )
-        if p_match_all is None:
+        angles = self._xx_slot_angles(test)
+        if angles is not None:
+            p_match_all = self._xx_probabilities(test, angles, len(groups))[0]
+        else:
             p_match_all = self._dense_test_probabilities(
                 self._dense_test(tuple(circuit.ops)), expected, len(groups)
             )
@@ -309,25 +319,22 @@ class VirtualIonTrap:
 
     # -- compiled XX route -------------------------------------------------------
 
-    def _compiled_match_probabilities(
-        self, circuit: Circuit, expected: int, n_batch: int
+    def _xx_slot_angles(
+        self,
+        test: "_CompiledXXTest | None",
+        sweep: tuple[Pair | tuple[int, int], np.ndarray] | None = None,
     ) -> np.ndarray | None:
-        """Match probabilities through the shared compiled-test cache.
+        """The XX route's eligibility step: each slot's calibrated angle.
 
-        Returns ``None`` (nothing drawn, clock untouched) when the slot
-        path must run instead.  Otherwise replicates exactly what
-        :meth:`_realize_slots` followed by :meth:`_match_probabilities_slots`
-        computes on the XX route: one ``(n_ms, G)`` amplitude-noise draw,
-        each slot's angle as ``theta * (1 - u) * (1 + xi)``, per-edge
-        accumulation in slot order and the same clock advance.  Equal
-        realized drive phases make the X-basis axis sign exactly +1.
+        Returns ``None`` (nothing drawn, clock untouched) when the route
+        declines: no compiled XX test, non-XX-preserving noise, or a
+        realized drive phase off the pi grid.  Otherwise returns the
+        ``(n_ms, M)`` angles ``sign * theta * (1 - u)`` of every MS/XX
+        slot, with the X-basis axis sign of its realized drive phases.
+        ``M`` is 1, or with ``sweep = (pair, magnitudes)`` one column per
+        magnitude, each replacing ``pair``'s under-rotation.
         """
-        if not self.noise.is_xx_preserving():
-            return None
-        test = _compiled_xx_test(
-            self.n_qubits, self.max_exact_qubits, tuple(circuit.ops), expected
-        )
-        if test is None:
+        if test is None or not self.noise.is_xx_preserving():
             return None
         unders = np.empty(len(test.pairs))
         offsets = np.empty(len(test.pairs))
@@ -335,23 +342,62 @@ class VirtualIonTrap:
             unders[col] = self.calibration.under_rotation(pair)
             offsets[col] = self.calibration.phase_offset(pair)
         if offsets.any():
-            realized = test.slot_phase + offsets[test.slot_edge]
-            if not np.all(is_multiple_of_pi(realized)):
+            phi1 = test.slot_phi1 + offsets[test.slot_edge]
+            phi2 = test.slot_phi2 + offsets[test.slot_edge]
+            if not (
+                np.all(is_multiple_of_pi(phi1)) and np.all(is_multiple_of_pi(phi2))
+            ):
                 return None
-        elif not test.nominal_xx:
+            theta = ms_axis_sign(phi1, phi2) * test.slot_theta
+        elif test.slot_sign is None:
             return None
-        n_ms = test.slot_theta.size
-        angles = (test.slot_theta * (1.0 - unders[test.slot_edge]))[:, None]
+        else:
+            theta = test.slot_sign * test.slot_theta
+        if sweep is None:
+            return (theta * (1.0 - unders[test.slot_edge]))[:, None]
+        pair, magnitudes = sweep
+        try:
+            col = test.pairs.index(frozenset(pair))
+        except ValueError:
+            raise ValueError(
+                f"pair {sorted(pair)} is not exercised by this test"
+            ) from None
+        edge_unders = np.repeat(unders[:, None], len(magnitudes), axis=1)
+        edge_unders[col] = magnitudes
+        return theta[:, None] * (1.0 - edge_unders[test.slot_edge])
+
+    def _xx_probabilities(
+        self, test: "_CompiledXXTest", slot_angles: np.ndarray, n_batch: int
+    ) -> np.ndarray:
+        """Match probabilities of ``n_batch`` draws: shape ``(M, n_batch)``.
+
+        The one XX draw: ``slot_angles`` (from :meth:`_xx_slot_angles`)
+        times ``1 + xi`` for one ``(n_ms, n_batch)`` amplitude-noise draw
+        shared by all ``M`` columns, accumulated per edge in slot order
+        and contracted as one stacked ``(M * n_batch, E)`` batch.  Draw,
+        arithmetic and clock advance are those of :meth:`_realize_slots`
+        followed by :meth:`_match_probabilities_slots`, so each row is
+        bit-identical to that oracle.
+        """
+        n_ms, n_cols = slot_angles.shape
+        angles = slot_angles[:, :, None]
         sigma = self.noise.amplitude_sigma
         if sigma > 0 and n_ms:
-            angles = angles * (1.0 + self.rng.normal(0.0, sigma, (n_ms, n_batch)))
-        acc = np.zeros((len(test.pairs), n_batch))
-        np.add.at(acc, test.slot_edge, np.broadcast_to(angles, (n_ms, n_batch)))
-        lin = np.tile(test.linear, (n_batch, 1)) if test.linear.size else None
-        self._clock += n_batch * n_ms * self.timing.gate_time(self.n_qubits)
-        return test.plan.probabilities(
-            np.ascontiguousarray(acc.T), lin, self.max_batch_bytes
+            xi = self.rng.normal(0.0, sigma, (n_ms, n_batch))
+            angles = angles * (1.0 + xi[:, None, :])
+        acc = np.zeros((len(test.pairs), n_cols, n_batch))
+        np.add.at(
+            acc, test.slot_edge, np.broadcast_to(angles, (n_ms, n_cols, n_batch))
         )
+        rows = n_cols * n_batch
+        lin = np.tile(test.linear, (rows, 1)) if test.linear.size else None
+        self._clock += n_batch * n_ms * self.timing.gate_time(self.n_qubits)
+        probs = test.plan.probabilities(
+            np.ascontiguousarray(acc.reshape(len(test.pairs), rows).T),
+            lin,
+            self.max_batch_bytes,
+        )
+        return probs.reshape(n_cols, n_batch)
 
     # -- batched (slot-based) realization and evaluation ---------------------------
 
@@ -372,34 +418,36 @@ class VirtualIonTrap:
         # Block draws: every MS slot's amplitude noise comes from one RNG
         # call, every residual kick from another — circuit depth adds
         # array rows, not Python calls.
-        ms_specs: list[tuple[int, int, float, float, float]] = []
+        ms_specs: list[tuple[int, int, float, float, float, float]] = []
         for op in circuit.ops:
             if op.gate in ("MS", "XX"):
                 q1, q2 = op.qubits
-                phase_offset = op.params[1] if op.gate == "MS" else 0.0
+                phi1, phi2 = op.params[1:] if op.gate == "MS" else (0.0, 0.0)
                 # Deterministic drive-phase miscalibration of this
                 # coupling (the phase-fault scenario species): applied to
                 # the physical MS drive realizing either abstraction.
-                phase_offset += self.calibration.phase_offset((q1, q2))
+                offset = self.calibration.phase_offset((q1, q2))
                 ms_specs.append(
                     (
                         q1,
                         q2,
                         op.params[0],
                         self.calibration.under_rotation((q1, q2)),
-                        phase_offset,
+                        phi1 + offset,
+                        phi2 + offset,
                     )
                 )
         ms_params = None
         if n_ms:
-            q1s, q2s, thetas, unders, offsets = zip(*ms_specs)
+            q1s, q2s, thetas, unders, phi1s, phi2s = zip(*ms_specs)
             ts_block = start[None, :] + np.arange(n_ms)[:, None] * gate_dt
             ms_params = self.noise_model.noisy_ms_params_block(
                 np.array(q1s, dtype=np.intp),
                 np.array(q2s, dtype=np.intp),
                 np.array(thetas, dtype=float),
                 np.array(unders, dtype=float),
-                np.array(offsets, dtype=float),
+                np.array(phi1s, dtype=float),
+                np.array(phi2s, dtype=float),
                 ts_block,
             )
         kick_params = None
@@ -475,13 +523,14 @@ class VirtualIonTrap:
             offsets = np.array(
                 [self.calibration.phase_offset(p) for p in test.pairs],
                 dtype=float,
-            )
+            )[test.ms_edge]
             blocks["MS"] = self.noise_model.noisy_ms_params_block(
                 test.ms_q1,
                 test.ms_q2,
                 test.ms_theta,
                 unders[test.ms_edge],
-                test.ms_phase + offsets[test.ms_edge],
+                test.ms_phi1 + offsets,
+                test.ms_phi2 + offsets,
                 start[None, :] + np.arange(n_ms)[:, None] * gate_dt,
             )
             if test.kicks:
@@ -731,69 +780,54 @@ class VirtualIonTrap:
 
 @dataclass(frozen=True)
 class CompiledTest:
-    """Circuit-static artifacts of one test inside a :class:`CompiledBattery`.
+    """One test of a :class:`CompiledBattery`.
 
-    ``pairs`` fixes the theta-column order of the contraction plan;
-    ``slot_edge``/``slot_theta``/``slot_sign`` map each MS/XX application
-    to its column, nominal angle and X-basis axis sign, so realizing a
-    noise batch reduces to one scaled accumulation per edge.  ``linear``
-    carries the static RX/X angles (per ``plan.linear_keys`` order).
-
-    ``plan`` is ``None`` for tests whose nominal circuit is not XX-only;
-    those (and any test evaluated under non-XX-preserving noise) dispatch
-    to a cached :class:`~repro.sim.dense_plan.DensePlan` instead.
+    ``xx`` is the test's entry in the machine's compiled XX cache, looked
+    up once when the battery is built; it is ``None`` for tests with
+    non-XX gates, which always evaluate densely.
     """
 
     circuit: Circuit
     expected: int
-    pairs: tuple[Pair, ...]
-    slot_edge: np.ndarray
-    slot_theta: np.ndarray
-    slot_sign: np.ndarray
-    linear: np.ndarray
-    plan: ContractionPlan | None
     two_qubit_depth: int
+    xx: _CompiledXXTest | None
 
 
 class CompiledBattery:
-    """A test battery with all circuit-static work hoisted out of the hot loop.
+    """A test battery evaluated through the machine's compiled routes.
 
-    The paper's protocol compiles its non-adaptive battery once and then
-    runs it over and over; the PR 1 simulation paths instead re-extracted
-    coupling terms, rebuilt connected components and re-multiplied spin
-    columns for every trial of every sweep point.  A ``CompiledBattery``
-    performs that work once per test — term extraction, component
-    discovery, spin-table pair-product blocks, expected-bitstring
-    characters — and evaluates **all noise realizations of all trials**
-    (and, via :meth:`sweep_fidelities`, all magnitude sweep points)
-    against the cached :class:`~repro.sim.xx_engine.ContractionPlan`.
+    The paper compiles its non-adaptive battery once and runs it over
+    and over (Secs. VI/VII).  A ``CompiledBattery`` holds each test's
+    compiled structure and evaluates **all noise realizations of all
+    trials** of a test in one pass, with exactly the arithmetic
+    ``run_match`` uses for a single test:
 
-    Batteries are machine-independent: compilation fixes only circuit
-    structure, so one battery serves many machines, calibration snapshots
-    and sweep points.  Trial evaluation dispatches per machine: under
-    XX-preserving noise (amplitude noise only — the Sec. VII scaling
-    setting) the cached :class:`~repro.sim.xx_engine.ContractionPlan`
-    evaluates the whole batch exactly; under the full Sec. VI error model
-    (phase noise, residual kicks — the Figs. 6/7 setting) the realized
-    slots fall off the XX form and the test transparently dispatches to a
-    cached :class:`~repro.sim.dense_plan.DensePlan`, stacking all trials
-    and realization groups into one chunked dense batch.  The battery
-    keeps each test's compiled dense layout from its first dense call
-    on, so a dense call only draws noise into it — no slot objects, no
-    skeleton rebuilt or hashed.  Magnitude sweeps
-    (:meth:`sweep_fidelities`) remain XX-only.
+    * the XX route: at construction every test takes its
+      ``_compiled_xx_test`` entry (edge columns, nominal angles and
+      phases, contraction plan), and each call goes through the
+      machine's :meth:`VirtualIonTrap._xx_slot_angles` and
+      :meth:`VirtualIonTrap._xx_probabilities`.  Magnitude sweeps
+      (:meth:`sweep_fidelities`) are one stacked contraction on it.
+    * the dense route, when the XX route declines (non-XX-preserving
+      noise such as the Sec. VI error model, drive phases off the pi
+      grid, non-XX gates): the test's ``_compiled_dense_test`` layout,
+      held from its first dense call on, and a
+      :class:`~repro.sim.dense_plan.DensePlan` from the battery's own
+      plan cache, which survives across trial machines.
+
+    Batteries are machine-independent: one battery serves many machines,
+    calibration snapshots and sweep points.
 
     Parameters
     ----------
     n_qubits:
         Register width shared by all tests.
     items:
-        ``(circuit, expected_bitstring)`` pairs.  XX-only circuits
-        (MS/XX/RX/X with pi-multiple MS phases) compile a contraction
-        plan; anything else compiles as a dense-only test.
+        ``(circuit, expected_bitstring)`` pairs.
     max_exact_qubits:
-        Largest coupling component compiled exactly; bigger components
-        raise ``ValueError`` (callers fall back to the uncompiled path).
+        Largest coupling component compiled exactly; an XX-only test
+        with a bigger component raises ``ValueError`` (callers fall back
+        to the uncompiled path).
     """
 
     def __init__(
@@ -813,188 +847,35 @@ class CompiledBattery:
         #: batteries that never leave the XX route hold no dense layouts.
         self._dense_tests: dict[tuple[int, bool], _CompiledDenseTest] = {}
 
-    # -- compilation -----------------------------------------------------------
-
     def _compile(self, circuit: Circuit, expected: int) -> CompiledTest:
-        """Hoist one circuit's structure into a :class:`CompiledTest`."""
+        """One item as a :class:`CompiledTest`, its XX entry looked up once."""
         if circuit.n_qubits != self.n_qubits:
             raise ValueError(
                 f"circuit is on {circuit.n_qubits} qubits, "
                 f"battery on {self.n_qubits}"
             )
         check_bitstring(expected, self.n_qubits)
-        if not circuit.is_xx_only():
-            # No XX structure to contract: the test is dense-only and
-            # always evaluates through its DensePlan.
-            return CompiledTest(
-                circuit=circuit,
-                expected=expected,
-                pairs=(),
-                slot_edge=np.zeros(0, dtype=np.intp),
-                slot_theta=np.zeros(0),
-                slot_sign=np.zeros(0),
-                linear=np.zeros(0),
-                plan=None,
-                two_qubit_depth=circuit.depth_two_qubit(),
-            )
-        edge_index: dict[Pair, int] = {}
-        slot_edge: list[int] = []
-        slot_theta: list[float] = []
-        slot_sign: list[float] = []
-        linear_angles: dict[int, float] = {}
-        for op in circuit.ops:
-            if op.gate in ("MS", "XX"):
-                pair = frozenset(op.qubits)
-                col = edge_index.setdefault(pair, len(edge_index))
-                if op.gate == "MS":
-                    theta, phi1, phi2 = op.params
-                    sign = float(ms_axis_sign(phi1, phi2))
-                else:
-                    theta, sign = op.params[0], 1.0
-                slot_edge.append(col)
-                slot_theta.append(theta)
-                slot_sign.append(sign)
-            elif op.gate == "RX":
-                q = op.qubits[0]
-                linear_angles[q] = linear_angles.get(q, 0.0) + op.params[0]
-            elif op.gate == "X":
-                q = op.qubits[0]
-                linear_angles[q] = linear_angles.get(q, 0.0) + math.pi
-            else:
-                raise ValueError(
-                    f"gate {op.gate} is not supported by the compiled battery"
-                )
-        pairs = tuple(edge_index)
-        linear_keys = list(linear_angles)
-        plan = ContractionPlan(
-            self.n_qubits,
-            list(pairs),
-            linear_keys,
-            expected,
-            max_exact_qubits=self.max_exact_qubits,
+        xx = _compiled_xx_test(
+            self.n_qubits, self.max_exact_qubits, tuple(circuit.ops), expected
         )
-        return CompiledTest(
-            circuit=circuit,
-            expected=expected,
-            pairs=pairs,
-            slot_edge=np.array(slot_edge, dtype=np.intp),
-            slot_theta=np.array(slot_theta, dtype=np.float64),
-            slot_sign=np.array(slot_sign, dtype=np.float64),
-            linear=np.array(
-                [linear_angles[q] for q in linear_keys], dtype=np.float64
-            ),
-            plan=plan,
-            two_qubit_depth=circuit.depth_two_qubit(),
-        )
-
-    def edge_column(self, index: int, pair: Pair | tuple[int, int]) -> int:
-        """Theta-column of ``pair`` in test ``index`` (for sweeps)."""
-        key = frozenset(pair)
-        try:
-            return self.tests[index].pairs.index(key)
-        except ValueError:
+        if xx is None and circuit.is_xx_only():
             raise ValueError(
-                f"pair {sorted(key)} is not exercised by test {index}"
-            ) from None
-
-    # -- deterministic kernel --------------------------------------------------
-
-    def probabilities_from_noise(
-        self,
-        index: int,
-        xi: np.ndarray,
-        under: np.ndarray,
-        sweep_col: int | None = None,
-        magnitudes: np.ndarray | None = None,
-        max_batch_bytes: int | None = None,
-    ) -> np.ndarray:
-        """Match probabilities from explicit noise draws (no RNG, no machine).
-
-        Parameters
-        ----------
-        index:
-            Which compiled test to evaluate.
-        xi:
-            ``(n_ms, B)`` fractional amplitude errors, one row per MS/XX
-            slot in program order (the draws a reference realization
-            would apply as ``theta * (1 + xi)``).
-        under:
-            ``(E,)`` per-edge under-rotations, in ``tests[index].pairs``
-            order.
-        sweep_col, magnitudes:
-            Magnitude broadcasting: evaluate every value of
-            ``magnitudes`` as the under-rotation of edge ``sweep_col``.
-            The fault enters the X-basis phase linearly, so all M sweep
-            points share one stacked ``(M*B, E)`` contraction instead of
-            M independent evaluations.  Returns shape ``(M, B)``;
-            without a sweep, ``(B,)``.
-        max_batch_bytes:
-            Optional transient-memory budget for the contraction.
-        """
-        ct = self.tests[index]
-        if ct.plan is None:
-            raise ValueError(
-                "test compiled without an XX contraction plan; evaluate "
-                "it through trial_fidelities (dense dispatch)"
+                "a coupling component exceeds max_exact_qubits="
+                f"{self.max_exact_qubits}; evaluate the test uncompiled"
             )
-        xi = np.asarray(xi, dtype=np.float64)
-        n_ms = ct.slot_theta.size
-        if xi.ndim != 2 or xi.shape[0] != n_ms:
-            raise ValueError(f"xi must be ({n_ms}, B); got {xi.shape}")
-        n_batch = xi.shape[1]
-        under = np.asarray(under, dtype=np.float64)
-        if under.shape != (len(ct.pairs),):
-            raise ValueError(
-                f"under must carry one entry per edge ({len(ct.pairs)})"
-            )
-        noisy = (ct.slot_sign * ct.slot_theta)[:, None] * (1.0 + xi)
-        acc = np.zeros((len(ct.pairs), n_batch))
-        np.add.at(acc, ct.slot_edge, noisy)
-        lin = (
-            np.broadcast_to(ct.linear, (n_batch, ct.linear.size))
-            if ct.linear.size
-            else None
-        )
-        if magnitudes is None:
-            thetas = (acc * (1.0 - under)[:, None]).T
-            return ct.plan.probabilities(thetas, lin, max_batch_bytes)
-        if sweep_col is None or not 0 <= sweep_col < len(ct.pairs):
-            raise ValueError("magnitude sweep needs a valid sweep_col")
-        mags = np.asarray(magnitudes, dtype=np.float64)
-        base = (acc * (1.0 - under)[:, None]).T
-        stacked = np.broadcast_to(
-            base, (mags.size,) + base.shape
-        ).copy()
-        stacked[:, :, sweep_col] = acc[sweep_col][None, :] * (
-            1.0 - mags[:, None]
-        )
-        lin_stacked = (
-            np.broadcast_to(ct.linear, (mags.size * n_batch, ct.linear.size))
-            if ct.linear.size
-            else None
-        )
-        probs = ct.plan.probabilities(
-            stacked.reshape(mags.size * n_batch, -1),
-            lin_stacked,
-            max_batch_bytes,
-        )
-        return probs.reshape(mags.size, n_batch)
+        return CompiledTest(circuit, expected, circuit.depth_two_qubit(), xx)
 
     # -- machine-facing evaluation ---------------------------------------------
 
     def xx_eligible(self, machine: VirtualIonTrap, index: int) -> bool:
-        """True when test ``index`` can run on the exact XX engine.
+        """True when test ``index`` runs on the exact XX engine.
 
-        Requires an XX contraction plan (XX-only nominal circuit),
-        XX-preserving stochastic noise, *and* a calibration free of
-        drive-phase offsets — a phase-miscalibrated coupling moves
-        realizations off the XX form even under amplitude-only noise.
+        Requires an XX structure, XX-preserving stochastic noise and
+        realized drive phases on the pi grid: a coupling's drive-phase
+        offset off that grid moves realizations off the XX form even
+        under amplitude-only noise.
         """
-        return (
-            self.tests[index].plan is not None
-            and machine.noise.is_xx_preserving()
-            and not machine.calibration.has_phase_offsets()
-        )
+        return machine._xx_slot_angles(self.tests[index].xx) is not None
 
     def trial_fidelities(
         self,
@@ -1008,11 +889,11 @@ class CompiledBattery:
         """Measured fidelities of ``trials`` repeated runs of one test.
 
         All trials' noise-realization groups are drawn and evaluated in
-        one pass — contracted against the XX plan under XX-preserving
-        noise, or evolved as a single chunked dense batch through the
-        cached :class:`~repro.sim.dense_plan.DensePlan` otherwise; shots
-        are then sampled per (trial, group) with a single batched
-        binomial draw.  Statistically equivalent to ``trials`` calls of
+        one pass — on the XX route when it takes the test, otherwise as
+        a single chunked dense batch through the cached
+        :class:`~repro.sim.dense_plan.DensePlan` — and shots are then
+        sampled per (trial, group) with a single batched binomial draw.
+        Statistically equivalent to ``trials`` calls of
         ``TestExecutor.execute`` on the machine (the RNG stream is
         consumed in a different order).
 
@@ -1020,8 +901,7 @@ class CompiledBattery:
         :meth:`xx_eligible` (the default), ``"dense"`` forces the dense
         plan even for XX-preserving settings (scenario-matrix engine
         comparisons), ``"xx"`` demands the exact XX contraction and
-        raises ``ValueError`` when the setting requires the dense
-        fallback (non-XX noise, phase-miscalibrated couplings).
+        raises ``ValueError`` when the XX route declines the test.
         """
         ct, groups, probs = self._trial_probabilities(
             machine, index, shots, trials, realizations, engine
@@ -1042,33 +922,27 @@ class CompiledBattery:
     ) -> np.ndarray:
         """Fidelities of a magnitude sweep: shape ``(M, trials)``.
 
-        Every sweep point reuses the same noise draws (the broadcast is
-        over the fault magnitude only), so the whole ``(M, trials,
-        groups)`` grid costs one stacked contraction plus one batched
-        binomial draw.
+        Each magnitude replaces ``pair``'s under-rotation, and every
+        sweep point reuses the same noise draws, so the whole ``(M,
+        trials, groups)`` grid costs one stacked contraction plus one
+        batched binomial draw.  Sweeps run on the XX route only.
         """
         self._check_machine(machine)
         ct = self.tests[index]
-        if not self.xx_eligible(machine, index):
+        mags = np.asarray(magnitudes, dtype=np.float64)
+        angles = machine._xx_slot_angles(ct.xx, sweep=(pair, mags))
+        if angles is None:
             raise ValueError(
                 "magnitude sweeps require XX-preserving noise, an "
-                "XX-compilable test and phase-offset-free calibration "
+                "XX-compilable test and drive phases on the pi grid "
                 "(amplitude noise only); run the dense setting per "
                 "magnitude point via trial_fidelities"
             )
-        col = self.edge_column(index, pair)
-        mags = np.asarray(magnitudes, dtype=np.float64)
         groups = np.asarray(
             machine._shot_groups(shots, realizations), dtype=np.int64
         )
-        n_batch = trials * len(groups)
-        probs = self.probabilities_from_noise(
-            index,
-            self._draw_xi(machine, ct, n_batch),
-            self._current_under(machine, ct),
-            sweep_col=col,
-            magnitudes=mags,
-            max_batch_bytes=machine.max_batch_bytes,
+        probs = machine._xx_probabilities(
+            ct.xx, angles, trials * len(groups)
         ).reshape(mags.size, trials, len(groups))
         return self._sample_fidelities(machine, ct, probs, shots, groups)
 
@@ -1096,30 +970,24 @@ class CompiledBattery:
             )
         self._check_machine(machine)
         ct = self.tests[index]
-        eligible = self.xx_eligible(machine, index)
-        if engine == "xx" and not eligible:
+        angles = None if engine == "dense" else machine._xx_slot_angles(ct.xx)
+        if engine == "xx" and angles is None:
             raise ValueError(
                 "engine='xx' requested but the setting requires the dense "
                 "fallback (non-XX-preserving noise, a dense-only test, or "
-                "phase-miscalibrated couplings)"
+                "drive phases off the pi grid)"
             )
         groups = np.asarray(
             machine._shot_groups(shots, realizations), dtype=np.int64
         )
         n_batch = trials * len(groups)
-        if eligible and engine != "dense":
-            probs = self.probabilities_from_noise(
-                index,
-                self._draw_xi(machine, ct, n_batch),
-                self._current_under(machine, ct),
-                max_batch_bytes=machine.max_batch_bytes,
-            ).reshape(trials, len(groups))
+        if angles is not None:
+            probs = machine._xx_probabilities(ct.xx, angles, n_batch)
         else:
             probs = self._dense_trial_probabilities(
                 machine, index, n_batch, force=(engine == "dense")
             )
-            probs = probs.reshape(trials, len(groups))
-        return ct, groups, probs
+        return ct, groups, probs.reshape(trials, len(groups))
 
     def _dense_test(self, index: int, kicks: bool) -> "_CompiledDenseTest":
         """Test ``index``'s compiled dense layout, with or without kicks."""
@@ -1161,23 +1029,6 @@ class CompiledBattery:
             force=force,
         )
 
-    @staticmethod
-    def _draw_xi(
-        machine: VirtualIonTrap, ct: CompiledTest, n_batch: int
-    ) -> np.ndarray:
-        sigma = machine.noise.amplitude_sigma
-        n_ms = ct.slot_theta.size
-        if sigma > 0 and n_ms:
-            return machine.rng.normal(0.0, sigma, (n_ms, n_batch))
-        return np.zeros((n_ms, n_batch))
-
-    def _current_under(
-        self, machine: VirtualIonTrap, ct: CompiledTest
-    ) -> np.ndarray:
-        return np.array(
-            [machine.calibration.under_rotation(p) for p in ct.pairs]
-        )
-
     def _sample_fidelities(
         self,
         machine: VirtualIonTrap,
@@ -1213,29 +1064,31 @@ class CompiledBattery:
 
 @dataclass(frozen=True)
 class _CompiledXXTest:
-    """Machine-independent structure of one ``run_match`` XX test.
+    """Machine-independent structure of one XX test.
 
     ``pairs`` fixes the plan's edge-column order (first appearance);
-    ``slot_edge``/``slot_theta``/``slot_phase`` give each MS/XX
-    application's column, nominal angle and nominal drive phase, and
-    ``nominal_xx`` records whether those phases already sit on the pi
-    grid.  ``linear`` holds the static RX/X angle per ``plan.linear_keys``
-    entry, summed in program order.
+    ``slot_edge``/``slot_theta``/``slot_phi1``/``slot_phi2`` give each
+    MS/XX application's column, nominal angle and nominal drive phases
+    (0 for XX).  ``slot_sign`` holds the X-basis axis sign of those
+    phases, or is ``None`` when one sits off the pi grid.  ``linear``
+    holds the static RX/X angle per ``plan.linear_keys`` entry, summed
+    in program order.
     """
 
     pairs: tuple[Pair, ...]
     slot_edge: np.ndarray
     slot_theta: np.ndarray
-    slot_phase: np.ndarray
-    nominal_xx: bool
+    slot_phi1: np.ndarray
+    slot_phi2: np.ndarray
+    slot_sign: np.ndarray | None
     linear: np.ndarray
     plan: ContractionPlan
 
 
 #: Compiled XX tests kept per process; the least recently used entry is
-#: dropped first.  Entries hold streaming plans: index arrays plus, for
-#: plans under the 64 KiB resident-block bound, their spin blocks, so the
-#: full cache pins at most 64 MiB of blocks.
+#: dropped first.  Entries hold plans: index arrays plus, for plans under
+#: the 64 KiB resident-block bound, their spin blocks, so the full cache
+#: pins at most 64 MiB of blocks.
 _XX_TEST_CACHE_SIZE = 1024
 
 
@@ -1257,14 +1110,14 @@ def _compiled_xx_test(
     edge_index: dict[Pair, int] = {}
     slot_edge: list[int] = []
     slot_theta: list[float] = []
-    slot_phase: list[float] = []
+    slot_phases: list[tuple[float, float]] = []
     linear: dict[int, float] = {}
     for op in ops:
         if op.gate in ("MS", "XX"):
             col = edge_index.setdefault(frozenset(op.qubits), len(edge_index))
             slot_edge.append(col)
             slot_theta.append(op.params[0])
-            slot_phase.append(op.params[1] if op.gate == "MS" else 0.0)
+            slot_phases.append(op.params[1:] if op.gate == "MS" else (0.0, 0.0))
         elif op.gate == "RX":
             q = op.qubits[0]
             linear[q] = linear.get(q, 0.0) + op.params[0]
@@ -1280,17 +1133,21 @@ def _compiled_xx_test(
             list(linear),
             expected,
             max_exact_qubits=max_exact_qubits,
-            precompute=False,
         )
     except ValueError:
         return None
-    phases = np.array(slot_phase, dtype=np.float64)
+    phases = np.array(slot_phases, dtype=np.float64).reshape(len(slot_edge), 2)
     return _CompiledXXTest(
         pairs=tuple(edge_index),
         slot_edge=np.array(slot_edge, dtype=np.intp),
         slot_theta=np.array(slot_theta, dtype=np.float64),
-        slot_phase=phases,
-        nominal_xx=bool(np.all(is_multiple_of_pi(phases))),
+        slot_phi1=phases[:, 0].copy(),
+        slot_phi2=phases[:, 1].copy(),
+        slot_sign=(
+            ms_axis_sign(phases[:, 0], phases[:, 1])
+            if np.all(is_multiple_of_pi(phases))
+            else None
+        ),
         linear=np.array(list(linear.values()), dtype=np.float64),
         plan=plan,
     )
@@ -1302,7 +1159,8 @@ class _CompiledDenseTest:
 
     ``pairs`` lists the couplings in first-appearance order; each MS/XX
     application has its column (``ms_edge``), nominal angle, nominal
-    drive phase (0 for XX) and targets ``ms_q1``/``ms_q2``.  ``r_slots``
+    drive phases ``ms_phi1``/``ms_phi2`` (0 for XX) and targets
+    ``ms_q1``/``ms_q2``.  ``r_slots``
     holds each R gate's ``(qubit, theta, phi, MS slots before it)`` and
     ``static`` the ``(rows, 1, n_params)`` parameter rows of every other
     kind, in program order.  ``kicks`` says whether a residual-kick slot
@@ -1320,7 +1178,8 @@ class _CompiledDenseTest:
     pairs: tuple[Pair, ...]
     ms_edge: np.ndarray
     ms_theta: np.ndarray
-    ms_phase: np.ndarray
+    ms_phi1: np.ndarray
+    ms_phi2: np.ndarray
     ms_q1: np.ndarray
     ms_q2: np.ndarray
     kicks: bool
@@ -1365,7 +1224,7 @@ def _compiled_dense_test(
     edge_index: dict[Pair, int] = {}
     ms_edge: list[int] = []
     ms_theta: list[float] = []
-    ms_phase: list[float] = []
+    ms_phases: list[tuple[float, float]] = []
     ms_qubits: list[tuple[int, int]] = []
     r_slots: list[tuple[int, float, float, int]] = []
     static: dict[str, list[tuple[float, ...]]] = {}
@@ -1381,7 +1240,7 @@ def _compiled_dense_test(
                 edge_index.setdefault(frozenset(op.qubits), len(edge_index))
             )
             ms_theta.append(op.params[0])
-            ms_phase.append(op.params[1] if op.gate == "MS" else 0.0)
+            ms_phases.append(op.params[1:] if op.gate == "MS" else (0.0, 0.0))
             ms_qubits.append(op.qubits)
             skeleton.append(("MS", op.qubits))
             slot_rows.append(k)
@@ -1407,11 +1266,13 @@ def _compiled_dense_test(
     first_row = {"kick": 0, "r": 2 * n_ms if kicks else 0}
     r_order = [first_row[block] + i for block, i in r_rows]
     qubits = np.array(ms_qubits, dtype=np.intp).reshape(n_ms, 2)
+    phases = np.array(ms_phases, dtype=float).reshape(n_ms, 2)
     return _CompiledDenseTest(
         pairs=tuple(edge_index),
         ms_edge=np.array(ms_edge, dtype=np.intp),
         ms_theta=np.array(ms_theta, dtype=float),
-        ms_phase=np.array(ms_phase, dtype=float),
+        ms_phi1=phases[:, 0].copy(),
+        ms_phi2=phases[:, 1].copy(),
         ms_q1=qubits[:, 0].copy(),
         ms_q2=qubits[:, 1].copy(),
         kicks=kicks,

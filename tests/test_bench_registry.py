@@ -10,7 +10,7 @@ from repro.analysis import bench
 def test_run_bench_emits_valid_registry_record(tmp_path):
     payload, path = bench.run_bench(
         "smoke",
-        case_names=["xx-contraction-plan"],
+        case_names=["scenarios-compiled"],
         out_dir=tmp_path,
         label="test",
     )
@@ -19,7 +19,7 @@ def test_run_bench_emits_valid_registry_record(tmp_path):
     bench.validate_bench_payload(on_disk)
     assert on_disk["schema"] == bench.BENCH_SCHEMA_ID
     case = on_disk["cases"][0]
-    assert case["name"] == "xx-contraction-plan"
+    assert case["name"] == "scenarios-compiled"
     assert case["reference_seconds"] > 0
     assert case["optimized_seconds"] > 0
     assert case["speedup"] == pytest.approx(
@@ -39,7 +39,6 @@ def test_registered_cases_cover_the_headline_paths():
         "fig6-dense",
         "fig7-dense",
         "scenarios-compiled",
-        "xx-contraction-plan",
         "exec-overhead",
     }
 

@@ -1,90 +1,138 @@
-"""Compiled batteries and magnitude broadcasts must match the reference path.
+"""Compiled batteries evaluate through the machine's routes, bit for bit.
 
-The acceptance bar: probabilities computed through the cached
-:class:`~repro.sim.xx_engine.ContractionPlan` (and its stacked magnitude
-broadcast) agree with per-realization :class:`XXCircuitEvaluator` runs of
-the identically-realized circuits to 1e-9 — on the fig8 smoke grid specs
-and across a magnitude loop.
+A :class:`~repro.trap.machine.CompiledBattery` holds each test's compiled
+XX structure and evaluates it with ``run_match``'s own XX draw.  The
+oracle is the per-call slot path (``_realize_slots`` followed by
+``_match_probabilities_slots``) on a twin same-seed machine: trial
+probabilities must be ``==``-equal to it, with the same clock and RNG
+state afterwards.  A magnitude sweep row is a twin's XX run with that
+under-rotation set.
 """
+
+import math
 
 import numpy as np
 import pytest
 
 from repro.analysis.experiments.fig8 import class_test_for_pair
+from repro.core.multi_fault import battery_specs
 from repro.core.protocol import compile_test_battery
 from repro.core.tests_builder import build_test_circuit, expected_output
 from repro.noise.models import NoiseParameters
-from repro.sim.circuit import Circuit, Operation
+from repro.sim import xx_engine
+from repro.sim.circuit import Circuit
+from repro.sim.statevector import simulate
 from repro.sim.xx_engine import XXCircuitEvaluator
-from repro.trap.machine import VirtualIonTrap
+from repro.trap.faults import CouplingFault
+from repro.trap.machine import (
+    CompiledBattery,
+    VirtualIonTrap,
+    _skeleton,
+    slot_blocks,
+)
 
 
-def _reference_probabilities(battery, index, xi, under):
-    """Per-realization XXCircuitEvaluator probabilities for explicit draws."""
-    ct = battery.tests[index]
-    n = ct.circuit.n_qubits
-    probs = []
-    for g in range(xi.shape[1]):
-        realized = Circuit(n)
-        for k, op in enumerate(ct.circuit.ops):
-            col = int(ct.slot_edge[k])
-            theta = op.params[0] * (1.0 - under[col]) * (1.0 + xi[k, g])
-            realized.append(
-                Operation(op.gate, op.qubits, (theta,) + tuple(op.params[1:]))
-            )
-        probs.append(XXCircuitEvaluator(realized).probability_of(ct.expected))
-    return np.array(probs)
+def _twins(n_qubits, seed=5, under=(), **kwargs):
+    twins = []
+    for _ in range(2):
+        m = VirtualIonTrap(n_qubits, seed=seed, **kwargs)
+        for pair, value in under:
+            m.inject_fault(CouplingFault(frozenset(pair), value))
+        twins.append(m)
+    return twins
+
+
+def _slot_oracle(machine, circuit, expected, n_batch):
+    return machine._match_probabilities_slots(
+        machine._realize_slots(circuit, n_batch), expected
+    )
+
+
+def _assert_same_machine_state(a, b):
+    assert a._clock == b._clock
+    assert a.rng.bit_generator.state == b.rng.bit_generator.state
 
 
 @pytest.mark.parametrize("repetitions", [2, 4])
-def test_compiled_matches_reference_on_fig8_grid(repetitions, rng):
-    """Fig8 smoke-grid class tests: compiled == per-point reference to 1e-9."""
+def test_compiled_matches_reference_on_fig8_grid(repetitions):
+    """Fig8 smoke-grid class tests: battery trials == the slot oracle."""
     n_qubits = 8
     spec = class_test_for_pair(n_qubits, (0, 1), repetitions)
     battery = compile_test_battery(n_qubits, [spec])
     ct = battery.tests[0]
-    xi = rng.normal(0.0, 0.1, (ct.slot_theta.size, 12))
-    under = rng.uniform(0.0, 0.3, len(ct.pairs))
-    compiled = battery.probabilities_from_noise(0, xi, under)
-    reference = _reference_probabilities(battery, 0, xi, under)
-    assert np.max(np.abs(compiled - reference)) < 1e-9
+    compiled, oracle = _twins(
+        n_qubits, under=(((0, 1), 0.2), ((2, 3), -0.05)), noise_realizations=4
+    )
+    for trials in (1, 3):
+        _, _, probs = battery._trial_probabilities(
+            compiled, 0, 100, trials, None, engine="xx"
+        )
+        ref = _slot_oracle(oracle, ct.circuit, ct.expected, trials * 4)
+        assert probs.shape == (trials, 4)
+        assert (probs.ravel() == ref).all()
+        _assert_same_machine_state(compiled, oracle)
 
 
-def test_magnitude_broadcast_matches_per_point_loop(rng):
-    """A magnitude loop evaluated as one stacked broadcast == M point runs."""
+def test_magnitude_broadcast_matches_per_point_loop(monkeypatch):
+    """Each sweep row is a twin machine's XX run with that under-rotation.
+
+    The sweep feeds the shared contraction plan one stacked ``(M * B, E)``
+    angle block.  Its rows must be ``==`` to the angles a twin machine,
+    with that magnitude set as the under-rotation, feeds the same plan,
+    and the probabilities must agree to rounding: BLAS picks its kernel
+    by row count, so a stacked row and a ``B``-row call may differ in
+    the last bit.
+    """
     n_qubits = 8
     spec = class_test_for_pair(n_qubits, (0, 1), 4)
     battery = compile_test_battery(n_qubits, [spec])
-    ct = battery.tests[0]
-    col = battery.edge_column(0, (0, 1))
-    xi = rng.normal(0.0, 0.1, (ct.slot_theta.size, 6))
-    under = rng.uniform(0.0, 0.1, len(ct.pairs))
+    plan = battery.tests[0].xx.plan
     magnitudes = np.array([0.0, 0.05, 0.2, 0.35, 0.5])
-    broadcast = battery.probabilities_from_noise(
-        0, xi, under, sweep_col=col, magnitudes=magnitudes
+    under = (((0, 4), 0.07), ((0, 1), 0.1))
+    fed, sampled = [], []
+    evaluate, sample = plan.probabilities, battery._sample_fidelities
+
+    def capture_fed(thetas, *args):
+        fed.append(thetas)
+        return evaluate(thetas, *args)
+
+    def capture_sampled(machine, ct, probs, shots, groups):
+        sampled.append(probs)
+        return sample(machine, ct, probs, shots, groups)
+
+    monkeypatch.setattr(plan, "probabilities", capture_fed)
+    monkeypatch.setattr(battery, "_sample_fidelities", capture_sampled)
+    machine, _ = _twins(n_qubits, under=under, noise_realizations=3)
+    fids = battery.sweep_fidelities(
+        machine, 0, (0, 1), magnitudes, shots=100, trials=2
     )
-    assert broadcast.shape == (len(magnitudes), xi.shape[1])
-    for mi, magnitude in enumerate(magnitudes):
-        point_under = under.copy()
-        point_under[col] = magnitude
-        reference = _reference_probabilities(battery, 0, xi, point_under)
-        assert np.max(np.abs(broadcast[mi] - reference)) < 1e-9
+    assert fids.shape == (len(magnitudes), 2)
+    (stacked,), (sweep,) = fed, sampled
+    assert stacked.shape == (len(magnitudes) * 6, len(plan.edge_keys))
+    for k, magnitude in enumerate(magnitudes):
+        fed.clear()
+        twin, _ = _twins(n_qubits, under=under, noise_realizations=3)
+        twin.set_under_rotation((0, 1), magnitude)
+        _, _, probs = battery._trial_probabilities(twin, 0, 100, 2, None, "xx")
+        assert (stacked[6 * k : 6 * (k + 1)] == fed[0]).all()
+        assert np.max(np.abs(sweep[k] - probs)) < 1e-15
+        # The sweep drew (and timed) one batch, shared by every row.
+        assert twin._clock == machine._clock
 
 
-def test_broadcast_row_chunking_is_exact(rng):
+def test_broadcast_row_chunking_is_exact():
     """max_batch_bytes chunking changes memory, not results."""
     n_qubits = 8
     spec = class_test_for_pair(n_qubits, (0, 1), 2)
     battery = compile_test_battery(n_qubits, [spec])
-    ct = battery.tests[0]
-    xi = rng.normal(0.0, 0.1, (ct.slot_theta.size, 16))
-    under = np.zeros(len(ct.pairs))
-    full = battery.probabilities_from_noise(0, xi, under)
-    chunked = battery.probabilities_from_noise(
-        0, xi, under, max_batch_bytes=1
+    full, chunked = (
+        VirtualIonTrap(n_qubits, seed=3, max_batch_bytes=budget)
+        for budget in (None, 1)
     )
+    p_full = battery._trial_probabilities(full, 0, 100, 4, None)[2]
+    p_chunked = battery._trial_probabilities(chunked, 0, 100, 4, None)[2]
     # Chunk boundaries change the BLAS kernel, not the math.
-    assert np.max(np.abs(full - chunked)) < 1e-12
+    assert np.max(np.abs(p_full - p_chunked)) < 1e-12
 
 
 def test_trial_and_sweep_fidelities_shapes_and_accounting():
@@ -131,21 +179,35 @@ def test_battery_dispatches_and_rejects_appropriately():
     wrong_size = VirtualIonTrap(6, seed=0)
     with pytest.raises(ValueError, match="qubits"):
         battery.trial_fidelities(wrong_size, 0, shots=100, trials=1)
+    machine = VirtualIonTrap(n_qubits, seed=0)
+    state = machine.rng.bit_generator.state
     with pytest.raises(ValueError, match="not exercised"):
-        battery.edge_column(0, (0, 7))
-    # A dense-only circuit compiles without a contraction plan and still
-    # evaluates through the dense dispatch.
+        battery.sweep_fidelities(
+            machine, 0, (0, 7), np.array([0.1]), shots=100, trials=1
+        )
+    assert machine.rng.bit_generator.state == state
+    # A dense-only circuit compiles without an XX structure and still
+    # evaluates through the dense dispatch; engine="xx" refuses it.
     dense = Circuit(4).h(0)
     dense_battery = VirtualIonTrap(4, seed=0).compile_battery([(dense, 0)])
-    assert dense_battery.tests[0].plan is None
-    with pytest.raises(ValueError, match="without an XX contraction plan"):
-        dense_battery.probabilities_from_noise(
-            0, np.zeros((0, 1)), np.zeros(0)
+    assert dense_battery.tests[0].xx is None
+    with pytest.raises(ValueError, match="dense fallback"):
+        dense_battery.trial_fidelities(
+            VirtualIonTrap(4, seed=0), 0, shots=100, trials=1, engine="xx"
         )
     fids = dense_battery.trial_fidelities(
         VirtualIonTrap(4, seed=0), 0, shots=100, trials=2
     )
     assert fids.shape == (2,)
+    # An XX-only test with a component above the exact limit refuses to
+    # compile, so callers fall back to the uncompiled path.
+    circuit = build_test_circuit(spec, n_qubits)
+    with pytest.raises(ValueError, match="max_exact_qubits"):
+        CompiledBattery(
+            n_qubits,
+            [(circuit, expected_output(spec, n_qubits))],
+            max_exact_qubits=2,
+        )
 
 
 def test_deterministic_machine_matches_realized_evaluator():
@@ -159,12 +221,54 @@ def test_deterministic_machine_matches_realized_evaluator():
     )
     machine.set_under_rotation((0, 1), 0.3)
     battery = machine.compile_battery([(circuit, expected)])
-    ct = battery.tests[0]
-    xi = np.zeros((ct.slot_theta.size, 1))
-    under = battery._current_under(machine, ct)
-    compiled = battery.probabilities_from_noise(0, xi, under)[0]
+    compiled = battery._trial_probabilities(machine, 0, 1, 1, 1)[2][0, 0]
     (realized,) = machine._slots_to_circuits(
         machine._realize_slots(circuit, 1)
     )
     reference = XXCircuitEvaluator(realized).probability_of(expected)
     assert abs(compiled - reference) < 1e-12
+
+
+@pytest.mark.parametrize("phases", [(0.0, math.pi), (math.pi, 0.0)])
+def test_ms_drive_phases_both_reach_every_route(phases):
+    """``M(theta, phi1, phi2)`` with phi1 != phi2, on every route.
+
+    A phase pair one pi apart flips the XX axis sign, so the middle gate
+    undoes the first: the statevector puts 3/4 of the mass on 000 and
+    the rest on 011.  ``run``, ``run_match`` and both battery engines
+    must see the same.
+    """
+    circuit = (
+        Circuit(3)
+        .ms(0, 1, math.pi / 4)
+        .ms(0, 1, math.pi / 4, *phases)
+        .ms(1, 2, math.pi / 3)
+    )
+    exact = np.abs(simulate(circuit)) ** 2
+    assert exact[0] == pytest.approx(0.75)
+    machine = VirtualIonTrap(3, noise=NoiseParameters.noiseless(), seed=0)
+    slots = machine._realize_slots(circuit, 1)
+    states = machine._dense_plan_for(_skeleton(slots)).states(slot_blocks(slots))
+    assert np.abs(states[0]) ** 2 == pytest.approx(exact, abs=1e-12)
+    support = {k for k, p in enumerate(exact) if p > 1e-12}
+    assert set(machine.run(circuit, 2000)) <= support
+    counts = machine.run_match(circuit, 0, 20000)
+    assert counts[0] / 20000 == pytest.approx(0.75, abs=0.02)
+    battery = CompiledBattery(3, [(circuit, 0)])
+    assert battery.xx_eligible(machine, 0)
+    for engine in ("xx", "dense"):
+        probs = battery._trial_probabilities(machine, 0, 1, 1, 1, engine)[2]
+        assert probs[0, 0] == pytest.approx(exact[0], abs=1e-12)
+
+
+def test_n32_battery_keeps_large_plan_blocks_streaming():
+    """Building an N = 32 battery pins no plan block above 64 KiB."""
+    battery = compile_test_battery(32, battery_specs(32, 2))
+    sizes = []
+    for ct in battery.tests:
+        for comp in ct.xx.plan._components:
+            sizes.append(comp.m)
+            if comp.blocks is not None:
+                resident = sum(a.nbytes for block in comp.blocks for a in block)
+                assert resident <= xx_engine._RESIDENT_PLAN_BYTES
+    assert max(sizes) == 16, "the battery exercises 16-qubit components"

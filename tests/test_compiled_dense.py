@@ -1,8 +1,9 @@
-"""The compiled dense route must equal the slot oracle bit for bit.
+"""The compiled routes must equal the slot oracle bit for bit.
 
 Batteries and ``run_match``'s non-XX fallback draw their noise straight
 into a process-wide compiled dense layout (``_compiled_dense_test``)
-instead of realizing slot objects per call.  The oracle is the per-call
+instead of realizing slot objects per call; battery tests the XX route
+takes run through ``run_match``'s XX draw.  The oracle is the per-call
 path: ``_realize_slots`` followed by a :class:`DensePlan` resolved
 through a plan cache (or the slot XX path when a draw stays
 X-diagonal).  On twin same-seed machines both must return ``==``-equal
@@ -125,14 +126,12 @@ def _oracle_probabilities(machine, plans, circuit, expected, n_batch, force):
 
 
 def _oracle_run_match(machine, circuit, expected, shots):
-    """``run_match`` with the slot path as its non-XX fallback."""
+    """``run_match`` on the slot path alone."""
     machine._account(circuit, shots)
     groups = machine._shot_groups(shots)
-    p = machine._compiled_match_probabilities(circuit, expected, len(groups))
-    if p is None:
-        p = _oracle_probabilities(
-            machine, None, circuit, expected, len(groups), force=False
-        )
+    p = _oracle_probabilities(
+        machine, None, circuit, expected, len(groups), force=False
+    )
     spam = machine.noise.spam
     factor = spam.match_probability_factor(expected, N) if spam else 1.0
     return sample_bernoulli_counts_batch(
@@ -177,14 +176,15 @@ def test_ms_block_reads_each_targets_own_phase_process():
     procs = [OneOverFProcess(PHASE_ONLY.phase_noise_rms, rng) for _ in range(5)]
     q1 = np.array([0, 3, 4, 1])
     q2 = np.array([2, 1, 0, 4])
-    offsets = np.array([0.0, 0.2, -0.1, math.pi])
+    phi1 = np.array([0.0, 0.2, -0.1, math.pi])
+    phi2 = np.array([math.pi, 0.2, 0.3, 0.0])
     ts = np.linspace(0.0, 9.0, 4 * 6).reshape(4, 6)
     out = model.noisy_ms_params_block(
-        q1, q2, np.full(4, math.pi / 2), np.zeros(4), offsets, ts
+        q1, q2, np.full(4, math.pi / 2), np.zeros(4), phi1, phi2, ts
     )
     for k in range(4):
-        assert (out[k, :, 1] == offsets[k] + procs[q1[k]].values_at(ts[k])).all()
-        assert (out[k, :, 2] == offsets[k] + procs[q2[k]].values_at(ts[k])).all()
+        assert (out[k, :, 1] == phi1[k] + procs[q1[k]].values_at(ts[k])).all()
+        assert (out[k, :, 2] == phi2[k] + procs[q2[k]].values_at(ts[k])).all()
 
 
 # -- the draw itself --------------------------------------------------------
@@ -283,10 +283,14 @@ def _battery_items():
     [
         (SEC6, (), "auto"),
         (PHASE_ONLY, (), "auto"),
+        # Plain amplitude noise: the XX tests take the XX route.
+        (AMPLITUDE, (), "auto"),
+        (AMPLITUDE, (CouplingFault(frozenset({1, 4}), 0.2),), "auto"),
         (KICKS_1Q, (), "dense"),
         (AMPLITUDE, (CouplingPhaseFault(frozenset({0, 3}), -0.6),), "auto"),
         (AMPLITUDE, (CouplingFault(frozenset({1, 4}), 0.2),), "dense"),
-        # A pi offset leaves the draws X-diagonal: the slot XX shortcut.
+        # A pi offset leaves the draws X-diagonal: the XX route, or the
+        # slot XX shortcut for tests with non-XX gates.
         (AMPLITUDE, (CouplingPhaseFault(frozenset({0, 1}), math.pi),), "auto"),
     ],
 )
@@ -297,9 +301,7 @@ def test_fresh_battery_passes_equal_slot_oracle(noise, faults, engine):
     reference = CompiledBattery(N, items)
     compiled, oracle = _twins(noise, faults=faults, noise_realizations=3)
     for _ in range(2):
-        for index, ct in enumerate(battery.tests):
-            if engine == "auto" and battery.xx_eligible(compiled, index):
-                continue
+        for index in range(len(battery.tests)):
             fids = battery.trial_fidelities(
                 compiled, index, 60, trials=2, engine=engine
             )

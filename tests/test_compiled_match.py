@@ -54,8 +54,19 @@ def _rng_state(m: VirtualIonTrap) -> dict:
     return m.rng.bit_generator.state
 
 
+def _xx_route(machine, circuit, expected, n_batch):
+    """``run_match``'s XX route: ``None`` (nothing drawn) if it declines."""
+    test = machine_mod._compiled_xx_test(
+        machine.n_qubits, machine.max_exact_qubits, tuple(circuit.ops), expected
+    )
+    angles = machine._xx_slot_angles(test)
+    if angles is None:
+        return None
+    return machine._xx_probabilities(test, angles, n_batch)[0]
+
+
 def _assert_identical(compiled, slots, circuit, expected):
-    p = compiled._compiled_match_probabilities(circuit, expected, GROUPS)
+    p = _xx_route(compiled, circuit, expected, GROUPS)
     assert p is not None, "the compiled route should apply"
     ref = slots._match_probabilities_slots(
         slots._realize_slots(circuit, GROUPS), expected
@@ -67,7 +78,7 @@ def _assert_identical(compiled, slots, circuit, expected):
 
 
 def _assert_counts_identical(compiled, slots, circuit, expected, rounds=3):
-    slots._compiled_match_probabilities = lambda *args: None
+    slots._xx_slot_angles = lambda *args, **kwargs: None
     for _ in range(rounds):
         assert compiled.run_match(circuit, expected, 300) == slots.run_match(
             circuit, expected, 300
@@ -105,7 +116,7 @@ def test_off_grid_phase_offset_falls_back_to_dense():
     for m in (compiled, slots):
         m.calibration.set_phase_offset((1, 2), 0.3)
     before = _rng_state(compiled)
-    assert compiled._compiled_match_probabilities(circuit, expected, 4) is None
+    assert _xx_route(compiled, circuit, expected, 4) is None
     assert _rng_state(compiled) == before and compiled._clock == 0.0
     built = slots.stats.dense_plan_builds
     _assert_counts_identical(compiled, slots, circuit, expected)
@@ -129,7 +140,7 @@ def test_swap_inserted_test_falls_back():
     )
     expected = expected_output(spec, 8)
     compiled, slots = _faulty_twins(8, NoiseParameters.paper_scaling())
-    assert compiled._compiled_match_probabilities(circuit, expected, 4) is None
+    assert _xx_route(compiled, circuit, expected, 4) is None
     _assert_counts_identical(compiled, slots, circuit, expected)
 
 
@@ -138,7 +149,7 @@ def test_component_above_exact_limit_falls_back_to_monte_carlo():
     compiled, slots = _faulty_twins(
         8, NoiseParameters.paper_scaling(), max_exact_qubits=3
     )
-    assert compiled._compiled_match_probabilities(circuit, expected, 4) is None
+    assert _xx_route(compiled, circuit, expected, 4) is None
     _assert_counts_identical(compiled, slots, circuit, expected, rounds=1)
 
 

@@ -313,34 +313,6 @@ def test_execute_compiled_battery_rejects_mismatched_batteries():
         execute_compiled_battery(machine, specs, battery=reordered, shots=50)
 
 
-def test_vectorized_sample_counts_per_entry():
-    """One stacked multinomial: shot conservation, determinism, validation."""
-    from repro.sim.statevector import BatchedStatevectorSimulator
-
-    sim = BatchedStatevectorSimulator(2, 3)
-    sim.states = np.array(
-        [
-            [np.sqrt(0.5), np.sqrt(0.5), 0.0, 0.0],
-            [0.0, 1.0, 0.0, 0.0],
-            [0.5, 0.5, 0.5, 0.5],
-        ],
-        dtype=complex,
-    )
-    counts = sim.sample_counts_per_entry(
-        [100, 50, 200], np.random.default_rng(0)
-    )
-    assert [sum(c.values()) for c in counts] == [100, 50, 200]
-    assert counts[1] == {1: 50}
-    again = sim.sample_counts_per_entry(
-        [100, 50, 200], np.random.default_rng(0)
-    )
-    assert counts == again
-    with pytest.raises(ValueError, match="one shot count"):
-        sim.sample_counts_per_entry([10, 10], np.random.default_rng(0))
-    with pytest.raises(ValueError, match="positive"):
-        sim.sample_counts_per_entry([10, 0, 10], np.random.default_rng(0))
-
-
 def test_single_slot_chain_matches_reference():
     """A one-gate skeleton (link chain of length 1) compiles and is exact."""
     n_qubits = 5

@@ -80,18 +80,23 @@ def _battery_test(n_local: int, reps: int) -> tuple[Circuit, int]:
     raise AssertionError(f"no battery test on {n_local} qubits")
 
 
+# The record predates the machine's use of the second MS drive phase: it
+# realized both phases from the first.  The MS gates below spell out the
+# phase pairs the record actually realized, so it pins the same inputs.
+
+
 def _swapped(reps: int) -> Circuit:
     circuit = Circuit(N)
     for k in range(reps):
         a, b = (5, 2) if k % 2 else (2, 5)
         circuit.ms(a, b, HALF)
-    return circuit.ms(5, 2, HALF, 0.3, 0.1)
+    return circuit.ms(5, 2, HALF, 0.3, 0.3)
 
 
 def _mixed() -> Circuit:
     c = Circuit(N).r(2, 0.4, 0.3).ms(0, 1, HALF).h(3)
     c.xx(1, 2, 0.7).ms(2, 3, HALF, HALF, HALF)
-    c.rx(0, 0.2).r(1, math.pi, 0.0).cnot(3, 4).ms(0, 1, HALF, math.pi)
+    c.rx(0, 0.2).r(1, math.pi, 0.0).cnot(3, 4).ms(0, 1, HALF, math.pi, math.pi)
     return c.rz(4, 0.3).x(5)
 
 

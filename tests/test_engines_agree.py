@@ -6,11 +6,7 @@ import numpy as np
 import pytest
 
 from repro.sim.circuit import Circuit
-from repro.sim.statevector import (
-    BatchedStatevectorSimulator,
-    StatevectorSimulator,
-    simulate,
-)
+from repro.sim.statevector import StatevectorSimulator, simulate
 from repro.sim.xx_engine import XXCircuitEvaluator
 
 
@@ -36,25 +32,35 @@ def test_xx_engine_matches_statevector():
         )
 
 
-def test_batched_statevector_matches_single(rng):
-    """Batched dense evolution equals per-circuit dense evolution."""
+def test_batched_statevector_matches_single():
+    """Batched dense evolution equals per-circuit dense evolution.
 
-    def build(delta: float) -> Circuit:
-        circ = Circuit(3)
-        circ.ms(0, 1, 1.3 + delta, 0.2, 0.1)
-        circ.r(2, 0.5 + delta, 1.0)
-        circ.h(0)
-        circ.rz(1, 0.4 - delta)
-        circ.ms(1, 2, 0.9, 0.0, 0.0)
-        return circ
+    The oracle's realized slots (``_realize_slots`` under the full
+    Sec. VI error model) evolve as one batch through the dense plan
+    ``run`` uses; each realization must match its own circuit on the
+    single-state simulator.
+    """
+    from repro.noise.models import NoiseParameters
+    from repro.trap.machine import VirtualIonTrap, _skeleton, slot_blocks
 
-    circuits = [build(d) for d in rng.normal(0.0, 0.2, 5)]
-    batch = BatchedStatevectorSimulator(3, len(circuits))
-    batch.run_aligned(circuits)
-    for g, circ in enumerate(circuits):
+    circ = Circuit(3)
+    circ.ms(0, 1, 1.3, 0.2, 0.1)
+    circ.r(2, 0.5, 1.0)
+    circ.h(0)
+    circ.rz(1, 0.4)
+    circ.ms(1, 2, 0.9, 0.0, math.pi)
+    noise = NoiseParameters(
+        amplitude_sigma=0.2, phase_noise_rms=0.05, residual_odd_population=0.01
+    )
+    machine = VirtualIonTrap(3, noise=noise, seed=4)
+    slots = machine._realize_slots(circ, 5)
+    plan = machine._dense_plan_for(_skeleton(slots))
+    assert plan.touched == [0, 1, 2]
+    states = plan.states(slot_blocks(slots))
+    for g, realized in enumerate(machine._slots_to_circuits(slots)):
         single = StatevectorSimulator(3)
-        single.run(circ)
-        assert np.allclose(batch.states[g], single.state, atol=1e-12)
+        single.run(realized)
+        assert np.allclose(states[g], single.state, atol=1e-12)
 
 
 def test_batched_machine_matches_reference_statistically():

@@ -9,8 +9,8 @@ import pytest
 from repro.sim import xx_engine
 from repro.sim.statevector import (
     MAX_BATCH_AMPLITUDES,
-    BatchedStatevectorSimulator,
     realization_chunks,
+    zero_states,
 )
 from repro.sim.circuit import Circuit
 from repro.sim.xx_engine import batch_amplitudes_from_terms
@@ -108,30 +108,35 @@ def test_batch_amplitudes_chunking_is_exact(rng):
 
 
 def test_batched_simulator_enforces_byte_budget():
-    BatchedStatevectorSimulator(4, 8, max_batch_bytes=8 * 16 * 16)
+    """The dense plan's state block allocation guards its byte budget."""
+    zero_states(4, 8, max_batch_bytes=8 * 16 * 16)
     with pytest.raises(ValueError, match="byte budget"):
-        BatchedStatevectorSimulator(4, 8, max_batch_bytes=8 * 16 * 16 - 1)
+        zero_states(4, 8, max_batch_bytes=8 * 16 * 16 - 1)
     # A single realization is always accepted, mirroring
     # realization_chunks — chunks the helper emits always construct.
-    BatchedStatevectorSimulator(18, 1, max_batch_bytes=1_000_000)
+    zero_states(18, 1, max_batch_bytes=1_000_000)
+    states = zero_states(2, 3)
+    assert states.shape == (3, 4) and (states[:, 0] == 1).all()
+    assert not states[:, 1:].any()
 
 
-def test_streaming_plan_matches_precomputed_and_bounds_residency(rng):
+def test_streaming_plan_matches_precomputed_and_bounds_residency(
+    rng, monkeypatch
+):
     from repro.sim.xx_engine import ContractionPlan
 
     edge_keys = [frozenset({q, q + 1}) for q in range(7)]
     thetas = rng.normal(np.pi / 2, 0.1, (8, 7))
     cached = ContractionPlan(8, edge_keys, [], 3)
-    streaming = ContractionPlan(8, edge_keys, [], 3, precompute=False)
+    assert all(c.blocks is not None for c in cached._components)
+    # Above the resident bound a plan streams its blocks: zero resident
+    # block memory, the same values.
+    monkeypatch.setattr(xx_engine, "_RESIDENT_PLAN_BYTES", 100)
+    streaming = ContractionPlan(8, edge_keys, [], 3)
+    assert all(c.blocks is None for c in streaming._components)
     assert np.array_equal(
         cached.amplitudes(thetas), streaming.amplitudes(thetas)
     )
-    # An over-bound precomputing plan refuses to pin its blocks...
-    with pytest.raises(ValueError, match="resident bytes"):
-        ContractionPlan(8, edge_keys, [], 3, max_plan_bytes=100)
-    # ...while the streaming mode (used by batch_amplitudes_from_terms)
-    # accepts the same structure with zero resident block memory.
-    ContractionPlan(8, edge_keys, [], 3, max_plan_bytes=100, precompute=False)
 
 
 def test_execution_only_fields_do_not_bust_the_cache_digest():
@@ -159,7 +164,7 @@ def test_realization_chunks_cover_the_batch():
         MAX_BATCH_AMPLITUDES // 2**22,
     )
     # A budget above the global cap must not yield over-cap chunks (every
-    # chunk has to remain constructible as a BatchedStatevectorSimulator).
+    # chunk has to pass the zero_states guard).
     huge = realization_chunks(20, 64, max_batch_bytes=2 * 2**30)
     assert max(stop - start for start, stop in huge) <= (
         MAX_BATCH_AMPLITUDES // 2**20

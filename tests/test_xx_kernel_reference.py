@@ -89,7 +89,7 @@ def test_plan_matches_evaluator_and_dense_statevector(rng, case, odd):
     expected = _bitstring(rng, n_qubits, groups, odd)
     thetas = rng.normal(math.pi / 2, 0.4, (REALIZATIONS, len(edges)))
     lin_thetas = rng.normal(0.3, 0.5, (REALIZATIONS, len(lin)))
-    plan = ContractionPlan(n_qubits, edges, lin, expected, precompute=False)
+    plan = ContractionPlan(n_qubits, edges, lin, expected)
     amps = plan.amplitudes(thetas, lin_thetas if lin else None)
     for g in range(REALIZATIONS):
         circuit = _circuit(
@@ -102,7 +102,7 @@ def test_plan_matches_evaluator_and_dense_statevector(rng, case, odd):
 
 
 @pytest.mark.parametrize("m, linear", [(15, False), (14, True)])
-def test_chunked_components_match_the_full_table(rng, m, linear):
+def test_chunked_components_match_the_full_table(rng, m, linear, monkeypatch):
     """Components whose summed rows span several spin chunks."""
     edges, lin, groups = _random_structure(rng, m, 1, 6, linear)
     rows = 2 ** (m - (0 if linear else 1))
@@ -110,7 +110,8 @@ def test_chunked_components_match_the_full_table(rng, m, linear):
     expected = _bitstring(rng, m, groups, odd=False)
     thetas = rng.normal(math.pi / 2, 0.4, (2, len(edges)))
     lin_thetas = rng.normal(0.3, 0.5, (2, len(lin))) if lin else None
-    streamed = ContractionPlan(m, edges, lin, expected, precompute=False)
+    streamed = ContractionPlan(m, edges, lin, expected)
+    monkeypatch.setattr(xx_engine, "_RESIDENT_PLAN_BYTES", 1 << 40)
     resident = ContractionPlan(m, edges, lin, expected)
     assert streamed._components[0].blocks is None
     assert resident._components[0].blocks is not None
@@ -125,12 +126,13 @@ def test_chunked_components_match_the_full_table(rng, m, linear):
         assert abs(amps[g] - reference) < 1e-12
 
 
-def test_small_streaming_plans_keep_their_blocks(rng):
+def test_small_streaming_plans_keep_their_blocks(rng, monkeypatch):
     edges, _, _ = _random_structure(rng, 8, 1, 10, False)
-    small = ContractionPlan(8, edges, [], 0, precompute=False)
+    small = ContractionPlan(8, edges, [], 0)
     assert all(c.blocks is not None for c in small._components)
-    # A block bound below the plan's size keeps it streaming.
-    tight = ContractionPlan(8, edges, [], 0, precompute=False, max_plan_bytes=64)
+    # A resident bound below the plan's size keeps it streaming.
+    monkeypatch.setattr(xx_engine, "_RESIDENT_PLAN_BYTES", 64)
+    tight = ContractionPlan(8, edges, [], 0)
     assert all(c.blocks is None for c in tight._components)
     thetas = rng.normal(math.pi / 2, 0.4, (5, len(edges)))
     assert np.array_equal(small.amplitudes(thetas), tight.amplitudes(thetas))
@@ -139,7 +141,7 @@ def test_small_streaming_plans_keep_their_blocks(rng):
 def test_odd_parity_without_linear_terms_is_exactly_zero(rng):
     edges, _, groups = _random_structure(rng, 9, 2, 4, False)
     expected = _bitstring(rng, 9, groups, odd=True)
-    plan = ContractionPlan(9, edges, [], expected, precompute=False)
+    plan = ContractionPlan(9, edges, [], expected)
     assert plan.forced_zero
     thetas = rng.normal(math.pi / 2, 0.4, (4, len(edges)))
     amps = plan.amplitudes(thetas)
