@@ -34,9 +34,11 @@ death.
     calibration of the scenario cells it has diagnosed.
 :mod:`~repro.service.client`
     :class:`~repro.service.client.ServiceClient` (in-process) and
-    :class:`~repro.service.client.HttpServiceClient` (urllib).
+    :class:`~repro.service.client.HttpServiceClient` (:mod:`http.client`,
+    one persistent connection per calling thread).
 :mod:`~repro.service.http`
-    The stdlib ``/v1`` HTTP server behind ``python -m repro serve``.
+    The stdlib ``/v1`` HTTP/1.1 server behind ``python -m repro serve``:
+    kept-alive connections with an idle timeout, one write per response.
 """
 
 from .client import HttpServiceClient, ServiceClient, ServiceError

@@ -9,17 +9,23 @@ to whether the service runs in their process or behind
 :class:`ServiceClient` wraps a live
 :class:`~repro.service.service.DiagnosisService` directly.
 :class:`HttpServiceClient` talks to the ``/v1`` HTTP API
-(:mod:`repro.service.http`) with nothing but :mod:`urllib` — no new
-dependencies.
+(:mod:`repro.service.http`) with nothing but :mod:`http.client` — no
+new dependencies — over one persistent HTTP/1.1 connection per calling
+thread.
 """
 
 from __future__ import annotations
 
+import http.client
+import io
 import json
+import select
+import threading
 import time
 import urllib.error
-import urllib.request
+import weakref
 from typing import Any
+from urllib.parse import urlsplit
 
 from .jobs import TERMINAL_STATES, JobSpec
 from .service import DiagnosisService
@@ -80,40 +86,112 @@ class ServiceClient:
 
 
 class HttpServiceClient:
-    """``/v1`` HTTP client for ``python -m repro serve`` (stdlib only)."""
+    """``/v1`` HTTP client for ``python -m repro serve`` (stdlib only).
+
+    Each thread that calls the client keeps its own persistent
+    connection, so one client object can be shared between threads.  A
+    connection the server has closed (idle timeout, restart) is noticed
+    before the next request is sent on it and replaced.  If a reused
+    connection still fails before any response arrives, a ``GET`` is
+    sent once more on a fresh connection; a ``POST`` never is — it
+    raises :class:`ServiceError`, so a submit can never create two
+    jobs.  :meth:`close` closes every thread's connection.
+    """
 
     def __init__(self, base_url: str, request_timeout: float = 30.0):
         self.base_url = base_url.rstrip("/")
         self.request_timeout = request_timeout
+        self._url = urlsplit(self.base_url)
+        self._local = threading.local()
+        # Every thread's connection, for close(); one whose thread has
+        # exited drops out with the thread's local storage.
+        self._connections: weakref.WeakSet[http.client.HTTPConnection] = (
+            weakref.WeakSet()
+        )
+        self._connections_lock = threading.Lock()
+
+    def close(self) -> None:
+        """Close every thread's connection (a later call reconnects)."""
+        with self._connections_lock:
+            connections = list(self._connections)
+        for connection in connections:
+            connection.close()
+
+    def _connection(self) -> http.client.HTTPConnection:
+        """This thread's connection, closed first if the server closed it."""
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            if self._url.scheme == "http":
+                factory = http.client.HTTPConnection
+            elif self._url.scheme == "https":
+                factory = http.client.HTTPSConnection
+            else:
+                raise ServiceError(
+                    f"cannot reach service at {self.base_url}: "
+                    f"unsupported URL scheme {self._url.scheme!r}"
+                )
+            connection = factory(self._url.netloc, timeout=self.request_timeout)
+            self._local.connection = connection
+            with self._connections_lock:
+                self._connections.add(connection)
+        elif connection.sock is not None and select.select(
+            [connection.sock], [], [], 0
+        )[0]:
+            # Between responses an open connection has nothing to read:
+            # readable means the server hung up (or sent bytes no request
+            # asked for).  Closing makes the next request reconnect
+            # instead of failing on a dead socket.
+            connection.close()
+        return connection
 
     def _call(
         self, method: str, path: str, body: dict[str, Any] | None = None
     ) -> dict[str, Any]:
-        request = urllib.request.Request(
-            self.base_url + path,
-            method=method,
-            data=(
-                json.dumps(body).encode("utf-8") if body is not None else None
-            ),
-            headers={"Content-Type": "application/json"},
-        )
-        try:
-            with urllib.request.urlopen(
-                request, timeout=self.request_timeout
-            ) as response:
-                return json.loads(response.read().decode("utf-8"))
-        except urllib.error.HTTPError as exc:
+        data = json.dumps(body).encode("utf-8") if body is not None else None
+        for attempt in (1, 2):
+            connection = self._connection()
+            # A reused socket can still die before any response arrives
+            # (the server closed it just after the check above).  Only
+            # a GET is then sent again: a POST may already have acted.
+            resend = (
+                attempt == 1 and method == "GET" and connection.sock is not None
+            )
+            response = None
             try:
-                detail = json.loads(exc.read().decode("utf-8")).get("error")
-            except Exception:  # noqa: BLE001 — error body is best-effort
-                detail = None
-            raise ServiceError(
-                detail or f"{method} {path} failed with HTTP {exc.code}"
-            ) from exc
-        except urllib.error.URLError as exc:
-            raise ServiceError(
-                f"cannot reach service at {self.base_url}: {exc.reason}"
-            ) from exc
+                connection.request(
+                    method,
+                    self._url.path + path,
+                    body=data,
+                    headers={"Content-Type": "application/json"},
+                )
+                response = connection.getresponse()
+                raw = response.read()
+            except (OSError, http.client.HTTPException) as exc:
+                connection.close()
+                if resend and response is None and isinstance(
+                    exc, ConnectionError
+                ):
+                    continue
+                raise ServiceError(
+                    f"cannot reach service at {self.base_url}: {exc}"
+                ) from exc
+            break
+        if 200 <= response.status < 300:
+            return json.loads(raw.decode("utf-8"))
+        try:
+            detail = json.loads(raw.decode("utf-8")).get("error")
+        except Exception:  # noqa: BLE001 — error body is best-effort
+            detail = None
+        # Callers read the status from the cause's ``.code``.
+        raise ServiceError(
+            detail or f"{method} {path} failed with HTTP {response.status}"
+        ) from urllib.error.HTTPError(
+            self.base_url + path,
+            response.status,
+            response.reason,
+            response.headers,
+            io.BytesIO(raw),
+        )
 
     def health(self) -> dict[str, Any]:
         return self._call("GET", "/v1/health")
