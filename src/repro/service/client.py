@@ -23,7 +23,6 @@ import select
 import threading
 import time
 import urllib.error
-import weakref
 from typing import Any
 from urllib.parse import urlsplit
 
@@ -95,7 +94,7 @@ class HttpServiceClient:
     connection still fails before any response arrives, a ``GET`` is
     sent once more on a fresh connection; a ``POST`` never is — it
     raises :class:`ServiceError`, so a submit can never create two
-    jobs.  :meth:`close` closes every thread's connection.
+    jobs.
     """
 
     def __init__(self, base_url: str, request_timeout: float = 30.0):
@@ -103,19 +102,6 @@ class HttpServiceClient:
         self.request_timeout = request_timeout
         self._url = urlsplit(self.base_url)
         self._local = threading.local()
-        # Every thread's connection, for close(); one whose thread has
-        # exited drops out with the thread's local storage.
-        self._connections: weakref.WeakSet[http.client.HTTPConnection] = (
-            weakref.WeakSet()
-        )
-        self._connections_lock = threading.Lock()
-
-    def close(self) -> None:
-        """Close every thread's connection (a later call reconnects)."""
-        with self._connections_lock:
-            connections = list(self._connections)
-        for connection in connections:
-            connection.close()
 
     def _connection(self) -> http.client.HTTPConnection:
         """This thread's connection, closed first if the server closed it."""
@@ -132,8 +118,6 @@ class HttpServiceClient:
                 )
             connection = factory(self._url.netloc, timeout=self.request_timeout)
             self._local.connection = connection
-            with self._connections_lock:
-                self._connections.add(connection)
         elif connection.sock is not None and select.select(
             [connection.sock], [], [], 0
         )[0]:

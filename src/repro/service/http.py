@@ -30,7 +30,9 @@ for the next request (an HTTP/1.0 request, or one sent with
 ``Connection: close``, still gets its response and a closed
 connection).  A connection idle for :data:`SOCKET_TIMEOUT` seconds
 between requests, or stalled that long inside one, is closed, so a
-silent client cannot hold a handler thread forever.  Each response
+silent client cannot hold a handler thread forever; with logging on,
+only a request that stalls after its request line logs the timeout.
+Each response
 leaves in one write with Nagle's algorithm off: a response split in
 two writes would wait for the client's delayed ACK (about 40 ms) once
 the connection persists.  Every request body is read before the
@@ -120,6 +122,17 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         if self.log_to_stderr:
             super().log_message(format, *args)
+
+    def handle_one_request(self) -> None:
+        # Cleared so log_error can tell a connection that timed out
+        # waiting for its next request line from one stalled mid-request.
+        self.raw_requestline = b""
+        super().handle_one_request()
+
+    def log_error(self, format: str, *args: Any) -> None:  # noqa: A002
+        if not self.raw_requestline and format.startswith("Request timed out"):
+            return  # an idle connection closing is routine, not an error
+        super().log_error(format, *args)
 
     def handle_expect_100(self) -> bool:
         """Send ``100 Continue`` now: the client waits for it before

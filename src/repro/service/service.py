@@ -162,10 +162,6 @@ class DiagnosisService:
             aging_seconds=aging_seconds,
         )
         self._jobs: dict[str, _Job] = {}
-        # Jobs per state, equal to a recount of ``_jobs``: only
-        # _add_job / _set_state / _drop_job change either, with ``_lock``
-        # held (``_recover`` runs before any other thread exists).
-        self._state_counts: Counter[str] = Counter()
         self._lock = threading.Lock()
         self._changed = threading.Condition(self._lock)
         self._seq = 0
@@ -206,12 +202,12 @@ class DiagnosisService:
                 )
                 if record.result_path:
                     job.result_path = Path(record.result_path)
-                self._add_job(job)
+                self._jobs[job_id] = job
                 continue
             # Orphan from a crashed/killed service: its worker died with
             # the old process, so the only safe move is to run it again.
             job.adopted += 1
-            self._add_job(job)
+            self._jobs[job_id] = job
             orphans.append(record)
         orphans.sort(
             key=lambda r: (
@@ -336,7 +332,7 @@ class DiagnosisService:
             seq = self._seq
             job = _Job(job_id, spec, seq=seq)
             self.store.record_submitted(job_id, spec, seq=seq)
-            self._add_job(job)
+            self._jobs[job_id] = job
             self._changed.notify_all()
         self.scheduler.submit(
             job_id, spec.namespace, priority=spec.priority, seq=seq
@@ -410,7 +406,7 @@ class DiagnosisService:
                 # already acquired it (remove() returns False), the
                 # cancel_event makes that dispatcher drop it.
                 self.scheduler.remove(job_id)
-                self._set_state(job, "cancelled")
+                job.state = "cancelled"
                 job.done_unix = time.time()
                 job.outcome = JobOutcome(
                     index=0, key=job_id, status="cancelled", attempts=[]
@@ -442,26 +438,9 @@ class DiagnosisService:
     # ------------------------------------------------------------ scheduler
 
     def job_state_counts(self) -> dict[str, int]:
-        """How many known jobs are in each state (O(1): kept counts)."""
+        """How many known jobs are in each state (one pass, one lock)."""
         with self._lock:
-            return {state: n for state, n in self._state_counts.items() if n}
-
-    def _add_job(self, job: _Job) -> None:
-        """Insert a job into the table and count its state."""
-        self._jobs[job.job_id] = job
-        self._state_counts[job.state] += 1
-
-    def _set_state(self, job: _Job, state: str) -> None:
-        """Move a job to ``state``, moving its count with it."""
-        self._state_counts[job.state] -= 1
-        self._state_counts[state] += 1
-        job.state = state
-
-    def _drop_job(self, job_id: str) -> None:
-        """Remove a job from the table and from the counts."""
-        job = self._jobs.pop(job_id, None)
-        if job is not None:
-            self._state_counts[job.state] -= 1
+            return dict(Counter(job.state for job in self._jobs.values()))
 
     def queue_snapshot(self) -> dict[str, Any]:
         """Scheduler introspection (the ``/v1/queue`` payload):
@@ -489,7 +468,7 @@ class DiagnosisService:
             if job is not None:
                 with self._lock:
                     if job.state == "queued" and not job.cancel_event.is_set():
-                        self._set_state(job, "running")
+                        job.state = "running"
                         dispatched = True
             if not dispatched:
                 # Cancelled (or unknown) between enqueue and acquire:
@@ -588,7 +567,7 @@ class DiagnosisService:
         with self._changed:
             job.outcome = outcome
             job.result_path = result_path
-            self._set_state(job, state)
+            job.state = state
             job.done_unix = time.time()
             self._changed.notify_all()
         self.scheduler.release(job.job_id)
@@ -638,7 +617,7 @@ class DiagnosisService:
             # pre-compaction inode and be lost.
             journal_stats = self.store.compact(keep)
             for job_id in prune:
-                self._drop_job(job_id)
+                self._jobs.pop(job_id, None)
             self._changed.notify_all()
         # Live sweep deletes exactly the pruned artifacts (no exact
         # "keep everything else" pass: a job finishing this instant
