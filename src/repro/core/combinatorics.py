@@ -31,13 +31,11 @@ __all__ = [
     "num_bits",
     "bit",
     "subcube_class",
-    "equal_bits_class",
     "class_pairs",
     "shared_bits",
     "is_bit_complementary",
     "syndrome_of_pair",
     "xor_signature",
-    "pair_classes_membership",
     "all_couplings",
 ]
 
@@ -67,26 +65,6 @@ def subcube_class(i: int, b: int, n_qubits: int) -> list[int]:
     if b not in (0, 1):
         raise ValueError("bit value must be 0 or 1")
     return [q for q in range(n_qubits) if bit(q, i) == b]
-
-
-def equal_bits_class(
-    j: int, n_qubits: int, positions: list[int] | None = None
-) -> list[int]:
-    """Class ``[j, =]`` over the given bit ``positions``.
-
-    Contains qubit indices whose bits at ``positions[j-1]`` and
-    ``positions[j]`` are equal.  ``positions`` defaults to all bit
-    positions ``0..n-1`` (the Sec. V-A construction); the single-fault
-    protocol passes the *free* positions left open by a syndrome, which
-    corresponds to the paper's renumber-the-bits adaptation.
-    """
-    n = num_bits(n_qubits)
-    if positions is None:
-        positions = list(range(n))
-    if not 1 <= j < len(positions):
-        raise ValueError(f"j={j} out of range for {len(positions)} positions")
-    lo, hi = positions[j - 1], positions[j]
-    return [q for q in range(n_qubits) if bit(q, lo) == bit(q, hi)]
 
 
 def class_pairs(
@@ -136,11 +114,6 @@ def xor_signature(value: int, positions: list[int]) -> int:
         x = bit(value, positions[j - 1]) ^ bit(value, positions[j])
         sig |= x << (j - 1)
     return sig
-
-
-def pair_classes_membership(pair: Pair, n_qubits: int) -> int:
-    """Number of ``(i, b)`` classes containing the pair (Lemma V.3 bound)."""
-    return len(syndrome_of_pair(pair, n_qubits))
 
 
 def all_couplings(n_qubits: int) -> list[Pair]:

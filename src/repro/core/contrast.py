@@ -88,11 +88,9 @@ def fit_fidelity_model(
         machine = machine_factory()
         specs = _model_fit_specs(n_qubits, repetition_counts, trial)
         for spec in specs:
-            circuit, expected = built_test(
-                tuple(spec.pairs), spec.repetitions, n_qubits
-            )
-            counts = machine.run_match(circuit, expected, shots)
-            fidelity = match_fraction(counts, expected)
+            program = built_test(tuple(spec.pairs), spec.repetitions, n_qubits)
+            counts = machine.run_match(program, program.expected, shots)
+            fidelity = match_fraction(counts, program.expected)
             samples[spec.repetitions].append(
                 (len(spec.pairs), math.log(max(fidelity, _LOG_FLOOR)))
             )
@@ -180,12 +178,12 @@ class ContrastExecutor:
 
         if not spec.pairs:
             return 1.0
-        circuit, expected = built_test(
+        program = built_test(
             tuple(spec.pairs), spec.repetitions, self.machine.n_qubits
         )
-        counts = self.machine.run_match(circuit, expected, self.shots)
+        counts = self.machine.run_match(program, program.expected, self.shots)
         self.cost.record_run(spec, self.shots)
-        return match_fraction(counts, expected)
+        return match_fraction(counts, program.expected)
 
     def _update_drift(self, specs: list[TestSpec], fidelities: list[float]) -> None:
         per_r: dict[int, list[float]] = {}

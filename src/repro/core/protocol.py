@@ -1,9 +1,10 @@
 """Shared protocol infrastructure: execution, thresholds, outcomes.
 
 The fault-testing protocols are expressed against a tiny backend surface —
-anything with ``run_match(circuit, expected, shots)`` — so they run
-unchanged on the virtual trap, on a noiseless simulator adapter, or (in
-principle) on real hardware.  :class:`TestExecutor` turns a
+anything with ``run_match(test, expected, shots)`` taking a built
+:class:`~repro.trap.machine.TestProgram` — so they run unchanged on the
+virtual trap, on a noiseless simulator adapter, or (in principle) on real
+hardware.  :class:`TestExecutor` turns a
 :class:`~repro.core.tests_builder.TestSpec` into a pass/fail
 :class:`TestResult` by comparing the measured target-state fidelity to a
 threshold policy (Figs. 6/7 use fixed thresholds; the multi-fault loop of
@@ -16,8 +17,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Protocol as TypingProtocol
 
-from ..sim.circuit import Circuit
 from ..sim.sampling import Counts, match_fraction
+from ..trap.machine import CompiledBattery, TestProgram, as_program
 from .cost import CostTracker
 from .tests_builder import TestSpec, build_test_circuit, expected_output
 
@@ -34,15 +35,19 @@ __all__ = [
 
 Pair = frozenset[int]
 
-#: Built test circuits kept per process (least recently used dropped
-#: first).  Each circuit holds one shared frozen operation per coupling,
-#: so entries stay small.
+#: Built test programs kept per process (least recently used dropped
+#: first).  Each program's circuit holds one shared frozen operation per
+#: coupling and only weak references to its compiled XX entries, so
+#: entries stay small.
 _BUILT_TEST_CACHE_SIZE = 2048
 
 
 class MatchBackend(TypingProtocol):
     """Minimal machine surface the protocols need.
 
+    ``test`` is a :class:`~repro.trap.machine.TestProgram` from
+    :func:`built_test` and ``expected`` its own bitstring; a backend may
+    read the program's ``circuit`` or use the compiled entries it holds.
     ``realizations`` is the optional shot-batching hint: how many
     independent noise realizations to split the shots across (backends
     without stochastic noise may ignore it).
@@ -52,12 +57,12 @@ class MatchBackend(TypingProtocol):
 
     def run_match(
         self,
-        circuit: Circuit,
+        test: TestProgram,
         expected: int,
         shots: int,
         realizations: int | None = None,
     ) -> Counts:  # pragma: no cover - protocol definition
-        """Run a circuit and report counts for the expected bitstring."""
+        """Run a test and report counts for the expected bitstring."""
         ...
 
 
@@ -150,14 +155,11 @@ class TestExecutor:
             return TestResult(
                 spec=spec, fidelity=1.0, threshold=threshold, shots=self.shots
             )
-        circuit, expected = built_test(tuple(spec.pairs), spec.repetitions, n)
-        if self.shot_batch is None:
-            counts = self.machine.run_match(circuit, expected, self.shots)
-        else:
-            counts = self.machine.run_match(
-                circuit, expected, self.shots, realizations=self.shot_batch
-            )
-        fidelity = match_fraction(counts, expected)
+        program = built_test(tuple(spec.pairs), spec.repetitions, n)
+        counts = self.machine.run_match(
+            program, program.expected, self.shots, realizations=self.shot_batch
+        )
+        fidelity = match_fraction(counts, program.expected)
         self.cost.record_run(spec, self.shots)
         return TestResult(
             spec=spec, fidelity=fidelity, threshold=threshold, shots=self.shots
@@ -171,15 +173,18 @@ class TestExecutor:
 @lru_cache(maxsize=_BUILT_TEST_CACHE_SIZE)
 def built_test(
     pairs: tuple[Pair, ...], repetitions: int, n_qubits: int
-) -> tuple[Circuit, int]:
-    """The nominal ``(circuit, expected)`` of a test, built once per key.
+) -> TestProgram:
+    """The :class:`~repro.trap.machine.TestProgram` of a test, built once.
 
     Only the couplings, the repetition count and the machine size shape a
-    test circuit, so every spec sharing them shares one circuit.  Callers
-    must not mutate it.
+    test circuit, so every spec sharing them shares one program (and
+    :func:`~repro.trap.machine.as_program` shares it with bare circuits
+    of the same structure).  Callers must not mutate its circuit.
     """
     spec = TestSpec("built", pairs, repetitions)
-    return build_test_circuit(spec, n_qubits), expected_output(spec, n_qubits)
+    return as_program(
+        build_test_circuit(spec, n_qubits), expected_output(spec, n_qubits)
+    )
 
 
 def compile_test_battery(
@@ -187,10 +192,10 @@ def compile_test_battery(
 ):
     """Compile a battery of test specs for repeated evaluation.
 
-    Builds each spec's circuit and expected output once and hands them to
-    :class:`~repro.trap.machine.CompiledBattery`, which holds each test's
-    compiled XX structure (and, from its first dense call, its dense
-    layout) outside the per-trial hot loop.  The battery is
+    Takes each spec's :func:`built_test` program and hands them to
+    :class:`~repro.trap.machine.CompiledBattery`, which resolves each
+    test's compiled XX structure (and, from its first dense call, its
+    dense layout) outside the per-trial hot loop.  The battery is
     machine-independent — compile per ``(n_qubits, repetitions)`` family,
     evaluate against every trial machine, calibration snapshot and sweep
     point.  Tests with non-XX gates compile dense-only.
@@ -199,10 +204,8 @@ def compile_test_battery(
     above ``max_exact_qubits`` (e.g. a full canary at N = 32); callers
     fall back to :class:`TestExecutor`.
     """
-    from ..trap.machine import CompiledBattery
-
     items = [
-        (build_test_circuit(spec, n_qubits), expected_output(spec, n_qubits))
+        built_test(tuple(spec.pairs), spec.repetitions, n_qubits)
         for spec in specs
     ]
     return CompiledBattery(n_qubits, items, max_exact_qubits=max_exact_qubits)
@@ -259,10 +262,10 @@ def execute_compiled_battery(
                 )
             )
             continue
-        ct = battery.tests[index]
-        if ct.expected != expected_output(
+        program = battery.tests[index]
+        if program.expected != expected_output(
             spec, machine.n_qubits
-        ) or ct.two_qubit_depth != len(spec.pairs) * spec.repetitions:
+        ) or program.n_two_qubit != len(spec.pairs) * spec.repetitions:
             raise ValueError(
                 f"battery test {index} does not match spec {spec.name!r}; "
                 "compile the battery from this spec list (same order)"

@@ -44,10 +44,6 @@ class SingleFaultDiagnosis:
     adaptations: int
     verified: bool | None = None
 
-    @property
-    def test_count(self) -> int:
-        return len(self.results)
-
 
 @dataclass
 class SingleFaultProtocol:

@@ -26,7 +26,6 @@ from .combinatorics import (
 __all__ = [
     "Syndrome",
     "candidates_for_syndrome",
-    "brute_force_candidates",
     "syndrome_mask",
     "union_syndrome_mask",
     "count_explanations",
@@ -116,27 +115,6 @@ def candidates_for_syndrome(
             continue
         out.append(pair)
     return sorted(out, key=sorted)
-
-
-def brute_force_candidates(
-    syndrome: Syndrome,
-    n_qubits: int,
-    relevant: set[Pair] | None = None,
-) -> list[Pair]:
-    """Reference decoder: scan every pair and match syndromes exactly.
-
-    The paper notes the coupling count is small enough to "evaluate test
-    results for each and compare them to observations"; this is that
-    decoder, used to cross-check the constructive one.
-    """
-    pairs = all_couplings(n_qubits) if relevant is None else sorted(
-        relevant, key=sorted
-    )
-    return [
-        p
-        for p in pairs
-        if syndrome_of_pair(p, n_qubits) == syndrome.entries
-    ]
 
 
 # -- multi-fault explanation counting (Table II) --------------------------------

@@ -84,17 +84,32 @@ class ServiceClient:
         return self.service.list_jobs(namespace)
 
 
+class _ThreadConnection:
+    """One calling thread's connection.
+
+    ``threading.local`` drops this holder when its thread exits, and
+    the holder then closes the connection rather than leave its socket
+    to the garbage collector (an unclosed-socket ``ResourceWarning``).
+    """
+
+    def __init__(self, connection: http.client.HTTPConnection):
+        self.connection = connection
+
+    def __del__(self) -> None:
+        self.connection.close()
+
+
 class HttpServiceClient:
     """``/v1`` HTTP client for ``python -m repro serve`` (stdlib only).
 
     Each thread that calls the client keeps its own persistent
-    connection, so one client object can be shared between threads.  A
-    connection the server has closed (idle timeout, restart) is noticed
-    before the next request is sent on it and replaced.  If a reused
-    connection still fails before any response arrives, a ``GET`` is
-    sent once more on a fresh connection; a ``POST`` never is — it
-    raises :class:`ServiceError`, so a submit can never create two
-    jobs.
+    connection, closed when the thread exits, so one client object can
+    be shared between threads.  A connection the server has closed
+    (idle timeout, restart) is noticed before the next request is sent
+    on it and replaced.  If a reused connection still fails before any
+    response arrives, a ``GET`` is sent once more on a fresh
+    connection; a ``POST`` never is — it raises :class:`ServiceError`,
+    so a submit can never create two jobs.
     """
 
     def __init__(self, base_url: str, request_timeout: float = 30.0):
@@ -105,8 +120,8 @@ class HttpServiceClient:
 
     def _connection(self) -> http.client.HTTPConnection:
         """This thread's connection, closed first if the server closed it."""
-        connection = getattr(self._local, "connection", None)
-        if connection is None:
+        held = getattr(self._local, "held", None)
+        if held is None:
             if self._url.scheme == "http":
                 factory = http.client.HTTPConnection
             elif self._url.scheme == "https":
@@ -117,8 +132,10 @@ class HttpServiceClient:
                     f"unsupported URL scheme {self._url.scheme!r}"
                 )
             connection = factory(self._url.netloc, timeout=self.request_timeout)
-            self._local.connection = connection
-        elif connection.sock is not None and select.select(
+            self._local.held = _ThreadConnection(connection)
+            return connection
+        connection = held.connection
+        if connection.sock is not None and select.select(
             [connection.sock], [], [], 0
         )[0]:
             # Between responses an open connection has nothing to read:

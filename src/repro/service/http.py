@@ -18,10 +18,12 @@ POST   ``/v1/jobs/<id>/cancel``     Cancel (idempotent; 200 either way)
 
 Error mapping: an unknown job id is 404, asking for the result of an
 unfinished job is 409, an invalid spec is 400, a corrupted
-(quarantined) artifact is 500 — always ``{"error": ...}`` bodies.  Any
-other exception is a 500 whose error names an id; the same id is
-logged with the traceback on the ``repro.service.http`` logger, and
-the server keeps serving.  The server thread pool only handles I/O;
+(quarantined) artifact is 500 — always ``{"error": ...}`` bodies, also
+for the refusals of the stdlib request parser (a garbage request line
+400, an unknown method 501, an oversize header 431).  Any other
+exception is a 500 whose error names an id; the same id is logged with
+the traceback on the ``repro.service.http`` logger, and the server
+keeps serving.  The server thread pool only handles I/O;
 the actual work still runs in the service's supervised worker
 processes.
 
@@ -152,7 +154,18 @@ class _Handler(BaseHTTPRequestHandler):
             # Also sets close_connection: the handler stops reading.
             self.send_header("Connection", "close")
         self.end_headers()
-        self.wfile.write(body)
+        if self.command != "HEAD":
+            self.wfile.write(body)
+
+    def send_error(
+        self, code: int, message: str | None = None, explain: str | None = None
+    ) -> None:
+        """Answer a protocol-level refusal of the stdlib parser (a
+        garbage request line, an unknown method, an oversize header) in
+        the ``{"error": ...}`` JSON shape, then close the connection."""
+        message = message or self.responses.get(code, ("error",))[0]
+        self.log_error("code %d, message %s", code, message)
+        self._error(code, message, close=True)
 
     def _error(self, code: int, message: str, close: bool = False) -> None:
         self._send(code, {"error": message}, close=close)

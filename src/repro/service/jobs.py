@@ -23,7 +23,9 @@ kinds map one-to-one onto the repo's existing front doors:
     that cell (identical thresholds/baselines as the tournament) and
     runs one :func:`repro.arena.diagnosers.run_bounded` session.  Each
     worker memoizes the calibration per cell and calibration config, so
-    a warm worker calibrates a repeated cell once.
+    a warm worker calibrates a repeated cell once.  The service refuses
+    at submit a key outside :data:`DIAGNOSE_FIELDS`, an unknown scenario
+    or diagnoser and a malformed ``n_qubits`` or ``trial``.
 ``sleep``
     A diagnostic no-op (``{"seconds": s}``) used by the lifecycle tests
     and the CI smoke drill to exercise queueing, cancellation and
@@ -242,6 +244,46 @@ def _calibrated_cell(
 def _calibration_key(cfg: Any) -> tuple[tuple[str, Any], ...]:
     """The :data:`CALIBRATION_FIELDS` block of ``cfg`` (a memo key)."""
     return tuple((name, getattr(cfg, name)) for name in CALIBRATION_FIELDS)
+
+
+#: The payload keys a ``diagnose`` job reads.
+DIAGNOSE_FIELDS = (
+    "scenario", "diagnoser", "n_qubits", "trial", "preset", "overrides"
+)
+
+
+def check_diagnose_request(payload: dict[str, Any]) -> None:
+    """Refuse (``ValueError``) a ``diagnose`` payload a worker cannot run.
+
+    Known keys only; ``scenario`` a scenario kind, ``diagnoser`` (if
+    given) a registered diagnoser, ``n_qubits`` (if given) an int >= 2
+    and ``trial`` (if given) an int >= 0.  Imports only modules the
+    service parent already loads.
+    """
+    from ..arena.diagnosers import BASELINE_NAMES, STRATEGY_NAMES
+    from ..scenarios.spec import SCENARIO_KINDS
+
+    unknown = set(payload) - set(DIAGNOSE_FIELDS)
+    if unknown:
+        raise ValueError(
+            f"unknown diagnose job payload fields: {sorted(unknown)} "
+            f"(expected any of {sorted(DIAGNOSE_FIELDS)})"
+        )
+    if payload.get("scenario") not in SCENARIO_KINDS:
+        raise ValueError(
+            f"unknown scenario {payload.get('scenario')!r}; "
+            f"expected one of {SCENARIO_KINDS}"
+        )
+    diagnosers = (*STRATEGY_NAMES, *BASELINE_NAMES)
+    if payload.get("diagnoser", "battery") not in diagnosers:
+        raise ValueError(
+            f"unknown diagnoser {payload['diagnoser']!r}; "
+            f"expected one of {diagnosers}"
+        )
+    for name, least in (("n_qubits", 2), ("trial", 0)):
+        value = payload.get(name, least)
+        if type(value) is not int or value < least:
+            raise ValueError(f"diagnose job {name!r} must be an int >= {least}")
 
 
 def _run_diagnose_job(payload: dict[str, Any], cache_dir: str) -> dict[str, Any]:

@@ -60,7 +60,13 @@ from ..exec.integrity import load_verified_json, stamp_integrity
 from ..exec.outcomes import JobOutcome
 from ..exec.pool import WorkerSet, run_supervised
 from ..exec.retry import RetryPolicy
-from .jobs import TERMINAL_STATES, JobSpec, execute_job, outcome_state
+from .jobs import (
+    TERMINAL_STATES,
+    JobSpec,
+    check_diagnose_request,
+    execute_job,
+    outcome_state,
+)
 from .retention import RetentionPolicy, select_prunable, sweep_artifacts
 from .scheduler import FairScheduler, NamespacePolicy
 from .store import JobStore, replay_store
@@ -307,9 +313,10 @@ class DiagnosisService:
         """Accept a job; the id is durable before this returns.
 
         Accepts a :class:`JobSpec`, a spec payload dict, or keyword
-        fields (``submit(kind="sleep", payload={...})``).  A matrix job
-        whose payload carries a key its front door does not read, or an
-        unknown scenario kind / policy, is refused with ``ValueError``
+        fields (``submit(kind="sleep", payload={...})``).  A matrix or
+        ``diagnose`` job whose payload carries a key its front door does
+        not read, an unknown scenario kind / policy / diagnoser or a
+        malformed ``n_qubits`` / ``trial`` is refused with ``ValueError``
         before it is journaled.
         """
         if isinstance(spec, dict):
@@ -320,6 +327,8 @@ class DiagnosisService:
             raise TypeError("pass spec fields inside the JobSpec/dict")
         if spec.kind in MATRIX_SPECS:
             MATRIX_SPECS[spec.kind].check_request(spec.payload)
+        elif spec.kind == "diagnose":
+            check_diagnose_request(spec.payload)
         job_id = uuid.uuid4().hex[:16]
         # Sequence bump, journal append and table insert happen under
         # the one service lock so a concurrent GC compaction (which

@@ -19,7 +19,7 @@ from .faults import (
     Unitarity,
     classify_fault,
 )
-from .machine import CompiledBattery, CompiledTest, MachineStats, VirtualIonTrap
+from .machine import CompiledBattery, MachineStats, TestProgram, VirtualIonTrap
 from .timing import TimingModel
 
 __all__ = [
@@ -38,6 +38,6 @@ __all__ = [
     "MachineStats",
     "VirtualIonTrap",
     "CompiledBattery",
-    "CompiledTest",
+    "TestProgram",
     "TimingModel",
 ]

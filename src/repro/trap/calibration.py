@@ -27,7 +27,13 @@ def all_pairs(n_qubits: int) -> list[Pair]:
 
 
 class CalibrationState:
-    """Mutable map from coupling to current under-rotation.
+    """Mutable per-coupling under-rotations and drive-phase offsets.
+
+    Both live in symmetric ``(N, N)`` float arrays with a zero diagonal,
+    :attr:`under_rotations` and :attr:`phase_offsets`, so a compiled test
+    gathers all its couplings' values in one indexing step.  Read the
+    arrays freely; write through the setters, which validate the coupling
+    and the value and keep both triangles equal.
 
     Parameters
     ----------
@@ -39,22 +45,18 @@ class CalibrationState:
         if n_qubits < 2:
             raise ValueError("a machine needs at least two qubits")
         self.n_qubits = n_qubits
-        self._under_rotation: dict[Pair, float] = {
-            p: 0.0 for p in all_pairs(n_qubits)
+        #: Each coupling's ``(i, j)`` array index, ``i < j``, sorted.
+        self._index = {
+            frozenset(p): p for p in combinations(range(n_qubits), 2)
         }
-        self._phase_offset: dict[Pair, float] = {
-            p: 0.0 for p in all_pairs(n_qubits)
-        }
+        self.under_rotations = np.zeros((n_qubits, n_qubits))
+        self.phase_offsets = np.zeros((n_qubits, n_qubits))
 
     # -- access -----------------------------------------------------------------
 
-    def pairs(self) -> list[Pair]:
-        """All couplings of the machine, in canonical order."""
-        return sorted(self._under_rotation, key=sorted)
-
     def under_rotation(self, pair: Pair | tuple[int, int]) -> float:
         """Current fractional under-rotation of one coupling."""
-        return self._under_rotation[self._key(pair)]
+        return float(self.under_rotations[self._key(pair)])
 
     def set_under_rotation(
         self, pair: Pair | tuple[int, int], value: float
@@ -62,11 +64,11 @@ class CalibrationState:
         """Pin one coupling's under-rotation to ``value``."""
         if not -1.0 <= value <= 1.0:
             raise ValueError("under_rotation outside [-1, 1]")
-        self._under_rotation[self._key(pair)] = value
+        self._set(self.under_rotations, pair, value)
 
     def phase_offset(self, pair: Pair | tuple[int, int]) -> float:
         """Current MS drive-phase miscalibration of one coupling (radians)."""
-        return self._phase_offset[self._key(pair)]
+        return float(self.phase_offsets[self._key(pair)])
 
     def set_phase_offset(
         self, pair: Pair | tuple[int, int], value: float
@@ -74,7 +76,7 @@ class CalibrationState:
         """Pin one coupling's drive-phase offset to ``value`` radians."""
         if not -3.15 <= value <= 3.15:
             raise ValueError("phase offset outside [-pi, pi]")
-        self._phase_offset[self._key(pair)] = value
+        self._set(self.phase_offsets, pair, value)
 
     def has_phase_offsets(self) -> bool:
         """True if any coupling carries a drive-phase miscalibration.
@@ -83,7 +85,7 @@ class CalibrationState:
         off the XX form, so compiled batteries must take the dense path
         even when the stochastic noise itself is XX-preserving.
         """
-        return any(self._phase_offset.values())
+        return bool(self.phase_offsets.any())
 
     def inject_fault(self, fault: CouplingFault | CouplingPhaseFault) -> None:
         """Apply a fault to its coupling (dispatching on the fault species)."""
@@ -104,34 +106,37 @@ class CalibrationState:
         diagnosis against the ground truth captured *before* the
         protocol's recalibration callbacks start zeroing entries.
         """
-        return dict(self._under_rotation)
+        return {
+            pair: float(self.under_rotations[ij])
+            for pair, ij in self._index.items()
+        }
 
     def recalibrate(self, pair: Pair | tuple[int, int] | None = None) -> None:
         """Zero one coupling's errors — amplitude and phase (or all)."""
         if pair is None:
-            for key in self._under_rotation:
-                self._under_rotation[key] = 0.0
-                self._phase_offset[key] = 0.0
+            self.under_rotations.fill(0.0)
+            self.phase_offsets.fill(0.0)
         else:
-            key = self._key(pair)
-            self._under_rotation[key] = 0.0
-            self._phase_offset[key] = 0.0
+            self._set(self.under_rotations, pair, 0.0)
+            self._set(self.phase_offsets, pair, 0.0)
 
     # -- analysis ----------------------------------------------------------------
 
     def largest_faults(self, k: int) -> list[CouplingFault]:
         """The ``k`` worst-calibrated couplings, sorted by magnitude."""
         ranked = sorted(
-            self._under_rotation.items(), key=lambda item: -abs(item[1])
+            self.snapshot().items(), key=lambda item: -abs(item[1])
         )
         return [CouplingFault(p, u) for p, u in ranked[:k]]
 
-    def as_array(self) -> np.ndarray:
-        """Under-rotations in ``pairs()`` order (for statistics)."""
-        return np.array([self._under_rotation[p] for p in self.pairs()])
-
-    def _key(self, pair: Pair | tuple[int, int]) -> Pair:
+    def _key(self, pair: Pair | tuple[int, int]) -> tuple[int, int]:
         key = frozenset(pair)
-        if key not in self._under_rotation:
+        if key not in self._index:
             raise KeyError(f"unknown coupling {sorted(key)}")
-        return key
+        return self._index[key]
+
+    def _set(
+        self, values: np.ndarray, pair: Pair | tuple[int, int], value: float
+    ) -> None:
+        i, j = self._key(pair)
+        values[i, j] = values[j, i] = value

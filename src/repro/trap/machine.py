@@ -15,37 +15,38 @@ before simulation:
 Engine selection is automatic: noisy realizations that remain XX-only run
 on the fast exact engine (any machine size); anything else runs densely on
 the compacted sub-register of touched qubits (sufficient for the paper's
-physical-scale experiments).  Every test is compiled once per process, in
-one of two shared, bounded caches:
+physical-scale experiments).
 
-* ``_compiled_xx_test`` maps (machine size, exact-summation limit,
-  nominal ops, expected bitstring) to the test's edge columns, nominal
-  angles, drive phases and axis signs, static RX/X angles and a
+Every test is a :class:`TestProgram` (a bare circuit is wrapped once per
+structure by :func:`as_program`), which resolves two compiled entries on
+first use and then holds them:
+
+* its XX entry per ``max_exact_qubits``: edge columns, per-slot targets,
+  nominal angles, drive phases and axis signs, static RX/X angles and a
   :class:`~repro.sim.xx_engine.ContractionPlan` (spin blocks resident up
-  to 64 KiB, streamed above).  An XX call takes each slot's
-  calibrated angle (:meth:`VirtualIonTrap._xx_slot_angles`), draws its
-  amplitude noise, forms the ``(G, E)`` angle matrix and contracts
-  (:meth:`VirtualIonTrap._xx_probabilities`).
-* ``_compiled_dense_test`` maps (machine size, nominal ops, residual
-  kicks on) to the test's couplings, per-MS-slot columns, angles, phases
-  and targets, R and fixed-gate parameters, slot skeleton and the index
-  merging kick and R rows into program order.  A dense call makes one
-  calibration lookup per coupling, draws its noise straight into the
+  to 64 KiB, streamed above).  An XX call gathers each slot's calibrated
+  angle from the calibration arrays (:meth:`VirtualIonTrap._xx_slot_angles`),
+  draws its amplitude noise, forms the ``(G, E)`` angle matrix and
+  contracts (:meth:`VirtualIonTrap._xx_probabilities`).  The bounded
+  ``_compiled_xx_test`` cache owns these entries and programs hold weak
+  references, so its bound is the bound on pinned plan blocks.
+* its dense layout per residual kicks on/off: per-MS-slot targets,
+  angles and phases, R and fixed-gate parameters, slot skeleton and the
+  index merging kick and R rows into program order.  A dense call
+  gathers its calibration in one step, draws its noise straight into the
   per-kind parameter blocks a :class:`~repro.sim.dense_plan.DensePlan`
-  takes (the MS block as drawn) and evaluates the skeleton's cached
-  plan.
+  takes (the MS block as drawn) and evaluates the skeleton's cached plan.
 
-``run_match`` takes the XX cache where it applies and draws through the
-dense one otherwise (non-XX-preserving noise, drive phases off the pi
+``run_match`` takes the XX entry where it applies and draws through the
+dense layout otherwise (non-XX-preserving noise, drive phases off the pi
 grid, non-XX gates, components above ``max_exact_qubits``); a dense draw
 that still stays X-diagonal is evaluated on the slot XX path, and a
 component above ``max_exact_qubits`` falls back to a per-realization
-Monte-Carlo :class:`~repro.sim.xx_engine.XXCircuitEvaluator`.
-A :class:`CompiledBattery` shares both caches: it holds each test's XX
-entry from construction and its dense layout from its first dense call
-on, and evaluates through the same two routes.  ``_realize_slots`` builds
-the same draws as :class:`RealizedSlot` objects: it serves ``run`` and is
-the one oracle the compiled routes are tested against, bit for bit.
+Monte-Carlo :class:`~repro.sim.xx_engine.XXCircuitEvaluator`.  A
+:class:`CompiledBattery` holds programs and evaluates through the same
+two routes.  ``_realize_slots`` builds the same draws as
+:class:`RealizedSlot` objects: it serves ``run`` and is the one oracle
+the compiled routes are tested against, bit for bit.
 
 Shot batching: stochastic noise is re-drawn per *realization group* rather
 than per shot (control noise varies slowly compared to a ~ms shot cycle);
@@ -55,6 +56,7 @@ than per shot (control noise varies slowly compared to a ~ms shot cycle);
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -87,9 +89,10 @@ from .timing import TimingModel
 __all__ = [
     "MachineStats",
     "RealizedSlot",
+    "TestProgram",
     "VirtualIonTrap",
-    "CompiledTest",
     "CompiledBattery",
+    "as_program",
 ]
 
 
@@ -236,7 +239,7 @@ class VirtualIonTrap:
         """
         if shots < 1:
             raise ValueError("shots must be positive")
-        self._account(circuit, shots)
+        self._account(circuit.depth_two_qubit(), shots)
         groups = self._shot_groups(shots, realizations)
         slots = self._realize_slots(circuit, len(groups))
         counts = self._run_dense_slots(slots, groups)
@@ -248,55 +251,65 @@ class VirtualIonTrap:
 
     def run_match(
         self,
-        circuit: Circuit,
+        test: "TestProgram | Circuit",
         expected: int,
         shots: int,
         realizations: int | None = None,
     ) -> Counts:
-        """Execute a nominal circuit, tracking only the expected bitstring.
+        """Execute a test, tracking only the expected bitstring.
 
-        This is the fast path for single-output tests: XX-only noisy
-        realizations are evaluated exactly per coupling-graph component,
-        which keeps 32-qubit class tests cheap.  Every realization group's
-        match probability is computed in one vectorized pass and all
-        groups' shots are drawn with a single multi-group binomial call.
-        Returned counts lump all mismatches into a single placeholder
-        state.  ``realizations`` overrides the machine's noise-realization
-        count for this call.
+        ``test`` is a :class:`TestProgram` (``expected`` must be its own)
+        or a bare nominal circuit, wrapped once per structure by
+        :func:`as_program`.  This is the fast path for single-output
+        tests: XX-only noisy realizations are evaluated exactly per
+        coupling-graph component, which keeps 32-qubit class tests cheap.
+        Every realization group's match probability is computed in one
+        vectorized pass and all groups' shots are drawn with a single
+        multi-group binomial call.  Returned counts lump all mismatches
+        into a single placeholder state.  ``realizations`` overrides the
+        machine's noise-realization count for this call.
 
         Under XX-preserving noise with pi-multiple realized drive phases
-        the test is served from the process-wide compiled-test cache (one
-        contraction plan per test structure, shared by every machine);
-        everything else draws its noise into the test's compiled dense
-        layout and runs the cached dense plan, or the slot XX path when
-        the draw happens to stay X-diagonal.  Every route consumes the
-        RNG stream and advances the clock exactly as :meth:`_realize_slots`
-        does and returns bit-identical probabilities.  An ``expected``
-        outside ``[0, 2^n_qubits)`` raises ``ValueError``.
+        the test runs on its compiled XX entry (one contraction plan per
+        test structure, shared by every machine); everything else draws
+        its noise into the program's dense layout and runs the cached
+        dense plan, or the slot XX path when the draw happens to stay
+        X-diagonal.  Every route consumes the RNG stream and advances the
+        clock exactly as :meth:`_realize_slots` does and returns
+        bit-identical probabilities.  An ``expected`` outside
+        ``[0, 2^n_qubits)``, or a program for another bitstring or
+        register width, raises ``ValueError`` before anything is drawn.
         """
         if shots < 1:
             raise ValueError("shots must be positive")
         check_bitstring(expected, self.n_qubits)
-        self._account(circuit, shots)
+        program = test if isinstance(test, TestProgram) else as_program(
+            test, expected
+        )
+        width = program.circuit.n_qubits
+        if (program.expected, width) != (expected, self.n_qubits):
+            raise ValueError(
+                f"program expects {program.expected} on {width} qubits; "
+                f"run_match got {expected} on {self.n_qubits}"
+            )
+        self._account(program.n_two_qubit, shots)
         spam_factor = (
             self.noise.spam.match_probability_factor(expected, self.n_qubits)
             if self.noise.spam is not None
             else 1.0
         )
         groups = self._shot_groups(shots, realizations)
-        test = (
-            _compiled_xx_test(
-                self.n_qubits, self.max_exact_qubits, tuple(circuit.ops), expected
-            )
+        xx = (
+            program.xx(self.max_exact_qubits)
             if self.noise.is_xx_preserving()
             else None
         )
-        angles = self._xx_slot_angles(test)
+        angles = self._xx_slot_angles(xx)
         if angles is not None:
-            p_match_all = self._xx_probabilities(test, angles, len(groups))[0]
+            p_match_all = self._xx_probabilities(xx, angles, len(groups))[0]
         else:
             p_match_all = self._dense_test_probabilities(
-                self._dense_test(tuple(circuit.ops)), expected, len(groups)
+                self._dense_test(program), expected, len(groups)
             )
         return sample_bernoulli_counts_batch(
             p_match_all * spam_factor,
@@ -336,25 +349,23 @@ class VirtualIonTrap:
         """
         if test is None or not self.noise.is_xx_preserving():
             return None
-        unders = np.empty(len(test.pairs))
-        offsets = np.empty(len(test.pairs))
-        for col, pair in enumerate(test.pairs):
-            unders[col] = self.calibration.under_rotation(pair)
-            offsets[col] = self.calibration.phase_offset(pair)
+        calibration = self.calibration
+        offsets = calibration.phase_offsets[test.slot_q1, test.slot_q2]
         if offsets.any():
-            phi1 = test.slot_phi1 + offsets[test.slot_edge]
-            phi2 = test.slot_phi2 + offsets[test.slot_edge]
+            phi1 = test.slot_phi1 + offsets
+            phi2 = test.slot_phi2 + offsets
             if not (
                 np.all(is_multiple_of_pi(phi1)) and np.all(is_multiple_of_pi(phi2))
             ):
                 return None
             theta = ms_axis_sign(phi1, phi2) * test.slot_theta
-        elif test.slot_sign is None:
+        elif test.slot_axis_theta is None:
             return None
         else:
-            theta = test.slot_sign * test.slot_theta
+            theta = test.slot_axis_theta
+        unders = calibration.under_rotations[test.slot_q1, test.slot_q2]
         if sweep is None:
-            return (theta * (1.0 - unders[test.slot_edge]))[:, None]
+            return (theta * (1.0 - unders))[:, None]
         pair, magnitudes = sweep
         try:
             col = test.pairs.index(frozenset(pair))
@@ -362,9 +373,9 @@ class VirtualIonTrap:
             raise ValueError(
                 f"pair {sorted(pair)} is not exercised by this test"
             ) from None
-        edge_unders = np.repeat(unders[:, None], len(magnitudes), axis=1)
-        edge_unders[col] = magnitudes
-        return theta[:, None] * (1.0 - edge_unders[test.slot_edge])
+        slot_unders = np.repeat(unders[:, None], len(magnitudes), axis=1)
+        slot_unders[test.slot_edge == col] = magnitudes
+        return theta[:, None] * (1.0 - slot_unders)
 
     def _xx_probabilities(
         self, test: "_CompiledXXTest", slot_angles: np.ndarray, n_batch: int
@@ -380,15 +391,16 @@ class VirtualIonTrap:
         bit-identical to that oracle.
         """
         n_ms, n_cols = slot_angles.shape
-        angles = slot_angles[:, :, None]
         sigma = self.noise.amplitude_sigma
         if sigma > 0 and n_ms:
             xi = self.rng.normal(0.0, sigma, (n_ms, n_batch))
-            angles = angles * (1.0 + xi[:, None, :])
+            angles = slot_angles[:, :, None] * (1.0 + xi[:, None, :])
+        else:
+            angles = np.broadcast_to(
+                slot_angles[:, :, None], (n_ms, n_cols, n_batch)
+            )
         acc = np.zeros((len(test.pairs), n_cols, n_batch))
-        np.add.at(
-            acc, test.slot_edge, np.broadcast_to(angles, (n_ms, n_cols, n_batch))
-        )
+        np.add.at(acc, test.slot_edge, angles)
         rows = n_cols * n_batch
         lin = np.tile(test.linear, (rows, 1)) if test.linear.size else None
         self._clock += n_batch * n_ms * self.timing.gate_time(self.n_qubits)
@@ -412,42 +424,32 @@ class VirtualIonTrap:
         clock starts where realization g-1's gates ended.
         """
         gate_dt = self.timing.gate_time(self.n_qubits)
-        n_ms = sum(1 for op in circuit.ops if op.gate in ("MS", "XX"))
+        ms_ops = [op for op in circuit.ops if op.gate in ("MS", "XX")]
+        n_ms = len(ms_ops)
         start = self._clock + np.arange(n_batch) * (n_ms * gate_dt)
         p_odd = self.noise.residual_odd_population
         # Block draws: every MS slot's amplitude noise comes from one RNG
         # call, every residual kick from another — circuit depth adds
         # array rows, not Python calls.
-        ms_specs: list[tuple[int, int, float, float, float, float]] = []
-        for op in circuit.ops:
-            if op.gate in ("MS", "XX"):
-                q1, q2 = op.qubits
-                phi1, phi2 = op.params[1:] if op.gate == "MS" else (0.0, 0.0)
-                # Deterministic drive-phase miscalibration of this
-                # coupling (the phase-fault scenario species): applied to
-                # the physical MS drive realizing either abstraction.
-                offset = self.calibration.phase_offset((q1, q2))
-                ms_specs.append(
-                    (
-                        q1,
-                        q2,
-                        op.params[0],
-                        self.calibration.under_rotation((q1, q2)),
-                        phi1 + offset,
-                        phi2 + offset,
-                    )
-                )
         ms_params = None
         if n_ms:
-            q1s, q2s, thetas, unders, phi1s, phi2s = zip(*ms_specs)
+            q1s, q2s = np.array([op.qubits for op in ms_ops], dtype=np.intp).T
+            phases = np.array(
+                [op.params[1:] if op.gate == "MS" else (0, 0) for op in ms_ops],
+                dtype=float,
+            )
+            # Deterministic drive-phase miscalibration of each coupling
+            # (the phase-fault scenario species): applied to the physical
+            # MS drive realizing either abstraction.
+            offsets = self.calibration.phase_offsets[q1s, q2s]
             ts_block = start[None, :] + np.arange(n_ms)[:, None] * gate_dt
             ms_params = self.noise_model.noisy_ms_params_block(
-                np.array(q1s, dtype=np.intp),
-                np.array(q2s, dtype=np.intp),
-                np.array(thetas, dtype=float),
-                np.array(unders, dtype=float),
-                np.array(phi1s, dtype=float),
-                np.array(phi2s, dtype=float),
+                q1s,
+                q2s,
+                np.array([op.params[0] for op in ms_ops], dtype=float),
+                self.calibration.under_rotations[q1s, q2s],
+                phases[:, 0] + offsets,
+                phases[:, 1] + offsets,
                 ts_block,
             )
         kick_params = None
@@ -491,11 +493,9 @@ class VirtualIonTrap:
 
     # -- compiled dense route ------------------------------------------------------
 
-    def _dense_test(self, ops: tuple[Operation, ...]) -> "_CompiledDenseTest":
-        """The compiled dense layout of ``ops`` under this machine's noise."""
-        return _compiled_dense_test(
-            self.n_qubits, ops, self.noise.residual_odd_population > 0
-        )
+    def _dense_test(self, program: "TestProgram") -> "_CompiledDenseTest":
+        """``program``'s dense layout under this machine's noise."""
+        return program.dense(self.noise.residual_odd_population > 0)
 
     def _draw_dense(self, test: "_CompiledDenseTest", n_batch: int) -> Blocks:
         """Draw ``n_batch`` realizations straight into ``test``'s blocks.
@@ -506,9 +506,8 @@ class VirtualIonTrap:
         merged into program order, and the static rows of every other
         kind broadcast over the batch.  Draw for draw, value for value
         and clock for clock this is :meth:`_realize_slots`: one
-        calibration lookup per coupling instead of per slot, then the MS
-        block, the kick block and each R slot's draw in program order,
-        and no slot objects.
+        calibration gather per kind, then the MS block, the kick block
+        and each R slot's draw in program order, and no slot objects.
         """
         gate_dt = self.timing.gate_time(self.n_qubits)
         n_ms = test.ms_theta.size
@@ -516,19 +515,12 @@ class VirtualIonTrap:
         blocks: Blocks = {}
         r_blocks: list[np.ndarray] = []
         if n_ms:
-            unders = np.array(
-                [self.calibration.under_rotation(p) for p in test.pairs],
-                dtype=float,
-            )
-            offsets = np.array(
-                [self.calibration.phase_offset(p) for p in test.pairs],
-                dtype=float,
-            )[test.ms_edge]
+            offsets = self.calibration.phase_offsets[test.ms_q1, test.ms_q2]
             blocks["MS"] = self.noise_model.noisy_ms_params_block(
                 test.ms_q1,
                 test.ms_q2,
                 test.ms_theta,
-                unders[test.ms_edge],
+                self.calibration.under_rotations[test.ms_q1, test.ms_q2],
                 test.ms_phi1 + offsets,
                 test.ms_phi2 + offsets,
                 start[None, :] + np.arange(n_ms)[:, None] * gate_dt,
@@ -753,8 +745,7 @@ class VirtualIonTrap:
             )
         return merge_counts(*counts_parts)
 
-    def _account(self, circuit: Circuit, shots: int) -> None:
-        n2q = circuit.depth_two_qubit()
+    def _account(self, n2q: int, shots: int) -> None:
         self.stats.circuit_runs += 1
         self.stats.shots += shots
         self.stats.two_qubit_gates += n2q * shots
@@ -778,21 +769,6 @@ class VirtualIonTrap:
         )
 
 
-@dataclass(frozen=True)
-class CompiledTest:
-    """One test of a :class:`CompiledBattery`.
-
-    ``xx`` is the test's entry in the machine's compiled XX cache, looked
-    up once when the battery is built; it is ``None`` for tests with
-    non-XX gates, which always evaluate densely.
-    """
-
-    circuit: Circuit
-    expected: int
-    two_qubit_depth: int
-    xx: _CompiledXXTest | None
-
-
 class CompiledBattery:
     """A test battery evaluated through the machine's compiled routes.
 
@@ -802,18 +778,18 @@ class CompiledBattery:
     trials** of a test in one pass, with exactly the arithmetic
     ``run_match`` uses for a single test:
 
-    * the XX route: at construction every test takes its
-      ``_compiled_xx_test`` entry (edge columns, nominal angles and
+    * the XX route: at construction every test resolves its
+      :class:`TestProgram`'s XX entry (edge columns, nominal angles and
       phases, contraction plan), and each call goes through the
       machine's :meth:`VirtualIonTrap._xx_slot_angles` and
       :meth:`VirtualIonTrap._xx_probabilities`.  Magnitude sweeps
       (:meth:`sweep_fidelities`) are one stacked contraction on it.
     * the dense route, when the XX route declines (non-XX-preserving
       noise such as the Sec. VI error model, drive phases off the pi
-      grid, non-XX gates): the test's ``_compiled_dense_test`` layout,
-      held from its first dense call on, and a
-      :class:`~repro.sim.dense_plan.DensePlan` from the battery's own
-      plan cache, which survives across trial machines.
+      grid, non-XX gates): the program's dense layout, resolved on its
+      first dense call, and a :class:`~repro.sim.dense_plan.DensePlan`
+      from the battery's own plan cache, which survives across trial
+      machines.
 
     Batteries are machine-independent: one battery serves many machines,
     calibration snapshots and sweep points.
@@ -823,7 +799,8 @@ class CompiledBattery:
     n_qubits:
         Register width shared by all tests.
     items:
-        ``(circuit, expected_bitstring)`` pairs.
+        :class:`TestProgram` objects or ``(circuit, expected_bitstring)``
+        pairs, which are wrapped by :func:`as_program`.
     max_exact_qubits:
         Largest coupling component compiled exactly; an XX-only test
         with a bigger component raises ``ValueError`` (callers fall back
@@ -833,7 +810,7 @@ class CompiledBattery:
     def __init__(
         self,
         n_qubits: int,
-        items: list[tuple[Circuit, int]],
+        items: list["TestProgram | tuple[Circuit, int]"],
         max_exact_qubits: int = 20,
     ):
         # An empty battery is a legitimate degenerate (every coupling
@@ -841,29 +818,26 @@ class CompiledBattery:
         # set): it compiles to no tests and executes as a no-op.
         self.n_qubits = n_qubits
         self.max_exact_qubits = max_exact_qubits
-        self.tests = [self._compile(c, e) for c, e in items]
+        self.tests = [self._compile(item) for item in items]
         self._dense_plans = DensePlanCache()
-        #: ``(index, kicks) -> _CompiledDenseTest``, filled on first use:
-        #: batteries that never leave the XX route hold no dense layouts.
-        self._dense_tests: dict[tuple[int, bool], _CompiledDenseTest] = {}
 
-    def _compile(self, circuit: Circuit, expected: int) -> CompiledTest:
-        """One item as a :class:`CompiledTest`, its XX entry looked up once."""
-        if circuit.n_qubits != self.n_qubits:
+    def _compile(self, item: TestProgram | tuple[Circuit, int]) -> TestProgram:
+        """One item as a :class:`TestProgram`, its XX entry resolved once."""
+        program = item if isinstance(item, TestProgram) else as_program(*item)
+        if program.circuit.n_qubits != self.n_qubits:
             raise ValueError(
-                f"circuit is on {circuit.n_qubits} qubits, "
+                f"circuit is on {program.circuit.n_qubits} qubits, "
                 f"battery on {self.n_qubits}"
             )
-        check_bitstring(expected, self.n_qubits)
-        xx = _compiled_xx_test(
-            self.n_qubits, self.max_exact_qubits, tuple(circuit.ops), expected
-        )
-        if xx is None and circuit.is_xx_only():
+        if (
+            program.xx(self.max_exact_qubits) is None
+            and program.circuit.is_xx_only()
+        ):
             raise ValueError(
                 "a coupling component exceeds max_exact_qubits="
                 f"{self.max_exact_qubits}; evaluate the test uncompiled"
             )
-        return CompiledTest(circuit, expected, circuit.depth_two_qubit(), xx)
+        return program
 
     # -- machine-facing evaluation ---------------------------------------------
 
@@ -875,7 +849,8 @@ class CompiledBattery:
         offset off that grid moves realizations off the XX form even
         under amplitude-only noise.
         """
-        return machine._xx_slot_angles(self.tests[index].xx) is not None
+        xx = self.tests[index].xx(self.max_exact_qubits)
+        return machine._xx_slot_angles(xx) is not None
 
     def trial_fidelities(
         self,
@@ -903,11 +878,11 @@ class CompiledBattery:
         comparisons), ``"xx"`` demands the exact XX contraction and
         raises ``ValueError`` when the XX route declines the test.
         """
-        ct, groups, probs = self._trial_probabilities(
+        program, groups, probs = self._trial_probabilities(
             machine, index, shots, trials, realizations, engine
         )
         return self._sample_fidelities(
-            machine, ct, probs[None, ...], shots, groups
+            machine, program, probs[None, ...], shots, groups
         )[0]
 
     def sweep_fidelities(
@@ -928,9 +903,10 @@ class CompiledBattery:
         batched binomial draw.  Sweeps run on the XX route only.
         """
         self._check_machine(machine)
-        ct = self.tests[index]
+        program = self.tests[index]
+        xx = program.xx(self.max_exact_qubits)
         mags = np.asarray(magnitudes, dtype=np.float64)
-        angles = machine._xx_slot_angles(ct.xx, sweep=(pair, mags))
+        angles = machine._xx_slot_angles(xx, sweep=(pair, mags))
         if angles is None:
             raise ValueError(
                 "magnitude sweeps require XX-preserving noise, an "
@@ -942,9 +918,9 @@ class CompiledBattery:
             machine._shot_groups(shots, realizations), dtype=np.int64
         )
         probs = machine._xx_probabilities(
-            ct.xx, angles, trials * len(groups)
+            xx, angles, trials * len(groups)
         ).reshape(mags.size, trials, len(groups))
-        return self._sample_fidelities(machine, ct, probs, shots, groups)
+        return self._sample_fidelities(machine, program, probs, shots, groups)
 
     # -- internals -------------------------------------------------------------
 
@@ -963,14 +939,15 @@ class CompiledBattery:
         trials: int,
         realizations: int | None,
         engine: str = "auto",
-    ) -> tuple[CompiledTest, np.ndarray, np.ndarray]:
+    ) -> tuple[TestProgram, np.ndarray, np.ndarray]:
         if engine not in ("auto", "xx", "dense"):
             raise ValueError(
                 f"unknown engine {engine!r}; choose auto, xx or dense"
             )
         self._check_machine(machine)
-        ct = self.tests[index]
-        angles = None if engine == "dense" else machine._xx_slot_angles(ct.xx)
+        program = self.tests[index]
+        xx = None if engine == "dense" else program.xx(self.max_exact_qubits)
+        angles = machine._xx_slot_angles(xx)
         if engine == "xx" and angles is None:
             raise ValueError(
                 "engine='xx' requested but the setting requires the dense "
@@ -982,57 +959,26 @@ class CompiledBattery:
         )
         n_batch = trials * len(groups)
         if angles is not None:
-            probs = machine._xx_probabilities(ct.xx, angles, n_batch)
+            probs = machine._xx_probabilities(xx, angles, n_batch)
         else:
-            probs = self._dense_trial_probabilities(
-                machine, index, n_batch, force=(engine == "dense")
+            # The whole trials-times-groups batch, drawn in one pass into
+            # the program's dense layout and evolved through the battery's
+            # plan cache, which survives across trial machines.  ``force``
+            # skips the exact-XX shortcut for draws that stay X-diagonal:
+            # the scenario-matrix mode, where the dense engine must run.
+            probs = machine._dense_test_probabilities(
+                machine._dense_test(program),
+                program.expected,
+                n_batch,
+                plans=self._dense_plans,
+                force=(engine == "dense"),
             )
-        return ct, groups, probs.reshape(trials, len(groups))
-
-    def _dense_test(self, index: int, kicks: bool) -> "_CompiledDenseTest":
-        """Test ``index``'s compiled dense layout, with or without kicks."""
-        test = self._dense_tests.get((index, kicks))
-        if test is None:
-            test = self._dense_tests[index, kicks] = _compiled_dense_test(
-                self.n_qubits, tuple(self.tests[index].circuit.ops), kicks
-            )
-        return test
-
-    def _dense_trial_probabilities(
-        self,
-        machine: VirtualIonTrap,
-        index: int,
-        n_batch: int,
-        force: bool = False,
-    ) -> np.ndarray:
-        """Match probabilities of ``n_batch`` stacked dense realizations.
-
-        The whole trials-times-groups batch of test ``index`` is drawn in
-        one pass straight into its compiled dense layout (see
-        :meth:`VirtualIonTrap._draw_dense`) and evolved through the
-        battery's cached :class:`~repro.sim.dense_plan.DensePlan` — the
-        plan cache lives on the battery, so it survives across trial
-        machines (each fresh machine of a calibration sweep reuses the
-        same compiled skeleton).  Realization rows are chunked to the
-        machine's ``max_batch_bytes``.  ``force`` skips the cheap
-        exact-XX shortcut for realizations that happen to stay
-        X-diagonal — the scenario-matrix conformance mode, where the
-        dense engine must actually evaluate.
-        """
-        return machine._dense_test_probabilities(
-            self._dense_test(
-                index, machine.noise.residual_odd_population > 0
-            ),
-            self.tests[index].expected,
-            n_batch,
-            plans=self._dense_plans,
-            force=force,
-        )
+        return program, groups, probs.reshape(trials, len(groups))
 
     def _sample_fidelities(
         self,
         machine: VirtualIonTrap,
-        ct: CompiledTest,
+        program: TestProgram,
         probs: np.ndarray,
         shots: int,
         groups: np.ndarray,
@@ -1040,7 +986,7 @@ class CompiledBattery:
         """Binomial shot sampling + cost accounting; probs is (R, T, G)."""
         spam_factor = (
             machine.noise.spam.match_probability_factor(
-                ct.expected, self.n_qubits
+                program.expected, self.n_qubits
             )
             if machine.noise.spam is not None
             else 1.0
@@ -1052,14 +998,98 @@ class CompiledBattery:
         n_runs = p.shape[0] * p.shape[1]
         machine.stats.circuit_runs += n_runs
         machine.stats.shots += n_runs * shots
-        machine.stats.two_qubit_gates += ct.two_qubit_depth * shots * n_runs
+        machine.stats.two_qubit_gates += program.n_two_qubit * shots * n_runs
         machine.stats.quantum_seconds += (
             machine.timing.circuit_run_time(
-                ct.two_qubit_depth, self.n_qubits, shots
+                program.n_two_qubit, self.n_qubits, shots
             )
             * n_runs
         )
         return matches.sum(axis=2) / shots
+
+
+#: Programs wrapped per process by :func:`as_program` (least recently
+#: used dropped first).  A program holds its circuit, its dense layouts
+#: and weak references to its XX entries, so entries stay small.
+_PROGRAM_CACHE_SIZE = 2048
+
+
+@dataclass(frozen=True)
+class TestProgram:
+    """A built test, resolved once: what ``run_match`` and batteries run.
+
+    Holds the nominal circuit (a private copy: do not mutate it), the
+    expected bitstring, the two-qubit gate count charged per shot and the
+    structure ``key`` ``(n_qubits, ops, expected)``, hashed once; two
+    programs are equal when their keys are.  The compiled entries are
+    resolved on first use and then held: the XX entry per
+    ``max_exact_qubits`` (:meth:`xx`) and the dense layout per residual
+    kicks on/off (:meth:`dense`).  Build programs with :func:`as_program`
+    or :func:`repro.core.protocol.built_test`.
+    """
+
+    circuit: Circuit = field(compare=False)
+    expected: int = field(compare=False)
+    #: Two-qubit gate applications per shot, for cost accounting.
+    n_two_qubit: int = field(compare=False)
+    key: tuple[int, tuple[Operation, ...], int]
+    _hash: int = field(init=False, repr=False, compare=False)
+    #: ``max_exact_qubits -> weakref to the entry``, or ``None`` when the
+    #: XX route cannot take the test.  Held weakly so that
+    #: ``_compiled_xx_test``'s bound is the bound on pinned plan blocks.
+    _xx: dict = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
+    #: ``kicks -> _CompiledDenseTest`` (index arrays, no plans).
+    _dense: dict = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash(self.key))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def xx(self, max_exact_qubits: int) -> "_CompiledXXTest | None":
+        """The compiled XX entry, or ``None`` where the XX route declines."""
+        ref = self._xx.get(max_exact_qubits)
+        if ref is not None:
+            test = ref()
+            if test is not None:
+                return test
+        elif max_exact_qubits in self._xx:
+            return None  # the XX route cannot take this test
+        test = _compiled_xx_test(self, max_exact_qubits)
+        self._xx[max_exact_qubits] = None if test is None else weakref.ref(test)
+        return test
+
+    def dense(self, kicks: bool) -> "_CompiledDenseTest":
+        """The dense layout, with or without residual-kick slots."""
+        test = self._dense.get(kicks)
+        if test is None:
+            test = _compiled_dense_test(self.key[1], kicks)
+            self._dense[kicks] = test
+        return test
+
+
+def as_program(circuit: Circuit, expected: int) -> TestProgram:
+    """``(circuit, expected)`` as a :class:`TestProgram`, one per structure.
+
+    An ``expected`` outside ``[0, 2^n_qubits)`` raises ``ValueError``.
+    """
+    return _program(circuit.n_qubits, tuple(circuit.ops), expected)
+
+
+@lru_cache(maxsize=_PROGRAM_CACHE_SIZE)
+def _program(
+    n_qubits: int, ops: tuple[Operation, ...], expected: int
+) -> TestProgram:
+    check_bitstring(expected, n_qubits)
+    circuit = Circuit(n_qubits, list(ops))
+    return TestProgram(
+        circuit, expected, circuit.depth_two_qubit(), (n_qubits, ops, expected)
+    )
 
 
 @dataclass(frozen=True)
@@ -1067,48 +1097,53 @@ class _CompiledXXTest:
     """Machine-independent structure of one XX test.
 
     ``pairs`` fixes the plan's edge-column order (first appearance);
-    ``slot_edge``/``slot_theta``/``slot_phi1``/``slot_phi2`` give each
-    MS/XX application's column, nominal angle and nominal drive phases
-    (0 for XX).  ``slot_sign`` holds the X-basis axis sign of those
-    phases, or is ``None`` when one sits off the pi grid.  ``linear``
-    holds the static RX/X angle per ``plan.linear_keys`` entry, summed
-    in program order.
+    ``slot_edge``/``slot_q1``/``slot_q2``/``slot_theta``/``slot_phi1``/
+    ``slot_phi2`` give each MS/XX application's column, targets (the
+    calibration gather index), nominal angle and nominal drive phases (0
+    for XX).  ``slot_axis_theta`` holds each nominal angle times the
+    X-basis axis sign of its phases, or is ``None`` when a phase sits off
+    the pi grid.  ``linear`` holds the
+    static RX/X angle per ``plan.linear_keys`` entry, summed in program
+    order.
     """
 
     pairs: tuple[Pair, ...]
     slot_edge: np.ndarray
+    slot_q1: np.ndarray
+    slot_q2: np.ndarray
     slot_theta: np.ndarray
     slot_phi1: np.ndarray
     slot_phi2: np.ndarray
-    slot_sign: np.ndarray | None
+    slot_axis_theta: np.ndarray | None
     linear: np.ndarray
     plan: ContractionPlan
 
 
-#: Compiled XX tests kept per process; the least recently used entry is
-#: dropped first.  Entries hold plans: index arrays plus, for plans under
-#: the 64 KiB resident-block bound, their spin blocks, so the full cache
-#: pins at most 64 MiB of blocks.
+#: Compiled XX tests kept per process; the least recently resolved entry
+#: is dropped first.  This cache is their one owner (programs hold weak
+#: references).  Entries hold plans: index arrays plus, for plans under
+#: the 64 KiB resident-block bound, their spin blocks, so all compiled XX
+#: tests alive pin at most 64 MiB of blocks.
 _XX_TEST_CACHE_SIZE = 1024
 
 
 @lru_cache(maxsize=_XX_TEST_CACHE_SIZE)
 def _compiled_xx_test(
-    n_qubits: int,
-    max_exact_qubits: int,
-    ops: tuple[Operation, ...],
-    expected: int,
+    program: TestProgram, max_exact_qubits: int
 ) -> _CompiledXXTest | None:
-    """The compiled XX structure of a nominal op list, cached per process.
+    """The compiled XX structure of a program's nominal ops.
 
     Returns ``None`` for structures the XX route cannot take (non-XX
     gates, a component above ``max_exact_qubits``); that verdict is
     cached too, so such tests fall back to the slot path without being
-    re-examined.  The cache is thread-safe: concurrent misses on one key
-    may both compile, and either result is equivalent.
+    re-examined.  Keyed by the program, whose hash is cached.  The cache
+    is thread-safe: concurrent misses on one key may both compile, and
+    either result is equivalent.
     """
+    n_qubits, ops, expected = program.key
     edge_index: dict[Pair, int] = {}
     slot_edge: list[int] = []
+    slot_qubits: list[tuple[int, int]] = []
     slot_theta: list[float] = []
     slot_phases: list[tuple[float, float]] = []
     linear: dict[int, float] = {}
@@ -1116,6 +1151,7 @@ def _compiled_xx_test(
         if op.gate in ("MS", "XX"):
             col = edge_index.setdefault(frozenset(op.qubits), len(edge_index))
             slot_edge.append(col)
+            slot_qubits.append(op.qubits)
             slot_theta.append(op.params[0])
             slot_phases.append(op.params[1:] if op.gate == "MS" else (0.0, 0.0))
         elif op.gate == "RX":
@@ -1137,14 +1173,18 @@ def _compiled_xx_test(
     except ValueError:
         return None
     phases = np.array(slot_phases, dtype=np.float64).reshape(len(slot_edge), 2)
+    qubits = np.array(slot_qubits, dtype=np.intp).reshape(len(slot_edge), 2)
+    thetas = np.array(slot_theta, dtype=np.float64)
     return _CompiledXXTest(
         pairs=tuple(edge_index),
         slot_edge=np.array(slot_edge, dtype=np.intp),
-        slot_theta=np.array(slot_theta, dtype=np.float64),
+        slot_q1=qubits[:, 0].copy(),
+        slot_q2=qubits[:, 1].copy(),
+        slot_theta=thetas,
         slot_phi1=phases[:, 0].copy(),
         slot_phi2=phases[:, 1].copy(),
-        slot_sign=(
-            ms_axis_sign(phases[:, 0], phases[:, 1])
+        slot_axis_theta=(
+            ms_axis_sign(phases[:, 0], phases[:, 1]) * thetas
             if np.all(is_multiple_of_pi(phases))
             else None
         ),
@@ -1157,14 +1197,13 @@ def _compiled_xx_test(
 class _CompiledDenseTest:
     """Machine-independent dense layout of one nominal op list.
 
-    ``pairs`` lists the couplings in first-appearance order; each MS/XX
-    application has its column (``ms_edge``), nominal angle, nominal
-    drive phases ``ms_phi1``/``ms_phi2`` (0 for XX) and targets
-    ``ms_q1``/``ms_q2``.  ``r_slots``
-    holds each R gate's ``(qubit, theta, phi, MS slots before it)`` and
-    ``static`` the ``(rows, 1, n_params)`` parameter rows of every other
-    kind, in program order.  ``kicks`` says whether a residual-kick slot
-    pair follows each MS slot.
+    Each MS/XX application has its nominal angle, nominal drive phases
+    ``ms_phi1``/``ms_phi2`` (0 for XX) and targets ``ms_q1``/``ms_q2``
+    (also the calibration gather index).  ``r_slots`` holds each R
+    gate's ``(qubit, theta, phi, MS slots before it)`` and ``static``
+    the ``(rows, 1, n_params)`` parameter rows of every other kind, in
+    program order.  ``kicks`` says whether a residual-kick slot pair
+    follows each MS slot.
 
     One call's draw is a :class:`~repro.sim.dense_plan.DensePlan`'s
     per-kind blocks.  The R block stacks the kick rows, then the R rows;
@@ -1175,8 +1214,6 @@ class _CompiledDenseTest:
     X-diagonal exactly when its MS phases sit on the pi grid.
     """
 
-    pairs: tuple[Pair, ...]
-    ms_edge: np.ndarray
     ms_theta: np.ndarray
     ms_phi1: np.ndarray
     ms_phi2: np.ndarray
@@ -1205,24 +1242,14 @@ class _CompiledDenseTest:
         ]
 
 
-#: Compiled dense layouts kept per process, least recently used dropped
-#: first.  Entries hold index arrays and a skeleton tuple, no plans.
-_DENSE_TEST_CACHE_SIZE = 1024
-
-
-@lru_cache(maxsize=_DENSE_TEST_CACHE_SIZE)
 def _compiled_dense_test(
-    n_qubits: int, ops: tuple[Operation, ...], kicks: bool
+    ops: tuple[Operation, ...], kicks: bool
 ) -> _CompiledDenseTest:
-    """The dense layout of a nominal op list, cached per process.
+    """The dense layout of a nominal op list (held by its program).
 
     ``kicks`` (residual motional coupling on) inserts the two kick slots
     after every MS slot, as :meth:`VirtualIonTrap._realize_slots` does.
-    ``n_qubits`` keeps tests of different machine widths apart: their
-    plans live on different registers.
     """
-    edge_index: dict[Pair, int] = {}
-    ms_edge: list[int] = []
     ms_theta: list[float] = []
     ms_phases: list[tuple[float, float]] = []
     ms_qubits: list[tuple[int, int]] = []
@@ -1235,10 +1262,7 @@ def _compiled_dense_test(
     x_static = True
     for op in ops:
         if op.gate in ("MS", "XX"):
-            k = len(ms_edge)
-            ms_edge.append(
-                edge_index.setdefault(frozenset(op.qubits), len(edge_index))
-            )
+            k = len(ms_theta)
             ms_theta.append(op.params[0])
             ms_phases.append(op.params[1:] if op.gate == "MS" else (0.0, 0.0))
             ms_qubits.append(op.qubits)
@@ -1253,7 +1277,7 @@ def _compiled_dense_test(
             slot_rows.append(len(r_rows))
             r_rows.append(("r", len(r_slots)))
             r_slots.append(
-                (op.qubits[0], op.params[0], op.params[1], len(ms_edge))
+                (op.qubits[0], op.params[0], op.params[1], len(ms_theta))
             )
         else:
             skeleton.append((op.gate, op.qubits))
@@ -1261,15 +1285,13 @@ def _compiled_dense_test(
             slot_rows.append(len(rows))
             rows.append(op.params)
             x_static = x_static and op.gate in ("RX", "X")
-    n_ms = len(ms_edge)
+    n_ms = len(ms_theta)
     kicks = kicks and n_ms > 0
     first_row = {"kick": 0, "r": 2 * n_ms if kicks else 0}
     r_order = [first_row[block] + i for block, i in r_rows]
     qubits = np.array(ms_qubits, dtype=np.intp).reshape(n_ms, 2)
     phases = np.array(ms_phases, dtype=float).reshape(n_ms, 2)
     return _CompiledDenseTest(
-        pairs=tuple(edge_index),
-        ms_edge=np.array(ms_edge, dtype=np.intp),
         ms_theta=np.array(ms_theta, dtype=float),
         ms_phi1=phases[:, 0].copy(),
         ms_phi2=phases[:, 1].copy(),

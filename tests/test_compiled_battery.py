@@ -1,7 +1,8 @@
 """Compiled batteries evaluate through the machine's routes, bit for bit.
 
-A :class:`~repro.trap.machine.CompiledBattery` holds each test's compiled
-XX structure and evaluates it with ``run_match``'s own XX draw.  The
+A :class:`~repro.trap.machine.CompiledBattery` holds each test's
+:class:`~repro.trap.machine.TestProgram` and evaluates its compiled XX
+structure with ``run_match``'s own XX draw.  The
 oracle is the per-call slot path (``_realize_slots`` followed by
 ``_match_probabilities_slots``) on a twin same-seed machine: trial
 probabilities must be ``==``-equal to it, with the same clock and RNG
@@ -86,7 +87,7 @@ def test_magnitude_broadcast_matches_per_point_loop(monkeypatch):
     n_qubits = 8
     spec = class_test_for_pair(n_qubits, (0, 1), 4)
     battery = compile_test_battery(n_qubits, [spec])
-    plan = battery.tests[0].xx.plan
+    plan = battery.tests[0].xx(battery.max_exact_qubits).plan
     magnitudes = np.array([0.0, 0.05, 0.2, 0.35, 0.5])
     under = (((0, 4), 0.07), ((0, 1), 0.1))
     fed, sampled = [], []
@@ -190,7 +191,7 @@ def test_battery_dispatches_and_rejects_appropriately():
     # evaluates through the dense dispatch; engine="xx" refuses it.
     dense = Circuit(4).h(0)
     dense_battery = VirtualIonTrap(4, seed=0).compile_battery([(dense, 0)])
-    assert dense_battery.tests[0].xx is None
+    assert dense_battery.tests[0].xx(dense_battery.max_exact_qubits) is None
     with pytest.raises(ValueError, match="dense fallback"):
         dense_battery.trial_fidelities(
             VirtualIonTrap(4, seed=0), 0, shots=100, trials=1, engine="xx"
@@ -265,8 +266,8 @@ def test_n32_battery_keeps_large_plan_blocks_streaming():
     """Building an N = 32 battery pins no plan block above 64 KiB."""
     battery = compile_test_battery(32, battery_specs(32, 2))
     sizes = []
-    for ct in battery.tests:
-        for comp in ct.xx.plan._components:
+    for program in battery.tests:
+        for comp in program.xx(battery.max_exact_qubits).plan._components:
             sizes.append(comp.m)
             if comp.blocks is not None:
                 resident = sum(a.nbytes for block in comp.blocks for a in block)

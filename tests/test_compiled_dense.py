@@ -1,8 +1,8 @@
 """The compiled routes must equal the slot oracle bit for bit.
 
 Batteries and ``run_match``'s non-XX fallback draw their noise straight
-into a process-wide compiled dense layout (``_compiled_dense_test``)
-instead of realizing slot objects per call; battery tests the XX route
+into the dense layout a :class:`TestProgram` holds instead of realizing
+slot objects per call; battery tests the XX route
 takes run through ``run_match``'s XX draw.  The oracle is the per-call
 path: ``_realize_slots`` followed by a :class:`DensePlan` resolved
 through a plan cache (or the slot XX path when a draw stays
@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from repro.core.multi_fault import battery_specs
-from repro.core.protocol import compile_test_battery
 from repro.core.tests_builder import TestSpec as Spec
 from repro.core.tests_builder import build_test_circuit, expected_output
 from repro.noise.models import GateNoiseModel, NoiseParameters
@@ -27,7 +26,12 @@ from repro.sim.dense_plan import DensePlan
 from repro.sim.sampling import sample_bernoulli_counts_batch
 from repro.trap import machine as machine_mod
 from repro.trap.faults import CouplingFault, CouplingPhaseFault
-from repro.trap.machine import CompiledBattery, VirtualIonTrap, slot_blocks
+from repro.trap.machine import (
+    CompiledBattery,
+    VirtualIonTrap,
+    as_program,
+    slot_blocks,
+)
 
 N = 6
 
@@ -127,7 +131,7 @@ def _oracle_probabilities(machine, plans, circuit, expected, n_batch, force):
 
 def _oracle_run_match(machine, circuit, expected, shots):
     """``run_match`` on the slot path alone."""
-    machine._account(circuit, shots)
+    machine._account(circuit.depth_two_qubit(), shots)
     groups = machine._shot_groups(shots)
     p = _oracle_probabilities(
         machine, None, circuit, expected, len(groups), force=False
@@ -193,14 +197,14 @@ def test_ms_block_reads_each_targets_own_phase_process():
 @pytest.mark.parametrize("noise", [SEC6, PHASE_ONLY, KICKS_1Q, AMPLITUDE])
 @pytest.mark.parametrize("name", sorted(CIRCUITS))
 def test_draw_matches_realize_slots(noise, name):
-    circuit, _ = CIRCUITS[name]()
+    circuit, expected = CIRCUITS[name]()
     faults = (
         CouplingFault(frozenset({0, 1}), 0.1),
         CouplingPhaseFault(frozenset({1, 2}), 0.4),
     )
     compiled, oracle = _twins(noise, faults=faults)
     for n_batch in (1, 5):
-        test = compiled._dense_test(tuple(circuit.ops))
+        test = compiled._dense_test(as_program(circuit, expected))
         blocks = compiled._draw_dense(test, n_batch)
         slots = oracle._realize_slots(circuit, n_batch)
         assert test.skeleton == tuple((s.gate, s.qubits) for s in slots)
@@ -261,7 +265,7 @@ def test_fallback_probabilities_bit_identical(case):
         circuit, expected = CIRCUITS[name]()
         compiled, oracle = _twins(noise, faults=faults, **kwargs)
         p = compiled._dense_test_probabilities(
-            compiled._dense_test(tuple(circuit.ops)), expected, 7
+            compiled._dense_test(as_program(circuit, expected)), expected, 7
         )
         ref = _oracle_probabilities(oracle, None, circuit, expected, 7, False)
         assert p.dtype == ref.dtype and p.shape == ref.shape
@@ -331,40 +335,48 @@ def test_tiny_batch_budget_is_bit_identical():
 # -- the cache ----------------------------------------------------------------
 
 
-def test_compiled_dense_tests_are_cached_bounded_and_held_by_batteries():
-    cache = machine_mod._compiled_dense_test
-    assert cache.cache_info().maxsize == machine_mod._DENSE_TEST_CACHE_SIZE
+def test_programs_hold_their_dense_layouts(monkeypatch):
+    """Each layout is compiled once per program and kicks setting.
+
+    Two machines and a battery holding the same structure share one
+    program, so later dense calls, from either, compile nothing.
+    """
+    compiles = []
+    original = machine_mod._compiled_dense_test
+
+    def counted(ops, kicks):
+        compiles.append(kicks)
+        return original(ops, kicks)
+
+    monkeypatch.setattr(machine_mod, "_compiled_dense_test", counted)
     circuit, expected = _mixed()
-    ops = tuple(circuit.ops)
-    # Two machines share one compiled layout.
+    # A fresh op tuple: a structure no other test has wrapped.
+    circuit = Circuit(N, list(circuit.ops) + [circuit.ops[0]])
+    program = as_program(circuit, expected)
     a, b = _twins(SEC6)
-    assert a._dense_test(ops) is b._dense_test(ops)
-    assert a._dense_test(ops).kicks
-    # A battery takes its layouts from the shared cache on first dense
-    # use and holds them: later calls hash no op tuple.
-    battery = compile_test_battery(N, battery_specs(N, 2))
-    assert not battery._dense_tests, "an unused battery holds no layouts"
+    assert a._dense_test(program) is b._dense_test(program)
+    assert a._dense_test(program).kicks and compiles == [True]
+    # A battery holds the same program; its dense calls reuse the layout.
     mixed = CompiledBattery(N, [(circuit, expected)])
-    mixed.trial_fidelities(a, 0, 30, trials=1)
-    assert mixed._dense_tests == {(0, True): cache(N, ops, True)}
-    for index in range(len(battery.tests)):
-        battery.trial_fidelities(a, index, 30, trials=1)
-    before = cache.cache_info()
-    for index in range(len(battery.tests)):
-        battery.trial_fidelities(a, index, 30, trials=1)
-    mixed.trial_fidelities(a, 0, 30, trials=1)
-    after = cache.cache_info()
-    assert (after.hits, after.misses) == (before.hits, before.misses)
+    assert mixed.tests == [program] and mixed.tests[0] is program
+    for _ in range(2):
+        mixed.trial_fidelities(a, 0, 30, trials=1)
+        a.run_match(circuit, expected, 30)
+    assert compiles == [True]
+    kickless = _twins(PHASE_ONLY)[0]
+    kickless.run_match(program, expected, 30)
+    assert compiles == [True, False]
+    assert not program.dense(False).kicks
 
 
 def test_layout_without_kicks_or_ms_slots():
     circuit, _ = _no_ms()
-    test = machine_mod._compiled_dense_test(N, tuple(circuit.ops), True)
+    test = machine_mod._compiled_dense_test(tuple(circuit.ops), True)
     assert not test.kicks, "no MS slot, so no kick slots"
     assert test.ms_theta.size == 0 and not test.x_static
     assert test.skeleton == tuple((op.gate, op.qubits) for op in circuit.ops)
     class_test = machine_mod._compiled_dense_test(
-        N, tuple(_class_test()[0].ops), False
+        tuple(_class_test()[0].ops), False
     )
     assert class_test.x_static
     ms_block = np.zeros((class_test.ms_theta.size, 2, 3))
@@ -390,7 +402,7 @@ def test_out_of_range_expected_fails_closed(noise, route, expected):
     machine = VirtualIonTrap(4, noise=noise, seed=1)
     circuit = Circuit(4).ms(0, 1, math.pi / 2, 0, 0)
     # The in-range call takes the route under test.
-    xx = machine_mod._compiled_xx_test(4, 20, tuple(circuit.ops), 12)
+    xx = as_program(circuit, 12).xx(20)
     assert (xx is not None and noise.is_xx_preserving()) == (route == "xx")
     state = machine.rng.bit_generator.state
     with pytest.raises(ValueError, match="outside"):

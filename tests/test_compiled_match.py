@@ -1,7 +1,8 @@
 """The compiled ``run_match`` route must equal the slot path bit for bit.
 
-``VirtualIonTrap.run_match`` serves XX tests from a process-wide cache of
-compiled tests (one streaming contraction plan per test structure).  The
+``VirtualIonTrap.run_match`` serves XX tests from the compiled entry a
+:class:`TestProgram` resolves once, out of a process-wide bounded cache
+(one streaming contraction plan per test structure).  The
 per-call slot path (``_realize_slots`` + ``_match_probabilities_slots``)
 is the oracle: on twin same-seed machines both routes must return
 ``==``-equal probabilities, equal counts, the same clock and the same RNG
@@ -27,7 +28,7 @@ from repro.sim.circuit import Circuit
 from repro.sim.xx_engine import ContractionPlan
 from repro.trap import machine as machine_mod
 from repro.trap.faults import CouplingFault
-from repro.trap.machine import VirtualIonTrap
+from repro.trap.machine import VirtualIonTrap, as_program
 
 GROUPS = 8
 
@@ -56,9 +57,7 @@ def _rng_state(m: VirtualIonTrap) -> dict:
 
 def _xx_route(machine, circuit, expected, n_batch):
     """``run_match``'s XX route: ``None`` (nothing drawn) if it declines."""
-    test = machine_mod._compiled_xx_test(
-        machine.n_qubits, machine.max_exact_qubits, tuple(circuit.ops), expected
-    )
+    test = as_program(circuit, expected).xx(machine.max_exact_qubits)
     angles = machine._xx_slot_angles(test)
     if angles is None:
         return None
@@ -265,10 +264,12 @@ def test_executor_builds_each_test_once(monkeypatch):
     for name in ("a", "b", "c"):
         executor.execute(Spec(name, pairs, 2, kind="point"))
     assert len(builds) == 1
-    circuit, expected = built_test(pairs, 2, 8)
+    program = built_test(pairs, 2, 8)
     fresh = build_test_circuit(Spec("x", pairs, 2), 8)
-    assert circuit.ops == fresh.ops
-    assert expected == expected_output(Spec("x", pairs, 2), 8)
+    assert program.circuit.ops == fresh.ops
+    assert program.expected == expected_output(Spec("x", pairs, 2), 8)
+    assert program.n_two_qubit == fresh.depth_two_qubit()
+    assert program is as_program(fresh, program.expected)
     built_test.cache_clear()
 
 

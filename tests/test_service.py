@@ -130,6 +130,51 @@ def test_diagnose_job_round_trip(tmp_path):
         assert result["ground_truth"]
 
 
+_GOOD_DIAGNOSE = {"scenario": "static-under-rotation", "n_qubits": 8}
+
+#: (payload, error) pairs a worker could not run: each is refused at
+#: submit, before it is journaled.
+MALFORMED_DIAGNOSE = [
+    ({**_GOOD_DIAGNOSE, "trial": None}, "'trial' must be an int"),
+    ({**_GOOD_DIAGNOSE, "trial": -1}, "'trial' must be an int"),
+    ({**_GOOD_DIAGNOSE, "trial": True}, "'trial' must be an int"),
+    ({**_GOOD_DIAGNOSE, "n_qubits": 1}, "'n_qubits' must be an int"),
+    ({**_GOOD_DIAGNOSE, "n_qubits": "8"}, "'n_qubits' must be an int"),
+    ({**_GOOD_DIAGNOSE, "scenario": "made-up"}, "unknown scenario"),
+    ({"n_qubits": 8}, "unknown scenario"),
+    ({**_GOOD_DIAGNOSE, "diagnoser": "oracle"}, "unknown diagnoser"),
+    ({**_GOOD_DIAGNOSE, "bogus": 1}, "unknown diagnose job payload fields"),
+]
+
+
+def _submitted(service) -> list[dict]:
+    if not service.store.path.exists():
+        return []
+    records = map(json.loads, service.store.path.read_text().splitlines())
+    return [r for r in records if r["type"] == "submitted"]
+
+
+def test_malformed_diagnose_jobs_are_refused_at_submit(tmp_path):
+    with _service(tmp_path, workers=1) as svc:
+        for payload, error in MALFORMED_DIAGNOSE:
+            with pytest.raises(ValueError, match=error):
+                svc.submit(JobSpec(kind="diagnose", payload=payload))
+        assert svc.list_jobs() == [] and _submitted(svc) == []
+    # What the service's own callers send still passes.
+    for payload in (
+        _GOOD_DIAGNOSE,
+        {
+            "scenario": "phase-miscalibration",
+            "n_qubits": 8,
+            "trial": 3,
+            "diagnoser": "worst",
+            "preset": "smoke",
+            "overrides": {"seed": 5},
+        },
+    ):
+        jobs.check_diagnose_request(payload)
+
+
 def test_result_before_done_and_unknown_job_raise(tmp_path):
     with _service(tmp_path, workers=1) as svc:
         job_id = svc.submit(JobSpec(kind="sleep", payload={"seconds": 5}))
@@ -401,6 +446,15 @@ def test_http_error_mapping(http_service):
             client.result(job_id)
         finally:
             client.cancel(job_id)
+
+
+def test_http_refuses_malformed_diagnose_jobs_with_400(http_service):
+    for payload, error in MALFORMED_DIAGNOSE:
+        body = {"kind": "diagnose", "payload": payload}
+        with pytest.raises(ServiceError, match=error) as refused:
+            http_service._call("POST", "/v1/jobs", body)
+        assert refused.value.__cause__.code == 400
+    assert http_service.list_jobs() == []
 
 
 def _raw_post(client, content_length):

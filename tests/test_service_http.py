@@ -9,11 +9,14 @@ connection (its bytes must never be parsed as the next request), and
 seeded malformed requests only ever get a mapped error or a close.
 """
 
+import gc
 import json
 import random
 import socket
+import sys
 import threading
 import time
+import warnings
 from types import SimpleNamespace
 
 import pytest
@@ -287,6 +290,57 @@ def test_consumed_body_keeps_the_connection(served):
     assert len(served.accepted) == 1
 
 
+@pytest.mark.parametrize(
+    "request_bytes, code",
+    [
+        (b"\x16\x03\x01 garbage\r\n\r\n", 400),
+        (b"BREW /v1/health HTTP/1.1\r\nHost: x\r\n\r\n", 501),
+        (
+            b"GET /v1/health HTTP/1.1\r\n"
+            + b"".join(b"X-%d: y\r\n" % k for k in range(120))
+            + b"\r\n",
+            431,
+        ),
+    ],
+    ids=["garbage-line", "unknown-method", "too-many-headers"],
+)
+def test_parser_refusals_get_json_bodies(served, request_bytes, code):
+    [(status, headers, body)] = _exchange(served.address, request_bytes)
+    assert (status, headers["connection"]) == (code, "close")
+    assert headers["content-type"] == "application/json"
+    assert json.loads(body)["error"]
+
+
+def test_head_refusal_sends_no_body(served):
+    with socket.create_connection(served.address, timeout=5) as sock:
+        sock.sendall(b"HEAD /v1/health HTTP/1.1\r\nHost: x\r\n\r\n")
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 501") and body == b""
+
+
+def test_an_exited_threads_connection_is_closed(served, monkeypatch):
+    """The connection a finished thread kept is closed, not collected
+    with its socket open (an unclosed-socket ``ResourceWarning``)."""
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        worker = threading.Thread(target=served.client.health)
+        worker.start()
+        worker.join(timeout=10)
+        del worker
+        gc.collect()
+    assert unraisable == []
+    # The server saw the close: its handler thread let the socket go.
+    deadline = time.monotonic() + 5
+    while served.server._open and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not served.server._open
+
+
 # ------------------------------------------------------------ fuzzing
 
 
@@ -330,8 +384,12 @@ def test_seeded_fuzz_gets_mapped_errors_and_the_server_keeps_serving(
                 responses = _exchange(served.address, case, half_close=True)
             except ConnectionResetError:
                 continue  # a closed connection is an allowed answer
-            for status, _, _ in responses:
+            for status, headers, body in responses:
                 assert status in mapped, (status, case)
+                # Refusals of the stdlib parser too: JSON, never HTML.
+                assert headers["content-type"] == "application/json"
+                if status >= 400:
+                    assert "error" in json.loads(body), (status, body)
     assert time.perf_counter() - start < 2.0
     assert not caplog.records, [r.getMessage() for r in caplog.records]
     assert "Traceback" not in capsys.readouterr().err
