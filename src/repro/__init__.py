@@ -19,7 +19,6 @@ Sub-packages
 * :mod:`repro.core` -- the fault-testing protocols (the contribution).
 * :mod:`repro.sim` -- statevector + fast-XX simulation engines.
 * :mod:`repro.noise` -- error models (amplitude, 1/f phase, SPAM, drift).
-* :mod:`repro.physics` -- ion-chain modes, Lamb-Dicke, fidelity formulas.
 * :mod:`repro.trap` -- the virtual machine, calibration, timing, duty cycle.
 * :mod:`repro.circuits` -- application circuits and coupling usage.
 * :mod:`repro.scenarios` -- the declarative fault-scenario taxonomy and

@@ -12,11 +12,6 @@ Subcommands
     JSON (and optional CSV) emission under ``--out``.  With ``--sweep
     FIELD=[v1,v2,...]`` (repeatable) a single experiment runs over the
     Cartesian grid of the swept fields, sharing the cache across points.
-``bench``
-    Run the benchmark registry (the fig6/fig7 compiled-dense
-    batteries, scenario batteries, contraction-plan reuse, supervised
-    pool overhead), print the speedups and emit a schema'd
-    ``BENCH_<label>.json`` record.
 ``validate``
     Run the paper-fidelity validation suite: seeded replicates of every
     experiment with a registered expectation contract, graded with
@@ -75,7 +70,6 @@ Examples
         --retries 3 --attempt-timeout 60 --journal sweep.journal.jsonl
     python -m repro run fig8 --smoke --sweep "seed=[1,2,3]" \\
         --journal sweep.journal.jsonl --resume
-    python -m repro bench --smoke --out .
     python -m repro validate --smoke
     python -m repro validate --smoke --update-golden
     python -m repro scenarios --smoke
@@ -300,34 +294,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_resilience_flags(run)
     _add_service_flags(run)
-
-    bench = sub.add_parser(
-        "bench",
-        help="run the benchmark registry and emit BENCH_<label>.json",
-    )
-    _add_preset_flags(
-        bench,
-        "benchmark at smoke size (the default)",
-        "benchmark at full size instead of smoke size",
-    )
-    bench.add_argument(
-        "--out",
-        default=".",
-        help="directory for the BENCH_<label>.json record (default: .)",
-    )
-    bench.add_argument(
-        "--label",
-        default=None,
-        help="registry label (default: the preset name)",
-    )
-    bench.add_argument(
-        "--case",
-        dest="cases",
-        action="append",
-        default=[],
-        metavar="NAME",
-        help="run only the named bench case (repeatable)",
-    )
 
     validate = sub.add_parser(
         "validate",
@@ -1016,39 +982,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """Run the benchmark registry and emit the BENCH_<label>.json record."""
-    from .analysis import bench
-
-    preset = "full" if args.full else "smoke"
-    with _cli_errors((ValueError,)):
-        payload, path = bench.run_bench(
-            preset,
-            case_names=args.cases or None,
-            out_dir=args.out,
-            label=args.label,
-        )
-    rows = [
-        [
-            case["name"],
-            f"{case['reference_seconds']:.2f}",
-            f"{case['optimized_seconds']:.2f}",
-            f"{case['speedup']:.1f}x",
-            case["description"],
-        ]
-        for case in payload["cases"]
-    ]
-    print(
-        ascii_table(
-            ["case", "reference s", "optimized s", "speedup", "description"],
-            rows,
-            title=f"benchmark registry ({preset})",
-        )
-    )
-    print(f"\n-> {path}")
-    return 0
-
-
 def _cmd_validate(args: argparse.Namespace) -> int:
     """Run the validation suite, print the check table, emit the report."""
     from .validation import cli as validation_cli
@@ -1373,8 +1306,6 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_info(args.name)
     if args.command == "run":
         return _cmd_run(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
     if args.command == "validate":
         return _cmd_validate(args)
     if args.command in runner.MATRIX_SPECS:

@@ -36,7 +36,6 @@ import json
 import os
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Any, Callable
 
@@ -83,7 +82,6 @@ def fan_out(
     fn,
     items,
     jobs: int,
-    supervised: bool | None = None,
     policy: RetryPolicy | None = None,
     timeout: float | None = None,
     keys: list[str] | None = None,
@@ -100,9 +98,7 @@ def fan_out(
     module-level functions only.  Results return in input order.
 
     Passing a ``policy`` or ``timeout`` forces supervision even for a
-    single job (crash isolation is then the point); ``supervised=False``
-    keeps the legacy bare ``ProcessPoolExecutor`` path — no retries, no
-    isolation, the reference side of the ``exec-overhead`` bench case.
+    single job (crash isolation is then the point).
 
     Failures keep raise-on-first-error semantics: a job that exhausts
     its attempts re-raises its original exception where the type is a
@@ -112,14 +108,9 @@ def fan_out(
     jobs = max(1, int(jobs))
     if not items:
         return []
-    wants_supervision = (
-        supervised is True or policy is not None or timeout is not None
-    )
+    wants_supervision = policy is not None or timeout is not None
     if (jobs <= 1 or len(items) <= 1) and not wants_supervision:
         return [fn(item) for item in items]
-    if supervised is False:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
-            return list(pool.map(fn, items))
     outcomes = run_supervised(
         fn, items, jobs=jobs, policy=policy, timeout=timeout, keys=keys
     )

@@ -56,34 +56,6 @@ class CompositeUnderRotationDistribution:
         """Probability mass in the Gaussian tail beyond the knee."""
         return self.height * self.sigma * math.sqrt(math.pi / 2.0)
 
-    def pdf(self, u: float | np.ndarray) -> np.ndarray:
-        """Probability density at under-rotation ``u`` (vectorized)."""
-        u = np.asarray(u, dtype=float)
-        a = self.height
-        flat = (u >= 0) & (u <= self.knee)
-        tail = u > self.knee
-        out = np.zeros_like(u)
-        out[flat] = a
-        out[tail] = a * np.exp(-((u[tail] - self.knee) ** 2) / (2.0 * self.sigma**2))
-        return out
-
-    def cdf(self, u: float | np.ndarray) -> np.ndarray:
-        """Cumulative distribution at ``u`` (vectorized)."""
-        u = np.asarray(u, dtype=float)
-        a = self.height
-        out = np.where(u < 0, 0.0, np.minimum(u, self.knee) * a)
-        tail = u > self.knee
-        if np.any(tail):
-            z = (u[tail] - self.knee) / self.sigma
-            # Integral of a * exp(-x^2 / 2 sigma^2) from 0 to u-knee.
-            tail_mass = a * self.sigma * math.sqrt(math.pi / 2.0)
-            gauss_cdf = np.array(
-                [math.erf(v / math.sqrt(2.0)) for v in np.atleast_1d(z)]
-            )
-            out = np.array(out, dtype=float)
-            out[tail] = self.knee * a + tail_mass * gauss_cdf
-        return out
-
     def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``size`` under-rotation values from the composite law."""
         if size < 0:

@@ -1,8 +1,8 @@
-"""Provenance stamping for cached results and benchmark records.
+"""Provenance stamping for cached results and labelled reports.
 
-Every persisted artifact (runner cache payloads, ``BENCH_*.json``) should
-be traceable to the code that produced it: the package version, the git
-commit when the source tree is a checkout, and the interpreter/numpy
+Every persisted artifact (runner cache payloads, the labelled reports)
+should be traceable to the code that produced it: the package version,
+the git commit when the source tree is a checkout, and the interpreter/numpy
 versions that shaped the numerics.  :func:`provenance` gathers all of it
 defensively — a missing ``git`` binary or an installed (non-checkout)
 package degrades to ``None`` fields, never an error.

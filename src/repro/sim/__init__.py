@@ -8,10 +8,6 @@
 * :mod:`repro.sim.dense_plan` — compiled evaluation plans for the dense
   path (compaction, permutations, fused apply groups cached per circuit).
 * :mod:`repro.sim.sampling` — measurement counts utilities.
-
-Both engines share the :class:`~repro.sim.xx_engine.CompiledPlan`
-protocol: compile a circuit's static structure once, evaluate every
-noise realization of every trial against it.
 """
 
 from .circuit import Circuit, Operation
@@ -30,7 +26,6 @@ from .statevector import (
     zero_state,
 )
 from .xx_engine import (
-    CompiledPlan,
     ContractionPlan,
     XXCircuitEvaluator,
 )
@@ -47,7 +42,6 @@ __all__ = [
     "simulate",
     "zero_state",
     "MAX_DENSE_QUBITS",
-    "CompiledPlan",
     "ContractionPlan",
     "DensePlan",
     "DensePlanCache",

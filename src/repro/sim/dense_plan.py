@@ -184,19 +184,13 @@ class DensePlan:
     skeleton:
         ``(gate, qubits)`` per slot, in program order.  Must be
         non-empty — callers short-circuit empty circuits.
-    fuse:
-        Collapse adjacent slots with joint support on at most two qubits
-        into single gate applications (the default).  ``False`` keeps one
-        application per slot — the reference behaviour, exposed for
-        equivalence tests and benchmarks.
     """
 
-    def __init__(self, n_qubits: int, skeleton: Skeleton, fuse: bool = True):
+    def __init__(self, n_qubits: int, skeleton: Skeleton):
         if not skeleton:
             raise ValueError("a dense plan needs at least one slot")
         self.n_qubits = n_qubits
         self.skeleton = tuple(skeleton)
-        self.fused = fuse
         self.touched = sorted({q for _, qubits in skeleton for q in qubits})
         self.index = {q: k for k, q in enumerate(self.touched)}
         #: Width of the compacted register the plan evolves.
@@ -220,7 +214,7 @@ class DensePlan:
         # MS slots merged into mskron links: only (c, anti) are built.
         self._ms_slots: list[int] = []
         self._ms_swapped: list[bool] = []
-        self._compile_schedule(self._segment(local, fuse))
+        self._compile_schedule(self._segment(local))
         self._ms_swapped = np.array(self._ms_swapped, dtype=bool)
         self._compile_gathers()
         self._compile_program()
@@ -229,7 +223,7 @@ class DensePlan:
 
     @staticmethod
     def _segment(
-        local: list[tuple[str, tuple[int, ...]]], fuse: bool
+        local: list[tuple[str, tuple[int, ...]]],
     ) -> tuple[_ApplyGroup, ...]:
         """Greedy segmentation of the slot list into fused apply groups.
 
@@ -237,11 +231,6 @@ class DensePlan:
         two qubits; grouping never reorders slots, so the fused product
         is exactly the original operator sequence.
         """
-        if not fuse:
-            return tuple(
-                _ApplyGroup(qubits, (_Lift(i, "direct"),))
-                for i, (_, qubits) in enumerate(local)
-            )
         runs: list[list[int]] = []
         support: set[int] = set()
         for i, (_, qubits) in enumerate(local):

@@ -117,10 +117,6 @@ class StatevectorSimulator:
         """Probability of measuring the given basis state (as an integer)."""
         return float(np.abs(self.state[bitstring]) ** 2)
 
-    def amplitude_of(self, bitstring: int) -> complex:
-        """Amplitude of the given basis state."""
-        return complex(self.state[bitstring])
-
     def sample(self, shots: int, rng: np.random.Generator) -> np.ndarray:
         """Sample ``shots`` measurement outcomes (basis-state integers)."""
         probs = self.probabilities()

@@ -38,7 +38,6 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Protocol, runtime_checkable
 
 import numpy as np
 
@@ -48,37 +47,11 @@ __all__ = [
     "ms_axis_sign",
     "XXCircuitEvaluator",
     "CouplingTerms",
-    "CompiledPlan",
     "ContractionPlan",
     "batch_amplitudes_from_terms",
     "set_spin_table_cache_bytes",
     "spin_table_cache_info",
 ]
-
-
-@runtime_checkable
-class CompiledPlan(Protocol):
-    """Shared surface of compiled per-circuit evaluation plans.
-
-    Both engines now carry a compilation layer: :class:`ContractionPlan`
-    caches the spin-table contraction of an XX term structure, and
-    :class:`~repro.sim.dense_plan.DensePlan` caches the compacted
-    register, permutations and fused apply groups of a dense slot
-    skeleton.  A plan fixes everything circuit-static, is safe to reuse
-    across noise realizations, trials and machines, and exposes a
-    ``probabilities(...)`` evaluator whose realization batch can be
-    bounded with ``max_batch_bytes`` (the inputs differ per engine:
-    accumulated angle rows for the XX plan, per-slot parameter blocks
-    for the dense plan).
-    """
-
-    n_qubits: int
-
-    def probabilities(
-        self, *inputs, max_batch_bytes: int | None = None
-    ) -> np.ndarray:  # pragma: no cover - protocol definition
-        """Per-realization probabilities, clipped to [0, 1]."""
-        ...
 
 
 @dataclass
@@ -673,10 +646,6 @@ class XXCircuitEvaluator:
         """Probability of measuring ``bitstring``; clipped to [0, 1]."""
         p = abs(self.amplitude(bitstring)) ** 2
         return float(min(max(p, 0.0), 1.0))
-
-    def component_sizes(self) -> list[int]:
-        """Sizes of the connected coupling components (for diagnostics)."""
-        return [len(c) for c in self.components]
 
     # -- internals -------------------------------------------------------------
 

@@ -170,13 +170,6 @@ class VirtualIonTrap:
     max_exact_qubits:
         Largest coupling-graph component evaluated exactly by the XX
         engine; bigger components use Monte-Carlo amplitude estimation.
-    dense_compiled:
-        Serve dense slot evaluation from cached
-        :class:`~repro.sim.dense_plan.DensePlan` objects with fused
-        apply groups (the default).  ``False`` rebuilds an unfused plan
-        per call — the pre-compilation reference behaviour, kept only as
-        the reference side of the ``repro bench`` dense-plan cases;
-        results agree to float rounding (~1e-15).
     max_batch_bytes:
         Optional memory budget for batched evaluation: dense
         realization batches are chunked so the state block stays within
@@ -189,7 +182,6 @@ class VirtualIonTrap:
     seed: int = 0
     noise_realizations: int = 8
     max_exact_qubits: int = 20
-    dense_compiled: bool = True
     max_batch_bytes: int | None = None
     timing: TimingModel = field(default_factory=TimingModel)
 
@@ -683,14 +675,8 @@ class VirtualIonTrap:
         repeated executions of one nominal circuit (a diagnosis loop, a
         trial sweep) compile the compaction, permutations and fused apply
         groups once.  Build/hit counters land in :class:`MachineStats`.
-        With ``dense_compiled=False`` an unfused plan is rebuilt per call
-        (the pre-compilation reference path).
         """
-        if not self.dense_compiled:
-            self.stats.dense_plan_builds += 1
-            plan = DensePlan(self.n_qubits, skeleton, fuse=False)
-        else:
-            plan = self._cached_plan(self._dense_plans, skeleton)
+        plan = self._cached_plan(self._dense_plans, skeleton)
         if plan.n_local > MAX_DENSE_QUBITS:
             raise ValueError(
                 f"circuit touches {plan.n_local} qubits; run_match handles "

@@ -12,8 +12,8 @@ compiles its :class:`~repro.sim.dense_plan.DensePlan` and evaluates it:
 * an MS block split between merged links and the builder stack, with
   the bare MS first and last;
 * a fused one-qubit ("generic") run;
-* an unfused plan, a structurally rebound plan and a call chunked under
-  a tight ``max_batch_bytes``.
+* a structurally rebound plan and a call chunked under a tight
+  ``max_batch_bytes``.
 
 The probabilities must be ``np.array_equal`` to the record, and the
 evolved states must agree with per-realization
@@ -131,9 +131,9 @@ def _skeleton(slots) -> tuple:
     return tuple((s.gate, s.qubits) for s in slots)
 
 
-def _plan_case(noise, seed, circuit, expected, n_batch=B, budget=None, fuse=True):
+def _plan_case(noise, seed, circuit, expected, n_batch=B, budget=None):
     slots = _machine(noise, seed)._realize_slots(circuit, n_batch)
-    return DensePlan(N, _skeleton(slots), fuse=fuse), slots, expected, budget
+    return DensePlan(N, _skeleton(slots)), slots, expected, budget
 
 
 def _rebound_case():
@@ -175,9 +175,6 @@ def _cases() -> dict:
         )
     cases["generic-1q-run"] = lambda: _plan_case(
         KICKS_1Q, 25, _generic(), _bit(0) | _bit(2)
-    )
-    cases["unfused"] = lambda: _plan_case(
-        KICKS_1Q, 26, _mixed(), _bit(1) | _bit(5), fuse=False
     )
     cases["chunked-8q"] = lambda: _plan_case(
         SEC6, 27, *_battery_test(8, 2), n_batch=7, budget=2 * 16 * 2**8

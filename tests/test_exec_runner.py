@@ -46,16 +46,14 @@ def test_fan_out_accepts_generators():
     assert runner.fan_out(_double, (x for x in [1, 2, 3]), jobs=1) == [2, 4, 6]
 
 
-def test_fan_out_supervised_and_bare_paths_agree():
+def test_fan_out_supervised_pool_returns_in_input_order():
     items = [1, 2, 3, 4]
-    expected = [2, 4, 6, 8]
-    assert runner.fan_out(_double, items, jobs=2, supervised=True) == expected
-    assert runner.fan_out(_double, items, jobs=2, supervised=False) == expected
+    assert runner.fan_out(_double, items, jobs=2) == [2, 4, 6, 8]
 
 
 def test_fan_out_reraises_original_exception_type():
     with pytest.raises(ValueError, match="boom"):
-        runner.fan_out(_boom, [1], jobs=1, supervised=True)
+        runner.fan_out(_boom, [1], jobs=1, policy=RetryPolicy(max_attempts=1))
 
 
 def test_fan_out_retries_through_policy():
