@@ -15,11 +15,13 @@ up as a slower wall clock.
 import pytest
 
 from repro.analysis.experiments.fig6 import battery_specs
+from repro.analysis.detection import CalibratedThresholds
 from repro.core.protocol import (
     FixedThresholds,
     compile_test_battery,
     execute_compiled_battery,
 )
+from repro.core.protocol import TestExecutor as Executor
 from repro.noise.models import GateNoiseModel, NoiseParameters
 from repro.noise.spam import SpamModel
 from repro.sim.dense_plan import DensePlan
@@ -27,6 +29,10 @@ from repro.trap.faults import CouplingFault
 from repro.trap.machine import VirtualIonTrap
 
 N_QUBITS = 8
+#: The Sec. VI error model of the Fig. 7 threshold calibration.
+SEC6_NOISE = NoiseParameters(
+    amplitude_sigma=0.10, residual_odd_population=0.01, phase_noise_rms=0.05
+)
 
 
 @pytest.fixture
@@ -79,11 +85,8 @@ def test_fig7_battery_stacks_trials_into_one_draw_per_test(work):
     nine tests of a family rebind it).
     """
     trials, groups = 24, 4
-    noise = NoiseParameters(
-        amplitude_sigma=0.10, residual_odd_population=0.01, phase_noise_rms=0.05
-    )
     machine = VirtualIonTrap(
-        N_QUBITS, noise=noise, seed=3, noise_realizations=groups
+        N_QUBITS, noise=SEC6_NOISE, seed=3, noise_realizations=groups
     )
     n_tests = 0
     for repetitions in (2, 4, 8):
@@ -101,6 +104,35 @@ def test_fig7_battery_stacks_trials_into_one_draw_per_test(work):
     assert work["compiles"] == 3
     assert machine.stats.dense_plan_rebinds == n_tests - 3
     _assert_fused(work["plans"], {36, 72, 144})
+
+
+def test_fig7_per_trial_executor_draws_once_per_trial(work):
+    """The loop a compiled battery replaces: one draw per trial.
+
+    A ``TestExecutor`` runs one trial per call, so the 2-repetition
+    family's 10 tests x 24 trials make 240 draws of 4 rows and 240
+    kernel calls, where the compiled battery makes 10 of each (the 24x
+    that trial stacking removes).  Plan reuse and fusion hold on this
+    route too: the machine compiles one plan and rebinds it for the
+    family's other nine tests.
+    """
+    trials, groups = 24, 4
+    machine = VirtualIonTrap(
+        N_QUBITS, noise=SEC6_NOISE, seed=3, noise_realizations=groups
+    )
+    executor = Executor(
+        machine, thresholds=CalibratedThresholds(default=0.5), shots=200
+    )
+    specs = battery_specs(N_QUBITS, 2)
+    for spec in specs:
+        for _ in range(trials):
+            executor.execute(spec)
+    assert len(specs) == 10
+    assert work["draws"] == [groups] * (len(specs) * trials)
+    assert len(work["plans"]) == len(specs) * trials
+    assert work["compiles"] == 1
+    assert machine.stats.dense_plan_rebinds == len(specs) - 1
+    _assert_fused(work["plans"], {36})
 
 
 def test_fig6_warm_batteries_compile_once_across_machines(work):

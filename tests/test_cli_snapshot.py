@@ -15,6 +15,8 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 SNAPSHOT = Path(__file__).parent / "data" / "cli_parser.json"
 
 
@@ -66,6 +68,17 @@ def test_parser_matches_snapshot():
     assert actual["top"] == expected["top"]
     for name, command in expected["commands"].items():
         assert actual["commands"][name] == command, name
+
+
+def test_retired_bench_command_is_refused(capsys):
+    """perfbench is the one benchmark: ``repro bench`` is a usage error."""
+    from repro.__main__ import main
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(["bench", "--smoke"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice" in err and "'bench'" in err
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@
 back-compat, journaled resume and graceful degradation."""
 
 import json
+import os
 
 import pytest
 
@@ -17,6 +18,10 @@ def _double(x):
 
 def _boom(x):
     raise ValueError(f"boom {x}")
+
+
+def _pid(_):
+    return os.getpid()
 
 
 @pytest.fixture(autouse=True)
@@ -49,6 +54,35 @@ def test_fan_out_accepts_generators():
 def test_fan_out_supervised_pool_returns_in_input_order():
     items = [1, 2, 3, 4]
     assert runner.fan_out(_double, items, jobs=2) == [2, 4, 6, 8]
+
+
+def test_fan_out_runs_inline_without_supervision():
+    """One job, or one item, with no policy or timeout stays in-process."""
+    here = os.getpid()
+    assert runner.fan_out(_pid, [1, 2], jobs=1) == [here, here]
+    assert runner.fan_out(_pid, [1], jobs=4) == [here]
+
+
+def test_fan_out_parallel_jobs_run_in_worker_processes():
+    pids = runner.fan_out(_pid, [1, 2, 3, 4], jobs=2)
+    assert len(pids) == 4
+    assert os.getpid() not in pids
+
+
+@pytest.mark.parametrize(
+    "force",
+    [{"policy": RetryPolicy(max_attempts=1)}, {"timeout": 60.0}],
+    ids=["policy", "timeout"],
+)
+def test_fan_out_policy_or_timeout_forces_a_worker_process(force):
+    """Crash isolation is the point of a policy or timeout, even at jobs=1."""
+    (pid,) = runner.fan_out(_pid, [1], jobs=1, **force)
+    assert pid != os.getpid()
+
+
+def test_fan_out_parallel_failure_reraises_original_exception_type():
+    with pytest.raises(ValueError, match="boom"):
+        runner.fan_out(_boom, [1, 2, 3], jobs=2)
 
 
 def test_fan_out_reraises_original_exception_type():
