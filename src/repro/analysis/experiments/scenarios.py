@@ -34,7 +34,9 @@ from in-spec machines under the scenario's own noise environment
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Any
 
 import numpy as np
@@ -52,15 +54,20 @@ from ...core.protocol import (
     execute_compiled_battery,
 )
 from ...core.tests_builder import TestSpec
+from ...noise.models import NoiseParameters
+from ...noise.spam import SpamModel
 from ...scenarios.spec import SCENARIO_KINDS, ScenarioSpec, build_scenario
 from ...trap.calibration import all_pairs
 from ...trap.machine import VirtualIonTrap
 
 __all__ = [
+    "CALIBRATION_FIELDS",
+    "CALIBRATION_MEMO_CELLS",
     "ScenarioCell",
     "ScenarioMatrixConfig",
     "ScenarioMatrixResult",
     "calibrate_cell",
+    "calibration_environment",
     "run_scenarios",
 ]
 
@@ -162,6 +169,41 @@ def _cell_engines(spec: ScenarioSpec) -> tuple[str, ...]:
     return ("xx", "dense") if spec.is_xx_preserving() else ("dense",)
 
 
+#: The config fields :func:`calibrate_cell` reads.  With N and the noise
+#: environment they determine its result (its baseline seeds are fixed),
+#: so they key the calibration memo; ``seed`` is not among them.
+CALIBRATION_FIELDS = (
+    "repetition_counts",
+    "baseline_trials",
+    "noise_realizations",
+    "shots",
+    "verify_shots",
+    "threshold_quantile",
+    "threshold_margin",
+)
+
+#: Calibrated environments one process keeps (least recently used dropped).
+CALIBRATION_MEMO_CELLS = 64
+
+
+def calibration_environment(noise: NoiseParameters) -> tuple:
+    """The values of ``noise`` a calibration depends on, as a memo key.
+
+    Built from values only: two equal environments from distinct
+    :class:`NoiseParameters`/:class:`~repro.noise.spam.SpamModel`
+    objects share a key, and a recycled object address cannot alias two
+    different channels.
+    """
+    spam = noise.spam
+    return (
+        noise.amplitude_sigma,
+        noise.amplitude_sigma_1q,
+        noise.phase_noise_rms,
+        noise.residual_odd_population,
+        None if spam is None else (spam.p01, spam.p10),
+    )
+
+
 def calibrate_cell(
     cfg, n_qubits: int, spec: ScenarioSpec
 ) -> tuple[CalibratedThresholds, BaselineBank, dict[int, Any]]:
@@ -175,14 +217,48 @@ def calibrate_cell(
     once per repetition count and reused by every baseline and detection
     trial.
 
-    ``cfg`` is duck-typed over the calibration fields
-    (``repetition_counts``, ``baseline_trials``, ``noise_realizations``,
-    ``shots``, ``verify_shots``, ``threshold_quantile``,
-    ``threshold_margin``) so the diagnoser arena's config calibrates its
-    cells through the same code path as the scenario matrix — the two
-    workloads grade against identical thresholds and baselines.
+    ``cfg`` is duck-typed over the :data:`CALIBRATION_FIELDS` so the
+    diagnoser arena's config calibrates its cells through the same code
+    path as the scenario matrix — the two workloads grade against
+    identical thresholds and baselines.
+
+    The result depends on ``spec`` only through its noise environment,
+    so it is memoized per process by ``(n_qubits,``
+    :func:`calibration_environment` ``, calibration fields)``, keeping
+    the :data:`CALIBRATION_MEMO_CELLS` most recently used entries: scenario
+    kinds that share an environment calibrate once, and so does every
+    front door (matrix, arena, fleet, service worker) in one process.
+    Callers share the returned thresholds, bank and batteries and must
+    not mutate them.
     """
-    noise = spec.noise_parameters()
+    return _calibrated_environment(
+        n_qubits,
+        calibration_environment(spec.noise_parameters()),
+        tuple(getattr(cfg, name) for name in CALIBRATION_FIELDS),
+    )
+
+
+@functools.lru_cache(maxsize=CALIBRATION_MEMO_CELLS)
+def _calibrated_environment(
+    n_qubits: int, environment: tuple, calibration: tuple
+) -> tuple[CalibratedThresholds, BaselineBank, dict[int, Any]]:
+    """:func:`_calibrate` of one memo key, rebuilt from its values."""
+    sigma, sigma_1q, phase_rms, residual, spam = environment
+    noise = NoiseParameters(
+        amplitude_sigma=sigma,
+        amplitude_sigma_1q=sigma_1q,
+        phase_noise_rms=phase_rms,
+        residual_odd_population=residual,
+        spam=None if spam is None else SpamModel(*spam),
+    )
+    cfg = SimpleNamespace(**dict(zip(CALIBRATION_FIELDS, calibration)))
+    return _calibrate(cfg, n_qubits, noise)
+
+
+def _calibrate(
+    cfg, n_qubits: int, noise: NoiseParameters
+) -> tuple[CalibratedThresholds, BaselineBank, dict[int, Any]]:
+    """The calibration pass behind :func:`calibrate_cell` (unmemoized)."""
     pairs = all_pairs(n_qubits)
     canary_reps = max(cfg.repetition_counts)
     thresholds = CalibratedThresholds(default=0.5)

@@ -22,9 +22,9 @@ coupling-usage analysis only inspects which pairs carry two-qubit gates.
 from __future__ import annotations
 
 import math
+import random
 from typing import Callable
 
-import networkx as nx
 import numpy as np
 
 from ..sim.circuit import Circuit
@@ -90,12 +90,80 @@ def bernstein_vazirani_circuit(n_qubits: int, secret: int | None = None) -> Circ
     return circ
 
 
+def random_regular_edges(degree: int, n: int, seed: int) -> list[tuple[int, int]]:
+    """Edges ``(u, v)``, ``u < v``, of a random ``degree``-regular graph.
+
+    The Steger-Wormald pairing generator (Combinatorics, Probability and
+    Computing 8, 1999) driven by ``random.Random(seed)``: shuffle the
+    stubs, pair them up, keep the pairs that are new simple edges and
+    re-pair the leftover stubs until none remain, restarting when no
+    leftover pair can still form a new edge.  Draws and edge order
+    follow networkx's ``random_regular_graph(degree, n, seed).edges()``,
+    so seeded graphs match that generator edge for edge.
+    """
+    if (n * degree) % 2 or not 0 <= degree < n:
+        raise ValueError(f"no {degree}-regular graph on {n} nodes")
+    rng = random.Random(seed)
+    edges = None
+    while edges is None:
+        edges = _pair_stubs(degree, n, rng)
+    # networkx's Graph.edges() order: nodes ascending, each node's
+    # neighbours in the order its edges come out of the edge set.
+    adjacency: dict[int, list[int]] = {u: [] for u in range(n)}
+    for u, v in edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    return [(u, v) for u in range(n) for v in adjacency[u] if v > u]
+
+
+def _pair_stubs(
+    degree: int, n: int, rng: random.Random
+) -> set[tuple[int, int]] | None:
+    """One pairing attempt of :func:`random_regular_edges` (None: failed)."""
+    edges: set[tuple[int, int]] = set()
+    stubs = list(range(n)) * degree
+    while stubs:
+        leftover: dict[int, int] = {}
+        rng.shuffle(stubs)
+        stub_iter = iter(stubs)
+        for u, v in zip(stub_iter, stub_iter):
+            if u > v:
+                u, v = v, u
+            if u != v and (u, v) not in edges:
+                edges.add((u, v))
+            else:
+                leftover[u] = leftover.get(u, 0) + 1
+                leftover[v] = leftover.get(v, 0) + 1
+        if leftover and not _can_extend(edges, leftover):
+            return None
+        stubs = [node for node, count in leftover.items() for _ in range(count)]
+    return edges
+
+
+def _can_extend(edges: set[tuple[int, int]], leftover: dict[int, int]) -> bool:
+    """Whether some pair of leftover stubs may still form a new edge.
+
+    networkx's scan, kept as is (it decides when an attempt restarts,
+    so it fixes the draws): a swap inside the inner loop rebinds the
+    outer node, so the scan is not a plain test of every pair.
+    """
+    for u in leftover:
+        for v in leftover:
+            if u == v:
+                break
+            if u > v:
+                u, v = v, u
+            if (u, v) not in edges:
+                return True
+    return False
+
+
 def qaoa_maxcut_circuit(
     n_qubits: int, p_layers: int = 2, seed: int = 7
 ) -> Circuit:
     """QAOA for MaxCut on a random 3-regular graph (sparse usage)."""
     degree = 3 if n_qubits >= 4 and (3 * n_qubits) % 2 == 0 else 2
-    graph = nx.random_regular_graph(degree, n_qubits, seed=seed)
+    edges = random_regular_edges(degree, n_qubits, seed)
     rng = np.random.default_rng(seed)
     circ = Circuit(n_qubits)
     for q in range(n_qubits):
@@ -103,7 +171,7 @@ def qaoa_maxcut_circuit(
     for _ in range(p_layers):
         gamma = float(rng.uniform(0, math.pi))
         beta = float(rng.uniform(0, math.pi))
-        for u, v in graph.edges():
+        for u, v in edges:
             circ.cnot(u, v)
             circ.rz(v, 2 * gamma)
             circ.cnot(u, v)

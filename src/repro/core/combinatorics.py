@@ -24,6 +24,7 @@ examples in the paper (e.g. for n = 3, class ``(0, 0) = {0, 2, 4, 6}``).
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import combinations
 
@@ -72,10 +73,16 @@ def class_pairs(
 ) -> list[Pair]:
     """All couplings inside a class, optionally intersected with a
     relevant set (Corollary V.12: unused couplings are simply excluded)."""
-    pairs = [frozenset(p) for p in combinations(sorted(members), 2)]
-    if relevant is not None:
-        pairs = [p for p in pairs if p in relevant]
-    return pairs
+    pairs = _member_pairs(tuple(sorted(members)))
+    if relevant is None:
+        return list(pairs)
+    return [p for p in pairs if p in relevant]
+
+
+@functools.lru_cache(maxsize=256)
+def _member_pairs(members: tuple[int, ...]) -> tuple[Pair, ...]:
+    """Every pair of sorted ``members``, built once per member tuple."""
+    return tuple(frozenset(p) for p in combinations(members, 2))
 
 
 def shared_bits(p: int, q: int, n: int) -> list[tuple[int, int]]:

@@ -23,6 +23,7 @@ import select
 import threading
 import time
 import urllib.error
+import weakref
 from typing import Any
 from urllib.parse import urlsplit
 
@@ -90,13 +91,15 @@ class _ThreadConnection:
     ``threading.local`` drops this holder when its thread exits, and
     the holder then closes the connection rather than leave its socket
     to the garbage collector (an unclosed-socket ``ResourceWarning``).
+    The close is a weak-reference finalizer, not ``__del__``: the
+    finalizer holds the connection itself, so when the holder dies in a
+    reference cycle (a client caught in a stored traceback) the socket
+    is not part of the dead cycle and is closed, not collected open.
     """
 
     def __init__(self, connection: http.client.HTTPConnection):
         self.connection = connection
-
-    def __del__(self) -> None:
-        self.connection.close()
+        weakref.finalize(self, connection.close)
 
 
 class HttpServiceClient:

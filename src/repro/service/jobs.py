@@ -21,11 +21,14 @@ kinds map one-to-one onto the repo's existing front doors:
     names a scenario cell (``scenario``, ``n_qubits``, ``trial``) and a
     diagnoser; the worker rebuilds the arena's calibrated context for
     that cell (identical thresholds/baselines as the tournament) and
-    runs one :func:`repro.arena.diagnosers.run_bounded` session.  Each
-    worker memoizes the calibration per cell and calibration config, so
-    a warm worker calibrates a repeated cell once.  The service refuses
-    at submit a key outside :data:`DIAGNOSE_FIELDS`, an unknown scenario
-    or diagnoser and a malformed ``n_qubits`` or ``trial``.
+    runs one :func:`repro.arena.diagnosers.run_bounded` session.  The
+    calibration goes through the one per-process memo of
+    :func:`~repro.analysis.experiments.scenarios.calibrate_cell`, keyed
+    by N, noise environment and calibration config, so a warm worker
+    calibrates each environment once, whichever kinds share it.  The
+    service refuses at submit a key outside :data:`DIAGNOSE_FIELDS`, an
+    unknown scenario or diagnoser and a malformed ``n_qubits`` or
+    ``trial``.
 ``sleep``
     A diagnostic no-op (``{"seconds": s}``) used by the lifecycle tests
     and the CI smoke drill to exercise queueing, cancellation and
@@ -40,11 +43,9 @@ integrity checksum and persists it as the job's result artifact.
 
 from __future__ import annotations
 
-import functools
 import re
 import time
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 from typing import Any
 
 __all__ = [
@@ -71,23 +72,6 @@ TERMINAL_STATES = ("done", "failed", "cancelled")
 
 #: Tenant namespaces: filesystem-safe, lowercase, no path tricks.
 _NAMESPACE_RE = re.compile(r"^[a-z0-9][a-z0-9._-]{0,63}$")
-
-#: The config fields ``calibrate_cell`` reads: with the scenario and N
-#: they determine its result (its baseline seeds are fixed), so they key
-#: the per-worker calibration memo — and ``seed`` is not among them.
-CALIBRATION_FIELDS = (
-    "repetition_counts",
-    "baseline_trials",
-    "noise_realizations",
-    "shots",
-    "verify_shots",
-    "threshold_quantile",
-    "threshold_margin",
-)
-
-#: Calibrated cells one worker keeps (least recently used evicted).
-CALIBRATION_MEMO_CELLS = 64
-
 
 def outcome_state(status: str) -> str:
     """Map a pool :class:`~repro.exec.outcomes.JobOutcome` status onto
@@ -222,30 +206,6 @@ def _run_matrix_job(
     return report
 
 
-@functools.lru_cache(maxsize=CALIBRATION_MEMO_CELLS)
-def _calibrated_cell(
-    scenario: str, n_qubits: int, calibration: tuple[tuple[str, Any], ...]
-):
-    """Thresholds and baselines of one cell, memoized per worker.
-
-    A pure function of its key, so the memo is shared by every
-    namespace; the compiled batteries are dropped to keep it small.
-    """
-    from ..analysis.experiments.scenarios import calibrate_cell
-    from ..scenarios.spec import build_scenario
-
-    cfg = SimpleNamespace(**dict(calibration))
-    thresholds, bank, _batteries = calibrate_cell(
-        cfg, n_qubits, build_scenario(scenario, n_qubits)
-    )
-    return thresholds, bank
-
-
-def _calibration_key(cfg: Any) -> tuple[tuple[str, Any], ...]:
-    """The :data:`CALIBRATION_FIELDS` block of ``cfg`` (a memo key)."""
-    return tuple((name, getattr(cfg, name)) for name in CALIBRATION_FIELDS)
-
-
 #: The payload keys a ``diagnose`` job reads.
 DIAGNOSE_FIELDS = (
     "scenario", "diagnoser", "n_qubits", "trial", "preset", "overrides"
@@ -298,6 +258,7 @@ def _run_diagnose_job(payload: dict[str, Any], cache_dir: str) -> dict[str, Any]
         _cell_context,
         _trial_machine,
     )
+    from ..analysis.experiments.scenarios import calibrate_cell
     from ..analysis.registry import get_experiment
     from ..arena.budget import TimeBudget
     from ..arena.diagnosers import build_diagnoser, run_bounded
@@ -312,7 +273,7 @@ def _run_diagnose_job(payload: dict[str, Any], cache_dir: str) -> dict[str, Any]
     n_qubits = int(payload.get("n_qubits", cfg.qubit_counts[0]))
     trial = int(payload.get("trial", 0))
     scen = build_scenario(scenario, n_qubits)
-    thresholds, bank = _calibrated_cell(scenario, n_qubits, _calibration_key(cfg))
+    thresholds, bank, _batteries = calibrate_cell(cfg, n_qubits, scen)
     ctx = _cell_context(cfg, n_qubits, thresholds, bank)
     diagnoser = build_diagnoser(diagnoser_name, ctx)
     machine = _trial_machine(cfg, n_qubits, scen, trial)

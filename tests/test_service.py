@@ -24,6 +24,8 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.analysis.experiments import scenarios
+from repro.scenarios.spec import build_scenario
 from repro.service import (
     PRIORITIES,
     DiagnosisService,
@@ -731,16 +733,14 @@ def test_close_leaves_no_live_workers(tmp_path):
 
 
 def _stub_calibration(monkeypatch):
-    """Count ``calibrate_cell`` calls behind a fresh, stubbed memo."""
-    from repro.analysis.experiments import scenarios
-
+    """Count calibration passes behind a fresh, stubbed shared memo."""
     calls = []
     monkeypatch.setattr(
         scenarios,
-        "calibrate_cell",
-        lambda cfg, n_qubits, spec: calls.append(cfg) or ("t", "b", {}),
+        "_calibrate",
+        lambda cfg, n_qubits, noise: calls.append(cfg) or ("t", "b", {}),
     )
-    jobs._calibrated_cell.cache_clear()
+    scenarios._calibrated_environment.cache_clear()
     return calls
 
 
@@ -758,21 +758,21 @@ def test_calibration_memo_keys_on_calibration_fields_not_seed(monkeypatch):
     calls = _stub_calibration(monkeypatch)
     try:
         cfg = get_experiment("arena").config("smoke")
+        spec = build_scenario("static-under-rotation", 6)
 
         def calibrate(config):
-            key = jobs._calibration_key(config)
-            return jobs._calibrated_cell("static-under-rotation", 6, key)
+            return scenarios.calibrate_cell(config, 6, spec)
 
         calibrate(cfg)
         calibrate(replace(cfg, seed=cfg.seed + 1))
         assert len(calls) == 1  # seed is not a calibration input
-        for n, name in enumerate(jobs.CALIBRATION_FIELDS, start=2):
+        for n, name in enumerate(scenarios.CALIBRATION_FIELDS, start=2):
             changed = replace(cfg, **{name: _bumped(getattr(cfg, name))})
             calibrate(changed)
             assert len(calls) == n, name
             assert getattr(calls[-1], name) == getattr(changed, name)
     finally:
-        jobs._calibrated_cell.cache_clear()
+        scenarios._calibrated_environment.cache_clear()
 
 
 def test_calibration_memo_is_bounded(monkeypatch):
@@ -781,14 +781,14 @@ def test_calibration_memo_is_bounded(monkeypatch):
     _stub_calibration(monkeypatch)
     try:
         cfg = get_experiment("arena").config("smoke")
-        for shots in range(jobs.CALIBRATION_MEMO_CELLS + 5):
-            key = jobs._calibration_key(replace(cfg, shots=100 + shots))
-            jobs._calibrated_cell("over-rotation", 6, key)
-        info = jobs._calibrated_cell.cache_info()
-        assert info.maxsize == jobs.CALIBRATION_MEMO_CELLS
-        assert info.currsize == jobs.CALIBRATION_MEMO_CELLS
+        spec = build_scenario("over-rotation", 6)
+        for shots in range(scenarios.CALIBRATION_MEMO_CELLS + 5):
+            scenarios.calibrate_cell(replace(cfg, shots=100 + shots), 6, spec)
+        info = scenarios._calibrated_environment.cache_info()
+        assert info.maxsize == scenarios.CALIBRATION_MEMO_CELLS == 64
+        assert info.currsize == scenarios.CALIBRATION_MEMO_CELLS
     finally:
-        jobs._calibrated_cell.cache_clear()
+        scenarios._calibrated_environment.cache_clear()
 
 
 def _without_wall(result):
@@ -827,7 +827,7 @@ def test_warm_service_results_match_cold_execution(tmp_path):
             served.append(svc.result(job_id)["result"])
     try:
         for payload, warm in zip(payloads, served):
-            jobs._calibrated_cell.cache_clear()
+            scenarios._calibrated_environment.cache_clear()
             cold = execute_job(
                 {
                     "job_id": "cold",
@@ -838,7 +838,7 @@ def test_warm_service_results_match_cold_execution(tmp_path):
             )
             assert _without_wall(warm) == _without_wall(cold), payload
     finally:
-        jobs._calibrated_cell.cache_clear()
+        scenarios._calibrated_environment.cache_clear()
 
 
 def _live_group_members(pgid):
