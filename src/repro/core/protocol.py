@@ -224,20 +224,21 @@ def execute_compiled_battery(
 
     The compiled counterpart of ``TestExecutor.execute_batch``: each
     spec's circuit-static structure (XX contraction plan or dense plan)
-    is built once in the battery and every execution evaluates all
-    noise-realization groups in a single stacked pass — under the full
-    Sec. VI error model this is the compiled *dense* path of Figs. 6/7.
-    Pass a pre-built ``battery`` (from :func:`compile_test_battery`, with
-    tests in ``specs`` order) to amortize compilation across trial
-    machines; otherwise one is compiled on the fly.  ``engine`` forces
-    an evaluation path (``"xx"``/``"dense"``) instead of the automatic
-    dispatch — the scenario matrix uses it to run one battery through
-    both engines (see
-    :meth:`~repro.trap.machine.CompiledBattery.trial_fidelities`).
+    is built once in the battery, and the whole battery is evaluated in
+    one :meth:`~repro.trap.machine.CompiledBattery.fidelities` pass —
+    under the full Sec. VI error model this is the compiled *dense*
+    path of Figs. 6/7.  Pass a pre-built ``battery`` (from
+    :func:`compile_test_battery`, with tests in ``specs`` order) to
+    amortize compilation across trial machines; otherwise one is
+    compiled on the fly.  ``engine`` forces an evaluation path
+    (``"xx"``/``"dense"``) instead of the automatic dispatch — the
+    scenario matrix uses it to run one battery through both engines.
+    Specs without couplings draw nothing and pass with fidelity 1.0.
 
     Results are statistically equivalent to the per-test
-    :class:`TestExecutor` loop (the RNG stream is consumed in a different
-    order).  ``machine`` must be a
+    :class:`TestExecutor` loop, though the RNG stream is consumed in
+    another order: every test's noise is drawn in spec order, then
+    every test's shots are sampled at once.  ``machine`` must be a
     :class:`~repro.trap.machine.VirtualIonTrap` (the compiled paths need
     its noise internals, not just the ``run_match`` surface).
     """
@@ -252,15 +253,9 @@ def execute_compiled_battery(
         )
     if thresholds is None:
         thresholds = FixedThresholds()
-    results: list[TestResult] = []
+    indices = []
     for index, spec in enumerate(specs):
-        threshold = thresholds.threshold_for(spec.repetitions, spec.kind)
         if not spec.pairs:
-            results.append(
-                TestResult(
-                    spec=spec, fidelity=1.0, threshold=threshold, shots=shots
-                )
-            )
             continue
         program = battery.tests[index]
         if program.expected != expected_output(
@@ -270,22 +265,25 @@ def execute_compiled_battery(
                 f"battery test {index} does not match spec {spec.name!r}; "
                 "compile the battery from this spec list (same order)"
             )
-        fidelity = float(
-            battery.trial_fidelities(
-                machine,
-                index,
-                shots,
-                trials=1,
-                realizations=realizations,
-                engine=engine,
-            )[0]
+        indices.append(index)
+    measured = iter(
+        battery.fidelities(
+            machine,
+            indices,
+            shots,
+            realizations=realizations,
+            engine=engine,
+        )[:, 0].tolist()
+    )
+    return [
+        TestResult(
+            spec=spec,
+            fidelity=next(measured) if spec.pairs else 1.0,
+            threshold=thresholds.threshold_for(spec.repetitions, spec.kind),
+            shots=shots,
         )
-        results.append(
-            TestResult(
-                spec=spec, fidelity=fidelity, threshold=threshold, shots=shots
-            )
-        )
-    return results
+        for spec in specs
+    ]
 
 
 @dataclass

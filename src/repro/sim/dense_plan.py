@@ -59,6 +59,13 @@ restore evolution, so results are bit-identical to it.  Realization
 rows are chunked to a byte budget.  Plans depend only on
 ``(n_qubits, skeleton)`` — they are machine-independent and meant to be
 cached across trials (see :class:`DensePlanCache`).
+
+**Stacking.**  Every step acts per batch row, so the rows of several
+tests that share one canonical skeleton stack along the batch axis into
+one call: :meth:`DensePlan.probabilities` takes a list of
+:class:`Segment` runs, each read for its own expected bitstring on its
+own plan's touched map.  Each row is bit-identical to a one-segment
+call on that row's plan.
 """
 
 from __future__ import annotations
@@ -66,6 +73,7 @@ from __future__ import annotations
 import copy
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -80,6 +88,7 @@ __all__ = [
     "Blocks",
     "DensePlan",
     "DensePlanCache",
+    "Segment",
     "Skeleton",
     "canonical_skeleton",
 ]
@@ -171,6 +180,19 @@ class _Bucket:
 def _next_pow2(n: int) -> int:
     """Smallest power of two >= n."""
     return 1 << (n - 1).bit_length()
+
+
+class Segment(NamedTuple):
+    """A run of ``rows`` consecutive stacked rows of one test.
+
+    The rows are matched against the full-width ``expected`` bitstring,
+    read on ``plan``'s touched map; ``plan`` must share the evaluating
+    plan's canonical skeleton.
+    """
+
+    plan: "DensePlan"
+    expected: int
+    rows: int
 
 
 class DensePlan:
@@ -743,29 +765,54 @@ class DensePlan:
     def probabilities(
         self,
         blocks: Blocks,
-        expected: int,
+        expected: int | Sequence[Segment],
         max_batch_bytes: int | None = None,
     ) -> np.ndarray:
         """Per-realization probabilities of the full-width ``expected``.
 
-        Realization rows are evaluated in contiguous chunks sized to
-        ``max_batch_bytes`` (or the global amplitude cap), so peak memory
-        stays bounded for stacked trials-times-groups batches.  Untouched
-        qubits must read 0 in ``expected``; otherwise the probability is
-        identically zero.  ``expected`` outside ``[0, 2^n_qubits)``
-        raises ``ValueError``.
+        ``expected`` is one bitstring for every row, or the
+        :class:`Segment` runs that stack several tests' rows in order:
+        each run is read for its own bitstring on its own plan's touched
+        map.  Realization rows are evaluated in contiguous chunks sized
+        to ``max_batch_bytes`` (or the global amplitude cap), so peak
+        memory stays bounded for stacked trials-times-groups batches; a
+        chunk may split a segment.  Untouched qubits must read 0 in a
+        bitstring; otherwise its rows' probability is identically zero.
+        A bitstring outside ``[0, 2^n_qubits)``, a segment plan with
+        another compiled core, or segment rows that do not add up to the
+        batch raise ``ValueError``.
         """
-        sub, forced_zero = subregister_bitstring(
-            self.n_qubits, self.touched, expected
-        )
         n_batch = self._check_blocks(blocks)
-        if forced_zero:
-            return np.zeros(n_batch)
-        # The expected amplitude's index in the final axis order.
+        if isinstance(expected, (int, np.integer)):
+            expected = (Segment(self, expected, n_batch),)
+        covered = sum(segment.rows for segment in expected)
+        if covered != n_batch:
+            raise ValueError(
+                f"segments cover {covered} rows of a batch of {n_batch}"
+            )
+        # Each segment's expected amplitude in the final axis order, or
+        # -1 where an untouched qubit reads 1.
         n = self.n_local
-        index = 0
-        for pos, q in enumerate(self._final_order):
-            index |= ((sub >> (n - 1 - q)) & 1) << (n - 1 - pos)
+        indices = []
+        for plan, bits, _ in expected:
+            if plan._local_slots != self._local_slots:
+                raise ValueError(
+                    "segment plan does not share this plan's compiled core"
+                )
+            sub, forced_zero = subregister_bitstring(
+                plan.n_qubits, plan.touched, bits
+            )
+            index = -1
+            if not forced_zero:
+                index = 0
+                for pos, q in enumerate(self._final_order):
+                    index |= ((sub >> (n - 1 - q)) & 1) << (n - 1 - pos)
+            indices.append(index)
+        if max(indices) < 0:
+            return np.zeros(n_batch)
+        rows = np.repeat(indices, [segment.rows for segment in expected])
+        forced = rows < 0
+        rows[forced] = 0
         parts = []
         for start, stop in realization_chunks(n, n_batch, max_batch_bytes):
             chunk = (
@@ -774,8 +821,12 @@ class DensePlan:
                 else {k: b[:, start:stop] for k, b in blocks.items()}
             )
             psi = self._evolve(chunk, stop - start, max_batch_bytes)
-            parts.append(np.abs(psi[:, index]) ** 2)
-        return np.clip(np.concatenate(parts), 0.0, 1.0)
+            parts.append(
+                np.abs(psi[np.arange(stop - start), rows[start:stop]]) ** 2
+            )
+        probs = np.clip(np.concatenate(parts), 0.0, 1.0)
+        probs[forced] = 0.0
+        return probs
 
     def apply_count(self) -> int:
         """Full-state gate applications per evaluation (fusion metric)."""

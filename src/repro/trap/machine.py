@@ -44,9 +44,11 @@ that still stays X-diagonal is evaluated on the slot XX path, and a
 component above ``max_exact_qubits`` falls back to a per-realization
 Monte-Carlo :class:`~repro.sim.xx_engine.XXCircuitEvaluator`.  A
 :class:`CompiledBattery` holds programs and evaluates through the same
-two routes.  ``_realize_slots`` builds the same draws as
-:class:`RealizedSlot` objects: it serves ``run`` and is the one oracle
-the compiled routes are tested against, bit for bit.
+two routes, one pass per battery: every test drawn in order, each dense
+plan core contracted once for all its tests, one binomial draw.
+``_realize_slots`` builds the same draws as :class:`RealizedSlot`
+objects: it serves ``run`` and is the one oracle the compiled routes
+are tested against, bit for bit.
 
 Shot batching: stochastic noise is re-drawn per *realization group* rather
 than per shot (control noise varies slowly compared to a ~ms shot cycle);
@@ -70,7 +72,14 @@ from ..sim.sampling import (
     sample_bernoulli_counts_batch,
     sample_counts_from_probs,
 )
-from ..sim.dense_plan import Blocks, DensePlan, DensePlanCache, Skeleton
+from ..sim.dense_plan import (
+    Blocks,
+    DensePlan,
+    DensePlanCache,
+    Segment,
+    Skeleton,
+    canonical_skeleton,
+)
 from ..sim.statevector import (
     MAX_DENSE_QUBITS,
     check_bitstring,
@@ -548,33 +557,44 @@ class VirtualIonTrap:
         self._clock += n_batch * n_ms * gate_dt
         return blocks
 
-    def _dense_test_probabilities(
+    def _dense_draw(
         self,
         test: "_CompiledDenseTest",
         expected: int,
         n_batch: int,
-        plans: DensePlanCache | None = None,
         force: bool = False,
-    ) -> np.ndarray:
-        """Match probabilities of ``n_batch`` draws of a compiled dense test.
+    ) -> tuple[Blocks, np.ndarray | None]:
+        """Draw ``n_batch`` realizations of a compiled dense test.
 
-        A draw that stays X-diagonal runs the slot XX path (unless
-        ``force``); anything else runs the dense plan of the test's
-        skeleton, resolved through ``plans`` (a battery's cache) or this
-        machine's own cache.
+        Returns the drawn blocks and, where no dense plan is needed,
+        their match probabilities: an empty skeleton, or a draw that
+        stays X-diagonal, which runs the slot XX path (unless
+        ``force``).  Otherwise the probabilities are ``None`` and the
+        caller evaluates the skeleton's plan on the blocks.
         """
         blocks = self._draw_dense(test, n_batch)
         if not test.skeleton:
-            return np.full(n_batch, 1.0 if expected == 0 else 0.0)
+            return blocks, np.full(n_batch, 1.0 if expected == 0 else 0.0)
         if not force and test.x_diagonal(blocks.get("MS")):
-            return self._match_probabilities_slots(
+            return blocks, self._match_probabilities_slots(
                 test.slots(blocks), expected
             )
-        if plans is None:
-            plan = self._dense_plan_for(test.skeleton)
-        else:
-            plan = self._cached_plan(plans, test.skeleton)
-        return plan.probabilities(blocks, expected, self.max_batch_bytes)
+        return blocks, None
+
+    def _dense_test_probabilities(
+        self, test: "_CompiledDenseTest", expected: int, n_batch: int
+    ) -> np.ndarray:
+        """Match probabilities of ``n_batch`` draws of a compiled dense test.
+
+        :meth:`_dense_draw`, then the skeleton's plan from this machine's
+        own cache where the draw needs one.
+        """
+        blocks, probs = self._dense_draw(test, expected, n_batch)
+        if probs is None:
+            probs = self._dense_plan_for(test.skeleton).probabilities(
+                blocks, expected, self.max_batch_bytes
+            )
+        return probs
 
     # -- batched (slot-based) evaluation -------------------------------------------
 
@@ -761,8 +781,8 @@ class CompiledBattery:
     The paper compiles its non-adaptive battery once and runs it over
     and over (Secs. VI/VII).  A ``CompiledBattery`` holds each test's
     compiled structure and evaluates **all noise realizations of all
-    trials** of a test in one pass, with exactly the arithmetic
-    ``run_match`` uses for a single test:
+    trials of every requested test** in one pass (:meth:`fidelities`),
+    with exactly the arithmetic ``run_match`` uses for a single test:
 
     * the XX route: at construction every test resolves its
       :class:`TestProgram`'s XX entry (edge columns, nominal angles and
@@ -776,6 +796,12 @@ class CompiledBattery:
       first dense call, and a :class:`~repro.sim.dense_plan.DensePlan`
       from the battery's own plan cache, which survives across trial
       machines.
+
+    No test of a battery waits on another's result, so a pass draws
+    every test's noise in the order asked, then contracts each dense
+    plan core once over all tests sharing its canonical skeleton, then
+    samples every test's shots with one binomial call.  A one-test pass
+    (:meth:`trial_fidelities`) is draw, kernel, binomial.
 
     Batteries are machine-independent: one battery serves many machines,
     calibration snapshots and sweep points.
@@ -838,6 +864,44 @@ class CompiledBattery:
         xx = self.tests[index].xx(self.max_exact_qubits)
         return machine._xx_slot_angles(xx) is not None
 
+    def fidelities(
+        self,
+        machine: VirtualIonTrap,
+        indices: list[int],
+        shots: int,
+        trials: int = 1,
+        realizations: int | None = None,
+        engine: str = "auto",
+    ) -> np.ndarray:
+        """Measured fidelities of tests ``indices``: ``(len(indices), trials)``.
+
+        One pass over the requested tests.  The machine and every
+        test's route are checked before anything is drawn.  Then each
+        test's ``trials`` x realization-group batch is drawn in
+        ``indices`` order — on the XX route (drawn and contracted per
+        test) when it takes the test, otherwise into the program's
+        dense layout.  Dense tests sharing a canonical skeleton are
+        contracted in one stacked
+        :meth:`~repro.sim.dense_plan.DensePlan.probabilities` call, and
+        the shots of every (test, trial, group) are sampled with one
+        binomial draw.  Statistically equivalent to ``trials`` calls of
+        ``TestExecutor.execute`` per test on the machine (the RNG stream
+        is consumed in a different order).
+
+        ``engine`` selects the evaluation path: ``"auto"`` dispatches on
+        :meth:`xx_eligible` (the default), ``"dense"`` forces the dense
+        plan even for XX-preserving settings (scenario-matrix engine
+        comparisons), ``"xx"`` demands the exact XX contraction and
+        raises ``ValueError``, with nothing drawn, when the XX route
+        declines any of the tests.
+        """
+        programs, groups, probs = self._pass_probabilities(
+            machine, indices, shots, trials, realizations, engine
+        )
+        if not programs:
+            return np.empty((0, trials))
+        return self._sample_fidelities(machine, programs, probs, shots, groups)
+
     def trial_fidelities(
         self,
         machine: VirtualIonTrap,
@@ -849,26 +913,12 @@ class CompiledBattery:
     ) -> np.ndarray:
         """Measured fidelities of ``trials`` repeated runs of one test.
 
-        All trials' noise-realization groups are drawn and evaluated in
-        one pass — on the XX route when it takes the test, otherwise as
-        a single chunked dense batch through the cached
-        :class:`~repro.sim.dense_plan.DensePlan` — and shots are then
-        sampled per (trial, group) with a single batched binomial draw.
-        Statistically equivalent to ``trials`` calls of
-        ``TestExecutor.execute`` on the machine (the RNG stream is
-        consumed in a different order).
-
-        ``engine`` selects the evaluation path: ``"auto"`` dispatches on
-        :meth:`xx_eligible` (the default), ``"dense"`` forces the dense
-        plan even for XX-preserving settings (scenario-matrix engine
-        comparisons), ``"xx"`` demands the exact XX contraction and
-        raises ``ValueError`` when the XX route declines the test.
+        The one-test pass of :meth:`fidelities`: all trials'
+        noise-realization groups are drawn and evaluated in one batch,
+        then sampled with one binomial draw.
         """
-        program, groups, probs = self._trial_probabilities(
-            machine, index, shots, trials, realizations, engine
-        )
-        return self._sample_fidelities(
-            machine, program, probs[None, ...], shots, groups
+        return self.fidelities(
+            machine, [index], shots, trials, realizations, engine
         )[0]
 
     def sweep_fidelities(
@@ -906,7 +956,9 @@ class CompiledBattery:
         probs = machine._xx_probabilities(
             xx, angles, trials * len(groups)
         ).reshape(mags.size, trials, len(groups))
-        return self._sample_fidelities(machine, program, probs, shots, groups)
+        return self._sample_fidelities(
+            machine, [program], probs, shots, groups
+        )
 
     # -- internals -------------------------------------------------------------
 
@@ -917,80 +969,117 @@ class CompiledBattery:
                 f"battery compiled for {self.n_qubits}"
             )
 
-    def _trial_probabilities(
+    def _pass_probabilities(
         self,
         machine: VirtualIonTrap,
-        index: int,
+        indices: list[int],
         shots: int,
         trials: int,
         realizations: int | None,
         engine: str = "auto",
-    ) -> tuple[TestProgram, np.ndarray, np.ndarray]:
+    ) -> tuple[list[TestProgram], np.ndarray, np.ndarray]:
+        """A pass's programs, shot groups and ``(tests, trials, groups)``
+        match probabilities (see :meth:`fidelities`)."""
         if engine not in ("auto", "xx", "dense"):
             raise ValueError(
                 f"unknown engine {engine!r}; choose auto, xx or dense"
             )
         self._check_machine(machine)
-        program = self.tests[index]
-        xx = None if engine == "dense" else program.xx(self.max_exact_qubits)
-        angles = machine._xx_slot_angles(xx)
-        if engine == "xx" and angles is None:
-            raise ValueError(
-                "engine='xx' requested but the setting requires the dense "
-                "fallback (non-XX-preserving noise, a dense-only test, or "
-                "drive phases off the pi grid)"
-            )
+        programs = [self.tests[index] for index in indices]
+        routes = []
+        for program in programs:
+            xx = None if engine == "dense" else program.xx(self.max_exact_qubits)
+            angles = machine._xx_slot_angles(xx)
+            if engine == "xx" and angles is None:
+                raise ValueError(
+                    "engine='xx' requested but the setting requires the "
+                    "dense fallback (non-XX-preserving noise, a dense-only "
+                    "test, or drive phases off the pi grid)"
+                )
+            routes.append((xx, angles))
         groups = np.asarray(
             machine._shot_groups(shots, realizations), dtype=np.int64
         )
         n_batch = trials * len(groups)
-        if angles is not None:
-            probs = machine._xx_probabilities(xx, angles, n_batch)
-        else:
+        probs = np.empty((len(programs), n_batch))
+        # Dense draws awaiting their plan core's one stacked call:
+        # canonical skeleton -> [(row, segment, blocks), ...].
+        stacks: dict[Skeleton, list[tuple[int, Segment, Blocks]]] = {}
+        for row, (program, (xx, angles)) in enumerate(zip(programs, routes)):
+            if angles is not None:
+                probs[row] = machine._xx_probabilities(xx, angles, n_batch)[0]
+                continue
             # The whole trials-times-groups batch, drawn in one pass into
-            # the program's dense layout and evolved through the battery's
-            # plan cache, which survives across trial machines.  ``force``
-            # skips the exact-XX shortcut for draws that stay X-diagonal:
-            # the scenario-matrix mode, where the dense engine must run.
-            probs = machine._dense_test_probabilities(
-                machine._dense_test(program),
-                program.expected,
-                n_batch,
-                plans=self._dense_plans,
-                force=(engine == "dense"),
+            # the program's dense layout; its plan comes from the
+            # battery's cache, which survives across trial machines.
+            # ``force`` skips the exact-XX shortcut for draws that stay
+            # X-diagonal: the scenario-matrix mode, where the dense
+            # engine must run.
+            test = machine._dense_test(program)
+            blocks, settled = machine._dense_draw(
+                test, program.expected, n_batch, force=(engine == "dense")
             )
-        return program, groups, probs.reshape(trials, len(groups))
+            if settled is not None:
+                probs[row] = settled
+                continue
+            plan = machine._cached_plan(self._dense_plans, test.skeleton)
+            stacks.setdefault(test.canonical, []).append(
+                (row, Segment(plan, program.expected, n_batch), blocks)
+            )
+        for members in stacks.values():
+            rows, segments, drawn = zip(*members)
+            blocks = drawn[0]
+            if len(drawn) > 1:
+                blocks = {
+                    kind: np.concatenate([b[kind] for b in drawn], axis=1)
+                    for kind in blocks
+                }
+            probs[list(rows)] = segments[0].plan.probabilities(
+                blocks, segments, machine.max_batch_bytes
+            ).reshape(len(rows), n_batch)
+        return programs, groups, probs.reshape(
+            len(programs), trials, len(groups)
+        )
 
     def _sample_fidelities(
         self,
         machine: VirtualIonTrap,
-        program: TestProgram,
+        programs: list[TestProgram],
         probs: np.ndarray,
         shots: int,
         groups: np.ndarray,
     ) -> np.ndarray:
-        """Binomial shot sampling + cost accounting; probs is (R, T, G)."""
-        spam_factor = (
-            machine.noise.spam.match_probability_factor(
-                program.expected, self.n_qubits
-            )
-            if machine.noise.spam is not None
-            else 1.0
+        """One binomial shot draw + cost accounting; probs is ``(R, T, G)``.
+
+        Row ``r`` belongs to ``programs[r]``, or every row to the one
+        program when ``programs`` holds one (a magnitude sweep).
+        """
+        spam = machine.noise.spam
+        factors = np.array(
+            [
+                spam.match_probability_factor(program.expected, self.n_qubits)
+                if spam is not None
+                else 1.0
+                for program in programs
+            ]
         )
-        p = np.clip(probs * spam_factor, 0.0, 1.0)
+        p = np.clip(probs * factors[:, None, None], 0.0, 1.0)
         matches = machine.rng.binomial(
             np.broadcast_to(groups, p.shape), p
         )
-        n_runs = p.shape[0] * p.shape[1]
-        machine.stats.circuit_runs += n_runs
-        machine.stats.shots += n_runs * shots
-        machine.stats.two_qubit_gates += program.n_two_qubit * shots * n_runs
-        machine.stats.quantum_seconds += (
-            machine.timing.circuit_run_time(
-                program.n_two_qubit, self.n_qubits, shots
+        n_runs = p.shape[0] * p.shape[1] // len(programs)
+        for program in programs:
+            machine.stats.circuit_runs += n_runs
+            machine.stats.shots += n_runs * shots
+            machine.stats.two_qubit_gates += (
+                program.n_two_qubit * shots * n_runs
             )
-            * n_runs
-        )
+            machine.stats.quantum_seconds += (
+                machine.timing.circuit_run_time(
+                    program.n_two_qubit, self.n_qubits, shots
+                )
+                * n_runs
+            )
         return matches.sum(axis=2) / shots
 
 
@@ -1195,7 +1284,9 @@ class _CompiledDenseTest:
     per-kind blocks.  The R block stacks the kick rows, then the R rows;
     ``r_order`` puts them into program order (``None`` when they already
     are, as in every battery test).  ``slot_rows`` gives each
-    ``skeleton`` slot's row in its kind's block.  ``x_static`` records
+    ``skeleton`` slot's row in its kind's block and ``canonical`` is
+    the skeleton's :func:`~repro.sim.dense_plan.canonical_skeleton`,
+    the key a battery pass stacks tests by.  ``x_static`` records
     that no slot but an MS one can leave the X basis, so a draw is
     X-diagonal exactly when its MS phases sit on the pi grid.
     """
@@ -1210,6 +1301,7 @@ class _CompiledDenseTest:
     r_order: np.ndarray | None
     static: tuple[tuple[str, np.ndarray], ...]
     skeleton: Skeleton
+    canonical: Skeleton
     slot_rows: tuple[int, ...]
     x_static: bool
 
@@ -1298,6 +1390,7 @@ def _compiled_dense_test(
             for gate, rows in static.items()
         ),
         skeleton=tuple(skeleton),
+        canonical=canonical_skeleton(skeleton),
         slot_rows=tuple(slot_rows),
         x_static=x_static and not kicks and not r_slots,
     )

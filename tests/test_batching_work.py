@@ -2,14 +2,15 @@
 
 Both the compiled battery and a per-trial ``TestExecutor`` loop run the
 same :class:`~repro.sim.dense_plan.DensePlan` kernel under the same
-noise model, so the compiled route's advantage comes from exactly three
+noise model, so the compiled route's advantage comes from exactly four
 mechanisms: trial stacking (one noise draw and one kernel call per test
-for all trials x realization groups), plan reuse (the battery's plan
-cache plus canonical rebinds across one family's tests) and fusion
-(adjacent slots on at most two qubits collapse into one application).
-These tests count each of them on the Fig. 6 / Fig. 7 workload shapes,
-so a regression in any one fails deterministically instead of showing
-up as a slower wall clock.
+for all trials x realization groups), test stacking (a battery pass
+contracts every test sharing a plan core in one kernel call), plan
+reuse (the battery's plan cache plus canonical rebinds across one
+family's tests) and fusion (adjacent slots on at most two qubits
+collapse into one application).  These tests count each of them on the
+Fig. 6 / Fig. 7 workload shapes, so a regression in any one fails
+deterministically instead of showing up as a slower wall clock.
 """
 
 import pytest
@@ -136,13 +137,15 @@ def test_fig7_per_trial_executor_draws_once_per_trial(work):
 
 
 def test_fig6_warm_batteries_compile_once_across_machines(work):
-    """Six fresh machines, two warm batteries: 120 evaluations, 2 compiles.
+    """Six fresh machines, two warm batteries: 120 draws, 12 kernel calls.
 
     The validate/service pattern: the paper's two Fig. 6 batteries are
     compiled once and diagnose six fresh seeded machines.  A plan per
     evaluation would compile 120 times; the batteries' plan caches
     compile one plan per depth, rebind it for the other nine tests and
-    serve every later machine from the cache.
+    serve every later machine from the cache.  Each battery pass draws
+    its ten tests one by one but contracts them in one stacked call on
+    their shared plan core: one call per machine and depth.
     """
     noise = NoiseParameters(
         amplitude_sigma=0.10,
@@ -167,7 +170,8 @@ def test_fig6_warm_batteries_compile_once_across_machines(work):
             assert len(results) == len(specs)
         hits += machine.stats.dense_plan_hits
         rebinds += machine.stats.dense_plan_rebinds
-    assert len(work["draws"]) == len(work["plans"]) == 120
+    assert work["draws"] == [8] * 120
+    assert len(work["plans"]) == 6 * len(batteries)
     assert work["compiles"] == 2
     assert (rebinds, hits) == (18, 100)
     _assert_fused(work["plans"], {36, 72})

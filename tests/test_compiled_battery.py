@@ -65,9 +65,9 @@ def test_compiled_matches_reference_on_fig8_grid(repetitions):
         n_qubits, under=(((0, 1), 0.2), ((2, 3), -0.05)), noise_realizations=4
     )
     for trials in (1, 3):
-        _, _, probs = battery._trial_probabilities(
-            compiled, 0, 100, trials, None, engine="xx"
-        )
+        probs = battery._pass_probabilities(
+            compiled, [0], 100, trials, None, engine="xx"
+        )[2][0]
         ref = _slot_oracle(oracle, ct.circuit, ct.expected, trials * 4)
         assert probs.shape == (trials, 4)
         assert (probs.ravel() == ref).all()
@@ -114,7 +114,7 @@ def test_magnitude_broadcast_matches_per_point_loop(monkeypatch):
         fed.clear()
         twin, _ = _twins(n_qubits, under=under, noise_realizations=3)
         twin.set_under_rotation((0, 1), magnitude)
-        _, _, probs = battery._trial_probabilities(twin, 0, 100, 2, None, "xx")
+        probs = battery._pass_probabilities(twin, [0], 100, 2, None, "xx")[2][0]
         assert (stacked[6 * k : 6 * (k + 1)] == fed[0]).all()
         assert np.max(np.abs(sweep[k] - probs)) < 1e-15
         # The sweep drew (and timed) one batch, shared by every row.
@@ -130,8 +130,8 @@ def test_broadcast_row_chunking_is_exact():
         VirtualIonTrap(n_qubits, seed=3, max_batch_bytes=budget)
         for budget in (None, 1)
     )
-    p_full = battery._trial_probabilities(full, 0, 100, 4, None)[2]
-    p_chunked = battery._trial_probabilities(chunked, 0, 100, 4, None)[2]
+    p_full = battery._pass_probabilities(full, [0], 100, 4, None)[2]
+    p_chunked = battery._pass_probabilities(chunked, [0], 100, 4, None)[2]
     # Chunk boundaries change the BLAS kernel, not the math.
     assert np.max(np.abs(p_full - p_chunked)) < 1e-12
 
@@ -222,7 +222,7 @@ def test_deterministic_machine_matches_realized_evaluator():
     )
     machine.set_under_rotation((0, 1), 0.3)
     battery = machine.compile_battery([(circuit, expected)])
-    compiled = battery._trial_probabilities(machine, 0, 1, 1, 1)[2][0, 0]
+    compiled = battery._pass_probabilities(machine, [0], 1, 1, 1)[2][0, 0, 0]
     (realized,) = machine._slots_to_circuits(
         machine._realize_slots(circuit, 1)
     )
@@ -258,7 +258,7 @@ def test_ms_drive_phases_both_reach_every_route(phases):
     battery = CompiledBattery(3, [(circuit, 0)])
     assert battery.xx_eligible(machine, 0)
     for engine in ("xx", "dense"):
-        probs = battery._trial_probabilities(machine, 0, 1, 1, 1, engine)[2]
+        probs = battery._pass_probabilities(machine, [0], 1, 1, 1, engine)[2][0]
         assert probs[0, 0] == pytest.approx(exact[0], abs=1e-12)
 
 

@@ -155,7 +155,7 @@ def _oracle_trial_fidelities(battery, machine, index, shots, trials, force):
         force,
     ).reshape(trials, len(groups))
     return battery._sample_fidelities(
-        machine, ct, probs[None], shots, groups
+        machine, [ct], probs[None], shots, groups
     )[0]
 
 
