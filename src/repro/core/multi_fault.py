@@ -77,6 +77,12 @@ def _equal_bits_specs(
     (Lemma V.5 guarantees one of the two per position).
     """
     n = num_bits(n_qubits)
+    if n == 1:
+        # Two qubits have no bit positions to compare, and no class test
+        # holds their one (complementary) coupling: give it a test.
+        pairs = tuple(class_pairs([0, 1], relevant))
+        meta = (("j", 0), ("equal", False), ("role", "canary"))
+        return [TestSpec("canary-bits[0,!=]", pairs, repetitions, "equal-bits", meta)]
     specs = []
     for j in range(1, n):
         for want_equal, tag in ((True, "="), (False, "!=")):

@@ -22,8 +22,12 @@ uniform spins).
 The compiled :class:`ContractionPlan` also uses the global spin flip: a
 component without linear terms has a flip-even phase, so its sum is
 ``(1 + (-1)^|z|)`` times the sum over ``s_0 = +1`` — zero for odd ``|z|``
-and twice the half-table sum otherwise.  :class:`XXCircuitEvaluator`
-keeps the full table and serves as its reference.
+and twice the half-table sum otherwise.  Above 8 spins it splits the
+phase, which is quadratic in the spins, between two halves A and B:
+``phase(s) = phi_A(s_A) + phi_B(s_B) + s_A^T Theta s_B``, so a 2^m-term
+sum needs two 2^(m/2)-row tables and one cross product, and nothing is
+cached between calls.  :class:`XXCircuitEvaluator` builds the full table
+per call and serves as its reference.
 
 Supported operations: ``XX``, ``MS`` with drive phases that are multiples of
 pi (the axis stays on +-X), ``RX``, and ``X``.  Use
@@ -33,10 +37,7 @@ the dense simulator.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,8 +50,6 @@ __all__ = [
     "CouplingTerms",
     "ContractionPlan",
     "batch_amplitudes_from_terms",
-    "set_spin_table_cache_bytes",
-    "spin_table_cache_info",
 ]
 
 
@@ -64,11 +63,8 @@ class CouplingTerms:
         Total XX angle per qubit pair (sums repeated gate applications —
         valid because all terms commute).
     linear_angles:
-        Total RX angle per qubit.
-    x_parity:
-        Per-qubit parity of plain ``X`` gates (each contributes a factor
-        ``s_i`` and a global ``-i`` we track separately via ``RX(pi)``'s
-        phase, so here we fold X into ``linear_angles`` as ``pi``).
+        Total RX angle per qubit.  A plain ``X`` gate is ``i RX(pi)``: it
+        adds ``pi`` here, and its global phase is dropped.
     """
 
     edge_angles: dict[frozenset[int], float] = field(default_factory=dict)
@@ -158,82 +154,19 @@ def _connected_components(
     return comps
 
 
-_SPIN_TABLE_CACHE: OrderedDict[int, np.ndarray] = OrderedDict()
+def _spin_columns(m: int, rows: int) -> np.ndarray:
+    """The first ``rows`` assignments of ``m`` spins as ``(m, rows)`` int8 +-1.
 
-#: Guards every read and write of :data:`_SPIN_TABLE_CACHE`: the LRU
-#: reorders entries on each hit, so even lookups mutate it.
-_SPIN_TABLE_LOCK = threading.Lock()
-
-#: Total bytes of spin tables kept resident; least-recently-used tables
-#: are evicted first once the budget is exceeded (the table being
-#: returned is never evicted).
-_SPIN_TABLE_CACHE_MAX_BYTES = 256 * 1024 * 1024
-
-
-def set_spin_table_cache_bytes(max_bytes: int) -> None:
-    """Re-bound the spin-table cache and evict down to the new budget."""
-    global _SPIN_TABLE_CACHE_MAX_BYTES
-    if max_bytes < 0:
-        raise ValueError("cache budget must be non-negative")
-    with _SPIN_TABLE_LOCK:
-        _SPIN_TABLE_CACHE_MAX_BYTES = max_bytes
-        _evict_spin_tables()
-
-
-def spin_table_cache_info() -> dict[str, int]:
-    """Cache occupancy: resident table sizes, total bytes, byte budget."""
-    with _SPIN_TABLE_LOCK:
-        return {
-            "tables": len(_SPIN_TABLE_CACHE),
-            "total_bytes": sum(t.nbytes for t in _SPIN_TABLE_CACHE.values()),
-            "max_bytes": _SPIN_TABLE_CACHE_MAX_BYTES,
-        }
-
-
-def _evict_spin_tables() -> None:
-    """Drop least-recently-used tables until the byte budget is met.
-
-    The most-recently-used table always survives, so the table a caller
-    just requested stays resident even when it alone exceeds the budget.
-    Callers hold :data:`_SPIN_TABLE_LOCK`.
+    Column order is big-endian in the spins, so the first ``2^(m-1)``
+    columns are the ``s_0 = +1`` half of the full ``2^m`` table.
     """
-    while (
-        len(_SPIN_TABLE_CACHE) > 1
-        and sum(t.nbytes for t in _SPIN_TABLE_CACHE.values())
-        > _SPIN_TABLE_CACHE_MAX_BYTES
-    ):
-        _SPIN_TABLE_CACHE.popitem(last=False)
+    idx = np.arange(rows, dtype=np.uint32)
+    shifts = np.arange(m - 1, -1, -1, dtype=np.uint32)[:, None]
+    return (1 - 2 * ((idx >> shifts) & 1)).astype(np.int8)
 
 
-def _spin_table(m: int) -> np.ndarray:
-    """All 2^m spin assignments as a (2^m, m) int8 array of +-1 (cached).
-
-    Row order is big-endian in the spins: the first half of the table
-    has ``s_0 = +1``.  The cache is an LRU bounded by total bytes (see
-    :func:`set_spin_table_cache_bytes`), so a long-running sweep over many
-    component sizes keeps its working set resident without pinning the
-    largest table ever built forever.  Safe under concurrent callers.
-    """
-    with _SPIN_TABLE_LOCK:
-        table = _SPIN_TABLE_CACHE.get(m)
-        if table is None:
-            idx = np.arange(2**m, dtype=np.uint32)
-            cols = [
-                1 - 2 * ((idx >> (m - 1 - i)) & 1).astype(np.int8)
-                for i in range(m)
-            ]
-            table = (
-                np.stack(cols, axis=1) if m else np.zeros((1, 0), dtype=np.int8)
-            )
-            _SPIN_TABLE_CACHE[m] = table
-        else:
-            _SPIN_TABLE_CACHE.move_to_end(m)
-        _evict_spin_tables()
-        return table
-
-
-#: Spin-table blocks larger than this many (spin, edge) entries are
-#: processed in chunks to bound transient memory.
+#: Spin assignments contracted at once per realization row: bounds the
+#: transient phase and trig arrays of the oracle and of split components.
 _CHUNK_SPINS = 1 << 13
 
 
@@ -272,102 +205,130 @@ def _component_amplitudes_vectorized(
     return weight * amps
 
 
+#: Components above this many spins split their sum into halves A and B;
+#: up to it B is empty and the sum is one table contraction.
+_SPLIT_ABOVE = 8
+
+
+def _term_rows(
+    spins: np.ndarray, i_idx: np.ndarray, j_idx: np.ndarray, lin_idx: np.ndarray
+) -> np.ndarray:
+    """int8 rows a half's phase contracts: edge spin products, then linear spins."""
+    return np.concatenate((spins[i_idx] * spins[j_idx], spins[lin_idx]))
+
+
 @dataclass(frozen=True)
-class _PlanComponent:
-    """Contraction data for one coupling-graph component.
+class _Half:
+    """One half of a component's spins.
 
-    ``rows`` is the number of spin-table rows summed.  A component with
-    no linear (RX/X) terms has a phase that is even under the global
-    spin flip ``s -> -s``, while its character picks up ``(-1)^|z|``;
-    for even ``|z|`` the two halves of the table contribute equally, so
-    only the ``s_0 = +1`` half (the first ``2^(m-1)`` rows) is summed
-    with weight ``2 / 2^m``.  Odd ``|z|`` never compiles to a component:
-    the plan is zero outright.
-
-    ``blocks`` holds the pre-chunked spin-table artifacts: the float64
-    ``(E, S)`` pair-product matrix and ``(L, S)`` linear-spin matrix,
-    both scaled by the phase's ``-1/2``, and the ``(S,)`` character
-    vector scaled by the weight.  When ``blocks`` is ``None`` (a plan
-    above the resident bound) the same arrays are rebuilt per evaluation
-    from the index arrays, trading repeat-evaluation speed for zero
-    resident block memory.
+    ``spins`` is the half's ``(k, S)`` int8 table and ``chi`` its
+    ``(S,)`` character; ``edges`` and ``lins`` slice the half's own
+    columns out of the component's, and ``i_idx``, ``j_idx`` and
+    ``lin_idx`` index its spins.  A half of at most :data:`_SPLIT_ABOVE`
+    spins keeps its :func:`_term_rows` in ``terms`` (at most 36 x 256
+    bytes); a larger one forms them per call, since the two halves of a
+    20-qubit component would keep 69 KB.
     """
 
-    weight: float
-    m: int
-    rows: int
-    edge_cols: np.ndarray | slice
-    lin_cols: np.ndarray
+    spins: np.ndarray
+    chi: np.ndarray
+    edges: slice
+    lins: slice
     i_idx: np.ndarray
     j_idx: np.ndarray
     lin_idx: np.ndarray
-    z_idx: np.ndarray
-    blocks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...] | None
+    terms: np.ndarray | None
 
-    def iter_blocks(self):
-        """The ``(pair, lin, chi)`` blocks: cached, or rebuilt on the fly."""
-        if self.blocks is not None:
-            return self.blocks
-        return self._stream_blocks()
+    def phase(self, th: np.ndarray, ln: np.ndarray | None) -> np.ndarray:
+        """``(B, S)`` phases of the half's own edge and linear terms.
 
-    def _stream_blocks(self):
-        spins = _spin_table(self.m)
-        for start in range(0, self.rows, _CHUNK_SPINS):
-            yield _spin_blocks(
-                spins[start : min(start + _CHUNK_SPINS, self.rows)],
-                self.weight,
-                self.i_idx,
-                self.j_idx,
-                self.lin_idx,
-                self.z_idx,
-            )
+        ``th`` and ``ln`` carry the phase's ``-1/2`` already: a power of
+        two, so where it is applied does not change a bit.
+        """
+        terms = self.terms
+        if terms is None:
+            terms = _term_rows(self.spins, self.i_idx, self.j_idx, self.lin_idx)
+        terms = terms.astype(np.float64)
+        phase = th[:, self.edges] @ terms[: self.i_idx.size]
+        if self.lin_idx.size:
+            phase += ln[:, self.lins] @ terms[self.i_idx.size :]
+        return phase
+
+
+@dataclass(frozen=True)
+class _PlanComponent:
+    """Contraction data for one coupling-graph component of ``m`` spins.
+
+    The spins split into A, the first ``m - b``, and B, the last ``b``,
+    with ``b = 0`` up to :data:`_SPLIT_ABOVE` spins and ``m // 2`` above.
+    Then ``phase(s) = phi_A(s_A) + phi_B(s_B) + s_A^T Theta s_B``, where
+    ``Theta`` holds the cross edges' ``-theta / 2``, and the character
+    factorizes as ``chi_A(s_A) chi_B(s_B)``.  The component's edge
+    columns come ordered A, B, cross; its linear columns A, B.  Only
+    int8 tables, characters and index arrays stay resident: each call
+    forms its phases from them.
+
+    ``rows`` is the number of spin assignments summed.  A component with
+    no linear (RX/X) terms has a phase that is even under the global
+    spin flip ``s -> -s``, while its character picks up ``(-1)^|z|``;
+    for even ``|z|`` both halves of the spin space contribute equally,
+    so only ``s_0 = +1`` (the first half of A's table) is summed, with
+    weight ``2 / 2^m`` folded into ``chi_A``.  Odd ``|z|`` never
+    compiles to a component: the plan is zero outright.
+    """
+
+    rows: int
+    edge_cols: np.ndarray | slice
+    lin_cols: np.ndarray
+    half_a: _Half
+    half_b: _Half | None
+    cross: slice
+    cross_i: np.ndarray
+    cross_j: np.ndarray
 
     def amplitudes(self, th: np.ndarray, ln: np.ndarray | None) -> np.ndarray:
-        """Weighted component sums for the ``(B, E)`` / ``(B, L)`` rows.
+        """Weighted component sums for ``-1/2``-scaled ``(B, E)`` / ``(B, L)`` rows.
 
-        ``sum_s chi(s) e^{i phase(s)}`` in real arithmetic: one
-        ``cos(phase) @ chi`` and one ``sin(phase) @ chi`` per block.
+        ``sum_s chi(s) e^{i phase(s)}`` in real arithmetic: ``cos(phase)``
+        and ``sin(phase)`` contracted with each half's character.
         """
         th = th[:, self.edge_cols]
         ln = ln[:, self.lin_cols] if self.lin_cols.size else None
-        re = im = None
-        for pair, lin, chi in self.iter_blocks():
-            phase = th @ pair
-            if ln is not None:
-                phase += ln @ lin
-            if re is None:
-                re, im = np.cos(phase) @ chi, np.sin(phase) @ chi
-            else:
-                re += np.cos(phase) @ chi
-                im += np.sin(phase) @ chi
+        phase = self.half_a.phase(th, ln)
+        if self.half_b is None:
+            cos, sin = np.cos(phase), np.sin(phase)
+        else:
+            cos, sin = self._sum_b(phase, th, ln)
+        chi = self.half_a.chi
+        re, im = cos @ chi, sin @ chi
         return re + 1j * im
 
+    def _sum_b(
+        self, phase_a: np.ndarray, th: np.ndarray, ln: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(B, S_A)`` cosine and sine sums over B for every ``s_A``.
 
-def _spin_blocks(
-    block: np.ndarray,
-    weight: float,
-    i_idx: np.ndarray,
-    j_idx: np.ndarray,
-    lin_idx: np.ndarray,
-    z_idx: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One spin chunk's ``(E, S)`` pair / ``(L, S)`` linear / chi arrays.
-
-    The phase's ``-1/2`` and the component weight are powers of two, so
-    folding them in here is exact.
-    """
-    cols = block.T
-    pair = -0.5 * (cols[i_idx] * cols[j_idx])
-    lin = -0.5 * cols[lin_idx]
-    chi = weight * np.prod(cols[z_idx], axis=0)
-    return pair, lin, chi
-
-
-#: Plans at or under this many block bytes keep their blocks resident:
-#: rebuilding them costs more than the contraction.  Larger plans stream
-#: their blocks per evaluation, which keeps the 1024-entry compiled-test
-#: cache under 64 MiB.
-_RESIDENT_PLAN_BYTES = 64 * 1024
+        One ``(S_A x a)(a x b)(b x S_B)`` product gives the cross phase,
+        in chunks of A rows that span at most :data:`_CHUNK_SPINS`
+        assignments each.
+        """
+        a, b = self.half_a, self.half_b
+        phase_b = b.phase(th, ln)
+        theta = np.zeros((th.shape[0], a.spins.shape[0], b.spins.shape[0]))
+        theta[:, self.cross_i, self.cross_j] = th[:, self.cross]
+        theta_b = theta @ b.spins.astype(np.float64)
+        spins_a = a.spins.T.astype(np.float64)
+        cos = np.empty_like(phase_a)
+        sin = np.empty_like(phase_a)
+        step = max(1, _CHUNK_SPINS // phase_b.shape[1])
+        for start in range(0, phase_a.shape[1], step):
+            chunk = slice(start, start + step)
+            phase = spins_a[chunk] @ theta_b
+            phase += phase_a[:, chunk, None]
+            phase += phase_b[:, None, :]
+            cos[:, chunk] = np.cos(phase) @ b.chi
+            sin[:, chunk] = np.sin(phase) @ b.chi
+        return cos, sin
 
 
 class ContractionPlan:
@@ -376,12 +337,12 @@ class ContractionPlan:
     A plan fixes everything about a test circuit that does not change
     across noise realizations, trials, or magnitude sweep points: the
     coupling-graph components, the per-component local edge/linear
-    indexing, the expected-bitstring characters, and — most importantly —
-    the spin-table pair-product blocks.  Evaluating a batch of
-    realizations then reduces to one ``(B, E) @ (E, S)`` matmul and two
-    real trig passes per block instead of re-deriving the graph and
-    re-multiplying spin columns per call.  Components without linear
-    terms sum only half their spin table (see :class:`_PlanComponent`).
+    indexing, the split of each component's spins, their int8 half
+    tables and the expected-bitstring characters.  Evaluating a batch of
+    realizations then reduces to a few small matmuls and two real trig
+    passes per component (see :class:`_PlanComponent`) instead of
+    re-deriving the graph per call.  Components without linear terms sum
+    only half their spin assignments.
 
     Parameters
     ----------
@@ -400,9 +361,9 @@ class ContractionPlan:
         Components above this size raise ``ValueError`` (callers fall
         back to per-realization Monte-Carlo evaluation).
 
-    Blocks of at most :data:`_RESIDENT_PLAN_BYTES` in total stay
-    resident; larger ones are rebuilt transiently per evaluation.  Both
-    hold the same block values, so their results are ``==``.
+    A plan keeps ``O(2^(m/2) m)`` bytes per ``m``-qubit component, about
+    42 KB at the 20-qubit exact limit; nothing else persists between
+    calls.
     """
 
     def __init__(
@@ -442,28 +403,16 @@ class ContractionPlan:
             )
         self.component_qubits = components
         linear = set(self.linear_keys)
-        # Per component: (qubits, summed rows, edge count, linear count).
-        shapes = []
-        for comp in components:
-            local = set(comp)
-            n_lin = len(local & linear)
-            if not n_lin and sum(z_bits[q] for q in comp) % 2:
-                # Flip-odd character against a flip-even phase.
-                self.forced_zero = True
-                shapes = []
-                break
-            n_edges = sum(1 for e in self.edge_keys if min(e) in local)
-            rows = 2 ** (len(comp) - (0 if n_lin else 1))
-            shapes.append((comp, rows, n_edges, n_lin))
-        # Size the blocks before materializing anything: per spin row,
-        # E + L float64 products plus the chi entry.
-        plan_bytes = sum(
-            8 * rows * (n_edges + n_lin + 1) for _, rows, n_edges, n_lin in shapes
-        )
-        resident = plan_bytes <= _RESIDENT_PLAN_BYTES
+        if any(
+            not linear.intersection(comp) and sum(z_bits[q] for q in comp) % 2
+            for comp in components
+        ):
+            # A flip-odd character against a flip-even phase.
+            self.forced_zero = True
+            components = []
         self._components = tuple(
-            self._compile_component(comp, rows, z_bits, resident)
-            for comp, rows, _, _ in shapes
+            self._compile_component(comp, z_bits, not linear.intersection(comp))
+            for comp in components
         )
         #: Largest spin-chunk length, for memory-budget row chunking.
         self._max_block_spins = max(
@@ -472,50 +421,74 @@ class ContractionPlan:
         )
 
     def _compile_component(
-        self, comp: list[int], rows: int, z_bits: list[int], resident: bool
+        self, comp: list[int], z_bits: list[int], flip_even: bool
     ) -> _PlanComponent:
-        """Hoist one component's spin-table contraction artifacts."""
+        """Split one component's spins and build its half tables."""
         m = len(comp)
+        a = m - (0 if m <= _SPLIT_ABOVE else m // 2)
         local = {q: k for k, q in enumerate(comp)}
-        edge_cols = np.array(
-            [c for c, e in enumerate(self.edge_keys) if min(e) in local],
-            dtype=np.intp,
+        # Edges as (column, i, j) with i < j, ordered A, B, cross; linear
+        # terms as (column, spin), ordered A, B.
+        edges = sorted(
+            (
+                (c, local[min(e)], local[max(e)])
+                for c, e in enumerate(self.edge_keys)
+                if min(e) in local
+            ),
+            key=lambda e: 0 if e[2] < a else 1 if e[1] >= a else 2,
         )
-        lin_cols = np.array(
-            [c for c, q in enumerate(self.linear_keys) if q in local],
-            dtype=np.intp,
+        lins = sorted(
+            ((c, local[q]) for c, q in enumerate(self.linear_keys) if q in local),
+            key=lambda lin: lin[1] >= a,
         )
-        i_idx = np.array(
-            [local[min(self.edge_keys[c])] for c in edge_cols], dtype=np.intp
-        )
-        j_idx = np.array(
-            [local[max(self.edge_keys[c])] for c in edge_cols], dtype=np.intp
-        )
-        lin_idx = np.array(
-            [local[self.linear_keys[c]] for c in lin_cols], dtype=np.intp
-        )
-        z_idx = np.array(
-            [k for k, q in enumerate(comp) if z_bits[q]], dtype=np.intp
-        )
+        n_aa = sum(j < a for _, _, j in edges)
+        n_ab = n_aa + sum(i >= a for _, i, _ in edges)
+        n_la = sum(k < a for _, k in lins)
+        z_idx = [k for k, q in enumerate(comp) if z_bits[q]]
+        rows_a, rows_b = 2 ** (a - flip_even), 2 ** (m - a)
+
+        def half(lo, hi, rows, weight, edge_cols, lin_cols):
+            """Spins ``lo`` to ``hi - 1`` over their first ``rows`` assignments."""
+            spins = _spin_columns(hi - lo, rows)
+            i_idx = np.array([i - lo for _, i, _ in edges[edge_cols]], dtype=np.intp)
+            j_idx = np.array([j - lo for _, _, j in edges[edge_cols]], dtype=np.intp)
+            lin_idx = np.array([k - lo for _, k in lins[lin_cols]], dtype=np.intp)
+            z = [k - lo for k in z_idx if lo <= k < hi]
+            return _Half(
+                spins=spins,
+                chi=weight * np.prod(spins[z], axis=0),
+                edges=edge_cols,
+                lins=lin_cols,
+                i_idx=i_idx,
+                j_idx=j_idx,
+                lin_idx=lin_idx,
+                terms=(
+                    _term_rows(spins, i_idx, j_idx, lin_idx)
+                    if hi - lo <= _SPLIT_ABOVE
+                    else None
+                ),
+            )
+
+        weight = 1.0 / (rows_a * rows_b)
+        half_a = half(0, a, rows_a, weight, slice(0, n_aa), slice(0, n_la))
+        half_b = None
+        if a < m:
+            half_b = half(a, m, rows_b, 1.0, slice(n_aa, n_ab), slice(n_la, None))
+        cross = edges[n_ab:]
+        edge_cols = np.array([c for c, _, _ in edges], dtype=np.intp)
         if np.array_equal(edge_cols, np.arange(len(self.edge_keys))):
-            # One component owns every edge: a slice skips the gather.
+            # One component owns every edge in order: a slice skips the gather.
             edge_cols = slice(None)
-        component = _PlanComponent(
-            weight=1.0 / rows,
-            m=m,
-            rows=rows,
+        return _PlanComponent(
+            rows=rows_a * rows_b,
             edge_cols=edge_cols,
-            lin_cols=lin_cols,
-            i_idx=i_idx,
-            j_idx=j_idx,
-            lin_idx=lin_idx,
-            z_idx=z_idx,
-            blocks=None,
+            lin_cols=np.array([c for c, _ in lins], dtype=np.intp),
+            half_a=half_a,
+            half_b=half_b,
+            cross=slice(n_ab, None),
+            cross_i=np.array([i for _, i, _ in cross], dtype=np.intp),
+            cross_j=np.array([j - a for _, _, j in cross], dtype=np.intp),
         )
-        if not resident:
-            return component
-        blocks = tuple(component.iter_blocks())
-        return dataclasses.replace(component, blocks=blocks)
 
     def amplitudes(
         self,
@@ -565,8 +538,9 @@ class ContractionPlan:
             rows = max(1, max_batch_bytes // (24 * self._max_block_spins))
         chunks = []
         for start in range(0, n_batch, rows):
-            th = thetas[start : start + rows]
-            ln = None if lin_thetas is None else lin_thetas[start : start + rows]
+            # The phase's -1/2, applied once for every component.
+            th = -0.5 * thetas[start : start + rows]
+            ln = None if lin_thetas is None else -0.5 * lin_thetas[start : start + rows]
             amps = self._components[0].amplitudes(th, ln)
             for comp in self._components[1:]:
                 amps *= comp.amplitudes(th, ln)
@@ -670,7 +644,7 @@ class XXCircuitEvaluator:
             if q in local
         ]
         if m <= self.max_exact_qubits:
-            spins = _spin_table(m)
+            spins = np.ascontiguousarray(_spin_columns(m, 2**m).T)
             weight = 1.0 / 2**m
         else:
             spins = self.rng.choice(
@@ -703,15 +677,14 @@ def batch_amplitudes_from_terms(
     """Per-realization amplitudes from array-valued coupling terms.
 
     The terms carry one accumulated angle *per noise realization* (shape
-    ``(G,)`` values in both dicts).  Every coupling-graph component is
-    summed once over its shared spin table, contracting all G realization
-    rows in a single matmul.  Internally this builds a one-shot
+    ``(G,)`` values in both dicts).  Internally this builds a one-shot
     :class:`ContractionPlan` and discards it after the call, so it
-    computes exactly what the machine's cached plans compute.  The
-    virtual machine's ``run_match`` and batteries share one plan per test
-    structure in its compiled-test cache, so this serves only its
-    per-call slot path (the oracle the compiled routes are checked
-    against).
+    computes exactly what the machine's cached plans compute, for all G
+    realization rows at once.  The virtual machine's ``run_match`` and
+    batteries share one plan per test structure in its compiled-test
+    cache; this serves its slot path instead: dense draws that stay
+    X-diagonal and the per-call oracle the compiled routes are checked
+    against.
 
     ``max_batch_bytes`` chunks the realization rows so transient memory
     stays bounded for very large batches (full-size N = 32 runs).

@@ -23,13 +23,13 @@ first use and then holds them:
 
 * its XX entry per ``max_exact_qubits``: edge columns, per-slot targets,
   nominal angles, drive phases and axis signs, static RX/X angles and a
-  :class:`~repro.sim.xx_engine.ContractionPlan` (spin blocks resident up
-  to 64 KiB, streamed above).  An XX call gathers each slot's calibrated
+  :class:`~repro.sim.xx_engine.ContractionPlan` (int8 half tables, under
+  64 KiB).  An XX call gathers each slot's calibrated
   angle from the calibration arrays (:meth:`VirtualIonTrap._xx_slot_angles`),
   draws its amplitude noise, forms the ``(G, E)`` angle matrix and
   contracts (:meth:`VirtualIonTrap._xx_probabilities`).  The bounded
   ``_compiled_xx_test`` cache owns these entries and programs hold weak
-  references, so its bound is the bound on pinned plan blocks.
+  references, so its bound is the bound on pinned plans.
 * its dense layout per residual kicks on/off: per-MS-slot targets,
   angles and phases, R and fixed-gate parameters, slot skeleton and the
   index merging kick and R rows into program order.  A dense call
@@ -1196,9 +1196,9 @@ class _CompiledXXTest:
 
 #: Compiled XX tests kept per process; the least recently resolved entry
 #: is dropped first.  This cache is their one owner (programs hold weak
-#: references).  Entries hold plans: index arrays plus, for plans under
-#: the 64 KiB resident-block bound, their spin blocks, so all compiled XX
-#: tests alive pin at most 64 MiB of blocks.
+#: references).  Entries hold plans of int8 half tables, characters and
+#: index arrays, under 64 KiB each up to the 20-qubit exact limit, so all
+#: compiled XX tests alive pin at most 64 MiB.
 _XX_TEST_CACHE_SIZE = 1024
 
 

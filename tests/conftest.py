@@ -1,5 +1,6 @@
-"""Test bootstrap: ``src/`` importability, the shared seeded RNG and the
-golden-record check of embedded report checks."""
+"""Test bootstrap: ``src/`` importability, the shared seeded RNG, the
+golden-record check of embedded report checks and a resident-bytes
+walker for memory bounds."""
 
 import sys
 import zlib
@@ -54,3 +55,25 @@ def assert_golden_tracked():
             assert drift <= entry["tolerance"], check_id
 
     return check
+
+
+@pytest.fixture
+def resident_bytes():
+    """Bytes of the numpy arrays an object keeps, found by walking its
+    attributes, dataclass fields and containers (for plan-size bounds)."""
+    import dataclasses
+
+    def walk(obj):
+        if isinstance(obj, np.ndarray):
+            return obj.nbytes
+        if dataclasses.is_dataclass(obj):
+            return sum(walk(getattr(obj, f.name)) for f in dataclasses.fields(obj))
+        if isinstance(obj, (list, tuple)):
+            return sum(walk(item) for item in obj)
+        if isinstance(obj, dict):
+            return sum(walk(item) for item in obj.values())
+        if hasattr(obj, "__dict__"):
+            return walk(vars(obj))
+        return 0
+
+    return walk

@@ -20,7 +20,6 @@ from repro.core.multi_fault import battery_specs
 from repro.core.protocol import compile_test_battery
 from repro.core.tests_builder import build_test_circuit, expected_output
 from repro.noise.models import NoiseParameters
-from repro.sim import xx_engine
 from repro.sim.circuit import Circuit
 from repro.sim.statevector import simulate
 from repro.sim.xx_engine import XXCircuitEvaluator
@@ -262,14 +261,12 @@ def test_ms_drive_phases_both_reach_every_route(phases):
         assert probs[0, 0] == pytest.approx(exact[0], abs=1e-12)
 
 
-def test_n32_battery_keeps_large_plan_blocks_streaming():
-    """Building an N = 32 battery pins no plan block above 64 KiB."""
+def test_n32_battery_plans_stay_under_the_plan_bound(resident_bytes):
+    """Building an N = 32 battery keeps no plan above 64 KiB."""
     battery = compile_test_battery(32, battery_specs(32, 2))
     sizes = []
     for program in battery.tests:
-        for comp in program.xx(battery.max_exact_qubits).plan._components:
-            sizes.append(comp.m)
-            if comp.blocks is not None:
-                resident = sum(a.nbytes for block in comp.blocks for a in block)
-                assert resident <= xx_engine._RESIDENT_PLAN_BYTES
+        plan = program.xx(battery.max_exact_qubits).plan
+        sizes += [len(comp) for comp in plan.component_qubits]
+        assert resident_bytes(plan) <= 64 * 1024
     assert max(sizes) == 16, "the battery exercises 16-qubit components"

@@ -1,96 +1,23 @@
-"""Memory-bound satellites: LRU spin-table cache and batch chunking."""
+"""Memory bounds: what a compiled XX plan keeps, and batch chunking.
 
-import sys
-import threading
+A :class:`~repro.sim.xx_engine.ContractionPlan` keeps int8 half tables,
+characters and index arrays, at most 64 KiB for any component up to the
+20-qubit exact limit; each call forms its phases transiently, bounded
+per realization row by ``_CHUNK_SPINS`` and across rows by
+``max_batch_bytes``.  Dense batches are bounded the same way.
+"""
 
 import numpy as np
 import pytest
 
-from repro.sim import xx_engine
 from repro.sim.statevector import (
     MAX_BATCH_AMPLITUDES,
     realization_chunks,
     zero_states,
 )
 from repro.sim.circuit import Circuit
-from repro.sim.xx_engine import batch_amplitudes_from_terms
+from repro.sim.xx_engine import ContractionPlan, batch_amplitudes_from_terms
 from repro.trap.machine import VirtualIonTrap
-
-
-@pytest.fixture
-def spin_cache():
-    """Snapshot and restore the module-level spin-table cache state."""
-    saved_tables = dict(xx_engine._SPIN_TABLE_CACHE)
-    saved_budget = xx_engine._SPIN_TABLE_CACHE_MAX_BYTES
-    xx_engine._SPIN_TABLE_CACHE.clear()
-    yield xx_engine._SPIN_TABLE_CACHE
-    xx_engine._SPIN_TABLE_CACHE.clear()
-    xx_engine._SPIN_TABLE_CACHE.update(saved_tables)
-    xx_engine.set_spin_table_cache_bytes(saved_budget)
-
-
-def test_spin_cache_evicts_least_recently_used(spin_cache):
-    # Budget fits m=15 (0.49 MB) + m=16 (1.05 MB) but not + m=17 (2.2 MB).
-    xx_engine.set_spin_table_cache_bytes(2_000_000)
-    xx_engine._spin_table(15)
-    xx_engine._spin_table(16)
-    assert sorted(spin_cache) == [15, 16]
-    # Touch 15 so 16 becomes the least-recently-used entry.
-    xx_engine._spin_table(15)
-    xx_engine._spin_table(17)
-    # 16 (LRU) and then 15 are evicted; 17 survives even though it alone
-    # exceeds the budget (the most-recent table is never dropped).
-    assert sorted(spin_cache) == [17]
-    info = xx_engine.spin_table_cache_info()
-    assert info["tables"] == 1
-    assert info["max_bytes"] == 2_000_000
-
-
-def test_spin_cache_keeps_working_set_under_budget(spin_cache):
-    xx_engine.set_spin_table_cache_bytes(3_000_000)
-    for m in (14, 15, 16, 14, 15, 16):
-        table = xx_engine._spin_table(m)
-        assert table.shape == (2**m, m)
-    assert sum(t.nbytes for t in spin_cache.values()) <= 3_000_000
-    # Unlike the old policy (evict the *smallest* large table), the
-    # biggest resident table is the first to go once it goes stale.
-    xx_engine._spin_table(14)
-    xx_engine._spin_table(17)
-    assert 16 not in spin_cache and 14 in spin_cache
-
-
-def test_spin_cache_survives_concurrent_callers(spin_cache):
-    """Four threads hitting and evicting tables never trip the LRU.
-
-    A budget that holds only a couple of small tables makes every call
-    reorder or evict; a microsecond switch interval interleaves them.
-    """
-    xx_engine.set_spin_table_cache_bytes(4_000)
-    errors: list[Exception] = []
-    barrier = threading.Barrier(4)
-
-    def worker(k):
-        try:
-            barrier.wait(timeout=30)
-            for step in range(5_000):
-                m = 1 + (3 * k + step) % 9
-                assert xx_engine._spin_table(m).shape == (2**m, m)
-                xx_engine.spin_table_cache_info()
-        except Exception as exc:  # noqa: BLE001 - surfaced below
-            errors.append(exc)
-
-    threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert not errors, errors[:1]
 
 
 def test_batch_amplitudes_chunking_is_exact(rng):
@@ -120,23 +47,29 @@ def test_batched_simulator_enforces_byte_budget():
     assert not states[:, 1:].any()
 
 
-def test_streaming_plan_matches_precomputed_and_bounds_residency(
-    rng, monkeypatch
-):
-    from repro.sim.xx_engine import ContractionPlan
+#: What one compiled plan may keep: the 1024-entry compiled-test cache
+#: then pins at most 64 MiB.
+PLAN_BYTES = 64 * 1024
 
-    edge_keys = [frozenset({q, q + 1}) for q in range(7)]
-    thetas = rng.normal(np.pi / 2, 0.1, (8, 7))
-    cached = ContractionPlan(8, edge_keys, [], 3)
-    assert all(c.blocks is not None for c in cached._components)
-    # Above the resident bound a plan streams its blocks: zero resident
-    # block memory, the same values.
-    monkeypatch.setattr(xx_engine, "_RESIDENT_PLAN_BYTES", 100)
-    streaming = ContractionPlan(8, edge_keys, [], 3)
-    assert all(c.blocks is None for c in streaming._components)
-    assert np.array_equal(
-        cached.amplitudes(thetas), streaming.amplitudes(thetas)
-    )
+
+@pytest.mark.parametrize(
+    "m, n_linear", [(8, 0), (8, 8), (12, 3), (16, 0), (20, 0), (20, 20)]
+)
+def test_complete_graph_plans_stay_under_the_plan_bound(
+    rng, resident_bytes, m, n_linear
+):
+    """A plan keeps int8 half tables, characters and index arrays only,
+    ``O(2^(m/2) m)`` bytes, up to the 20-qubit exact limit."""
+    edges = [frozenset((i, j)) for i in range(m) for j in range(i + 1, m)]
+    plan = ContractionPlan(m, edges, list(range(n_linear)), 0)
+    assert plan.component_qubits == [list(range(m))]
+    assert resident_bytes(plan) <= PLAN_BYTES
+    if m <= 12:
+        # A call runs without keeping anything new.
+        before = resident_bytes(plan)
+        thetas = rng.normal(np.pi / 2, 0.1, (2, len(edges)))
+        plan.amplitudes(thetas, np.zeros((2, n_linear)) if n_linear else None)
+        assert resident_bytes(plan) == before
 
 
 def test_execution_only_fields_do_not_bust_the_cache_digest():

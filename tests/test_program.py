@@ -22,7 +22,6 @@ from repro.core.tests_builder import TestSpec as Spec
 from repro.core.tests_builder import build_test_circuit, expected_output
 from repro.noise.models import NoiseParameters
 from repro.noise.spam import SpamModel
-from repro.sim import xx_engine
 from repro.sim.circuit import Circuit, Operation
 from repro.trap import machine as machine_mod
 from repro.trap.calibration import CalibrationState, all_pairs
@@ -251,10 +250,10 @@ def test_calibration_setters_validate_as_before():
 # -- the memory bound --------------------------------------------------------
 
 
-def test_held_programs_pin_no_more_plans_than_the_cache_bound():
+def test_held_programs_pin_no_more_plans_than_the_cache_bound(resident_bytes):
     """Programs kept alive (as the 2048-entry built-test cache keeps
     them) hold their XX entries weakly: only the cache's 1024 entries,
-    at most 64 KiB of resident blocks each, stay alive."""
+    at most 64 KiB of plan arrays each, stay alive."""
     cache = machine_mod._compiled_xx_test
     bound = cache.cache_info().maxsize
     assert bound == machine_mod._XX_TEST_CACHE_SIZE == 1024
@@ -268,15 +267,9 @@ def test_held_programs_pin_no_more_plans_than_the_cache_bound():
         gc.collect()
         alive = [entry for entry in (ref() for ref in refs) if entry is not None]
         assert len(alive) == bound
-        resident = sum(
-            a.nbytes
-            for entry in alive
-            for comp in entry.plan._components
-            if comp.blocks is not None
-            for block in comp.blocks
-            for a in block
-        )
-        assert resident <= bound * xx_engine._RESIDENT_PLAN_BYTES == 64 * 2**20
+        sizes = [resident_bytes(entry.plan) for entry in alive]
+        assert max(sizes) <= 64 * 1024
+        assert sum(sizes) <= bound * 64 * 1024 == 64 * 2**20
         # An evicted entry is compiled again on its program's next use.
         assert refs[0]() is None and programs[0].xx(20) is not None
     finally:

@@ -1,14 +1,17 @@
 """The compiled XX kernel against its references.
 
-``ContractionPlan`` sums only half the spin table for components without
-linear terms and contracts in real trig; ``XXCircuitEvaluator`` still
-sums the full table in complex arithmetic, and the dense statevector
-knows nothing of either.  All three must agree to 1e-12 on seeded random
-coupling graphs, with and without RX/X terms, for even and odd output
-parity, and on components large enough for the spin table to be
-processed in chunks.
+``ContractionPlan`` sums only half the spin assignments for components
+without linear terms, splits components above 8 spins into two halves
+and a cross term, and contracts in real trig; ``XXCircuitEvaluator``
+still sums the full table in complex arithmetic, and the dense
+statevector knows nothing of either.  Up to 8 spins the plan must equal
+the one-table formula written out here, bit for bit; above, all three
+must agree to 1e-12 on seeded random coupling graphs, with and without
+RX/X terms, for even and odd output parity, on plans that mix split and
+unsplit components, and with the realization rows chunked.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -24,8 +27,15 @@ REALIZATIONS = 3
 
 def _random_structure(rng, n_qubits, n_components, n_extra, linear):
     """Edges (spanning chains plus extras) over disjoint qubit groups."""
+    sizes = [len(g) for g in np.array_split(np.arange(n_qubits), n_components)]
+    return _structure(rng, sizes, n_extra, linear)
+
+
+def _structure(rng, sizes, n_extra, linear):
+    """Edges over disjoint random qubit groups of the given sizes."""
+    n_qubits = sum(sizes)
     qubits = rng.permutation(n_qubits)
-    groups = np.array_split(qubits, n_components)
+    groups = np.split(qubits, np.cumsum(sizes)[:-1])
     edges = []
     for group in groups:
         group = [int(q) for q in group]
@@ -101,41 +111,120 @@ def test_plan_matches_evaluator_and_dense_statevector(rng, case, odd):
         assert abs(abs(amps[g]) ** 2 - abs(dense) ** 2) < 1e-12
 
 
-@pytest.mark.parametrize("m, linear", [(15, False), (14, True)])
-def test_chunked_components_match_the_full_table(rng, m, linear, monkeypatch):
-    """Components whose summed rows span several spin chunks."""
-    edges, lin, groups = _random_structure(rng, m, 1, 6, linear)
-    rows = 2 ** (m - (0 if linear else 1))
-    assert rows > xx_engine._CHUNK_SPINS
-    expected = _bitstring(rng, m, groups, odd=False)
-    thetas = rng.normal(math.pi / 2, 0.4, (2, len(edges)))
-    lin_thetas = rng.normal(0.3, 0.5, (2, len(lin))) if lin else None
-    streamed = ContractionPlan(m, edges, lin, expected)
-    monkeypatch.setattr(xx_engine, "_RESIDENT_PLAN_BYTES", 1 << 40)
-    resident = ContractionPlan(m, edges, lin, expected)
-    assert streamed._components[0].blocks is None
-    assert resident._components[0].blocks is not None
-    amps = streamed.amplitudes(thetas, lin_thetas)
-    assert np.array_equal(amps, resident.amplitudes(thetas, lin_thetas))
-    for g in range(2):
+def _half_table_amplitudes(comps, edges, lin, expected, n_qubits, thetas, lin_thetas):
+    """The unsplit kernel written out: per component, one table of the
+    ``s_0 = +1`` half (or all of it, with linear terms) and the phase's
+    ``-1/2`` folded into the spin products."""
+    amps = np.ones(thetas.shape[0], dtype=complex)
+    for comp in comps:
+        local = {q: k for k, q in enumerate(comp)}
+        cols = [c for c, e in enumerate(edges) if min(e) in local]
+        lins = [c for c, q in enumerate(lin) if q in local]
+        rows = 2 ** (len(comp) - (0 if lins else 1))
+        table = np.array(
+            list(itertools.product((1, -1), repeat=len(comp))), dtype=np.int8
+        )[:rows]
+        spins = np.ascontiguousarray(table.T)
+        i = [local[min(edges[c])] for c in cols]
+        j = [local[max(edges[c])] for c in cols]
+        phase = thetas[:, cols] @ (-0.5 * (spins[i] * spins[j]))
+        if lins:
+            phase += lin_thetas[:, lins] @ (-0.5 * spins[[local[lin[c]] for c in lins]])
+        z = [local[q] for q in comp if (expected >> (n_qubits - 1 - q)) & 1]
+        chi = (1.0 / rows) * np.prod(spins[z], axis=0)
+        re, im = np.cos(phase) @ chi, np.sin(phase) @ chi
+        amps *= re + 1j * im
+    return amps
+
+
+UNSPLIT_CASES = [
+    # (component sizes, extra edges per component, linear, odd parity)
+    ((5,), 4, False, False),
+    ((8,), 10, False, False),
+    ((8,), 28, False, False),
+    ((8,), 12, True, False),
+    ((8,), 12, True, True),
+    ((6, 8), 6, True, True),
+    ((3, 7), 5, False, False),
+]
+
+
+@pytest.mark.parametrize("case", UNSPLIT_CASES)
+def test_unsplit_components_equal_the_half_table_formula(rng, case):
+    """Up to 8 spins a component is one table contraction, bit for bit."""
+    sizes, n_extra, linear, odd = case
+    n_qubits = sum(sizes)
+    edges, lin, groups = _structure(rng, sizes, n_extra, linear)
+    expected = _bitstring(rng, n_qubits, groups, odd)
+    if not linear:
+        # Odd parity on a component without linear terms is zero outright.
+        for group in groups[1:]:
+            if sum((expected >> (n_qubits - 1 - q)) & 1 for q in group) % 2:
+                expected ^= 1 << (n_qubits - 1 - group[0])
+    thetas = rng.normal(math.pi / 2, 0.4, (REALIZATIONS, len(edges)))
+    lin_thetas = rng.normal(0.3, 0.5, (REALIZATIONS, len(lin)))
+    plan = ContractionPlan(n_qubits, edges, lin, expected)
+    assert not plan.forced_zero
+    assert plan.component_qubits == sorted(groups)
+    amps = plan.amplitudes(thetas, lin_thetas if lin else None)
+    formula = _half_table_amplitudes(
+        plan.component_qubits, edges, lin, expected, n_qubits, thetas, lin_thetas
+    )
+    assert np.array_equal(amps, formula)
+
+
+SPLIT_CASES = [
+    # (component sizes, extra edges per component, linear)
+    ((9,), 30, False),
+    ((9,), 8, True),
+    ((12,), 20, False),
+    ((12,), 66, True),
+    ((15,), 12, False),
+    ((15,), 12, True),
+    ((9, 5), 6, True),
+    ((12, 2, 4), 5, False),
+]
+
+
+@pytest.mark.parametrize("case", SPLIT_CASES)
+@pytest.mark.parametrize("odd", [False, True])
+def test_split_components_match_the_full_table(rng, case, odd):
+    """Above 8 spins the sum splits in two halves and a cross term; it
+    must still agree with the full-table oracle and the statevector."""
+    sizes, n_extra, linear = case
+    n_qubits = sum(sizes)
+    edges, lin, groups = _structure(rng, sizes, n_extra, linear)
+    expected = _bitstring(rng, n_qubits, groups, odd)
+    thetas = rng.normal(math.pi / 2, 0.4, (REALIZATIONS, len(edges)))
+    lin_thetas = rng.normal(0.3, 0.5, (REALIZATIONS, len(lin)))
+    plan = ContractionPlan(n_qubits, edges, lin, expected)
+    amps = plan.amplitudes(thetas, lin_thetas if lin else None)
+    for g in range(REALIZATIONS):
         circuit = _circuit(
-            m, edges, thetas[g], lin, [] if lin_thetas is None else lin_thetas[g],
-            x_gates=False,
+            n_qubits, edges, thetas[g], lin, lin_thetas[g], x_gates=False
         )
         reference = XXCircuitEvaluator(circuit).amplitude(expected)
         assert abs(amps[g] - reference) < 1e-12
+        dense = simulate(circuit)[expected]
+        assert abs(abs(amps[g]) ** 2 - abs(dense) ** 2) < 1e-12
 
 
-def test_small_streaming_plans_keep_their_blocks(rng, monkeypatch):
-    edges, _, _ = _random_structure(rng, 8, 1, 10, False)
-    small = ContractionPlan(8, edges, [], 0)
-    assert all(c.blocks is not None for c in small._components)
-    # A resident bound below the plan's size keeps it streaming.
-    monkeypatch.setattr(xx_engine, "_RESIDENT_PLAN_BYTES", 64)
-    tight = ContractionPlan(8, edges, [], 0)
-    assert all(c.blocks is None for c in tight._components)
+def test_row_chunks_of_a_split_plan_match_the_oracle(rng):
+    """A ``max_batch_bytes`` that splits the rows leaves every row's
+    amplitude where the oracle puts it."""
+    edges, lin, groups = _structure(rng, (11, 4), 9, True)
+    expected = _bitstring(rng, 15, groups, odd=True)
     thetas = rng.normal(math.pi / 2, 0.4, (5, len(edges)))
-    assert np.array_equal(small.amplitudes(thetas), tight.amplitudes(thetas))
+    lin_thetas = rng.normal(0.3, 0.5, (5, len(lin)))
+    plan = ContractionPlan(15, edges, lin, expected)
+    per_row = 24 * min(2**11, xx_engine._CHUNK_SPINS)
+    chunked = plan.amplitudes(thetas, lin_thetas, max_batch_bytes=2 * per_row)
+    whole = plan.amplitudes(thetas, lin_thetas)
+    assert np.max(np.abs(chunked - whole)) < 1e-15
+    for g in range(5):
+        circuit = _circuit(15, edges, thetas[g], lin, lin_thetas[g], x_gates=False)
+        reference = XXCircuitEvaluator(circuit).amplitude(expected)
+        assert abs(chunked[g] - reference) < 1e-12
 
 
 def test_odd_parity_without_linear_terms_is_exactly_zero(rng):
