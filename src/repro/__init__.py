@@ -103,7 +103,7 @@ from .trap import (
     VirtualIonTrap,
 )
 
-__version__ = "1.11.0"
+__version__ = "1.12.0"
 
 __all__ = [
     "AdaptiveBinarySearch",

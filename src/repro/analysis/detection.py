@@ -187,8 +187,7 @@ def calibrate_thresholds(
         for trial in range(trials):
             machine = machine_factory()
             executor = TestExecutor(machine, thresholds=calibrated, shots=shots)
-            for spec in specs:
-                fidelities.append(executor.execute(spec).fidelity)
+            fidelities.extend(r.fidelity for r in executor.execute_round(specs))
         calibrated.set(
             repetitions,
             kind,

@@ -79,7 +79,7 @@ class ArenaConfig:
     verify_attempts: int = 3
     verify_margin: float = 3.0
     max_faults: int = 4
-    #: Cooperative per-diagnosis budget (checked between test circuits).
+    #: Cooperative per-diagnosis budget (checked before each round).
     soft_seconds: float = 60.0
     #: External SIGALRM kill deadline per diagnosis.
     hard_seconds: float = 90.0

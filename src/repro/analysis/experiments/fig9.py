@@ -36,7 +36,7 @@ from ...core.multi_fault import (
     MagnitudeSearchConfig,
     MultiFaultProtocol,
 )
-from ...core.protocol import TestExecutor, compile_test_battery
+from ...core.protocol import TestExecutor
 from ...noise.distributions import CompositeUnderRotationDistribution
 from ...noise.models import NoiseParameters
 from ...trap.calibration import all_pairs
@@ -113,13 +113,9 @@ def _calibrate(
     per-test-name baseline means (plus verify mean/std) feed the
     ``contrast`` mode's :class:`~repro.analysis.detection.BaselineBank`.
 
-    The static battery (class/equal-bits tests plus the canary at
-    N <= 16) is compiled **once** per (N, repetitions) family and
-    evaluated against every trial machine through the cached contraction
-    plans; only the per-trial verify test (its pair rotates) runs
-    through the plain executor.  If compilation is ever unavailable (a
-    spec whose coupling component exceeds the exact-summation limit)
-    everything falls back to the executor path.
+    Each trial machine runs the static battery (class/equal-bits tests
+    plus the canary at N <= 16) as one round, then the per-trial verify
+    test (its pair rotates) on its own.
     """
     from ...core.tests_builder import TestSpec
     from .fig6 import battery_specs
@@ -140,10 +136,6 @@ def _calibrate(
                 kind="canary",
             )
         )
-    try:
-        battery = compile_test_battery(n_qubits, static_specs)
-    except ValueError:
-        battery = None
     for trial in range(cfg.threshold_trials):
         rng = np.random.default_rng(5000 + 31 * trial + n_qubits)
         machine = VirtualIonTrap(
@@ -156,22 +148,12 @@ def _calibrate(
             {p: float(rng.uniform(0.0, cfg.knee)) for p in pairs}
         )
         executor = TestExecutor(machine, thresholds=thresholds, shots=cfg.shots)
-        if battery is not None:
-            for i, spec in enumerate(static_specs):
-                fidelity = float(
-                    battery.trial_fidelities(machine, i, cfg.shots, trials=1)[0]
-                )
-                samples.setdefault((repetitions, spec.kind), []).append(
-                    fidelity
-                )
-                by_test.setdefault(spec.name, []).append(fidelity)
-        else:
-            for spec in static_specs:
-                result = executor.execute(spec)
-                samples.setdefault((repetitions, spec.kind), []).append(
-                    result.fidelity
-                )
-                by_test.setdefault(spec.name, []).append(result.fidelity)
+        for result in executor.execute_round(static_specs):
+            spec = result.spec
+            samples.setdefault((repetitions, spec.kind), []).append(
+                result.fidelity
+            )
+            by_test.setdefault(spec.name, []).append(result.fidelity)
         verify_spec = TestSpec(
             name="verify-baseline",
             pairs=(pairs[trial % len(pairs)],),

@@ -6,9 +6,10 @@ clock discipline, borrowed from the DXC diagnostic-competition harness
 
 * **Soft budget** — the diagnoser is *expected* to notice it ran out of
   time and return early.  :class:`BudgetedExecutor` enforces this at
-  test-circuit granularity: every ``execute`` call first checks the
-  budget and raises :class:`SoftBudgetExceeded`, which the diagnoser
-  adapters convert into a partial, ``timed_out`` diagnosis.
+  round granularity: every ``execute`` (one adaptive test) and every
+  ``execute_round`` (one predetermined round) first checks the budget
+  and raises :class:`SoftBudgetExceeded`, which the diagnoser adapters
+  convert into a partial, ``timed_out`` diagnosis.
 * **Hard deadline** — a diagnoser that ignores the soft budget (an
   infinite loop, a stalled backend) is killed from outside.  The default
   mechanism is a ``SIGALRM`` interval timer (:func:`hard_deadline`);
@@ -66,7 +67,7 @@ class TimeBudget:
     """One diagnosis session's time allowance.
 
     ``soft_seconds`` is the budget a well-behaved diagnoser honors (via
-    :class:`BudgetedExecutor` checks between test circuits);
+    :class:`BudgetedExecutor` checks between rounds);
     ``hard_seconds`` is the external kill deadline.  ``None`` disables
     either bound.  The clock starts at :meth:`begin` (the arena harness
     calls it immediately before ``diagnose``).  ``clock`` is any
@@ -199,22 +200,31 @@ def run_with_thread_deadline(fn: Callable[[], Any], seconds: float | None) -> An
 class BudgetedExecutor(TestExecutor):
     """A :class:`~repro.core.protocol.TestExecutor` that honors a budget.
 
-    Every ``execute`` call first checks the attached
-    :class:`TimeBudget`'s soft bound and raises
-    :class:`SoftBudgetExceeded` once it is spent — so any strategy
-    driven through this executor becomes budget-cooperative at
-    test-circuit granularity without knowing about budgets itself.
-    The cost tracker keeps counting across the interruption, so a
-    partial session's shots are still accounted.
+    Every ``execute`` and ``execute_round`` call first checks the
+    attached :class:`TimeBudget`'s soft bound and raises
+    :class:`SoftBudgetExceeded`, before anything is drawn, once it is
+    spent — so any strategy driven through this executor becomes
+    budget-cooperative at round granularity (one adaptive test, or one
+    predetermined round) without knowing about budgets itself.  The
+    cost tracker keeps counting across the interruption, so a partial
+    session's shots are still accounted.
     """
 
     budget: TimeBudget = field(default_factory=TimeBudget)
 
     def execute(self, spec: TestSpec) -> TestResult:
         """Check the soft budget, then run the test as usual."""
+        self._check_budget()
+        return super().execute(spec)
+
+    def execute_round(self, specs: list[TestSpec]) -> list[TestResult]:
+        """Check the soft budget once, then run the whole round."""
+        self._check_budget()
+        return super().execute_round(specs)
+
+    def _check_budget(self) -> None:
         if self.budget.soft_expired():
             raise SoftBudgetExceeded(
                 f"soft budget ({self.budget.soft_seconds:.3f}s) spent "
                 f"after {self.budget.elapsed():.3f}s"
             )
-        return super().execute(spec)

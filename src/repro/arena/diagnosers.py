@@ -229,7 +229,7 @@ class BatteryDiagnoser(_Adapter):
         try:
             for repetitions in self.ctx.repetition_counts:
                 specs = battery_specs(self.ctx.n_qubits, repetitions)
-                results.extend(executor.execute_batch(specs))
+                results.extend(executor.execute_round(specs))
         except SoftBudgetExceeded:
             timed_out = True
         detected = any(r.failed for r in results)
@@ -297,8 +297,7 @@ class PointCheckDiagnoser(_Adapter):
         results: list[TestResult] = []
         timed_out = False
         try:
-            for spec in strategy.specs():
-                results.append(executor.execute(spec))
+            results = strategy.run(executor)
         except SoftBudgetExceeded:
             timed_out = True
         failing = sorted(

@@ -18,8 +18,8 @@ that operational with a two-parameter model:
 
 2. **Bulk-drift estimate.**  On the machine under diagnosis, ordinary
    drift adds a further per-coupling penalty ``d``; a single fault affects
-   at most ``n - 1`` of a 2n-test batch, so the *median* per-coupling
-   anomaly of a batch estimates ``d`` robustly.
+   at most ``n - 1`` of a 2n-test round, so the *median* per-coupling
+   anomaly of a round estimates ``d`` robustly.
 
 A test then *fails* when its log-fidelity undercuts the drift-adjusted
 baseline by more than the **contrast gap**:
@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cost import CostTracker
-from .protocol import TestResult, built_test
+from .protocol import TestExecutor, TestResult
 from .tests_builder import TestSpec
 
 __all__ = ["FidelityModel", "fit_fidelity_model", "ContrastExecutor"]
@@ -77,22 +77,18 @@ def fit_fidelity_model(
 
     Measures the protocol's battery tests plus single-coupling tests (the
     m = 1 anchor used by verification tests) on freshly produced machines
-    and regresses log-fidelity on coupling count per repetition value.
+    (one round per machine) and regresses log-fidelity on coupling count
+    per repetition value.
     ``machine_factory`` must return machines whose calibration represents
     the in-spec state (e.g. bulk drift below the calibration threshold).
     """
-    from ..sim.sampling import match_fraction
-
     samples: dict[int, list[tuple[int, float]]] = {r: [] for r in repetition_counts}
     for trial in range(trials):
-        machine = machine_factory()
         specs = _model_fit_specs(n_qubits, repetition_counts, trial)
-        for spec in specs:
-            program = built_test(tuple(spec.pairs), spec.repetitions, n_qubits)
-            counts = machine.run_match(program, program.expected, shots)
-            fidelity = match_fraction(counts, program.expected)
-            samples[spec.repetitions].append(
-                (len(spec.pairs), math.log(max(fidelity, _LOG_FLOOR)))
+        executor = TestExecutor(machine_factory(), shots=shots)
+        for result in executor.execute_round(specs):
+            samples[result.spec.repetitions].append(
+                (len(result.spec.pairs), math.log(max(result.fidelity, _LOG_FLOOR)))
             )
     coefficients: dict[int, tuple[float, float]] = {}
     for r, points in samples.items():
@@ -134,12 +130,12 @@ class ContrastExecutor:
 
     Implements the same surface as
     :class:`~repro.core.protocol.TestExecutor` (``execute`` /
-    ``execute_batch`` / ``cost``), so every protocol runs on it unchanged.
+    ``execute_round`` / ``cost``), so every protocol runs on it unchanged.
 
     Parameters
     ----------
     machine:
-        Backend with ``run_match``.
+        Backend with ``run_match`` and ``run_battery``.
     model:
         Clean baseline fit from :func:`fit_fidelity_model`.
     gap:
@@ -159,12 +155,11 @@ class ContrastExecutor:
 
     def execute(self, spec: TestSpec) -> TestResult:
         """Run one spec through the analytic contrast model."""
-        result = self._measure(spec)
-        return self._classify(spec, result)
+        return self._classify(spec, self._measurer().execute(spec).fidelity)
 
-    def execute_batch(self, specs: list[TestSpec]) -> list[TestResult]:
-        """Measure a batch, re-estimate bulk drift, then classify."""
-        fidelities = [self._measure(spec) for spec in specs]
+    def execute_round(self, specs: list[TestSpec]) -> list[TestResult]:
+        """Measure a round in one pass, re-estimate bulk drift, then classify."""
+        fidelities = [r.fidelity for r in self._measurer().execute_round(specs)]
         self._update_drift(specs, fidelities)
         return [
             self._classify(spec, fidelity)
@@ -173,17 +168,9 @@ class ContrastExecutor:
 
     # -- internals -----------------------------------------------------------------
 
-    def _measure(self, spec: TestSpec) -> float:
-        from ..sim.sampling import match_fraction
-
-        if not spec.pairs:
-            return 1.0
-        program = built_test(
-            tuple(spec.pairs), spec.repetitions, self.machine.n_qubits
-        )
-        counts = self.machine.run_match(program, program.expected, self.shots)
-        self.cost.record_run(spec, self.shots)
-        return match_fraction(counts, program.expected)
+    def _measurer(self) -> TestExecutor:
+        """A plain executor measuring on this one's machine, shots and cost."""
+        return TestExecutor(self.machine, shots=self.shots, cost=self.cost)
 
     def _update_drift(self, specs: list[TestSpec], fidelities: list[float]) -> None:
         per_r: dict[int, list[float]] = {}
@@ -195,7 +182,7 @@ class ContrastExecutor:
             anomaly = math.log(max(fidelity, _LOG_FLOOR)) - base
             per_r.setdefault(spec.repetitions, []).append(anomaly / m)
         for r, values in per_r.items():
-            # Median over the batch: a single fault touches a minority of
+            # Median over the round: a single fault touches a minority of
             # tests, so the median tracks the bulk drift level.
             self.drift[r] = float(np.median(values))
 

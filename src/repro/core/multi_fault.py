@@ -292,7 +292,7 @@ class MultiFaultProtocol:
                 batch = protocol.round1_specs() + _equal_bits_specs(
                     self.n_qubits, relevant, r
                 )
-            batch_results = executor.execute_batch(batch)
+            batch_results = executor.execute_round(batch)
             results.extend(batch_results)
             if chosen is None and any(res.failed for res in batch_results):
                 chosen = r
@@ -395,7 +395,7 @@ class MultiFaultProtocol:
                 executor.cost.record_adaptation("no couplings left")
                 break
             specs = self.battery_specs(relevant, repetitions)
-            results = executor.execute_batch(specs)
+            results = executor.execute_round(specs)
             executor.cost.record_adaptation("contrast ranking decision")
             confirmed: tuple[Pair, float] | None = None
             for _, candidate in self.contrast_scores(

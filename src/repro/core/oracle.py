@@ -31,15 +31,15 @@ class OracleExecutor:
 
     def execute(self, spec: TestSpec) -> TestResult:
         """Judge one spec deterministically against the fault set."""
-        failed = any(p in self.faults for p in spec.pairs)
-        self.cost.record_run(spec, self.shots)
-        return TestResult(
-            spec=spec,
-            fidelity=0.0 if failed else 1.0,
-            threshold=0.5,
-            shots=self.shots,
-        )
+        return self.execute_round([spec])[0]
 
-    def execute_batch(self, specs: list[TestSpec]) -> list[TestResult]:
-        """Judge a predetermined batch of specs."""
-        return [self.execute(spec) for spec in specs]
+    def execute_round(self, specs: list[TestSpec]) -> list[TestResult]:
+        """Judge a predetermined round of specs."""
+        results = []
+        for spec in specs:
+            failed = any(p in self.faults for p in spec.pairs)
+            self.cost.record_run(spec, self.shots)
+            results.append(
+                TestResult(spec, 0.0 if failed else 1.0, 0.5, self.shots)
+            )
+        return results

@@ -48,6 +48,6 @@ class PointCheckStrategy:
         return [r.spec.pairs[0] for r in self.run(executor) if r.failed]
 
     def run(self, executor: TestExecutor) -> list[TestResult]:
-        """Execute the full batch and return raw results (Figs. 6/7 use
+        """Execute the full round and return raw results (Figs. 6/7 use
         these per-pair fidelities directly)."""
-        return executor.execute_batch(self.specs())
+        return executor.execute_round(self.specs())

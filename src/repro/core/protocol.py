@@ -1,14 +1,13 @@
 """Shared protocol infrastructure: execution, thresholds, outcomes.
 
-The fault-testing protocols are expressed against a tiny backend surface —
-anything with ``run_match(test, expected, shots)`` taking a built
-:class:`~repro.trap.machine.TestProgram` — so they run unchanged on the
-virtual trap, on a noiseless simulator adapter, or (in principle) on real
-hardware.  :class:`TestExecutor` turns a
-:class:`~repro.core.tests_builder.TestSpec` into a pass/fail
-:class:`TestResult` by comparing the measured target-state fidelity to a
-threshold policy (Figs. 6/7 use fixed thresholds; the multi-fault loop of
-Fig. 5 adjusts thresholds to maximize fault/no-fault contrast).
+The fault-testing protocols are expressed against a tiny backend surface,
+:class:`MatchBackend`, so they run unchanged on the virtual trap or any
+backend with its two calls.  :class:`TestExecutor` turns
+:class:`~repro.core.tests_builder.TestSpec` objects into pass/fail
+:class:`TestResult` objects by comparing the measured target-state
+fidelity to a threshold policy (Figs. 6/7 use fixed thresholds; the
+multi-fault loop of Fig. 5 adjusts thresholds to maximize fault/no-fault
+contrast), one adaptive test or one predetermined round at a time.
 """
 
 from __future__ import annotations
@@ -16,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Protocol as TypingProtocol
+
+import numpy as np
 
 from ..sim.sampling import Counts, match_fraction
 from ..trap.machine import CompiledBattery, TestProgram, as_program
@@ -36,21 +37,20 @@ __all__ = [
 Pair = frozenset[int]
 
 #: Built test programs kept per process (least recently used dropped
-#: first).  Each program's circuit holds one shared frozen operation per
-#: coupling and only weak references to its compiled XX entries, so
-#: entries stay small.
+#: first).  Programs hold one shared frozen operation per coupling and
+#: weak references to their compiled XX entries, so entries stay small.
 _BUILT_TEST_CACHE_SIZE = 2048
 
 
 class MatchBackend(TypingProtocol):
     """Minimal machine surface the protocols need.
 
-    ``test`` is a :class:`~repro.trap.machine.TestProgram` from
-    :func:`built_test` and ``expected`` its own bitstring; a backend may
-    read the program's ``circuit`` or use the compiled entries it holds.
-    ``realizations`` is the optional shot-batching hint: how many
-    independent noise realizations to split the shots across (backends
-    without stochastic noise may ignore it).
+    Tests are :class:`~repro.trap.machine.TestProgram` objects from
+    :func:`built_test` (a backend may read a program's ``circuit`` or use
+    its compiled entries): ``run_match`` runs one, ``run_battery`` a
+    round.  ``realizations`` is the optional shot-batching hint: how many
+    independent noise realizations to split each test's shots across
+    (backends without stochastic noise may ignore it).
     """
 
     n_qubits: int
@@ -63,6 +63,16 @@ class MatchBackend(TypingProtocol):
         realizations: int | None = None,
     ) -> Counts:  # pragma: no cover - protocol definition
         """Run a test and report counts for the expected bitstring."""
+        ...
+
+    def run_battery(
+        self,
+        programs: list[TestProgram],
+        shots: int,
+        trials: int = 1,
+        realizations: int | None = None,
+    ) -> np.ndarray:  # pragma: no cover - protocol definition
+        """Run a round of tests: fidelities of shape ``(len(programs), trials)``."""
         ...
 
 
@@ -91,11 +101,10 @@ class FixedThresholds:
 
     def threshold_for(self, repetitions: int, kind: str = "class") -> float:
         """Threshold for the repetition count, scaled for canaries."""
-        threshold = self.default
-        for reps, value in self.by_repetitions:
-            if reps == repetitions:
-                threshold = value
-                break
+        threshold = next(
+            (v for reps, v in self.by_repetitions if reps == repetitions),
+            self.default,
+        )
         if kind == "canary":
             threshold *= self.canary_margin
         return threshold
@@ -147,27 +156,51 @@ class TestExecutor:
     cost: CostTracker = field(default_factory=CostTracker)
 
     def execute(self, spec: TestSpec) -> TestResult:
-        """Build, run and judge one test."""
-        n = self.machine.n_qubits
-        threshold = self.thresholds.threshold_for(spec.repetitions, spec.kind)
+        """Build, run and judge one adaptive test on ``run_match``."""
         if not spec.pairs:
-            # An empty test (all couplings excluded) trivially passes.
-            return TestResult(
-                spec=spec, fidelity=1.0, threshold=threshold, shots=self.shots
-            )
-        program = built_test(tuple(spec.pairs), spec.repetitions, n)
+            return _judged([spec], [], self.thresholds, self.shots)[0]
+        program = built_test(
+            tuple(spec.pairs), spec.repetitions, self.machine.n_qubits
+        )
         counts = self.machine.run_match(
             program, program.expected, self.shots, realizations=self.shot_batch
         )
-        fidelity = match_fraction(counts, program.expected)
         self.cost.record_run(spec, self.shots)
-        return TestResult(
-            spec=spec, fidelity=fidelity, threshold=threshold, shots=self.shots
-        )
+        fidelity = match_fraction(counts, program.expected)
+        return _judged([spec], [fidelity], self.thresholds, self.shots)[0]
 
-    def execute_batch(self, specs: list[TestSpec]) -> list[TestResult]:
-        """Run a predetermined batch (no adaptation between tests)."""
-        return [self.execute(spec) for spec in specs]
+    def execute_round(self, specs: list[TestSpec]) -> list[TestResult]:
+        """Run a predetermined round (no adaptation between tests) in one
+        ``run_battery`` pass: all noise drawn in spec order, then all
+        shots sampled at once.  A one-spec round equals :meth:`execute`
+        bit for bit; specs without couplings draw nothing and pass."""
+        run = [spec for spec in specs if spec.pairs]
+        n, shots = self.machine.n_qubits, self.shots
+        fidelities = self.machine.run_battery(
+            [built_test(tuple(s.pairs), s.repetitions, n) for s in run],
+            shots,
+            realizations=self.shot_batch,
+        )
+        for spec in run:
+            self.cost.record_run(spec, shots)
+        return _judged(specs, fidelities[:, 0].tolist(), self.thresholds, shots)
+
+
+def _judged(
+    specs: list[TestSpec], fidelities: list, thresholds: ThresholdPolicy, shots: int
+) -> list[TestResult]:
+    """Results of ``specs``, measured in order by ``fidelities`` except
+    the specs without couplings, which were not run and pass at 1.0."""
+    measured = iter(fidelities)
+    return [
+        TestResult(
+            spec,
+            next(measured) if spec.pairs else 1.0,
+            thresholds.threshold_for(spec.repetitions, spec.kind),
+            shots,
+        )
+        for spec in specs
+    ]
 
 
 @lru_cache(maxsize=_BUILT_TEST_CACHE_SIZE)
@@ -190,19 +223,14 @@ def built_test(
 def compile_test_battery(
     n_qubits: int, specs: list[TestSpec], max_exact_qubits: int = 20
 ):
-    """Compile a battery of test specs for repeated evaluation.
-
-    Takes each spec's :func:`built_test` program and hands them to
-    :class:`~repro.trap.machine.CompiledBattery`, which resolves each
-    test's compiled XX structure (and, from its first dense call, its
-    dense layout) outside the per-trial hot loop.  The battery is
-    machine-independent — compile per ``(n_qubits, repetitions)`` family,
-    evaluate against every trial machine, calibration snapshot and sweep
-    point.  Tests with non-XX gates compile dense-only.
+    """A :class:`~repro.trap.machine.CompiledBattery` of each spec's
+    :func:`built_test` program, for repeated evaluation against every
+    trial machine, calibration snapshot and sweep point.
 
     Raises ``ValueError`` when an XX-only spec has a coupling component
-    above ``max_exact_qubits`` (e.g. a full canary at N = 32); callers
-    fall back to :class:`TestExecutor`.
+    above ``max_exact_qubits`` (e.g. a full canary at N = 32); run such
+    specs through :meth:`TestExecutor.execute_round`, whose pass takes
+    the Monte-Carlo fallback.
     """
     items = [
         built_test(tuple(spec.pairs), spec.repetitions, n_qubits)
@@ -220,27 +248,14 @@ def execute_compiled_battery(
     realizations: int | None = None,
     engine: str = "auto",
 ) -> list[TestResult]:
-    """Run a predetermined battery through its compiled form.
+    """:meth:`TestExecutor.execute_round` on a compiled battery's plan
+    cache, which outlives the machine, and without a cost tracker.
 
-    The compiled counterpart of ``TestExecutor.execute_batch``: each
-    spec's circuit-static structure (XX contraction plan or dense plan)
-    is built once in the battery, and the whole battery is evaluated in
-    one :meth:`~repro.trap.machine.CompiledBattery.fidelities` pass —
-    under the full Sec. VI error model this is the compiled *dense*
-    path of Figs. 6/7.  Pass a pre-built ``battery`` (from
-    :func:`compile_test_battery`, with tests in ``specs`` order) to
-    amortize compilation across trial machines; otherwise one is
-    compiled on the fly.  ``engine`` forces an evaluation path
-    (``"xx"``/``"dense"``) instead of the automatic dispatch — the
-    scenario matrix uses it to run one battery through both engines.
-    Specs without couplings draw nothing and pass with fidelity 1.0.
-
-    Results are statistically equivalent to the per-test
-    :class:`TestExecutor` loop, though the RNG stream is consumed in
-    another order: every test's noise is drawn in spec order, then
-    every test's shots are sampled at once.  ``machine`` must be a
-    :class:`~repro.trap.machine.VirtualIonTrap` (the compiled paths need
-    its noise internals, not just the ``run_match`` surface).
+    Pass a ``battery`` from :func:`compile_test_battery`, with tests in
+    ``specs`` order, to amortize compilation across trial machines
+    (Figs. 6/7); otherwise one is compiled on the fly.  ``engine``
+    forces an evaluation path (``"xx"``/``"dense"``) — the scenario
+    matrix runs one battery through both engines.
     """
     if battery is None:
         battery = compile_test_battery(
@@ -253,37 +268,20 @@ def execute_compiled_battery(
         )
     if thresholds is None:
         thresholds = FixedThresholds()
-    indices = []
-    for index, spec in enumerate(specs):
-        if not spec.pairs:
-            continue
-        program = battery.tests[index]
-        if program.expected != expected_output(
-            spec, machine.n_qubits
-        ) or program.n_two_qubit != len(spec.pairs) * spec.repetitions:
+    indices = [index for index, spec in enumerate(specs) if spec.pairs]
+    for index in indices:
+        spec = specs[index]
+        if battery.tests[index] != built_test(
+            tuple(spec.pairs), spec.repetitions, machine.n_qubits
+        ):
             raise ValueError(
                 f"battery test {index} does not match spec {spec.name!r}; "
                 "compile the battery from this spec list (same order)"
             )
-        indices.append(index)
-    measured = iter(
-        battery.fidelities(
-            machine,
-            indices,
-            shots,
-            realizations=realizations,
-            engine=engine,
-        )[:, 0].tolist()
+    fidelities = battery.fidelities(
+        machine, indices, shots, realizations=realizations, engine=engine
     )
-    return [
-        TestResult(
-            spec=spec,
-            fidelity=next(measured) if spec.pairs else 1.0,
-            threshold=thresholds.threshold_for(spec.repetitions, spec.kind),
-            shots=shots,
-        )
-        for spec in specs
-    ]
+    return _judged(specs, fidelities[:, 0].tolist(), thresholds, shots)
 
 
 @dataclass

@@ -182,13 +182,13 @@ class SingleFaultProtocol:
         (zero-fault case or contamination).
         """
         results: list[TestResult] = list(
-            executor.execute_batch(self.round1_specs())
+            executor.execute_round(self.round1_specs())
         )
         syndrome = self.syndrome_from_results(results)
         adaptations = 1  # deciding round 2 from round 1's outcome
         executor.cost.record_adaptation("syndrome -> equal-bits tests")
         round2 = self.round2_specs(syndrome)
-        round2_results = list(executor.execute_batch(round2))
+        round2_results = list(executor.execute_round(round2))
         results.extend(round2_results)
         identified = self.identify(syndrome, round2_results)
         verified: bool | None = None

@@ -870,7 +870,7 @@ class DensePlanCache:
     """Bounded LRU of :class:`DensePlan` objects keyed by skeleton.
 
     One cache lives on each :class:`~repro.trap.machine.VirtualIonTrap`
-    (serving the per-call ``run``/``run_match`` dense paths across a
+    (serving ``run``, ``run_match`` and executor rounds across a
     diagnosis session) and one on each
     :class:`~repro.trap.machine.CompiledBattery` (surviving across trial
     machines).  The bound is an entry count — plans hold only index

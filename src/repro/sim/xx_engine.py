@@ -680,9 +680,9 @@ def batch_amplitudes_from_terms(
     ``(G,)`` values in both dicts).  Internally this builds a one-shot
     :class:`ContractionPlan` and discards it after the call, so it
     computes exactly what the machine's cached plans compute, for all G
-    realization rows at once.  The virtual machine's ``run_match`` and
-    batteries share one plan per test structure in its compiled-test
-    cache; this serves its slot path instead: dense draws that stay
+    realization rows at once.  The virtual machine's evaluation pass
+    shares one plan per test structure in its compiled-test cache; this
+    serves its slot path instead: dense draws that stay
     X-diagonal and the per-call oracle the compiled routes are checked
     against.
 

@@ -37,18 +37,22 @@ first use and then holds them:
   per-kind parameter blocks a :class:`~repro.sim.dense_plan.DensePlan`
   takes (the MS block as drawn) and evaluates the skeleton's cached plan.
 
-``run_match`` takes the XX entry where it applies and draws through the
-dense layout otherwise (non-XX-preserving noise, drive phases off the pi
-grid, non-XX gates, components above ``max_exact_qubits``); a dense draw
-that still stays X-diagonal is evaluated on the slot XX path, and a
-component above ``max_exact_qubits`` falls back to a per-realization
-Monte-Carlo :class:`~repro.sim.xx_engine.XXCircuitEvaluator`.  A
-:class:`CompiledBattery` holds programs and evaluates through the same
-two routes, one pass per battery: every test drawn in order, each dense
-plan core contracted once for all its tests, one binomial draw.
-``_realize_slots`` builds the same draws as :class:`RealizedSlot`
-objects: it serves ``run`` and is the one oracle the compiled routes
-are tested against, bit for bit.
+One route evaluates programs: :meth:`VirtualIonTrap.run_battery`, a pass
+over a list of them.  It checks every program's route before anything is
+drawn, then draws every test in order: on its XX entry where that
+applies, through its dense layout otherwise (non-XX-preserving noise,
+drive phases off the pi grid, non-XX gates, components above
+``max_exact_qubits``).  A dense draw that stays X-diagonal is evaluated
+on the slot XX path, where a component above ``max_exact_qubits`` falls
+back to a per-realization Monte-Carlo
+:class:`~repro.sim.xx_engine.XXCircuitEvaluator`; every other dense draw
+waits for its plan core, contracted once for all tests sharing its
+canonical skeleton.  Then one binomial draw samples every test's shots.
+``run_match`` is the pass's one-program case, returning counts, and a
+:class:`CompiledBattery` runs its programs through the pass with its own
+plan cache, which outlives any one machine.  ``_realize_slots`` builds
+the same draws as :class:`RealizedSlot` objects: it serves ``run`` and is
+the one oracle the pass is tested against, bit for bit.
 
 Shot batching: stochastic noise is re-drawn per *realization group* rather
 than per shot (control noise varies slowly compared to a ~ms shot cycle);
@@ -126,10 +130,11 @@ class MachineStats:
     """Usage counters for cost accounting and plan-cache introspection.
 
     ``dense_plan_builds``/``dense_plan_hits`` count dense-plan compilations
-    vs. cache reuses across the machine's own dense route (``run`` and
-    ``run_match``) *and* any :class:`CompiledBattery` evaluated against
-    this machine — a warm trial loop should stop accumulating builds
-    after its first pass.
+    vs. cache reuses of every dense evaluation on this machine, whichever
+    cache served it: the machine's own (``run``, ``run_match`` and
+    :meth:`VirtualIonTrap.run_battery` by default) or a
+    :class:`CompiledBattery`'s — a warm trial loop should stop
+    accumulating builds after its first pass.
     """
 
     circuit_runs: int = 0
@@ -261,28 +266,16 @@ class VirtualIonTrap:
 
         ``test`` is a :class:`TestProgram` (``expected`` must be its own)
         or a bare nominal circuit, wrapped once per structure by
-        :func:`as_program`.  This is the fast path for single-output
-        tests: XX-only noisy realizations are evaluated exactly per
-        coupling-graph component, which keeps 32-qubit class tests cheap.
-        Every realization group's match probability is computed in one
-        vectorized pass and all groups' shots are drawn with a single
-        multi-group binomial call.  Returned counts lump all mismatches
-        into a single placeholder state.  ``realizations`` overrides the
-        machine's noise-realization count for this call.
-
-        Under XX-preserving noise with pi-multiple realized drive phases
-        the test runs on its compiled XX entry (one contraction plan per
-        test structure, shared by every machine); everything else draws
-        its noise into the program's dense layout and runs the cached
-        dense plan, or the slot XX path when the draw happens to stay
-        X-diagonal.  Every route consumes the RNG stream and advances the
-        clock exactly as :meth:`_realize_slots` does and returns
-        bit-identical probabilities.  An ``expected`` outside
-        ``[0, 2^n_qubits)``, or a program for another bitstring or
-        register width, raises ``ValueError`` before anything is drawn.
+        :func:`as_program`.  This is the one-program case of
+        :meth:`run_battery`, on the machine's own plan cache: the same
+        draw and evaluation, then every realization group's shots drawn
+        with a single multi-group binomial call.  Returned counts lump
+        all mismatches into a single placeholder state.
+        ``realizations`` overrides the machine's noise-realization count
+        for this call.  An ``expected`` outside ``[0, 2^n_qubits)``, or a
+        program for another bitstring or register width, raises
+        ``ValueError`` before anything is drawn.
         """
-        if shots < 1:
-            raise ValueError("shots must be positive")
         check_bitstring(expected, self.n_qubits)
         program = test if isinstance(test, TestProgram) else as_program(
             test, expected
@@ -293,33 +286,153 @@ class VirtualIonTrap:
                 f"program expects {program.expected} on {width} qubits; "
                 f"run_match got {expected} on {self.n_qubits}"
             )
+        groups, probs = self._pass_probabilities([program], shots, 1, realizations)
         self._account(program.n_two_qubit, shots)
-        spam_factor = (
-            self.noise.spam.match_probability_factor(expected, self.n_qubits)
-            if self.noise.spam is not None
-            else 1.0
-        )
-        groups = self._shot_groups(shots, realizations)
-        xx = (
-            program.xx(self.max_exact_qubits)
-            if self.noise.is_xx_preserving()
-            else None
-        )
-        angles = self._xx_slot_angles(xx)
-        if angles is not None:
-            p_match_all = self._xx_probabilities(xx, angles, len(groups))[0]
-        else:
-            p_match_all = self._dense_test_probabilities(
-                self._dense_test(program), expected, len(groups)
-            )
         return sample_bernoulli_counts_batch(
-            p_match_all * spam_factor,
-            expected,
-            np.asarray(groups, dtype=np.int64),
-            self.rng,
+            probs[0, 0] * self._spam_factors([program]), expected, groups, self.rng
         )
 
+    def run_battery(
+        self,
+        programs: list["TestProgram"],
+        shots: int,
+        trials: int = 1,
+        realizations: int | None = None,
+        engine: str = "auto",
+        plans: DensePlanCache | None = None,
+    ) -> np.ndarray:
+        """Measured fidelities of ``programs``: shape ``(len(programs), trials)``.
+
+        The one evaluation route, one pass per call: every program's
+        route is checked before anything is drawn, each program's
+        ``trials`` x realization-group batch is drawn in list order (see
+        :meth:`_pass_probabilities`), and the shots of every (test,
+        trial, group) are sampled with one binomial draw.  ``plans`` is
+        the dense-plan cache to evaluate on, the machine's own by
+        default; a :class:`CompiledBattery` passes its own, which
+        outlives the machine.
+
+        ``engine`` selects the evaluation path: ``"auto"`` takes the XX
+        route wherever it applies, ``"dense"`` forces the dense plan even
+        for XX-preserving settings (scenario-matrix engine comparisons),
+        ``"xx"`` demands the exact XX contraction and raises
+        ``ValueError``, with nothing drawn, when the XX route declines
+        any of the programs.
+        """
+        groups, probs = self._pass_probabilities(
+            programs, shots, trials, realizations, engine, plans
+        )
+        return self._sample_fidelities(programs, probs, shots, groups)
+
     # -- internals ---------------------------------------------------------------------
+
+    def _pass_probabilities(
+        self,
+        programs: list["TestProgram"],
+        shots: int,
+        trials: int = 1,
+        realizations: int | None = None,
+        engine: str = "auto",
+        plans: DensePlanCache | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """A pass's shot groups and ``(tests, trials, groups)`` match probabilities.
+
+        Each program's batch is drawn in list order: on its XX entry
+        when the route takes it (drawn and contracted per test),
+        otherwise into its dense layout.  A dense draw that stays
+        X-diagonal runs the slot XX path (unless ``engine`` is
+        ``"dense"``); every other one waits for its plan core, and dense
+        tests sharing a canonical skeleton are contracted in one stacked
+        :meth:`~repro.sim.dense_plan.DensePlan.probabilities` call.
+        """
+        if engine not in ("auto", "xx", "dense"):
+            raise ValueError(
+                f"unknown engine {engine!r}; choose auto, xx or dense"
+            )
+        if shots < 1:
+            raise ValueError("shots must be positive")
+        routes = []
+        for program in programs:
+            if program.circuit.n_qubits != self.n_qubits:
+                raise ValueError(
+                    f"program is on {program.circuit.n_qubits} qubits, "
+                    f"machine has {self.n_qubits}"
+                )
+            xx = None if engine == "dense" else program.xx(self.max_exact_qubits)
+            angles = self._xx_slot_angles(xx)
+            if engine == "xx" and angles is None:
+                raise ValueError(
+                    "engine='xx' requested but the setting requires the "
+                    "dense fallback (non-XX-preserving noise, a dense-only "
+                    "test, or drive phases off the pi grid)"
+                )
+            routes.append((xx, angles))
+        groups = np.asarray(self._shot_groups(shots, realizations), dtype=np.int64)
+        n_batch = trials * len(groups)
+        probs = np.empty((len(programs), n_batch))
+        # Dense draws awaiting their plan core's one stacked call:
+        # canonical skeleton -> [(row, segment, blocks), ...].
+        stacks: dict[Skeleton, list[tuple[int, Segment, Blocks]]] = {}
+        for row, (program, (xx, angles)) in enumerate(zip(programs, routes)):
+            if angles is not None:
+                probs[row] = self._xx_probabilities(xx, angles, n_batch)[0]
+                continue
+            test = self._dense_test(program)
+            blocks, settled = self._dense_draw(
+                test, program.expected, n_batch, force=(engine == "dense")
+            )
+            if settled is not None:
+                probs[row] = settled
+                continue
+            plan = self._dense_plan_for(test.skeleton, plans)
+            stacks.setdefault(test.canonical, []).append(
+                (row, Segment(plan, program.expected, n_batch), blocks)
+            )
+        for members in stacks.values():
+            rows, segments, drawn = zip(*members)
+            blocks = drawn[0]
+            if len(drawn) > 1:
+                blocks = {
+                    kind: np.concatenate([b[kind] for b in drawn], axis=1)
+                    for kind in blocks
+                }
+            probs[list(rows)] = segments[0].plan.probabilities(
+                blocks, segments, self.max_batch_bytes
+            ).reshape(len(rows), n_batch)
+        return groups, probs.reshape(len(programs), trials, len(groups))
+
+    def _spam_factors(self, programs: list["TestProgram"]) -> np.ndarray:
+        """Each program's readout factor on its match probability."""
+        spam = self.noise.spam
+        return np.array(
+            [
+                spam.match_probability_factor(program.expected, self.n_qubits)
+                if spam is not None
+                else 1.0
+                for program in programs
+            ]
+        )
+
+    def _sample_fidelities(
+        self,
+        programs: list["TestProgram"],
+        probs: np.ndarray,
+        shots: int,
+        groups: np.ndarray,
+    ) -> np.ndarray:
+        """One binomial shot draw + cost accounting; probs is ``(R, T, G)``.
+
+        Row ``r`` belongs to ``programs[r]``, or every row to the one
+        program when ``programs`` holds one (a magnitude sweep).
+        """
+        if not programs:
+            return np.empty((0, probs.shape[1]))
+        p = np.clip(probs * self._spam_factors(programs)[:, None, None], 0.0, 1.0)
+        matches = self.rng.binomial(np.broadcast_to(groups, p.shape), p)
+        runs = p.shape[0] * p.shape[1] // len(programs)
+        for program in programs:
+            self._account(program.n_two_qubit, shots, runs)
+        return matches.sum(axis=2) / shots
 
     def _shot_groups(
         self, shots: int, realizations: int | None = None
@@ -581,21 +694,6 @@ class VirtualIonTrap:
             )
         return blocks, None
 
-    def _dense_test_probabilities(
-        self, test: "_CompiledDenseTest", expected: int, n_batch: int
-    ) -> np.ndarray:
-        """Match probabilities of ``n_batch`` draws of a compiled dense test.
-
-        :meth:`_dense_draw`, then the skeleton's plan from this machine's
-        own cache where the draw needs one.
-        """
-        blocks, probs = self._dense_draw(test, expected, n_batch)
-        if probs is None:
-            probs = self._dense_plan_for(test.skeleton).probabilities(
-                blocks, expected, self.max_batch_bytes
-            )
-        return probs
-
     # -- batched (slot-based) evaluation -------------------------------------------
 
     @staticmethod
@@ -674,10 +772,20 @@ class VirtualIonTrap:
             )
         return self._dense_match_probabilities_slots(slots, expected)
 
-    def _cached_plan(
-        self, plans: DensePlanCache, skeleton: Skeleton
+    def _dense_plan_for(
+        self, skeleton: Skeleton, plans: DensePlanCache | None = None
     ) -> DensePlan:
-        """``skeleton``'s plan from ``plans``, counted in :class:`MachineStats`."""
+        """The compiled :class:`~repro.sim.dense_plan.DensePlan` for a skeleton.
+
+        Plans are cached keyed by the slot skeleton, in ``plans`` or the
+        machine's own cache, so repeated executions of one nominal
+        circuit (a diagnosis loop, a trial sweep) compile the
+        compaction, permutations and fused apply groups once.
+        Build/hit/rebind counters land in :class:`MachineStats`.  A plan
+        above :data:`~repro.sim.statevector.MAX_DENSE_QUBITS` raises
+        ``ValueError``: only X-diagonal draws evaluate larger tests.
+        """
+        plans = self._dense_plans if plans is None else plans
         plan, hit = plans.get(self.n_qubits, skeleton)
         rebinds = plans.take_rebinds()
         self.stats.dense_plan_rebinds += rebinds
@@ -686,21 +794,10 @@ class VirtualIonTrap:
         elif not rebinds:
             self.stats.dense_plan_builds += 1
         self.stats.dense_plan_invalidations += plans.take_invalidations()
-        return plan
-
-    def _dense_plan_for(self, skeleton: Skeleton) -> DensePlan:
-        """The compiled :class:`~repro.sim.dense_plan.DensePlan` for a skeleton.
-
-        Plans are cached on the machine keyed by the slot skeleton, so
-        repeated executions of one nominal circuit (a diagnosis loop, a
-        trial sweep) compile the compaction, permutations and fused apply
-        groups once.  Build/hit counters land in :class:`MachineStats`.
-        """
-        plan = self._cached_plan(self._dense_plans, skeleton)
         if plan.n_local > MAX_DENSE_QUBITS:
             raise ValueError(
-                f"circuit touches {plan.n_local} qubits; run_match handles "
-                "larger XX-only tests"
+                f"circuit touches {plan.n_local} qubits; the dense route "
+                f"takes at most {MAX_DENSE_QUBITS}"
             )
         return plan
 
@@ -751,12 +848,12 @@ class VirtualIonTrap:
             )
         return merge_counts(*counts_parts)
 
-    def _account(self, n2q: int, shots: int) -> None:
-        self.stats.circuit_runs += 1
-        self.stats.shots += shots
-        self.stats.two_qubit_gates += n2q * shots
-        self.stats.quantum_seconds += self.timing.circuit_run_time(
-            n2q, self.n_qubits, shots
+    def _account(self, n2q: int, shots: int, runs: int = 1) -> None:
+        self.stats.circuit_runs += runs
+        self.stats.shots += runs * shots
+        self.stats.two_qubit_gates += n2q * shots * runs
+        self.stats.quantum_seconds += (
+            self.timing.circuit_run_time(n2q, self.n_qubits, shots) * runs
         )
 
     # -- compiled batteries ----------------------------------------------------------
@@ -776,32 +873,17 @@ class VirtualIonTrap:
 
 
 class CompiledBattery:
-    """A test battery evaluated through the machine's compiled routes.
+    """A test battery run through the machine's one evaluation route.
 
     The paper compiles its non-adaptive battery once and runs it over
     and over (Secs. VI/VII).  A ``CompiledBattery`` holds each test's
-    compiled structure and evaluates **all noise realizations of all
-    trials of every requested test** in one pass (:meth:`fidelities`),
-    with exactly the arithmetic ``run_match`` uses for a single test:
-
-    * the XX route: at construction every test resolves its
-      :class:`TestProgram`'s XX entry (edge columns, nominal angles and
-      phases, contraction plan), and each call goes through the
-      machine's :meth:`VirtualIonTrap._xx_slot_angles` and
-      :meth:`VirtualIonTrap._xx_probabilities`.  Magnitude sweeps
-      (:meth:`sweep_fidelities`) are one stacked contraction on it.
-    * the dense route, when the XX route declines (non-XX-preserving
-      noise such as the Sec. VI error model, drive phases off the pi
-      grid, non-XX gates): the program's dense layout, resolved on its
-      first dense call, and a :class:`~repro.sim.dense_plan.DensePlan`
-      from the battery's own plan cache, which survives across trial
-      machines.
-
-    No test of a battery waits on another's result, so a pass draws
-    every test's noise in the order asked, then contracts each dense
-    plan core once over all tests sharing its canonical skeleton, then
-    samples every test's shots with one binomial call.  A one-test pass
-    (:meth:`trial_fidelities`) is draw, kernel, binomial.
+    :class:`TestProgram`, with its XX entry resolved at construction,
+    and a :class:`~repro.sim.dense_plan.DensePlanCache` that survives
+    across trial machines.  Every evaluation is a
+    :meth:`VirtualIonTrap.run_battery` pass on that cache:
+    :meth:`fidelities` over any of its tests, :meth:`trial_fidelities`
+    over one, and :meth:`sweep_fidelities`, a magnitude sweep of one
+    test as one stacked XX contraction.
 
     Batteries are machine-independent: one battery serves many machines,
     calibration snapshots and sweep points.
@@ -815,8 +897,9 @@ class CompiledBattery:
         pairs, which are wrapped by :func:`as_program`.
     max_exact_qubits:
         Largest coupling component compiled exactly; an XX-only test
-        with a bigger component raises ``ValueError`` (callers fall back
-        to the uncompiled path).
+        with a bigger component raises ``ValueError`` (run it through
+        :meth:`VirtualIonTrap.run_battery` on the machine's own cache,
+        whose pass takes the Monte-Carlo fallback).
     """
 
     def __init__(
@@ -861,7 +944,7 @@ class CompiledBattery:
         offset off that grid moves realizations off the XX form even
         under amplitude-only noise.
         """
-        xx = self.tests[index].xx(self.max_exact_qubits)
+        xx = self.tests[index].xx(machine.max_exact_qubits)
         return machine._xx_slot_angles(xx) is not None
 
     def fidelities(
@@ -875,32 +958,18 @@ class CompiledBattery:
     ) -> np.ndarray:
         """Measured fidelities of tests ``indices``: ``(len(indices), trials)``.
 
-        One pass over the requested tests.  The machine and every
-        test's route are checked before anything is drawn.  Then each
-        test's ``trials`` x realization-group batch is drawn in
-        ``indices`` order — on the XX route (drawn and contracted per
-        test) when it takes the test, otherwise into the program's
-        dense layout.  Dense tests sharing a canonical skeleton are
-        contracted in one stacked
-        :meth:`~repro.sim.dense_plan.DensePlan.probabilities` call, and
-        the shots of every (test, trial, group) are sampled with one
-        binomial draw.  Statistically equivalent to ``trials`` calls of
-        ``TestExecutor.execute`` per test on the machine (the RNG stream
-        is consumed in a different order).
-
-        ``engine`` selects the evaluation path: ``"auto"`` dispatches on
-        :meth:`xx_eligible` (the default), ``"dense"`` forces the dense
-        plan even for XX-preserving settings (scenario-matrix engine
-        comparisons), ``"xx"`` demands the exact XX contraction and
-        raises ``ValueError``, with nothing drawn, when the XX route
-        declines any of the tests.
+        One :meth:`VirtualIonTrap.run_battery` pass over the requested
+        tests, in ``indices`` order, on the battery's plan cache (see
+        there for ``engine``).
         """
-        programs, groups, probs = self._pass_probabilities(
-            machine, indices, shots, trials, realizations, engine
+        return machine.run_battery(
+            [self.tests[index] for index in indices],
+            shots,
+            trials,
+            realizations,
+            engine,
+            self._dense_plans,
         )
-        if not programs:
-            return np.empty((0, trials))
-        return self._sample_fidelities(machine, programs, probs, shots, groups)
 
     def trial_fidelities(
         self,
@@ -935,12 +1004,16 @@ class CompiledBattery:
 
         Each magnitude replaces ``pair``'s under-rotation, and every
         sweep point reuses the same noise draws, so the whole ``(M,
-        trials, groups)`` grid costs one stacked contraction plus one
-        batched binomial draw.  Sweeps run on the XX route only.
+        trials, groups)`` grid costs one stacked contraction plus the
+        pass's one binomial draw.  Sweeps run on the XX route only.
         """
-        self._check_machine(machine)
+        if machine.n_qubits != self.n_qubits:
+            raise ValueError(
+                f"machine has {machine.n_qubits} qubits, "
+                f"battery compiled for {self.n_qubits}"
+            )
         program = self.tests[index]
-        xx = program.xx(self.max_exact_qubits)
+        xx = program.xx(machine.max_exact_qubits)
         mags = np.asarray(magnitudes, dtype=np.float64)
         angles = machine._xx_slot_angles(xx, sweep=(pair, mags))
         if angles is None:
@@ -956,131 +1029,7 @@ class CompiledBattery:
         probs = machine._xx_probabilities(
             xx, angles, trials * len(groups)
         ).reshape(mags.size, trials, len(groups))
-        return self._sample_fidelities(
-            machine, [program], probs, shots, groups
-        )
-
-    # -- internals -------------------------------------------------------------
-
-    def _check_machine(self, machine: VirtualIonTrap) -> None:
-        if machine.n_qubits != self.n_qubits:
-            raise ValueError(
-                f"machine has {machine.n_qubits} qubits, "
-                f"battery compiled for {self.n_qubits}"
-            )
-
-    def _pass_probabilities(
-        self,
-        machine: VirtualIonTrap,
-        indices: list[int],
-        shots: int,
-        trials: int,
-        realizations: int | None,
-        engine: str = "auto",
-    ) -> tuple[list[TestProgram], np.ndarray, np.ndarray]:
-        """A pass's programs, shot groups and ``(tests, trials, groups)``
-        match probabilities (see :meth:`fidelities`)."""
-        if engine not in ("auto", "xx", "dense"):
-            raise ValueError(
-                f"unknown engine {engine!r}; choose auto, xx or dense"
-            )
-        self._check_machine(machine)
-        programs = [self.tests[index] for index in indices]
-        routes = []
-        for program in programs:
-            xx = None if engine == "dense" else program.xx(self.max_exact_qubits)
-            angles = machine._xx_slot_angles(xx)
-            if engine == "xx" and angles is None:
-                raise ValueError(
-                    "engine='xx' requested but the setting requires the "
-                    "dense fallback (non-XX-preserving noise, a dense-only "
-                    "test, or drive phases off the pi grid)"
-                )
-            routes.append((xx, angles))
-        groups = np.asarray(
-            machine._shot_groups(shots, realizations), dtype=np.int64
-        )
-        n_batch = trials * len(groups)
-        probs = np.empty((len(programs), n_batch))
-        # Dense draws awaiting their plan core's one stacked call:
-        # canonical skeleton -> [(row, segment, blocks), ...].
-        stacks: dict[Skeleton, list[tuple[int, Segment, Blocks]]] = {}
-        for row, (program, (xx, angles)) in enumerate(zip(programs, routes)):
-            if angles is not None:
-                probs[row] = machine._xx_probabilities(xx, angles, n_batch)[0]
-                continue
-            # The whole trials-times-groups batch, drawn in one pass into
-            # the program's dense layout; its plan comes from the
-            # battery's cache, which survives across trial machines.
-            # ``force`` skips the exact-XX shortcut for draws that stay
-            # X-diagonal: the scenario-matrix mode, where the dense
-            # engine must run.
-            test = machine._dense_test(program)
-            blocks, settled = machine._dense_draw(
-                test, program.expected, n_batch, force=(engine == "dense")
-            )
-            if settled is not None:
-                probs[row] = settled
-                continue
-            plan = machine._cached_plan(self._dense_plans, test.skeleton)
-            stacks.setdefault(test.canonical, []).append(
-                (row, Segment(plan, program.expected, n_batch), blocks)
-            )
-        for members in stacks.values():
-            rows, segments, drawn = zip(*members)
-            blocks = drawn[0]
-            if len(drawn) > 1:
-                blocks = {
-                    kind: np.concatenate([b[kind] for b in drawn], axis=1)
-                    for kind in blocks
-                }
-            probs[list(rows)] = segments[0].plan.probabilities(
-                blocks, segments, machine.max_batch_bytes
-            ).reshape(len(rows), n_batch)
-        return programs, groups, probs.reshape(
-            len(programs), trials, len(groups)
-        )
-
-    def _sample_fidelities(
-        self,
-        machine: VirtualIonTrap,
-        programs: list[TestProgram],
-        probs: np.ndarray,
-        shots: int,
-        groups: np.ndarray,
-    ) -> np.ndarray:
-        """One binomial shot draw + cost accounting; probs is ``(R, T, G)``.
-
-        Row ``r`` belongs to ``programs[r]``, or every row to the one
-        program when ``programs`` holds one (a magnitude sweep).
-        """
-        spam = machine.noise.spam
-        factors = np.array(
-            [
-                spam.match_probability_factor(program.expected, self.n_qubits)
-                if spam is not None
-                else 1.0
-                for program in programs
-            ]
-        )
-        p = np.clip(probs * factors[:, None, None], 0.0, 1.0)
-        matches = machine.rng.binomial(
-            np.broadcast_to(groups, p.shape), p
-        )
-        n_runs = p.shape[0] * p.shape[1] // len(programs)
-        for program in programs:
-            machine.stats.circuit_runs += n_runs
-            machine.stats.shots += n_runs * shots
-            machine.stats.two_qubit_gates += (
-                program.n_two_qubit * shots * n_runs
-            )
-            machine.stats.quantum_seconds += (
-                machine.timing.circuit_run_time(
-                    program.n_two_qubit, self.n_qubits, shots
-                )
-                * n_runs
-            )
-        return matches.sum(axis=2) / shots
+        return machine._sample_fidelities([program], probs, shots, groups)
 
 
 #: Programs wrapped per process by :func:`as_program` (least recently

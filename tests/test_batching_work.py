@@ -10,15 +10,21 @@ reuse (the battery's plan cache plus canonical rebinds across one
 family's tests) and fusion (adjacent slots on at most two qubits
 collapse into one application).  These tests count each of them on the
 Fig. 6 / Fig. 7 workload shapes, so a regression in any one fails
-deterministically instead of showing up as a slower wall clock.
+deterministically instead of showing up as a slower wall clock.  A
+predetermined round through ``TestExecutor.execute_round`` is one such
+pass too: one binomial draw per round (the arena's battery diagnoser).
 """
 
 import pytest
 
 from repro.analysis.experiments.fig6 import battery_specs
 from repro.analysis.detection import CalibratedThresholds
+from repro.arena.budget import TimeBudget
+from repro.arena.diagnosers import BatteryDiagnoser, DiagnoserContext
+from repro.core import multi_fault
 from repro.core.protocol import (
     FixedThresholds,
+    built_test,
     compile_test_battery,
     execute_compiled_battery,
 )
@@ -176,3 +182,52 @@ def test_fig6_warm_batteries_compile_once_across_machines(work):
     assert (rebinds, hits) == (18, 100)
     _assert_fused(work["plans"], {36, 72})
 
+
+class _CountingRng:
+    """A machine's generator, counting its ``binomial`` calls."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.binomials = 0
+
+    def binomial(self, *args, **kwargs):
+        self.binomials += 1
+        return self._rng.binomial(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def test_battery_diagnoser_samples_once_per_round(work):
+    """A battery diagnosis: one binomial draw per repetition count.
+
+    The arena's battery diagnoser runs the 2- and 4-repetition batteries
+    as two rounds on a fresh Sec. VI machine.  Each round draws its
+    tests in order (one MS block per test), contracts each canonical
+    skeleton once on the machine's own plan cache and samples every
+    test's shots with one binomial draw, where a loop over the tests
+    draws a binomial and calls the kernel once per test.
+    """
+    ctx = DiagnoserContext(
+        N_QUBITS, thresholds=CalibratedThresholds(default=0.5), shots=200
+    )
+    machine = VirtualIonTrap(N_QUBITS, noise=SEC6_NOISE, seed=3)
+    machine.rng = _CountingRng(machine.rng)
+    diagnosis = BatteryDiagnoser(ctx).diagnose(machine, TimeBudget().begin())
+    rounds = [
+        multi_fault.battery_specs(N_QUBITS, r) for r in ctx.repetition_counts
+    ]
+    n_tests = sum(len(specs) for specs in rounds)
+    cores = [
+        {
+            built_test(tuple(spec.pairs), spec.repetitions, N_QUBITS)
+            .dense(True)
+            .canonical
+            for spec in specs
+        }
+        for specs in rounds
+    ]
+    assert diagnosis.tests_used == n_tests
+    assert machine.rng.binomials == len(rounds)
+    assert work["draws"] == [machine.noise_realizations] * n_tests
+    assert len(work["plans"]) == sum(len(c) for c in cores) < n_tests

@@ -8,7 +8,9 @@ carry it:
   returns, row for row, exactly what one call per segment returns;
 * the pass equals an oracle built from the per-call slot path: every
   test realized in order by ``_realize_slots`` and evaluated on its own
-  plan, then one binomial draw over every (test, trial, group).
+  plan, then one binomial draw over every (test, trial, group).  That
+  holds for a compiled battery on its own plan cache and for
+  ``TestExecutor.execute_round`` on the machine's.
 
 Both are compared with ``==``; machine clock, RNG state and
 :class:`~repro.trap.machine.MachineStats` must match too.
@@ -20,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro.core.multi_fault import battery_specs
+from repro.core.protocol import TestExecutor as Executor
 from repro.core.protocol import built_test, execute_compiled_battery
 from repro.core.tests_builder import TestSpec as Spec
 from repro.noise.models import NoiseParameters
@@ -154,7 +157,7 @@ def _oracle_pass(battery, plans, machine, indices, shots, trials):
                 machine._match_probabilities_slots(slots, program.expected)
             )
             continue
-        plan = machine._cached_plan(plans, _skeleton(slots))
+        plan = machine._dense_plan_for(_skeleton(slots), plans)
         probs.append(
             plan.probabilities(
                 slot_blocks(slots), program.expected, machine.max_batch_bytes
@@ -204,9 +207,17 @@ PASS_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(PASS_CASES))
+#: The same cases as rounds: ``TestExecutor.execute_round`` on the
+#: machine's own plan cache, one trial per test.
+ROUND_CASES = [f"{case}-round" for case in sorted(PASS_CASES)]
+
+
+@pytest.mark.parametrize("case", sorted(PASS_CASES) + ROUND_CASES)
 def test_pass_equals_in_order_oracle(case):
+    by_round = case.endswith("-round")
+    case = case.removesuffix("-round")
     n_qubits, noise, faults = PASS_CASES[case]
+    specs = battery_specs(n_qubits, 2) + battery_specs(n_qubits, 4)
     programs = _programs(n_qubits, 2) + _programs(n_qubits, 4)
     battery = CompiledBattery(n_qubits, programs)
     compiled, oracle = _twins(n_qubits, noise, faults, noise_realizations=3)
@@ -215,13 +226,21 @@ def test_pass_equals_in_order_oracle(case):
         case, {False, True}
     )
     plans = DensePlanCache()
+    executor = Executor(compiled, shots=60)
+    trials = 1 if by_round else 2
     everything = list(range(len(programs)))
     for indices in (everything, everything, [5, 0, 17, 3]):
-        fids = battery.fidelities(compiled, indices, 60, trials=2)
-        ref = _oracle_pass(battery, plans, oracle, indices, 60, trials=2)
-        assert fids.shape == (len(indices), 2)
+        if by_round:
+            results = executor.execute_round([specs[i] for i in indices])
+            fids = np.array([[r.fidelity] for r in results])
+        else:
+            fids = battery.fidelities(compiled, indices, 60, trials=2)
+        ref = _oracle_pass(battery, plans, oracle, indices, 60, trials)
+        assert fids.shape == (len(indices), trials)
         assert (fids == ref).all()
         _assert_same_machine_state(compiled, oracle)
+    if by_round:
+        assert executor.cost.circuit_runs == 2 * len(everything) + 4
 
 
 def test_xx_refusal_draws_nothing():

@@ -64,9 +64,9 @@ def test_compiled_matches_reference_on_fig8_grid(repetitions):
         n_qubits, under=(((0, 1), 0.2), ((2, 3), -0.05)), noise_realizations=4
     )
     for trials in (1, 3):
-        probs = battery._pass_probabilities(
-            compiled, [0], 100, trials, None, engine="xx"
-        )[2][0]
+        probs = compiled._pass_probabilities(
+            battery.tests, 100, trials, None, engine="xx"
+        )[1][0]
         ref = _slot_oracle(oracle, ct.circuit, ct.expected, trials * 4)
         assert probs.shape == (trials, 4)
         assert (probs.ravel() == ref).all()
@@ -90,19 +90,19 @@ def test_magnitude_broadcast_matches_per_point_loop(monkeypatch):
     magnitudes = np.array([0.0, 0.05, 0.2, 0.35, 0.5])
     under = (((0, 4), 0.07), ((0, 1), 0.1))
     fed, sampled = [], []
-    evaluate, sample = plan.probabilities, battery._sample_fidelities
+    machine, _ = _twins(n_qubits, under=under, noise_realizations=3)
+    evaluate, sample = plan.probabilities, machine._sample_fidelities
 
     def capture_fed(thetas, *args):
         fed.append(thetas)
         return evaluate(thetas, *args)
 
-    def capture_sampled(machine, ct, probs, shots, groups):
+    def capture_sampled(ct, probs, shots, groups):
         sampled.append(probs)
-        return sample(machine, ct, probs, shots, groups)
+        return sample(ct, probs, shots, groups)
 
     monkeypatch.setattr(plan, "probabilities", capture_fed)
-    monkeypatch.setattr(battery, "_sample_fidelities", capture_sampled)
-    machine, _ = _twins(n_qubits, under=under, noise_realizations=3)
+    monkeypatch.setattr(machine, "_sample_fidelities", capture_sampled)
     fids = battery.sweep_fidelities(
         machine, 0, (0, 1), magnitudes, shots=100, trials=2
     )
@@ -113,7 +113,7 @@ def test_magnitude_broadcast_matches_per_point_loop(monkeypatch):
         fed.clear()
         twin, _ = _twins(n_qubits, under=under, noise_realizations=3)
         twin.set_under_rotation((0, 1), magnitude)
-        probs = battery._pass_probabilities(twin, [0], 100, 2, None, "xx")[2][0]
+        probs = twin._pass_probabilities(battery.tests, 100, 2, None, "xx")[1][0]
         assert (stacked[6 * k : 6 * (k + 1)] == fed[0]).all()
         assert np.max(np.abs(sweep[k] - probs)) < 1e-15
         # The sweep drew (and timed) one batch, shared by every row.
@@ -129,8 +129,8 @@ def test_broadcast_row_chunking_is_exact():
         VirtualIonTrap(n_qubits, seed=3, max_batch_bytes=budget)
         for budget in (None, 1)
     )
-    p_full = battery._pass_probabilities(full, [0], 100, 4, None)[2]
-    p_chunked = battery._pass_probabilities(chunked, [0], 100, 4, None)[2]
+    p_full = full._pass_probabilities(battery.tests, 100, 4, None)[1]
+    p_chunked = chunked._pass_probabilities(battery.tests, 100, 4, None)[1]
     # Chunk boundaries change the BLAS kernel, not the math.
     assert np.max(np.abs(p_full - p_chunked)) < 1e-12
 
@@ -221,7 +221,7 @@ def test_deterministic_machine_matches_realized_evaluator():
     )
     machine.set_under_rotation((0, 1), 0.3)
     battery = machine.compile_battery([(circuit, expected)])
-    compiled = battery._pass_probabilities(machine, [0], 1, 1, 1)[2][0, 0, 0]
+    compiled = machine._pass_probabilities(battery.tests, 1, 1, 1)[1][0, 0, 0]
     (realized,) = machine._slots_to_circuits(
         machine._realize_slots(circuit, 1)
     )
@@ -257,7 +257,7 @@ def test_ms_drive_phases_both_reach_every_route(phases):
     battery = CompiledBattery(3, [(circuit, 0)])
     assert battery.xx_eligible(machine, 0)
     for engine in ("xx", "dense"):
-        probs = battery._pass_probabilities(machine, [0], 1, 1, 1, engine)[2][0]
+        probs = machine._pass_probabilities(battery.tests, 1, 1, 1, engine)[1][0]
         assert probs[0, 0] == pytest.approx(exact[0], abs=1e-12)
 
 

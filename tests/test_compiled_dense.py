@@ -154,9 +154,7 @@ def _oracle_trial_fidelities(battery, machine, index, shots, trials, force):
         trials * len(groups),
         force,
     ).reshape(trials, len(groups))
-    return battery._sample_fidelities(
-        machine, [ct], probs[None], shots, groups
-    )[0]
+    return machine._sample_fidelities([ct], probs[None], shots, groups)[0]
 
 
 # -- the 1/f series block ---------------------------------------------------
@@ -264,9 +262,9 @@ def test_fallback_probabilities_bit_identical(case):
     for name in sorted(CIRCUITS):
         circuit, expected = CIRCUITS[name]()
         compiled, oracle = _twins(noise, faults=faults, **kwargs)
-        p = compiled._dense_test_probabilities(
-            compiled._dense_test(as_program(circuit, expected)), expected, 7
-        )
+        p = compiled._pass_probabilities(
+            [as_program(circuit, expected)], 7, realizations=7
+        )[1][0, 0]
         ref = _oracle_probabilities(oracle, None, circuit, expected, 7, False)
         assert p.dtype == ref.dtype and p.shape == ref.shape
         assert (p == ref).all(), name

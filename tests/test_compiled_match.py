@@ -8,7 +8,9 @@ is the oracle: on twin same-seed machines both routes must return
 ``==``-equal probabilities, equal counts, the same clock and the same RNG
 state.  Settings the compiled route does not cover must fall back without
 drawing anything.  The cache itself is bounded, shared across machines
-and safe under concurrent callers.
+and safe under concurrent callers.  On every route, a one-spec
+``TestExecutor.execute_round`` (the machine's pass) equals
+``TestExecutor.execute`` (``run_match``) bit for bit.
 """
 
 import math
@@ -25,6 +27,7 @@ from repro.core.tests_builder import build_test_circuit, expected_output
 from repro.noise.models import NoiseParameters
 from repro.noise.spam import SpamModel
 from repro.sim.circuit import Circuit
+from repro.sim.dense_plan import DensePlan
 from repro.sim.xx_engine import ContractionPlan
 from repro.trap import machine as machine_mod
 from repro.trap.faults import CouplingFault
@@ -33,11 +36,15 @@ from repro.trap.machine import VirtualIonTrap, as_program
 GROUPS = 8
 
 
-def _class_test(n_qubits: int, repetitions: int = 2) -> tuple[Circuit, int]:
+def _class_spec(n_qubits: int, repetitions: int = 2) -> Spec:
     pairs = tuple(
         frozenset((q, q + n_qubits // 2)) for q in range(n_qubits // 2)
     ) + (frozenset((0, 1)), frozenset((1, 2)))
-    spec = Spec("t", pairs, repetitions)
+    return Spec("t", pairs, repetitions)
+
+
+def _class_test(n_qubits: int, repetitions: int = 2) -> tuple[Circuit, int]:
+    spec = _class_spec(n_qubits, repetitions)
     return build_test_circuit(spec, n_qubits), expected_output(spec, n_qubits)
 
 
@@ -150,6 +157,69 @@ def test_component_above_exact_limit_falls_back_to_monte_carlo():
     )
     assert _xx_route(compiled, circuit, expected, 4) is None
     _assert_counts_identical(compiled, slots, circuit, expected, rounds=1)
+
+
+# -- one-spec rounds ------------------------------------------------------------
+
+#: Sec. VI noise: phase noise and residual kicks.
+SEC6 = NoiseParameters(
+    amplitude_sigma=0.1, phase_noise_rms=0.05, residual_odd_population=0.01
+)
+
+
+def _x_only_program():
+    """RX/X gates only: under phase noise its draws stay X-diagonal."""
+    circuit = Circuit(8).x(0).rx(4, 0.7).x(5).rx(0, 0.2)
+    return as_program(circuit, 0b10000100)
+
+
+#: route -> (noise, machine options, program replacing the built test).
+#: No built test reaches the exact slot path (built tests are MS-only,
+#: and noise that declines the XX route moves their phases or adds
+#: kicks), so that route runs a hand-made program under the spec.
+ONE_SPEC_ROUTES = {
+    "compiled-xx": (NoiseParameters.paper_scaling(), {}, None),
+    "dense-plan": (SEC6, {}, None),
+    "x-diagonal-slots": (
+        NoiseParameters(amplitude_sigma=0.1, phase_noise_rms=0.05),
+        {},
+        _x_only_program,
+    ),
+    "monte-carlo": (NoiseParameters.paper_scaling(), {"max_exact_qubits": 3}, None),
+}
+
+
+@pytest.mark.parametrize("route", sorted(ONE_SPEC_ROUTES))
+def test_one_spec_round_equals_execute(route, monkeypatch):
+    noise, kwargs, program = ONE_SPEC_ROUTES[route]
+    if program is not None:
+        replacement = program()
+        monkeypatch.setattr(protocol, "built_test", lambda *args: replacement)
+    kernels = {
+        "compiled-xx": _count_calls(monkeypatch, ContractionPlan, "probabilities"),
+        "dense-plan": _count_calls(monkeypatch, DensePlan, "probabilities"),
+        "x-diagonal-slots": _count_calls(
+            monkeypatch, VirtualIonTrap, "_match_probabilities_slots"
+        ),
+        "monte-carlo": _count_calls(
+            monkeypatch, machine_mod.XXCircuitEvaluator, "probability_of"
+        ),
+    }
+    spec = _class_spec(8)
+    by_round, by_test = _faulty_twins(8, noise, **kwargs)
+    rounds = Executor(by_round, shots=300)
+    tests = Executor(by_test, shots=300)
+    for _ in range(3):
+        assert rounds.execute_round([spec]) == [tests.execute(spec)]
+    assert by_round._clock == by_test._clock
+    assert _rng_state(by_round) == _rng_state(by_test)
+    assert by_round.stats == by_test.stats
+    assert rounds.cost == tests.cost
+    used = {name for name, calls in kernels.items() if calls}
+    if route == "monte-carlo":
+        assert used == {"x-diagonal-slots", "monte-carlo"}
+    else:
+        assert used == {route}
 
 
 # -- cache behaviour ------------------------------------------------------------

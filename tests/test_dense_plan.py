@@ -287,7 +287,7 @@ def test_execute_compiled_battery_matches_executor_statistically():
                     thresholds=CalibratedThresholds(default=0.5),
                     shots=shots,
                 )
-                results = executor.execute_batch(specs)
+                results = executor.execute_round(specs)
             totals += np.array([r.fidelity for r in results])
         return totals / trials
 

@@ -9,18 +9,23 @@ which kill a stalled diagnosis from a joining caller.  The SIGALRM path
 keeps its own regression so the default mechanism stays covered.
 """
 
+import copy
 import threading
 import time
 
 import pytest
 
 from repro.arena.budget import (
+    BudgetedExecutor,
     DiagnosisTimeout,
+    SoftBudgetExceeded,
     TimeBudget,
     has_hard_deadline,
     run_with_thread_deadline,
 )
 from repro.arena.diagnosers import Diagnosis, DiagnoserContext, run_bounded
+from repro.core.multi_fault import battery_specs
+from repro.trap.machine import VirtualIonTrap
 
 needs_sigalrm = pytest.mark.skipif(
     not has_hard_deadline(), reason="platform has no SIGALRM hard deadlines"
@@ -94,6 +99,35 @@ class TestInjectableClock:
         assert budget.soft_expired()
         budget.begin()
         assert not budget.soft_expired()
+
+
+class TestBudgetedRounds:
+    """The soft budget is checked once per round, before anything is drawn."""
+
+    def test_spent_budget_leaves_machine_and_cost_untouched(self):
+        clock = _FakeClock()
+        machine = VirtualIonTrap(4, seed=1)
+        executor = BudgetedExecutor(
+            machine,
+            shots=50,
+            budget=TimeBudget(soft_seconds=1.0, clock=clock).begin(),
+        )
+        specs = battery_specs(4, 2)
+        assert len(executor.execute_round(specs)) == len(specs)
+        clock.advance(1.0)
+        state = machine.rng.bit_generator.state
+        now = machine._clock
+        stats = copy.deepcopy(machine.stats)
+        cost = copy.deepcopy(executor.cost)
+        with pytest.raises(SoftBudgetExceeded):
+            executor.execute_round(specs)
+        with pytest.raises(SoftBudgetExceeded):
+            executor.execute(specs[0])
+        assert machine.rng.bit_generator.state == state
+        assert machine._clock == now
+        assert machine.stats == stats
+        assert executor.cost == cost
+        assert cost.circuit_runs == len(specs)
 
 
 class TestThreadDeadline:

@@ -62,9 +62,9 @@ def test_battery_results_stable_across_batch_budgets():
         machine = _dense_machine(max_batch_bytes=budget)
         specs = battery_specs(machine.n_qubits, 2)
         battery = compile_test_battery(machine.n_qubits, specs)
-        p = battery._pass_probabilities(
-            machine, [0], 50, trials=3, realizations=2
-        )[2][0]
+        p = machine._pass_probabilities(
+            battery.tests[:1], 50, trials=3, realizations=2
+        )[1][0]
         probs.append(p)
     assert np.max(np.abs(probs[0] - probs[1])) < 1e-12
 

@@ -111,12 +111,12 @@ def test_compiled_battery_engine_forcing_agrees(kind):
     tests = battery_specs(n_qubits, 2)
     battery = compile_test_battery(n_qubits, tests)
     for index in range(len(tests)):
-        probs_xx = battery._pass_probabilities(
-            machine_xx, [index], 100, trials=2, realizations=2, engine="xx"
-        )[2]
-        probs_dense = battery._pass_probabilities(
-            machine_dense, [index], 100, trials=2, realizations=2, engine="dense"
-        )[2]
+        probs_xx = machine_xx._pass_probabilities(
+            [battery.tests[index]], 100, trials=2, realizations=2, engine="xx"
+        )[1]
+        probs_dense = machine_dense._pass_probabilities(
+            [battery.tests[index]], 100, trials=2, realizations=2, engine="dense"
+        )[1]
         assert np.max(np.abs(probs_xx - probs_dense)) < 1e-9
 
 
@@ -133,8 +133,8 @@ def test_non_xx_scenarios_fall_back_to_dense(kind, n_qubits):
     index = tests.index(test)
     assert not battery.xx_eligible(machine, index)
     with pytest.raises(ValueError, match="dense fallback"):
-        battery._pass_probabilities(
-            machine, [index], 100, trials=1, realizations=2, engine="xx"
+        machine._pass_probabilities(
+            [battery.tests[index]], 100, trials=1, realizations=2, engine="xx"
         )
     stats = machine.stats
     before = (

@@ -79,7 +79,7 @@ def test_the_battery_covers_every_coupling(repetitions):
 
 def test_a_two_qubit_battery_fails_on_its_one_coupling():
     executor = OracleExecutor({frozenset({0, 1})})
-    results = executor.execute_batch(battery_specs(2, 2))
+    results = executor.execute_round(battery_specs(2, 2))
     assert [r.spec.name for r in results if r.failed] == ["canary-bits[0,!=]"]
-    clean = OracleExecutor(set()).execute_batch(battery_specs(2, 2))
+    clean = OracleExecutor(set()).execute_round(battery_specs(2, 2))
     assert not any(r.failed for r in clean)
