@@ -93,7 +93,7 @@ from .fleet import (
     plan_repairs,
     simulate_policy,
 )
-from .sim import Circuit, StatevectorSimulator, XXCircuitEvaluator
+from .sim import Circuit, StatevectorSimulator
 from .trap import (
     CompiledBattery,
     CouplingFault,
@@ -143,7 +143,6 @@ __all__ = [
     "simulate_policy",
     "Circuit",
     "StatevectorSimulator",
-    "XXCircuitEvaluator",
     "CompiledBattery",
     "CouplingFault",
     "CouplingPhaseFault",

@@ -227,10 +227,10 @@ def compile_test_battery(
     :func:`built_test` program, for repeated evaluation against every
     trial machine, calibration snapshot and sweep point.
 
-    Raises ``ValueError`` when an XX-only spec has a coupling component
-    above ``max_exact_qubits`` (e.g. a full canary at N = 32); run such
-    specs through :meth:`TestExecutor.execute_round`, whose pass takes
-    the Monte-Carlo fallback.
+    An XX-only spec with a coupling component above ``max_exact_qubits``
+    (e.g. a class test at N = 44) compiles to a plan that samples that
+    component; such a battery runs on the XX route under ``"auto"``,
+    and ``engine="xx"`` refuses it.
     """
     items = [
         built_test(tuple(spec.pairs), spec.repetitions, n_qubits)

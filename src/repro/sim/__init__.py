@@ -3,8 +3,9 @@
 * :mod:`repro.sim.gates` — native ion-trap gate matrices (Fig. 4).
 * :mod:`repro.sim.circuit` — circuit IR with structural queries.
 * :mod:`repro.sim.statevector` — dense reference simulator (<= 22 qubits).
-* :mod:`repro.sim.xx_engine` — exact fast engine for commuting-XX test
-  circuits, enabling the paper's 32-qubit scaling studies.
+* :mod:`repro.sim.xx_engine` — fast engine for commuting-XX test
+  circuits (exact up to a component-size limit, sampled above it),
+  enabling the paper's 32-qubit scaling studies.
 * :mod:`repro.sim.dense_plan` — compiled evaluation plans for the dense
   path (compaction, permutations, fused apply groups cached per circuit).
 * :mod:`repro.sim.sampling` — measurement counts utilities.
@@ -25,10 +26,7 @@ from .statevector import (
     simulate,
     zero_state,
 )
-from .xx_engine import (
-    ContractionPlan,
-    XXCircuitEvaluator,
-)
+from .xx_engine import ContractionPlan
 
 __all__ = [
     "Circuit",
@@ -45,5 +43,4 @@ __all__ = [
     "ContractionPlan",
     "DensePlan",
     "DensePlanCache",
-    "XXCircuitEvaluator",
 ]

@@ -1,4 +1,4 @@
-"""Fast exact evaluator for commuting-XX test circuits.
+"""Fast evaluator for commuting-XX test circuits.
 
 Every single-output test circuit in the paper is a product of MS gates, i.e.
 ``XX(theta)`` rotations (possibly with per-application angle errors).  All
@@ -13,21 +13,21 @@ bitstring ``z``,
 
 The sum factorizes over connected components of the coupling graph, so a
 class test on an N = 32 machine (which touches only the 16 qubits of one
-class) needs a 2^16-term sum instead of a 2^32 statevector.  Components up
-to :attr:`XXCircuitEvaluator.max_exact_qubits` are summed exactly with
-vectorized numpy; larger components fall back to a Monte-Carlo estimate of
+class) needs a 2^16-term sum instead of a 2^32 statevector.  A
+:class:`ContractionPlan` sums components up to its ``max_exact_qubits``
+exactly; a larger component is sampled: each realization row estimates
 the same expectation (the sum is ``E_s[chi_z(s) e^{i phase(s)}]`` over
-uniform spins).
+uniform spins) from :data:`MC_SAMPLES` spin draws of the caller's
+generator.
 
-The compiled :class:`ContractionPlan` also uses the global spin flip: a
-component without linear terms has a flip-even phase, so its sum is
-``(1 + (-1)^|z|)`` times the sum over ``s_0 = +1`` — zero for odd ``|z|``
-and twice the half-table sum otherwise.  Above 8 spins it splits the
-phase, which is quadratic in the spins, between two halves A and B:
+An exact component also uses the global spin flip: a component without
+linear terms has a flip-even phase, so its sum is ``(1 + (-1)^|z|)``
+times the sum over ``s_0 = +1`` — zero for odd ``|z|`` and twice the
+half-table sum otherwise.  Above 8 spins it splits the phase, which is
+quadratic in the spins, between two halves A and B:
 ``phase(s) = phi_A(s_A) + phi_B(s_B) + s_A^T Theta s_B``, so a 2^m-term
 sum needs two 2^(m/2)-row tables and one cross product, and nothing is
-cached between calls.  :class:`XXCircuitEvaluator` builds the full table
-per call and serves as its reference.
+cached between calls.
 
 Supported operations: ``XX``, ``MS`` with drive phases that are multiples of
 pi (the axis stays on +-X), ``RX``, and ``X``.  Use
@@ -38,54 +38,19 @@ the dense simulator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit
-
 __all__ = [
+    "MC_SAMPLES",
     "ms_axis_sign",
-    "XXCircuitEvaluator",
-    "CouplingTerms",
     "ContractionPlan",
     "batch_amplitudes_from_terms",
 ]
 
-
-@dataclass
-class CouplingTerms:
-    """Accumulated X-basis-diagonal terms extracted from a circuit.
-
-    Attributes
-    ----------
-    edge_angles:
-        Total XX angle per qubit pair (sums repeated gate applications —
-        valid because all terms commute).
-    linear_angles:
-        Total RX angle per qubit.  A plain ``X`` gate is ``i RX(pi)``: it
-        adds ``pi`` here, and its global phase is dropped.
-    """
-
-    edge_angles: dict[frozenset[int], float] = field(default_factory=dict)
-    linear_angles: dict[int, float] = field(default_factory=dict)
-
-    def add_edge(self, i: int, j: int, theta: float) -> None:
-        """Accumulate an XX rotation of ``theta`` on the pair ``{i, j}``."""
-        key = frozenset((i, j))
-        self.edge_angles[key] = self.edge_angles.get(key, 0.0) + theta
-
-    def add_linear(self, q: int, theta: float) -> None:
-        """Accumulate an RX rotation of ``theta`` on qubit ``q``."""
-        self.linear_angles[q] = self.linear_angles.get(q, 0.0) + theta
-
-    def touched_qubits(self) -> set[int]:
-        """All qubits appearing in edge or linear terms."""
-        out: set[int] = set()
-        for e in self.edge_angles:
-            out.update(e)
-        out.update(self.linear_angles)
-        return out
+#: Spin assignments a sampled component draws per realization row.
+MC_SAMPLES = 1 << 16
 
 
 def ms_axis_sign(phi1, phi2):
@@ -99,32 +64,6 @@ def ms_axis_sign(phi1, phi2):
         np.rint(np.asarray(phi1) / math.pi)
         + np.rint(np.asarray(phi2) / math.pi)
     )
-
-
-def _extract_terms(circuit: Circuit) -> CouplingTerms:
-    """Fold an XX-only circuit into accumulated rotation angles."""
-    terms = CouplingTerms()
-    for op in circuit.ops:
-        if op.gate == "XX":
-            terms.add_edge(op.qubits[0], op.qubits[1], op.params[0])
-        elif op.gate == "MS":
-            theta, phi1, phi2 = op.params
-            if not op.is_xx_like():
-                raise ValueError(
-                    "MS gate with non-multiple-of-pi phases is not X-diagonal"
-                )
-            terms.add_edge(
-                op.qubits[0], op.qubits[1], float(ms_axis_sign(phi1, phi2)) * theta
-            )
-        elif op.gate == "RX":
-            terms.add_linear(op.qubits[0], op.params[0])
-        elif op.gate == "X":
-            # X = i * RX(pi); the global phase cancels in probabilities and
-            # is irrelevant to the pass/fail statistics this engine feeds.
-            terms.add_linear(op.qubits[0], math.pi)
-        else:
-            raise ValueError(f"gate {op.gate} is not supported by the XX engine")
-    return terms
 
 
 def _connected_components(
@@ -166,7 +105,7 @@ def _spin_columns(m: int, rows: int) -> np.ndarray:
 
 
 #: Spin assignments contracted at once per realization row: bounds the
-#: transient phase and trig arrays of the oracle and of split components.
+#: transient phase and trig arrays of sampled and of split components.
 _CHUNK_SPINS = 1 << 13
 
 
@@ -182,11 +121,12 @@ def _component_amplitudes_vectorized(
 ) -> np.ndarray:
     """Batched component sum ``weight * sum_s chi_z(s) e^{i phase_g(s)}``.
 
-    ``thetas``/``lin_thetas`` carry one row per batch entry (noise
-    realization); the spin table is shared, so the per-edge products are
-    computed once and contracted against every realization's angles in a
-    single matmul.  Chunked over spins to bound memory on 16-qubit
-    components.  Returns one complex amplitude per batch row.
+    ``spins`` holds one ``(m,)`` int8 assignment per row: a sampled
+    component's draws, or a full table.  ``thetas``/``lin_thetas`` carry
+    one row per batch entry (noise realization); the spin rows are
+    shared, so the per-edge products are computed once and contracted
+    against every realization's angles in a single matmul.  Chunked over
+    spins to bound memory.  Returns one complex amplitude per batch row.
     """
     n_batch = thetas.shape[0]
     amps = np.zeros(n_batch, dtype=complex)
@@ -331,6 +271,49 @@ class _PlanComponent:
         return cos, sin
 
 
+@dataclass(frozen=True)
+class _SampledComponent:
+    """A component above the plan's exact limit, estimated from samples.
+
+    Keeps no tables: for each realization row it draws a uniform
+    ``(MC_SAMPLES, m)`` block of spin rows from the caller's generator
+    and sums it with :func:`_component_amplitudes_vectorized`, weight
+    ``1 / MC_SAMPLES``.
+    ``edge_cols``/``lin_cols`` pick the component's angle columns, in
+    plan order; ``i_idx``, ``j_idx``, ``lin_idx`` and ``z_idx`` index its
+    spins.
+    """
+
+    m: int
+    edge_cols: np.ndarray
+    i_idx: np.ndarray
+    j_idx: np.ndarray
+    lin_cols: np.ndarray
+    lin_idx: np.ndarray
+    z_idx: np.ndarray
+
+    def amplitude(
+        self, th: np.ndarray, ln: np.ndarray | None, rng: np.random.Generator
+    ) -> complex:
+        """One row's estimate from ``-1/2``-scaled ``(E,)``/``(L,)`` angles."""
+        spins = rng.choice(
+            np.array([-1, 1], dtype=np.int8), size=(MC_SAMPLES, self.m)
+        )
+        # Undo the -1/2 (a power of two, so exactly): the sum applies it.
+        lin = np.zeros((1, 0)) if ln is None else -2.0 * ln[None, self.lin_cols]
+        amps = _component_amplitudes_vectorized(
+            spins,
+            1.0 / MC_SAMPLES,
+            self.i_idx,
+            self.j_idx,
+            -2.0 * th[None, self.edge_cols],
+            self.lin_idx,
+            lin,
+            self.z_idx,
+        )
+        return complex(amps[0])
+
+
 class ContractionPlan:
     """Pre-contracted evaluation plan for one XX term structure.
 
@@ -342,7 +325,8 @@ class ContractionPlan:
     realizations then reduces to a few small matmuls and two real trig
     passes per component (see :class:`_PlanComponent`) instead of
     re-deriving the graph per call.  Components without linear terms sum
-    only half their spin assignments.
+    only half their spin assignments.  A component above
+    ``max_exact_qubits`` is sampled instead (:class:`_SampledComponent`).
 
     Parameters
     ----------
@@ -358,12 +342,15 @@ class ContractionPlan:
     bitstring:
         The output state whose amplitude the plan computes.
     max_exact_qubits:
-        Components above this size raise ``ValueError`` (callers fall
-        back to per-realization Monte-Carlo evaluation).
+        Largest component summed exactly.  A larger one is sampled, and
+        :attr:`sampled` is set: every call then needs a generator, from
+        which each realization row draws :data:`MC_SAMPLES` spin
+        assignments per sampled component, row by row and in component
+        order.
 
-    A plan keeps ``O(2^(m/2) m)`` bytes per ``m``-qubit component, about
-    42 KB at the 20-qubit exact limit; nothing else persists between
-    calls.
+    A plan keeps ``O(2^(m/2) m)`` bytes per exact ``m``-qubit component,
+    about 42 KB at the 20-qubit exact limit, and index arrays for a
+    sampled one; nothing else persists between calls.
     """
 
     def __init__(
@@ -393,14 +380,8 @@ class ContractionPlan:
             touched, {e: 0.0 for e in self.edge_keys}
         )
         if self.forced_zero:
-            # The amplitude is identically zero; skip compilation (and the
-            # exact-size check — nothing will be summed).
+            # The amplitude is identically zero; skip compilation.
             components = []
-        elif any(len(c) > max_exact_qubits for c in components):
-            raise ValueError(
-                "component exceeds the exact-summation limit; "
-                "use per-realization Monte-Carlo evaluation"
-            )
         self.component_qubits = components
         linear = set(self.linear_keys)
         if any(
@@ -413,7 +394,15 @@ class ContractionPlan:
         self._components = tuple(
             self._compile_component(comp, z_bits, not linear.intersection(comp))
             for comp in components
+            if len(comp) <= max_exact_qubits
         )
+        self._sampled = tuple(
+            self._sampled_component(comp, z_bits)
+            for comp in components
+            if len(comp) > max_exact_qubits
+        )
+        #: Whether a component is estimated from spin samples.
+        self.sampled = bool(self._sampled)
         #: Largest spin-chunk length, for memory-budget row chunking.
         self._max_block_spins = max(
             (min(c.rows, _CHUNK_SPINS) for c in self._components),
@@ -490,11 +479,39 @@ class ContractionPlan:
             cross_j=np.array([j - a for _, _, j in cross], dtype=np.intp),
         )
 
+    def _sampled_component(
+        self, comp: list[int], z_bits: list[int]
+    ) -> _SampledComponent:
+        """Index arrays of one component summed over spin samples."""
+        local = {q: k for k, q in enumerate(comp)}
+        edges = [
+            (c, local[min(e)], local[max(e)])
+            for c, e in enumerate(self.edge_keys)
+            if min(e) in local
+        ]
+        lins = [
+            (c, local[q]) for c, q in enumerate(self.linear_keys) if q in local
+        ]
+
+        def index(values):
+            return np.array(values, dtype=np.intp)
+
+        return _SampledComponent(
+            m=len(comp),
+            edge_cols=index([c for c, _, _ in edges]),
+            i_idx=index([i for _, i, _ in edges]),
+            j_idx=index([j for _, _, j in edges]),
+            lin_cols=index([c for c, _ in lins]),
+            lin_idx=index([k for _, k in lins]),
+            z_idx=index([k for k, q in enumerate(comp) if z_bits[q]]),
+        )
+
     def amplitudes(
         self,
         thetas: np.ndarray,
         lin_thetas: np.ndarray | None = None,
         max_batch_bytes: int | None = None,
+        rng: np.random.Generator | None = None,
     ) -> np.ndarray:
         """Per-realization amplitudes ``<z|U_g|0...0>`` from angle rows.
 
@@ -510,6 +527,9 @@ class ContractionPlan:
             When set, realization rows are processed in chunks sized so
             the transient phase/trig blocks stay within this budget
             (peak memory stays bounded for very large batches).
+        rng:
+            The generator a :attr:`sampled` plan draws its spins from;
+            without one such a plan raises ``ValueError``.
         """
         thetas = np.asarray(thetas, dtype=np.float64)
         if thetas.ndim != 2 or thetas.shape[1] != len(self.edge_keys):
@@ -527,9 +547,14 @@ class ContractionPlan:
                 )
         else:
             lin_thetas = None
+        if self.sampled and rng is None:
+            raise ValueError(
+                f"a component exceeds max_exact_qubits={self.max_exact_qubits}; "
+                "sampling it needs an rng"
+            )
         if self.forced_zero:
             return np.zeros(n_batch, dtype=complex)
-        if not (self._components and n_batch):
+        if not ((self._components or self.sampled) and n_batch):
             return np.ones(n_batch, dtype=complex)
         if max_batch_bytes is None:
             rows = n_batch
@@ -541,129 +566,37 @@ class ContractionPlan:
             # The phase's -1/2, applied once for every component.
             th = -0.5 * thetas[start : start + rows]
             ln = None if lin_thetas is None else -0.5 * lin_thetas[start : start + rows]
-            amps = self._components[0].amplitudes(th, ln)
-            for comp in self._components[1:]:
-                amps *= comp.amplitudes(th, ln)
+            parts = [comp.amplitudes(th, ln) for comp in self._components]
+            if self.sampled:
+                parts.extend(self._sample(th, ln, rng))
+            amps = parts[0]
+            for part in parts[1:]:
+                amps *= part
             chunks.append(amps)
         return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+
+    def _sample(
+        self, th: np.ndarray, ln: np.ndarray | None, rng: np.random.Generator
+    ) -> np.ndarray:
+        """``(K, B)`` sampled-component sums, drawn row by row in component order."""
+        out = np.empty((len(self._sampled), th.shape[0]), dtype=complex)
+        for g in range(th.shape[0]):
+            for k, comp in enumerate(self._sampled):
+                row = None if ln is None else ln[g]
+                out[k, g] = comp.amplitude(th[g], row, rng)
+        return out
 
     def probabilities(
         self,
         thetas: np.ndarray,
         lin_thetas: np.ndarray | None = None,
         max_batch_bytes: int | None = None,
+        rng: np.random.Generator | None = None,
     ) -> np.ndarray:
         """Per-realization probabilities of the bitstring, clipped to [0, 1]."""
-        amps = self.amplitudes(thetas, lin_thetas, max_batch_bytes)
+        amps = self.amplitudes(thetas, lin_thetas, max_batch_bytes, rng)
         # |amp|^2 >= 0, so only the upper clip can bind.
         return np.minimum(np.abs(amps) ** 2, 1.0)
-
-
-class XXCircuitEvaluator:
-    """Exact (or Monte-Carlo) output amplitudes for XX-only circuits.
-
-    Parameters
-    ----------
-    circuit:
-        An XX-only circuit (see module docstring for supported gates).
-    max_exact_qubits:
-        Components with at most this many qubits are summed exactly
-        (2^m terms); larger components use Monte-Carlo estimation.
-    mc_samples:
-        Spin-sample count for the Monte-Carlo branch.
-    rng:
-        Random generator for Monte-Carlo sampling; defaults to a fixed seed
-        so evaluation is deterministic unless a generator is supplied.
-    """
-
-    def __init__(
-        self,
-        circuit: Circuit,
-        max_exact_qubits: int = 20,
-        mc_samples: int = 1 << 16,
-        rng: np.random.Generator | None = None,
-    ):
-        if not circuit.is_xx_only():
-            raise ValueError("circuit contains gates not diagonal in the X basis")
-        self.circuit = circuit
-        self.n_qubits = circuit.n_qubits
-        self.max_exact_qubits = max_exact_qubits
-        self.mc_samples = mc_samples
-        self.rng = rng if rng is not None else np.random.default_rng(0)
-        self.terms = _extract_terms(circuit)
-        self.components = _connected_components(
-            self.terms.touched_qubits(), self.terms.edge_angles
-        )
-        self._touched = self.terms.touched_qubits()
-
-    # -- public API -----------------------------------------------------------
-
-    def amplitude(self, bitstring: int) -> complex:
-        """Output amplitude ``<z|U|0...0>`` up to a global phase.
-
-        The per-component sums are exact; a global phase from ``X`` gates is
-        dropped (probabilities are unaffected).
-        """
-        z_bits = self._bits(bitstring)
-        # Untouched qubits stay |0>: amplitude vanishes unless their z is 0.
-        for q in range(self.n_qubits):
-            if q not in self._touched and z_bits[q]:
-                return 0.0j
-        amp = 1.0 + 0.0j
-        for comp in self.components:
-            amp *= self._component_amplitude(comp, z_bits)
-            if amp == 0.0:
-                return amp
-        return amp
-
-    def probability_of(self, bitstring: int) -> float:
-        """Probability of measuring ``bitstring``; clipped to [0, 1]."""
-        p = abs(self.amplitude(bitstring)) ** 2
-        return float(min(max(p, 0.0), 1.0))
-
-    # -- internals -------------------------------------------------------------
-
-    def _bits(self, bitstring: int) -> list[int]:
-        if not 0 <= bitstring < 2**self.n_qubits:
-            raise ValueError("bitstring out of range")
-        return [
-            (bitstring >> (self.n_qubits - 1 - q)) & 1 for q in range(self.n_qubits)
-        ]
-
-    def _component_amplitude(self, comp: list[int], z_bits: list[int]) -> complex:
-        m = len(comp)
-        local = {q: k for k, q in enumerate(comp)}
-        edges = [
-            (local[min(e)], local[max(e)], theta)
-            for e, theta in self.terms.edge_angles.items()
-            if min(e) in local
-        ]
-        linear = [
-            (local[q], theta)
-            for q, theta in self.terms.linear_angles.items()
-            if q in local
-        ]
-        if m <= self.max_exact_qubits:
-            spins = np.ascontiguousarray(_spin_columns(m, 2**m).T)
-            weight = 1.0 / 2**m
-        else:
-            spins = self.rng.choice(
-                np.array([-1, 1], dtype=np.int8), size=(self.mc_samples, m)
-            )
-            weight = 1.0 / self.mc_samples
-        amps = _component_amplitudes_vectorized(
-            spins,
-            weight,
-            np.array([i for i, _, _ in edges], dtype=np.intp),
-            np.array([j for _, j, _ in edges], dtype=np.intp),
-            np.array([[theta for _, _, theta in edges]], dtype=np.float64),
-            np.array([i for i, _ in linear], dtype=np.intp),
-            np.array([[theta for _, theta in linear]], dtype=np.float64),
-            np.array(
-                [k for k, q in enumerate(comp) if z_bits[q]], dtype=np.intp
-            ),
-        )
-        return complex(amps[0])
 
 
 def batch_amplitudes_from_terms(
@@ -676,21 +609,19 @@ def batch_amplitudes_from_terms(
 ) -> np.ndarray:
     """Per-realization amplitudes from array-valued coupling terms.
 
-    The terms carry one accumulated angle *per noise realization* (shape
-    ``(G,)`` values in both dicts).  Internally this builds a one-shot
-    :class:`ContractionPlan` and discards it after the call, so it
-    computes exactly what the machine's cached plans compute, for all G
-    realization rows at once.  The virtual machine's evaluation pass
-    shares one plan per test structure in its compiled-test cache; this
-    serves its slot path instead: dense draws that stay
-    X-diagonal and the per-call oracle the compiled routes are checked
-    against.
+    A one-shot helper: the terms carry one accumulated angle *per noise
+    realization* (shape ``(G,)`` values in both dicts), and a
+    :class:`ContractionPlan` is built for them and discarded after the
+    call, so it computes exactly what the machine's cached plans
+    compute, for all G rows at once.  Nothing in the package calls it;
+    it serves the tests' slot-path oracle and the traced benchmark's
+    kernel accounting.
 
     ``max_batch_bytes`` chunks the realization rows so transient memory
     stays bounded for very large batches (full-size N = 32 runs).
 
-    Raises ``ValueError`` when a component exceeds ``max_exact_qubits``
-    (callers fall back to per-realization Monte-Carlo evaluation).
+    Raises ``ValueError`` when a component exceeds ``max_exact_qubits``:
+    it takes no generator to sample it with.
     """
     sizes = {len(v) for v in edge_angles.values()}
     sizes.update(len(v) for v in linear_angles.values())

@@ -40,19 +40,17 @@ first use and then holds them:
 One route evaluates programs: :meth:`VirtualIonTrap.run_battery`, a pass
 over a list of them.  It checks every program's route before anything is
 drawn, then draws every test in order: on its XX entry where that
-applies, through its dense layout otherwise (non-XX-preserving noise,
-drive phases off the pi grid, non-XX gates, components above
-``max_exact_qubits``).  A dense draw that stays X-diagonal is evaluated
-on the slot XX path, where a component above ``max_exact_qubits`` falls
-back to a per-realization Monte-Carlo
-:class:`~repro.sim.xx_engine.XXCircuitEvaluator`; every other dense draw
-waits for its plan core, contracted once for all tests sharing its
-canonical skeleton.  Then one binomial draw samples every test's shots.
-``run_match`` is the pass's one-program case, returning counts, and a
-:class:`CompiledBattery` runs its programs through the pass with its own
-plan cache, which outlives any one machine.  ``_realize_slots`` builds
-the same draws as :class:`RealizedSlot` objects: it serves ``run`` and is
-the one oracle the pass is tested against, bit for bit.
+applies (any size: the plan samples a component above
+``max_exact_qubits``), through its dense layout otherwise (MS slots
+under non-XX-preserving noise, drive phases off the pi grid, non-XX
+gates).  Every dense draw waits for its plan core, contracted once for
+all tests sharing its canonical skeleton.  Then one binomial draw
+samples every test's shots.  ``run_match`` is the pass's one-program
+case, returning counts, and a :class:`CompiledBattery` runs its programs
+through the pass with its own plan cache, which outlives any one
+machine.  ``_realize_slots`` builds the same draws as
+:class:`RealizedSlot` objects: it serves ``run`` and is the oracle the
+pass is tested against, bit for bit.
 
 Shot batching: stochastic noise is re-drawn per *realization group* rather
 than per shot (control noise varies slowly compared to a ~ms shot cycle);
@@ -89,12 +87,7 @@ from ..sim.statevector import (
     check_bitstring,
     realization_chunks,
 )
-from ..sim.xx_engine import (
-    ContractionPlan,
-    XXCircuitEvaluator,
-    batch_amplitudes_from_terms,
-    ms_axis_sign,
-)
+from ..sim.xx_engine import ContractionPlan, ms_axis_sign
 from .calibration import CalibrationState
 from .faults import CouplingFault, CouplingPhaseFault, Pair
 from .timing import TimingModel
@@ -182,8 +175,8 @@ class VirtualIonTrap:
         Independent noise draws per ``run`` call (shots are split among
         them).
     max_exact_qubits:
-        Largest coupling-graph component evaluated exactly by the XX
-        engine; bigger components use Monte-Carlo amplitude estimation.
+        Largest coupling-graph component the XX route sums exactly; it
+        samples bigger ones from the machine's generator.
     max_batch_bytes:
         Optional memory budget for batched evaluation: dense
         realization batches are chunked so the state block stays within
@@ -317,7 +310,7 @@ class VirtualIonTrap:
         for XX-preserving settings (scenario-matrix engine comparisons),
         ``"xx"`` demands the exact XX contraction and raises
         ``ValueError``, with nothing drawn, when the XX route declines
-        any of the programs.
+        any of the programs or would sample one of their components.
         """
         groups, probs = self._pass_probabilities(
             programs, shots, trials, realizations, engine, plans
@@ -339,11 +332,10 @@ class VirtualIonTrap:
 
         Each program's batch is drawn in list order: on its XX entry
         when the route takes it (drawn and contracted per test),
-        otherwise into its dense layout.  A dense draw that stays
-        X-diagonal runs the slot XX path (unless ``engine`` is
-        ``"dense"``); every other one waits for its plan core, and dense
-        tests sharing a canonical skeleton are contracted in one stacked
-        :meth:`~repro.sim.dense_plan.DensePlan.probabilities` call.
+        otherwise into its dense layout, where it waits for its plan
+        core: dense tests sharing a canonical skeleton are contracted in
+        one stacked :meth:`~repro.sim.dense_plan.DensePlan.probabilities`
+        call.
         """
         if engine not in ("auto", "xx", "dense"):
             raise ValueError(
@@ -366,6 +358,12 @@ class VirtualIonTrap:
                     "dense fallback (non-XX-preserving noise, a dense-only "
                     "test, or drive phases off the pi grid)"
                 )
+            if engine == "xx" and xx.plan.sampled:
+                raise ValueError(
+                    "engine='xx' requested but a coupling component exceeds "
+                    f"max_exact_qubits={self.max_exact_qubits}, so the XX "
+                    "route would sample it"
+                )
             routes.append((xx, angles))
         groups = np.asarray(self._shot_groups(shots, realizations), dtype=np.int64)
         n_batch = trials * len(groups)
@@ -378,11 +376,9 @@ class VirtualIonTrap:
                 probs[row] = self._xx_probabilities(xx, angles, n_batch)[0]
                 continue
             test = self._dense_test(program)
-            blocks, settled = self._dense_draw(
-                test, program.expected, n_batch, force=(engine == "dense")
-            )
-            if settled is not None:
-                probs[row] = settled
+            blocks = self._draw_dense(test, n_batch)
+            if not test.skeleton:
+                probs[row] = 1.0 if program.expected == 0 else 0.0
                 continue
             plan = self._dense_plan_for(test.skeleton, plans)
             stacks.setdefault(test.canonical, []).append(
@@ -454,14 +450,18 @@ class VirtualIonTrap:
         """The XX route's eligibility step: each slot's calibrated angle.
 
         Returns ``None`` (nothing drawn, clock untouched) when the route
-        declines: no compiled XX test, non-XX-preserving noise, or a
-        realized drive phase off the pi grid.  Otherwise returns the
-        ``(n_ms, M)`` angles ``sign * theta * (1 - u)`` of every MS/XX
-        slot, with the X-basis axis sign of its realized drive phases.
+        declines: no compiled XX test, MS slots under non-XX-preserving
+        noise, or a realized drive phase off the pi grid.  A test with no
+        MS slot is taken under any noise: its RX/X angles are static.
+        Otherwise returns the ``(n_ms, M)`` angles ``sign * theta * (1 -
+        u)`` of every MS/XX slot, with the X-basis axis sign of its
+        realized drive phases.
         ``M`` is 1, or with ``sweep = (pair, magnitudes)`` one column per
         magnitude, each replacing ``pair``'s under-rotation.
         """
-        if test is None or not self.noise.is_xx_preserving():
+        if test is None or (
+            not self.noise.is_xx_preserving() and test.slot_edge.size
+        ):
             return None
         calibration = self.calibration
         offsets = calibration.phase_offsets[test.slot_q1, test.slot_q2]
@@ -499,10 +499,11 @@ class VirtualIonTrap:
         The one XX draw: ``slot_angles`` (from :meth:`_xx_slot_angles`)
         times ``1 + xi`` for one ``(n_ms, n_batch)`` amplitude-noise draw
         shared by all ``M`` columns, accumulated per edge in slot order
-        and contracted as one stacked ``(M * n_batch, E)`` batch.  Draw,
-        arithmetic and clock advance are those of :meth:`_realize_slots`
-        followed by :meth:`_match_probabilities_slots`, so each row is
-        bit-identical to that oracle.
+        and contracted as one stacked ``(M * n_batch, E)`` batch; a
+        sampled plan then draws its spins from the machine's generator.
+        Draw, arithmetic and clock advance are those of
+        :meth:`_realize_slots` with the realized angles summed per edge in
+        slot order, so each row equals that oracle's.
         """
         n_ms, n_cols = slot_angles.shape
         sigma = self.noise.amplitude_sigma
@@ -522,6 +523,7 @@ class VirtualIonTrap:
             np.ascontiguousarray(acc.reshape(len(test.pairs), rows).T),
             lin,
             self.max_batch_bytes,
+            self.rng,
         )
         return probs.reshape(n_cols, n_batch)
 
@@ -670,108 +672,6 @@ class VirtualIonTrap:
         self._clock += n_batch * n_ms * gate_dt
         return blocks
 
-    def _dense_draw(
-        self,
-        test: "_CompiledDenseTest",
-        expected: int,
-        n_batch: int,
-        force: bool = False,
-    ) -> tuple[Blocks, np.ndarray | None]:
-        """Draw ``n_batch`` realizations of a compiled dense test.
-
-        Returns the drawn blocks and, where no dense plan is needed,
-        their match probabilities: an empty skeleton, or a draw that
-        stays X-diagonal, which runs the slot XX path (unless
-        ``force``).  Otherwise the probabilities are ``None`` and the
-        caller evaluates the skeleton's plan on the blocks.
-        """
-        blocks = self._draw_dense(test, n_batch)
-        if not test.skeleton:
-            return blocks, np.full(n_batch, 1.0 if expected == 0 else 0.0)
-        if not force and test.x_diagonal(blocks.get("MS")):
-            return blocks, self._match_probabilities_slots(
-                test.slots(blocks), expected
-            )
-        return blocks, None
-
-    # -- batched (slot-based) evaluation -------------------------------------------
-
-    @staticmethod
-    def _slots_xx_only(slots: list[RealizedSlot]) -> bool:
-        """True if every realized slot is diagonal in the X basis."""
-        for slot in slots:
-            if slot.gate in ("XX", "RX", "X"):
-                continue
-            if slot.gate == "MS":
-                if np.all(is_multiple_of_pi(slot.params[:, 1:])):
-                    continue
-            return False
-        return True
-
-    def _slots_to_circuits(self, slots: list[RealizedSlot]) -> list[Circuit]:
-        """Materialize per-realization circuits (slow fallback path)."""
-        n_batch = slots[0].params.shape[0] if slots else 1
-        circuits = []
-        for g in range(n_batch):
-            circuit = Circuit(self.n_qubits)
-            for slot in slots:
-                circuit.append(
-                    Operation(slot.gate, slot.qubits, tuple(slot.params[g]))
-                )
-            circuits.append(circuit)
-        return circuits
-
-    def _match_probabilities_slots(
-        self, slots: list[RealizedSlot], expected: int
-    ) -> np.ndarray:
-        """Match probabilities for all realization groups, vectorized."""
-        if self._slots_xx_only(slots):
-            edge_angles: dict[Pair, np.ndarray] = {}
-            linear_angles: dict[int, np.ndarray] = {}
-            for slot in slots:
-                if slot.gate == "MS":
-                    signs = ms_axis_sign(slot.params[:, 1], slot.params[:, 2])
-                    key = frozenset(slot.qubits)
-                    theta = signs * slot.params[:, 0]
-                    edge_angles[key] = edge_angles.get(key, 0.0) + theta
-                elif slot.gate == "XX":
-                    key = frozenset(slot.qubits)
-                    edge_angles[key] = (
-                        edge_angles.get(key, 0.0) + slot.params[:, 0]
-                    )
-                elif slot.gate == "RX":
-                    q = slot.qubits[0]
-                    linear_angles[q] = (
-                        linear_angles.get(q, 0.0) + slot.params[:, 0]
-                    )
-                elif slot.gate == "X":
-                    q = slot.qubits[0]
-                    linear_angles[q] = linear_angles.get(
-                        q, np.zeros(slot.params.shape[0])
-                    ) + math.pi
-            try:
-                amps = batch_amplitudes_from_terms(
-                    self.n_qubits,
-                    edge_angles,
-                    linear_angles,
-                    expected,
-                    max_exact_qubits=self.max_exact_qubits,
-                    max_batch_bytes=self.max_batch_bytes,
-                )
-                return np.clip(np.abs(amps) ** 2, 0.0, 1.0)
-            except ValueError:
-                # Oversized component: per-realization Monte-Carlo fallback.
-                pass
-            return np.array(
-                [
-                    XXCircuitEvaluator(
-                        c, max_exact_qubits=self.max_exact_qubits, rng=self.rng
-                    ).probability_of(expected)
-                    for c in self._slots_to_circuits(slots)
-                ]
-            )
-        return self._dense_match_probabilities_slots(slots, expected)
-
     def _dense_plan_for(
         self, skeleton: Skeleton, plans: DensePlanCache | None = None
     ) -> DensePlan:
@@ -783,7 +683,7 @@ class VirtualIonTrap:
         compaction, permutations and fused apply groups once.
         Build/hit/rebind counters land in :class:`MachineStats`.  A plan
         above :data:`~repro.sim.statevector.MAX_DENSE_QUBITS` raises
-        ``ValueError``: only X-diagonal draws evaluate larger tests.
+        ``ValueError``: only the XX route evaluates larger tests.
         """
         plans = self._dense_plans if plans is None else plans
         plan, hit = plans.get(self.n_qubits, skeleton)
@@ -800,20 +700,6 @@ class VirtualIonTrap:
                 f"takes at most {MAX_DENSE_QUBITS}"
             )
         return plan
-
-    def _dense_match_probabilities_slots(
-        self, slots: list[RealizedSlot], expected: int
-    ) -> np.ndarray:
-        """Batched dense match probabilities over all realization groups.
-
-        Evaluated through the cached dense plan; realization rows are
-        chunked inside :meth:`DensePlan.probabilities` so peak memory
-        stays within ``max_batch_bytes`` (or the global amplitude cap).
-        """
-        plan = self._dense_plan_for(_skeleton(slots))
-        return plan.probabilities(
-            slot_blocks(slots), expected, self.max_batch_bytes
-        )
 
     def _run_dense_slots(
         self, slots: list[RealizedSlot], groups: list[int]
@@ -896,10 +782,9 @@ class CompiledBattery:
         :class:`TestProgram` objects or ``(circuit, expected_bitstring)``
         pairs, which are wrapped by :func:`as_program`.
     max_exact_qubits:
-        Largest coupling component compiled exactly; an XX-only test
-        with a bigger component raises ``ValueError`` (run it through
-        :meth:`VirtualIonTrap.run_battery` on the machine's own cache,
-        whose pass takes the Monte-Carlo fallback).
+        Largest coupling component compiled exactly; the plan of an
+        XX-only test with a bigger one samples it, so such a test runs
+        on the XX route but not under ``engine="xx"``.
     """
 
     def __init__(
@@ -924,25 +809,18 @@ class CompiledBattery:
                 f"circuit is on {program.circuit.n_qubits} qubits, "
                 f"battery on {self.n_qubits}"
             )
-        if (
-            program.xx(self.max_exact_qubits) is None
-            and program.circuit.is_xx_only()
-        ):
-            raise ValueError(
-                "a coupling component exceeds max_exact_qubits="
-                f"{self.max_exact_qubits}; evaluate the test uncompiled"
-            )
+        program.xx(self.max_exact_qubits)
         return program
 
     # -- machine-facing evaluation ---------------------------------------------
 
     def xx_eligible(self, machine: VirtualIonTrap, index: int) -> bool:
-        """True when test ``index`` runs on the exact XX engine.
+        """True when test ``index`` runs on the XX route.
 
-        Requires an XX structure, XX-preserving stochastic noise and
-        realized drive phases on the pi grid: a coupling's drive-phase
-        offset off that grid moves realizations off the XX form even
-        under amplitude-only noise.
+        Requires an XX structure, XX-preserving stochastic noise (or no
+        MS slot) and realized drive phases on the pi grid: a coupling's
+        drive-phase offset off that grid moves realizations off the XX
+        form even under amplitude-only noise.
         """
         xx = self.tests[index].xx(machine.max_exact_qubits)
         return machine._xx_slot_angles(xx) is not None
@@ -1157,10 +1035,10 @@ def _compiled_xx_test(
 ) -> _CompiledXXTest | None:
     """The compiled XX structure of a program's nominal ops.
 
-    Returns ``None`` for structures the XX route cannot take (non-XX
-    gates, a component above ``max_exact_qubits``); that verdict is
-    cached too, so such tests fall back to the slot path without being
-    re-examined.  Keyed by the program, whose hash is cached.  The cache
+    Returns ``None`` for structures with non-XX gates; that verdict is
+    cached too, so such tests take the dense route without being
+    re-examined.  A component above ``max_exact_qubits`` compiles as a
+    sampled one.  Keyed by the program, whose hash is cached.  The cache
     is thread-safe: concurrent misses on one key may both compile, and
     either result is equivalent.
     """
@@ -1186,16 +1064,13 @@ def _compiled_xx_test(
             linear[q] = linear.get(q, 0.0) + math.pi
         else:
             return None
-    try:
-        plan = ContractionPlan(
-            n_qubits,
-            list(edge_index),
-            list(linear),
-            expected,
-            max_exact_qubits=max_exact_qubits,
-        )
-    except ValueError:
-        return None
+    plan = ContractionPlan(
+        n_qubits,
+        list(edge_index),
+        list(linear),
+        expected,
+        max_exact_qubits=max_exact_qubits,
+    )
     phases = np.array(slot_phases, dtype=np.float64).reshape(len(slot_edge), 2)
     qubits = np.array(slot_qubits, dtype=np.intp).reshape(len(slot_edge), 2)
     thetas = np.array(slot_theta, dtype=np.float64)
@@ -1232,12 +1107,9 @@ class _CompiledDenseTest:
     One call's draw is a :class:`~repro.sim.dense_plan.DensePlan`'s
     per-kind blocks.  The R block stacks the kick rows, then the R rows;
     ``r_order`` puts them into program order (``None`` when they already
-    are, as in every battery test).  ``slot_rows`` gives each
-    ``skeleton`` slot's row in its kind's block and ``canonical`` is
-    the skeleton's :func:`~repro.sim.dense_plan.canonical_skeleton`,
-    the key a battery pass stacks tests by.  ``x_static`` records
-    that no slot but an MS one can leave the X basis, so a draw is
-    X-diagonal exactly when its MS phases sit on the pi grid.
+    are, as in every battery test).  ``canonical`` is the skeleton's
+    :func:`~repro.sim.dense_plan.canonical_skeleton`, the key a battery
+    pass stacks tests by.
     """
 
     ms_theta: np.ndarray
@@ -1251,22 +1123,6 @@ class _CompiledDenseTest:
     static: tuple[tuple[str, np.ndarray], ...]
     skeleton: Skeleton
     canonical: Skeleton
-    slot_rows: tuple[int, ...]
-    x_static: bool
-
-    def x_diagonal(self, ms_params: np.ndarray | None) -> bool:
-        """:meth:`VirtualIonTrap._slots_xx_only` of one draw of this test."""
-        return self.x_static and (
-            ms_params is None
-            or bool(np.all(is_multiple_of_pi(ms_params[:, :, 1:])))
-        )
-
-    def slots(self, blocks: Blocks) -> list[RealizedSlot]:
-        """One draw's parameter blocks as :class:`RealizedSlot` objects."""
-        return [
-            RealizedSlot(gate, qubits, blocks[gate][row])
-            for (gate, qubits), row in zip(self.skeleton, self.slot_rows)
-        ]
 
 
 def _compiled_dense_test(
@@ -1285,8 +1141,6 @@ def _compiled_dense_test(
     skeleton: list[tuple[str, tuple[int, ...]]] = []
     # Program-order R-kind rows as ("kick", k) or ("r", k) draws.
     r_rows: list[tuple[str, int]] = []
-    slot_rows: list[int] = []
-    x_static = True
     for op in ops:
         if op.gate in ("MS", "XX"):
             k = len(ms_theta)
@@ -1294,24 +1148,18 @@ def _compiled_dense_test(
             ms_phases.append(op.params[1:] if op.gate == "MS" else (0.0, 0.0))
             ms_qubits.append(op.qubits)
             skeleton.append(("MS", op.qubits))
-            slot_rows.append(k)
             if kicks:
                 skeleton += [("R", (q,)) for q in op.qubits]
-                slot_rows += [len(r_rows), len(r_rows) + 1]
                 r_rows += [("kick", 2 * k), ("kick", 2 * k + 1)]
         elif op.gate == "R":
             skeleton.append(("R", op.qubits))
-            slot_rows.append(len(r_rows))
             r_rows.append(("r", len(r_slots)))
             r_slots.append(
                 (op.qubits[0], op.params[0], op.params[1], len(ms_theta))
             )
         else:
             skeleton.append((op.gate, op.qubits))
-            rows = static.setdefault(op.gate, [])
-            slot_rows.append(len(rows))
-            rows.append(op.params)
-            x_static = x_static and op.gate in ("RX", "X")
+            static.setdefault(op.gate, []).append(op.params)
     n_ms = len(ms_theta)
     kicks = kicks and n_ms > 0
     first_row = {"kick": 0, "r": 2 * n_ms if kicks else 0}
@@ -1340,8 +1188,6 @@ def _compiled_dense_test(
         ),
         skeleton=tuple(skeleton),
         canonical=canonical_skeleton(skeleton),
-        slot_rows=tuple(slot_rows),
-        x_static=x_static and not kicks and not r_slots,
     )
 
 

@@ -20,6 +20,7 @@ import math
 
 import numpy as np
 import pytest
+from xx_oracle import match_probabilities_slots, slots_xx_only
 
 from repro.core.multi_fault import battery_specs
 from repro.core.protocol import TestExecutor as Executor
@@ -152,9 +153,9 @@ def _oracle_pass(battery, plans, machine, indices, shots, trials):
     for index in indices:
         program = battery.tests[index]
         slots = machine._realize_slots(program.circuit, n_batch)
-        if machine._slots_xx_only(slots):
+        if slots_xx_only(slots):
             probs.append(
-                machine._match_probabilities_slots(slots, program.expected)
+                match_probabilities_slots(machine, slots, program.expected)
             )
             continue
         plan = machine._dense_plan_for(_skeleton(slots), plans)

@@ -4,7 +4,7 @@ A :class:`~repro.trap.machine.CompiledBattery` holds each test's
 :class:`~repro.trap.machine.TestProgram` and evaluates its compiled XX
 structure with ``run_match``'s own XX draw.  The
 oracle is the per-call slot path (``_realize_slots`` followed by
-``_match_probabilities_slots``) on a twin same-seed machine: trial
+``xx_oracle.match_probabilities_slots``) on a twin same-seed machine: trial
 probabilities must be ``==``-equal to it, with the same clock and RNG
 state afterwards.  A magnitude sweep row is a twin's XX run with that
 under-rotation set.
@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 import pytest
+from xx_oracle import XXCircuitEvaluator, match_probabilities_slots, slots_to_circuits
 
 from repro.analysis.experiments.fig8 import class_test_for_pair
 from repro.core.multi_fault import battery_specs
@@ -22,7 +23,6 @@ from repro.core.tests_builder import build_test_circuit, expected_output
 from repro.noise.models import NoiseParameters
 from repro.sim.circuit import Circuit
 from repro.sim.statevector import simulate
-from repro.sim.xx_engine import XXCircuitEvaluator
 from repro.trap.faults import CouplingFault
 from repro.trap.machine import (
     CompiledBattery,
@@ -43,8 +43,8 @@ def _twins(n_qubits, seed=5, under=(), **kwargs):
 
 
 def _slot_oracle(machine, circuit, expected, n_batch):
-    return machine._match_probabilities_slots(
-        machine._realize_slots(circuit, n_batch), expected
+    return match_probabilities_slots(
+        machine, machine._realize_slots(circuit, n_batch), expected
     )
 
 
@@ -199,15 +199,23 @@ def test_battery_dispatches_and_rejects_appropriately():
         VirtualIonTrap(4, seed=0), 0, shots=100, trials=2
     )
     assert fids.shape == (2,)
-    # An XX-only test with a component above the exact limit refuses to
-    # compile, so callers fall back to the uncompiled path.
-    circuit = build_test_circuit(spec, n_qubits)
-    with pytest.raises(ValueError, match="max_exact_qubits"):
-        CompiledBattery(
-            n_qubits,
-            [(circuit, expected_output(spec, n_qubits))],
-            max_exact_qubits=2,
-        )
+    # An XX-only test with a component above the exact limit compiles
+    # to a sampled plan: engine="xx" refuses it before drawing, and its
+    # fidelities are the machine pass's on a twin machine.
+    sampled = compile_test_battery(n_qubits, [spec], max_exact_qubits=2)
+    assert sampled.tests[0].xx(2).plan.sampled
+    a, b = _twins(n_qubits, under=(((0, 1), 0.2),), max_exact_qubits=2)
+    with pytest.raises(ValueError, match="max_exact_qubits=2"):
+        sampled.fidelities(a, [0], 100, engine="xx")
+    with pytest.raises(ValueError, match="max_exact_qubits=2"):
+        a.run_battery(sampled.tests, 100, engine="xx")
+    _assert_same_machine_state(a, b)
+    assert a.stats == b.stats
+    for trials in (1, 3):
+        fids = sampled.fidelities(a, [0], 100, trials)
+        assert (fids == b.run_battery(sampled.tests, 100, trials)).all()
+        _assert_same_machine_state(a, b)
+        assert a.stats == b.stats
 
 
 def test_deterministic_machine_matches_realized_evaluator():
@@ -222,9 +230,7 @@ def test_deterministic_machine_matches_realized_evaluator():
     machine.set_under_rotation((0, 1), 0.3)
     battery = machine.compile_battery([(circuit, expected)])
     compiled = machine._pass_probabilities(battery.tests, 1, 1, 1)[1][0, 0, 0]
-    (realized,) = machine._slots_to_circuits(
-        machine._realize_slots(circuit, 1)
-    )
+    (realized,) = slots_to_circuits(machine, machine._realize_slots(circuit, 1))
     reference = XXCircuitEvaluator(realized).probability_of(expected)
     assert abs(compiled - reference) < 1e-12
 

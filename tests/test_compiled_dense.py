@@ -5,9 +5,10 @@ into the dense layout a :class:`TestProgram` holds instead of realizing
 slot objects per call; battery tests the XX route
 takes run through ``run_match``'s XX draw.  The oracle is the per-call
 path: ``_realize_slots`` followed by a :class:`DensePlan` resolved
-through a plan cache (or the slot XX path when a draw stays
-X-diagonal).  On twin same-seed machines both must return ``==``-equal
-probabilities and counts, and leave the same clock, RNG state and
+through a plan cache (or ``xx_oracle``'s slot XX path when a draw stays
+X-diagonal, where the compiled route takes the XX entry).  On twin
+same-seed machines both must return ``==``-equal probabilities and
+counts, and leave the same clock, RNG state and
 :class:`MachineStats`, first pass of a fresh battery included.
 """
 
@@ -15,6 +16,11 @@ import math
 
 import numpy as np
 import pytest
+from xx_oracle import (
+    dense_match_probabilities_slots,
+    match_probabilities_slots,
+    slots_xx_only,
+)
 
 from repro.core.multi_fault import battery_specs
 from repro.core.tests_builder import TestSpec as Spec
@@ -111,10 +117,10 @@ def _oracle_probabilities(machine, plans, circuit, expected, n_batch, force):
     slots = machine._realize_slots(circuit, n_batch)
     if not slots:
         return np.full(n_batch, 1.0 if expected == 0 else 0.0)
-    if not force and machine._slots_xx_only(slots):
-        return machine._match_probabilities_slots(slots, expected)
+    if not force and slots_xx_only(slots):
+        return match_probabilities_slots(machine, slots, expected)
     if plans is None:
-        return machine._dense_match_probabilities_slots(slots, expected)
+        return dense_match_probabilities_slots(machine, slots, expected)
     skeleton = tuple((s.gate, s.qubits) for s in slots)
     plan, hit = plans.get(machine.n_qubits, skeleton)
     rebinds = plans.take_rebinds()
@@ -210,11 +216,6 @@ def test_draw_matches_realize_slots(noise, name):
         assert blocks.keys() == oracle_blocks.keys()
         for kind, block in oracle_blocks.items():
             assert np.array_equal(blocks[kind], block), kind
-        drawn = test.slots(blocks)
-        assert len(drawn) == len(slots)
-        for d, slot in zip(drawn, slots):
-            assert d.params.shape == slot.params.shape
-            assert np.array_equal(d.params, slot.params)
         _assert_same_machine_state(compiled, oracle)
 
 
@@ -232,9 +233,8 @@ RUN_MATCH_CASES = {
         ),
         {},
     ),
-    # Components above max_exact_qubits keep XX tests off the compiled
-    # XX route; their draws stay X-diagonal, so the compiled dense draw
-    # feeds the slot XX path (and its Monte-Carlo fallback).
+    # Components above max_exact_qubits: the XX route samples them in
+    # the order of the slot path's per-realization Monte-Carlo oracle.
     "oversized-component": (
         AMPLITUDE,
         (CouplingFault(frozenset({0, 3}), 0.2),),
@@ -291,8 +291,7 @@ def _battery_items():
         (KICKS_1Q, (), "dense"),
         (AMPLITUDE, (CouplingPhaseFault(frozenset({0, 3}), -0.6),), "auto"),
         (AMPLITUDE, (CouplingFault(frozenset({1, 4}), 0.2),), "dense"),
-        # A pi offset leaves the draws X-diagonal: the XX route, or the
-        # slot XX shortcut for tests with non-XX gates.
+        # A pi offset leaves the draws X-diagonal: the XX route.
         (AMPLITUDE, (CouplingPhaseFault(frozenset({0, 1}), math.pi),), "auto"),
     ],
 )
@@ -371,17 +370,8 @@ def test_layout_without_kicks_or_ms_slots():
     circuit, _ = _no_ms()
     test = machine_mod._compiled_dense_test(tuple(circuit.ops), True)
     assert not test.kicks, "no MS slot, so no kick slots"
-    assert test.ms_theta.size == 0 and not test.x_static
+    assert test.ms_theta.size == 0
     assert test.skeleton == tuple((op.gate, op.qubits) for op in circuit.ops)
-    class_test = machine_mod._compiled_dense_test(
-        tuple(_class_test()[0].ops), False
-    )
-    assert class_test.x_static
-    ms_block = np.zeros((class_test.ms_theta.size, 2, 3))
-    ms_block[:, :, 1:] = math.pi
-    assert class_test.x_diagonal(ms_block)
-    ms_block[-1, 1, 2] += 1e-6
-    assert not class_test.x_diagonal(ms_block)
 
 
 # -- out-of-range expected bitstrings ----------------------------------------

@@ -3,11 +3,13 @@
 ``VirtualIonTrap.run_match`` serves XX tests from the compiled entry a
 :class:`TestProgram` resolves once, out of a process-wide bounded cache
 (one streaming contraction plan per test structure).  The
-per-call slot path (``_realize_slots`` + ``_match_probabilities_slots``)
-is the oracle: on twin same-seed machines both routes must return
-``==``-equal probabilities, equal counts, the same clock and the same RNG
-state.  Settings the compiled route does not cover must fall back without
-drawing anything.  The cache itself is bounded, shared across machines
+per-call slot path (``_realize_slots`` + ``match_probabilities_slots``
+from ``xx_oracle``) is the oracle: on twin same-seed machines both
+routes must return ``==``-equal probabilities, equal counts, the same
+clock and the same RNG state.  Settings the compiled route does not cover
+must fall back without drawing anything.  A component above
+``max_exact_qubits`` stays on the XX route, sampled in the oracle's
+draw order.  The cache itself is bounded, shared across machines
 and safe under concurrent callers.  On every route, a one-spec
 ``TestExecutor.execute_round`` (the machine's pass) equals
 ``TestExecutor.execute`` (``run_match``) bit for bit.
@@ -17,7 +19,9 @@ import math
 import sys
 import threading
 
+import numpy as np
 import pytest
+from xx_oracle import match_probabilities_slots, slot_run_match
 
 from repro.core import protocol
 from repro.core.protocol import TestExecutor as Executor
@@ -74,8 +78,8 @@ def _xx_route(machine, circuit, expected, n_batch):
 def _assert_identical(compiled, slots, circuit, expected):
     p = _xx_route(compiled, circuit, expected, GROUPS)
     assert p is not None, "the compiled route should apply"
-    ref = slots._match_probabilities_slots(
-        slots._realize_slots(circuit, GROUPS), expected
+    ref = match_probabilities_slots(
+        slots, slots._realize_slots(circuit, GROUPS), expected
     )
     assert p.dtype == ref.dtype and p.shape == ref.shape
     assert (p == ref).all()
@@ -84,10 +88,9 @@ def _assert_identical(compiled, slots, circuit, expected):
 
 
 def _assert_counts_identical(compiled, slots, circuit, expected, rounds=3):
-    slots._xx_slot_angles = lambda *args, **kwargs: None
     for _ in range(rounds):
-        assert compiled.run_match(circuit, expected, 300) == slots.run_match(
-            circuit, expected, 300
+        assert compiled.run_match(circuit, expected, 300) == slot_run_match(
+            slots, circuit, expected, 300
         )
     assert compiled._clock == slots._clock
     assert _rng_state(compiled) == _rng_state(slots)
@@ -150,13 +153,49 @@ def test_swap_inserted_test_falls_back():
     _assert_counts_identical(compiled, slots, circuit, expected)
 
 
-def test_component_above_exact_limit_falls_back_to_monte_carlo():
+@pytest.mark.parametrize("max_exact", [3, 1])
+def test_component_above_exact_limit_is_sampled_on_the_xx_route(max_exact):
+    """The sampled plan replays the per-realization Monte-Carlo oracle.
+
+    The N = 8 class test has a 6-qubit and a 2-qubit component: at
+    ``max_exact_qubits=3`` the first is sampled and the second exact, at
+    1 both are sampled, row by row in component order.  The oracle draws
+    the noise, then one spin sample per realization and sampled
+    component; the plan's exact sums differ from its full tables only
+    in rounding.
+    """
     circuit, expected = _class_test(8)
-    compiled, slots = _faulty_twins(
-        8, NoiseParameters.paper_scaling(), max_exact_qubits=3
+    program = as_program(circuit, expected)
+
+    def twins():
+        return _faulty_twins(
+            8, NoiseParameters.paper_scaling(), max_exact_qubits=max_exact
+        )
+
+    plan = program.xx(max_exact).plan
+    assert plan.sampled
+    assert sorted(map(len, plan.component_qubits)) == [2, 6]
+    compiled, oracle = twins()
+    p = _xx_route(compiled, circuit, expected, GROUPS)
+    ref = match_probabilities_slots(
+        oracle, oracle._realize_slots(circuit, GROUPS), expected
     )
-    assert _xx_route(compiled, circuit, expected, 4) is None
-    _assert_counts_identical(compiled, slots, circuit, expected, rounds=1)
+    assert np.max(np.abs(p - ref)) < 1e-12
+    assert compiled._clock == oracle._clock
+    assert _rng_state(compiled) == _rng_state(oracle)
+    _assert_counts_identical(*twins(), circuit, expected, rounds=2)
+    by_pass, oracle = twins()
+    fids = by_pass.run_battery([program], 300, trials=2)
+    groups = np.asarray(oracle._shot_groups(300), dtype=np.int64)
+    probs = match_probabilities_slots(
+        oracle, oracle._realize_slots(circuit, 2 * len(groups)), expected
+    )
+    want = oracle._sample_fidelities(
+        [program], probs.reshape(1, 2, len(groups)), 300, groups
+    )
+    assert (fids == want).all()
+    assert by_pass._clock == oracle._clock
+    assert _rng_state(by_pass) == _rng_state(oracle)
 
 
 # -- one-spec rounds ------------------------------------------------------------
@@ -168,15 +207,15 @@ SEC6 = NoiseParameters(
 
 
 def _x_only_program():
-    """RX/X gates only: under phase noise its draws stay X-diagonal."""
+    """RX/X gates only: with no MS slot the XX route takes it under any
+    noise, phase noise included."""
     circuit = Circuit(8).x(0).rx(4, 0.7).x(5).rx(0, 0.2)
     return as_program(circuit, 0b10000100)
 
 
 #: route -> (noise, machine options, program replacing the built test).
-#: No built test reaches the exact slot path (built tests are MS-only,
-#: and noise that declines the XX route moves their phases or adds
-#: kicks), so that route runs a hand-made program under the spec.
+#: The X-diagonal program without MS slots and the component above
+#: ``max_exact_qubits`` both run on the compiled XX route.
 ONE_SPEC_ROUTES = {
     "compiled-xx": (NoiseParameters.paper_scaling(), {}, None),
     "dense-plan": (SEC6, {}, None),
@@ -196,14 +235,8 @@ def test_one_spec_round_equals_execute(route, monkeypatch):
         replacement = program()
         monkeypatch.setattr(protocol, "built_test", lambda *args: replacement)
     kernels = {
-        "compiled-xx": _count_calls(monkeypatch, ContractionPlan, "probabilities"),
-        "dense-plan": _count_calls(monkeypatch, DensePlan, "probabilities"),
-        "x-diagonal-slots": _count_calls(
-            monkeypatch, VirtualIonTrap, "_match_probabilities_slots"
-        ),
-        "monte-carlo": _count_calls(
-            monkeypatch, machine_mod.XXCircuitEvaluator, "probability_of"
-        ),
+        ContractionPlan: _count_calls(monkeypatch, ContractionPlan, "probabilities"),
+        DensePlan: _count_calls(monkeypatch, DensePlan, "probabilities"),
     }
     spec = _class_spec(8)
     by_round, by_test = _faulty_twins(8, noise, **kwargs)
@@ -215,11 +248,8 @@ def test_one_spec_round_equals_execute(route, monkeypatch):
     assert _rng_state(by_round) == _rng_state(by_test)
     assert by_round.stats == by_test.stats
     assert rounds.cost == tests.cost
-    used = {name for name, calls in kernels.items() if calls}
-    if route == "monte-carlo":
-        assert used == {"x-diagonal-slots", "monte-carlo"}
-    else:
-        assert used == {route}
+    used = {kernel for kernel, calls in kernels.items() if calls}
+    assert used == {DensePlan if route == "dense-plan" else ContractionPlan}
 
 
 # -- cache behaviour ------------------------------------------------------------

@@ -10,6 +10,7 @@ scenario — and a warm trial loop recompiles no plan.
 
 import numpy as np
 import pytest
+from xx_oracle import slots_to_circuits
 
 from repro.analysis.experiments.fig6 import battery_specs
 from repro.core.protocol import compile_test_battery, execute_compiled_battery
@@ -46,7 +47,7 @@ def _reference_probabilities(machine, slots, plan, expected):
     if forced_zero:
         return np.zeros(slots[0].params.shape[0])
     probs = []
-    for circuit in machine._slots_to_circuits(slots):
+    for circuit in slots_to_circuits(machine, slots):
         sim = StatevectorSimulator(plan.n_local)
         for op in circuit.ops:
             sim.apply_gate(
@@ -108,7 +109,7 @@ def test_fused_plan_states_match_statevector_oracle():
     plan = DensePlan(n_qubits, skeleton)
     assert plan.apply_count() < len(skeleton)
     states = plan.states(slot_blocks(slots))
-    for state, realized in zip(states, machine._slots_to_circuits(slots)):
+    for state, realized in zip(states, slots_to_circuits(machine, slots)):
         sim = StatevectorSimulator(plan.n_local)
         for op in realized.ops:
             sim.apply_gate(op.matrix(), tuple(plan.index[q] for q in op.qubits))

@@ -16,11 +16,11 @@ engine bug, not sampling noise.
 
 import numpy as np
 import pytest
+from xx_oracle import XXCircuitEvaluator, slots_to_circuits
 
 from repro.noise.models import NoiseParameters
 from repro.sim.dense_plan import DensePlan
 from repro.sim.statevector import StatevectorSimulator, subregister_bitstring
-from repro.sim.xx_engine import XXCircuitEvaluator
 from repro.sim.circuit import Circuit
 from repro.trap.calibration import all_pairs
 from repro.trap.machine import VirtualIonTrap, slot_blocks
@@ -66,7 +66,7 @@ def _dense_reference(machine, slots, plan, expected) -> np.ndarray:
     if forced_zero:
         return np.zeros(slots[0].params.shape[0])
     probs = []
-    for circuit in machine._slots_to_circuits(slots):
+    for circuit in slots_to_circuits(machine, slots):
         sim = StatevectorSimulator(plan.n_local)
         for op in circuit.ops:
             sim.apply_gate(
@@ -86,7 +86,7 @@ def test_random_circuits_agree_across_all_three_engines(case, rng):
     slots = machine._realize_slots(circuit, realizations)
     skeleton = tuple((s.gate, s.qubits) for s in slots)
     plan = DensePlan(n_qubits, skeleton)
-    realized = machine._slots_to_circuits(slots)
+    realized = slots_to_circuits(machine, slots)
     for expected in (0, int(rng.integers(0, 2**n_qubits))):
         compiled = plan.probabilities(slot_blocks(slots), expected)
         dense = _dense_reference(machine, slots, plan, expected)

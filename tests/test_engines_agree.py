@@ -4,10 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from xx_oracle import (
+    XXCircuitEvaluator,
+    match_probabilities_slots,
+    slots_to_circuits,
+)
 
 from repro.sim.circuit import Circuit
 from repro.sim.statevector import StatevectorSimulator, simulate
-from repro.sim.xx_engine import XXCircuitEvaluator
 
 
 def _xx_circuit(delta: float) -> Circuit:
@@ -57,7 +61,7 @@ def test_batched_statevector_matches_single():
     plan = machine._dense_plan_for(_skeleton(slots))
     assert plan.touched == [0, 1, 2]
     states = plan.states(slot_blocks(slots))
-    for g, realized in enumerate(machine._slots_to_circuits(slots)):
+    for g, realized in enumerate(slots_to_circuits(machine, slots)):
         single = StatevectorSimulator(3)
         single.run(realized)
         assert np.allclose(states[g], single.state, atol=1e-12)
@@ -84,8 +88,8 @@ def test_batched_machine_matches_reference_statistically():
     batched = VirtualIonTrap(4, noise=noise, seed=11)
     p_batched = np.concatenate(
         [
-            batched._match_probabilities_slots(
-                batched._realize_slots(circ, 8), expected
+            match_probabilities_slots(
+                batched, batched._realize_slots(circ, 8), expected
             )
             for _ in range(25)
         ]
@@ -93,8 +97,8 @@ def test_batched_machine_matches_reference_statistically():
     reference = VirtualIonTrap(4, noise=noise, seed=11)
     p_reference = []
     for _ in range(200):
-        (realized,) = reference._slots_to_circuits(
-            reference._realize_slots(circ, 1)
+        (realized,) = slots_to_circuits(
+            reference, reference._realize_slots(circ, 1)
         )
         sim = StatevectorSimulator(4)
         sim.run(realized)
@@ -122,8 +126,8 @@ def test_batched_machine_full_counts_agree():
     reference = VirtualIonTrap(4, noise=noise, seed=1)
     parts = []
     for group_shots in reference._shot_groups(shots):
-        (realized,) = reference._slots_to_circuits(
-            reference._realize_slots(circ, 1)
+        (realized,) = slots_to_circuits(
+            reference, reference._realize_slots(circ, 1)
         )
         sim = StatevectorSimulator(4)
         sim.run(realized)

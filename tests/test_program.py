@@ -42,8 +42,8 @@ def _class_test():
 
 
 def _linear_only():
-    """RX/X gates only: under phase noise the XX route declines, and
-    the dense draw, with no MS slot, stays X-diagonal (the slot path)."""
+    """RX/X gates only: with no MS slot the XX route takes it under any
+    noise, the Sec. VI model included."""
     return Circuit(N).rx(0, 0.4).x(3).rx(0, 0.2), 0b00010000
 
 

@@ -17,6 +17,7 @@ sampling noise.
 
 import numpy as np
 import pytest
+from xx_oracle import match_probabilities_slots, slots_to_circuits, slots_xx_only
 
 from repro.core.multi_fault import battery_specs
 from repro.core.protocol import compile_test_battery
@@ -24,7 +25,6 @@ from repro.core.tests_builder import build_test_circuit, expected_output
 from repro.scenarios.spec import SCENARIO_KINDS, build_scenario
 from repro.sim.dense_plan import DensePlan
 from repro.sim.statevector import StatevectorSimulator, subregister_bitstring
-from repro.sim.xx_engine import XXCircuitEvaluator
 from repro.trap.machine import VirtualIonTrap, slot_blocks
 
 #: Taxonomy kinds whose default instance stays on the exact XX engine.
@@ -64,7 +64,7 @@ def _dense_reference(machine, slots, plan, expected) -> np.ndarray:
     if forced_zero:
         return np.zeros(slots[0].params.shape[0])
     probs = []
-    for circuit in machine._slots_to_circuits(slots):
+    for circuit in slots_to_circuits(machine, slots):
         sim = StatevectorSimulator(plan.n_local)
         for op in circuit.ops:
             sim.apply_gate(
@@ -86,8 +86,8 @@ def test_xx_scenarios_agree_across_all_three_engines(
     circuit = build_test_circuit(test, n_qubits)
     expected = expected_output(test, n_qubits)
     slots = machine._realize_slots(circuit, REALIZATIONS)
-    assert machine._slots_xx_only(slots), "scenario must stay XX-preserving"
-    xx = machine._match_probabilities_slots(slots, expected)
+    assert slots_xx_only(slots), "scenario must stay XX-preserving"
+    xx = match_probabilities_slots(machine, slots, expected)
     skeleton = tuple((s.gate, s.qubits) for s in slots)
     plan = DensePlan(n_qubits, skeleton)
     compiled = plan.probabilities(slot_blocks(slots), expected)
@@ -160,7 +160,7 @@ def test_non_xx_scenario_dense_plan_matches_per_trial_reference(kind):
     circuit = build_test_circuit(test, n_qubits)
     expected = expected_output(test, n_qubits)
     slots = machine._realize_slots(circuit, REALIZATIONS)
-    assert not machine._slots_xx_only(slots)
+    assert not slots_xx_only(slots)
     skeleton = tuple((s.gate, s.qubits) for s in slots)
     plan = DensePlan(n_qubits, skeleton)
     compiled = plan.probabilities(slot_blocks(slots), expected)

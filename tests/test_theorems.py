@@ -7,10 +7,15 @@
 * Lemma V.5 at the battery level: every coupling sits in some test of
   the non-adaptive battery, so a battery diagnosis can fail a test for
   any single fault.
+* The battery's ambiguity floor: couplings with the same signature (the
+  set of battery tests holding them) fail the same tests, so no decode
+  of the battery alone tells them apart.  Their group sizes are pinned.
 
 ``OracleExecutor`` fails a test iff it holds a faulty coupling, so no
 quantum simulation is involved and the cases can be exhaustive.
 """
+
+from collections import Counter
 
 import pytest
 
@@ -75,6 +80,54 @@ def test_the_battery_covers_every_coupling(repetitions):
             assert spec.repetitions == repetitions
             covered.update(spec.pairs)
         assert covered == set(all_couplings(n_qubits)), n_qubits
+
+
+#: ``{group size: number of groups}`` of ``battery_specs(N, 2)``'s
+#: coupling signatures.  A group of 3 first appears at N = 21, of 4 at
+#: N = 22.
+SIGNATURE_GROUPS = {
+    **{n: {1: n * (n - 1) // 2} for n in range(2, 6)},
+    6: {1: 13, 2: 1},
+    7: {1: 19, 2: 1},
+    8: {1: 24, 2: 2},
+    9: {1: 32, 2: 2},
+    10: {1: 37, 2: 4},
+    11: {1: 43, 2: 6},
+    12: {1: 46, 2: 10},
+    13: {1: 58, 2: 10},
+    14: {1: 65, 2: 13},
+    15: {1: 75, 2: 15},
+    16: {1: 80, 2: 20},
+    17: {1: 96, 2: 20},
+    18: {1: 105, 2: 24},
+    19: {1: 115, 2: 28},
+    20: {1: 118, 2: 36},
+    21: {1: 131, 2: 38, 3: 1},
+    22: {1: 137, 2: 45, 4: 1},
+    23: {1: 144, 2: 51, 3: 1, 4: 1},
+    24: {1: 144, 2: 62, 4: 2},
+    25: {1: 168, 2: 62, 4: 2},
+    26: {1: 181, 2: 68, 4: 2},
+    27: {1: 195, 2: 74, 4: 2},
+    28: {1: 198, 2: 86, 4: 2},
+    29: {1: 219, 2: 88, 3: 1, 4: 2},
+    30: {1: 229, 2: 97, 4: 3},
+    31: {1: 240, 2: 105, 3: 1, 4: 3},
+    32: {1: 240, 2: 120, 4: 4},
+    48: {1: 416, 2: 300, 4: 28},
+    64: {1: 672, 2: 560, 4: 56},
+}
+
+
+@pytest.mark.parametrize("n_qubits", sorted(SIGNATURE_GROUPS))
+def test_battery_signature_groups_match_the_table(n_qubits):
+    specs = battery_specs(n_qubits, 2)
+    groups = Counter(
+        frozenset(k for k, spec in enumerate(specs) if coupling in spec.pairs)
+        for coupling in all_couplings(n_qubits)
+    )
+    assert frozenset() not in groups, "a coupling no battery test holds"
+    assert Counter(groups.values()) == SIGNATURE_GROUPS[n_qubits]
 
 
 def test_a_two_qubit_battery_fails_on_its_one_coupling():

@@ -3,7 +3,8 @@
 ``ContractionPlan`` sums only half the spin assignments for components
 without linear terms, splits components above 8 spins into two halves
 and a cross term, and contracts in real trig; ``XXCircuitEvaluator``
-still sums the full table in complex arithmetic, and the dense
+(the exact oracle in ``xx_oracle``) sums the full table in complex
+arithmetic, and the dense
 statevector knows nothing of either.  Up to 8 spins the plan must equal
 the one-table formula written out here, bit for bit; above, all three
 must agree to 1e-12 on seeded random coupling graphs, with and without
@@ -16,11 +17,12 @@ import math
 
 import numpy as np
 import pytest
+from xx_oracle import XXCircuitEvaluator
 
 from repro.sim import xx_engine
 from repro.sim.circuit import Circuit
 from repro.sim.statevector import simulate
-from repro.sim.xx_engine import ContractionPlan, XXCircuitEvaluator
+from repro.sim.xx_engine import ContractionPlan
 
 REALIZATIONS = 3
 
