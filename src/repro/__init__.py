@@ -60,7 +60,6 @@ from .core import (
     Syndrome,
     TestExecutor,
     TestSpec,
-    compile_test_battery,
 )
 from .noise import (
     CalibrationDriftProcess,
@@ -95,7 +94,6 @@ from .fleet import (
 )
 from .sim import Circuit, StatevectorSimulator
 from .trap import (
-    CompiledBattery,
     CouplingFault,
     CouplingPhaseFault,
     DutyCycleBreakdown,
@@ -117,7 +115,6 @@ __all__ = [
     "Syndrome",
     "TestExecutor",
     "TestSpec",
-    "compile_test_battery",
     "CalibrationDriftProcess",
     "CompositeUnderRotationDistribution",
     "NoiseParameters",
@@ -143,7 +140,6 @@ __all__ = [
     "simulate_policy",
     "Circuit",
     "StatevectorSimulator",
-    "CompiledBattery",
     "CouplingFault",
     "CouplingPhaseFault",
     "DutyCycleBreakdown",

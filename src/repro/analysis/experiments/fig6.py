@@ -35,11 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ...core.multi_fault import battery_specs as _battery_specs
-from ...core.protocol import (
-    FixedThresholds,
-    compile_test_battery,
-    execute_compiled_battery,
-)
+from ...core.protocol import FixedThresholds, TestExecutor
 from ...core.tests_builder import TestSpec
 from ...noise.models import NoiseParameters
 from ...noise.spam import SpamModel
@@ -149,16 +145,11 @@ def run_fig6(cfg: Fig6Config | None = None) -> Fig6Result:
     thresholds = FixedThresholds(
         by_repetitions=((2, cfg.threshold_2ms), (4, cfg.threshold_4ms))
     )
+    executor = TestExecutor(machine, thresholds=thresholds, shots=cfg.shots)
     rows: list[Fig6Row] = []
     for repetitions in (2, 4):
         specs = battery_specs(cfg.n_qubits, repetitions)
-        results = execute_compiled_battery(
-            machine,
-            specs,
-            battery=compile_test_battery(cfg.n_qubits, specs),
-            thresholds=thresholds,
-            shots=cfg.shots,
-        )
+        results = executor.execute_round(specs)
         for spec, result in zip(specs, results):
             rows.append(
                 Fig6Row(

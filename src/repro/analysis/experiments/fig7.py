@@ -128,16 +128,6 @@ def run_fig7(cfg: Fig7Config | None = None) -> Fig7Result:
     )
 
 
-#: Per-process cache of compiled threshold-calibration batteries, keyed
-#: by ``(n_qubits, repetitions)``.  Only the trial-static specs (the
-#: fig6 battery plus the canary) are compiled — the verify test's pair
-#: rotates per trial and runs through the executor — so every
-#: calibration trial of one config reuses the same compiled structure;
-#: this is where the compiled-dense path earns its speedup over the
-#: per-trial executor loop.  At most a handful of entries per config.
-_BATTERY_CACHE: dict[tuple[int, int], object] = {}
-
-
 def _static_threshold_specs(cfg: Fig7Config, reps: int) -> list:
     """The trial-static calibration specs for one repetition config."""
     from ...core.combinatorics import all_couplings
@@ -156,25 +146,11 @@ def _static_threshold_specs(cfg: Fig7Config, reps: int) -> list:
     return specs
 
 
-def _cached_battery(n_qubits: int, reps: int, specs):
-    """Compile (or fetch) the static calibration battery for one family."""
-    from ...core.protocol import compile_test_battery
-
-    key = (n_qubits, reps)
-    battery = _BATTERY_CACHE.get(key)
-    if battery is None:
-        battery = compile_test_battery(n_qubits, specs)
-        _BATTERY_CACHE[key] = battery
-    return battery
-
-
 def _threshold_trial(
     args: tuple[Fig7Config, int],
 ) -> dict[tuple[int, str], list[float]]:
     """One in-spec machine's fidelity samples (module-level for pickling)."""
     from ...core.combinatorics import all_couplings
-    from ...core.protocol import execute_compiled_battery
-
     from ...core.tests_builder import TestSpec
 
     cfg, trial = args
@@ -201,15 +177,9 @@ def _threshold_trial(
             repetitions=reps,
             kind="verify",
         )
-        results = execute_compiled_battery(
-            machine,
-            specs,
-            battery=_cached_battery(cfg.n_qubits, reps, specs),
-            thresholds=executor.thresholds,
-            shots=cfg.shots,
-        )
-        # The verify pair rotates per trial, so its single cheap test
-        # runs through the executor instead of busting the battery cache.
+        # The static battery (fig6's plus the canary) is one round; the
+        # verify test's pair rotates per trial and runs after it.
+        results = executor.execute_round(specs)
         results.append(executor.execute(verify_spec))
         for spec, result in zip(specs + [verify_spec], results):
             samples.setdefault((reps, spec.kind), []).append(result.fidelity)

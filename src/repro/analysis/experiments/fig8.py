@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ...core.protocol import compile_test_battery
+from ...core.protocol import built_test
 from ...core.single_fault import SingleFaultProtocol
 from ...core.tests_builder import TestSpec
 from ...noise.models import NoiseParameters
@@ -83,16 +83,17 @@ def class_test_for_pair(
 def _run_series(args: tuple[Fig8Config, int, int]) -> Fig8Series:
     """One (N, repetitions) sweep via the compiled magnitude broadcast.
 
-    The class test is compiled once; the baseline's trials and the whole
-    magnitude grid's ``(M, trials, realizations)`` block then run against
-    the cached contraction plan — sweep points share noise draws, so the
-    sweep costs one stacked matmul instead of M independent point runs.
+    The class test is built once; the baseline's trials run as one
+    ``run_battery`` pass, and the whole magnitude grid's ``(M, trials,
+    realizations)`` block as one ``sweep_fidelities`` call on its
+    contraction plan — sweep points share noise draws, so the sweep
+    costs one stacked matmul instead of M independent point runs.
     Worker entry point for the series fan-out (must be module-level).
     """
     cfg, n_qubits, repetitions = args
     pair = (0, 1)
     spec = class_test_for_pair(n_qubits, pair, repetitions)
-    battery = compile_test_battery(n_qubits, [spec])
+    program = built_test(tuple(spec.pairs), spec.repetitions, n_qubits)
     noise = NoiseParameters(amplitude_sigma=cfg.amplitude_sigma)
     baseline_machine = VirtualIonTrap(
         n_qubits,
@@ -100,9 +101,9 @@ def _run_series(args: tuple[Fig8Config, int, int]) -> Fig8Series:
         seed=cfg.seed,
         noise_realizations=cfg.noise_realizations,
     )
-    baseline = battery.trial_fidelities(
-        baseline_machine, 0, cfg.shots, cfg.baseline_trials
-    )
+    baseline = baseline_machine.run_battery(
+        [program], cfg.shots, cfg.baseline_trials
+    )[0]
     threshold = float(np.quantile(baseline, cfg.detection_quantile))
     sweep_machine = VirtualIonTrap(
         n_qubits,
@@ -110,9 +111,8 @@ def _run_series(args: tuple[Fig8Config, int, int]) -> Fig8Series:
         seed=cfg.seed + 13 + n_qubits,
         noise_realizations=cfg.noise_realizations,
     )
-    samples = battery.sweep_fidelities(
-        sweep_machine,
-        0,
+    samples = sweep_machine.sweep_fidelities(
+        program,
         pair,
         np.array(cfg.under_rotations),
         cfg.shots,

@@ -37,7 +37,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from types import SimpleNamespace
-from typing import Any
 
 import numpy as np
 
@@ -48,17 +47,13 @@ from ...core.multi_fault import (
     MultiFaultProtocol,
     battery_specs,
 )
-from ...core.protocol import (
-    TestExecutor,
-    compile_test_battery,
-    execute_compiled_battery,
-)
+from ...core.protocol import TestExecutor, built_test
 from ...core.tests_builder import TestSpec
 from ...noise.models import NoiseParameters
 from ...noise.spam import SpamModel
 from ...scenarios.spec import SCENARIO_KINDS, ScenarioSpec, build_scenario
 from ...trap.calibration import all_pairs
-from ...trap.machine import VirtualIonTrap
+from ...trap.machine import TestProgram, VirtualIonTrap
 
 __all__ = [
     "CALIBRATION_FIELDS",
@@ -182,6 +177,9 @@ CALIBRATION_FIELDS = (
     "threshold_margin",
 )
 
+#: Each repetition count's battery: its tests' built programs, in order.
+Batteries = dict[int, tuple[TestProgram, ...]]
+
 #: Calibrated environments one process keeps (least recently used dropped).
 CALIBRATION_MEMO_CELLS = 64
 
@@ -206,16 +204,17 @@ def calibration_environment(noise: NoiseParameters) -> tuple:
 
 def calibrate_cell(
     cfg, n_qubits: int, spec: ScenarioSpec
-) -> tuple[CalibratedThresholds, BaselineBank, dict[int, Any]]:
-    """Thresholds, contrast baselines and compiled batteries for a cell.
+) -> tuple[CalibratedThresholds, BaselineBank, Batteries]:
+    """Thresholds, contrast baselines and battery programs for a cell.
 
     In-spec machines (no injected faults) under the scenario's own noise
     environment — including its SPAM channel, so an asymmetric readout
     biases the baselines the same way it biases the faulty runs — yield
     per-(repetitions, kind) quantile thresholds, per-test-name baseline
-    means and the verify mean/std.  The static batteries are compiled
-    once per repetition count and reused by every baseline and detection
-    trial.
+    means and the verify mean/std.  Each repetition count's battery is
+    returned as its tuple of :func:`~repro.core.protocol.built_test`
+    programs; every baseline trial runs each test as its own
+    ``run_battery`` pass.
 
     ``cfg`` is duck-typed over the :data:`CALIBRATION_FIELDS` so the
     diagnoser arena's config calibrates its cells through the same code
@@ -241,7 +240,7 @@ def calibrate_cell(
 @functools.lru_cache(maxsize=CALIBRATION_MEMO_CELLS)
 def _calibrated_environment(
     n_qubits: int, environment: tuple, calibration: tuple
-) -> tuple[CalibratedThresholds, BaselineBank, dict[int, Any]]:
+) -> tuple[CalibratedThresholds, BaselineBank, Batteries]:
     """:func:`_calibrate` of one memo key, rebuilt from its values."""
     sigma, sigma_1q, phase_rms, residual, spam = environment
     noise = NoiseParameters(
@@ -257,13 +256,17 @@ def _calibrated_environment(
 
 def _calibrate(
     cfg, n_qubits: int, noise: NoiseParameters
-) -> tuple[CalibratedThresholds, BaselineBank, dict[int, Any]]:
+) -> tuple[CalibratedThresholds, BaselineBank, Batteries]:
     """The calibration pass behind :func:`calibrate_cell` (unmemoized)."""
     pairs = all_pairs(n_qubits)
     canary_reps = max(cfg.repetition_counts)
     thresholds = CalibratedThresholds(default=0.5)
+    specs = {r: battery_specs(n_qubits, r) for r in cfg.repetition_counts}
     batteries = {
-        r: compile_test_battery(n_qubits, battery_specs(n_qubits, r))
+        r: tuple(
+            built_test(tuple(test.pairs), test.repetitions, n_qubits)
+            for test in specs[r]
+        )
         for r in cfg.repetition_counts
     }
     samples: dict[tuple[int, str], list[float]] = {}
@@ -277,16 +280,11 @@ def _calibrate(
             noise_realizations=cfg.noise_realizations,
         )
         for r in cfg.repetition_counts:
-            specs_r = battery_specs(n_qubits, r)
-            for i, test in enumerate(specs_r):
+            for test, program in zip(specs[r], batteries[r]):
                 fidelity = float(
-                    batteries[r].trial_fidelities(
-                        machine,
-                        i,
-                        cfg.shots,
-                        trials=1,
-                        realizations=cfg.noise_realizations,
-                    )[0]
+                    machine.run_battery(
+                        [program], cfg.shots, realizations=cfg.noise_realizations
+                    )[0, 0]
                 )
                 samples.setdefault((r, test.kind), []).append(fidelity)
                 by_test.setdefault(test.name, []).append(fidelity)
@@ -325,7 +323,6 @@ def _detection_counts(
     n_qubits: int,
     spec: ScenarioSpec,
     thresholds: CalibratedThresholds,
-    batteries: dict[int, Any],
 ) -> tuple[dict[str, dict[str, list[int]]], int]:
     """Per-engine detection / in-spec / false-flag counts for one cell."""
     engines = _cell_engines(spec)
@@ -353,18 +350,13 @@ def _detection_counts(
             )
             spec.apply(machine, trial=trial)
             top = spec.top_severity(trial)
+            executor = TestExecutor(
+                machine, thresholds, cfg.shots, cfg.noise_realizations
+            )
             results = []
             for r in cfg.repetition_counts:
                 results.extend(
-                    execute_compiled_battery(
-                        machine,
-                        battery_specs(n_qubits, r),
-                        battery=batteries[r],
-                        thresholds=thresholds,
-                        shots=cfg.shots,
-                        realizations=cfg.noise_realizations,
-                        engine=engine,
-                    )
+                    executor.execute_round(battery_specs(n_qubits, r), engine)
                 )
             clean_tests = [
                 res
@@ -457,10 +449,8 @@ def _run_cell(args: tuple[ScenarioMatrixConfig, int, str]) -> ScenarioCell:
     """Worker entry point for the cell fan-out (must be module-level)."""
     cfg, n_qubits, kind = args
     spec = build_scenario(kind, n_qubits)
-    thresholds, bank, batteries = calibrate_cell(cfg, n_qubits, spec)
-    counts, ambiguous = _detection_counts(
-        cfg, n_qubits, spec, thresholds, batteries
-    )
+    thresholds, bank, _batteries = calibrate_cell(cfg, n_qubits, spec)
+    counts, ambiguous = _detection_counts(cfg, n_qubits, spec, thresholds)
     ident_successes, ident_trials = _identification_counts(
         cfg, n_qubits, spec, thresholds, bank
     )

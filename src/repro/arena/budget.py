@@ -217,10 +217,12 @@ class BudgetedExecutor(TestExecutor):
         self._check_budget()
         return super().execute(spec)
 
-    def execute_round(self, specs: list[TestSpec]) -> list[TestResult]:
+    def execute_round(
+        self, specs: list[TestSpec], engine: str = "auto"
+    ) -> list[TestResult]:
         """Check the soft budget once, then run the whole round."""
         self._check_budget()
-        return super().execute_round(specs)
+        return super().execute_round(specs, engine)
 
     def _check_budget(self) -> None:
         if self.budget.soft_expired():

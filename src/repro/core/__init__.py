@@ -23,7 +23,6 @@ from .protocol import (
     FixedThresholds,
     TestExecutor,
     TestResult,
-    compile_test_battery,
 )
 from .single_fault import SingleFaultDiagnosis, SingleFaultProtocol
 from .syndrome import Syndrome, candidates_for_syndrome, count_explanations
@@ -44,7 +43,6 @@ __all__ = [
     "FixedThresholds",
     "TestExecutor",
     "TestResult",
-    "compile_test_battery",
     "SingleFaultDiagnosis",
     "SingleFaultProtocol",
     "Syndrome",

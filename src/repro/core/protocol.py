@@ -19,7 +19,7 @@ from typing import Protocol as TypingProtocol
 import numpy as np
 
 from ..sim.sampling import Counts, match_fraction
-from ..trap.machine import CompiledBattery, TestProgram, as_program
+from ..trap.machine import TestProgram, as_program
 from .cost import CostTracker
 from .tests_builder import TestSpec, build_test_circuit, expected_output
 
@@ -30,7 +30,6 @@ __all__ = [
     "TestResult",
     "TestExecutor",
     "DiagnosisReport",
-    "compile_test_battery",
     "execute_compiled_battery",
 ]
 
@@ -71,6 +70,7 @@ class MatchBackend(TypingProtocol):
         shots: int,
         trials: int = 1,
         realizations: int | None = None,
+        engine: str = "auto",
     ) -> np.ndarray:  # pragma: no cover - protocol definition
         """Run a round of tests: fidelities of shape ``(len(programs), trials)``."""
         ...
@@ -169,17 +169,22 @@ class TestExecutor:
         fidelity = match_fraction(counts, program.expected)
         return _judged([spec], [fidelity], self.thresholds, self.shots)[0]
 
-    def execute_round(self, specs: list[TestSpec]) -> list[TestResult]:
+    def execute_round(
+        self, specs: list[TestSpec], engine: str = "auto"
+    ) -> list[TestResult]:
         """Run a predetermined round (no adaptation between tests) in one
         ``run_battery`` pass: all noise drawn in spec order, then all
         shots sampled at once.  A one-spec round equals :meth:`execute`
-        bit for bit; specs without couplings draw nothing and pass."""
+        bit for bit; specs without couplings draw nothing and pass.
+        ``engine`` forces an evaluation path (``"xx"``/``"dense"``): the
+        scenario matrix runs one round through both engines."""
         run = [spec for spec in specs if spec.pairs]
         n, shots = self.machine.n_qubits, self.shots
         fidelities = self.machine.run_battery(
             [built_test(tuple(s.pairs), s.repetitions, n) for s in run],
             shots,
             realizations=self.shot_batch,
+            engine=engine,
         )
         for spec in run:
             self.cost.record_run(spec, shots)
@@ -220,68 +225,40 @@ def built_test(
     )
 
 
-def compile_test_battery(
-    n_qubits: int, specs: list[TestSpec], max_exact_qubits: int = 20
-):
-    """A :class:`~repro.trap.machine.CompiledBattery` of each spec's
-    :func:`built_test` program, for repeated evaluation against every
-    trial machine, calibration snapshot and sweep point.
-
-    An XX-only spec with a coupling component above ``max_exact_qubits``
-    (e.g. a class test at N = 44) compiles to a plan that samples that
-    component; such a battery runs on the XX route under ``"auto"``,
-    and ``engine="xx"`` refuses it.
-    """
-    items = [
-        built_test(tuple(spec.pairs), spec.repetitions, n_qubits)
-        for spec in specs
-    ]
-    return CompiledBattery(n_qubits, items, max_exact_qubits=max_exact_qubits)
-
-
 def execute_compiled_battery(
     machine,
     specs: list[TestSpec],
-    battery=None,
+    battery,
     thresholds: ThresholdPolicy | None = None,
     shots: int = 300,
     realizations: int | None = None,
-    engine: str = "auto",
 ) -> list[TestResult]:
-    """:meth:`TestExecutor.execute_round` on a compiled battery's plan
-    cache, which outlives the machine, and without a cost tracker.
+    """:meth:`TestExecutor.execute_round` of ``specs`` after checking that
+    ``battery`` holds their :func:`built_test` programs in order.
 
-    Pass a ``battery`` from :func:`compile_test_battery`, with tests in
-    ``specs`` order, to amortize compilation across trial machines
-    (Figs. 6/7); otherwise one is compiled on the fly.  ``engine``
-    forces an evaluation path (``"xx"``/``"dense"``) — the scenario
-    matrix runs one battery through both engines.
+    Kept for the benchmark's battery-compiled op, which passes the
+    programs :func:`~repro.analysis.experiments.scenarios.calibrate_cell`
+    returns; nothing in ``src/`` calls it.
     """
-    if battery is None:
-        battery = compile_test_battery(
-            machine.n_qubits, specs, max_exact_qubits=machine.max_exact_qubits
-        )
-    elif len(battery.tests) != len(specs):
+    if len(battery) != len(specs):
         raise ValueError(
-            f"battery holds {len(battery.tests)} tests for "
+            f"battery holds {len(battery)} tests for "
             f"{len(specs)} specs; compile it from this spec list"
         )
-    if thresholds is None:
-        thresholds = FixedThresholds()
-    indices = [index for index, spec in enumerate(specs) if spec.pairs]
-    for index in indices:
-        spec = specs[index]
-        if battery.tests[index] != built_test(
-            tuple(spec.pairs), spec.repetitions, machine.n_qubits
-        ):
+    n = machine.n_qubits
+    for index, (program, spec) in enumerate(zip(battery, specs)):
+        if spec.pairs and program != built_test(tuple(spec.pairs), spec.repetitions, n):
             raise ValueError(
                 f"battery test {index} does not match spec {spec.name!r}; "
                 "compile the battery from this spec list (same order)"
             )
-    fidelities = battery.fidelities(
-        machine, indices, shots, realizations=realizations, engine=engine
+    executor = TestExecutor(
+        machine,
+        FixedThresholds() if thresholds is None else thresholds,
+        shots,
+        realizations,
     )
-    return _judged(specs, fidelities[:, 0].tolist(), thresholds, shots)
+    return executor.execute_round(specs)
 
 
 @dataclass

@@ -58,7 +58,7 @@ the same per-element expressions in the same order as an apply-and-
 restore evolution, so results are bit-identical to it.  Realization
 rows are chunked to a byte budget.  Plans depend only on
 ``(n_qubits, skeleton)`` — they are machine-independent and meant to be
-cached across trials (see :class:`DensePlanCache`).
+cached across trials and machines (see :data:`PLAN_CACHE`).
 
 **Stacking.**  Every step acts per batch row, so the rows of several
 tests that share one canonical skeleton stack along the batch axis into
@@ -71,6 +71,8 @@ call on that row's plan.
 from __future__ import annotations
 
 import copy
+import os
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
@@ -88,6 +90,7 @@ __all__ = [
     "Blocks",
     "DensePlan",
     "DensePlanCache",
+    "PLAN_CACHE",
     "Segment",
     "Skeleton",
     "canonical_skeleton",
@@ -869,22 +872,18 @@ class DensePlan:
 class DensePlanCache:
     """Bounded LRU of :class:`DensePlan` objects keyed by skeleton.
 
-    One cache lives on each :class:`~repro.trap.machine.VirtualIonTrap`
-    (serving ``run``, ``run_match`` and executor rounds across a
-    diagnosis session) and one on each
-    :class:`~repro.trap.machine.CompiledBattery` (surviving across trial
-    machines).  The bound is an entry count — plans hold only index
-    tuples and a handful of fixed 4x4 matrices, so residency is tiny; the
-    cap is a guard against unbounded skeleton churn, not a byte budget.
+    One cache serves the whole process: :data:`PLAN_CACHE`, which every
+    :class:`~repro.trap.machine.VirtualIonTrap` evaluates on (``run``,
+    ``run_match`` and rounds alike), so a fresh machine finds the plans
+    an earlier machine compiled.  The bound is an entry count — plans
+    hold only index tuples and a handful of fixed 4x4 matrices, so
+    residency is tiny; the cap is a guard against unbounded skeleton
+    churn, not a byte budget.
 
     Cache keys are ``(n_qubits, skeleton)`` and nothing else: evaluation
     knobs (``max_batch_bytes``, shot counts, trial counts) never enter
     the key, so changing them between calls must never recompile.
-    ``evictions`` counts LRU drops since construction;
-    :meth:`take_invalidations` drains the count incrementally into the
-    ``MachineStats`` of whichever machine touches the cache next — exact
-    per-machine attribution on a machine-private cache, best-effort on
-    a battery cache shared across trial machines.
+    ``evictions`` counts LRU drops since construction.
 
     Raw-key misses consult a second, *structural* index keyed by the
     canonical (compacted) skeleton: skeletons that touch different
@@ -892,18 +891,20 @@ class DensePlanCache:
     test circuit shifted along the chain, the entire fig6/fig7 battery
     shape — reuse the donor's compiled core through
     :meth:`DensePlan.rebind` instead of recompiling.  ``rebinds`` counts
-    those cheap clones (drained per-machine via :meth:`take_rebinds`);
-    only true structural misses pay a full compile.
+    those cheap clones; only true structural misses pay a full compile.
+
+    :meth:`get` is not synchronized itself: callers that share a cache
+    across threads hold ``lock`` around it (and around reading the
+    counters they attribute to one lookup).
     """
 
     def __init__(self, max_plans: int = 256):
         if max_plans < 1:
             raise ValueError("cache must hold at least one plan")
         self.max_plans = max_plans
+        self.lock = threading.Lock()
         self.evictions = 0
         self.rebinds = 0
-        self._unclaimed_evictions = 0
-        self._unclaimed_rebinds = 0
         self._plans: OrderedDict[tuple[int, Skeleton], DensePlan] = (
             OrderedDict()
         )
@@ -928,7 +929,6 @@ class DensePlanCache:
             self._canonical.move_to_end(canonical)
             plan = donor.rebind(n_qubits, key[1])
             self.rebinds += 1
-            self._unclaimed_rebinds += 1
         else:
             plan = DensePlan(n_qubits, key[1])
             self._canonical[canonical] = plan
@@ -938,20 +938,23 @@ class DensePlanCache:
         while len(self._plans) > self.max_plans:
             self._plans.popitem(last=False)
             self.evictions += 1
-            self._unclaimed_evictions += 1
         return plan, False
-
-    def take_invalidations(self) -> int:
-        """Evictions since the last call (drained; see ``evictions``)."""
-        count = self._unclaimed_evictions
-        self._unclaimed_evictions = 0
-        return count
-
-    def take_rebinds(self) -> int:
-        """Structural rebinds since the last call (drained; see ``rebinds``)."""
-        count = self._unclaimed_rebinds
-        self._unclaimed_rebinds = 0
-        return count
 
     def __len__(self) -> int:
         return len(self._plans)
+
+
+#: The process-wide plan cache.  Plans depend only on ``(n_qubits,
+#: skeleton)``, so every machine, round and trial shares it; its lock
+#: guards lookups from concurrent threads (a timed-out round may leave
+#: its worker thread running beside the next one).
+PLAN_CACHE = DensePlanCache()
+
+
+def _reset_plan_lock() -> None:
+    """In a forked child, drop the lock state copied from the parent."""
+    PLAN_CACHE.lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_plan_lock)

@@ -19,7 +19,7 @@ from .faults import (
     Unitarity,
     classify_fault,
 )
-from .machine import CompiledBattery, MachineStats, TestProgram, VirtualIonTrap
+from .machine import MachineStats, TestProgram, VirtualIonTrap
 from .timing import TimingModel
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "classify_fault",
     "MachineStats",
     "VirtualIonTrap",
-    "CompiledBattery",
     "TestProgram",
     "TimingModel",
 ]

@@ -82,7 +82,7 @@ class CalibrationState:
         """True if any coupling carries a drive-phase miscalibration.
 
         The engine-dispatch predicate: phase-offset MS realizations fall
-        off the XX form, so compiled batteries must take the dense path
+        off the XX form, so battery rounds must take the dense path
         even when the stochastic noise itself is XX-preserving.
         """
         return bool(self.phase_offsets.any())

@@ -44,11 +44,11 @@ applies (any size: the plan samples a component above
 ``max_exact_qubits``), through its dense layout otherwise (MS slots
 under non-XX-preserving noise, drive phases off the pi grid, non-XX
 gates).  Every dense draw waits for its plan core, contracted once for
-all tests sharing its canonical skeleton.  Then one binomial draw
+all tests sharing its canonical skeleton, on the process-wide
+:data:`~repro.sim.dense_plan.PLAN_CACHE`.  Then one binomial draw
 samples every test's shots.  ``run_match`` is the pass's one-program
-case, returning counts, and a :class:`CompiledBattery` runs its programs
-through the pass with its own plan cache, which outlives any one
-machine.  ``_realize_slots`` builds the same draws as
+case, returning counts; a battery is a list of programs run as one
+pass.  ``_realize_slots`` builds the same draws as
 :class:`RealizedSlot` objects: it serves ``run`` and is the oracle the
 pass is tested against, bit for bit.
 
@@ -74,10 +74,10 @@ from ..sim.sampling import (
     sample_bernoulli_counts_batch,
     sample_counts_from_probs,
 )
+from ..sim import dense_plan
 from ..sim.dense_plan import (
     Blocks,
     DensePlan,
-    DensePlanCache,
     Segment,
     Skeleton,
     canonical_skeleton,
@@ -97,7 +97,6 @@ __all__ = [
     "RealizedSlot",
     "TestProgram",
     "VirtualIonTrap",
-    "CompiledBattery",
     "as_program",
 ]
 
@@ -123,11 +122,11 @@ class MachineStats:
     """Usage counters for cost accounting and plan-cache introspection.
 
     ``dense_plan_builds``/``dense_plan_hits`` count dense-plan compilations
-    vs. cache reuses of every dense evaluation on this machine, whichever
-    cache served it: the machine's own (``run``, ``run_match`` and
-    :meth:`VirtualIonTrap.run_battery` by default) or a
-    :class:`CompiledBattery`'s — a warm trial loop should stop
-    accumulating builds after its first pass.
+    vs. cache reuses of every dense evaluation on this machine.  Every
+    machine shares the process-wide
+    :data:`~repro.sim.dense_plan.PLAN_CACHE`, so these counters say what
+    this machine's lookups found there: a fresh machine on a round an
+    earlier machine ran reads no builds.  They never move values.
     """
 
     circuit_runs: int = 0
@@ -140,7 +139,8 @@ class MachineStats:
     #: compiled core (see :meth:`~repro.sim.dense_plan.DensePlan.rebind`)
     #: — skeletons shifted along the chain share one compile.
     dense_plan_rebinds: int = 0
-    #: Cached plans dropped by LRU eviction (cache churn).  A stable
+    #: Cached plans dropped by LRU eviction during this machine's
+    #: lookups (cache churn).  A stable
     #: workload — including one that only changes evaluation knobs like
     #: ``max_batch_bytes`` between calls — must keep this at zero;
     #: plans are keyed by slot skeleton alone, never by batch budgets.
@@ -202,7 +202,6 @@ class VirtualIonTrap:
         self.noise_model = GateNoiseModel(self.n_qubits, self.noise, self.rng)
         self.stats = MachineStats()
         self._clock = 0.0
-        self._dense_plans = DensePlanCache()
 
     # -- fault injection ----------------------------------------------------------
 
@@ -260,7 +259,7 @@ class VirtualIonTrap:
         ``test`` is a :class:`TestProgram` (``expected`` must be its own)
         or a bare nominal circuit, wrapped once per structure by
         :func:`as_program`.  This is the one-program case of
-        :meth:`run_battery`, on the machine's own plan cache: the same
+        :meth:`run_battery`: the same
         draw and evaluation, then every realization group's shots drawn
         with a single multi-group binomial call.  Returned counts lump
         all mismatches into a single placeholder state.
@@ -292,7 +291,6 @@ class VirtualIonTrap:
         trials: int = 1,
         realizations: int | None = None,
         engine: str = "auto",
-        plans: DensePlanCache | None = None,
     ) -> np.ndarray:
         """Measured fidelities of ``programs``: shape ``(len(programs), trials)``.
 
@@ -300,10 +298,10 @@ class VirtualIonTrap:
         route is checked before anything is drawn, each program's
         ``trials`` x realization-group batch is drawn in list order (see
         :meth:`_pass_probabilities`), and the shots of every (test,
-        trial, group) are sampled with one binomial draw.  ``plans`` is
-        the dense-plan cache to evaluate on, the machine's own by
-        default; a :class:`CompiledBattery` passes its own, which
-        outlives the machine.
+        trial, group) are sampled with one binomial draw.  Dense plans
+        come from the process-wide
+        :data:`~repro.sim.dense_plan.PLAN_CACHE`.  A battery (Figs. 6/7,
+        the scenario matrix) is one such pass per machine.
 
         ``engine`` selects the evaluation path: ``"auto"`` takes the XX
         route wherever it applies, ``"dense"`` forces the dense plan even
@@ -313,9 +311,46 @@ class VirtualIonTrap:
         any of the programs or would sample one of their components.
         """
         groups, probs = self._pass_probabilities(
-            programs, shots, trials, realizations, engine, plans
+            programs, shots, trials, realizations, engine
         )
         return self._sample_fidelities(programs, probs, shots, groups)
+
+    def sweep_fidelities(
+        self,
+        program: "TestProgram",
+        pair: Pair | tuple[int, int],
+        magnitudes: np.ndarray,
+        shots: int,
+        trials: int,
+        realizations: int | None = None,
+    ) -> np.ndarray:
+        """Fidelities of a magnitude sweep of one test: shape ``(M, trials)``.
+
+        Each magnitude replaces ``pair``'s under-rotation, and every
+        sweep point reuses the same noise draws, so the whole ``(M,
+        trials, groups)`` grid costs one stacked contraction plus one
+        binomial draw (Fig. 8).  Sweeps run on the XX route only.
+        """
+        if program.circuit.n_qubits != self.n_qubits:
+            raise ValueError(
+                f"program is on {program.circuit.n_qubits} qubits, "
+                f"machine has {self.n_qubits}"
+            )
+        xx = program.xx(self.max_exact_qubits)
+        mags = np.asarray(magnitudes, dtype=np.float64)
+        angles = self._xx_slot_angles(xx, sweep=(pair, mags))
+        if angles is None:
+            raise ValueError(
+                "magnitude sweeps require XX-preserving noise, an "
+                "XX-compilable test and drive phases on the pi grid "
+                "(amplitude noise only); run the dense setting per "
+                "magnitude point via run_battery"
+            )
+        groups = np.asarray(self._shot_groups(shots, realizations), dtype=np.int64)
+        probs = self._xx_probabilities(xx, angles, trials * len(groups)).reshape(
+            mags.size, trials, len(groups)
+        )
+        return self._sample_fidelities([program], probs, shots, groups)
 
     # -- internals ---------------------------------------------------------------------
 
@@ -326,7 +361,6 @@ class VirtualIonTrap:
         trials: int = 1,
         realizations: int | None = None,
         engine: str = "auto",
-        plans: DensePlanCache | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """A pass's shot groups and ``(tests, trials, groups)`` match probabilities.
 
@@ -380,7 +414,7 @@ class VirtualIonTrap:
             if not test.skeleton:
                 probs[row] = 1.0 if program.expected == 0 else 0.0
                 continue
-            plan = self._dense_plan_for(test.skeleton, plans)
+            plan = self._dense_plan_for(test.skeleton)
             stacks.setdefault(test.canonical, []).append(
                 (row, Segment(plan, program.expected, n_batch), blocks)
             )
@@ -420,10 +454,15 @@ class VirtualIonTrap:
 
         Row ``r`` belongs to ``programs[r]``, or every row to the one
         program when ``programs`` holds one (a magnitude sweep).
+        Probabilities outside ``[0, 1]`` by more than rounding raise
+        ``ValueError`` before anything is drawn, as on ``run_match``.
         """
         if not programs:
             return np.empty((0, probs.shape[1]))
-        p = np.clip(probs * self._spam_factors(programs)[:, None, None], 0.0, 1.0)
+        p = probs * self._spam_factors(programs)[:, None, None]
+        if p.size and (p.min() < -1e-9 or p.max() > 1.0 + 1e-9):
+            raise ValueError("match probabilities outside [0, 1]")
+        p = np.clip(p, 0.0, 1.0)
         matches = self.rng.binomial(np.broadcast_to(groups, p.shape), p)
         runs = p.shape[0] * p.shape[1] // len(programs)
         for program in programs:
@@ -672,28 +711,31 @@ class VirtualIonTrap:
         self._clock += n_batch * n_ms * gate_dt
         return blocks
 
-    def _dense_plan_for(
-        self, skeleton: Skeleton, plans: DensePlanCache | None = None
-    ) -> DensePlan:
+    def _dense_plan_for(self, skeleton: Skeleton) -> DensePlan:
         """The compiled :class:`~repro.sim.dense_plan.DensePlan` for a skeleton.
 
-        Plans are cached keyed by the slot skeleton, in ``plans`` or the
-        machine's own cache, so repeated executions of one nominal
-        circuit (a diagnosis loop, a trial sweep) compile the
-        compaction, permutations and fused apply groups once.
-        Build/hit/rebind counters land in :class:`MachineStats`.  A plan
-        above :data:`~repro.sim.statevector.MAX_DENSE_QUBITS` raises
+        Plans are cached keyed by the slot skeleton in the process-wide
+        :data:`~repro.sim.dense_plan.PLAN_CACHE`, so every execution of
+        one nominal circuit (a diagnosis loop, a trial sweep, machine
+        after machine) compiles the compaction, permutations and fused
+        apply groups once.  The lookup and its build/hit/rebind/eviction
+        counts are read under the cache lock and land in
+        :class:`MachineStats`.  A plan above
+        :data:`~repro.sim.statevector.MAX_DENSE_QUBITS` raises
         ``ValueError``: only the XX route evaluates larger tests.
         """
-        plans = self._dense_plans if plans is None else plans
-        plan, hit = plans.get(self.n_qubits, skeleton)
-        rebinds = plans.take_rebinds()
-        self.stats.dense_plan_rebinds += rebinds
+        cache = dense_plan.PLAN_CACHE
+        with cache.lock:
+            rebinds, evictions = cache.rebinds, cache.evictions
+            plan, hit = cache.get(self.n_qubits, skeleton)
+            rebound = cache.rebinds - rebinds
+            evicted = cache.evictions - evictions
+        self.stats.dense_plan_rebinds += rebound
         if hit:
             self.stats.dense_plan_hits += 1
-        elif not rebinds:
+        elif not rebound:
             self.stats.dense_plan_builds += 1
-        self.stats.dense_plan_invalidations += plans.take_invalidations()
+        self.stats.dense_plan_invalidations += evicted
         if plan.n_local > MAX_DENSE_QUBITS:
             raise ValueError(
                 f"circuit touches {plan.n_local} qubits; the dense route "
@@ -742,112 +784,19 @@ class VirtualIonTrap:
             self.timing.circuit_run_time(n2q, self.n_qubits, shots) * runs
         )
 
-    # -- compiled batteries ----------------------------------------------------------
-
-    def compile_battery(
-        self, items: list[tuple[Circuit, int]]
-    ) -> "CompiledBattery":
-        """Compile ``(circuit, expected)`` tests against this machine's limits.
-
-        The returned battery is machine-independent (it caches only
-        circuit-static structure); this convenience simply threads the
-        machine's ``max_exact_qubits`` into compilation.
-        """
-        return CompiledBattery(
-            self.n_qubits, items, max_exact_qubits=self.max_exact_qubits
-        )
-
 
 class CompiledBattery:
-    """A test battery run through the machine's one evaluation route.
+    """Compatibility shim for the benchmark's tracer; nothing in ``src/`` uses it.
 
-    The paper compiles its non-adaptive battery once and runs it over
-    and over (Secs. VI/VII).  A ``CompiledBattery`` holds each test's
-    :class:`TestProgram`, with its XX entry resolved at construction,
-    and a :class:`~repro.sim.dense_plan.DensePlanCache` that survives
-    across trial machines.  Every evaluation is a
-    :meth:`VirtualIonTrap.run_battery` pass on that cache:
-    :meth:`fidelities` over any of its tests, :meth:`trial_fidelities`
-    over one, and :meth:`sweep_fidelities`, a magnitude sweep of one
-    test as one stacked XX contraction.
-
-    Batteries are machine-independent: one battery serves many machines,
-    calibration snapshots and sweep points.
-
-    Parameters
-    ----------
-    n_qubits:
-        Register width shared by all tests.
-    items:
-        :class:`TestProgram` objects or ``(circuit, expected_bitstring)``
-        pairs, which are wrapped by :func:`as_program`.
-    max_exact_qubits:
-        Largest coupling component compiled exactly; the plan of an
-        XX-only test with a bigger one samples it, so such a test runs
-        on the XX route but not under ``engine="xx"``.
+    A battery is a list of :class:`TestProgram` objects run as one
+    :meth:`VirtualIonTrap.run_battery` pass.  ``perfbench/layers.py``
+    still resolves :meth:`trial_fidelities` by name, so this class holds
+    programs and delegates that one method to the pass; it keeps no
+    cache.
     """
 
-    def __init__(
-        self,
-        n_qubits: int,
-        items: list["TestProgram | tuple[Circuit, int]"],
-        max_exact_qubits: int = 20,
-    ):
-        # An empty battery is a legitimate degenerate (every coupling
-        # excluded, e.g. after a diagnosis session exhausts the relevant
-        # set): it compiles to no tests and executes as a no-op.
-        self.n_qubits = n_qubits
-        self.max_exact_qubits = max_exact_qubits
-        self.tests = [self._compile(item) for item in items]
-        self._dense_plans = DensePlanCache()
-
-    def _compile(self, item: TestProgram | tuple[Circuit, int]) -> TestProgram:
-        """One item as a :class:`TestProgram`, its XX entry resolved once."""
-        program = item if isinstance(item, TestProgram) else as_program(*item)
-        if program.circuit.n_qubits != self.n_qubits:
-            raise ValueError(
-                f"circuit is on {program.circuit.n_qubits} qubits, "
-                f"battery on {self.n_qubits}"
-            )
-        program.xx(self.max_exact_qubits)
-        return program
-
-    # -- machine-facing evaluation ---------------------------------------------
-
-    def xx_eligible(self, machine: VirtualIonTrap, index: int) -> bool:
-        """True when test ``index`` runs on the XX route.
-
-        Requires an XX structure, XX-preserving stochastic noise (or no
-        MS slot) and realized drive phases on the pi grid: a coupling's
-        drive-phase offset off that grid moves realizations off the XX
-        form even under amplitude-only noise.
-        """
-        xx = self.tests[index].xx(machine.max_exact_qubits)
-        return machine._xx_slot_angles(xx) is not None
-
-    def fidelities(
-        self,
-        machine: VirtualIonTrap,
-        indices: list[int],
-        shots: int,
-        trials: int = 1,
-        realizations: int | None = None,
-        engine: str = "auto",
-    ) -> np.ndarray:
-        """Measured fidelities of tests ``indices``: ``(len(indices), trials)``.
-
-        One :meth:`VirtualIonTrap.run_battery` pass over the requested
-        tests, in ``indices`` order, on the battery's plan cache (see
-        there for ``engine``).
-        """
-        return machine.run_battery(
-            [self.tests[index] for index in indices],
-            shots,
-            trials,
-            realizations,
-            engine,
-            self._dense_plans,
-        )
+    def __init__(self, tests: list["TestProgram"]):
+        self.tests = list(tests)
 
     def trial_fidelities(
         self,
@@ -858,56 +807,10 @@ class CompiledBattery:
         realizations: int | None = None,
         engine: str = "auto",
     ) -> np.ndarray:
-        """Measured fidelities of ``trials`` repeated runs of one test.
-
-        The one-test pass of :meth:`fidelities`: all trials'
-        noise-realization groups are drawn and evaluated in one batch,
-        then sampled with one binomial draw.
-        """
-        return self.fidelities(
-            machine, [index], shots, trials, realizations, engine
+        """``machine.run_battery`` over test ``index`` alone: ``(trials,)``."""
+        return machine.run_battery(
+            [self.tests[index]], shots, trials, realizations, engine
         )[0]
-
-    def sweep_fidelities(
-        self,
-        machine: VirtualIonTrap,
-        index: int,
-        pair: Pair | tuple[int, int],
-        magnitudes: np.ndarray,
-        shots: int,
-        trials: int,
-        realizations: int | None = None,
-    ) -> np.ndarray:
-        """Fidelities of a magnitude sweep: shape ``(M, trials)``.
-
-        Each magnitude replaces ``pair``'s under-rotation, and every
-        sweep point reuses the same noise draws, so the whole ``(M,
-        trials, groups)`` grid costs one stacked contraction plus the
-        pass's one binomial draw.  Sweeps run on the XX route only.
-        """
-        if machine.n_qubits != self.n_qubits:
-            raise ValueError(
-                f"machine has {machine.n_qubits} qubits, "
-                f"battery compiled for {self.n_qubits}"
-            )
-        program = self.tests[index]
-        xx = program.xx(machine.max_exact_qubits)
-        mags = np.asarray(magnitudes, dtype=np.float64)
-        angles = machine._xx_slot_angles(xx, sweep=(pair, mags))
-        if angles is None:
-            raise ValueError(
-                "magnitude sweeps require XX-preserving noise, an "
-                "XX-compilable test and drive phases on the pi grid "
-                "(amplitude noise only); run the dense setting per "
-                "magnitude point via trial_fidelities"
-            )
-        groups = np.asarray(
-            machine._shot_groups(shots, realizations), dtype=np.int64
-        )
-        probs = machine._xx_probabilities(
-            xx, angles, trials * len(groups)
-        ).reshape(mags.size, trials, len(groups))
-        return machine._sample_fidelities([program], probs, shots, groups)
 
 
 #: Programs wrapped per process by :func:`as_program` (least recently

@@ -77,3 +77,18 @@ def resident_bytes():
         return 0
 
     return walk
+
+
+@pytest.fixture
+def fresh_plan_cache(monkeypatch):
+    """An empty process-wide dense-plan cache for one test.
+
+    Machines share :data:`repro.sim.dense_plan.PLAN_CACHE`, so their
+    build/rebind counters depend on what ran before in the process; a
+    test that asserts those counts starts from this fresh cache.
+    """
+    from repro.sim import dense_plan
+
+    cache = dense_plan.DensePlanCache()
+    monkeypatch.setattr(dense_plan, "PLAN_CACHE", cache)
+    return cache

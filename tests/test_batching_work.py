@@ -6,7 +6,7 @@ noise model, so the compiled route's advantage comes from exactly four
 mechanisms: trial stacking (one noise draw and one kernel call per test
 for all trials x realization groups), test stacking (a battery pass
 contracts every test sharing a plan core in one kernel call), plan
-reuse (the battery's plan cache plus canonical rebinds across one
+reuse (the process-wide plan cache plus canonical rebinds across one
 family's tests) and fusion (adjacent slots on at most two qubits
 collapse into one application).  These tests count each of them on the
 Fig. 6 / Fig. 7 workload shapes, so a regression in any one fails
@@ -22,12 +22,7 @@ from repro.analysis.detection import CalibratedThresholds
 from repro.arena.budget import TimeBudget
 from repro.arena.diagnosers import BatteryDiagnoser, DiagnoserContext
 from repro.core import multi_fault
-from repro.core.protocol import (
-    FixedThresholds,
-    built_test,
-    compile_test_battery,
-    execute_compiled_battery,
-)
+from repro.core.protocol import FixedThresholds, built_test
 from repro.core.protocol import TestExecutor as Executor
 from repro.noise.models import GateNoiseModel, NoiseParameters
 from repro.noise.spam import SpamModel
@@ -43,11 +38,13 @@ SEC6_NOISE = NoiseParameters(
 
 
 @pytest.fixture
-def work(monkeypatch):
+def work(monkeypatch, fresh_plan_cache):
     """Count MS noise draws, plan compiles and kernel calls.
 
     ``draws`` holds the batch width of every MS block drawn and
-    ``plans`` every plan a kernel call ran, one entry per call.
+    ``plans`` every plan a kernel call ran, one entry per call.  Plans
+    compile into a fresh process cache, so the counts do not depend on
+    what ran earlier.
     """
     tally = {"draws": [], "plans": [], "compiles": 0}
     draw = GateNoiseModel.noisy_ms_params_block
@@ -86,9 +83,9 @@ def test_fig7_battery_stacks_trials_into_one_draw_per_test(work):
 
     The Fig. 7 threshold-calibration shape: every test of the
     2/4/8-repetition families runs 24 trials of 4 realization groups.
-    A per-trial loop draws and evaluates 30 x 24 = 720 times; the
-    compiled battery draws each test's 96 rows at once, calls the
-    kernel once per test and compiles one plan per family (the other
+    A per-trial loop draws and evaluates 30 x 24 = 720 times; a
+    one-test pass of all trials draws each test's 96 rows at once, calls
+    the kernel once per test and compiles one plan per family (the other
     nine tests of a family rebind it).
     """
     trials, groups = 24, 4
@@ -98,12 +95,10 @@ def test_fig7_battery_stacks_trials_into_one_draw_per_test(work):
     n_tests = 0
     for repetitions in (2, 4, 8):
         specs = battery_specs(N_QUBITS, repetitions)
-        battery = compile_test_battery(N_QUBITS, specs)
-        for index in range(len(specs)):
-            fidelities = battery.trial_fidelities(
-                machine, index, 200, trials=trials
-            )
-            assert fidelities.shape == (trials,)
+        for spec in specs:
+            program = built_test(tuple(spec.pairs), spec.repetitions, N_QUBITS)
+            fidelities = machine.run_battery([program], 200, trials=trials)
+            assert fidelities.shape == (1, trials)
         n_tests += len(specs)
     assert n_tests == 30
     assert work["draws"] == [trials * groups] * n_tests
@@ -114,11 +109,11 @@ def test_fig7_battery_stacks_trials_into_one_draw_per_test(work):
 
 
 def test_fig7_per_trial_executor_draws_once_per_trial(work):
-    """The loop a compiled battery replaces: one draw per trial.
+    """The loop a stacked pass replaces: one draw per trial.
 
     A ``TestExecutor`` runs one trial per call, so the 2-repetition
     family's 10 tests x 24 trials make 240 draws of 4 rows and 240
-    kernel calls, where the compiled battery makes 10 of each (the 24x
+    kernel calls, where one pass per test makes 10 of each (the 24x
     that trial stacking removes).  Plan reuse and fusion hold on this
     route too: the machine compiles one plan and rebinds it for the
     family's other nine tests.
@@ -143,13 +138,13 @@ def test_fig7_per_trial_executor_draws_once_per_trial(work):
 
 
 def test_fig6_warm_batteries_compile_once_across_machines(work):
-    """Six fresh machines, two warm batteries: 120 draws, 12 kernel calls.
+    """Six fresh machines, two battery rounds each: 120 draws, 12 kernel calls.
 
-    The validate/service pattern: the paper's two Fig. 6 batteries are
-    compiled once and diagnose six fresh seeded machines.  A plan per
-    evaluation would compile 120 times; the batteries' plan caches
-    compile one plan per depth, rebind it for the other nine tests and
-    serve every later machine from the cache.  Each battery pass draws
+    The validate/service pattern: the paper's two Fig. 6 batteries
+    diagnose six fresh seeded machines.  A plan per evaluation would
+    compile 120 times; the process plan cache compiles one plan per
+    depth, rebinds it for the other nine tests and serves every later
+    machine.  Each battery pass draws
     its ten tests one by one but contracts them in one stacked call on
     their shared plan core: one call per machine and depth.
     """
@@ -160,19 +155,15 @@ def test_fig6_warm_batteries_compile_once_across_machines(work):
         spam=SpamModel(0.005, 0.005),
     )
     thresholds = FixedThresholds(by_repetitions=((2, 0.45), (4, 0.25)))
-    batteries = [
-        (specs, compile_test_battery(N_QUBITS, specs))
-        for specs in (battery_specs(N_QUBITS, r) for r in (2, 4))
-    ]
+    batteries = [battery_specs(N_QUBITS, r) for r in (2, 4)]
     hits = rebinds = 0
     for replicate in range(6):
         machine = VirtualIonTrap(N_QUBITS, noise=noise, seed=100 + replicate)
         machine.inject_fault(CouplingFault(frozenset({0, 4}), 0.47))
         machine.inject_fault(CouplingFault(frozenset({0, 7}), 0.22))
-        for specs, battery in batteries:
-            results = execute_compiled_battery(
-                machine, specs, battery=battery, thresholds=thresholds, shots=300
-            )
+        executor = Executor(machine, thresholds=thresholds, shots=300)
+        for specs in batteries:
+            results = executor.execute_round(specs)
             assert len(results) == len(specs)
         hits += machine.stats.dense_plan_hits
         rebinds += machine.stats.dense_plan_rebinds
@@ -204,7 +195,7 @@ def test_battery_diagnoser_samples_once_per_round(work):
     The arena's battery diagnoser runs the 2- and 4-repetition batteries
     as two rounds on a fresh Sec. VI machine.  Each round draws its
     tests in order (one MS block per test), contracts each canonical
-    skeleton once on the machine's own plan cache and samples every
+    skeleton once on the process plan cache and samples every
     test's shots with one binomial draw, where a loop over the tests
     draws a binomial and calls the kernel once per test.
     """

@@ -1,6 +1,6 @@
 """A battery pass draws every test in order, stacks each plan core, samples once.
 
-:meth:`~repro.trap.machine.CompiledBattery.fidelities` evaluates many
+:meth:`~repro.trap.machine.VirtualIonTrap.run_battery` evaluates many
 tests of one battery on one machine in a single pass.  Two properties
 carry it:
 
@@ -9,22 +9,22 @@ carry it:
 * the pass equals an oracle built from the per-call slot path: every
   test realized in order by ``_realize_slots`` and evaluated on its own
   plan, then one binomial draw over every (test, trial, group).  That
-  holds for a compiled battery on its own plan cache and for
-  ``TestExecutor.execute_round`` on the machine's.
+  holds for ``run_battery`` and for ``TestExecutor.execute_round``.
 
 Both are compared with ``==``; machine clock, RNG state and
-:class:`~repro.trap.machine.MachineStats` must match too.
+:class:`~repro.trap.machine.MachineStats` must match too (the pass on a
+fresh process plan cache, the oracle on its own).
 """
 
 import math
 
 import numpy as np
 import pytest
-from xx_oracle import match_probabilities_slots, slots_xx_only
+from xx_oracle import match_probabilities_slots, plan_cache, slots_xx_only
 
 from repro.core.multi_fault import battery_specs
 from repro.core.protocol import TestExecutor as Executor
-from repro.core.protocol import built_test, execute_compiled_battery
+from repro.core.protocol import built_test
 from repro.core.tests_builder import TestSpec as Spec
 from repro.noise.models import NoiseParameters
 from repro.noise.spam import SpamModel
@@ -32,7 +32,6 @@ from repro.sim.circuit import Circuit
 from repro.sim.dense_plan import DensePlanCache, Segment
 from repro.trap.faults import CouplingFault, CouplingPhaseFault
 from repro.trap.machine import (
-    CompiledBattery,
     MachineStats,
     VirtualIonTrap,
     _skeleton,
@@ -141,24 +140,23 @@ def test_stacked_probabilities_refuse_foreign_segments():
 # -- the pass -------------------------------------------------------------------
 
 
-def _oracle_pass(battery, plans, machine, indices, shots, trials):
+def _oracle_pass(programs, plans, machine, shots, trials):
     """Each test realized in order on the slot path, then one binomial.
 
-    Dense plans come from ``plans``, a cache standing in for the
-    battery's own.
+    Dense plans come from ``plans``, the oracle's own cache.
     """
     groups = np.asarray(machine._shot_groups(shots), dtype=np.int64)
     n_batch = trials * len(groups)
     probs = []
-    for index in indices:
-        program = battery.tests[index]
+    for program in programs:
         slots = machine._realize_slots(program.circuit, n_batch)
         if slots_xx_only(slots):
             probs.append(
                 match_probabilities_slots(machine, slots, program.expected)
             )
             continue
-        plan = machine._dense_plan_for(_skeleton(slots), plans)
+        with plan_cache(plans):
+            plan = machine._dense_plan_for(_skeleton(slots))
         probs.append(
             plan.probabilities(
                 slot_blocks(slots), program.expected, machine.max_batch_bytes
@@ -167,19 +165,17 @@ def _oracle_pass(battery, plans, machine, indices, shots, trials):
     spam = machine.noise.spam
     factors = np.array(
         [
-            spam.match_probability_factor(
-                battery.tests[index].expected, machine.n_qubits
-            )
+            spam.match_probability_factor(program.expected, machine.n_qubits)
             if spam is not None
             else 1.0
-            for index in indices
+            for program in programs
         ]
     )
-    p = np.array(probs).reshape(len(indices), trials, len(groups))
+    p = np.array(probs).reshape(len(programs), trials, len(groups))
     p = np.clip(p * factors[:, None, None], 0.0, 1.0)
     matches = machine.rng.binomial(np.broadcast_to(groups, p.shape), p)
-    for index in indices:
-        n2q = battery.tests[index].n_two_qubit
+    for program in programs:
+        n2q = program.n_two_qubit
         machine.stats.circuit_runs += trials
         machine.stats.shots += trials * shots
         machine.stats.two_qubit_gates += n2q * shots * trials
@@ -208,21 +204,23 @@ PASS_CASES = {
 }
 
 
-#: The same cases as rounds: ``TestExecutor.execute_round`` on the
-#: machine's own plan cache, one trial per test.
+#: The same cases as rounds: ``TestExecutor.execute_round``, one trial
+#: per test.
 ROUND_CASES = [f"{case}-round" for case in sorted(PASS_CASES)]
 
 
 @pytest.mark.parametrize("case", sorted(PASS_CASES) + ROUND_CASES)
-def test_pass_equals_in_order_oracle(case):
+def test_pass_equals_in_order_oracle(case, fresh_plan_cache):
     by_round = case.endswith("-round")
     case = case.removesuffix("-round")
     n_qubits, noise, faults = PASS_CASES[case]
     specs = battery_specs(n_qubits, 2) + battery_specs(n_qubits, 4)
     programs = _programs(n_qubits, 2) + _programs(n_qubits, 4)
-    battery = CompiledBattery(n_qubits, programs)
     compiled, oracle = _twins(n_qubits, noise, faults, noise_realizations=3)
-    routes = {battery.xx_eligible(compiled, i) for i in range(len(programs))}
+    routes = {
+        compiled._xx_slot_angles(program.xx(compiled.max_exact_qubits)) is not None
+        for program in programs
+    }
     assert routes == {"sec6": {False}, "xx-preserving": {True}}.get(
         case, {False, True}
     )
@@ -235,8 +233,8 @@ def test_pass_equals_in_order_oracle(case):
             results = executor.execute_round([specs[i] for i in indices])
             fids = np.array([[r.fidelity] for r in results])
         else:
-            fids = battery.fidelities(compiled, indices, 60, trials=2)
-        ref = _oracle_pass(battery, plans, oracle, indices, 60, trials)
+            fids = compiled.run_battery([programs[i] for i in indices], 60, 2)
+        ref = _oracle_pass([programs[i] for i in indices], plans, oracle, 60, trials)
         assert fids.shape == (len(indices), trials)
         assert (fids == ref).all()
         _assert_same_machine_state(compiled, oracle)
@@ -247,28 +245,28 @@ def test_pass_equals_in_order_oracle(case):
 def test_xx_refusal_draws_nothing():
     """A dense-only test last in the pass: the refusal comes first."""
     dense_only = as_program(Circuit(8).ms(0, 1, math.pi / 2).r(2, 0.4, 0.3), 0)
-    battery = CompiledBattery(8, _programs(8, 2) + [dense_only])
+    battery = _programs(8, 2) + [dense_only]
     machine = VirtualIonTrap(8, noise=AMPLITUDE, seed=3)
     state = machine.rng.bit_generator.state
-    everything = list(range(len(battery.tests)))
     with pytest.raises(ValueError, match="engine='xx'"):
-        battery.fidelities(machine, everything, 100, engine="xx")
+        machine.run_battery(battery, 100, engine="xx")
     assert machine.rng.bit_generator.state == state
     assert machine._clock == 0.0
     assert machine.stats == MachineStats()
     # The same pass on the automatic route does draw.
-    battery.fidelities(machine, everything, 100)
+    machine.run_battery(battery, 100)
     assert machine.rng.bit_generator.state != state
 
 
-def test_empty_specs_draw_nothing():
+def test_empty_specs_draw_nothing(fresh_plan_cache):
     specs = battery_specs(8, 2)
     empty = Spec("empty", (), 2)
     compiled, oracle = _twins(8, SEC6)
-    results = execute_compiled_battery(
-        compiled, [specs[0], empty, specs[1]], shots=100
+    results = Executor(compiled, shots=100).execute_round(
+        [specs[0], empty, specs[1]]
     )
-    reference = execute_compiled_battery(oracle, specs[:2], shots=100)
+    with plan_cache(DensePlanCache()):
+        reference = Executor(oracle, shots=100).execute_round(specs[:2])
     assert results[1].fidelity == 1.0
     assert [results[0].fidelity, results[2].fidelity] == [
         r.fidelity for r in reference
@@ -276,7 +274,7 @@ def test_empty_specs_draw_nothing():
     _assert_same_machine_state(compiled, oracle)
     state = compiled.rng.bit_generator.state
     clock = compiled._clock
-    only = execute_compiled_battery(compiled, [empty, empty], shots=100)
+    only = Executor(compiled, shots=100).execute_round([empty, empty])
     assert [r.fidelity for r in only] == [1.0, 1.0]
     assert compiled.rng.bit_generator.state == state
     assert compiled._clock == clock

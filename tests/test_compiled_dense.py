@@ -5,11 +5,12 @@ into the dense layout a :class:`TestProgram` holds instead of realizing
 slot objects per call; battery tests the XX route
 takes run through ``run_match``'s XX draw.  The oracle is the per-call
 path: ``_realize_slots`` followed by a :class:`DensePlan` resolved
-through a plan cache (or ``xx_oracle``'s slot XX path when a draw stays
-X-diagonal, where the compiled route takes the XX entry).  On twin
-same-seed machines both must return ``==``-equal probabilities and
-counts, and leave the same clock, RNG state and
-:class:`MachineStats`, first pass of a fresh battery included.
+through the oracle's own plan cache (or ``xx_oracle``'s slot XX path
+when a draw stays X-diagonal, where the compiled route takes the XX
+entry).  On twin same-seed machines, the compiled one on a fresh process
+cache, both must return ``==``-equal probabilities and counts, and
+leave the same clock, RNG state and :class:`MachineStats`, first pass
+of a fresh battery included.
 """
 
 import math
@@ -19,6 +20,7 @@ import pytest
 from xx_oracle import (
     dense_match_probabilities_slots,
     match_probabilities_slots,
+    plan_cache,
     slots_xx_only,
 )
 
@@ -27,17 +29,17 @@ from repro.core.tests_builder import TestSpec as Spec
 from repro.core.tests_builder import build_test_circuit, expected_output
 from repro.noise.models import GateNoiseModel, NoiseParameters
 from repro.noise.one_over_f import OneOverFProcess
+from repro.sim import dense_plan
 from repro.sim.circuit import Circuit
-from repro.sim.dense_plan import DensePlan
+from repro.sim.dense_plan import DensePlan, DensePlanCache
 from repro.sim.sampling import sample_bernoulli_counts_batch
 from repro.trap import machine as machine_mod
 from repro.trap.faults import CouplingFault, CouplingPhaseFault
-from repro.trap.machine import (
-    CompiledBattery,
-    VirtualIonTrap,
-    as_program,
-    slot_blocks,
-)
+from repro.trap.machine import VirtualIonTrap, as_program, slot_blocks
+
+#: Compiled twins start from an empty process plan cache, as their
+#: oracle twins start from an empty cache of their own.
+pytestmark = pytest.mark.usefixtures("fresh_plan_cache")
 
 N = 6
 
@@ -119,28 +121,16 @@ def _oracle_probabilities(machine, plans, circuit, expected, n_batch, force):
         return np.full(n_batch, 1.0 if expected == 0 else 0.0)
     if not force and slots_xx_only(slots):
         return match_probabilities_slots(machine, slots, expected)
-    if plans is None:
+    with plan_cache(plans):
         return dense_match_probabilities_slots(machine, slots, expected)
-    skeleton = tuple((s.gate, s.qubits) for s in slots)
-    plan, hit = plans.get(machine.n_qubits, skeleton)
-    rebinds = plans.take_rebinds()
-    machine.stats.dense_plan_rebinds += rebinds
-    if hit:
-        machine.stats.dense_plan_hits += 1
-    elif not rebinds:
-        machine.stats.dense_plan_builds += 1
-    machine.stats.dense_plan_invalidations += plans.take_invalidations()
-    return plan.probabilities(
-        slot_blocks(slots), expected, machine.max_batch_bytes
-    )
 
 
-def _oracle_run_match(machine, circuit, expected, shots):
+def _oracle_run_match(machine, plans, circuit, expected, shots):
     """``run_match`` on the slot path alone."""
     machine._account(circuit.depth_two_qubit(), shots)
     groups = machine._shot_groups(shots)
     p = _oracle_probabilities(
-        machine, None, circuit, expected, len(groups), force=False
+        machine, plans, circuit, expected, len(groups), force=False
     )
     spam = machine.noise.spam
     factor = spam.match_probability_factor(expected, N) if spam else 1.0
@@ -149,12 +139,11 @@ def _oracle_run_match(machine, circuit, expected, shots):
     )
 
 
-def _oracle_trial_fidelities(battery, machine, index, shots, trials, force):
-    ct = battery.tests[index]
+def _oracle_trial_fidelities(plans, machine, ct, shots, trials, force):
     groups = np.asarray(machine._shot_groups(shots), dtype=np.int64)
     probs = _oracle_probabilities(
         machine,
-        battery._dense_plans,
+        plans,
         ct.circuit,
         ct.expected,
         trials * len(groups),
@@ -249,23 +238,27 @@ def test_run_match_fallback_equals_slot_oracle(case, name):
     noise, faults, kwargs = RUN_MATCH_CASES[case]
     circuit, expected = CIRCUITS[name]()
     compiled, oracle = _twins(noise, faults=faults, **kwargs)
+    plans = DensePlanCache()
     for shots in (40, 300, 300):
         assert compiled.run_match(circuit, expected, shots) == _oracle_run_match(
-            oracle, circuit, expected, shots
+            oracle, plans, circuit, expected, shots
         )
     _assert_same_machine_state(compiled, oracle)
 
 
 @pytest.mark.parametrize("case", sorted(RUN_MATCH_CASES))
-def test_fallback_probabilities_bit_identical(case):
+def test_fallback_probabilities_bit_identical(case, monkeypatch):
     noise, faults, kwargs = RUN_MATCH_CASES[case]
     for name in sorted(CIRCUITS):
+        monkeypatch.setattr(dense_plan, "PLAN_CACHE", DensePlanCache())
         circuit, expected = CIRCUITS[name]()
         compiled, oracle = _twins(noise, faults=faults, **kwargs)
         p = compiled._pass_probabilities(
             [as_program(circuit, expected)], 7, realizations=7
         )[1][0, 0]
-        ref = _oracle_probabilities(oracle, None, circuit, expected, 7, False)
+        ref = _oracle_probabilities(
+            oracle, DensePlanCache(), circuit, expected, 7, False
+        )
         assert p.dtype == ref.dtype and p.shape == ref.shape
         assert (p == ref).all(), name
         _assert_same_machine_state(compiled, oracle)
@@ -297,17 +290,14 @@ def _battery_items():
 )
 def test_fresh_battery_passes_equal_slot_oracle(noise, faults, engine):
     """First and second pass: fidelities, clock, RNG and plan counts."""
-    items = _battery_items()
-    battery = CompiledBattery(N, items)
-    reference = CompiledBattery(N, items)
+    programs = [as_program(*item) for item in _battery_items()]
+    plans = DensePlanCache()
     compiled, oracle = _twins(noise, faults=faults, noise_realizations=3)
     for _ in range(2):
-        for index in range(len(battery.tests)):
-            fids = battery.trial_fidelities(
-                compiled, index, 60, trials=2, engine=engine
-            )
+        for program in programs:
+            fids = compiled.run_battery([program], 60, trials=2, engine=engine)[0]
             ref = _oracle_trial_fidelities(
-                reference, oracle, index, 60, 2, force=(engine == "dense")
+                plans, oracle, program, 60, 2, force=(engine == "dense")
             )
             assert (fids == ref).all()
         _assert_same_machine_state(compiled, oracle)
@@ -318,13 +308,12 @@ def test_fresh_battery_passes_equal_slot_oracle(noise, faults, engine):
 def test_tiny_batch_budget_is_bit_identical():
     """Realization rows chunked two at a time change nothing."""
     budget = 2 * 16 * 2**N
-    circuit, expected = _mixed()
-    battery = CompiledBattery(N, [(circuit, expected)])
-    reference = CompiledBattery(N, [(circuit, expected)])
+    program = as_program(*_mixed())
+    plans = DensePlanCache()
     compiled, oracle = _twins(SEC6, max_batch_bytes=budget)
     for _ in range(2):
-        fids = battery.trial_fidelities(compiled, 0, 50, trials=3, engine="dense")
-        ref = _oracle_trial_fidelities(reference, oracle, 0, 50, 3, force=True)
+        fids = compiled.run_battery([program], 50, trials=3, engine="dense")[0]
+        ref = _oracle_trial_fidelities(plans, oracle, program, 50, 3, force=True)
         assert (fids == ref).all()
     _assert_same_machine_state(compiled, oracle)
 
@@ -336,7 +325,7 @@ def test_programs_hold_their_dense_layouts(monkeypatch):
     """Each layout is compiled once per program and kicks setting.
 
     Two machines and a battery holding the same structure share one
-    program, so later dense calls, from either, compile nothing.
+    program, so later dense calls, from any of them, compile nothing.
     """
     compiles = []
     original = machine_mod._compiled_dense_test
@@ -354,10 +343,10 @@ def test_programs_hold_their_dense_layouts(monkeypatch):
     assert a._dense_test(program) is b._dense_test(program)
     assert a._dense_test(program).kicks and compiles == [True]
     # A battery holds the same program; its dense calls reuse the layout.
-    mixed = CompiledBattery(N, [(circuit, expected)])
-    assert mixed.tests == [program] and mixed.tests[0] is program
+    mixed = [as_program(circuit, expected)]
+    assert mixed == [program] and mixed[0] is program
     for _ in range(2):
-        mixed.trial_fidelities(a, 0, 30, trials=1)
+        a.run_battery(mixed, 30)
         a.run_match(circuit, expected, 30)
     assert compiles == [True]
     kickless = _twins(PHASE_ONLY)[0]
@@ -399,7 +388,7 @@ def test_out_of_range_expected_fails_closed(noise, route, expected):
     assert machine._clock == 0.0 and machine.stats.circuit_runs == 0
     assert sum(machine.run_match(circuit, 12, 100).values()) == 100
     with pytest.raises(ValueError, match="outside"):
-        CompiledBattery(4, [(circuit, expected)])
+        as_program(circuit, expected)
     slots = machine._realize_slots(circuit, 3)
     plan = DensePlan(4, tuple((s.gate, s.qubits) for s in slots))
     with pytest.raises(ValueError, match="outside"):

@@ -21,7 +21,7 @@ import threading
 
 import numpy as np
 import pytest
-from xx_oracle import match_probabilities_slots, slot_run_match
+from xx_oracle import match_probabilities_slots, plan_cache, slot_run_match
 
 from repro.core import protocol
 from repro.core.protocol import TestExecutor as Executor
@@ -31,7 +31,7 @@ from repro.core.tests_builder import build_test_circuit, expected_output
 from repro.noise.models import NoiseParameters
 from repro.noise.spam import SpamModel
 from repro.sim.circuit import Circuit
-from repro.sim.dense_plan import DensePlan
+from repro.sim.dense_plan import DensePlan, DensePlanCache
 from repro.sim.xx_engine import ContractionPlan
 from repro.trap import machine as machine_mod
 from repro.trap.faults import CouplingFault
@@ -119,6 +119,12 @@ def test_pi_phase_offset_stays_compiled():
     _assert_identical(*twins, circuit, expected)
 
 
+def _plan_lookups(machine) -> int:
+    """Dense-plan lookups, however the shared process cache served them."""
+    stats = machine.stats
+    return stats.dense_plan_builds + stats.dense_plan_rebinds + stats.dense_plan_hits
+
+
 def test_off_grid_phase_offset_falls_back_to_dense():
     circuit, expected = _class_test(8)
     compiled, slots = _faulty_twins(8, NoiseParameters.paper_scaling())
@@ -127,9 +133,9 @@ def test_off_grid_phase_offset_falls_back_to_dense():
     before = _rng_state(compiled)
     assert _xx_route(compiled, circuit, expected, 4) is None
     assert _rng_state(compiled) == before and compiled._clock == 0.0
-    built = slots.stats.dense_plan_builds
+    lookups = _plan_lookups(slots)
     _assert_counts_identical(compiled, slots, circuit, expected)
-    assert slots.stats.dense_plan_builds > built
+    assert _plan_lookups(slots) > lookups, "the slot oracle takes the dense plan"
 
 
 def test_rx_x_gates_and_forced_zero_expected():
@@ -242,8 +248,13 @@ def test_one_spec_round_equals_execute(route, monkeypatch):
     by_round, by_test = _faulty_twins(8, noise, **kwargs)
     rounds = Executor(by_round, shots=300)
     tests = Executor(by_test, shots=300)
+    # Each twin looks its plans up in a cache of its own.
+    round_plans, test_plans = DensePlanCache(), DensePlanCache()
     for _ in range(3):
-        assert rounds.execute_round([spec]) == [tests.execute(spec)]
+        with plan_cache(round_plans):
+            got = rounds.execute_round([spec])
+        with plan_cache(test_plans):
+            assert got == [tests.execute(spec)]
     assert by_round._clock == by_test._clock
     assert _rng_state(by_round) == _rng_state(by_test)
     assert by_round.stats == by_test.stats

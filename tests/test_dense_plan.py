@@ -13,7 +13,8 @@ import pytest
 from xx_oracle import slots_to_circuits
 
 from repro.analysis.experiments.fig6 import battery_specs
-from repro.core.protocol import compile_test_battery, execute_compiled_battery
+from repro.core.protocol import TestExecutor as Executor
+from repro.core.protocol import built_test, execute_compiled_battery
 from repro.core.tests_builder import build_test_circuit, expected_output
 from repro.noise.models import NoiseParameters
 from repro.sim.circuit import Circuit
@@ -132,14 +133,18 @@ def test_plan_chunking_is_exact():
     assert np.array_equal(full, chunked)
 
 
-def test_second_trial_performs_no_rebuilds():
+def _programs(specs, n_qubits):
+    return [built_test(tuple(s.pairs), s.repetitions, n_qubits) for s in specs]
+
+
+def test_second_trial_performs_no_rebuilds(fresh_plan_cache):
     """Warm compiled trials: no plan compilations, same compiled programs."""
     n_qubits = 8
     machine = VirtualIonTrap(n_qubits, noise=_fig7_noise(), seed=9)
     specs = battery_specs(n_qubits, 4)
-    battery = compile_test_battery(n_qubits, specs)
-    for index in range(len(specs)):
-        battery.trial_fidelities(machine, index, shots=100, trials=2)
+    programs = _programs(specs, n_qubits)
+    for program in programs:
+        machine.run_battery([program], shots=100, trials=2)
     builds = machine.stats.dense_plan_builds
     rebinds = machine.stats.dense_plan_rebinds
     # Every spec got a plan, but structurally identical skeletons
@@ -157,15 +162,15 @@ def test_second_trial_performs_no_rebuilds():
                 plan._ms_gather,
                 plan._final_order,
             )
-            for key, plan in battery._dense_plans._plans.items()
+            for key, plan in fresh_plan_cache._plans.items()
         }
 
     first = compiled()
     assert len(first) == len(specs)
-    for index in range(len(specs)):
-        battery.trial_fidelities(machine, index, shots=100, trials=3)
+    for program in programs:
+        machine.run_battery([program], shots=100, trials=3)
     # Second pass over the battery: every skeleton is served from the
-    # battery's plan cache, and each plan evaluates through the same
+    # process plan cache, and each plan evaluates through the same
     # axis-order program and block gathers it compiled on the first.
     assert machine.stats.dense_plan_builds == builds
     assert machine.stats.dense_plan_rebinds == rebinds
@@ -278,9 +283,8 @@ def test_execute_compiled_battery_matches_executor_statistically():
             )
             machine.set_under_rotation((0, 4), 0.4)
             if compiled:
-                battery = compile_test_battery(n_qubits, specs)
                 results = execute_compiled_battery(
-                    machine, specs, battery=battery, shots=shots
+                    machine, specs, battery=_programs(specs, n_qubits), shots=shots
                 )
             else:
                 executor = TestExecutor(
@@ -302,10 +306,10 @@ def test_execute_compiled_battery_rejects_mismatched_batteries():
     n_qubits = 8
     specs = battery_specs(n_qubits, 2)
     machine = VirtualIonTrap(n_qubits, noise=_fig7_noise(), seed=1)
-    short = compile_test_battery(n_qubits, specs[:-1])
+    short = _programs(specs[:-1], n_qubits)
     with pytest.raises(ValueError, match="compile it from this spec list"):
         execute_compiled_battery(machine, specs, battery=short, shots=50)
-    reordered = compile_test_battery(n_qubits, specs[::-1])
+    reordered = _programs(specs[::-1], n_qubits)
     with pytest.raises(ValueError, match="does not match spec"):
         execute_compiled_battery(machine, specs, battery=reordered, shots=50)
 
@@ -329,9 +333,10 @@ def test_single_slot_chain_matches_reference():
 def test_empty_battery_compiles_and_executes():
     """Zero test specs: compilation and execution degrade to no-ops."""
     machine = VirtualIonTrap(4, noise=_fig6_noise(), seed=1)
-    battery = compile_test_battery(4, [])
-    assert battery.tests == []
-    assert execute_compiled_battery(machine, [], battery=battery) == []
+    state = machine.rng.bit_generator.state
+    assert Executor(machine).execute_round([]) == []
+    assert execute_compiled_battery(machine, [], battery=[]) == []
+    assert machine.rng.bit_generator.state == state
 
 
 def test_two_qubit_register_end_to_end():

@@ -16,17 +16,19 @@ import weakref
 
 import numpy as np
 import pytest
+from xx_oracle import plan_cache
 
-from repro.core.protocol import built_test, compile_test_battery
+from repro.core.protocol import built_test
 from repro.core.tests_builder import TestSpec as Spec
 from repro.core.tests_builder import build_test_circuit, expected_output
 from repro.noise.models import NoiseParameters
 from repro.noise.spam import SpamModel
 from repro.sim.circuit import Circuit, Operation
+from repro.sim.dense_plan import DensePlanCache
 from repro.trap import machine as machine_mod
 from repro.trap.calibration import CalibrationState, all_pairs
 from repro.trap.faults import CouplingFault, CouplingPhaseFault
-from repro.trap.machine import CompiledBattery, VirtualIonTrap, as_program
+from repro.trap.machine import VirtualIonTrap, as_program
 
 N = 8
 PAIRS = (frozenset({0, 4}), frozenset({1, 5}), frozenset({0, 1}), frozenset({2, 3}))
@@ -99,9 +101,13 @@ def test_program_and_bare_circuit_agree_on_every_route(route):
     assert bare.ops is not program.circuit.ops
     assert program.expected == expected
     with_program, with_circuit = _twins(noise, faults, **kwargs)
+    # Each twin looks its plans up in a cache of its own.
+    program_plans, circuit_plans = DensePlanCache(), DensePlanCache()
     for shots, realizations in ((300, None), (57, 3), (300, None)):
-        got = with_program.run_match(program, expected, shots, realizations)
-        want = with_circuit.run_match(bare, expected, shots, realizations)
+        with plan_cache(program_plans):
+            got = with_program.run_match(program, expected, shots, realizations)
+        with plan_cache(circuit_plans):
+            want = with_circuit.run_match(bare, expected, shots, realizations)
         assert got == want
         _assert_same_state(with_program, with_circuit)
     assert with_program.stats.two_qubit_gates == (
@@ -114,25 +120,20 @@ def test_program_and_bare_circuit_agree_on_every_route(route):
 def test_battery_and_sweep_share_programs_with_run_match():
     """Batteries hold the built programs; bare items wrap to equal ones."""
     specs = [_class_test(), Spec("u", PAIRS[1:], 4)]
-    battery = compile_test_battery(N, specs)
-    for spec, program in zip(specs, battery.tests):
-        assert program is built_test(spec.pairs, spec.repetitions, N)
-    bare = CompiledBattery(
-        N, [(build_test_circuit(s, N), expected_output(s, N)) for s in specs]
-    )
-    assert bare.tests == battery.tests
+    battery = [built_test(spec.pairs, spec.repetitions, N) for spec in specs]
+    bare = [as_program(build_test_circuit(s, N), expected_output(s, N)) for s in specs]
+    assert bare == battery
     a, b = _twins(AMPLITUDE)
-    for index in range(len(specs)):
+    for program, twin in zip(battery, bare):
         assert (
-            battery.trial_fidelities(a, index, 90, trials=3)
-            == bare.trial_fidelities(b, index, 90, trials=3)
+            a.run_battery([program], 90, trials=3)
+            == b.run_battery([twin], 90, trials=3)
         ).all()
         mags = np.array([0.0, 0.1, 0.3])
         assert (
-            battery.sweep_fidelities(a, index, (1, 5), mags, 90, trials=2)
-            == bare.sweep_fidelities(b, index, (1, 5), mags, 90, trials=2)
+            a.sweep_fidelities(program, (1, 5), mags, 90, trials=2)
+            == b.sweep_fidelities(twin, (1, 5), mags, 90, trials=2)
         ).all()
-        program = battery.tests[index]
         assert a.run_match(program, program.expected, 80) == b.run_match(
             program.circuit, program.expected, 80
         )

@@ -20,7 +20,7 @@ import pytest
 from xx_oracle import match_probabilities_slots, slots_to_circuits, slots_xx_only
 
 from repro.core.multi_fault import battery_specs
-from repro.core.protocol import compile_test_battery
+from repro.core.protocol import built_test
 from repro.core.tests_builder import build_test_circuit, expected_output
 from repro.scenarios.spec import SCENARIO_KINDS, build_scenario
 from repro.sim.dense_plan import DensePlan
@@ -108,14 +108,13 @@ def test_compiled_battery_engine_forcing_agrees(kind):
     n_qubits = 6
     spec_xx, machine_xx = _scenario_machine(kind, n_qubits, seed=23)
     _, machine_dense = _scenario_machine(kind, n_qubits, seed=23)
-    tests = battery_specs(n_qubits, 2)
-    battery = compile_test_battery(n_qubits, tests)
-    for index in range(len(tests)):
+    for test in battery_specs(n_qubits, 2):
+        program = built_test(tuple(test.pairs), test.repetitions, n_qubits)
         probs_xx = machine_xx._pass_probabilities(
-            [battery.tests[index]], 100, trials=2, realizations=2, engine="xx"
+            [program], 100, trials=2, realizations=2, engine="xx"
         )[1]
         probs_dense = machine_dense._pass_probabilities(
-            [battery.tests[index]], 100, trials=2, realizations=2, engine="dense"
+            [program], 100, trials=2, realizations=2, engine="dense"
         )[1]
         assert np.max(np.abs(probs_xx - probs_dense)) < 1e-9
 
@@ -128,13 +127,12 @@ def test_non_xx_scenarios_fall_back_to_dense(kind, n_qubits):
     assert not spec.is_xx_preserving()
     assert machine.calibration.has_phase_offsets()
     test = _fault_test(spec, machine, 2)
-    tests = battery_specs(n_qubits, 2)
-    battery = compile_test_battery(n_qubits, tests)
-    index = tests.index(test)
-    assert not battery.xx_eligible(machine, index)
+    assert test in battery_specs(n_qubits, 2)
+    program = built_test(tuple(test.pairs), test.repetitions, n_qubits)
+    assert machine._xx_slot_angles(program.xx(machine.max_exact_qubits)) is None
     with pytest.raises(ValueError, match="dense fallback"):
         machine._pass_probabilities(
-            [battery.tests[index]], 100, trials=1, realizations=2, engine="xx"
+            [program], 100, trials=1, realizations=2, engine="xx"
         )
     stats = machine.stats
     before = (
@@ -142,7 +140,7 @@ def test_non_xx_scenarios_fall_back_to_dense(kind, n_qubits):
         + stats.dense_plan_rebinds
         + stats.dense_plan_hits
     )
-    battery.trial_fidelities(machine, index, 100, trials=1, realizations=2)
+    machine.run_battery([program], 100, realizations=2)
     after = (
         stats.dense_plan_builds
         + stats.dense_plan_rebinds

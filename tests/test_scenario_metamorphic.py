@@ -21,7 +21,7 @@ import pytest
 
 from repro.analysis.detection import BaselineBank
 from repro.core.multi_fault import MultiFaultProtocol, battery_specs
-from repro.core.protocol import FixedThresholds, compile_test_battery
+from repro.core.protocol import FixedThresholds, built_test
 from repro.core.protocol import TestResult as _Outcome
 from repro.scenarios.spec import build_scenario
 from repro.trap.machine import VirtualIonTrap
@@ -61,13 +61,15 @@ def _battery_fidelities(scenario, specs, seed, shots=200, trials=3):
         noise_realizations=2,
     )
     scenario.apply(machine, trial=1)
-    battery = compile_test_battery(N_QUBITS, specs)
-    return np.stack(
+    return np.concatenate(
         [
-            battery.trial_fidelities(
-                machine, index, shots, trials=trials, realizations=2
+            machine.run_battery(
+                [built_test(tuple(s.pairs), s.repetitions, N_QUBITS)],
+                shots,
+                trials=trials,
+                realizations=2,
             )
-            for index in range(len(specs))
+            for s in specs
         ]
     )
 

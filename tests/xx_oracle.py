@@ -18,10 +18,12 @@ draws with ``_realize_slots`` and check its routes against this path.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.sim import dense_plan
 from repro.sim.circuit import Circuit, Operation, is_multiple_of_pi
 from repro.sim.sampling import sample_bernoulli_counts_batch
 from repro.sim.xx_engine import (
@@ -209,6 +211,23 @@ def slots_to_circuits(machine, slots) -> list[Circuit]:
             circuit.append(Operation(slot.gate, slot.qubits, tuple(slot.params[g])))
         circuits.append(circuit)
     return circuits
+
+
+@contextmanager
+def plan_cache(cache):
+    """Serve every machine's dense-plan lookups from ``cache`` in the block.
+
+    Twin machines share the process-wide plan cache, so the twin that
+    looks a skeleton up second finds it compiled.  An oracle twin on its
+    own cache, beside a compiled twin on a fresh process cache, builds,
+    rebinds and hits exactly as the compiled twin does.
+    """
+    saved = dense_plan.PLAN_CACHE
+    dense_plan.PLAN_CACHE = cache
+    try:
+        yield cache
+    finally:
+        dense_plan.PLAN_CACHE = saved
 
 
 def dense_match_probabilities_slots(machine, slots, expected: int) -> np.ndarray:
