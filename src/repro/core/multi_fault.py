@@ -46,13 +46,18 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from .combinatorics import all_couplings, bit, class_pairs, num_bits
 from .protocol import TestExecutor, TestResult
-from .single_fault import SingleFaultDiagnosis, SingleFaultProtocol
+from .single_fault import (
+    _SPEC_CACHE_SIZE,
+    SingleFaultDiagnosis,
+    SingleFaultProtocol,
+)
 from .tests_builder import TestSpec
 
 __all__ = [
@@ -74,15 +79,24 @@ def _equal_bits_specs(
     Class tests alone are blind to bit-complementary pairs (Lemma V.1);
     the battery canary adds both ``[j, =]`` and ``[j, !=]`` tests so every
     complementary pair sits wholly inside at least one batch test
-    (Lemma V.5 guarantees one of the two per position).
+    (Lemma V.5 guarantees one of the two per position).  Built once per
+    input; every call returns a fresh list of the shared specs.
     """
+    return list(_equal_bits_tuple(n_qubits, frozenset(relevant), repetitions))
+
+
+@lru_cache(maxsize=_SPEC_CACHE_SIZE)
+def _equal_bits_tuple(
+    n_qubits: int, relevant: frozenset[Pair], repetitions: int
+) -> tuple[TestSpec, ...]:
+    """:func:`_equal_bits_specs`, built once per input."""
     n = num_bits(n_qubits)
     if n == 1:
         # Two qubits have no bit positions to compare, and no class test
         # holds their one (complementary) coupling: give it a test.
         pairs = tuple(class_pairs([0, 1], relevant))
         meta = (("j", 0), ("equal", False), ("role", "canary"))
-        return [TestSpec("canary-bits[0,!=]", pairs, repetitions, "equal-bits", meta)]
+        return (TestSpec("canary-bits[0,!=]", pairs, repetitions, "equal-bits", meta),)
     specs = []
     for j in range(1, n):
         for want_equal, tag in ((True, "="), (False, "!=")):
@@ -101,7 +115,7 @@ def _equal_bits_specs(
                     metadata=(("j", j), ("equal", want_equal), ("role", "canary")),
                 )
             )
-    return specs
+    return tuple(specs)
 
 
 @dataclass(frozen=True)
@@ -139,16 +153,27 @@ def battery_specs(
     calibration and the ranked loop's per-iteration observation all
     build from here, so their test *names* stay aligned — the
     contrast mode's :class:`~repro.analysis.detection.BaselineBank`
-    lookups key on them.
+    lookups key on them.  Built once per input; every call returns a
+    fresh list of the shared specs.
     """
+    key = None if relevant is None else frozenset(relevant)
+    return list(_battery_tuple(n_qubits, repetitions, key))
+
+
+@lru_cache(maxsize=_SPEC_CACHE_SIZE)
+def _battery_tuple(
+    n_qubits: int, repetitions: int, relevant: frozenset[Pair] | None
+) -> tuple[TestSpec, ...]:
+    """:func:`battery_specs`, built once per input."""
     protocol = SingleFaultProtocol(
         n_qubits, relevant=relevant, repetitions=repetitions
     )
     relevant_set = (
         relevant if relevant is not None else set(all_couplings(n_qubits))
     )
-    return protocol.round1_specs() + _equal_bits_specs(
-        n_qubits, relevant_set, repetitions
+    return tuple(
+        protocol.round1_specs()
+        + _equal_bits_specs(n_qubits, relevant_set, repetitions)
     )
 
 

@@ -114,6 +114,8 @@ class FixedThresholds:
 class TestResult:
     """Outcome of one executed test."""
 
+    __test__ = False  # not a pytest test class
+
     spec: TestSpec
     fidelity: float
     threshold: float
@@ -148,6 +150,8 @@ class TestExecutor:
     cost:
         Optional cost tracker shared across a diagnosis session.
     """
+
+    __test__ = False  # not a pytest test class
 
     machine: MatchBackend
     thresholds: ThresholdPolicy = field(default_factory=FixedThresholds)

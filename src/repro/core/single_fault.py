@@ -22,8 +22,9 @@ not yet diagnosed, or simply unused) only shrinks the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
-from .combinatorics import bit, num_bits, subcube_class
+from .combinatorics import bit, class_pairs, num_bits, subcube_class
 from .protocol import TestExecutor, TestResult
 from .syndrome import Syndrome, candidates_for_syndrome
 from .tests_builder import TestSpec
@@ -71,22 +72,9 @@ class SingleFaultProtocol:
     # -- round 1 -------------------------------------------------------------------
 
     def round1_specs(self) -> list[TestSpec]:
-        """The 2n non-adaptive class tests."""
-        specs = []
-        for i in range(self.n_bits):
-            for b in (0, 1):
-                members = subcube_class(i, b, self.n_qubits)
-                pairs = self._pairs_within(members)
-                specs.append(
-                    TestSpec(
-                        name=f"class({i},{b})",
-                        pairs=tuple(pairs),
-                        repetitions=self.repetitions,
-                        kind="class",
-                        metadata=(("bit", i), ("value", b), ("round", 1)),
-                    )
-                )
-        return specs
+        """The 2n non-adaptive class tests (a fresh list of shared specs)."""
+        relevant = None if self.relevant is None else frozenset(self.relevant)
+        return list(_round1_specs(self.n_qubits, relevant, self.repetitions))
 
     def syndrome_from_results(self, results: list[TestResult]) -> Syndrome:
         """Collect the failing class tests into a syndrome."""
@@ -218,6 +206,30 @@ class SingleFaultProtocol:
     # -- helpers ----------------------------------------------------------------------
 
     def _pairs_within(self, members: list[int]) -> list[Pair]:
-        from .combinatorics import class_pairs
-
         return class_pairs(members, self.relevant)
+
+
+#: Spec lists kept per process by the memoized builders (least recently
+#: used dropped first); a list of small frozen specs each.
+_SPEC_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=_SPEC_CACHE_SIZE)
+def _round1_specs(
+    n_qubits: int, relevant: frozenset[Pair] | None, repetitions: int
+) -> tuple[TestSpec, ...]:
+    """:meth:`SingleFaultProtocol.round1_specs`, built once per input."""
+    specs = []
+    for i in range(num_bits(n_qubits)):
+        for b in (0, 1):
+            members = subcube_class(i, b, n_qubits)
+            specs.append(
+                TestSpec(
+                    name=f"class({i},{b})",
+                    pairs=tuple(class_pairs(members, relevant)),
+                    repetitions=repetitions,
+                    kind="class",
+                    metadata=(("bit", i), ("value", b), ("round", 1)),
+                )
+            )
+    return tuple(specs)

@@ -47,6 +47,8 @@ class TestSpec:
         Free-form annotations (class indices, round number, ...).
     """
 
+    __test__ = False  # not a pytest test class
+
     name: str
     pairs: tuple[Pair, ...]
     repetitions: int = 2

@@ -16,7 +16,6 @@ from .dense_plan import DensePlan, DensePlanCache
 from .sampling import (
     Counts,
     match_fraction,
-    sample_bernoulli_counts,
     sample_bernoulli_counts_batch,
     sample_counts_from_probs,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "Operation",
     "Counts",
     "match_fraction",
-    "sample_bernoulli_counts",
     "sample_bernoulli_counts_batch",
     "sample_counts_from_probs",
     "StatevectorSimulator",

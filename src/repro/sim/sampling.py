@@ -17,7 +17,6 @@ __all__ = [
     "total_shots",
     "counts_to_probs",
     "match_fraction",
-    "sample_bernoulli_counts",
     "sample_bernoulli_counts_batch",
     "sample_counts_from_probs",
     "marginal_counts",
@@ -56,35 +55,6 @@ def match_fraction(counts: Counts, expected: int) -> float:
     return counts.get(expected, 0) / n
 
 
-def sample_bernoulli_counts(
-    p_match: float,
-    expected: int,
-    shots: int,
-    rng: np.random.Generator,
-    mismatch_state: int | None = None,
-) -> Counts:
-    """Sample counts when only the expected-state probability is known.
-
-    Draws ``Binomial(shots, p_match)`` matches; all non-matching shots are
-    lumped into ``mismatch_state`` (default: ``expected ^ 1``, an arbitrary
-    distinct state).  Sufficient for pass/fail statistics, which only look
-    at the expected bitstring's fraction.
-    """
-    if not 0.0 <= p_match <= 1.0 + 1e-9:
-        raise ValueError(f"p_match={p_match} outside [0, 1]")
-    p_match = min(p_match, 1.0)
-    if shots <= 0:
-        raise ValueError("shots must be positive")
-    matches = int(rng.binomial(shots, p_match))
-    counts: Counts = {}
-    if matches:
-        counts[expected] = matches
-    if matches < shots:
-        other = mismatch_state if mismatch_state is not None else expected ^ 1
-        counts[other] = counts.get(other, 0) + (shots - matches)
-    return counts
-
-
 def sample_bernoulli_counts_batch(
     p_matches: np.ndarray,
     expected: int,
@@ -92,13 +62,15 @@ def sample_bernoulli_counts_batch(
     rng: np.random.Generator,
     mismatch_state: int | None = None,
 ) -> Counts:
-    """Batched :func:`sample_bernoulli_counts` over noise-realization groups.
+    """Counts when only each group's expected-state probability is known.
 
-    Draws every group's binomial in a single vectorized call — the shot
-    groups all target the same ``expected`` bitstring, so their counts
-    merge into one map.  Equivalent in distribution to calling
-    :func:`sample_bernoulli_counts` per group and merging, but with one
-    RNG call instead of one per group.
+    Draws ``Binomial(shots_per_group[g], p_matches[g])`` matches for every
+    noise-realization group in one vectorized call; the groups all target
+    the same ``expected`` bitstring, so their matches merge into one
+    count.  All non-matching shots are lumped into ``mismatch_state``
+    (default: ``expected ^ 1``, an arbitrary distinct state), which is
+    enough for pass/fail statistics: they only look at the expected
+    bitstring's fraction.
     """
     p = np.asarray(p_matches, dtype=float)
     shots = np.asarray(shots_per_group, dtype=np.int64)

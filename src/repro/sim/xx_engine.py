@@ -351,6 +351,11 @@ class ContractionPlan:
     A plan keeps ``O(2^(m/2) m)`` bytes per exact ``m``-qubit component,
     about 42 KB at the 20-qubit exact limit, and index arrays for a
     sampled one; nothing else persists between calls.
+
+    Plans of tests that differ only in qubit labels (the class tests of
+    one battery, the point checks of one depth) share a :attr:`structure`
+    key, so any one of them can contract the stacked angle rows of all:
+    the machine's round pass makes one call per key.
     """
 
     def __init__(
@@ -391,14 +396,15 @@ class ContractionPlan:
             # A flip-odd character against a flip-even phase.
             self.forced_zero = True
             components = []
+        terms = [self._local_terms(comp, z_bits) for comp in components]
         self._components = tuple(
-            self._compile_component(comp, z_bits, not linear.intersection(comp))
-            for comp in components
+            self._compile_component(len(comp), *local)
+            for comp, local in zip(components, terms)
             if len(comp) <= max_exact_qubits
         )
         self._sampled = tuple(
-            self._sampled_component(comp, z_bits)
-            for comp in components
+            self._sampled_component(len(comp), *local)
+            for comp, local in zip(components, terms)
             if len(comp) > max_exact_qubits
         )
         #: Whether a component is estimated from spin samples.
@@ -408,32 +414,58 @@ class ContractionPlan:
             (min(c.rows, _CHUNK_SPINS) for c in self._components),
             default=1,
         )
+        #: What the plan computes from its angle rows, up to qubit labels:
+        #: the column counts, and per component its size, whether it is
+        #: sampled, and its edges, linear terms and character in local
+        #: spins and plan columns.  Plans with equal keys do the same
+        #: arithmetic on the same rows, so one plan can contract another's.
+        self.structure = (
+            len(self.edge_keys),
+            len(self.linear_keys),
+            self.forced_zero,
+            tuple(
+                (len(comp), len(comp) > max_exact_qubits, *local)
+                for comp, local in zip(components, terms)
+            ),
+        )
+
+    def _local_terms(
+        self, comp: list[int], z_bits: list[int]
+    ) -> tuple[tuple, tuple, tuple]:
+        """One component's terms in local spins, in plan column order.
+
+        Edges as ``(column, i, j)`` with ``i < j``, linear terms as
+        ``(column, spin)`` and the character's spins ``z_idx``.
+        """
+        local = {q: k for k, q in enumerate(comp)}
+        edges = tuple(
+            (c, local[min(e)], local[max(e)])
+            for c, e in enumerate(self.edge_keys)
+            if min(e) in local
+        )
+        lins = tuple(
+            (c, local[q]) for c, q in enumerate(self.linear_keys) if q in local
+        )
+        z_idx = tuple(k for k, q in enumerate(comp) if z_bits[q])
+        return edges, lins, z_idx
 
     def _compile_component(
-        self, comp: list[int], z_bits: list[int], flip_even: bool
+        self, m: int, edges: tuple, lins: tuple, z_idx: tuple
     ) -> _PlanComponent:
-        """Split one component's spins and build its half tables."""
-        m = len(comp)
+        """Split one exact component's spins and build its half tables.
+
+        ``edges``, ``lins`` and ``z_idx`` are its terms in local spins (see
+        :meth:`_local_terms`).  Without linear terms only ``s_0 = +1`` is
+        summed.
+        """
         a = m - (0 if m <= _SPLIT_ABOVE else m // 2)
-        local = {q: k for k, q in enumerate(comp)}
-        # Edges as (column, i, j) with i < j, ordered A, B, cross; linear
-        # terms as (column, spin), ordered A, B.
-        edges = sorted(
-            (
-                (c, local[min(e)], local[max(e)])
-                for c, e in enumerate(self.edge_keys)
-                if min(e) in local
-            ),
-            key=lambda e: 0 if e[2] < a else 1 if e[1] >= a else 2,
-        )
-        lins = sorted(
-            ((c, local[q]) for c, q in enumerate(self.linear_keys) if q in local),
-            key=lambda lin: lin[1] >= a,
-        )
+        # Edges ordered A, B, cross; linear terms ordered A, B.
+        edges = sorted(edges, key=lambda e: 0 if e[2] < a else 1 if e[1] >= a else 2)
+        lins = sorted(lins, key=lambda lin: lin[1] >= a)
         n_aa = sum(j < a for _, _, j in edges)
         n_ab = n_aa + sum(i >= a for _, i, _ in edges)
         n_la = sum(k < a for _, k in lins)
-        z_idx = [k for k, q in enumerate(comp) if z_bits[q]]
+        flip_even = not lins
         rows_a, rows_b = 2 ** (a - flip_even), 2 ** (m - a)
 
         def half(lo, hi, rows, weight, edge_cols, lin_cols):
@@ -480,30 +512,21 @@ class ContractionPlan:
         )
 
     def _sampled_component(
-        self, comp: list[int], z_bits: list[int]
+        self, m: int, edges: tuple, lins: tuple, z_idx: tuple
     ) -> _SampledComponent:
         """Index arrays of one component summed over spin samples."""
-        local = {q: k for k, q in enumerate(comp)}
-        edges = [
-            (c, local[min(e)], local[max(e)])
-            for c, e in enumerate(self.edge_keys)
-            if min(e) in local
-        ]
-        lins = [
-            (c, local[q]) for c, q in enumerate(self.linear_keys) if q in local
-        ]
 
         def index(values):
             return np.array(values, dtype=np.intp)
 
         return _SampledComponent(
-            m=len(comp),
+            m=m,
             edge_cols=index([c for c, _, _ in edges]),
             i_idx=index([i for _, i, _ in edges]),
             j_idx=index([j for _, _, j in edges]),
             lin_cols=index([c for c, _ in lins]),
             lin_idx=index([k for _, k in lins]),
-            z_idx=index([k for k, q in enumerate(comp) if z_bits[q]]),
+            z_idx=index(z_idx),
         )
 
     def amplitudes(

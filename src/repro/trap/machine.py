@@ -43,9 +43,14 @@ drawn, then draws every test in order: on its XX entry where that
 applies (any size: the plan samples a component above
 ``max_exact_qubits``), through its dense layout otherwise (MS slots
 under non-XX-preserving noise, drive phases off the pi grid, non-XX
-gates).  Every dense draw waits for its plan core, contracted once for
-all tests sharing its canonical skeleton, on the process-wide
-:data:`~repro.sim.dense_plan.PLAN_CACHE`.  Then one binomial draw
+gates).  Consecutive XX tests without a sampled component or an
+off-grid nominal phase form a *run* (:func:`_compiled_runs`, cached per
+program tuple): one calibration gather, one noise draw and one
+accumulation for the whole run, then one contraction per
+:attr:`~repro.sim.xx_engine.ContractionPlan.structure` over the stacked
+rows of the run's tests sharing it.  Every dense draw waits for its plan
+core, contracted once for all tests sharing its canonical skeleton, on
+the process-wide :data:`~repro.sim.dense_plan.PLAN_CACHE`.  Then one binomial draw
 samples every test's shots.  ``run_match`` is the pass's one-program
 case, returning counts; a battery is a list of programs run as one
 pass.  ``_realize_slots`` builds the same draws as
@@ -296,10 +301,11 @@ class VirtualIonTrap:
 
         The one evaluation route, one pass per call: every program's
         route is checked before anything is drawn, each program's
-        ``trials`` x realization-group batch is drawn in list order (see
-        :meth:`_pass_probabilities`), and the shots of every (test,
-        trial, group) are sampled with one binomial draw.  Dense plans
-        come from the process-wide
+        ``trials`` x realization-group batch is drawn in list order, a
+        run of consecutive XX tests as one draw contracted once per plan
+        structure (see :meth:`_pass_probabilities`), and the shots of
+        every (test, trial, group) are sampled with one binomial draw.
+        Dense plans come from the process-wide
         :data:`~repro.sim.dense_plan.PLAN_CACHE`.  A battery (Figs. 6/7,
         the scenario matrix) is one such pass per machine.
 
@@ -364,12 +370,17 @@ class VirtualIonTrap:
     ) -> tuple[np.ndarray, np.ndarray]:
         """A pass's shot groups and ``(tests, trials, groups)`` match probabilities.
 
-        Each program's batch is drawn in list order: on its XX entry
-        when the route takes it (drawn and contracted per test),
-        otherwise into its dense layout, where it waits for its plan
-        core: dense tests sharing a canonical skeleton are contracted in
-        one stacked :meth:`~repro.sim.dense_plan.DensePlan.probabilities`
-        call.
+        Each program's batch is drawn in list order.  A run of two or
+        more consecutive XX tests (:func:`_compiled_runs`) is drawn as
+        one block and contracted once per plan structure
+        (:meth:`_run_probabilities`), the same draws and clock as one
+        test at a time; a run whose couplings carry a drive-phase offset
+        is evaluated one test at a time.  Any other test the XX route
+        takes is drawn and contracted on its own
+        (:meth:`_xx_probabilities`).  The rest are drawn into their dense
+        layouts, where they wait for their plan core: dense tests sharing
+        a canonical skeleton are contracted in one stacked
+        :meth:`~repro.sim.dense_plan.DensePlan.probabilities` call.
         """
         if engine not in ("auto", "xx", "dense"):
             raise ValueError(
@@ -377,35 +388,53 @@ class VirtualIonTrap:
             )
         if shots < 1:
             raise ValueError("shots must be positive")
-        routes = []
         for program in programs:
             if program.circuit.n_qubits != self.n_qubits:
                 raise ValueError(
                     f"program is on {program.circuit.n_qubits} qubits, "
                     f"machine has {self.n_qubits}"
                 )
-            xx = None if engine == "dense" else program.xx(self.max_exact_qubits)
-            angles = self._xx_slot_angles(xx)
-            if engine == "xx" and angles is None:
+            if engine != "xx":
+                continue
+            xx = program.xx(self.max_exact_qubits)
+            if self._xx_slot_angles(xx) is None:
                 raise ValueError(
                     "engine='xx' requested but the setting requires the "
                     "dense fallback (non-XX-preserving noise, a dense-only "
                     "test, or drive phases off the pi grid)"
                 )
-            if engine == "xx" and xx.plan.sampled:
+            if xx.plan.sampled:
                 raise ValueError(
                     "engine='xx' requested but a coupling component exceeds "
                     f"max_exact_qubits={self.max_exact_qubits}, so the XX "
                     "route would sample it"
                 )
-            routes.append((xx, angles))
+        runs = (
+            _compiled_runs(tuple(programs), self.max_exact_qubits)
+            if engine != "dense"
+            and len(programs) > 1
+            and self.noise.is_xx_preserving()
+            else {}
+        )
         groups = np.asarray(self._shot_groups(shots, realizations), dtype=np.int64)
         n_batch = trials * len(groups)
         probs = np.empty((len(programs), n_batch))
         # Dense draws awaiting their plan core's one stacked call:
         # canonical skeleton -> [(row, segment, blocks), ...].
         stacks: dict[Skeleton, list[tuple[int, Segment, Blocks]]] = {}
-        for row, (program, (xx, angles)) in enumerate(zip(programs, routes)):
+        run_stop = 0
+        for row, program in enumerate(programs):
+            if row < run_stop:
+                continue  # drawn with its run
+            run = runs.get(row)
+            if run is not None and not self.calibration.phase_offsets[
+                run.edge_q1, run.edge_q2
+            ].any():
+                self._run_probabilities(run, programs, probs)
+                run_stop = run.stop
+                continue
+            xx = None if engine == "dense" else program.xx(self.max_exact_qubits)
+            angles = self._xx_slot_angles(xx)
             if angles is not None:
                 probs[row] = self._xx_probabilities(xx, angles, n_batch)[0]
                 continue
@@ -565,6 +594,48 @@ class VirtualIonTrap:
             self.rng,
         )
         return probs.reshape(n_cols, n_batch)
+
+    def _run_probabilities(
+        self, run: "_XXRun", programs: list["TestProgram"], probs: np.ndarray
+    ) -> None:
+        """Fill the rows of ``run``'s tests in ``probs``, ``(tests, n_batch)``.
+
+        :meth:`_xx_probabilities` for a run of tests at once: one
+        under-rotation gather over the run's couplings, one ``(n_ms,
+        n_batch)`` normal draw (the tests' consecutive draws), one
+        ``np.add.at`` of every test's slots into a ``(sum of edges,
+        n_batch)`` block, and the clock advanced test by test.  Each
+        structure group is then contracted in one call on its first
+        member's plan, over its members' stacked rows and their own
+        linear rows.  The caller checks that no coupling of the run
+        carries a drive-phase offset; every angle is then the one-test
+        route's.
+        """
+        n_batch = probs.shape[1]
+        unders = self.calibration.under_rotations[run.edge_q1, run.edge_q2]
+        slot_angles = (run.slot_axis_theta * (1.0 - unders)[run.slot_edge])[:, None]
+        n_ms = run.slot_edge.size
+        sigma = self.noise.amplitude_sigma
+        if sigma > 0 and n_ms:
+            xi = self.rng.normal(0.0, sigma, (n_ms, n_batch))
+            angles = slot_angles * (1.0 + xi)
+        else:
+            angles = np.broadcast_to(slot_angles, (n_ms, n_batch))
+        acc = np.zeros((run.edge_q1.size, n_batch))
+        np.add.at(acc, run.slot_edge, angles)
+        gate_dt = self.timing.gate_time(self.n_qubits)
+        for count in run.n_ms:
+            self._clock += n_batch * count * gate_dt
+        for group in run.groups:
+            tests, width = group.edge_rows.shape
+            thetas = acc[group.edge_rows].transpose(0, 2, 1)
+            lin = group.linear
+            plan = programs[group.first].xx(self.max_exact_qubits).plan
+            probs[group.rows] = plan.probabilities(
+                thetas.reshape(tests * n_batch, width),
+                np.repeat(lin, n_batch, axis=0) if lin.size else None,
+                self.max_batch_bytes,
+            ).reshape(tests, n_batch)
 
     # -- batched (slot-based) realization and evaluation ---------------------------
 
@@ -833,6 +904,8 @@ class TestProgram:
     or :func:`repro.core.protocol.built_test`.
     """
 
+    __test__ = False  # not a pytest test class
+
     circuit: Circuit = field(compare=False)
     expected: int = field(compare=False)
     #: Two-qubit gate applications per shot, for cost accounting.
@@ -992,6 +1065,110 @@ def _compiled_xx_test(
         ),
         linear=np.array(list(linear.values()), dtype=np.float64),
         plan=plan,
+    )
+
+
+@dataclass(frozen=True)
+class _RunGroup:
+    """The tests of one run that share a plan structure.
+
+    ``first`` is the round row whose plan contracts the group, ``rows``
+    every member's round row, ``edge_rows`` each member's edge columns
+    as rows of the run's accumulated block, ``(k, E)``, and ``linear``
+    each member's static RX/X angles, ``(k, L)``.
+    """
+
+    first: int
+    rows: np.ndarray
+    edge_rows: np.ndarray
+    linear: np.ndarray
+
+
+@dataclass(frozen=True)
+class _XXRun:
+    """Consecutive XX tests of a round, rows ``start`` to ``stop - 1``.
+
+    ``edge_q1``/``edge_q2`` are the targets of every test's edge columns,
+    concatenated: the rows of the run's accumulated block.  Each MS/XX
+    slot has its row ``slot_edge`` and its nominal angle times axis sign
+    ``slot_axis_theta``; ``n_ms`` holds each test's slot count for the
+    clock.
+    """
+
+    start: int
+    stop: int
+    edge_q1: np.ndarray
+    edge_q2: np.ndarray
+    slot_edge: np.ndarray
+    slot_axis_theta: np.ndarray
+    n_ms: tuple[int, ...]
+    groups: tuple[_RunGroup, ...]
+
+
+#: Rounds whose XX runs are kept per process (least recently used
+#: dropped first).  An entry holds index and angle arrays, 16 bytes per
+#: MS slot (an N = 16 battery at 16 repetitions, 6,272 slots: 100 KB);
+#: plans stay with their programs' compiled XX entries.
+_ROUND_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=_ROUND_CACHE_SIZE)
+def _compiled_runs(
+    programs: tuple[TestProgram, ...], max_exact_qubits: int
+) -> dict[int, _XXRun]:
+    """A round's XX runs by first row.
+
+    A run is a maximal stretch of two or more programs whose compiled XX
+    entry has no sampled component and all drive phases on the pi grid.
+    Do not mutate the returned dict.
+    """
+    entries = [program.xx(max_exact_qubits) for program in programs]
+    runs: dict[int, _XXRun] = {}
+    start = 0
+    for stop, entry in enumerate([*entries, None]):
+        if entry is not None and entry.slot_axis_theta is not None and not (
+            entry.plan.sampled
+        ):
+            continue
+        if stop - start > 1:
+            runs[start] = _xx_run(start, entries[start:stop])
+        start = stop + 1
+    return runs
+
+
+def _xx_run(start: int, tests: list[_CompiledXXTest]) -> _XXRun:
+    """Concatenated edges, slots and structure groups of consecutive XX tests."""
+    offsets = np.cumsum([0] + [len(test.pairs) for test in tests])
+    members: dict[tuple, list[int]] = {}
+    for k, test in enumerate(tests):
+        members.setdefault(test.plan.structure, []).append(k)
+    groups = tuple(
+        _RunGroup(
+            first=start + ks[0],
+            rows=np.array(ks, dtype=np.intp) + start,
+            edge_rows=(
+                offsets[ks][:, None] + np.arange(len(tests[ks[0]].pairs))
+            ).astype(np.intp),
+            linear=np.array([tests[k].linear for k in ks]).reshape(
+                len(ks), tests[ks[0]].linear.size
+            ),
+        )
+        for ks in members.values()
+    )
+    edges = np.array(
+        [sorted(pair) for test in tests for pair in test.pairs], dtype=np.intp
+    ).reshape(-1, 2)
+    return _XXRun(
+        start=start,
+        stop=start + len(tests),
+        edge_q1=edges[:, 0].copy(),
+        edge_q2=edges[:, 1].copy(),
+        slot_edge=np.concatenate(
+            [test.slot_edge + off for test, off in zip(tests, offsets)]
+        ),
+        slot_axis_theta=np.concatenate([test.slot_axis_theta for test in tests]),
+        n_ms=tuple(test.slot_edge.size for test in tests),
+        groups=groups,
     )
 
 

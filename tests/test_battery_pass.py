@@ -13,7 +13,10 @@ carry it:
 
 Both are compared with ``==``; machine clock, RNG state and
 :class:`~repro.trap.machine.MachineStats` must match too (the pass on a
-fresh process plan cache, the oracle on its own).
+fresh process plan cache, the oracle on its own).  Consecutive XX tests
+form a run: one draw, one accumulation and one contraction per plan
+structure, which the mixed rounds below break with dense, sampled and
+declined tests.
 """
 
 import math
@@ -31,9 +34,11 @@ from repro.noise.spam import SpamModel
 from repro.sim.circuit import Circuit
 from repro.sim.dense_plan import DensePlanCache, Segment
 from repro.trap.faults import CouplingFault, CouplingPhaseFault
+from repro.sim.xx_engine import ContractionPlan
 from repro.trap.machine import (
     MachineStats,
     VirtualIonTrap,
+    _compiled_runs,
     _skeleton,
     as_program,
     slot_blocks,
@@ -278,3 +283,161 @@ def test_empty_specs_draw_nothing(fresh_plan_cache):
     assert [r.fidelity for r in only] == [1.0, 1.0]
     assert compiled.rng.bit_generator.state == state
     assert compiled._clock == clock
+
+
+# -- XX runs --------------------------------------------------------------------
+
+
+def _pair_test(a, b, repetitions=2):
+    return built_test((frozenset({a, b}),), repetitions, 8)
+
+
+def _mixed_round():
+    """N = 8 programs whose XX runs break at a dense and a sampled test.
+
+    Several tests per structure (relabeled point checks, two forced-zero
+    tests), RX/X linear terms with their own angles, a dense-only test
+    and, on a machine with ``max_exact_qubits=3``, a sampled class test.
+    """
+    half_pi = math.pi / 2
+
+    def pair(a, b):
+        return Circuit(8).ms(a, b, half_pi).ms(a, b, half_pi)
+
+    return [
+        _pair_test(0, 1),
+        _pair_test(2, 3),
+        # Forced zero: a 1 expected on an untouched qubit.
+        as_program(pair(0, 1), 0b00000001),
+        # One structure, each test with its own RX angle.
+        as_program(pair(4, 5).rx(4, 0.3), 0b00001100),
+        as_program(pair(2, 3).rx(2, 0.7), 0b00110000),
+        _pair_test(6, 7, 4),
+        as_program(Circuit(8).ms(0, 1, half_pi).r(2, 0.4, 0.3), 0),
+        _pair_test(4, 5),
+        as_program(pair(2, 3), 0b10000000),
+        as_program(Circuit(8).ms(6, 7, half_pi).x(6).ms(6, 7, half_pi), 1),
+        _pair_test(6, 7),
+        built_test(
+            tuple(frozenset(p) for p in ((0, 2), (0, 4), (2, 4), (4, 6))), 2, 8
+        ),
+        _pair_test(0, 1),
+        _pair_test(2, 3, 4),
+        _pair_test(6, 7),
+    ]
+
+
+@pytest.mark.parametrize(
+    "offset", [None, math.pi, 0.6], ids=["none", "pi", "off-grid"]
+)
+def test_mixed_round_equals_in_order_oracle(offset, monkeypatch, fresh_plan_cache):
+    """Runs of XX tests equal the per-test oracle; breaks keep their order."""
+    programs = _mixed_round()
+    faults = [CouplingFault(frozenset({0, 1}), 0.3)]
+    if offset is not None:
+        faults.append(CouplingPhaseFault(frozenset({2, 3}), offset))
+    compiled, oracle = _twins(
+        8, AMPLITUDE, faults, noise_realizations=3, max_exact_qubits=3
+    )
+    runs = _compiled_runs(tuple(programs), compiled.max_exact_qubits)
+    # The dense test (row 6) and the sampled one (row 11) break the round.
+    assert {start: run.stop for start, run in runs.items()} == {
+        0: 6,
+        7: 11,
+        12: 15,
+    }
+    assert programs[11].xx(3).plan.sampled
+    assert programs[2].xx(3).plan.forced_zero
+    # Each run holds a structure group of two or more tests.
+    assert all(
+        max(group.rows.size for group in run.groups) > 1 for run in runs.values()
+    )
+    taken = []
+    original = VirtualIonTrap._run_probabilities
+
+    def spy(self, run, *args):
+        taken.append(run.start)
+        return original(self, run, *args)
+
+    monkeypatch.setattr(VirtualIonTrap, "_run_probabilities", spy)
+    plans = DensePlanCache()
+    for trials in (1, 2):
+        fids = compiled.run_battery(programs, 60, trials)
+        ref = _oracle_pass(programs, plans, oracle, 60, trials)
+        assert (fids == ref).all()
+        _assert_same_machine_state(compiled, oracle)
+    # A phase offset on {2, 3} sends every run (each holds a test on
+    # {2, 3}) test by test: on the XX route at pi, partly dense off the grid.
+    assert taken == ([0, 7, 12] if offset is None else []) * 2
+
+
+def test_run_probabilities_equal_test_by_test_pass():
+    """A run's rows equal one pass per test on a twin, to rounding."""
+    programs = _programs(8, 2) + _programs(8, 4)
+    faults = (CouplingFault(frozenset({0, 4}), 0.4),)
+    whole, single = _twins(8, AMPLITUDE, faults)
+    assert list(_compiled_runs(tuple(programs), whole.max_exact_qubits)) == [0]
+    _, probs = whole._pass_probabilities(programs, 80, 2)
+    rows = [single._pass_probabilities([p], 80, 2)[1][0] for p in programs]
+    # BLAS may pick another kernel for the stacked row count.
+    assert np.max(np.abs(probs - np.array(rows))) < 1e-15
+    assert whole.rng.bit_generator.state == single.rng.bit_generator.state
+    assert whole._clock == single._clock
+
+
+def test_battery_round_contracts_once_per_structure(monkeypatch):
+    programs = _programs(8, 2)
+    machine = VirtualIonTrap(8, noise=AMPLITUDE, seed=4)
+    structures = {p.xx(20).plan.structure for p in programs}
+    assert len(structures) < len(programs)
+    calls = []
+    original = ContractionPlan.probabilities
+
+    def counted(self, thetas, *args):
+        calls.append(thetas.shape[0])
+        return original(self, thetas, *args)
+
+    monkeypatch.setattr(ContractionPlan, "probabilities", counted)
+    Executor(machine, shots=100).execute_round(battery_specs(8, 2))
+    assert len(calls) == len(structures)
+    assert sum(calls) == len(programs) * machine.noise_realizations
+
+
+def test_structure_keys_relabeled_tests_together():
+    def plan(program):
+        return program.xx(20).plan
+
+    class_00, class_01, *_ = _programs(8, 2)
+    deeper = _programs(8, 4)[0]
+    assert plan(class_00).edge_keys != plan(class_01).edge_keys
+    assert plan(class_00).structure == plan(class_01).structure
+    # The same couplings with another expected bitstring.
+    assert plan(class_00).edge_keys == plan(deeper).edge_keys
+    assert plan(class_00).structure != plan(deeper).structure
+    # Linear terms: added, and moved to another spin of the component.
+    edges = [frozenset(p) for p in ((0, 2), (0, 4), (2, 4))]
+    bare = ContractionPlan(8, edges, [], 0)
+    on_0, on_2 = (ContractionPlan(8, edges, [q], 0) for q in (0, 2))
+    assert len({bare.structure, on_0.structure, on_2.structure}) == 3
+    # Relabeling the qubits keeps the key, linear term included.
+    shifted = [frozenset(q + 1 for q in e) for e in edges]
+    assert ContractionPlan(8, shifted, [1], 0).structure == on_0.structure
+
+
+@pytest.mark.parametrize("refused", ["dense", "sampled"])
+def test_xx_refusal_after_a_run_draws_nothing(refused):
+    battery = [_pair_test(0, 1), _pair_test(2, 3), _pair_test(4, 5)]
+    if refused == "dense":
+        battery.append(
+            as_program(Circuit(8).ms(0, 1, math.pi / 2).r(2, 0.4, 0.3), 0)
+        )
+    else:
+        battery.append(_programs(8, 2)[0])
+    machine = VirtualIonTrap(8, noise=AMPLITUDE, seed=3, max_exact_qubits=3)
+    assert list(_compiled_runs(tuple(battery), 3)) == [0]
+    state = machine.rng.bit_generator.state
+    with pytest.raises(ValueError, match="engine='xx'"):
+        machine.run_battery(battery, 100, engine="xx")
+    assert machine.rng.bit_generator.state == state
+    assert machine._clock == 0.0
+    assert machine.stats == MachineStats()

@@ -136,3 +136,28 @@ def test_a_two_qubit_battery_fails_on_its_one_coupling():
     assert [r.spec.name for r in results if r.failed] == ["canary-bits[0,!=]"]
     clean = OracleExecutor(set()).execute_round(battery_specs(2, 2))
     assert not any(r.failed for r in clean)
+
+
+@pytest.mark.parametrize("n_qubits", [2, 5, 8])
+def test_memoized_spec_builders_return_fresh_equal_lists(n_qubits):
+    """The builders are memoized: each call returns a new list holding
+    what an uncached build holds, keyed on the relevant set's value."""
+    from repro.core import multi_fault, single_fault
+
+    couplings = all_couplings(n_qubits)
+    relevant = set(couplings[1::2])
+    for subset in (None, relevant):
+        first = battery_specs(n_qubits, 4, subset)
+        first.append(None)
+        again = battery_specs(n_qubits, 4, None if subset is None else set(subset))
+        assert again == first[:-1]
+        protocol = SingleFaultProtocol(n_qubits, relevant=subset, repetitions=4)
+        round1 = single_fault._round1_specs.__wrapped__(
+            n_qubits, None if subset is None else frozenset(subset), 4
+        )
+        bits = multi_fault._equal_bits_tuple.__wrapped__(
+            n_qubits, frozenset(couplings if subset is None else subset), 4
+        )
+        assert protocol.round1_specs() == list(round1)
+        assert again == [*round1, *bits]
+    assert battery_specs(n_qubits, 4, relevant) != battery_specs(n_qubits, 4)
