@@ -355,15 +355,18 @@ class MultiFaultProtocol:
         normalized values (degenerate baselines) are skipped, not
         propagated into the ranking.
         """
-        normalized: list[tuple[TestSpec, float]] = []
+        normalized: list[tuple[frozenset[Pair], float]] = []
         for result in results:
             value = baselines.normalized(result.spec.name, result.fidelity)
             if value is not None and np.isfinite(value):
-                normalized.append((result.spec, value))
+                normalized.append((frozenset(result.spec.pairs), value))
         scored: list[tuple[float, Pair]] = []
         for pair in relevant:
-            inside = [v for spec, v in normalized if pair in spec.pairs]
-            outside = [v for spec, v in normalized if pair not in spec.pairs]
+            # One pass in list order, so the mean sums as it always has.
+            inside: list[float] = []
+            outside: list[float] = []
+            for pairs, value in normalized:
+                (inside if pair in pairs else outside).append(value)
             if not inside or not outside:
                 continue
             # statistics.median equals np.median on finite floats at a

@@ -21,15 +21,13 @@ Every test is a :class:`TestProgram` (a bare circuit is wrapped once per
 structure by :func:`as_program`), which resolves two compiled entries on
 first use and then holds them:
 
-* its XX entry per ``max_exact_qubits``: edge columns, per-slot targets,
-  nominal angles, drive phases and axis signs, static RX/X angles and a
+* its XX entry per ``max_exact_qubits``: a
   :class:`~repro.sim.xx_engine.ContractionPlan` (int8 half tables, under
-  64 KiB).  An XX call gathers each slot's calibrated
-  angle from the calibration arrays (:meth:`VirtualIonTrap._xx_slot_angles`),
-  draws its amplitude noise, forms the ``(G, E)`` angle matrix and
-  contracts (:meth:`VirtualIonTrap._xx_probabilities`).  The bounded
-  ``_compiled_xx_test`` cache owns these entries and programs hold weak
-  references, so its bound is the bound on pinned plans.
+  64 KiB) and the test's *run of one* (``_XXRun``): edge targets,
+  per-slot edge rows, nominal angles and drive phases, and static RX/X
+  angles.  The bounded ``_compiled_xx_test`` cache owns these entries
+  and programs hold weak references, so its bound is the bound on
+  pinned plans.
 * its dense layout per residual kicks on/off: per-MS-slot targets,
   angles and phases, R and fixed-gate parameters, slot skeleton and the
   index merging kick and R rows into program order.  A dense call
@@ -39,21 +37,23 @@ first use and then holds them:
 
 One route evaluates programs: :meth:`VirtualIonTrap.run_battery`, a pass
 over a list of them.  It checks every program's route before anything is
-drawn, then draws every test in order: on its XX entry where that
-applies (any size: the plan samples a component above
-``max_exact_qubits``), through its dense layout otherwise (MS slots
-under non-XX-preserving noise, drive phases off the pi grid, non-XX
-gates).  Consecutive XX tests without a sampled component or an
-off-grid nominal phase form a *run* (:func:`_compiled_runs`, cached per
-program tuple): one calibration gather, one noise draw and one
-accumulation for the whole run, then one contraction per
-:attr:`~repro.sim.xx_engine.ContractionPlan.structure` over the stacked
-rows of the run's tests sharing it.  Every dense draw waits for its plan
-core, contracted once for all tests sharing its canonical skeleton, on
-the process-wide :data:`~repro.sim.dense_plan.PLAN_CACHE`.  Then one binomial draw
-samples every test's shots.  ``run_match`` is the pass's one-program
-case, returning counts; a battery is a list of programs run as one
-pass.  ``_realize_slots`` builds the same draws as
+drawn, then draws every test in order.  The XX route takes *runs*:
+consecutive XX tests without a sampled component or an off-grid
+nominal phase form one (:func:`_compiled_runs`, cached per program
+tuple), and every other XX test is its own run of one (any size: a
+sampled plan draws its spins above ``max_exact_qubits``).  One step
+gathers a run's calibration and checks its realized drive phases
+(:meth:`VirtualIonTrap._xx_slot_angles`); one draw, one accumulation
+and one contraction per :attr:`~repro.sim.xx_engine.ContractionPlan.structure`
+evaluate it (:meth:`VirtualIonTrap._xx_probabilities`).  A run the
+route declines falls back to its tests' own runs; a test the route
+declines (MS slots under non-XX-preserving noise, drive phases off the
+pi grid, non-XX gates) is drawn through its dense layout and waits for
+its plan core, contracted once for all tests sharing its canonical
+skeleton, on the process-wide :data:`~repro.sim.dense_plan.PLAN_CACHE`.
+Then one binomial draw samples every test's shots.  ``run_match`` is
+the pass's one-program case, returning counts; a battery is a list of
+programs run as one pass.  ``_realize_slots`` builds the same draws as
 :class:`RealizedSlot` objects: it serves ``run`` and is the oracle the
 pass is tested against, bit for bit.
 
@@ -315,6 +315,8 @@ class VirtualIonTrap:
         ``"xx"`` demands the exact XX contraction and raises
         ``ValueError``, with nothing drawn, when the XX route declines
         any of the programs or would sample one of their components.
+        ``shots`` or ``trials`` below 1 raise ``ValueError`` before
+        anything is drawn.
         """
         groups, probs = self._pass_probabilities(
             programs, shots, trials, realizations, engine
@@ -336,15 +338,18 @@ class VirtualIonTrap:
         sweep point reuses the same noise draws, so the whole ``(M,
         trials, groups)`` grid costs one stacked contraction plus one
         binomial draw (Fig. 8).  Sweeps run on the XX route only.
+        ``shots`` or ``trials`` below 1 raise ``ValueError`` before
+        anything is drawn, as on :meth:`run_battery`.
         """
+        _check_counts(shots, trials)
         if program.circuit.n_qubits != self.n_qubits:
             raise ValueError(
                 f"program is on {program.circuit.n_qubits} qubits, "
                 f"machine has {self.n_qubits}"
             )
-        xx = program.xx(self.max_exact_qubits)
+        run = self._own_run(program)
         mags = np.asarray(magnitudes, dtype=np.float64)
-        angles = self._xx_slot_angles(xx, sweep=(pair, mags))
+        angles = self._xx_slot_angles(run, sweep=(pair, mags))
         if angles is None:
             raise ValueError(
                 "magnitude sweeps require XX-preserving noise, an "
@@ -353,9 +358,9 @@ class VirtualIonTrap:
                 "magnitude point via run_battery"
             )
         groups = np.asarray(self._shot_groups(shots, realizations), dtype=np.int64)
-        probs = self._xx_probabilities(xx, angles, trials * len(groups)).reshape(
-            mags.size, trials, len(groups)
-        )
+        probs = self._xx_probabilities(
+            run, angles, trials * len(groups), [program]
+        ).reshape(mags.size, trials, len(groups))
         return self._sample_fidelities([program], probs, shots, groups)
 
     # -- internals ---------------------------------------------------------------------
@@ -370,24 +375,21 @@ class VirtualIonTrap:
     ) -> tuple[np.ndarray, np.ndarray]:
         """A pass's shot groups and ``(tests, trials, groups)`` match probabilities.
 
-        Each program's batch is drawn in list order.  A run of two or
-        more consecutive XX tests (:func:`_compiled_runs`) is drawn as
-        one block and contracted once per plan structure
-        (:meth:`_run_probabilities`), the same draws and clock as one
-        test at a time; a run whose couplings carry a drive-phase offset
-        is evaluated one test at a time.  Any other test the XX route
-        takes is drawn and contracted on its own
-        (:meth:`_xx_probabilities`).  The rest are drawn into their dense
-        layouts, where they wait for their plan core: dense tests sharing
-        a canonical skeleton are contracted in one stacked
+        Each program's batch is drawn in list order.  The XX route takes
+        runs (:meth:`_xx_probabilities`): a round's stretch of two or
+        more consecutive XX tests (:func:`_compiled_runs`) as one run,
+        and a run it declines as a whole (a drive-phase offset off the
+        pi grid, say) falls back to its tests' own runs of one, in order.
+        A test the route declines is drawn into its dense layout, where
+        it waits for its plan core: dense tests sharing a canonical
+        skeleton are contracted in one stacked
         :meth:`~repro.sim.dense_plan.DensePlan.probabilities` call.
         """
         if engine not in ("auto", "xx", "dense"):
             raise ValueError(
                 f"unknown engine {engine!r}; choose auto, xx or dense"
             )
-        if shots < 1:
-            raise ValueError("shots must be positive")
+        _check_counts(shots, trials)
         for program in programs:
             if program.circuit.n_qubits != self.n_qubits:
                 raise ValueError(
@@ -396,14 +398,13 @@ class VirtualIonTrap:
                 )
             if engine != "xx":
                 continue
-            xx = program.xx(self.max_exact_qubits)
-            if self._xx_slot_angles(xx) is None:
+            if self._xx_slot_angles(self._own_run(program)) is None:
                 raise ValueError(
                     "engine='xx' requested but the setting requires the "
                     "dense fallback (non-XX-preserving noise, a dense-only "
                     "test, or drive phases off the pi grid)"
                 )
-            if xx.plan.sampled:
+            if program.xx(self.max_exact_qubits).plan.sampled:
                 raise ValueError(
                     "engine='xx' requested but a coupling component exceeds "
                     f"max_exact_qubits={self.max_exact_qubits}, so the XX "
@@ -427,16 +428,15 @@ class VirtualIonTrap:
             if row < run_stop:
                 continue  # drawn with its run
             run = runs.get(row)
-            if run is not None and not self.calibration.phase_offsets[
-                run.edge_q1, run.edge_q2
-            ].any():
-                self._run_probabilities(run, programs, probs)
-                run_stop = run.stop
-                continue
-            xx = None if engine == "dense" else program.xx(self.max_exact_qubits)
-            angles = self._xx_slot_angles(xx)
+            angles = self._xx_slot_angles(run)
+            if angles is None:
+                run = None if engine == "dense" else self._own_run(program)
+                angles = self._xx_slot_angles(run)
             if angles is not None:
-                probs[row] = self._xx_probabilities(xx, angles, n_batch)[0]
+                run_stop = row + len(run.n_ms)
+                probs[row:run_stop] = self._xx_probabilities(
+                    run, angles, n_batch, programs[row:run_stop]
+                )[:, 0]
                 continue
             test = self._dense_test(program)
             blocks = self._draw_dense(test, n_batch)
@@ -510,68 +510,85 @@ class VirtualIonTrap:
 
     # -- compiled XX route -------------------------------------------------------
 
+    def _own_run(self, program: "TestProgram") -> "_XXRun | None":
+        """``program``'s compiled run of one, or ``None`` where the XX route declines.
+
+        A program with two-qubit gates under non-XX-preserving noise is
+        declined without resolving its XX entry, so no plan is compiled
+        that the pass would never contract.
+        """
+        if program.n_two_qubit and not self.noise.is_xx_preserving():
+            return None
+        xx = program.xx(self.max_exact_qubits)
+        return None if xx is None else xx.run
+
     def _xx_slot_angles(
         self,
-        test: "_CompiledXXTest | None",
+        run: "_XXRun | None",
         sweep: tuple[Pair | tuple[int, int], np.ndarray] | None = None,
     ) -> np.ndarray | None:
         """The XX route's eligibility step: each slot's calibrated angle.
 
         Returns ``None`` (nothing drawn, clock untouched) when the route
-        declines: no compiled XX test, MS slots under non-XX-preserving
-        noise, or a realized drive phase off the pi grid.  A test with no
-        MS slot is taken under any noise: its RX/X angles are static.
-        Otherwise returns the ``(n_ms, M)`` angles ``sign * theta * (1 -
-        u)`` of every MS/XX slot, with the X-basis axis sign of its
-        realized drive phases.
+        declines the run: no compiled run, MS slots under
+        non-XX-preserving noise, or a realized drive phase (nominal plus
+        the coupling's offset) off the pi grid.  A run with no MS slot is
+        taken under any noise: its RX/X angles are static.  Otherwise
+        returns the ``(n_ms, M)`` angles ``sign * theta * (1 - u)`` of
+        every MS/XX slot, with the X-basis axis sign of its realized
+        drive phases; calibration is gathered once per edge.
         ``M`` is 1, or with ``sweep = (pair, magnitudes)`` one column per
         magnitude, each replacing ``pair``'s under-rotation.
         """
-        if test is None or (
-            not self.noise.is_xx_preserving() and test.slot_edge.size
+        if run is None or (
+            not self.noise.is_xx_preserving() and run.slot_edge.size
         ):
             return None
         calibration = self.calibration
-        offsets = calibration.phase_offsets[test.slot_q1, test.slot_q2]
-        if offsets.any():
-            phi1 = test.slot_phi1 + offsets
-            phi2 = test.slot_phi2 + offsets
-            if not (
-                np.all(is_multiple_of_pi(phi1)) and np.all(is_multiple_of_pi(phi2))
-            ):
+        theta = run.slot_theta
+        offsets = calibration.phase_offsets[run.edge_q1, run.edge_q2]
+        if run.slot_phases is not None or offsets.any():
+            # (n_ms, 2), or (n_ms, 1) for both phases when nominally 0.
+            phases = offsets[run.slot_edge, None] + (
+                0.0 if run.slot_phases is None else run.slot_phases
+            )
+            if not np.all(is_multiple_of_pi(phases)):
                 return None
-            theta = ms_axis_sign(phi1, phi2) * test.slot_theta
-        elif test.slot_axis_theta is None:
-            return None
-        else:
-            theta = test.slot_axis_theta
-        unders = calibration.under_rotations[test.slot_q1, test.slot_q2]
-        if sweep is None:
-            return (theta * (1.0 - unders))[:, None]
-        pair, magnitudes = sweep
-        try:
-            col = test.pairs.index(frozenset(pair))
-        except ValueError:
-            raise ValueError(
-                f"pair {sorted(pair)} is not exercised by this test"
-            ) from None
-        slot_unders = np.repeat(unders[:, None], len(magnitudes), axis=1)
-        slot_unders[test.slot_edge == col] = magnitudes
-        return theta[:, None] * (1.0 - slot_unders)
+            theta = ms_axis_sign(phases[:, 0], phases[:, -1]) * theta
+        unders = calibration.under_rotations[run.edge_q1, run.edge_q2][:, None]
+        if sweep is not None:
+            pair, magnitudes = sweep
+            col = (run.edge_q1 == min(pair)) & (run.edge_q2 == max(pair))
+            if not col.any():
+                raise ValueError(
+                    f"pair {sorted(pair)} is not exercised by this test"
+                )
+            unders = np.repeat(unders, len(magnitudes), axis=1)
+            unders[col] = magnitudes
+        return theta[:, None] * (1.0 - unders)[run.slot_edge]
 
     def _xx_probabilities(
-        self, test: "_CompiledXXTest", slot_angles: np.ndarray, n_batch: int
+        self,
+        run: "_XXRun",
+        slot_angles: np.ndarray,
+        n_batch: int,
+        programs: list["TestProgram"],
     ) -> np.ndarray:
-        """Match probabilities of ``n_batch`` draws: shape ``(M, n_batch)``.
+        """Match probabilities of ``run``'s tests: shape ``(tests, M, n_batch)``.
 
-        The one XX draw: ``slot_angles`` (from :meth:`_xx_slot_angles`)
-        times ``1 + xi`` for one ``(n_ms, n_batch)`` amplitude-noise draw
-        shared by all ``M`` columns, accumulated per edge in slot order
-        and contracted as one stacked ``(M * n_batch, E)`` batch; a
-        sampled plan then draws its spins from the machine's generator.
-        Draw, arithmetic and clock advance are those of
-        :meth:`_realize_slots` with the realized angles summed per edge in
-        slot order, so each row equals that oracle's.
+        The one XX draw, for a run of any length (``programs`` are its
+        tests): ``slot_angles`` (from :meth:`_xx_slot_angles`) times ``1
+        + xi`` for one ``(n_ms, n_batch)`` amplitude-noise draw shared by
+        all ``M`` columns (the tests' consecutive draws), one
+        ``np.add.at`` of every slot into the run's ``(edges, M,
+        n_batch)`` block and the clock advanced test by test.  Each
+        structure group is then contracted in one call on its first
+        member's plan, over its members' stacked rows and their own
+        linear rows; a sampled plan (always a run of one) draws its spins
+        from the machine's generator after the noise.  Draw, arithmetic
+        and clock advance are those of :meth:`_realize_slots` with the
+        realized angles summed per edge in slot order, so each row equals
+        that oracle's.
         """
         n_ms, n_cols = slot_angles.shape
         sigma = self.noise.amplitude_sigma
@@ -582,60 +599,25 @@ class VirtualIonTrap:
             angles = np.broadcast_to(
                 slot_angles[:, :, None], (n_ms, n_cols, n_batch)
             )
-        acc = np.zeros((len(test.pairs), n_cols, n_batch))
-        np.add.at(acc, test.slot_edge, angles)
         rows = n_cols * n_batch
-        lin = np.tile(test.linear, (rows, 1)) if test.linear.size else None
-        self._clock += n_batch * n_ms * self.timing.gate_time(self.n_qubits)
-        probs = test.plan.probabilities(
-            np.ascontiguousarray(acc.reshape(len(test.pairs), rows).T),
-            lin,
-            self.max_batch_bytes,
-            self.rng,
-        )
-        return probs.reshape(n_cols, n_batch)
-
-    def _run_probabilities(
-        self, run: "_XXRun", programs: list["TestProgram"], probs: np.ndarray
-    ) -> None:
-        """Fill the rows of ``run``'s tests in ``probs``, ``(tests, n_batch)``.
-
-        :meth:`_xx_probabilities` for a run of tests at once: one
-        under-rotation gather over the run's couplings, one ``(n_ms,
-        n_batch)`` normal draw (the tests' consecutive draws), one
-        ``np.add.at`` of every test's slots into a ``(sum of edges,
-        n_batch)`` block, and the clock advanced test by test.  Each
-        structure group is then contracted in one call on its first
-        member's plan, over its members' stacked rows and their own
-        linear rows.  The caller checks that no coupling of the run
-        carries a drive-phase offset; every angle is then the one-test
-        route's.
-        """
-        n_batch = probs.shape[1]
-        unders = self.calibration.under_rotations[run.edge_q1, run.edge_q2]
-        slot_angles = (run.slot_axis_theta * (1.0 - unders)[run.slot_edge])[:, None]
-        n_ms = run.slot_edge.size
-        sigma = self.noise.amplitude_sigma
-        if sigma > 0 and n_ms:
-            xi = self.rng.normal(0.0, sigma, (n_ms, n_batch))
-            angles = slot_angles * (1.0 + xi)
-        else:
-            angles = np.broadcast_to(slot_angles, (n_ms, n_batch))
-        acc = np.zeros((run.edge_q1.size, n_batch))
-        np.add.at(acc, run.slot_edge, angles)
+        acc = np.zeros((run.edge_q1.size, rows))
+        np.add.at(acc, run.slot_edge, angles.reshape(n_ms, rows))
         gate_dt = self.timing.gate_time(self.n_qubits)
         for count in run.n_ms:
             self._clock += n_batch * count * gate_dt
+        probs = np.empty((len(run.n_ms), rows))
         for group in run.groups:
             tests, width = group.edge_rows.shape
             thetas = acc[group.edge_rows].transpose(0, 2, 1)
             lin = group.linear
-            plan = programs[group.first].xx(self.max_exact_qubits).plan
+            plan = programs[group.rows[0]].xx(self.max_exact_qubits).plan
             probs[group.rows] = plan.probabilities(
-                thetas.reshape(tests * n_batch, width),
-                np.repeat(lin, n_batch, axis=0) if lin.size else None,
+                thetas.reshape(tests * rows, width),
+                np.repeat(lin, rows, axis=0) if lin.size else None,
                 self.max_batch_bytes,
-            ).reshape(tests, n_batch)
+                self.rng,
+            ).reshape(tests, rows)
+        return probs.reshape(len(run.n_ms), n_cols, n_batch)
 
     # -- batched (slot-based) realization and evaluation ---------------------------
 
@@ -856,6 +838,14 @@ class VirtualIonTrap:
         )
 
 
+def _check_counts(shots: int, trials: int) -> None:
+    """Refuse a pass of no shots or no trials before anything is drawn."""
+    if shots < 1:
+        raise ValueError("shots must be positive")
+    if trials < 1:
+        raise ValueError("trials must be positive")
+
+
 class CompiledBattery:
     """Compatibility shim for the benchmark's tracer; nothing in ``src/`` uses it.
 
@@ -971,29 +961,52 @@ def _program(
 
 
 @dataclass(frozen=True)
-class _CompiledXXTest:
-    """Machine-independent structure of one XX test.
+class _RunGroup:
+    """The tests of one run that share a plan structure.
 
-    ``pairs`` fixes the plan's edge-column order (first appearance);
-    ``slot_edge``/``slot_q1``/``slot_q2``/``slot_theta``/``slot_phi1``/
-    ``slot_phi2`` give each MS/XX application's column, targets (the
-    calibration gather index), nominal angle and nominal drive phases (0
-    for XX).  ``slot_axis_theta`` holds each nominal angle times the
-    X-basis axis sign of its phases, or is ``None`` when a phase sits off
-    the pi grid.  ``linear`` holds the
-    static RX/X angle per ``plan.linear_keys`` entry, summed in program
-    order.
+    ``rows`` holds each member's index in the run (the first one's plan
+    contracts the group), ``edge_rows`` each member's edge columns as
+    rows of the run's accumulated block, ``(k, E)``, and ``linear`` each
+    member's static RX/X angles, ``(k, L)``.
     """
 
-    pairs: tuple[Pair, ...]
-    slot_edge: np.ndarray
-    slot_q1: np.ndarray
-    slot_q2: np.ndarray
-    slot_theta: np.ndarray
-    slot_phi1: np.ndarray
-    slot_phi2: np.ndarray
-    slot_axis_theta: np.ndarray | None
+    rows: np.ndarray
+    edge_rows: np.ndarray
     linear: np.ndarray
+
+
+@dataclass(frozen=True)
+class _XXRun:
+    """Consecutive XX tests as one layout; a compiled XX test is a run of one.
+
+    ``edge_q1``/``edge_q2`` are the sorted targets of every test's edge
+    columns, concatenated: the rows of the run's accumulated block and
+    the calibration gather index.  Each MS/XX slot has its row
+    ``slot_edge`` and nominal angle ``slot_theta``; ``slot_phases``
+    holds the slots' nominal drive phases, ``(n_ms, 2)``, or is ``None``
+    when every one is 0 (XX gates and every protocol test).  ``n_ms``
+    holds each test's slot count for the clock.
+    """
+
+    edge_q1: np.ndarray
+    edge_q2: np.ndarray
+    slot_edge: np.ndarray
+    slot_theta: np.ndarray
+    slot_phases: np.ndarray | None
+    n_ms: tuple[int, ...]
+    groups: tuple[_RunGroup, ...]
+
+
+@dataclass(frozen=True)
+class _CompiledXXTest:
+    """Machine-independent structure of one XX test: its run of one and plan.
+
+    ``run``'s edge columns follow ``plan.edge_keys`` (first appearance)
+    and its one group's linear row holds the static RX/X angle per
+    ``plan.linear_keys`` entry, summed in program order.
+    """
+
+    run: _XXRun
     plan: ContractionPlan
 
 
@@ -1021,7 +1034,6 @@ def _compiled_xx_test(
     n_qubits, ops, expected = program.key
     edge_index: dict[Pair, int] = {}
     slot_edge: list[int] = []
-    slot_qubits: list[tuple[int, int]] = []
     slot_theta: list[float] = []
     slot_phases: list[tuple[float, float]] = []
     linear: dict[int, float] = {}
@@ -1029,7 +1041,6 @@ def _compiled_xx_test(
         if op.gate in ("MS", "XX"):
             col = edge_index.setdefault(frozenset(op.qubits), len(edge_index))
             slot_edge.append(col)
-            slot_qubits.append(op.qubits)
             slot_theta.append(op.params[0])
             slot_phases.append(op.params[1:] if op.gate == "MS" else (0.0, 0.0))
         elif op.gate == "RX":
@@ -1047,62 +1058,26 @@ def _compiled_xx_test(
         expected,
         max_exact_qubits=max_exact_qubits,
     )
+    edges = np.array(
+        [sorted(pair) for pair in edge_index], dtype=np.intp
+    ).reshape(-1, 2)
     phases = np.array(slot_phases, dtype=np.float64).reshape(len(slot_edge), 2)
-    qubits = np.array(slot_qubits, dtype=np.intp).reshape(len(slot_edge), 2)
-    thetas = np.array(slot_theta, dtype=np.float64)
-    return _CompiledXXTest(
-        pairs=tuple(edge_index),
+    run = _XXRun(
+        edge_q1=edges[:, 0].copy(),
+        edge_q2=edges[:, 1].copy(),
         slot_edge=np.array(slot_edge, dtype=np.intp),
-        slot_q1=qubits[:, 0].copy(),
-        slot_q2=qubits[:, 1].copy(),
-        slot_theta=thetas,
-        slot_phi1=phases[:, 0].copy(),
-        slot_phi2=phases[:, 1].copy(),
-        slot_axis_theta=(
-            ms_axis_sign(phases[:, 0], phases[:, 1]) * thetas
-            if np.all(is_multiple_of_pi(phases))
-            else None
+        slot_theta=np.array(slot_theta, dtype=np.float64),
+        slot_phases=phases if phases.any() else None,
+        n_ms=(len(slot_edge),),
+        groups=(
+            _RunGroup(
+                rows=np.zeros(1, dtype=np.intp),
+                edge_rows=np.arange(len(edge_index), dtype=np.intp)[None, :],
+                linear=np.array([list(linear.values())], dtype=np.float64),
+            ),
         ),
-        linear=np.array(list(linear.values()), dtype=np.float64),
-        plan=plan,
     )
-
-
-@dataclass(frozen=True)
-class _RunGroup:
-    """The tests of one run that share a plan structure.
-
-    ``first`` is the round row whose plan contracts the group, ``rows``
-    every member's round row, ``edge_rows`` each member's edge columns
-    as rows of the run's accumulated block, ``(k, E)``, and ``linear``
-    each member's static RX/X angles, ``(k, L)``.
-    """
-
-    first: int
-    rows: np.ndarray
-    edge_rows: np.ndarray
-    linear: np.ndarray
-
-
-@dataclass(frozen=True)
-class _XXRun:
-    """Consecutive XX tests of a round, rows ``start`` to ``stop - 1``.
-
-    ``edge_q1``/``edge_q2`` are the targets of every test's edge columns,
-    concatenated: the rows of the run's accumulated block.  Each MS/XX
-    slot has its row ``slot_edge`` and its nominal angle times axis sign
-    ``slot_axis_theta``; ``n_ms`` holds each test's slot count for the
-    clock.
-    """
-
-    start: int
-    stop: int
-    edge_q1: np.ndarray
-    edge_q2: np.ndarray
-    slot_edge: np.ndarray
-    slot_axis_theta: np.ndarray
-    n_ms: tuple[int, ...]
-    groups: tuple[_RunGroup, ...]
+    return _CompiledXXTest(run=run, plan=plan)
 
 
 #: Rounds whose XX runs are kept per process (least recently used
@@ -1116,58 +1091,65 @@ _ROUND_CACHE_SIZE = 256
 def _compiled_runs(
     programs: tuple[TestProgram, ...], max_exact_qubits: int
 ) -> dict[int, _XXRun]:
-    """A round's XX runs by first row.
+    """A round's XX runs of two or more tests, by first row.
 
-    A run is a maximal stretch of two or more programs whose compiled XX
-    entry has no sampled component and all drive phases on the pi grid.
+    A run is a maximal stretch of programs whose compiled XX entry has
+    no sampled component and all nominal drive phases on the pi grid.
     Do not mutate the returned dict.
     """
     entries = [program.xx(max_exact_qubits) for program in programs]
     runs: dict[int, _XXRun] = {}
     start = 0
     for stop, entry in enumerate([*entries, None]):
-        if entry is not None and entry.slot_axis_theta is not None and not (
-            entry.plan.sampled
+        if (
+            entry is not None
+            and not entry.plan.sampled
+            and (
+                entry.run.slot_phases is None
+                or np.all(is_multiple_of_pi(entry.run.slot_phases))
+            )
         ):
             continue
         if stop - start > 1:
-            runs[start] = _xx_run(start, entries[start:stop])
+            runs[start] = _xx_run(entries[start:stop])
         start = stop + 1
     return runs
 
 
-def _xx_run(start: int, tests: list[_CompiledXXTest]) -> _XXRun:
-    """Concatenated edges, slots and structure groups of consecutive XX tests."""
-    offsets = np.cumsum([0] + [len(test.pairs) for test in tests])
+def _xx_run(tests: list[_CompiledXXTest]) -> _XXRun:
+    """Consecutive XX tests' runs of one, concatenated and grouped by structure."""
+    runs = [test.run for test in tests]
+    offsets = np.cumsum([0] + [run.edge_q1.size for run in runs])
     members: dict[tuple, list[int]] = {}
     for k, test in enumerate(tests):
         members.setdefault(test.plan.structure, []).append(k)
     groups = tuple(
         _RunGroup(
-            first=start + ks[0],
-            rows=np.array(ks, dtype=np.intp) + start,
-            edge_rows=(
-                offsets[ks][:, None] + np.arange(len(tests[ks[0]].pairs))
-            ).astype(np.intp),
-            linear=np.array([tests[k].linear for k in ks]).reshape(
-                len(ks), tests[ks[0]].linear.size
-            ),
+            rows=np.array(ks, dtype=np.intp),
+            edge_rows=offsets[ks][:, None] + runs[ks[0]].groups[0].edge_rows,
+            linear=np.concatenate([runs[k].groups[0].linear for k in ks]),
         )
         for ks in members.values()
     )
-    edges = np.array(
-        [sorted(pair) for test in tests for pair in test.pairs], dtype=np.intp
-    ).reshape(-1, 2)
+    phases = None
+    if any(run.slot_phases is not None for run in runs):
+        phases = np.concatenate(
+            [
+                np.zeros((run.slot_edge.size, 2))
+                if run.slot_phases is None
+                else run.slot_phases
+                for run in runs
+            ]
+        )
     return _XXRun(
-        start=start,
-        stop=start + len(tests),
-        edge_q1=edges[:, 0].copy(),
-        edge_q2=edges[:, 1].copy(),
+        edge_q1=np.concatenate([run.edge_q1 for run in runs]),
+        edge_q2=np.concatenate([run.edge_q2 for run in runs]),
         slot_edge=np.concatenate(
-            [test.slot_edge + off for test, off in zip(tests, offsets)]
+            [run.slot_edge + off for run, off in zip(runs, offsets)]
         ),
-        slot_axis_theta=np.concatenate([test.slot_axis_theta for test in tests]),
-        n_ms=tuple(test.slot_edge.size for test in tests),
+        slot_theta=np.concatenate([run.slot_theta for run in runs]),
+        slot_phases=phases,
+        n_ms=tuple(run.slot_edge.size for run in runs),
         groups=groups,
     )
 

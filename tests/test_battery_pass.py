@@ -16,7 +16,7 @@ Both are compared with ``==``; machine clock, RNG state and
 fresh process plan cache, the oracle on its own).  Consecutive XX tests
 form a run: one draw, one accumulation and one contraction per plan
 structure, which the mixed rounds below break with dense, sampled and
-declined tests.
+declined tests; a lone XX test is a run of one.
 """
 
 import math
@@ -39,6 +39,7 @@ from repro.trap.machine import (
     MachineStats,
     VirtualIonTrap,
     _compiled_runs,
+    _compiled_xx_test,
     _skeleton,
     as_program,
     slot_blocks,
@@ -223,7 +224,7 @@ def test_pass_equals_in_order_oracle(case, fresh_plan_cache):
     programs = _programs(n_qubits, 2) + _programs(n_qubits, 4)
     compiled, oracle = _twins(n_qubits, noise, faults, noise_realizations=3)
     routes = {
-        compiled._xx_slot_angles(program.xx(compiled.max_exact_qubits)) is not None
+        compiled._xx_slot_angles(compiled._own_run(program)) is not None
         for program in programs
     }
     assert routes == {"sec6": {False}, "xx-preserving": {True}}.get(
@@ -341,7 +342,7 @@ def test_mixed_round_equals_in_order_oracle(offset, monkeypatch, fresh_plan_cach
     )
     runs = _compiled_runs(tuple(programs), compiled.max_exact_qubits)
     # The dense test (row 6) and the sampled one (row 11) break the round.
-    assert {start: run.stop for start, run in runs.items()} == {
+    assert {start: start + len(run.n_ms) for start, run in runs.items()} == {
         0: 6,
         7: 11,
         12: 15,
@@ -352,27 +353,34 @@ def test_mixed_round_equals_in_order_oracle(offset, monkeypatch, fresh_plan_cach
     assert all(
         max(group.rows.size for group in run.groups) > 1 for run in runs.values()
     )
+    starts = {id(run): start for start, run in runs.items()}
     taken = []
-    original = VirtualIonTrap._run_probabilities
+    original = VirtualIonTrap._xx_probabilities
 
     def spy(self, run, *args):
-        taken.append(run.start)
+        taken.append(starts.get(id(run), len(run.n_ms)))
         return original(self, run, *args)
 
-    monkeypatch.setattr(VirtualIonTrap, "_run_probabilities", spy)
+    monkeypatch.setattr(VirtualIonTrap, "_xx_probabilities", spy)
     plans = DensePlanCache()
     for trials in (1, 2):
         fids = compiled.run_battery(programs, 60, trials)
         ref = _oracle_pass(programs, plans, oracle, 60, trials)
         assert (fids == ref).all()
         _assert_same_machine_state(compiled, oracle)
-    # A phase offset on {2, 3} sends every run (each holds a test on
-    # {2, 3}) test by test: on the XX route at pi, partly dense off the grid.
-    assert taken == ([0, 7, 12] if offset is None else []) * 2
+    # Every run holds a test on {2, 3}.  At pi its offset keeps the
+    # phases on the grid, so the runs stack; off the grid each run falls
+    # back to its tests' own runs of one (1), and those on {2, 3} go dense.
+    if offset == 0.6:
+        on_23 = {1, 4, 8, 13}
+        own = [1 for row in range(15) if row not in on_23 | {6}]
+    else:
+        own = [0, 7, 1, 12]  # the sampled row 11 is a run of one
+    assert taken == own * 2
 
 
-def test_run_probabilities_equal_test_by_test_pass():
-    """A run's rows equal one pass per test on a twin, to rounding."""
+def test_round_equals_one_pass_per_test():
+    """A round's rows equal one pass per test on a twin, to rounding."""
     programs = _programs(8, 2) + _programs(8, 4)
     faults = (CouplingFault(frozenset({0, 4}), 0.4),)
     whole, single = _twins(8, AMPLITUDE, faults)
@@ -441,3 +449,25 @@ def test_xx_refusal_after_a_run_draws_nothing(refused):
     assert machine.rng.bit_generator.state == state
     assert machine._clock == 0.0
     assert machine.stats == MachineStats()
+
+
+def test_dense_only_round_compiles_no_xx_plan(monkeypatch, fresh_plan_cache):
+    """Under Sec. VI noise a round's MS tests never resolve an XX entry."""
+    _compiled_xx_test.cache_clear()
+    builds = []
+    original = ContractionPlan.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(args[1])
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(ContractionPlan, "__init__", counted)
+    specs = battery_specs(16, 2)
+    machine = VirtualIonTrap(16, noise=NoiseParameters.paper_physical(), seed=2)
+    results = Executor(machine, shots=20).execute_round(specs)
+    assert len(results) == len(specs)
+    assert builds == []
+    # Under amplitude noise alone the same round compiles its plans.
+    machine = VirtualIonTrap(16, noise=AMPLITUDE, seed=2)
+    Executor(machine, shots=20).execute_round(specs)
+    assert len(builds) == len(specs)

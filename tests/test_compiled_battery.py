@@ -154,6 +154,24 @@ def test_trial_and_sweep_fidelities_shapes_and_accounting():
     assert sweep[2].mean() < sweep[0].mean()
 
 
+@pytest.mark.parametrize(
+    "shots, trials", [(0, 1), (-3, 1), (100, 0), (100, -1)]
+)
+def test_passes_refuse_no_shots_or_trials_before_drawing(shots, trials):
+    """``run_battery`` and ``sweep_fidelities`` share one fail-closed check."""
+    program = _program(class_test_for_pair(8, (0, 1), 2), 8)
+    machine = VirtualIonTrap(8, seed=2)
+    state = machine.rng.bit_generator.state
+    match = "shots" if shots < 1 else "trials"
+    with pytest.raises(ValueError, match=f"{match} must be positive"):
+        machine.run_battery([program], shots, trials)
+    with pytest.raises(ValueError, match=f"{match} must be positive"):
+        machine.sweep_fidelities(program, (0, 1), np.array([0.1]), shots, trials)
+    assert machine.rng.bit_generator.state == state
+    assert machine._clock == 0.0
+    assert machine.stats.circuit_runs == 0
+
+
 def test_battery_dispatches_and_rejects_appropriately(fresh_plan_cache):
     n_qubits = 8
     spec = class_test_for_pair(n_qubits, (0, 1), 2)
@@ -255,7 +273,7 @@ def test_ms_drive_phases_both_reach_every_route(phases):
     counts = machine.run_match(circuit, 0, 20000)
     assert counts[0] / 20000 == pytest.approx(0.75, abs=0.02)
     program = as_program(circuit, 0)
-    assert machine._xx_slot_angles(program.xx(machine.max_exact_qubits)) is not None
+    assert machine._xx_slot_angles(program.xx(machine.max_exact_qubits).run) is not None
     for engine in ("xx", "dense"):
         probs = machine._pass_probabilities([program], 1, 1, 1, engine)[1][0]
         assert probs[0, 0] == pytest.approx(exact[0], abs=1e-12)

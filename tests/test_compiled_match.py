@@ -68,11 +68,12 @@ def _rng_state(m: VirtualIonTrap) -> dict:
 
 def _xx_route(machine, circuit, expected, n_batch):
     """``run_match``'s XX route: ``None`` (nothing drawn) if it declines."""
-    test = as_program(circuit, expected).xx(machine.max_exact_qubits)
-    angles = machine._xx_slot_angles(test)
+    program = as_program(circuit, expected)
+    run = machine._own_run(program)
+    angles = machine._xx_slot_angles(run)
     if angles is None:
         return None
-    return machine._xx_probabilities(test, angles, n_batch)[0]
+    return machine._xx_probabilities(run, angles, n_batch, [program])[0, 0]
 
 
 def _assert_identical(compiled, slots, circuit, expected):

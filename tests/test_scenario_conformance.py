@@ -129,7 +129,7 @@ def test_non_xx_scenarios_fall_back_to_dense(kind, n_qubits):
     test = _fault_test(spec, machine, 2)
     assert test in battery_specs(n_qubits, 2)
     program = built_test(tuple(test.pairs), test.repetitions, n_qubits)
-    assert machine._xx_slot_angles(program.xx(machine.max_exact_qubits)) is None
+    assert machine._xx_slot_angles(program.xx(machine.max_exact_qubits).run) is None
     with pytest.raises(ValueError, match="dense fallback"):
         machine._pass_probabilities(
             [program], 100, trials=1, realizations=2, engine="xx"

@@ -318,6 +318,51 @@ def test_contrast_scores_rank_the_damaged_coupling(rng):
     assert scored[0][0] > scored[1][0]
 
 
+def test_contrast_scores_equal_the_quadratic_formula():
+    """Scores of a seeded two-depth round equal the per-pair scan, float for float."""
+    import statistics
+
+    from repro.analysis.detection import BaselineBank
+    from repro.core.multi_fault import MultiFaultProtocol
+    from repro.core.protocol import TestExecutor
+    from repro.noise.models import NoiseParameters
+    from repro.trap.faults import CouplingFault
+    from repro.trap.machine import VirtualIonTrap
+
+    protocol = MultiFaultProtocol(8, canary_style="battery")
+    relevant = set(protocol.relevant)
+    specs = protocol.battery_specs(relevant, 2) + protocol.battery_specs(
+        relevant, 4
+    )
+    clean = VirtualIonTrap(8, noise=NoiseParameters.paper_scaling(), seed=3)
+    bank = BaselineBank()
+    for spec, result in zip(
+        specs, TestExecutor(clean, shots=200).execute_round(specs)
+    ):
+        bank.record(spec.name, [result.fidelity])
+    bank.by_test[specs[1].name] = 0.0  # a degenerate baseline is skipped
+    machine = VirtualIonTrap(8, noise=NoiseParameters.paper_scaling(), seed=4)
+    machine.inject_fault(CouplingFault(frozenset({1, 6}), 0.3))
+    machine.inject_fault(CouplingFault(frozenset({2, 3}), 0.2))
+    results = TestExecutor(machine, shots=200).execute_round(specs)
+
+    normalized = [
+        (r.spec, bank.normalized(r.spec.name, r.fidelity)) for r in results
+    ]
+    normalized = [(s, v) for s, v in normalized if v is not None]
+    expected = []
+    for pair in relevant:
+        inside = [v for s, v in normalized if pair in s.pairs]
+        outside = [v for s, v in normalized if pair not in s.pairs]
+        if inside and outside:
+            score = float(statistics.median(outside)) - float(np.mean(inside))
+            expected.append((score, pair))
+    expected.sort(key=lambda item: (-item[0], sorted(item[1])))
+    scored = MultiFaultProtocol.contrast_scores(results, relevant, bank)
+    assert len(scored) == len(relevant)
+    assert scored == expected
+
+
 def test_run_replicates_seeds_and_caches(tmp_path):
     """Replicate seeding walks consecutive seeds and shares the cache."""
     from repro.analysis.runner import run_replicates
