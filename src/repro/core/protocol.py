@@ -161,17 +161,18 @@ class TestExecutor:
 
     def execute(self, spec: TestSpec) -> TestResult:
         """Build, run and judge one adaptive test on ``run_match``."""
-        if not spec.pairs:
-            return _judged([spec], [], self.thresholds, self.shots)[0]
-        program = built_test(
-            tuple(spec.pairs), spec.repetitions, self.machine.n_qubits
-        )
-        counts = self.machine.run_match(
-            program, program.expected, self.shots, realizations=self.shot_batch
-        )
-        self.cost.record_run(spec, self.shots)
-        fidelity = match_fraction(counts, program.expected)
-        return _judged([spec], [fidelity], self.thresholds, self.shots)[0]
+        fidelity = 1.0  # a spec without couplings is not run and passes
+        if spec.pairs:
+            program = built_test(
+                tuple(spec.pairs), spec.repetitions, self.machine.n_qubits
+            )
+            counts = self.machine.run_match(
+                program, program.expected, self.shots, realizations=self.shot_batch
+            )
+            self.cost.record_run(spec, self.shots)
+            fidelity = match_fraction(counts, program.expected)
+        threshold = self.thresholds.threshold_for(spec.repetitions, spec.kind)
+        return TestResult(spec, fidelity, threshold, self.shots)
 
     def execute_round(
         self, specs: list[TestSpec], engine: str = "auto"

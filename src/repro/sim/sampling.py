@@ -82,7 +82,8 @@ def sample_bernoulli_counts_batch(
             raise ValueError("shots must be positive")
         if p.min() < -1e-9 or p.max() > 1.0 + 1e-9:
             raise ValueError("match probabilities outside [0, 1]")
-    p = np.clip(p, 0.0, 1.0)
+    # np.clip's result, without its dispatch.
+    p = np.minimum(np.maximum(p, 0.0), 1.0)
     matches = int(rng.binomial(shots, p).sum())
     total = int(shots.sum())
     counts: Counts = {}

@@ -12,22 +12,21 @@ bitstring ``z``,
     chi_z(s) = prod_{i : z_i = 1} s_i
 
 The sum factorizes over connected components of the coupling graph, so a
-class test on an N = 32 machine (which touches only the 16 qubits of one
-class) needs a 2^16-term sum instead of a 2^32 statevector.  A
-:class:`ContractionPlan` sums components up to its ``max_exact_qubits``
-exactly; a larger component is sampled: each realization row estimates
-the same expectation (the sum is ``E_s[chi_z(s) e^{i phase(s)}]`` over
-uniform spins) from :data:`MC_SAMPLES` spin draws of the caller's
+class test on an N = 32 machine (the 16 qubits of one class) needs a
+2^16-term sum instead of a 2^32 statevector.  A :class:`ContractionPlan`
+sums components up to its ``max_exact_qubits`` exactly; a larger one is
+sampled: each realization row estimates ``E_s[chi_z(s) e^{i phase(s)}]``
+over uniform spins from :data:`MC_SAMPLES` draws of the caller's
 generator.
 
 An exact component also uses the global spin flip: a component without
 linear terms has a flip-even phase, so its sum is ``(1 + (-1)^|z|)``
 times the sum over ``s_0 = +1`` — zero for odd ``|z|`` and twice the
-half-table sum otherwise.  Above 8 spins it splits the phase, which is
-quadratic in the spins, between two halves A and B:
-``phase(s) = phi_A(s_A) + phi_B(s_B) + s_A^T Theta s_B``, so a 2^m-term
-sum needs two 2^(m/2)-row tables and one cross product, and nothing is
-cached between calls.
+half-table sum otherwise.  A larger component splits its spins into A
+and B, ``phase(s) = phi_A(s_A) + phi_B(s_B) + s_A^T Theta s_B``; the
+sum over B is then one bilinear form per row, ``G = chi_B e^{i phi_B}``
+against products of ``e^{+-i (Theta^T s_A)_j}``, so no sine or cosine
+is taken per assignment, and nothing is cached between calls.
 
 Supported operations: ``XX``, ``MS`` with drive phases that are multiples of
 pi (the axis stays on +-X), ``RX``, and ``X``.  Use
@@ -38,6 +37,7 @@ the dense simulator.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,30 +67,18 @@ def ms_axis_sign(phi1, phi2):
 
 
 def _connected_components(
-    qubits: set[int], edges: dict[frozenset[int], float]
+    qubits: set[int], edges: Iterable[frozenset[int]]
 ) -> list[list[int]]:
     """Connected components of the coupling graph (sorted qubit lists)."""
-    adj: dict[int, set[int]] = {q: set() for q in qubits}
+    members = {q: {q} for q in qubits}
     for e in edges:
         i, j = tuple(e)
-        adj[i].add(j)
-        adj[j].add(i)
-    seen: set[int] = set()
-    comps: list[list[int]] = []
-    for q in sorted(qubits):
-        if q in seen:
-            continue
-        stack, comp = [q], []
-        seen.add(q)
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        comps.append(sorted(comp))
-    return comps
+        if members[i] is not members[j]:
+            merged = members[i] | members[j]
+            for q in merged:
+                members[q] = merged
+    unique = {id(comp): comp for comp in members.values()}
+    return sorted(sorted(comp) for comp in unique.values())
 
 
 def _spin_columns(m: int, rows: int) -> np.ndarray:
@@ -104,8 +92,8 @@ def _spin_columns(m: int, rows: int) -> np.ndarray:
     return (1 - 2 * ((idx >> shifts) & 1)).astype(np.int8)
 
 
-#: Spin assignments contracted at once per realization row: bounds the
-#: transient phase and trig arrays of sampled and of split components.
+#: Spin draws contracted at once per realization row: bounds the
+#: transient phase and trig arrays of sampled components.
 _CHUNK_SPINS = 1 << 13
 
 
@@ -121,12 +109,10 @@ def _component_amplitudes_vectorized(
 ) -> np.ndarray:
     """Batched component sum ``weight * sum_s chi_z(s) e^{i phase_g(s)}``.
 
-    ``spins`` holds one ``(m,)`` int8 assignment per row: a sampled
-    component's draws, or a full table.  ``thetas``/``lin_thetas`` carry
-    one row per batch entry (noise realization); the spin rows are
-    shared, so the per-edge products are computed once and contracted
-    against every realization's angles in a single matmul.  Chunked over
-    spins to bound memory.  Returns one complex amplitude per batch row.
+    ``spins`` holds one ``(m,)`` int8 assignment per row (a sampled
+    component's draws); ``thetas``/``lin_thetas`` one row per noise
+    realization, each contracted against the shared pair products in one
+    matmul, chunked over spins.  One complex amplitude per batch row.
     """
     n_batch = thetas.shape[0]
     amps = np.zeros(n_batch, dtype=complex)
@@ -145,9 +131,26 @@ def _component_amplitudes_vectorized(
     return weight * amps
 
 
-#: Components above this many spins split their sum into halves A and B;
-#: up to it B is empty and the sum is one table contraction.
+#: A component whose summed table has at most ``2^_SPLIT_ABOVE``
+#: assignments is one table contraction; a larger one splits (see
+#: :func:`_split`).
 _SPLIT_ABOVE = 8
+
+
+def _split(m: int, flip_even: bool) -> tuple[int, int]:
+    """Spins of A and of B's half L for an ``m``-spin component.
+
+    One table, ``(m, 0)``, up to ``2^_SPLIT_ABOVE`` summed assignments.
+    Above, a table of ``t`` spins gives B ``t // 2 + 2`` of them, at most
+    11 (its int8 table and character stay under 40 KB), and L half of
+    B's: the fastest split measured on complete and sparse graphs of 9
+    to 20 spins.
+    """
+    table = m - flip_even
+    if table <= _SPLIT_ABOVE:
+        return m, 0
+    b = min(table // 2 + 2, 11)
+    return m - b, b // 2
 
 
 def _term_rows(
@@ -162,12 +165,10 @@ class _Half:
     """One half of a component's spins.
 
     ``spins`` is the half's ``(k, S)`` int8 table and ``chi`` its
-    ``(S,)`` character; ``edges`` and ``lins`` slice the half's own
-    columns out of the component's, and ``i_idx``, ``j_idx`` and
-    ``lin_idx`` index its spins.  A half of at most :data:`_SPLIT_ABOVE`
-    spins keeps its :func:`_term_rows` in ``terms`` (at most 36 x 256
-    bytes); a larger one forms them per call, since the two halves of a
-    20-qubit component would keep 69 KB.
+    ``(S,)`` character; ``edges`` and ``lins`` slice its own columns out
+    of the component's, and ``i_idx``, ``j_idx`` and ``lin_idx`` index
+    its spins.  A table of at most ``2^_SPLIT_ABOVE`` assignments keeps
+    its :func:`_term_rows` (``terms``); a larger one forms them per call.
     """
 
     spins: np.ndarray
@@ -195,29 +196,45 @@ class _Half:
         return phase
 
 
+def _expi(phase: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``e^{i phase}`` from one real cosine and one real sine pass."""
+    out = np.empty(phase.shape, dtype=complex) if out is None else out
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
+    return out
+
+
+def _products(table: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """An ``(R, S, K)`` table times each product of one factor per spin of
+    ``(R, S, k, 2)`` pairs: ``(R, S, K 2^k)``, big-endian in the spins."""
+    for j in range(pairs.shape[2] - 1, -1, -1):
+        table = (pairs[:, :, j, :, None] * table[:, :, None, :]).reshape(
+            *table.shape[:2], -1
+        )
+    return table
+
+
 @dataclass(frozen=True)
 class _PlanComponent:
     """Contraction data for one coupling-graph component of ``m`` spins.
 
-    The spins split into A, the first ``m - b``, and B, the last ``b``,
-    with ``b = 0`` up to :data:`_SPLIT_ABOVE` spins and ``m // 2`` above.
-    Then ``phase(s) = phi_A(s_A) + phi_B(s_B) + s_A^T Theta s_B``, where
-    ``Theta`` holds the cross edges' ``-theta / 2``, and the character
-    factorizes as ``chi_A(s_A) chi_B(s_B)``.  The component's edge
-    columns come ordered A, B, cross; its linear columns A, B.  Only
-    int8 tables, characters and index arrays stay resident: each call
-    forms its phases from them.
+    The spins split into A, the first ``m - b``, and B, the last ``b``
+    (:func:`_split`; ``b = 0`` for one table), B's first ``low`` spins
+    forming its half L and the rest its half H.  Then ``phase(s) =
+    phi_A(s_A) + phi_B(s_B) + s_A^T Theta s_B``, ``Theta`` holding the
+    cross edges' ``-theta / 2``, and ``chi = chi_A(s_A) chi_B(s_B)``.
+    Edge columns come ordered A, B, cross; linear columns A, B.  Only
+    int8 tables, characters and index arrays stay resident;
+    ``row_bytes`` bounds one realization row's transient arrays.
 
-    ``rows`` is the number of spin assignments summed.  A component with
-    no linear (RX/X) terms has a phase that is even under the global
-    spin flip ``s -> -s``, while its character picks up ``(-1)^|z|``;
-    for even ``|z|`` both halves of the spin space contribute equally,
-    so only ``s_0 = +1`` (the first half of A's table) is summed, with
-    weight ``2 / 2^m`` folded into ``chi_A``.  Odd ``|z|`` never
-    compiles to a component: the plan is zero outright.
+    Without linear (RX/X) terms the phase is even under the global spin
+    flip ``s -> -s`` and the character picks up ``(-1)^|z|``: for even
+    ``|z|`` only ``s_0 = +1`` (the first half of A's table) is summed,
+    with weight ``2 / 2^m`` folded into ``chi_A``; odd ``|z|`` never
+    compiles to a component, the plan is zero outright.
     """
 
-    rows: int
+    row_bytes: int
     edge_cols: np.ndarray | slice
     lin_cols: np.ndarray
     half_a: _Half
@@ -225,63 +242,62 @@ class _PlanComponent:
     cross: slice
     cross_i: np.ndarray
     cross_j: np.ndarray
+    low: int
 
     def amplitudes(self, th: np.ndarray, ln: np.ndarray | None) -> np.ndarray:
         """Weighted component sums for ``-1/2``-scaled ``(B, E)`` / ``(B, L)`` rows.
 
-        ``sum_s chi(s) e^{i phase(s)}`` in real arithmetic: ``cos(phase)``
-        and ``sin(phase)`` contracted with each half's character.
+        ``sum_s chi(s) e^{i phase(s)}``: one table's ``cos(phase)`` and
+        ``sin(phase)`` contracted with its character, or for a split
+        component :meth:`_sum_b`.
         """
         th = th[:, self.edge_cols]
         ln = ln[:, self.lin_cols] if self.lin_cols.size else None
         phase = self.half_a.phase(th, ln)
-        if self.half_b is None:
-            cos, sin = np.cos(phase), np.sin(phase)
-        else:
-            cos, sin = self._sum_b(phase, th, ln)
+        if self.half_b is not None:
+            return self._sum_b(phase, th, ln)
         chi = self.half_a.chi
-        re, im = cos @ chi, sin @ chi
+        re, im = np.cos(phase) @ chi, np.sin(phase) @ chi
         return re + 1j * im
 
     def _sum_b(
         self, phase_a: np.ndarray, th: np.ndarray, ln: np.ndarray | None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(B, S_A)`` cosine and sine sums over B for every ``s_A``.
+    ) -> np.ndarray:
+        """The split sum as one bilinear contraction per row.
 
-        One ``(S_A x a)(a x b)(b x S_B)`` product gives the cross phase,
-        in chunks of A rows that span at most :data:`_CHUNK_SPINS`
-        assignments each.
+        With ``c = Theta^T s_A`` the sum over B is ``sum_{s_L, s_H}
+        G[s_L, s_H] e^{i c_L . s_L} e^{i c_H . s_H}`` for the ``2^|L| x
+        2^|H|`` matrix ``G = chi_B e^{i phi_B}``; with ``chi_A e^{i
+        phi_A}`` folded into ``E_L`` the component sum is ``sum(G *
+        (E_L^T @ E_H))`` over A's assignments.  ``E_L`` and ``E_H`` are
+        products of ``e^{+-i c_j}`` (:func:`_products`), so a row takes
+        ``S_A (b + 1) + 2^b`` sines and cosines and one matmul.
         """
         a, b = self.half_a, self.half_b
-        phase_b = b.phase(th, ln)
+        g = _expi(b.phase(th, ln))
+        g *= b.chi
         theta = np.zeros((th.shape[0], a.spins.shape[0], b.spins.shape[0]))
         theta[:, self.cross_i, self.cross_j] = th[:, self.cross]
-        theta_b = theta @ b.spins.astype(np.float64)
-        spins_a = a.spins.T.astype(np.float64)
-        cos = np.empty_like(phase_a)
-        sin = np.empty_like(phase_a)
-        step = max(1, _CHUNK_SPINS // phase_b.shape[1])
-        for start in range(0, phase_a.shape[1], step):
-            chunk = slice(start, start + step)
-            phase = spins_a[chunk] @ theta_b
-            phase += phase_a[:, chunk, None]
-            phase += phase_b[:, None, :]
-            cos[:, chunk] = np.cos(phase) @ b.chi
-            sin[:, chunk] = np.sin(phase) @ b.chi
-        return cos, sin
+        c = a.spins.T.astype(np.float64) @ theta
+        # e^{+i c_j} for s_j = +1 first, as in the spin tables.
+        pairs = np.empty((*c.shape, 2), dtype=complex)
+        np.conjugate(_expi(c, pairs[..., 0]), out=pairs[..., 1])
+        e_l = _expi(phase_a) * a.chi
+        e_l = _products(e_l[:, :, None], pairs[:, :, : self.low])
+        e_h = _products(pairs[:, :, -1], pairs[:, :, self.low : -1])
+        k = np.swapaxes(e_l, 1, 2) @ e_h
+        return (g[:, None, :] @ k.reshape(len(k), -1, 1))[:, 0, 0]
 
 
 @dataclass(frozen=True)
 class _SampledComponent:
     """A component above the plan's exact limit, estimated from samples.
 
-    Keeps no tables: for each realization row it draws a uniform
-    ``(MC_SAMPLES, m)`` block of spin rows from the caller's generator
-    and sums it with :func:`_component_amplitudes_vectorized`, weight
-    ``1 / MC_SAMPLES``.
-    ``edge_cols``/``lin_cols`` pick the component's angle columns, in
-    plan order; ``i_idx``, ``j_idx``, ``lin_idx`` and ``z_idx`` index its
-    spins.
+    Keeps no tables: each realization row draws a uniform ``(MC_SAMPLES,
+    m)`` block of spins from the caller's generator, summed by
+    :func:`_component_amplitudes_vectorized` with weight ``1 /
+    MC_SAMPLES``.  ``edge_cols``/``lin_cols`` pick its angle columns;
+    ``i_idx``, ``j_idx``, ``lin_idx`` and ``z_idx`` index its spins.
     """
 
     m: int
@@ -319,13 +335,11 @@ class ContractionPlan:
 
     A plan fixes everything about a test circuit that does not change
     across noise realizations, trials, or magnitude sweep points: the
-    coupling-graph components, the per-component local edge/linear
-    indexing, the split of each component's spins, their int8 half
-    tables and the expected-bitstring characters.  Evaluating a batch of
-    realizations then reduces to a few small matmuls and two real trig
-    passes per component (see :class:`_PlanComponent`) instead of
-    re-deriving the graph per call.  Components without linear terms sum
-    only half their spin assignments.  A component above
+    coupling-graph components, their local indexing and split, their
+    int8 tables and the expected-bitstring characters.  A batch of
+    realizations then costs a few small matmuls and one trig pass per
+    component and row, over one table's phases or a split component's
+    factors (:class:`_PlanComponent`).  A component above
     ``max_exact_qubits`` is sampled instead (:class:`_SampledComponent`).
 
     Parameters
@@ -348,9 +362,9 @@ class ContractionPlan:
         assignments per sampled component, row by row and in component
         order.
 
-    A plan keeps ``O(2^(m/2) m)`` bytes per exact ``m``-qubit component,
-    about 42 KB at the 20-qubit exact limit, and index arrays for a
-    sampled one; nothing else persists between calls.
+    A plan keeps ``O(2^b m)`` bytes of tables and characters per exact
+    component, B at most 11 spins (under 60 KB at the 20-qubit exact
+    limit), and index arrays for a sampled one; nothing else persists.
 
     Plans of tests that differ only in qubit labels (the class tests of
     one battery, the point checks of one depth) share a :attr:`structure`
@@ -373,17 +387,12 @@ class ContractionPlan:
         self.linear_keys = list(linear_keys)
         self.bitstring = bitstring
         self.max_exact_qubits = max_exact_qubits
-        touched: set[int] = set()
-        for e in self.edge_keys:
-            touched.update(e)
-        touched.update(self.linear_keys)
+        touched = set().union(*self.edge_keys, self.linear_keys)
         z_bits = [(bitstring >> (n_qubits - 1 - q)) & 1 for q in range(n_qubits)]
         self.forced_zero = any(
             z_bits[q] for q in range(n_qubits) if q not in touched
         )
-        components = _connected_components(
-            touched, {e: 0.0 for e in self.edge_keys}
-        )
+        components = _connected_components(touched, self.edge_keys)
         if self.forced_zero:
             # The amplitude is identically zero; skip compilation.
             components = []
@@ -409,16 +418,13 @@ class ContractionPlan:
         )
         #: Whether a component is estimated from spin samples.
         self.sampled = bool(self._sampled)
-        #: Largest spin-chunk length, for memory-budget row chunking.
-        self._max_block_spins = max(
-            (min(c.rows, _CHUNK_SPINS) for c in self._components),
-            default=1,
+        #: Largest transient bytes per row, for memory-budget row chunking.
+        self._row_bytes = max(
+            (c.row_bytes for c in self._components), default=24
         )
-        #: What the plan computes from its angle rows, up to qubit labels:
-        #: the column counts, and per component its size, whether it is
-        #: sampled, and its edges, linear terms and character in local
-        #: spins and plan columns.  Plans with equal keys do the same
-        #: arithmetic on the same rows, so one plan can contract another's.
+        #: What the plan computes from its rows, up to qubit labels: column
+        #: counts and each component's size, sampling, and local terms.
+        #: Plans with equal keys can contract each other's rows.
         self.structure = (
             len(self.edge_keys),
             len(self.linear_keys),
@@ -432,11 +438,9 @@ class ContractionPlan:
     def _local_terms(
         self, comp: list[int], z_bits: list[int]
     ) -> tuple[tuple, tuple, tuple]:
-        """One component's terms in local spins, in plan column order.
-
-        Edges as ``(column, i, j)`` with ``i < j``, linear terms as
-        ``(column, spin)`` and the character's spins ``z_idx``.
-        """
+        """One component's terms in local spins, in plan column order: edges
+        ``(column, i, j)`` with ``i < j``, linear terms ``(column, spin)``
+        and the character's spins ``z_idx``."""
         local = {q: k for k, q in enumerate(comp)}
         edges = tuple(
             (c, local[min(e)], local[max(e)])
@@ -452,20 +456,16 @@ class ContractionPlan:
     def _compile_component(
         self, m: int, edges: tuple, lins: tuple, z_idx: tuple
     ) -> _PlanComponent:
-        """Split one exact component's spins and build its half tables.
-
-        ``edges``, ``lins`` and ``z_idx`` are its terms in local spins (see
-        :meth:`_local_terms`).  Without linear terms only ``s_0 = +1`` is
-        summed.
-        """
-        a = m - (0 if m <= _SPLIT_ABOVE else m // 2)
+        """Split one exact component's spins (its terms in local spins, see
+        :meth:`_local_terms`) and build its half tables."""
+        flip_even = not lins
+        a, n_low = _split(m, flip_even)
         # Edges ordered A, B, cross; linear terms ordered A, B.
         edges = sorted(edges, key=lambda e: 0 if e[2] < a else 1 if e[1] >= a else 2)
         lins = sorted(lins, key=lambda lin: lin[1] >= a)
         n_aa = sum(j < a for _, _, j in edges)
         n_ab = n_aa + sum(i >= a for _, i, _ in edges)
         n_la = sum(k < a for _, k in lins)
-        flip_even = not lins
         rows_a, rows_b = 2 ** (a - flip_even), 2 ** (m - a)
 
         def half(lo, hi, rows, weight, edge_cols, lin_cols):
@@ -485,7 +485,7 @@ class ContractionPlan:
                 lin_idx=lin_idx,
                 terms=(
                     _term_rows(spins, i_idx, j_idx, lin_idx)
-                    if hi - lo <= _SPLIT_ABOVE
+                    if rows <= 1 << _SPLIT_ABOVE
                     else None
                 ),
             )
@@ -493,15 +493,20 @@ class ContractionPlan:
         weight = 1.0 / (rows_a * rows_b)
         half_a = half(0, a, rows_a, weight, slice(0, n_aa), slice(0, n_la))
         half_b = None
+        # Per row: a table's phase, cos and sin; or the cross factors and
+        # pairs, E_L and E_H with doubling operands, G, K and B's phase.
+        row_bytes = 24 * rows_a
         if a < m:
             half_b = half(a, m, rows_b, 1.0, slice(n_aa, n_ab), slice(n_la, None))
+            b, width = m - a, 2**n_low + 2 ** (m - a - n_low)
+            row_bytes = 8 * rows_a * (7 * b + 3 * width) + 40 * rows_b
         cross = edges[n_ab:]
         edge_cols = np.array([c for c, _, _ in edges], dtype=np.intp)
         if np.array_equal(edge_cols, np.arange(len(self.edge_keys))):
             # One component owns every edge in order: a slice skips the gather.
             edge_cols = slice(None)
         return _PlanComponent(
-            rows=rows_a * rows_b,
+            row_bytes=row_bytes,
             edge_cols=edge_cols,
             lin_cols=np.array([c for c, _ in lins], dtype=np.intp),
             half_a=half_a,
@@ -509,6 +514,7 @@ class ContractionPlan:
             cross=slice(n_ab, None),
             cross_i=np.array([i for _, i, _ in cross], dtype=np.intp),
             cross_j=np.array([j - a for _, _, j in cross], dtype=np.intp),
+            low=n_low,
         )
 
     def _sampled_component(
@@ -547,9 +553,8 @@ class ContractionPlan:
             ``(B, L)`` accumulated linear angles (``linear_keys`` order);
             may be omitted when the plan has no linear terms.
         max_batch_bytes:
-            When set, realization rows are processed in chunks sized so
-            the transient phase/trig blocks stay within this budget
-            (peak memory stays bounded for very large batches).
+            When set, realization rows are processed in chunks whose
+            transient arrays stay within this budget.
         rng:
             The generator a :attr:`sampled` plan draws its spins from;
             without one such a plan raises ``ValueError``.
@@ -582,8 +587,7 @@ class ContractionPlan:
         if max_batch_bytes is None:
             rows = n_batch
         else:
-            # Transient per chunk: (rows, S) float64 phase, cos and sin.
-            rows = max(1, max_batch_bytes // (24 * self._max_block_spins))
+            rows = max(1, max_batch_bytes // self._row_bytes)
         chunks = []
         for start in range(0, n_batch, rows):
             # The phase's -1/2, applied once for every component.
@@ -633,18 +637,13 @@ def batch_amplitudes_from_terms(
     """Per-realization amplitudes from array-valued coupling terms.
 
     A one-shot helper: the terms carry one accumulated angle *per noise
-    realization* (shape ``(G,)`` values in both dicts), and a
-    :class:`ContractionPlan` is built for them and discarded after the
-    call, so it computes exactly what the machine's cached plans
-    compute, for all G rows at once.  Nothing in the package calls it;
-    it serves the tests' slot-path oracle and the traced benchmark's
-    kernel accounting.
-
-    ``max_batch_bytes`` chunks the realization rows so transient memory
-    stays bounded for very large batches (full-size N = 32 runs).
-
-    Raises ``ValueError`` when a component exceeds ``max_exact_qubits``:
-    it takes no generator to sample it with.
+    realization* (``(G,)`` values in both dicts), and a throwaway
+    :class:`ContractionPlan` computes what the machine's cached plans
+    compute, for all G rows at once (``max_batch_bytes`` chunks them).
+    Nothing in the package calls it; it serves the tests' slot-path
+    oracle and the traced benchmark's kernel accounting.  A component
+    above ``max_exact_qubits`` raises ``ValueError``: it takes no
+    generator to sample it with.
     """
     sizes = {len(v) for v in edge_angles.values()}
     sizes.update(len(v) for v in linear_angles.values())

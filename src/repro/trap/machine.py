@@ -23,11 +23,11 @@ first use and then holds them:
 
 * its XX entry per ``max_exact_qubits``: a
   :class:`~repro.sim.xx_engine.ContractionPlan` (int8 half tables, under
-  64 KiB) and the test's *run of one* (``_XXRun``): edge targets,
-  per-slot edge rows, nominal angles and drive phases, and static RX/X
-  angles.  The bounded ``_compiled_xx_test`` cache owns these entries
-  and programs hold weak references, so its bound is the bound on
-  pinned plans.
+  64 KiB) and the test's *run of one* (``_XXRun``): flat calibration
+  indices of its edges, per-slot edge columns, nominal angles and drive
+  phases, and static RX/X angles.  The bounded ``_compiled_xx_test``
+  cache owns these entries and programs hold weak references, so its
+  bound is the bound on pinned plans.
 * its dense layout per residual kicks on/off: per-MS-slot targets,
   angles and phases, R and fixed-gate parameters, slot skeleton and the
   index merging kick and R rows into program order.  A dense call
@@ -36,20 +36,19 @@ first use and then holds them:
   takes (the MS block as drawn) and evaluates the skeleton's cached plan.
 
 One route evaluates programs: :meth:`VirtualIonTrap.run_battery`, a pass
-over a list of them.  It checks every program's route before anything is
-drawn, then draws every test in order.  The XX route takes *runs*:
-consecutive XX tests without a sampled component or an off-grid
-nominal phase form one (:func:`_compiled_runs`, cached per program
-tuple), and every other XX test is its own run of one (any size: a
-sampled plan draws its spins above ``max_exact_qubits``).  One step
+over a list of them.  It finds every program's route before anything is
+drawn (:meth:`VirtualIonTrap._units`), then draws every test in order.
+The XX route takes *runs*: consecutive XX tests without a sampled
+component or an off-grid nominal phase form one (:func:`_compiled_runs`,
+cached per program tuple), a run the route declines splits at the tests
+it declines, and every other XX test is its own run of one.  One step
 gathers a run's calibration and checks its realized drive phases
 (:meth:`VirtualIonTrap._xx_slot_angles`); one draw, one accumulation
 and one contraction per :attr:`~repro.sim.xx_engine.ContractionPlan.structure`
-evaluate it (:meth:`VirtualIonTrap._xx_probabilities`).  A run the
-route declines falls back to its tests' own runs; a test the route
-declines (MS slots under non-XX-preserving noise, drive phases off the
-pi grid, non-XX gates) is drawn through its dense layout and waits for
-its plan core, contracted once for all tests sharing its canonical
+evaluate it (:meth:`VirtualIonTrap._xx_probabilities`).  A test the
+route declines (MS slots under non-XX-preserving noise, drive phases off
+the pi grid, non-XX gates) is drawn through its dense layout and waits
+for its plan core, contracted once for all tests sharing its canonical
 skeleton, on the process-wide :data:`~repro.sim.dense_plan.PLAN_CACHE`.
 Then one binomial draw samples every test's shots.  ``run_match`` is
 the pass's one-program case, returning counts; a battery is a list of
@@ -64,9 +63,10 @@ than per shot (control noise varies slowly compared to a ~ms shot cycle);
 
 from __future__ import annotations
 
+import itertools
 import math
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
 import numpy as np
@@ -144,23 +144,15 @@ class MachineStats:
     #: compiled core (see :meth:`~repro.sim.dense_plan.DensePlan.rebind`)
     #: — skeletons shifted along the chain share one compile.
     dense_plan_rebinds: int = 0
-    #: Cached plans dropped by LRU eviction during this machine's
-    #: lookups (cache churn).  A stable
-    #: workload — including one that only changes evaluation knobs like
-    #: ``max_batch_bytes`` between calls — must keep this at zero;
-    #: plans are keyed by slot skeleton alone, never by batch budgets.
+    #: Cached plans dropped by LRU eviction during this machine's lookups
+    #: (cache churn).  A stable workload keeps this at zero: plans are
+    #: keyed by slot skeleton alone, never by batch budgets.
     dense_plan_invalidations: int = 0
 
     def reset(self) -> None:
         """Zero all counters."""
-        self.circuit_runs = 0
-        self.shots = 0
-        self.two_qubit_gates = 0
-        self.quantum_seconds = 0.0
-        self.dense_plan_builds = 0
-        self.dense_plan_hits = 0
-        self.dense_plan_rebinds = 0
-        self.dense_plan_invalidations = 0
+        for counter in fields(self):
+            setattr(self, counter.name, counter.default)
 
 
 @dataclass
@@ -242,7 +234,7 @@ class VirtualIonTrap:
         """
         if shots < 1:
             raise ValueError("shots must be positive")
-        self._account(circuit.depth_two_qubit(), shots)
+        self._account([circuit.depth_two_qubit()], shots)
         groups = self._shot_groups(shots, realizations)
         slots = self._realize_slots(circuit, len(groups))
         counts = self._run_dense_slots(slots, groups)
@@ -263,15 +255,13 @@ class VirtualIonTrap:
 
         ``test`` is a :class:`TestProgram` (``expected`` must be its own)
         or a bare nominal circuit, wrapped once per structure by
-        :func:`as_program`.  This is the one-program case of
-        :meth:`run_battery`: the same
-        draw and evaluation, then every realization group's shots drawn
-        with a single multi-group binomial call.  Returned counts lump
-        all mismatches into a single placeholder state.
-        ``realizations`` overrides the machine's noise-realization count
-        for this call.  An ``expected`` outside ``[0, 2^n_qubits)``, or a
-        program for another bitstring or register width, raises
-        ``ValueError`` before anything is drawn.
+        :func:`as_program`.  The one-program case of :meth:`run_battery`,
+        its shots drawn with one multi-group binomial call; returned
+        counts lump all mismatches into one placeholder state.
+        ``realizations`` overrides the machine's noise-realization count.
+        An ``expected`` outside ``[0, 2^n_qubits)``, or a program for
+        another bitstring or register width, raises ``ValueError`` before
+        anything is drawn.
         """
         check_bitstring(expected, self.n_qubits)
         program = test if isinstance(test, TestProgram) else as_program(
@@ -284,10 +274,11 @@ class VirtualIonTrap:
                 f"run_match got {expected} on {self.n_qubits}"
             )
         groups, probs = self._pass_probabilities([program], shots, 1, realizations)
-        self._account(program.n_two_qubit, shots)
-        return sample_bernoulli_counts_batch(
-            probs[0, 0] * self._spam_factors([program]), expected, groups, self.rng
-        )
+        self._account([program.n_two_qubit], shots)
+        p = probs[0, 0]
+        if self.noise.spam is not None:
+            p = p * self._spam_factors([program])
+        return sample_bernoulli_counts_batch(p, expected, groups, self.rng)
 
     def run_battery(
         self,
@@ -300,13 +291,10 @@ class VirtualIonTrap:
         """Measured fidelities of ``programs``: shape ``(len(programs), trials)``.
 
         The one evaluation route, one pass per call: every program's
-        route is checked before anything is drawn, each program's
-        ``trials`` x realization-group batch is drawn in list order, a
-        run of consecutive XX tests as one draw contracted once per plan
-        structure (see :meth:`_pass_probabilities`), and the shots of
-        every (test, trial, group) are sampled with one binomial draw.
-        Dense plans come from the process-wide
-        :data:`~repro.sim.dense_plan.PLAN_CACHE`.  A battery (Figs. 6/7,
+        route is found before anything is drawn, each program's ``trials``
+        x realization-group batch is drawn in list order (see
+        :meth:`_pass_probabilities`), and the shots of every (test, trial,
+        group) are sampled with one binomial draw.  A battery (Figs. 6/7,
         the scenario matrix) is one such pass per machine.
 
         ``engine`` selects the evaluation path: ``"auto"`` takes the XX
@@ -342,11 +330,7 @@ class VirtualIonTrap:
         anything is drawn, as on :meth:`run_battery`.
         """
         _check_counts(shots, trials)
-        if program.circuit.n_qubits != self.n_qubits:
-            raise ValueError(
-                f"program is on {program.circuit.n_qubits} qubits, "
-                f"machine has {self.n_qubits}"
-            )
+        self._check_widths([program])
         run = self._own_run(program)
         mags = np.asarray(magnitudes, dtype=np.float64)
         angles = self._xx_slot_angles(run, sweep=(pair, mags))
@@ -357,7 +341,7 @@ class VirtualIonTrap:
                 "(amplitude noise only); run the dense setting per "
                 "magnitude point via run_battery"
             )
-        groups = np.asarray(self._shot_groups(shots, realizations), dtype=np.int64)
+        groups = self._shot_groups(shots, realizations)
         probs = self._xx_probabilities(
             run, angles, trials * len(groups), [program]
         ).reshape(mags.size, trials, len(groups))
@@ -375,67 +359,45 @@ class VirtualIonTrap:
     ) -> tuple[np.ndarray, np.ndarray]:
         """A pass's shot groups and ``(tests, trials, groups)`` match probabilities.
 
-        Each program's batch is drawn in list order.  The XX route takes
-        runs (:meth:`_xx_probabilities`): a round's stretch of two or
-        more consecutive XX tests (:func:`_compiled_runs`) as one run,
-        and a run it declines as a whole (a drive-phase offset off the
-        pi grid, say) falls back to its tests' own runs of one, in order.
-        A test the route declines is drawn into its dense layout, where
-        it waits for its plan core: dense tests sharing a canonical
-        skeleton are contracted in one stacked
-        :meth:`~repro.sim.dense_plan.DensePlan.probabilities` call.
+        Drawn in list order, unit by unit (:meth:`_units`): an XX run by
+        :meth:`_xx_probabilities`, a declined test into its dense layout,
+        where it waits for one stacked
+        :meth:`~repro.sim.dense_plan.DensePlan.probabilities` call per
+        canonical skeleton.
         """
         if engine not in ("auto", "xx", "dense"):
             raise ValueError(
                 f"unknown engine {engine!r}; choose auto, xx or dense"
             )
         _check_counts(shots, trials)
-        for program in programs:
-            if program.circuit.n_qubits != self.n_qubits:
-                raise ValueError(
-                    f"program is on {program.circuit.n_qubits} qubits, "
-                    f"machine has {self.n_qubits}"
-                )
-            if engine != "xx":
-                continue
-            if self._xx_slot_angles(self._own_run(program)) is None:
+        self._check_widths(programs)
+        units = self._units(programs, engine)
+        for row, run, _ in units if engine == "xx" else ():
+            if run is None:
                 raise ValueError(
                     "engine='xx' requested but the setting requires the "
                     "dense fallback (non-XX-preserving noise, a dense-only "
                     "test, or drive phases off the pi grid)"
                 )
-            if program.xx(self.max_exact_qubits).plan.sampled:
+            # A run's first test is never sampled: runs hold none.
+            if programs[row].xx(self.max_exact_qubits).plan.sampled:
                 raise ValueError(
                     "engine='xx' requested but a coupling component exceeds "
                     f"max_exact_qubits={self.max_exact_qubits}, so the XX "
                     "route would sample it"
                 )
-        runs = (
-            _compiled_runs(tuple(programs), self.max_exact_qubits)
-            if engine != "dense"
-            and len(programs) > 1
-            and self.noise.is_xx_preserving()
-            else {}
-        )
-        groups = np.asarray(self._shot_groups(shots, realizations), dtype=np.int64)
+        groups = self._shot_groups(shots, realizations)
         n_batch = trials * len(groups)
         probs = np.empty((len(programs), n_batch))
         # Dense draws awaiting their plan core's one stacked call:
         # canonical skeleton -> [(row, segment, blocks), ...].
         stacks: dict[Skeleton, list[tuple[int, Segment, Blocks]]] = {}
-        run_stop = 0
-        for row, program in enumerate(programs):
-            if row < run_stop:
-                continue  # drawn with its run
-            run = runs.get(row)
-            angles = self._xx_slot_angles(run)
-            if angles is None:
-                run = None if engine == "dense" else self._own_run(program)
-                angles = self._xx_slot_angles(run)
-            if angles is not None:
-                run_stop = row + len(run.n_ms)
-                probs[row:run_stop] = self._xx_probabilities(
-                    run, angles, n_batch, programs[row:run_stop]
+        for row, run, angles in units:
+            program = programs[row]
+            if run is not None:
+                stop = row + len(run.n_ms)
+                probs[row:stop] = self._xx_probabilities(
+                    run, angles, n_batch, programs[row:stop]
                 )[:, 0]
                 continue
             test = self._dense_test(program)
@@ -460,16 +422,64 @@ class VirtualIonTrap:
             ).reshape(len(rows), n_batch)
         return groups, probs.reshape(len(programs), trials, len(groups))
 
+    def _units(
+        self, programs: list["TestProgram"], engine: str
+    ) -> list[tuple[int, "_XXRun | None", np.ndarray | None]]:
+        """A pass's units in draw order, found before anything is drawn.
+
+        A unit is ``(row, run, angles)``: an XX run from ``row`` with its
+        slot angles (:meth:`_xx_slot_angles`), or ``run = None`` for a
+        test the XX route declines.  A round's stretches of two or more
+        XX tests are runs (:func:`_compiled_runs`); one the route
+        declines as a whole (a drive-phase offset off the pi grid, say)
+        splits at the tests it declines.  Other tests are runs of one.
+        """
+        xx_route = engine != "dense"
+        runs = (
+            _compiled_runs(tuple(programs), self.max_exact_qubits)
+            if xx_route and len(programs) > 1 and self.noise.is_xx_preserving()
+            else {}
+        )
+        units, row = [], 0
+        while row < len(programs):
+            run = runs.get(row)
+            if run is None and xx_route:
+                run = self._own_run(programs[row])
+            angles = self._xx_slot_angles(run)
+            if angles is None and row in runs:
+                # Re-plan each stretch: the taken as runs, the declined dense.
+                stop = row + len(run.n_ms)
+                for ok, rows in itertools.groupby(
+                    range(row, stop),
+                    lambda k: self._xx_slot_angles(self._own_run(programs[k]))
+                    is not None,
+                ):
+                    first, *rest = rows
+                    part = programs[first : first + 1 + len(rest)]
+                    units += [
+                        (first + k, *unit)
+                        for k, *unit in self._units(part, engine if ok else "dense")
+                    ]
+                row = stop
+                continue
+            units.append((row, None if angles is None else run, angles))
+            row += 1 if angles is None else len(run.n_ms)
+        return units
+
+    def _check_widths(self, programs: list["TestProgram"]) -> None:
+        for program in programs:
+            if program.circuit.n_qubits != self.n_qubits:
+                raise ValueError(
+                    f"program is on {program.circuit.n_qubits} qubits, "
+                    f"machine has {self.n_qubits}"
+                )
+
     def _spam_factors(self, programs: list["TestProgram"]) -> np.ndarray:
-        """Each program's readout factor on its match probability."""
-        spam = self.noise.spam
+        """Each program's readout factor (with a SPAM channel; without one
+        every factor is 1)."""
+        spam, n = self.noise.spam, self.n_qubits
         return np.array(
-            [
-                spam.match_probability_factor(program.expected, self.n_qubits)
-                if spam is not None
-                else 1.0
-                for program in programs
-            ]
+            [spam.match_probability_factor(p.expected, n) for p in programs]
         )
 
     def _sample_fidelities(
@@ -488,35 +498,29 @@ class VirtualIonTrap:
         """
         if not programs:
             return np.empty((0, probs.shape[1]))
-        p = probs * self._spam_factors(programs)[:, None, None]
+        p = probs
+        if self.noise.spam is not None:
+            p = probs * self._spam_factors(programs)[:, None, None]
         if p.size and (p.min() < -1e-9 or p.max() > 1.0 + 1e-9):
             raise ValueError("match probabilities outside [0, 1]")
-        p = np.clip(p, 0.0, 1.0)
-        matches = self.rng.binomial(np.broadcast_to(groups, p.shape), p)
+        p = np.minimum(np.maximum(p, 0.0), 1.0)
+        matches = self.rng.binomial(groups, p)  # groups broadcast over rows
         runs = p.shape[0] * p.shape[1] // len(programs)
-        for program in programs:
-            self._account(program.n_two_qubit, shots, runs)
+        self._account([program.n_two_qubit for program in programs], shots, runs)
         return matches.sum(axis=2) / shots
 
     def _shot_groups(
         self, shots: int, realizations: int | None = None
-    ) -> list[int]:
+    ) -> np.ndarray:
         wanted = realizations if realizations is not None else self.noise_realizations
-        if wanted < 1:
-            raise ValueError("need at least one noise realization")
-        groups = min(wanted, shots)
-        base, extra = divmod(shots, groups)
-        return [base + (1 if g < extra else 0) for g in range(groups)]
+        return _group_shots(shots, wanted)
 
     # -- compiled XX route -------------------------------------------------------
 
     def _own_run(self, program: "TestProgram") -> "_XXRun | None":
-        """``program``'s compiled run of one, or ``None`` where the XX route declines.
-
-        A program with two-qubit gates under non-XX-preserving noise is
-        declined without resolving its XX entry, so no plan is compiled
-        that the pass would never contract.
-        """
+        """``program``'s compiled run of one, or ``None`` where the XX route
+        declines; under non-XX-preserving noise a program with two-qubit
+        gates is declined without compiling a plan it would never use."""
         if program.n_two_qubit and not self.noise.is_xx_preserving():
             return None
         xx = program.xx(self.max_exact_qubits)
@@ -546,8 +550,8 @@ class VirtualIonTrap:
             return None
         calibration = self.calibration
         theta = run.slot_theta
-        offsets = calibration.phase_offsets[run.edge_q1, run.edge_q2]
-        if run.slot_phases is not None or offsets.any():
+        offsets = calibration.phase_offsets.take(run.edge_index)
+        if run.slot_phases is not None or np.count_nonzero(offsets):
             # (n_ms, 2), or (n_ms, 1) for both phases when nominally 0.
             phases = offsets[run.slot_edge, None] + (
                 0.0 if run.slot_phases is None else run.slot_phases
@@ -555,10 +559,10 @@ class VirtualIonTrap:
             if not np.all(is_multiple_of_pi(phases)):
                 return None
             theta = ms_axis_sign(phases[:, 0], phases[:, -1]) * theta
-        unders = calibration.under_rotations[run.edge_q1, run.edge_q2][:, None]
+        unders = calibration.under_rotations.take(run.edge_index)[:, None]
         if sweep is not None:
             pair, magnitudes = sweep
-            col = (run.edge_q1 == min(pair)) & (run.edge_q2 == max(pair))
+            col = run.edge_index == min(pair) * self.n_qubits + max(pair)
             if not col.any():
                 raise ValueError(
                     f"pair {sorted(pair)} is not exercised by this test"
@@ -577,18 +581,14 @@ class VirtualIonTrap:
         """Match probabilities of ``run``'s tests: shape ``(tests, M, n_batch)``.
 
         The one XX draw, for a run of any length (``programs`` are its
-        tests): ``slot_angles`` (from :meth:`_xx_slot_angles`) times ``1
-        + xi`` for one ``(n_ms, n_batch)`` amplitude-noise draw shared by
-        all ``M`` columns (the tests' consecutive draws), one
-        ``np.add.at`` of every slot into the run's ``(edges, M,
-        n_batch)`` block and the clock advanced test by test.  Each
-        structure group is then contracted in one call on its first
-        member's plan, over its members' stacked rows and their own
-        linear rows; a sampled plan (always a run of one) draws its spins
-        from the machine's generator after the noise.  Draw, arithmetic
-        and clock advance are those of :meth:`_realize_slots` with the
-        realized angles summed per edge in slot order, so each row equals
-        that oracle's.
+        tests): ``slot_angles`` (:meth:`_xx_slot_angles`) times ``1 + xi``
+        for one ``(n_ms, n_batch)`` amplitude-noise draw shared by all
+        ``M`` columns, each slot summed into the run's ``(M x n_batch,
+        edges)`` block in slot order, and the clock advanced test by
+        test: :meth:`_realize_slots`'s draws, arithmetic and clock.  Each
+        structure group is contracted in one call on its first member's
+        plan over its members' stacked rows; a sampled plan (always a run
+        of one) draws its spins from the machine's generator.
         """
         n_ms, n_cols = slot_angles.shape
         sigma = self.noise.amplitude_sigma
@@ -600,15 +600,19 @@ class VirtualIonTrap:
                 slot_angles[:, :, None], (n_ms, n_cols, n_batch)
             )
         rows = n_cols * n_batch
-        acc = np.zeros((run.edge_q1.size, rows))
-        np.add.at(acc, run.slot_edge, angles.reshape(n_ms, rows))
+        n_edges = run.edge_index.size
+        # Bin r * E + e sums row r's angles on edge e in slot order.
+        bins = np.arange(rows) * n_edges + run.slot_edge[:, None]
+        acc = np.bincount(
+            bins.reshape(-1), angles.reshape(-1), rows * n_edges
+        ).reshape(rows, n_edges)
         gate_dt = self.timing.gate_time(self.n_qubits)
         for count in run.n_ms:
             self._clock += n_batch * count * gate_dt
         probs = np.empty((len(run.n_ms), rows))
         for group in run.groups:
             tests, width = group.edge_rows.shape
-            thetas = acc[group.edge_rows].transpose(0, 2, 1)
+            thetas = acc[:, group.edge_rows].transpose(1, 0, 2)
             lin = group.linear
             plan = programs[group.rows[0]].xx(self.max_exact_qubits).plan
             probs[group.rows] = plan.probabilities(
@@ -708,14 +712,12 @@ class VirtualIonTrap:
     def _draw_dense(self, test: "_CompiledDenseTest", n_batch: int) -> Blocks:
         """Draw ``n_batch`` realizations straight into ``test``'s blocks.
 
-        Returns the per-kind parameter blocks a
-        :class:`~repro.sim.dense_plan.DensePlan` takes: the
-        ``(n_ms, n_batch, 3)`` MS block as drawn, the kick and R rows
-        merged into program order, and the static rows of every other
-        kind broadcast over the batch.  Draw for draw, value for value
-        and clock for clock this is :meth:`_realize_slots`: one
-        calibration gather per kind, then the MS block, the kick block
-        and each R slot's draw in program order, and no slot objects.
+        Returns a :class:`~repro.sim.dense_plan.DensePlan`'s per-kind
+        blocks: the ``(n_ms, n_batch, 3)`` MS block as drawn, the kick and
+        R rows merged into program order, and every other kind's static
+        rows broadcast over the batch.  Draw for draw, value for value and
+        clock for clock this is :meth:`_realize_slots` without its slot
+        objects.
         """
         gate_dt = self.timing.gate_time(self.n_qubits)
         n_ms = test.ms_theta.size
@@ -767,15 +769,12 @@ class VirtualIonTrap:
     def _dense_plan_for(self, skeleton: Skeleton) -> DensePlan:
         """The compiled :class:`~repro.sim.dense_plan.DensePlan` for a skeleton.
 
-        Plans are cached keyed by the slot skeleton in the process-wide
-        :data:`~repro.sim.dense_plan.PLAN_CACHE`, so every execution of
-        one nominal circuit (a diagnosis loop, a trial sweep, machine
-        after machine) compiles the compaction, permutations and fused
-        apply groups once.  The lookup and its build/hit/rebind/eviction
-        counts are read under the cache lock and land in
-        :class:`MachineStats`.  A plan above
-        :data:`~repro.sim.statevector.MAX_DENSE_QUBITS` raises
-        ``ValueError``: only the XX route evaluates larger tests.
+        Keyed by the slot skeleton in the process-wide
+        :data:`~repro.sim.dense_plan.PLAN_CACHE`, so one nominal circuit
+        compiles once however often it runs; the lookup's
+        build/hit/rebind/eviction counts land in :class:`MachineStats`.
+        A plan above :data:`~repro.sim.statevector.MAX_DENSE_QUBITS`
+        raises ``ValueError``: only the XX route evaluates larger tests.
         """
         cache = dense_plan.PLAN_CACHE
         with cache.lock:
@@ -797,7 +796,7 @@ class VirtualIonTrap:
         return plan
 
     def _run_dense_slots(
-        self, slots: list[RealizedSlot], groups: list[int]
+        self, slots: list[RealizedSlot], groups: np.ndarray
     ) -> Counts:
         """Full-counts dense execution of all realization groups.
 
@@ -805,7 +804,7 @@ class VirtualIonTrap:
         ``max_batch_bytes`` (or the global amplitude cap).
         """
         if not slots or not {q for slot in slots for q in slot.qubits}:
-            return {0: sum(groups)}
+            return {0: int(groups.sum())}
         plan = self._dense_plan_for(_skeleton(slots))
         blocks = slot_blocks(slots)
         counts_parts = []
@@ -829,13 +828,30 @@ class VirtualIonTrap:
             )
         return merge_counts(*counts_parts)
 
-    def _account(self, n2q: int, shots: int, runs: int = 1) -> None:
-        self.stats.circuit_runs += runs
-        self.stats.shots += runs * shots
-        self.stats.two_qubit_gates += n2q * shots * runs
-        self.stats.quantum_seconds += (
-            self.timing.circuit_run_time(n2q, self.n_qubits, shots) * runs
-        )
+    def _account(self, gate_counts: list[int], shots: int, runs: int = 1) -> None:
+        """Charge ``runs`` runs of ``shots`` shots to each test in order;
+        ``gate_counts`` holds each test's two-qubit gates per shot."""
+        stats, seconds = self.stats, {}
+        for n2q in gate_counts:
+            stats.circuit_runs += runs
+            stats.shots += runs * shots
+            stats.two_qubit_gates += n2q * shots * runs
+            if n2q not in seconds:
+                seconds[n2q] = self.timing.circuit_run_time(n2q, self.n_qubits, shots)
+            stats.quantum_seconds += seconds[n2q] * runs
+
+
+@lru_cache(maxsize=64)
+def _group_shots(shots: int, wanted: int) -> np.ndarray:
+    """``shots`` over ``min(wanted, shots)`` groups, the first ones one shot
+    larger: a shared read-only int64 array."""
+    if wanted < 1:
+        raise ValueError("need at least one noise realization")
+    base, extra = divmod(shots, min(wanted, shots))
+    out = np.full(min(wanted, shots), base, dtype=np.int64)
+    out[:extra] += 1
+    out.flags.writeable = False
+    return out
 
 
 def _check_counts(shots: int, trials: int) -> None:
@@ -849,11 +865,9 @@ def _check_counts(shots: int, trials: int) -> None:
 class CompiledBattery:
     """Compatibility shim for the benchmark's tracer; nothing in ``src/`` uses it.
 
-    A battery is a list of :class:`TestProgram` objects run as one
-    :meth:`VirtualIonTrap.run_battery` pass.  ``perfbench/layers.py``
-    still resolves :meth:`trial_fidelities` by name, so this class holds
-    programs and delegates that one method to the pass; it keeps no
-    cache.
+    ``perfbench/layers.py`` resolves :meth:`trial_fidelities` by name, so
+    this class holds programs and delegates that one method to
+    :meth:`VirtualIonTrap.run_battery`; it keeps no cache.
     """
 
     def __init__(self, tests: list["TestProgram"]):
@@ -966,7 +980,7 @@ class _RunGroup:
 
     ``rows`` holds each member's index in the run (the first one's plan
     contracts the group), ``edge_rows`` each member's edge columns as
-    rows of the run's accumulated block, ``(k, E)``, and ``linear`` each
+    columns of the run's accumulated block, ``(k, E)``, and ``linear`` each
     member's static RX/X angles, ``(k, L)``.
     """
 
@@ -979,17 +993,16 @@ class _RunGroup:
 class _XXRun:
     """Consecutive XX tests as one layout; a compiled XX test is a run of one.
 
-    ``edge_q1``/``edge_q2`` are the sorted targets of every test's edge
-    columns, concatenated: the rows of the run's accumulated block and
-    the calibration gather index.  Each MS/XX slot has its row
-    ``slot_edge`` and nominal angle ``slot_theta``; ``slot_phases``
+    ``edge_index`` holds the flat calibration index ``q1 * N + q2`` (``q1
+    < q2``) of every test's edge columns, concatenated: the columns of the
+    run's accumulated block and the calibration gather index.  Each MS/XX
+    slot has its column ``slot_edge`` and nominal angle ``slot_theta``; ``slot_phases``
     holds the slots' nominal drive phases, ``(n_ms, 2)``, or is ``None``
     when every one is 0 (XX gates and every protocol test).  ``n_ms``
     holds each test's slot count for the clock.
     """
 
-    edge_q1: np.ndarray
-    edge_q2: np.ndarray
+    edge_index: np.ndarray
     slot_edge: np.ndarray
     slot_theta: np.ndarray
     slot_phases: np.ndarray | None
@@ -999,22 +1012,17 @@ class _XXRun:
 
 @dataclass(frozen=True)
 class _CompiledXXTest:
-    """Machine-independent structure of one XX test: its run of one and plan.
-
-    ``run``'s edge columns follow ``plan.edge_keys`` (first appearance)
-    and its one group's linear row holds the static RX/X angle per
-    ``plan.linear_keys`` entry, summed in program order.
-    """
+    """Machine-independent structure of one XX test: its run of one and
+    plan.  ``run``'s edge columns follow ``plan.edge_keys``; its group's
+    linear row sums the static RX/X angles per ``plan.linear_keys``."""
 
     run: _XXRun
     plan: ContractionPlan
 
 
-#: Compiled XX tests kept per process; the least recently resolved entry
-#: is dropped first.  This cache is their one owner (programs hold weak
-#: references).  Entries hold plans of int8 half tables, characters and
-#: index arrays, under 64 KiB each up to the 20-qubit exact limit, so all
-#: compiled XX tests alive pin at most 64 MiB.
+#: Compiled XX tests kept per process (least recently resolved dropped
+#: first), their one owner: programs hold weak references.  Plans stay
+#: under 64 KiB up to the 20-qubit exact limit, so all pin at most 64 MiB.
 _XX_TEST_CACHE_SIZE = 1024
 
 
@@ -1024,12 +1032,10 @@ def _compiled_xx_test(
 ) -> _CompiledXXTest | None:
     """The compiled XX structure of a program's nominal ops.
 
-    Returns ``None`` for structures with non-XX gates; that verdict is
-    cached too, so such tests take the dense route without being
-    re-examined.  A component above ``max_exact_qubits`` compiles as a
-    sampled one.  Keyed by the program, whose hash is cached.  The cache
-    is thread-safe: concurrent misses on one key may both compile, and
-    either result is equivalent.
+    ``None`` for structures with non-XX gates (cached too, so such tests
+    go dense without being re-examined).  A component above
+    ``max_exact_qubits`` compiles as a sampled one.  Thread-safe:
+    concurrent misses on one key may both compile, equivalently.
     """
     n_qubits, ops, expected = program.key
     edge_index: dict[Pair, int] = {}
@@ -1063,8 +1069,7 @@ def _compiled_xx_test(
     ).reshape(-1, 2)
     phases = np.array(slot_phases, dtype=np.float64).reshape(len(slot_edge), 2)
     run = _XXRun(
-        edge_q1=edges[:, 0].copy(),
-        edge_q2=edges[:, 1].copy(),
+        edge_index=edges[:, 0] * n_qubits + edges[:, 1],
         slot_edge=np.array(slot_edge, dtype=np.intp),
         slot_theta=np.array(slot_theta, dtype=np.float64),
         slot_phases=phases if phases.any() else None,
@@ -1080,10 +1085,9 @@ def _compiled_xx_test(
     return _CompiledXXTest(run=run, plan=plan)
 
 
-#: Rounds whose XX runs are kept per process (least recently used
-#: dropped first).  An entry holds index and angle arrays, 16 bytes per
-#: MS slot (an N = 16 battery at 16 repetitions, 6,272 slots: 100 KB);
-#: plans stay with their programs' compiled XX entries.
+#: Rounds (and stretches of declined runs) whose XX runs are kept per
+#: process, least recently used dropped first: index and angle arrays,
+#: 16 bytes per MS slot (an N = 16 battery at 16 repetitions: 100 KB).
 _ROUND_CACHE_SIZE = 256
 
 
@@ -1091,12 +1095,9 @@ _ROUND_CACHE_SIZE = 256
 def _compiled_runs(
     programs: tuple[TestProgram, ...], max_exact_qubits: int
 ) -> dict[int, _XXRun]:
-    """A round's XX runs of two or more tests, by first row.
-
-    A run is a maximal stretch of programs whose compiled XX entry has
-    no sampled component and all nominal drive phases on the pi grid.
-    Do not mutate the returned dict.
-    """
+    """A round's XX runs of two or more tests, by first row: maximal
+    stretches of programs whose XX entry has no sampled component and
+    nominal drive phases on the pi grid.  Do not mutate the dict."""
     entries = [program.xx(max_exact_qubits) for program in programs]
     runs: dict[int, _XXRun] = {}
     start = 0
@@ -1119,7 +1120,7 @@ def _compiled_runs(
 def _xx_run(tests: list[_CompiledXXTest]) -> _XXRun:
     """Consecutive XX tests' runs of one, concatenated and grouped by structure."""
     runs = [test.run for test in tests]
-    offsets = np.cumsum([0] + [run.edge_q1.size for run in runs])
+    offsets = np.cumsum([0] + [run.edge_index.size for run in runs])
     members: dict[tuple, list[int]] = {}
     for k, test in enumerate(tests):
         members.setdefault(test.plan.structure, []).append(k)
@@ -1142,8 +1143,7 @@ def _xx_run(tests: list[_CompiledXXTest]) -> _XXRun:
             ]
         )
     return _XXRun(
-        edge_q1=np.concatenate([run.edge_q1 for run in runs]),
-        edge_q2=np.concatenate([run.edge_q2 for run in runs]),
+        edge_index=np.concatenate([run.edge_index for run in runs]),
         slot_edge=np.concatenate(
             [run.slot_edge + off for run, off in zip(runs, offsets)]
         ),

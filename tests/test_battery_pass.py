@@ -369,11 +369,11 @@ def test_mixed_round_equals_in_order_oracle(offset, monkeypatch, fresh_plan_cach
         assert (fids == ref).all()
         _assert_same_machine_state(compiled, oracle)
     # Every run holds a test on {2, 3}.  At pi its offset keeps the
-    # phases on the grid, so the runs stack; off the grid each run falls
-    # back to its tests' own runs of one (1), and those on {2, 3} go dense.
+    # phases on the grid, so the runs stack; off the grid each run splits
+    # at its tests on {2, 3} (rows 1, 4, 8 and 13), which go dense: the
+    # stretches 2-3 and 9-10 stay stacked (2), the rest are runs of one.
     if offset == 0.6:
-        on_23 = {1, 4, 8, 13}
-        own = [1 for row in range(15) if row not in on_23 | {6}]
+        own = [1, 2, 1, 1, 2, 1, 1, 1]
     else:
         own = [0, 7, 1, 12]  # the sampled row 11 is a run of one
     assert taken == own * 2
@@ -471,3 +471,87 @@ def test_dense_only_round_compiles_no_xx_plan(monkeypatch, fresh_plan_cache):
     machine = VirtualIonTrap(16, noise=AMPLITUDE, seed=2)
     Executor(machine, shots=20).execute_round(specs)
     assert len(builds) == len(specs)
+
+
+def test_declined_run_splits_at_its_declined_tests(monkeypatch, fresh_plan_cache):
+    """An off-grid offset on one coupling sends only the tests holding it
+    dense; the stretches between them stay stacked and draw as the
+    per-test fallback (every test its own run) draws."""
+    specs = battery_specs(12, 2)
+    programs = _programs(12, 2)
+    faults = (
+        CouplingPhaseFault(frozenset({0, 5}), 0.6),
+        CouplingFault(frozenset({2, 9}), 0.3),
+    )
+    split, fallback = _twins(12, AMPLITUDE, faults)
+    assert list(_compiled_runs(tuple(programs), 20)) == [0]
+    declined = [
+        split._xx_slot_angles(split._own_run(p)) is None for p in programs
+    ]
+    assert 0 < sum(declined) < len(programs)
+    calls = []
+    original = ContractionPlan.probabilities
+
+    def counted(self, thetas, *args):
+        calls.append(thetas.shape[0])
+        return original(self, thetas, *args)
+
+    monkeypatch.setattr(ContractionPlan, "probabilities", counted)
+    results = Executor(split, shots=100).execute_round(specs)
+    stacked = len(calls)
+    # Each stretch of accepted tests contracts once per plan structure.
+    stretches = [[]]
+    for program, off in zip(programs, declined):
+        if off:
+            stretches.append([])
+        else:
+            stretches[-1].append(program.xx(20).plan.structure)
+    assert stacked == sum(len(set(s)) for s in stretches)
+    calls.clear()
+    monkeypatch.setattr(
+        "repro.trap.machine._compiled_runs", lambda programs, limit: {}
+    )
+    with plan_cache(DensePlanCache()):
+        reference = Executor(fallback, shots=100).execute_round(specs)
+    assert len(calls) == len(programs) - sum(declined) > stacked
+    assert [r.fidelity for r in results] == [r.fidelity for r in reference]
+    _assert_same_machine_state(split, fallback)
+
+
+def test_lone_xx_test_resolves_once(monkeypatch):
+    """One XX-route ``execute`` gathers its angles, contracts and samples
+    once each, and ends where a one-spec round ends."""
+    from repro.trap import machine as machine_module
+
+    spec = battery_specs(12, 2)[3]
+    faults = (CouplingFault(frozenset({2, 9}), 0.3),)
+    lone, round_ = _twins(12, AMPLITUDE, faults)
+    counts = {"angles": 0, "contract": 0, "sample": 0}
+
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(
+        VirtualIonTrap,
+        "_xx_slot_angles",
+        counting("angles", VirtualIonTrap._xx_slot_angles),
+    )
+    monkeypatch.setattr(
+        ContractionPlan,
+        "probabilities",
+        counting("contract", ContractionPlan.probabilities),
+    )
+    monkeypatch.setattr(
+        machine_module,
+        "sample_bernoulli_counts_batch",
+        counting("sample", machine_module.sample_bernoulli_counts_batch),
+    )
+    result = Executor(lone, shots=150).execute(spec)
+    assert counts == {"angles": 1, "contract": 1, "sample": 1}
+    (reference,) = Executor(round_, shots=150).execute_round([spec])
+    assert result == reference
+    _assert_same_machine_state(lone, round_)

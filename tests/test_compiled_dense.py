@@ -127,7 +127,7 @@ def _oracle_probabilities(machine, plans, circuit, expected, n_batch, force):
 
 def _oracle_run_match(machine, plans, circuit, expected, shots):
     """``run_match`` on the slot path alone."""
-    machine._account(circuit.depth_two_qubit(), shots)
+    machine._account([circuit.depth_two_qubit()], shots)
     groups = machine._shot_groups(shots)
     p = _oracle_probabilities(
         machine, plans, circuit, expected, len(groups), force=False

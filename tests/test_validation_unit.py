@@ -381,3 +381,43 @@ def test_run_replicates_seeds_and_caches(tmp_path):
         run_replicates("fig6", replicates=0)
     with pytest.raises(ValueError, match="no config field"):
         run_replicates("fig10", replicates=2, cache_dir=tmp_path)
+
+
+def test_contrast_scores_equal_the_formula_on_random_rounds():
+    """Random memberships, even and odd outside counts, ties and a skipped
+    test: scores equal median-minus-mean written out, float for float."""
+    import statistics
+
+    from repro.core.multi_fault import MultiFaultProtocol
+    from repro.core.protocol import TestResult
+    from repro.core.tests_builder import TestSpec
+
+    class Bank:
+        def normalized(self, name, fidelity):
+            return None if name == "skipped" else fidelity
+
+    rng = np.random.default_rng(7)
+    pairs = [frozenset((i, j)) for i in range(7) for j in range(i + 1, 7)]
+    for trial in range(40):
+        n_tests = int(rng.integers(2, 30))
+        results = []
+        for t in range(n_tests):
+            members = rng.choice(len(pairs), int(rng.integers(1, 6)), replace=False)
+            spec = TestSpec(
+                "skipped" if t == 3 else f"t{t}",
+                tuple(pairs[k] for k in members),
+                2,
+            )
+            value = float(rng.choice([0.5, rng.random()]))  # with ties
+            results.append(TestResult(spec, value, 0.5, 100))
+        relevant = set(pairs[: int(rng.integers(1, len(pairs)))])
+        kept = [r for r in results if r.spec.name != "skipped"]
+        expected = []
+        for pair in relevant:
+            inside = [r.fidelity for r in kept if pair in r.spec.pairs]
+            outside = [r.fidelity for r in kept if pair not in r.spec.pairs]
+            if inside and outside:
+                score = float(statistics.median(outside)) - float(np.mean(inside))
+                expected.append((score, pair))
+        expected.sort(key=lambda item: (-item[0], sorted(item[1])))
+        assert MultiFaultProtocol.contrast_scores(results, relevant, Bank()) == expected

@@ -1,15 +1,18 @@
 """The compiled XX kernel against its references.
 
 ``ContractionPlan`` sums only half the spin assignments for components
-without linear terms, splits components above 8 spins into two halves
-and a cross term, and contracts in real trig; ``XXCircuitEvaluator``
-(the exact oracle in ``xx_oracle``) sums the full table in complex
-arithmetic, and the dense
-statevector knows nothing of either.  Up to 8 spins the plan must equal
-the one-table formula written out here, bit for bit; above, all three
-must agree to 1e-12 on seeded random coupling graphs, with and without
-RX/X terms, for even and odd output parity, on plans that mix split and
-unsplit components, and with the realization rows chunked.
+without linear terms.  A component whose table would exceed 256
+assignments splits into spins A and B, and its sum over B becomes one
+bilinear contraction per row: ``G = chi_B e^{i phi_B}`` between tables
+of ``e^{+-i (Theta^T s_A)_j}`` products over B's halves L and H.
+``XXCircuitEvaluator`` (the exact oracle in ``xx_oracle``) sums the full
+table in complex arithmetic, and the dense statevector knows nothing of
+either.  Up to 8 spins the plan must equal the one-table formula written
+out here, bit for bit; above, all three must agree to 1e-12 on seeded
+random coupling graphs up to 16 spins (complete and sparse), with and
+without RX/X terms, for even and odd output parity, on plans that mix
+split and unsplit components, and with the realization rows chunked.
+At 18 and 20 spins two different A/L/H splits must agree to 1e-12.
 """
 
 import itertools
@@ -185,6 +188,11 @@ SPLIT_CASES = [
     ((15,), 12, True),
     ((9, 5), 6, True),
     ((12, 2, 4), 5, False),
+    # K16 (every pair) and a sparse 16-spin graph.
+    ((16,), 120, False),
+    ((16,), 120, True),
+    ((16,), 8, False),
+    ((16,), 8, True),
 ]
 
 
@@ -209,6 +217,25 @@ def test_split_components_match_the_full_table(rng, case, odd):
         assert abs(amps[g] - reference) < 1e-12
         dense = simulate(circuit)[expected]
         assert abs(abs(amps[g]) ** 2 - abs(dense) ** 2) < 1e-12
+
+
+@pytest.mark.parametrize("m", [18, 20])
+def test_two_splits_of_one_component_agree(rng, monkeypatch, m):
+    """Moving spins between A, L and H changes the arithmetic, not the sum."""
+    edges, lin, groups = _structure(rng, (m,), 3 * m, linear=True)
+    expected = _bitstring(rng, m, groups, odd=True)
+    thetas = rng.normal(math.pi / 2, 0.4, (REALIZATIONS, len(edges)))
+    lin_thetas = rng.normal(0.3, 0.5, (REALIZATIONS, len(lin)))
+    default = xx_engine._split(m, flip_even=False)
+    amps = ContractionPlan(m, edges, lin, expected).amplitudes(thetas, lin_thetas)
+    for a, n_low in ((m - 9, 3), (m - 10, 6)):
+        assert (a, n_low) != default
+        monkeypatch.setattr(xx_engine, "_split", lambda *_, s=(a, n_low): s)
+        other = ContractionPlan(m, edges, lin, expected).amplitudes(
+            thetas, lin_thetas
+        )
+        assert np.max(np.abs(other - amps)) < 1e-12
+    assert np.abs(amps).max() > 1e-6
 
 
 def test_row_chunks_of_a_split_plan_match_the_oracle(rng):

@@ -288,7 +288,7 @@ def match_probabilities_slots(machine, slots, expected: int) -> np.ndarray:
 
 def slot_run_match(machine, circuit: Circuit, expected: int, shots: int):
     """``run_match`` on the slot path: realize, evaluate, one binomial."""
-    machine._account(circuit.depth_two_qubit(), shots)
+    machine._account([circuit.depth_two_qubit()], shots)
     groups = machine._shot_groups(shots)
     slots = machine._realize_slots(circuit, len(groups))
     if slots:
