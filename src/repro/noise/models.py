@@ -15,7 +15,10 @@ On top of these, each coupling carries a *deterministic* miscalibration
 ``theta_actual = theta_nominal * (1 - under_rotation) * (1 + xi)``.
 
 :class:`GateNoiseModel` draws the realized parameters of a circuit's MS,
-residual-kick and R slots, one ``(n_batch, ...)`` block per call.  When
+residual-kick and R slots, one ``(n_batch, ...)`` block per call; the
+MS and R methods also take amplitude noise drawn by the caller and
+per-slot arrays with extra leading axes, so one call builds the blocks
+of several tests side by side.  When
 only amplitude noise is enabled the realized MS phases stay on the pi
 grid (XX-only), so the fast engine remains applicable (the setting
 used for the 16/32-qubit scaling runs, matching Sec. VII's "we suppress
@@ -164,38 +167,44 @@ class GateNoiseModel:
         phi1: np.ndarray,
         phi2: np.ndarray,
         ts: np.ndarray,
+        xi: np.ndarray | None = None,
     ) -> np.ndarray:
         """Per-realization MS parameters for a whole circuit's MS slots.
 
         ``q1``/``q2``/``thetas``/``unders``/``phi1``/``phi2`` hold one
         entry per MS/XX application, in program order: the targets, the
         nominal angle, the coupling's under-rotation and the two drive
-        phases (nominal phase plus the coupling's drive-phase offset).
-        ``ts`` has shape ``(n_ms, n_batch)`` with each slot's per-
-        realization gate times.  All amplitude noise is drawn in a single
-        RNG call and the phase noise of both targets is read with one
-        gather each, so the cost is a handful of vectorized operations
-        regardless of circuit depth.  Returns shape ``(n_ms, n_batch, 3)``.
+        phases (nominal plus the coupling's drive-phase offset).  ``ts``
+        has shape ``(n_ms, n_batch)`` with each slot's per-realization
+        gate times.  All amplitude noise is drawn in a single RNG call
+        (unless the caller passes ``xi``, shaped like ``ts``) and the
+        phase noise of both targets is read with one gather each, so the
+        cost is a handful of vectorized operations regardless of circuit
+        depth.  Returns shape ``ts.shape + (3,)``.  The per-slot arrays
+        may carry further axes before the batch axis (``ts`` then has
+        shape ``(n_ms, ..., n_batch)``): a battery pass builds all tests
+        of one stack in one call.
         """
-        n_ms, n_batch = ts.shape
-        if len(thetas) != n_ms:
+        ts = np.asarray(ts, dtype=float)
+        if np.shape(thetas) != ts.shape[:-1]:
             raise ValueError("one MS slot entry per row of ts required")
-        if self.params.amplitude_sigma > 0:
-            xi = self.rng.normal(0.0, self.params.amplitude_sigma, ts.shape)
-        else:
-            xi = np.zeros(ts.shape)
-        out = np.empty((n_ms, n_batch, 3))
-        out[:, :, 0] = thetas[:, None] * (1.0 - unders[:, None]) * (1.0 + xi)
-        out[:, :, 1] = phi1[:, None]
-        out[:, :, 2] = phi2[:, None]
+        if xi is None:
+            if self.params.amplitude_sigma > 0:
+                xi = self.rng.normal(0.0, self.params.amplitude_sigma, ts.shape)
+            else:
+                xi = np.zeros(ts.shape)
+        out = np.empty(ts.shape + (3,))
+        out[..., 0] = thetas[..., None] * (1.0 - unders[..., None]) * (1.0 + xi)
+        out[..., 1] = phi1[..., None]
+        out[..., 2] = phi2[..., None]
         if self._phase_series is not None:
             idx = self._phase_index(ts)
-            out[:, :, 1] += self._phase_series[q1[:, None], idx]
-            out[:, :, 2] += self._phase_series[q2[:, None], idx]
+            out[..., 1] += self._phase_series[q1[..., None], idx]
+            out[..., 2] += self._phase_series[q2[..., None], idx]
         return out
 
     def residual_kick_params_block(
-        self, n_kicks: int, n_batch: int
+        self, n_kicks: int, n_batch: int, out: np.ndarray | None = None
     ) -> np.ndarray:
         """Per-realization kick parameters for ``n_kicks`` residual slots.
 
@@ -205,25 +214,42 @@ class GateNoiseModel:
         angles two independent kicks of std. dev. ``d0`` give mean odd
         population ``d0^2 / 2``, hence ``d0 = sqrt(2 p_odd)``.  The whole
         circuit's kicks are drawn at once; returns shape
-        ``(n_kicks, n_batch, 2)`` of ``(angle, axis)`` rows.
+        ``(n_kicks, n_batch, 2)`` of ``(angle, axis)`` rows, written into
+        ``out`` when given (a view into a stacked block, say).
         """
         d0 = math.sqrt(2.0 * self.params.residual_odd_population)
-        out = np.empty((n_kicks, n_batch, 2))
+        if out is None:
+            out = np.empty((n_kicks, n_batch, 2))
         out[:, :, 0] = self.rng.normal(0.0, d0, (n_kicks, n_batch))
         out[:, :, 1] = self.rng.uniform(0.0, 2.0 * math.pi, (n_kicks, n_batch))
         return out
 
     def noisy_r_params(
-        self, q: int, theta_nominal: float, phi: float, ts: np.ndarray
+        self,
+        q: int | np.ndarray,
+        theta_nominal: float | np.ndarray,
+        phi: float | np.ndarray,
+        ts: np.ndarray,
+        xi: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Per-realization ``(theta, phi)`` rows for one R slot."""
-        n_batch = len(ts)
-        if self.params.amplitude_sigma_1q > 0:
-            xi = self.rng.normal(0.0, self.params.amplitude_sigma_1q, n_batch)
-        else:
-            xi = np.zeros(n_batch)
-        theta = theta_nominal * (1.0 + xi)
-        phi_a = np.full(n_batch, phi, dtype=float)
+        """Per-realization ``(theta, phi)`` rows for one R slot: ``(n_batch, 2)``.
+
+        ``q``/``theta_nominal``/``phi`` may instead be arrays of several
+        slots' values, with ``ts`` (and ``xi``, the amplitude noise when
+        the caller drew it) one batch axis longer; the result is then
+        ``ts.shape + (2,)``.
+        """
+        ts = np.asarray(ts, dtype=float)
+        if xi is None:
+            if self.params.amplitude_sigma_1q > 0:
+                xi = self.rng.normal(0.0, self.params.amplitude_sigma_1q, ts.shape)
+            else:
+                xi = np.zeros(ts.shape)
+        theta = np.asarray(theta_nominal)[..., None] * (1.0 + xi)
+        phi_a = np.empty(ts.shape)
+        phi_a[...] = np.asarray(phi)[..., None]
         if self._phase_series is not None:
-            phi_a += self._phase_series[q, self._phase_index(ts)]
-        return np.stack([theta, phi_a], axis=1)
+            phi_a += self._phase_series[
+                np.asarray(q)[..., None], self._phase_index(ts)
+            ]
+        return np.stack([theta, phi_a], axis=-1)

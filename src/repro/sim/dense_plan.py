@@ -1,64 +1,56 @@
 """Compiled evaluation plans for the dense statevector path.
 
-The XX engine got its compilation layer in an earlier PR: a
-:class:`~repro.sim.xx_engine.ContractionPlan` caches everything about a
-test circuit that is static across noise realizations and trials.  The
-*dense* engine — the one forced by the paper's full Sec. VI error model
-(1/f phase noise, residual kicks), i.e. the hot path of Figs. 6/7 — had no
-such layer: every evaluation of a realized slot batch re-derived the
-touched-qubit compaction, rebuilt axis permutations and applied every
-residual-kick slot as a separate full-state pass.
-
-A :class:`DensePlan` hoists all of that out of the per-trial loop.  Per
-*slot skeleton* (the ``(gate, qubits)`` sequence shared by every noise
-realization of one nominal circuit under one noise structure) it compiles
-once:
+The dense engine is the one forced by the paper's full Sec. VI error
+model (1/f phase noise, residual kicks), i.e. the hot path of Figs. 6/7.
+A :class:`DensePlan` hoists everything static out of the per-trial loop.
+Per *slot skeleton* (the ``(gate, qubits)`` sequence shared by every
+noise realization of one nominal circuit under one noise structure) it
+compiles once:
 
 * the compacted register of touched qubits and its index map;
-* the per-slot local qubit tuples;
-* broadcast matrix stacks for parameter-free gate slots;
 * **fused apply groups**: maximal runs of adjacent slots whose combined
   support stays within two qubits collapse into a single gate
-  application, so the residual-kick ``R`` slots flanking every MS gate
-  (and the MS repetitions themselves, when they share a coupling) cost
-  small-matrix arithmetic instead of full-state passes.
+  application, so the residual-kick ``R`` slots after every MS gate (and
+  the MS repetitions themselves, when they share a coupling) cost
+  small-matrix arithmetic instead of full-state passes;
+* **link chains**: each group's slots, in program order, as links in
+  factored form — an MS slot as ``c*I`` plus its anti-diagonal, a
+  parameterized one-qubit slot as a 2x2 factor on one qubit of the
+  group, parameter-free slots as one fixed matrix.  Groups with the same
+  link sequence form one :class:`_Chain`.
 
-Fused groups are folded into *link chains*: the two kick rotations after
-an MS gate act on disjoint qubits, so they merge into one Kronecker
-link, and that link contracts with its MS gate elementwise (the MS
-matrix is ``c*I`` plus an anti-diagonal — no matmul, and no full MS
-matrix stack is ever materialized for merged slots).  Chains are padded
-with identities to power-of-two lengths, stacked into per-length
-buckets, and multiplied out as a logarithmic tree of
-``(G, L/2, B, 4, 4)`` matmuls; buckets whose chains are uniform skip the
-scatter entirely and reshape the link block in place.
+**Link chains.**  A chain is multiplied out left to right for all its
+groups at once, in matrix-major layout ``(d, d, groups, B)``: each level
+updates every running product in three elementwise passes (an MS link
+reads the product's rows reversed; a factor link splits the row index
+around its qubit's bit), over one preallocated block of three buffers.
+No 4x4 product goes through BLAS, and a chain is as long as its links.
+Each kind's parameter rows are gathered once into link order, so every
+level reads contiguous ``(groups, B)`` slabs.
 
 **Input.**  Evaluation takes one parameter block per gate kind,
 ``{kind: (rows of that kind in program order, B, n_params)}`` —
 ``n_params`` is 3 for ``MS``, 2 for ``R``, 1 for ``RX``/``RY``/``RZ``
-and 0 for parameter-free gates.  The machine's compiled dense test
-draws its noise straight into that form and ``slot_blocks`` in
+and 0 for parameter-free gates.  The machine's dense pass builds that
+form once per stack of tests and ``slot_blocks`` in
 :mod:`repro.trap.machine` groups :class:`~repro.trap.machine.RealizedSlot`
-lists into it.  The plan compiles one gather index per kind for its
-builder stacks and one for its merged-MS links (``None`` where the rows
-already sit in stack order, as for every battery test), so a call builds
-each kind's matrices from one reshaped block.  Row counts, the shared
-batch size and parameter widths are checked per kind.
+lists into it.  Row counts, the shared batch size and parameter widths
+are checked per kind.
 
 **Apply.**  The apply order is compiled into an *axis-order program*:
 the state tensor is never permuted back between applications.  Each
 step records the transpose that brings its qubits to the front from
 the axis order the previous step left (``None`` when they are already
 there) and the gate width it applies, so a step is one reshape (plus
-that transpose) and one batched ``matmul``.  The plan also records the
-final axis order: :meth:`DensePlan.probabilities` reads the expected
-amplitude at its index in that order, and :meth:`DensePlan.states`
-un-permutes once at the end.  Every link and amplitude is formed from
-the same per-element expressions in the same order as an apply-and-
-restore evolution, so results are bit-identical to it.  Realization
-rows are chunked to a byte budget.  Plans depend only on
-``(n_qubits, skeleton)`` — they are machine-independent and meant to be
-cached across trials and machines (see :data:`PLAN_CACHE`).
+that transpose) and one batched ``matmul``.  The first step acts on
+``|0...0>`` and only copies its gates' first columns; the last sums its
+gate columns in order, and :meth:`DensePlan.probabilities` has it form
+only the expected amplitude, at its index in the final axis order
+(memoized per plan), while :meth:`DensePlan.states` forms every
+amplitude the same way and un-permutes once.  Realization rows are
+chunked to a byte budget.  Plans depend only on ``(n_qubits,
+skeleton)`` — they are machine-independent and meant to be cached
+across trials and machines (see :data:`PLAN_CACHE`).
 
 **Stacking.**  Every step acts per batch row, so the rows of several
 tests that share one canonical skeleton stack along the batch axis into
@@ -71,10 +63,11 @@ call on that row's plan.
 from __future__ import annotations
 
 import copy
+import math
 import os
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -105,7 +98,7 @@ def canonical_skeleton(skeleton: Skeleton) -> Skeleton:
 
     Two skeletons with the same canonical form differ only in *which*
     full-register qubits they touch, not in the compiled schedule — the
-    plan's fused buckets, builder stacks and apply order all live on the
+    plan's fused groups, link chains and apply order all live on the
     compacted register, so such plans can share one compiled core (see
     :meth:`DensePlan.rebind`).  Relabeling follows the same sorted-touched
     order the plan's own compaction uses.
@@ -127,8 +120,22 @@ Blocks = dict[str, np.ndarray]
 _SWAP_PERM = np.array([0, 2, 1, 3], dtype=np.intp)
 
 _DIAG4 = np.arange(4)
+_ANTI4 = _DIAG4[::-1].copy()
 
 _I2 = np.eye(2, dtype=complex)
+
+#: Expected bitstrings whose amplitude index a plan memoizes before its
+#: memo starts over.
+_INDEX_MEMO = 64
+
+#: Elements per ufunc iteration buffer while a plan multiplies out its
+#: chains.  Chain levels broadcast ``(G, B)`` parameters over the running
+#: products, and numpy's buffered iterator allocates one buffer per
+#: broadcast operand for every such call: at the default 8192 elements
+#: that is 128 KiB of complex128, allocated and freed per call, and
+#: copied through out of cache.  512-element buffers keep the copies in
+#: cache and the transients small.
+_UFUNC_BUFSIZE = 512
 
 
 @dataclass(frozen=True)
@@ -152,37 +159,148 @@ class _ApplyGroup:
     lifts: tuple[_Lift, ...]
 
 
-@dataclass
-class _Bucket:
-    """All fused two-qubit groups sharing one padded chain length.
+@dataclass(frozen=True)
+class _Chain:
+    """Fused groups sharing one link sequence, multiplied out together.
 
-    ``param_assigns`` scatters batched-builder stack positions into the
-    padded ``(n_groups, length, B, 4, 4)`` product array — one
-    advanced-indexing assignment per (gate kind, lift mode);
-    ``kron_assigns`` scatters merged kick pairs (one batched outer
-    product per kind pair); ``mskron_assigns`` scatters MS gates merged
-    with their kick pair, contracted elementwise from the compact
-    ``(c, anti-diagonal)`` MS representation.  ``uniform`` marks buckets
-    whose every position is one mskron batch in row-major order — those
-    reshape the link block directly instead of scattering.
+    Every group of a chain has the gate width ``dim`` (2 or 4) and the
+    same links in program order; ``levels`` holds one entry per link,
+    applied to all ``n_groups`` groups at once:
+
+    * ``("ms", rows, swapped)`` — an MS slot: ``c*I`` plus an
+      anti-diagonal, with its qubits exchanged when ``swapped``;
+    * ``("factor", kind, rows, side)`` — a parameterized one-qubit slot:
+      a 2x2 factor on the group's first (``side`` 0) or second qubit;
+    * ``("fixed", matrix)`` — parameter-free slots, consecutive ones
+      multiplied together at compile time.
+
+    ``rows`` is the slice of the level's rows, one per group, in its
+    kind's parameters gathered into link order (see
+    :meth:`DensePlan._compile_chains`), so every level reads contiguous
+    ``(G, B)`` blocks.  A chain of fixed slots alone has its product in
+    ``constant`` and is broadcast instead of evaluated.
     """
 
-    length: int
-    n_groups: int = 0
-    #: ``(kind, mode) -> (stack_pos, groups, positions)`` index arrays.
-    param_assigns: dict = field(default_factory=dict)
-    #: ``(kind_q0, kind_q1) -> (pos_q0, pos_q1, groups, positions)``.
-    kron_assigns: dict = field(default_factory=dict)
-    #: ``(kind_q0, kind_q1) -> (ms_pos, pos_q0, pos_q1, groups, positions)``.
-    mskron_assigns: dict = field(default_factory=dict)
-    #: ``[(group, position, lifted_4x4), ...]``
-    fixed_assigns: list = field(default_factory=list)
-    uniform: bool = False
+    dim: int
+    n_groups: int
+    levels: tuple[tuple, ...]
+    constant: np.ndarray | None = None
+
+    def products(
+        self,
+        ms: tuple[np.ndarray, np.ndarray] | None,
+        factors: dict[str, np.ndarray],
+        n_batch: int,
+    ) -> np.ndarray:
+        """Each group's fused matrices: a ``(G, B, d, d)`` view.
+
+        The chain is accumulated left to right in matrix-major layout
+        ``(d, d, G, B)``: each level multiplies every group's running
+        product from the left in three elementwise passes over one
+        preallocated block of three buffers, so no 4x4 product goes
+        through BLAS.
+        """
+        d = self.dim
+        if self.constant is not None:
+            return np.broadcast_to(self.constant, (self.n_groups, n_batch, d, d))
+        shape = (d, d, self.n_groups, n_batch)
+        bufs = np.empty((3,) + shape, dtype=complex)
+        split: dict[int, np.ndarray] = {}
+        acc, spare, term = 0, 1, 2
+        for k, level in enumerate(self.levels):
+            if level[0] == "ms":
+                _, rows, swapped = level
+                c, anti = ms[0][rows], ms[1][:, rows]
+                if swapped:
+                    anti = anti[_SWAP_PERM]
+                if k == 0:
+                    bufs[acc].fill(0.0)
+                    bufs[acc][_DIAG4, _DIAG4] = c
+                    bufs[acc][_DIAG4, _ANTI4] = anti
+                    continue
+                # Row i of MS @ P is c * P[i] + anti[i] * P[3 - i].
+                np.multiply(anti[:, None], bufs[acc][::-1], out=bufs[term])
+                np.multiply(c, bufs[acc], out=bufs[spare])
+            elif level[0] == "factor":
+                _, kind, rows, side = level
+                u = factors[kind][:, :, rows]
+                if k == 0:
+                    np.copyto(bufs[acc], np.eye(d)[:, :, None, None])
+                # The buffers with their row index split around the
+                # factor's qubit bit: (outer, bit, inner, column, G, B).
+                if side not in split:
+                    outer = 2**side
+                    split[side] = bufs.reshape(
+                        (3, outer, 2, d // (2 * outer), d) + shape[2:]
+                    )
+                parts = split[side]
+                np.multiply(
+                    u[:, 0][None, :, None, None],
+                    parts[acc][:, :1],
+                    out=parts[spare],
+                )
+                np.multiply(
+                    u[:, 1][None, :, None, None],
+                    parts[acc][:, 1:],
+                    out=parts[term],
+                )
+            else:
+                matrix = level[1]
+                if k == 0:
+                    np.copyto(bufs[acc], matrix[:, :, None, None])
+                    continue
+                np.matmul(
+                    matrix,
+                    bufs[acc].reshape(d, -1),
+                    out=bufs[spare].reshape(d, -1),
+                )
+                acc, spare = spare, acc
+                continue
+            bufs[spare] += bufs[term]
+            acc, spare = spare, acc
+        return bufs[acc].transpose(2, 3, 0, 1)
 
 
-def _next_pow2(n: int) -> int:
-    """Smallest power of two >= n."""
-    return 1 << (n - 1).bit_length()
+def _ms_terms(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The MS block as ``(c, anti)``: ``(rows, B)`` and ``(4, rows, B)``.
+
+    An MS matrix is ``c*I`` plus the anti-diagonal whose row ``i``
+    entry ``anti[i]`` sits in column ``3 - i``.  ``c`` is stored complex
+    so the chain's products need no cast.
+    """
+    theta, phi1, phi2 = params[..., 0], params[..., 1], params[..., 2]
+    c = np.cos(theta / 2.0).astype(complex)
+    s = -1.0j * np.sin(theta / 2.0)
+    e_pp = np.exp(-1.0j * (phi1 + phi2))
+    e_pm = np.exp(-1.0j * (phi1 - phi2))
+    anti = np.empty((4,) + theta.shape, dtype=complex)
+    np.multiply(e_pp, s, out=anti[0])
+    np.multiply(e_pm, s, out=anti[1])
+    np.multiply(np.conj(e_pm), s, out=anti[2])
+    np.multiply(np.conj(e_pp), s, out=anti[3])
+    return c, anti
+
+
+def _factor_block(kind: str, params: np.ndarray) -> np.ndarray:
+    """A one-qubit kind's gate matrices, matrix-major: ``(2, 2, rows, B)``."""
+    theta = params[..., 0]
+    u = np.empty((2, 2) + theta.shape, dtype=complex)
+    if kind == "RZ":
+        u[0, 0] = np.exp(-0.5j * theta)
+        u[1, 1] = np.exp(0.5j * theta)
+        u[0, 1] = u[1, 0] = 0.0
+        return u
+    phi = {"R": None, "RX": 0.0, "RY": math.pi / 2.0}[kind]
+    if phi is None:
+        phi = params[..., 1]
+    c = np.cos(theta / 2.0)
+    s = -1.0j * np.sin(theta / 2.0)
+    e = np.exp(-1.0j * phi)
+    u[0, 0] = c
+    u[1, 1] = c
+    np.multiply(e, s, out=u[0, 1])
+    np.multiply(np.conj(e), s, out=u[1, 0])
+    return u
 
 
 class Segment(NamedTuple):
@@ -220,29 +338,18 @@ class DensePlan:
         self.index = {q: k for k, q in enumerate(self.touched)}
         #: Width of the compacted register the plan evolves.
         self.n_local = len(self.touched)
-        local = [
+        self._local_slots = [
             (gate, tuple(self.index[q] for q in qubits))
             for gate, qubits in self.skeleton
         ]
-        self._local_slots = local
         self._fixed: dict[int, np.ndarray] = {}
-        for i, (gate, _) in enumerate(local):
+        for i, (gate, _) in enumerate(self._local_slots):
             if gate not in _PARAM_WIDTH:
                 self._fixed[i] = batched_matrices_from_params(
                     gate, np.zeros((1, 0))
                 )[0]
-        # Full-matrix stack bookkeeping: slots that need their gate
-        # matrix materialized (everything except MS slots merged into
-        # mskron links) get a position in their kind's builder stack.
-        self._stack_slots: dict[str, list[int]] = {}
-        self._stack_pos: dict[int, int] = {}
-        # MS slots merged into mskron links: only (c, anti) are built.
-        self._ms_slots: list[int] = []
-        self._ms_swapped: list[bool] = []
-        self._compile_schedule(self._segment(local))
-        self._ms_swapped = np.array(self._ms_swapped, dtype=bool)
-        self._compile_gathers()
-        self._compile_program()
+        self._indices: dict[int, int] = {}
+        self._compile_program(self._compile_chains(self._segment(self._local_slots)))
 
     # -- compilation -----------------------------------------------------------
 
@@ -288,175 +395,94 @@ class DensePlan:
             groups.append(_ApplyGroup(gq, tuple(lifts)))
         return tuple(groups)
 
-    def _is_param(self, slot: int) -> bool:
-        return slot not in self._fixed
+    def _compile_chains(
+        self, groups: tuple[_ApplyGroup, ...]
+    ) -> list[tuple[tuple[int, ...], int, int]]:
+        """Sort the apply groups into chains; returns the apply order.
 
-    def _need_stack(self, slot: int) -> int:
-        """Reserve a full-matrix builder-stack position for a slot."""
-        pos = self._stack_pos.get(slot)
-        if pos is None:
-            kind = self._local_slots[slot][0]
-            rows = self._stack_slots.setdefault(kind, [])
-            pos = len(rows)
-            rows.append(slot)
-            self._stack_pos[slot] = pos
-        return pos
-
-    def _link_chain(self, lifts: tuple[_Lift, ...]) -> list[tuple]:
-        """Fold a group's slot run into its link chain (order-preserving).
-
-        Links are ``("slot", lift)`` for stand-alone slots,
-        ``("kron", lift_q0, lift_q1)`` for two adjacent parameterized
-        one-qubit slots on different qubits (they commute, so the pair
-        collapses into one Kronecker product), and
-        ``("mskron", ms, lift_q0, lift_q1)`` when such a pair directly
-        follows an MS gate — the canonical MS-plus-residual-kicks
-        pattern, contracted elementwise via the MS matrix's
-        diagonal/anti-diagonal sparsity.
+        A slot's *row* is its rank among the slots of its kind in
+        program order — its row in that kind's input block.  Each group
+        becomes a link sequence (see :class:`_Chain`); groups with equal
+        sequences form one chain, evaluated together.  Each apply step
+        is ``(qubits, chain, group)``: the group's place in its chain.
         """
-        links: list[tuple] = []
-        pending: _Lift | None = None
-        for lift in lifts:
-            one_q = lift.mode in ("kron_left", "kron_right")
-            if not (one_q and self._is_param(lift.slot)):
-                if pending is not None:
-                    links.append(("slot", pending))
-                    pending = None
-                links.append(("slot", lift))
-                continue
-            if pending is None:
-                pending = lift
-            elif pending.mode != lift.mode:
-                first, second = (
-                    (pending, lift)
-                    if pending.mode == "kron_left"
-                    else (lift, pending)
-                )
-                prev = links[-1] if links else None
-                if (
-                    prev is not None
-                    and prev[0] == "slot"
-                    and self._is_param(prev[1].slot)
-                    and self._local_slots[prev[1].slot][0] == "MS"
-                    and prev[1].mode in ("direct", "swapped")
-                ):
-                    links[-1] = ("mskron", prev[1], first, second)
-                else:
-                    links.append(("kron", first, second))
-                pending = None
-            else:
-                links.append(("slot", pending))
-                pending = lift
-        if pending is not None:
-            links.append(("slot", pending))
-        return links
-
-    def _compile_schedule(self, groups: tuple[_ApplyGroup, ...]) -> None:
-        """Turn apply groups into the bucketed evaluation schedule.
-
-        Each schedule step is ``(source, qubits, payload)``:
-
-        * ``("single", qubits, slot)`` — one unfused slot, applied from
-          its builder stack (or fixed broadcast) directly;
-        * ``("bucket", qubits, (length, group_index))`` — a fused
-          two-qubit group, applied from the bucket's tree-reduced
-          product;
-        * ``("generic", qubits, group)`` — a fused one-qubit run
-          (rare), multiplied out sequentially.
-        """
-        self._buckets: dict[int, _Bucket] = {}
-        self._order: list[tuple[str, tuple[int, ...], object]] = []
+        self._kind_rows: dict[str, int] = {}
+        row: dict[int, int] = {}
+        for i, (gate, _) in enumerate(self._local_slots):
+            row[i] = self._kind_rows.get(gate, 0)
+            self._kind_rows[gate] = row[i] + 1
+        # signature -> (chain index, dim, links, each member's param rows)
+        chains: dict[tuple, tuple[int, int, list[tuple], list[list[int]]]] = {}
+        steps = []
         for group in groups:
-            if len(group.lifts) == 1:
-                slot = group.lifts[0].slot
-                if self._is_param(slot):
-                    self._need_stack(slot)
-                self._order.append(("single", group.qubits, slot))
-                continue
-            if len(group.qubits) != 2:
-                for lift in group.lifts:
-                    if self._is_param(lift.slot):
-                        self._need_stack(lift.slot)
-                self._order.append(("generic", group.qubits, group))
-                continue
-            links = self._link_chain(group.lifts)
-            length = _next_pow2(len(links))
-            bucket = self._buckets.setdefault(length, _Bucket(length))
-            g = bucket.n_groups
-            bucket.n_groups += 1
-            for position, link in enumerate(links):
-                if link[0] == "kron":
-                    _, first, second = link
-                    key = (
-                        self._local_slots[first.slot][0],
-                        self._local_slots[second.slot][0],
-                    )
-                    bucket.kron_assigns.setdefault(key, []).append(
-                        (
-                            self._need_stack(first.slot),
-                            self._need_stack(second.slot),
-                            g,
-                            position,
-                        )
-                    )
+            links: list[tuple] = []
+            rows: list[int] = []
+            for lift in group.lifts:
+                gate = self._local_slots[lift.slot][0]
+                if gate not in _PARAM_WIDTH:
+                    matrix = self._lift_fixed(lift.slot, lift.mode)
+                    if links and links[-1][0] == "fixed":
+                        matrix = matrix @ links.pop()[1]
+                    links.append(("fixed", matrix))
                     continue
-                if link[0] == "mskron":
-                    _, ms, first, second = link
-                    ms_pos = len(self._ms_slots)
-                    self._ms_slots.append(ms.slot)
-                    self._ms_swapped.append(ms.mode == "swapped")
-                    key = (
-                        self._local_slots[first.slot][0],
-                        self._local_slots[second.slot][0],
-                    )
-                    bucket.mskron_assigns.setdefault(key, []).append(
-                        (
-                            ms_pos,
-                            self._need_stack(first.slot),
-                            self._need_stack(second.slot),
-                            g,
-                            position,
-                        )
-                    )
-                    continue
-                lift = link[1]
-                if lift.slot in self._fixed:
-                    bucket.fixed_assigns.append(
-                        (g, position, self._lift_fixed(lift.slot, lift.mode))
-                    )
+                rows.append(row[lift.slot])
+                if gate == "MS":
+                    links.append(("ms", lift.mode == "swapped"))
                 else:
-                    key = (self._local_slots[lift.slot][0], lift.mode)
-                    bucket.param_assigns.setdefault(key, []).append(
-                        (self._need_stack(lift.slot), g, position)
-                    )
-            self._order.append(("bucket", group.qubits, (length, g)))
-        # Freeze assignment tuples into index arrays for fancy indexing,
-        # and mark buckets whose whole padded grid is one row-major
-        # mskron batch — those skip the identity scatter entirely.
-        for bucket in self._buckets.values():
-            for assigns in (
-                bucket.param_assigns,
-                bucket.kron_assigns,
-                bucket.mskron_assigns,
-            ):
-                for key, entries in assigns.items():
-                    assigns[key] = tuple(
-                        np.array(col, dtype=np.intp) for col in zip(*entries)
-                    )
-            if (
-                len(bucket.mskron_assigns) == 1
-                and not bucket.param_assigns
-                and not bucket.kron_assigns
-                and not bucket.fixed_assigns
-            ):
-                (_, _, _, gs, ls) = next(iter(bucket.mskron_assigns.values()))
-                grid = bucket.n_groups * bucket.length
-                bucket.uniform = gs.size == grid and np.array_equal(
-                    gs * bucket.length + ls, np.arange(grid)
-                )
+                    links.append(("factor", gate, int(lift.mode == "kron_right")))
+            dim = 2 ** len(group.qubits)
+            signature = (dim,) + tuple(
+                ("fixed", link[1].tobytes()) if link[0] == "fixed" else link
+                for link in links
+            )
+            chain, _, _, members = chains.setdefault(
+                signature, (len(chains), dim, links, [])
+            )
+            steps.append((group.qubits, chain, len(members)))
+            members.append(rows)
+        # Each kind's parameter rows in the order the chains read them:
+        # chain by chain, level by level, group by group.
+        consumed: dict[str, list[int]] = {}
+        self._chains = tuple(
+            self._chain(dim, links, members, consumed)
+            for _, dim, links, members in chains.values()
+        )
+        self._gathers = {
+            kind: None
+            if order == list(range(len(order)))
+            else np.array(order, dtype=np.intp)
+            for kind, order in consumed.items()
+        }
+        return steps
+
+    @staticmethod
+    def _chain(
+        dim: int,
+        links: list[tuple],
+        members: list[list[int]],
+        consumed: dict[str, list[int]],
+    ) -> _Chain:
+        """One chain's levels; appends the rows it reads to ``consumed``."""
+        if len(links) == 1 and links[0][0] == "fixed":
+            return _Chain(dim, len(members), (), links[0][1])
+        levels = []
+        param = 0
+        for link in links:
+            if link[0] == "fixed":
+                levels.append(link)
+                continue
+            order = consumed.setdefault("MS" if link[0] == "ms" else link[1], [])
+            rows = slice(len(order), len(order) + len(members))
+            order.extend(member[param] for member in members)
+            param += 1
+            if link[0] == "ms":
+                levels.append(("ms", rows, link[1]))
+            else:
+                levels.append(("factor", link[1], rows, link[2]))
+        return _Chain(dim, len(members), tuple(levels))
 
     def _lift_fixed(self, slot: int, mode: str) -> np.ndarray:
-        """Compile-time 4x4 lift of a parameter-free slot matrix."""
+        """Compile-time lift of a parameter-free slot matrix."""
         matrix = self._fixed[slot]
         if mode == "direct":
             return matrix
@@ -466,64 +492,45 @@ class DensePlan:
             return np.kron(matrix, _I2)
         return np.kron(_I2, matrix)
 
-    def _compile_gathers(self) -> None:
-        """Per-kind row counts and the gathers from blocks to stacks.
-
-        A slot's *row* is its rank among the slots of its kind in
-        program order — its row in that kind's input block.  Builder
-        stacks and merged-MS links list their slots in link order; each
-        compiles one gather of rows, or ``None`` when it takes the whole
-        block in the block's own order.  MS rows may be split between
-        the builder stack and the merged links, so neither side may
-        skip its gather just because its rows start at 0.
-        """
-        self._kind_rows: dict[str, int] = {}
-        row: dict[int, int] = {}
-        for i, (gate, _) in enumerate(self._local_slots):
-            row[i] = self._kind_rows.get(gate, 0)
-            self._kind_rows[gate] = row[i] + 1
-
-        def gather(kind: str, slots: list[int]) -> np.ndarray | None:
-            rows = [row[i] for i in slots]
-            if rows == list(range(self._kind_rows.get(kind, 0))):
-                return None
-            return np.array(rows, dtype=np.intp)
-
-        self._stack_gather = {
-            kind: gather(kind, slots)
-            for kind, slots in self._stack_slots.items()
-        }
-        self._ms_gather = gather("MS", self._ms_slots)
-
-    def _compile_program(self) -> None:
+    def _compile_program(
+        self, steps: list[tuple[tuple[int, ...], int, int]]
+    ) -> None:
         """Turn the apply order into the axis-order program.
 
         The evolving ``(B, 2, ..., 2)`` state keeps its qubit axes in a
         tracked order instead of restoring them after each application.
-        Each step of ``_order`` becomes ``(source, qubits, payload, perm,
-        dim)``: ``perm`` transposes the state from the previous step's
-        order so ``qubits`` lead (``None`` when they already do) and
-        ``dim`` is the applied gate's width.  ``_final_order`` is the
-        axis order evaluation ends in; ``_unpermute`` restores logical
-        order from it (``None`` when it already is).
+        Each step becomes ``(qubits, chain, group, perm, dim)``: ``perm``
+        transposes the state from the previous step's order so
+        ``qubits`` lead (``None`` when they already do) and ``dim`` is
+        the applied gate's width.  ``_final_order`` is the axis order
+        evaluation ends in; ``_unpermute`` restores logical order from it
+        (``None`` when it already is).  ``_last_gather[j, r]`` is the flat
+        index, before the last step's transpose, of the amplitude that
+        step reads at gate row ``j`` and remainder ``r``.
         """
-        order = tuple(range(self.n_local))
+        n = self.n_local
+        order = tuple(range(n))
         program = []
-        for source, qubits, payload in self._order:
+        for qubits, chain, group in steps:
             k = len(qubits)
             perm = None
             if order[:k] != qubits:
                 rest = tuple(q for q in order if q not in qubits)
                 perm = (0, *(1 + order.index(q) for q in qubits + rest))
                 order = qubits + rest
-            program.append((source, qubits, payload, perm, 2**k))
+            program.append((qubits, chain, group, perm, 2**k))
         self._order = tuple(program)
         self._final_order = order
         self._unpermute = (
             None
-            if order == tuple(range(self.n_local))
-            else (0, *(1 + order.index(q) for q in range(self.n_local)))
+            if order == tuple(range(n))
+            else (0, *(1 + order.index(q) for q in range(n)))
         )
+        _, _, _, perm, dim = program[-1]
+        flat = np.arange(2**n).reshape((2,) * n)
+        if perm is not None:
+            flat = flat.transpose([axis - 1 for axis in perm[1:]])
+        self._last_gather = flat.reshape(dim, -1)
 
     # -- evaluation ------------------------------------------------------------
 
@@ -557,196 +564,88 @@ class DensePlan:
                 )
         return n_batch
 
-    @staticmethod
-    def _gathered(block: np.ndarray, index: np.ndarray | None) -> np.ndarray:
-        """A block's gathered rows, flattened to ``(rows * B, n_params)``."""
-        if index is not None:
-            block = block[index]
-        return block.reshape(-1, block.shape[2])
-
-    def _kind_stacks(self, blocks: Blocks, n_batch: int) -> dict[str, np.ndarray]:
-        """Per-gate-kind matrix stacks ``(n_slots_needed, B, d, d)``.
-
-        One batched-builder call per parameterized kind over the rows of
-        the slots that need full matrices (MS slots merged into mskron
-        links are excluded — see :meth:`_ms_links`).
-        """
-        stacks: dict[str, np.ndarray] = {}
-        for gate, slots in self._stack_slots.items():
-            params = self._gathered(blocks[gate], self._stack_gather[gate])
-            stack = batched_matrices_from_params(gate, params)
-            dim = stack.shape[-1]
-            stacks[gate] = stack.reshape(len(slots), n_batch, dim, dim)
-        return stacks
-
-    def _ms_links(
-        self, blocks: Blocks, n_batch: int
-    ) -> tuple[np.ndarray, np.ndarray] | tuple[None, None]:
-        """Compact ``(c, anti)`` form of every merged MS slot.
-
-        The MS matrix is ``c*I`` plus an anti-diagonal ``anti`` (column
-        ``j`` pairs with row ``3-j``), so merged links never materialize
-        the full ``(B, 4, 4)`` stack.  Qubit-swapped MS applications
-        exchange the two middle anti-diagonal entries.
-        """
-        if not self._ms_slots:
-            return None, None
-        params = self._gathered(blocks["MS"], self._ms_gather)
-        theta, phi1, phi2 = params[:, 0], params[:, 1], params[:, 2]
-        c = np.cos(theta / 2.0)
-        s = np.sin(theta / 2.0)
-        e_pp = np.exp(-1.0j * (phi1 + phi2))
-        e_pm = np.exp(-1.0j * (phi1 - phi2))
-        outer0 = -1.0j * np.conj(e_pp) * s
-        outer3 = -1.0j * e_pp * s
-        mid1 = -1.0j * np.conj(e_pm) * s
-        mid2 = -1.0j * e_pm * s
-        anti = np.empty((theta.size, 4), dtype=complex)
-        anti[:, 0] = outer0
-        swapped = np.repeat(self._ms_swapped, n_batch)
-        anti[:, 1] = np.where(swapped, mid2, mid1)
-        anti[:, 2] = np.where(swapped, mid1, mid2)
-        anti[:, 3] = outer3
-        n_ms = len(self._ms_slots)
-        return (
-            c.reshape(n_ms, n_batch),
-            anti.reshape(n_ms, n_batch, 4),
-        )
-
-    @staticmethod
-    def _kron_block(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Batched Kronecker product of ``(S, B, 2, 2)`` stacks -> 4x4."""
-        s, n_batch = a.shape[0], a.shape[1]
-        return (
-            a[:, :, :, None, :, None] * b[:, :, None, :, None, :]
-        ).reshape(s, n_batch, 4, 4)
-
-    @staticmethod
-    def _lift_block(block: np.ndarray, mode: str) -> np.ndarray:
-        """Embed a ``(R, B, d, d)`` stack into the 4x4 group register."""
-        if mode == "direct":
-            return block
-        if mode == "swapped":
-            return block[:, :, _SWAP_PERM][:, :, :, _SWAP_PERM]
-        out = np.zeros(block.shape[:2] + (4, 4), dtype=complex)
-        if mode == "kron_left":
-            out[:, :, 0::2, 0::2] = block
-            out[:, :, 1::2, 1::2] = block
-        elif mode == "kron_right":
-            out[:, :, 0:2, 0:2] = block
-            out[:, :, 2:4, 2:4] = block
-        else:
-            raise ValueError(f"unknown lift mode {mode!r}")
-        return out
-
-    def _fused_products(
-        self,
-        stacks: dict[str, np.ndarray],
-        ms_c: np.ndarray | None,
-        ms_anti: np.ndarray | None,
-        n_batch: int,
-    ) -> dict[int, np.ndarray]:
-        """Tree-reduced products of every bucket: ``(G, B, 4, 4)`` each.
-
-        The padded ``(G, L, B, 4, 4)`` array starts as identities, gets
-        the link matrices scattered in (or, for uniform buckets, is a
-        straight reshape of the mskron block), and collapses along the
-        chain axis by pairwise matmul — ``log2(L)`` vectorized calls
-        regardless of group count.
-        """
-        fused: dict[int, np.ndarray] = {}
-        for length, bucket in self._buckets.items():
-            prod = None
-            if not bucket.uniform:
-                prod = np.zeros(
-                    (bucket.n_groups, length, n_batch, 4, 4), dtype=complex
-                )
-                prod[..., _DIAG4, _DIAG4] = 1.0
-                for (kind, mode), (pos, gs, ls) in (
-                    bucket.param_assigns.items()
-                ):
-                    prod[gs, ls] = self._lift_block(stacks[kind][pos], mode)
-                for (k0, k1), (p0, p1, gs, ls) in bucket.kron_assigns.items():
-                    prod[gs, ls] = self._kron_block(
-                        stacks[k0][p0], stacks[k1][p1]
-                    )
-            for (k0, k1), (ms_pos, p0, p1, gs, ls) in (
-                bucket.mskron_assigns.items()
-            ):
-                kick = self._kron_block(stacks[k0][p0], stacks[k1][p1])
-                # kick @ MS with MS = c*I + anti-diagonal: two
-                # elementwise multiplies replace the matmul.
-                block = ms_c[ms_pos, :, None, None] * kick
-                block += kick[..., ::-1] * ms_anti[ms_pos][..., None, :]
-                if bucket.uniform:
-                    prod = block.reshape(
-                        bucket.n_groups, length, n_batch, 4, 4
-                    )
-                else:
-                    prod[gs, ls] = block
-            if prod is None:
-                raise AssertionError("bucket compiled without links")
-            for g, position, matrix in bucket.fixed_assigns:
-                prod[g, position] = matrix
-            while prod.shape[1] > 1:
-                # Pairwise product preserves program order: the later
-                # factor of each adjacent pair multiplies from the left.
-                prod = np.matmul(prod[:, 1::2], prod[:, 0::2])
-            fused[length] = prod[:, 0]
-        return fused
-
-    def _single_matrices(
-        self, slot: int, stacks: dict[str, np.ndarray], n_batch: int
-    ) -> np.ndarray:
-        """The ``(B, d, d)`` stack of one unfused slot."""
-        if slot in self._fixed:
-            matrix = self._fixed[slot]
-            return np.broadcast_to(matrix, (n_batch,) + matrix.shape)
-        kind = self._local_slots[slot][0]
-        return stacks[kind][self._stack_pos[slot]]
-
-    def _generic_product(
-        self, group: _ApplyGroup, stacks: dict[str, np.ndarray], n_batch: int
-    ) -> np.ndarray:
-        """Sequential product of a (rare) fused one-qubit run."""
-        out = self._single_matrices(group.lifts[0].slot, stacks, n_batch)
-        for lift in group.lifts[1:]:
-            out = np.matmul(
-                self._single_matrices(lift.slot, stacks, n_batch), out
-            )
-        return out
+    def _products(self, blocks: Blocks, n_batch: int) -> list[np.ndarray]:
+        """Every chain's fused matrices, ``(G, B, d, d)`` each."""
+        ms, factors = None, {}
+        for kind, gather in self._gathers.items():
+            params = blocks[kind] if gather is None else blocks[kind][gather]
+            if kind == "MS":
+                ms = _ms_terms(params)
+            else:
+                factors[kind] = _factor_block(kind, params)
+        return [chain.products(ms, factors, n_batch) for chain in self._chains]
 
     def _evolve(
-        self, blocks: Blocks, n_batch: int, max_batch_bytes: int | None
+        self,
+        blocks: Blocks,
+        n_batch: int,
+        max_batch_bytes: int | None,
+        rows: np.ndarray | None = None,
     ) -> np.ndarray:
         """Run the axis-order program: ``(B, 2^n_local)`` in final order.
 
-        The state block must fit ``max_batch_bytes``; the budget is
-        enforced by :func:`~repro.sim.statevector.zero_states`, which
-        allocates it, so chunker and guard agree.
+        With ``rows`` (each row's amplitude index in the final order)
+        only those amplitudes are formed, shape ``(B,)`` (see
+        :meth:`_last_step`).  The state block must fit
+        ``max_batch_bytes``; the budget is enforced by
+        :func:`~repro.sim.statevector.zero_states`, which allocates it,
+        so chunker and guard agree.
         """
-        stacks = self._kind_stacks(blocks, n_batch)
-        ms_c, ms_anti = self._ms_links(blocks, n_batch)
-        fused = self._fused_products(stacks, ms_c, ms_anti, n_batch)
+        bufsize = np.setbufsize(_UFUNC_BUFSIZE)
+        try:
+            products = self._products(blocks, n_batch)
+        finally:
+            np.setbufsize(bufsize)
         psi = zero_states(self.n_local, n_batch, max_batch_bytes)
+        # Transposes and products alternate between two state buffers.
+        spare = np.empty_like(psi)
         shape = (n_batch,) + (2,) * self.n_local
-        for source, qubits, payload, perm, dim in self._order:
-            if source == "single":
-                us = self._single_matrices(payload, stacks, n_batch)
-            elif source == "bucket":
-                length, g = payload
-                us = fused[length][g]
-            else:
-                us = self._generic_product(payload, stacks, n_batch)
-            if us.shape != (n_batch, dim, dim):
-                raise ValueError(
-                    f"gate stack shape {us.shape} does not act on "
-                    f"{len(qubits)} qubits for batch {n_batch}"
-                )
+        last = len(self._order) - 1
+        for step, (_, chain, group, perm, dim) in enumerate(self._order):
+            us = products[chain][group]
+            if step == 0:
+                # On |0...0> the transpose is the identity and the
+                # product is the gate's first column.
+                psi.reshape(n_batch, dim, -1)[:, :, 0] = us[:, :, 0]
+                continue
+            if step == last:
+                return self._last_step(us, psi, rows)
             if perm is not None:
-                psi = psi.reshape(shape).transpose(perm)
-            psi = np.matmul(us, psi.reshape(n_batch, dim, -1))
-        return psi.reshape(n_batch, -1)
+                np.copyto(spare.reshape(shape), psi.reshape(shape).transpose(perm))
+                psi, spare = spare, psi
+            np.matmul(
+                us,
+                psi.reshape(n_batch, dim, -1),
+                out=spare.reshape(n_batch, dim, -1),
+            )
+            psi, spare = spare, psi
+        return psi if rows is None else psi[np.arange(n_batch), rows]
+
+    def _last_step(
+        self, us: np.ndarray, psi: np.ndarray, rows: np.ndarray | None
+    ) -> np.ndarray:
+        """The last step's output, its gate columns summed in order.
+
+        Without ``rows`` this is the full ``(B, 2^n_local)`` state; with
+        them, only each row's amplitude: its gate row times the state
+        column the step's transpose would bring there, read through
+        ``_last_gather``.  Both sum the same products in the same order,
+        so an amplitude is bit-identical either way.
+        """
+        dim, rest = self._last_gather.shape
+        if rows is None:
+            terms = us[:, :, :, None] * psi[:, self._last_gather][:, None]
+            axis = 2
+        else:
+            batch = np.arange(psi.shape[0])
+            columns = self._last_gather[:, rows % rest].T
+            terms = us[batch, rows // rest] * psi[batch[:, None], columns]
+            axis = 1
+        lead = (slice(None),) * axis
+        total = terms[lead + (0,)] + terms[lead + (1,)]
+        for j in range(2, dim):
+            total += terms[lead + (j,)]
+        return total.reshape(psi.shape[0], -1) if rows is None else total
 
     def states(
         self, blocks: Blocks, max_batch_bytes: int | None = None
@@ -764,6 +663,28 @@ class DensePlan:
             return psi
         shape = (n_batch,) + (2,) * self.n_local
         return psi.reshape(shape).transpose(self._unpermute).reshape(n_batch, -1)
+
+    def _expected_index(self, bits: int) -> int:
+        """``bits``' amplitude index in the final axis order, memoized.
+
+        ``-1`` when a qubit this plan leaves untouched reads 1.  The memo
+        is the plan's own: a rebound plan reads the same bits on another
+        touched map (see :meth:`rebind`).
+        """
+        index = self._indices.get(bits)
+        if index is not None:
+            return index
+        sub, forced_zero = subregister_bitstring(self.n_qubits, self.touched, bits)
+        index = -1
+        if not forced_zero:
+            n = self.n_local
+            index = 0
+            for pos, q in enumerate(self._final_order):
+                index |= ((sub >> (n - 1 - q)) & 1) << (n - 1 - pos)
+        if len(self._indices) >= _INDEX_MEMO:
+            self._indices.clear()
+        self._indices[bits] = index
+        return index
 
     def probabilities(
         self,
@@ -793,40 +714,30 @@ class DensePlan:
             raise ValueError(
                 f"segments cover {covered} rows of a batch of {n_batch}"
             )
-        # Each segment's expected amplitude in the final axis order, or
-        # -1 where an untouched qubit reads 1.
-        n = self.n_local
         indices = []
         for plan, bits, _ in expected:
-            if plan._local_slots != self._local_slots:
+            if (
+                plan._local_slots is not self._local_slots
+                and plan._local_slots != self._local_slots
+            ):
                 raise ValueError(
                     "segment plan does not share this plan's compiled core"
                 )
-            sub, forced_zero = subregister_bitstring(
-                plan.n_qubits, plan.touched, bits
-            )
-            index = -1
-            if not forced_zero:
-                index = 0
-                for pos, q in enumerate(self._final_order):
-                    index |= ((sub >> (n - 1 - q)) & 1) << (n - 1 - pos)
-            indices.append(index)
+            indices.append(plan._expected_index(int(bits)))
         if max(indices) < 0:
             return np.zeros(n_batch)
         rows = np.repeat(indices, [segment.rows for segment in expected])
         forced = rows < 0
         rows[forced] = 0
         parts = []
-        for start, stop in realization_chunks(n, n_batch, max_batch_bytes):
+        for start, stop in realization_chunks(self.n_local, n_batch, max_batch_bytes):
             chunk = (
                 blocks
                 if (start, stop) == (0, n_batch)
                 else {k: b[:, start:stop] for k, b in blocks.items()}
             )
-            psi = self._evolve(chunk, stop - start, max_batch_bytes)
-            parts.append(
-                np.abs(psi[np.arange(stop - start), rows[start:stop]]) ** 2
-            )
+            amps = self._evolve(chunk, stop - start, max_batch_bytes, rows[start:stop])
+            parts.append(np.abs(amps) ** 2)
         probs = np.clip(np.concatenate(parts), 0.0, 1.0)
         probs[forced] = 0.0
         return probs
@@ -838,18 +749,19 @@ class DensePlan:
     def rebind(self, n_qubits: int, skeleton: Skeleton) -> "DensePlan":
         """A plan for ``skeleton`` sharing this plan's compiled core.
 
-        The expensive compilation products — fused apply groups, builder
-        stacks, link buckets, the apply order — live entirely on the
-        compacted register, so any skeleton with the same canonical form
-        (see :func:`canonical_skeleton`) can reuse them.  Only the
+        The expensive compilation products — fused apply groups, link
+        chains, the apply order — live entirely on the compacted
+        register, so any skeleton with the same canonical form (see
+        :func:`canonical_skeleton`) can reuse them.  Only the
         absolute-index bookkeeping (``touched``/``index``/``skeleton``/
         ``n_qubits``, consumed by :meth:`probabilities` to locate the
         expected bitstring) is rebuilt, which is O(slots) dict work
         instead of a full schedule compile.
 
         The clone aliases the donor's compiled structures — the
-        axis-order program and the per-kind gathers included; they are
-        read-only after compilation, so sharing is safe.
+        axis-order program and the chains included; they are read-only
+        after compilation, so sharing is safe.  The expected-index memo
+        depends on the touched map, so the clone starts its own.
         """
         skeleton = tuple(skeleton)
         touched = sorted({q for _, qubits in skeleton for q in qubits})
@@ -866,6 +778,7 @@ class DensePlan:
         clone.skeleton = skeleton
         clone.touched = touched
         clone.index = index
+        clone._indices = {}
         return clone
 
 
@@ -918,7 +831,11 @@ class DensePlanCache:
         ``was_cached`` reports a raw-key hit only; a structural rebind
         returns ``False`` (the entry is new) while skipping the compile.
         """
-        key = (n_qubits, tuple(skeleton))
+        # A tuple is kept as given: a skeleton that caches its hash
+        # keeps doing so in the key.
+        if not isinstance(skeleton, tuple):
+            skeleton = tuple(skeleton)
+        key = (n_qubits, skeleton)
         plan = self._plans.get(key)
         if plan is not None:
             self._plans.move_to_end(key)

@@ -30,10 +30,9 @@ first use and then holds them:
   bound is the bound on pinned plans.
 * its dense layout per residual kicks on/off: per-MS-slot targets,
   angles and phases, R and fixed-gate parameters, slot skeleton and the
-  index merging kick and R rows into program order.  A dense call
-  gathers its calibration in one step, draws its noise straight into the
-  per-kind parameter blocks a :class:`~repro.sim.dense_plan.DensePlan`
-  takes (the MS block as drawn) and evaluates the skeleton's cached plan.
+  index merging kick and R rows into program order.  Tests sharing a
+  canonical skeleton lay their layouts side by side as one stack
+  (:class:`_DenseStack`, cached per program tuple).
 
 One route evaluates programs: :meth:`VirtualIonTrap.run_battery`, a pass
 over a list of them.  It finds every program's route before anything is
@@ -47,10 +46,15 @@ gathers a run's calibration and checks its realized drive phases
 and one contraction per :attr:`~repro.sim.xx_engine.ContractionPlan.structure`
 evaluate it (:meth:`VirtualIonTrap._xx_probabilities`).  A test the
 route declines (MS slots under non-XX-preserving noise, drive phases off
-the pi grid, non-XX gates) is drawn through its dense layout and waits
-for its plan core, contracted once for all tests sharing its canonical
-skeleton, on the process-wide :data:`~repro.sim.dense_plan.PLAN_CACHE`.
-Then one binomial draw samples every test's shots.  ``run_match`` is
+the pi grid, non-XX gates) joins the stack of its canonical skeleton.
+In row order it draws only what the generator must draw there: its MS
+amplitude noise, kicks and R-slot amplitude noise
+(:meth:`VirtualIonTrap._draw_test`).  After the last unit each stack
+builds its parameter blocks once (gate times, calibration and 1/f phase
+gathers, parameter rows: :meth:`VirtualIonTrap._stack_blocks`) and is
+contracted in one call on the process-wide
+:data:`~repro.sim.dense_plan.PLAN_CACHE`.  Then one binomial draw
+samples every test's shots.  ``run_match`` is
 the pass's one-program case, returning counts; a battery is a list of
 programs run as one pass.  ``_realize_slots`` builds the same draws as
 :class:`RealizedSlot` objects: it serves ``run`` and is the oracle the
@@ -66,7 +70,7 @@ from __future__ import annotations
 import itertools
 import math
 import weakref
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 
 import numpy as np
@@ -389,36 +393,42 @@ class VirtualIonTrap:
         groups = self._shot_groups(shots, realizations)
         n_batch = trials * len(groups)
         probs = np.empty((len(programs), n_batch))
-        # Dense draws awaiting their plan core's one stacked call:
-        # canonical skeleton -> [(row, segment, blocks), ...].
-        stacks: dict[Skeleton, list[tuple[int, Segment, Blocks]]] = {}
+        # Declined tests by canonical skeleton, in draw order: each such
+        # stack is drawn test by test and contracted in one call.
+        members: dict[Skeleton, list[int]] = {}
+        kicks = self.noise.residual_odd_population > 0
+        for row, run, _ in units:
+            if run is None:
+                test = programs[row].dense(kicks)
+                if test.skeleton:
+                    members.setdefault(test.canonical, []).append(row)
+                else:
+                    probs[row] = 1.0 if programs[row].expected == 0 else 0.0
+        draws: dict[int, tuple[_StackDraws, int]] = {}
+        for rows in members.values():
+            stack = _compiled_stack(tuple(programs[r] for r in rows), kicks)
+            stacked = _StackDraws(stack, n_batch, self.noise)
+            draws.update((r, (stacked, t)) for t, r in enumerate(rows))
         for row, run, angles in units:
-            program = programs[row]
             if run is not None:
                 stop = row + len(run.n_ms)
                 probs[row:stop] = self._xx_probabilities(
                     run, angles, n_batch, programs[row:stop]
                 )[:, 0]
-                continue
-            test = self._dense_test(program)
-            blocks = self._draw_dense(test, n_batch)
-            if not test.skeleton:
-                probs[row] = 1.0 if program.expected == 0 else 0.0
-                continue
-            plan = self._dense_plan_for(test.skeleton)
-            stacks.setdefault(test.canonical, []).append(
-                (row, Segment(plan, program.expected, n_batch), blocks)
+            elif row in draws:
+                self._draw_test(*draws[row])
+        for rows in members.values():
+            plans = self._dense_plans_for(
+                [programs[r].dense(kicks).skeleton for r in rows]
             )
-        for members in stacks.values():
-            rows, segments, drawn = zip(*members)
-            blocks = drawn[0]
-            if len(drawn) > 1:
-                blocks = {
-                    kind: np.concatenate([b[kind] for b in drawn], axis=1)
-                    for kind in blocks
-                }
-            probs[list(rows)] = segments[0].plan.probabilities(
-                blocks, segments, self.max_batch_bytes
+            segments = [
+                Segment(plan, programs[r].expected, n_batch)
+                for plan, r in zip(plans, rows)
+            ]
+            probs[rows] = plans[0].probabilities(
+                self._stack_blocks(draws[rows[0]][0]),
+                segments,
+                self.max_batch_bytes,
             ).reshape(len(rows), n_batch)
         return groups, probs.reshape(len(programs), trials, len(groups))
 
@@ -709,91 +719,139 @@ class VirtualIonTrap:
         """``program``'s dense layout under this machine's noise."""
         return program.dense(self.noise.residual_odd_population > 0)
 
-    def _draw_dense(self, test: "_CompiledDenseTest", n_batch: int) -> Blocks:
-        """Draw ``n_batch`` realizations straight into ``test``'s blocks.
+    def _draw_test(self, draws: "_StackDraws", t: int) -> None:
+        """Draw test ``t`` of a stack: what the generator draws in row order.
 
-        Returns a :class:`~repro.sim.dense_plan.DensePlan`'s per-kind
-        blocks: the ``(n_ms, n_batch, 3)`` MS block as drawn, the kick and
-        R rows merged into program order, and every other kind's static
-        rows broadcast over the batch.  Draw for draw, value for value and
-        clock for clock this is :meth:`_realize_slots` without its slot
-        objects.
+        Its clock, the amplitude noise of its MS slots, its residual
+        kicks and its R slots' amplitude noise, in that order, land in
+        the stack's column ``t``; then the clock advances past the
+        test's MS slots.  Everything else is built once per stack
+        (:meth:`_stack_blocks`).
         """
+        stack, n_batch = draws.stack, draws.n_batch
+        n_ms = stack.n_ms
+        draws.clocks[t] = self._clock
+        if draws.xi is not None:
+            draws.xi[:, t] = self.rng.normal(
+                0.0, self.noise.amplitude_sigma, (n_ms, n_batch)
+            )
+        if draws.kicks is not None:
+            self.noise_model.residual_kick_params_block(
+                2 * n_ms, n_batch, out=draws.kicks[:, t]
+            )
+        if draws.r_xi is not None:
+            for j in range(stack.r_ms.size):
+                draws.r_xi[j, t] = self.rng.normal(
+                    0.0, self.noise.amplitude_sigma_1q, n_batch
+                )
+        self._clock += n_batch * n_ms * self.timing.gate_time(self.n_qubits)
+
+    def _stack_blocks(self, draws: "_StackDraws") -> Blocks:
+        """A drawn stack's :class:`~repro.sim.dense_plan.DensePlan` blocks.
+
+        Built once for all ``T`` tests, each ``(rows, T * n_batch,
+        n_params)`` with test ``t`` in columns ``t * n_batch`` on: gate
+        times from each test's clock, one calibration gather per
+        quantity, one 1/f phase gather per MS target, and the kick and
+        R rows merged into program order.  Value for value these are the
+        rows :meth:`_realize_slots` builds for each test.
+        """
+        stack, n_batch = draws.stack, draws.n_batch
         gate_dt = self.timing.gate_time(self.n_qubits)
-        n_ms = test.ms_theta.size
-        start = self._clock + np.arange(n_batch) * (n_ms * gate_dt)
+        n_ms, width = stack.n_ms, draws.clocks.size * n_batch
+        start = draws.clocks[:, None] + np.arange(n_batch) * (n_ms * gate_dt)
         blocks: Blocks = {}
         r_blocks: list[np.ndarray] = []
         if n_ms:
-            offsets = self.calibration.phase_offsets[test.ms_q1, test.ms_q2]
+            q1, q2 = stack.ms_q1, stack.ms_q2
+            offsets = self.calibration.phase_offsets[q1, q2]
             blocks["MS"] = self.noise_model.noisy_ms_params_block(
-                test.ms_q1,
-                test.ms_q2,
-                test.ms_theta,
-                self.calibration.under_rotations[test.ms_q1, test.ms_q2],
-                test.ms_phi1 + offsets,
-                test.ms_phi2 + offsets,
-                start[None, :] + np.arange(n_ms)[:, None] * gate_dt,
-            )
-            if test.kicks:
-                r_blocks.append(
-                    self.noise_model.residual_kick_params_block(
-                        2 * n_ms, n_batch
-                    )
-                )
-        if test.r_slots:
+                q1,
+                q2,
+                stack.ms_theta,
+                self.calibration.under_rotations[q1, q2],
+                stack.ms_phi1 + offsets,
+                stack.ms_phi2 + offsets,
+                start + (np.arange(n_ms) * gate_dt)[:, None, None],
+                draws.xi,
+            ).reshape(n_ms, width, 3)
+            if draws.kicks is not None:
+                r_blocks.append(draws.kicks.reshape(2 * n_ms, width, 2))
+        if stack.r_ms.size:
             r_blocks.append(
-                np.stack(
-                    [
-                        self.noise_model.noisy_r_params(
-                            q, theta, phi, start + k_ms * gate_dt
-                        )
-                        for q, theta, phi, k_ms in test.r_slots
-                    ]
-                )
+                self.noise_model.noisy_r_params(
+                    stack.r_q,
+                    stack.r_theta,
+                    stack.r_phi,
+                    start + (stack.r_ms * gate_dt)[:, None, None],
+                    draws.r_xi,
+                ).reshape(stack.r_ms.size, width, 2)
             )
         if r_blocks:
             r_block = (
                 r_blocks[0] if len(r_blocks) == 1 else np.concatenate(r_blocks)
             )
             blocks["R"] = (
-                r_block if test.r_order is None else r_block[test.r_order]
+                r_block if stack.r_order is None else r_block[stack.r_order]
             )
-        for kind, rows in test.static:
-            blocks[kind] = np.broadcast_to(
-                rows, (rows.shape[0], n_batch, rows.shape[2])
+        for kind, rows in stack.static:
+            n_rows, n_tests, _, n_params = rows.shape
+            blocks[kind] = (
+                np.broadcast_to(rows[:, 0], (n_rows, width, n_params))
+                if n_tests == 1
+                else np.broadcast_to(
+                    rows, (n_rows, n_tests, n_batch, n_params)
+                ).reshape(n_rows, width, n_params)
             )
-        self._clock += n_batch * n_ms * gate_dt
         return blocks
 
-    def _dense_plan_for(self, skeleton: Skeleton) -> DensePlan:
-        """The compiled :class:`~repro.sim.dense_plan.DensePlan` for a skeleton.
+    def _draw_dense(self, test: "_CompiledDenseTest", n_batch: int) -> Blocks:
+        """Draw ``n_batch`` realizations of one test straight into its blocks.
+
+        A stack of one: :meth:`_draw_test`, then :meth:`_stack_blocks`.
+        Draw for draw, value for value and clock for clock this is
+        :meth:`_realize_slots` without its slot objects.
+        """
+        draws = _StackDraws(test.layout, n_batch, self.noise)
+        self._draw_test(draws, 0)
+        return self._stack_blocks(draws)
+
+    def _dense_plans_for(self, skeletons: list[Skeleton]) -> list[DensePlan]:
+        """The compiled :class:`~repro.sim.dense_plan.DensePlan` of each skeleton.
 
         Keyed by the slot skeleton in the process-wide
-        :data:`~repro.sim.dense_plan.PLAN_CACHE`, so one nominal circuit
-        compiles once however often it runs; the lookup's
-        build/hit/rebind/eviction counts land in :class:`MachineStats`.
-        A plan above :data:`~repro.sim.statevector.MAX_DENSE_QUBITS`
-        raises ``ValueError``: only the XX route evaluates larger tests.
+        :data:`~repro.sim.dense_plan.PLAN_CACHE`, looked up under one
+        lock, so one nominal circuit compiles once however often it
+        runs; each lookup's build/hit/rebind/eviction counts land in
+        :class:`MachineStats`.  A plan above
+        :data:`~repro.sim.statevector.MAX_DENSE_QUBITS` raises
+        ``ValueError``: only the XX route evaluates larger tests.
         """
-        cache = dense_plan.PLAN_CACHE
+        cache, stats = dense_plan.PLAN_CACHE, self.stats
+        plans = []
         with cache.lock:
-            rebinds, evictions = cache.rebinds, cache.evictions
-            plan, hit = cache.get(self.n_qubits, skeleton)
-            rebound = cache.rebinds - rebinds
-            evicted = cache.evictions - evictions
-        self.stats.dense_plan_rebinds += rebound
-        if hit:
-            self.stats.dense_plan_hits += 1
-        elif not rebound:
-            self.stats.dense_plan_builds += 1
-        self.stats.dense_plan_invalidations += evicted
-        if plan.n_local > MAX_DENSE_QUBITS:
-            raise ValueError(
-                f"circuit touches {plan.n_local} qubits; the dense route "
-                f"takes at most {MAX_DENSE_QUBITS}"
-            )
-        return plan
+            for skeleton in skeletons:
+                rebinds, evictions = cache.rebinds, cache.evictions
+                plan, hit = cache.get(self.n_qubits, skeleton)
+                rebound = cache.rebinds - rebinds
+                stats.dense_plan_rebinds += rebound
+                if hit:
+                    stats.dense_plan_hits += 1
+                elif not rebound:
+                    stats.dense_plan_builds += 1
+                stats.dense_plan_invalidations += cache.evictions - evictions
+                plans.append(plan)
+        for plan in plans:
+            if plan.n_local > MAX_DENSE_QUBITS:
+                raise ValueError(
+                    f"circuit touches {plan.n_local} qubits; the dense route "
+                    f"takes at most {MAX_DENSE_QUBITS}"
+                )
+        return plans
+
+    def _dense_plan_for(self, skeleton: Skeleton) -> DensePlan:
+        """One skeleton's compiled plan (see :meth:`_dense_plans_for`)."""
+        return self._dense_plans_for([skeleton])[0]
 
     def _run_dense_slots(
         self, slots: list[RealizedSlot], groups: np.ndarray
@@ -1155,36 +1213,89 @@ def _xx_run(tests: list[_CompiledXXTest]) -> _XXRun:
 
 
 @dataclass(frozen=True)
-class _CompiledDenseTest:
-    """Machine-independent dense layout of one nominal op list.
+class _DenseStack:
+    """The dense layouts of tests sharing one canonical skeleton, side by side.
 
-    Each MS/XX application has its nominal angle, nominal drive phases
-    ``ms_phi1``/``ms_phi2`` (0 for XX) and targets ``ms_q1``/``ms_q2``
-    (also the calibration gather index).  ``r_slots`` holds each R
-    gate's ``(qubit, theta, phi, MS slots before it)`` and ``static``
-    the ``(rows, 1, n_params)`` parameter rows of every other kind, in
-    program order.  ``kicks`` says whether a residual-kick slot pair
-    follows each MS slot.
-
-    One call's draw is a :class:`~repro.sim.dense_plan.DensePlan`'s
-    per-kind blocks.  The R block stacks the kick rows, then the R rows;
-    ``r_order`` puts them into program order (``None`` when they already
-    are, as in every battery test).  ``canonical`` is the skeleton's
-    :func:`~repro.sim.dense_plan.canonical_skeleton`, the key a battery
-    pass stacks tests by.
+    Per-slot arrays are ``(slots, T)``, column ``t`` holding test
+    ``t``'s values: each MS/XX application's targets ``ms_q1``/``ms_q2``
+    (also the calibration gather index), nominal angle and nominal
+    drive phases ``ms_phi1``/``ms_phi2`` (0 for XX), and each R gate's
+    qubit, angle and phase.  What the canonical skeleton fixes is
+    shared: the MS slot count, whether a residual-kick slot pair follows
+    each MS slot (``kicks``), the MS slots before each R gate (``r_ms``)
+    and the index putting the kick rows, then the R rows, into program
+    order (``r_order``, ``None`` when they already are, as in every
+    battery test).  ``static`` holds every other kind's parameter rows,
+    ``(rows, T, 1, n_params)``, or ``(rows, 1, 1, n_params)`` when all
+    tests share them.
     """
 
+    n_tests: int
+    n_ms: int
+    ms_q1: np.ndarray
+    ms_q2: np.ndarray
     ms_theta: np.ndarray
     ms_phi1: np.ndarray
     ms_phi2: np.ndarray
-    ms_q1: np.ndarray
-    ms_q2: np.ndarray
     kicks: bool
-    r_slots: tuple[tuple[int, float, float, int], ...]
+    r_q: np.ndarray
+    r_theta: np.ndarray
+    r_phi: np.ndarray
+    r_ms: np.ndarray
     r_order: np.ndarray | None
     static: tuple[tuple[str, np.ndarray], ...]
+
+    @classmethod
+    def of(cls, layouts: tuple["_DenseStack", ...]) -> "_DenseStack":
+        """One stack of ``layouts`` (which share a canonical skeleton)."""
+        first = layouts[0]
+        if len(layouts) == 1:
+            return first
+
+        def columns(name: str) -> np.ndarray:
+            return np.concatenate([getattr(s, name) for s in layouts], axis=1)
+
+        static = []
+        for k, (kind, rows) in enumerate(first.static):
+            each = [layout.static[k][1] for layout in layouts]
+            shared = all(np.array_equal(rows, other) for other in each)
+            static.append((kind, rows if shared else np.concatenate(each, axis=1)))
+        return replace(
+            first,
+            n_tests=len(layouts),
+            **{
+                name: columns(name)
+                for name in (
+                    "ms_q1", "ms_q2", "ms_theta", "ms_phi1", "ms_phi2",
+                    "r_q", "r_theta", "r_phi",
+                )
+            },
+            static=tuple(static),
+        )
+
+
+@dataclass(frozen=True)
+class _CompiledDenseTest:
+    """Machine-independent dense layout of one nominal op list.
+
+    ``layout`` is the test's :class:`_DenseStack` of one; a draw builds
+    a :class:`~repro.sim.dense_plan.DensePlan`'s per-kind blocks from
+    it.  ``canonical`` is the skeleton's
+    :func:`~repro.sim.dense_plan.canonical_skeleton`, the key a battery
+    pass stacks tests by; both skeletons hash once.
+    """
+
+    layout: _DenseStack
     skeleton: Skeleton
     canonical: Skeleton
+
+    @property
+    def kicks(self) -> bool:
+        return self.layout.kicks
+
+    @property
+    def ms_theta(self) -> np.ndarray:
+        return self.layout.ms_theta
 
 
 def _compiled_dense_test(
@@ -1195,9 +1306,7 @@ def _compiled_dense_test(
     ``kicks`` (residual motional coupling on) inserts the two kick slots
     after every MS slot, as :meth:`VirtualIonTrap._realize_slots` does.
     """
-    ms_theta: list[float] = []
-    ms_phases: list[tuple[float, float]] = []
-    ms_qubits: list[tuple[int, int]] = []
+    ms: list[tuple[int, int, float, float, float]] = []
     r_slots: list[tuple[int, float, float, int]] = []
     static: dict[str, list[tuple[float, ...]]] = {}
     skeleton: list[tuple[str, tuple[int, ...]]] = []
@@ -1205,10 +1314,9 @@ def _compiled_dense_test(
     r_rows: list[tuple[str, int]] = []
     for op in ops:
         if op.gate in ("MS", "XX"):
-            k = len(ms_theta)
-            ms_theta.append(op.params[0])
-            ms_phases.append(op.params[1:] if op.gate == "MS" else (0.0, 0.0))
-            ms_qubits.append(op.qubits)
+            k = len(ms)
+            phases = op.params[1:] if op.gate == "MS" else (0.0, 0.0)
+            ms.append((*op.qubits, op.params[0], *phases))
             skeleton.append(("MS", op.qubits))
             if kicks:
                 skeleton += [("R", (q,)) for q in op.qubits]
@@ -1216,26 +1324,29 @@ def _compiled_dense_test(
         elif op.gate == "R":
             skeleton.append(("R", op.qubits))
             r_rows.append(("r", len(r_slots)))
-            r_slots.append(
-                (op.qubits[0], op.params[0], op.params[1], len(ms_theta))
-            )
+            r_slots.append((op.qubits[0], op.params[0], op.params[1], len(ms)))
         else:
             skeleton.append((op.gate, op.qubits))
             static.setdefault(op.gate, []).append(op.params)
-    n_ms = len(ms_theta)
+    n_ms = len(ms)
     kicks = kicks and n_ms > 0
     first_row = {"kick": 0, "r": 2 * n_ms if kicks else 0}
     r_order = [first_row[block] + i for block, i in r_rows]
-    qubits = np.array(ms_qubits, dtype=np.intp).reshape(n_ms, 2)
-    phases = np.array(ms_phases, dtype=float).reshape(n_ms, 2)
-    return _CompiledDenseTest(
-        ms_theta=np.array(ms_theta, dtype=float),
-        ms_phi1=phases[:, 0].copy(),
-        ms_phi2=phases[:, 1].copy(),
-        ms_q1=qubits[:, 0].copy(),
-        ms_q2=qubits[:, 1].copy(),
+    ms_cols = np.array(ms, dtype=float).reshape(n_ms, 5).T[:, :, None]
+    r_cols = np.array(r_slots, dtype=float).reshape(len(r_slots), 4).T[:, :, None]
+    layout = _DenseStack(
+        n_tests=1,
+        n_ms=n_ms,
+        ms_q1=ms_cols[0].astype(np.intp),
+        ms_q2=ms_cols[1].astype(np.intp),
+        ms_theta=ms_cols[2].copy(),
+        ms_phi1=ms_cols[3].copy(),
+        ms_phi2=ms_cols[4].copy(),
         kicks=kicks,
-        r_slots=tuple(r_slots),
+        r_q=r_cols[0].astype(np.intp),
+        r_theta=r_cols[1].copy(),
+        r_phi=r_cols[2].copy(),
+        r_ms=r_cols[3, :, 0].astype(np.intp),
         r_order=(
             None
             if r_order == list(range(len(r_order)))
@@ -1244,13 +1355,77 @@ def _compiled_dense_test(
         static=tuple(
             (
                 gate,
-                np.array(rows, dtype=float).reshape(len(rows), 1, len(rows[0])),
+                np.array(rows, dtype=float).reshape(len(rows), 1, 1, len(rows[0])),
             )
             for gate, rows in static.items()
         ),
-        skeleton=tuple(skeleton),
-        canonical=canonical_skeleton(skeleton),
     )
+    return _CompiledDenseTest(
+        layout=layout,
+        skeleton=_HashedSkeleton(skeleton),
+        canonical=_HashedSkeleton(canonical_skeleton(skeleton)),
+    )
+
+
+class _HashedSkeleton(tuple):
+    """A skeleton tuple that computes its hash once.
+
+    Skeletons run to hundreds of slots, and a pass keys its stacks and
+    plan lookups by them test by test; a plain tuple rehashes every
+    time.  Pickling drops the cached hash (string hashes differ between
+    processes).
+    """
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = tuple.__hash__(self)
+            return self._hash
+
+    def __reduce__(self):
+        return (_HashedSkeleton, (tuple(self),))
+
+
+@lru_cache(maxsize=_ROUND_CACHE_SIZE)
+def _compiled_stack(
+    programs: tuple[TestProgram, ...], kicks: bool
+) -> _DenseStack:
+    """The stack of ``programs``' dense layouts (one canonical skeleton)."""
+    return _DenseStack.of(
+        tuple(program.dense(kicks).layout for program in programs)
+    )
+
+
+class _StackDraws:
+    """One stack's noise, drawn test by test into its columns.
+
+    Each test's clock at its draw, and ``(slots, T, n_batch)`` blocks
+    of MS amplitude noise ``xi``, kick rows ``kicks`` (one more axis of
+    ``(angle, axis)``) and R-slot amplitude noise ``r_xi``; a block is
+    ``None`` where the noise model draws nothing.
+    """
+
+    def __init__(
+        self, stack: _DenseStack, n_batch: int, noise: NoiseParameters
+    ) -> None:
+        n_tests, n_ms, n_r = stack.n_tests, stack.n_ms, stack.r_ms.size
+        self.stack = stack
+        self.n_batch = n_batch
+        self.clocks = np.empty(n_tests)
+        self.xi = (
+            np.empty((n_ms, n_tests, n_batch))
+            if n_ms and noise.amplitude_sigma > 0
+            else None
+        )
+        self.kicks = (
+            np.empty((2 * n_ms, n_tests, n_batch, 2)) if stack.kicks else None
+        )
+        self.r_xi = (
+            np.empty((n_r, n_tests, n_batch))
+            if n_r and noise.amplitude_sigma_1q > 0
+            else None
+        )
 
 
 def slot_blocks(slots: list[RealizedSlot]) -> Blocks:

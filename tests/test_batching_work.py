@@ -24,7 +24,7 @@ from repro.arena.diagnosers import BatteryDiagnoser, DiagnoserContext
 from repro.core import multi_fault
 from repro.core.protocol import FixedThresholds, built_test
 from repro.core.protocol import TestExecutor as Executor
-from repro.noise.models import GateNoiseModel, NoiseParameters
+from repro.noise.models import NoiseParameters
 from repro.noise.spam import SpamModel
 from repro.sim.dense_plan import DensePlan
 from repro.trap.faults import CouplingFault
@@ -39,22 +39,22 @@ SEC6_NOISE = NoiseParameters(
 
 @pytest.fixture
 def work(monkeypatch, fresh_plan_cache):
-    """Count MS noise draws, plan compiles and kernel calls.
+    """Count per-test noise draws, plan compiles and kernel calls.
 
-    ``draws`` holds the batch width of every MS block drawn and
-    ``plans`` every plan a kernel call ran, one entry per call.  Plans
-    compile into a fresh process cache, so the counts do not depend on
-    what ran earlier.
+    ``draws`` holds the batch width of every test's noise draw (its MS
+    amplitude noise and kicks, drawn in row order; the stack's blocks
+    are then built once) and ``plans`` every plan a kernel call ran,
+    one entry per call.  Plans compile into a fresh process cache, so
+    the counts do not depend on what ran earlier.
     """
     tally = {"draws": [], "plans": [], "compiles": 0}
-    draw = GateNoiseModel.noisy_ms_params_block
+    draw = VirtualIonTrap._draw_test
     init = DensePlan.__init__
     probabilities = DensePlan.probabilities
 
-    def counted_draw(self, *args, **kwargs):
-        block = draw(self, *args, **kwargs)
-        tally["draws"].append(block.shape[1])
-        return block
+    def counted_draw(self, draws, t):
+        tally["draws"].append(draws.n_batch)
+        return draw(self, draws, t)
 
     def counted_init(self, *args, **kwargs):
         tally["compiles"] += 1
@@ -64,7 +64,7 @@ def work(monkeypatch, fresh_plan_cache):
         tally["plans"].append(self)
         return probabilities(self, *args, **kwargs)
 
-    monkeypatch.setattr(GateNoiseModel, "noisy_ms_params_block", counted_draw)
+    monkeypatch.setattr(VirtualIonTrap, "_draw_test", counted_draw)
     monkeypatch.setattr(DensePlan, "__init__", counted_init)
     monkeypatch.setattr(DensePlan, "probabilities", counted_probabilities)
     return tally

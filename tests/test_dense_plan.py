@@ -158,8 +158,7 @@ def test_second_trial_performs_no_rebuilds(fresh_plan_cache):
             key: (
                 plan,
                 plan._order,
-                plan._stack_gather,
-                plan._ms_gather,
+                plan._chains,
                 plan._final_order,
             )
             for key, plan in fresh_plan_cache._plans.items()
@@ -171,7 +170,7 @@ def test_second_trial_performs_no_rebuilds(fresh_plan_cache):
         machine.run_battery([program], shots=100, trials=3)
     # Second pass over the battery: every skeleton is served from the
     # process plan cache, and each plan evaluates through the same
-    # axis-order program and block gathers it compiled on the first.
+    # axis-order program and link chains it compiled on the first.
     assert machine.stats.dense_plan_builds == builds
     assert machine.stats.dense_plan_rebinds == rebinds
     assert machine.stats.dense_plan_hits == len(specs)
@@ -239,8 +238,7 @@ def test_structural_rebind_matches_fresh_compile():
     plan_a, _, _ = plans["a"]
     plan_b, slots_b, expected_b = plans["b"]
     assert plan_b._order is plan_a._order  # shared compiled core
-    assert plan_b._buckets is plan_a._buckets
-    assert plan_b._stack_gather is plan_a._stack_gather
+    assert plan_b._chains is plan_a._chains
     assert plan_b._final_order is plan_a._final_order
     assert plan_b.skeleton != plan_a.skeleton
     fresh = DensePlan(n_qubits, plan_b.skeleton)

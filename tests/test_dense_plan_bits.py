@@ -1,25 +1,30 @@
 """Dense plans reproduce recorded match probabilities bit for bit.
 
 ``tests/data/dense_plan_bits.json`` holds the hex-float probabilities of
-seeded cases as computed before the plan's evaluation was restructured
-(see CHANGES.md for the commit and the snippet that wrote it).  Each case
-realizes a nominal circuit with ``_realize_slots`` on a seeded machine,
-compiles its :class:`~repro.sim.dense_plan.DensePlan` and evaluates it:
+seeded cases as computed by the factored link-chain kernel (see
+CHANGES.md for the commit and the snippet that wrote it; the record
+before it came from the padded matmul-tree kernel, within 1.3e-15 of
+this one).  Each case realizes a nominal circuit with ``_realize_slots``
+on a seeded machine, compiles its :class:`~repro.sim.dense_plan.DensePlan`
+and evaluates it:
 
 * battery shapes on 2/4/6/8 compacted qubits at 2 and 4 MS repetitions;
 * qubit-swapped MS groups, with and without residual kicks;
-* R-gate and fixed-gate slots (non-uniform link buckets);
-* an MS block split between merged links and the builder stack, with
-  the bare MS first and last;
+* R-gate and fixed-gate slots (chains of several link sequences);
+* an MS block whose slots sit in chains of different lengths, with the
+  bare MS first and last;
 * a fused one-qubit ("generic") run;
+* link chains of length 1, 3 and 8, an MS-only chain without kicks on
+  a phase-faulted coupling, and one chain mixing kick, R, fixed and
+  qubit-swapped MS links;
 * a structurally rebound plan and a call chunked under a tight
   ``max_batch_bytes``.
 
 The probabilities must be ``np.array_equal`` to the record, and the
 evolved states must agree with per-realization
 :class:`~repro.sim.statevector.StatevectorSimulator` evolution to 1e-12.
-The recorded bits come from numpy's bundled OpenBLAS, which picks its
-``zgemm`` kernel for the CPU at run time; a host whose kernel rounds
+The middle apply steps run through numpy's bundled OpenBLAS, which picks
+its ``zgemm`` kernel for the CPU at run time; a host whose kernel rounds
 differently needs the record regenerated from the commit it pins.
 """
 
@@ -60,6 +65,8 @@ KICKS_1Q = NoiseParameters(
 NO_KICKS = NoiseParameters(
     amplitude_sigma=0.10, amplitude_sigma_1q=0.02, phase_noise_rms=0.05
 )
+#: Amplitude noise alone: a phase-faulted coupling still goes dense.
+AMPLITUDE = NoiseParameters(amplitude_sigma=0.10)
 
 
 def _bit(q: int) -> int:
@@ -116,6 +123,26 @@ def _split_ms(bare_first: bool) -> Circuit:
         c.ms(2, 3, HALF)
     c.ms(0, 1, HALF).r(0, 0.3, 0.1).rx(1, 0.2)
     return c if bare_first else c.ms(2, 3, HALF)
+
+
+def _pair_chain(reps: int) -> Circuit:
+    """``reps`` MS gates on one coupling: a chain of ``reps`` MS links
+    without kicks, ``3 * reps`` links with them."""
+    circuit = Circuit(N)
+    for _ in range(reps):
+        circuit.ms(3, 9, HALF)
+    return circuit
+
+
+def _eight_links() -> Circuit:
+    """MS, two kicks, R, RX, swapped MS and its two kicks: 8 links."""
+    return Circuit(N).ms(3, 9, HALF).r(3, 0.4, 0.3).rx(9, 0.2).ms(9, 3, HALF)
+
+
+def _mixed_chain() -> Circuit:
+    """One fused group: kick, R, fixed (two folded) and swapped MS links."""
+    c = Circuit(N).ms(0, 1, HALF).r(0, 0.5, 0.2).h(1).ms(1, 0, HALF, 0.3, 0.3)
+    return c.rx(1, 0.3).h(0).cz(0, 1).ry(0, 0.4)
 
 
 def _machine(noise: NoiseParameters, seed: int) -> VirtualIonTrap:
@@ -180,6 +207,17 @@ def _cases() -> dict:
         SEC6, 27, *_battery_test(8, 2), n_batch=7, budget=2 * 16 * 2**8
     )
     cases["rebound"] = _rebound_case
+    cases["chain-1-link"] = lambda: _plan_case(AMPLITUDE, 31, _pair_chain(1), 0)
+    cases["chain-3-links"] = lambda: _plan_case(SEC6, 32, _pair_chain(1), 0)
+    cases["chain-8-links"] = lambda: _plan_case(
+        KICKS_1Q, 33, _eight_links(), _bit(3) | _bit(9)
+    )
+    cases["ms-only-phase-fault"] = lambda: _plan_case(
+        AMPLITUDE, 34, Circuit(N).ms(2, 3, HALF).ms(2, 3, HALF).ms(2, 3, HALF), 0
+    )
+    cases["mixed-chain"] = lambda: _plan_case(
+        KICKS_1Q, 35, _mixed_chain(), _bit(1)
+    )
     return cases
 
 
