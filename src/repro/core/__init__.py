@@ -19,7 +19,6 @@ from .multi_fault import MagnitudeSearchConfig, MultiFaultProtocol, MultiFaultRe
 from .oracle import OracleExecutor
 from .point_check import PointCheckStrategy
 from .protocol import (
-    DiagnosisReport,
     FixedThresholds,
     TestExecutor,
     TestResult,
@@ -39,7 +38,6 @@ __all__ = [
     "MultiFaultReport",
     "OracleExecutor",
     "PointCheckStrategy",
-    "DiagnosisReport",
     "FixedThresholds",
     "TestExecutor",
     "TestResult",

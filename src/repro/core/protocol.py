@@ -29,7 +29,6 @@ __all__ = [
     "FixedThresholds",
     "TestResult",
     "TestExecutor",
-    "DiagnosisReport",
     "execute_compiled_battery",
 ]
 
@@ -264,25 +263,3 @@ def execute_compiled_battery(
         realizations,
     )
     return executor.execute_round(specs)
-
-
-@dataclass
-class DiagnosisReport:
-    """What a diagnosis session concluded and what it cost."""
-
-    identified: list[Pair]
-    results: list[TestResult]
-    adaptations: int
-    circuit_runs: int
-    shots: int
-
-    def summary(self) -> str:
-        """One-line human rendering of the diagnosis outcome."""
-        found = (
-            ", ".join("{%d,%d}" % tuple(sorted(p)) for p in self.identified)
-            or "none"
-        )
-        return (
-            f"faulty couplings: {found} | adaptations: {self.adaptations} | "
-            f"circuit runs: {self.circuit_runs} | shots: {self.shots}"
-        )

@@ -32,9 +32,7 @@ level reads contiguous ``(groups, B)`` slabs.
 ``{kind: (rows of that kind in program order, B, n_params)}`` —
 ``n_params`` is 3 for ``MS``, 2 for ``R``, 1 for ``RX``/``RY``/``RZ``
 and 0 for parameter-free gates.  The machine's dense pass builds that
-form once per stack of tests and ``slot_blocks`` in
-:mod:`repro.trap.machine` groups :class:`~repro.trap.machine.RealizedSlot`
-lists into it.  Row counts, the shared batch size and parameter widths
+form once per stack of tests.  Row counts, the shared batch size and parameter widths
 are checked per kind.
 
 **Apply.**  The apply order is compiled into an *axis-order program*:

@@ -7,9 +7,9 @@ All matrices follow the conventions of the paper (Sec. II-A and Fig. 4):
 * ``M(theta, phi1, phi2)`` — the general native two-qubit Molmer-Sorensen
   (MS) gate.  ``M(theta, 0, 0)`` equals ``XX(theta) = exp(-i theta XX / 2)``.
 
-Gates are returned as dense ``numpy`` arrays of ``complex128``.  Helper
-predicates (``is_unitary``) and algebraic utilities (``kron_n``,
-``gate_on_qubits``) support testing and reference computations.
+Gates are returned as dense ``numpy`` arrays of ``complex128``.
+``gate_on_qubits`` embeds a gate in a full register for reference
+computations.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ __all__ = [
     "ry",
     "rz",
     "r_gate",
-    "phase_axis",
     "xx",
     "ms_gate",
     "r_gate_batch",
@@ -43,11 +42,7 @@ __all__ = [
     "cz",
     "swap",
     "controlled",
-    "is_unitary",
-    "kron_n",
     "gate_on_qubits",
-    "global_phase_aligned",
-    "allclose_up_to_phase",
 ]
 
 # ---------------------------------------------------------------------------
@@ -81,11 +76,6 @@ def rz(theta: float) -> np.ndarray:
     return np.array(
         [[np.exp(-0.5j * theta), 0.0], [0.0, np.exp(0.5j * theta)]], dtype=complex
     )
-
-
-def phase_axis(phi: float) -> np.ndarray:
-    """The Pauli axis ``cos(phi) X + sin(phi) Y`` used by native gates."""
-    return math.cos(phi) * X + math.sin(phi) * Y
 
 
 def r_gate(theta: float, phi: float) -> np.ndarray:
@@ -246,22 +236,6 @@ def controlled(u: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def is_unitary(u: np.ndarray, atol: float = 1e-10) -> bool:
-    """Return True iff ``u`` is unitary within ``atol``."""
-    u = np.asarray(u)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        return False
-    return np.allclose(u @ u.conj().T, np.eye(u.shape[0]), atol=atol)
-
-
-def kron_n(*mats: np.ndarray) -> np.ndarray:
-    """Kronecker product of the given matrices, left-to-right."""
-    out = np.array([[1.0 + 0.0j]])
-    for m in mats:
-        out = np.kron(out, m)
-    return out
-
-
 def gate_on_qubits(
     u: np.ndarray, qubits: tuple[int, ...], n_qubits: int
 ) -> np.ndarray:
@@ -300,16 +274,3 @@ def gate_on_qubits(
                 row = (row << 1) | b
             out[row, col] += amp
     return out
-
-
-def global_phase_aligned(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Return ``u`` rescaled by a global phase to best match ``v``."""
-    inner = np.vdot(v, u)
-    if abs(inner) < 1e-14:
-        return u
-    return u * (np.conj(inner) / abs(inner))
-
-
-def allclose_up_to_phase(u: np.ndarray, v: np.ndarray, atol: float = 1e-9) -> bool:
-    """True iff ``u == e^{i phase} v`` for some global phase."""
-    return np.allclose(global_phase_aligned(u, v), v, atol=atol)

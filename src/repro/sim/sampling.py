@@ -2,8 +2,8 @@
 
 The machine returns measurement results as ``{bitstring_int: count}`` maps
 (`Counts`).  This module provides the small algebra the protocols need on
-top of them: match fractions against an expected output, marginals,
-conversions, and Bernoulli shot sampling when only a scalar pass
+top of them: match fractions against an expected output, merged counts,
+and Bernoulli shot sampling when only a scalar pass
 probability is known (the fast XX engine computes the probability of the
 expected bitstring directly, so full distributions are unnecessary).
 """
@@ -15,14 +15,9 @@ import numpy as np
 __all__ = [
     "Counts",
     "total_shots",
-    "counts_to_probs",
     "match_fraction",
     "sample_bernoulli_counts_batch",
     "sample_counts_from_probs",
-    "marginal_counts",
-    "bitstring_str",
-    "bitstring_from_str",
-    "hamming_weight",
     "merge_counts",
 ]
 
@@ -33,14 +28,6 @@ Counts = dict[int, int]
 def total_shots(counts: Counts) -> int:
     """Total number of shots recorded in ``counts``."""
     return sum(counts.values())
-
-
-def counts_to_probs(counts: Counts) -> dict[int, float]:
-    """Normalize counts into empirical probabilities."""
-    n = total_shots(counts)
-    if n == 0:
-        raise ValueError("empty counts")
-    return {k: v / n for k, v in counts.items()}
 
 
 def match_fraction(counts: Counts, expected: int) -> float:
@@ -115,31 +102,7 @@ def sample_counts_from_probs(
     return {int(k): int(draws[k]) for k in hits}
 
 
-def marginal_counts(counts: Counts, qubits: list[int], n_qubits: int) -> Counts:
-    """Marginalize counts onto a subset of qubits (qubit 0 = MSB)."""
-    out: Counts = {}
-    for bitstring, c in counts.items():
-        sub = 0
-        for q in qubits:
-            bit = (bitstring >> (n_qubits - 1 - q)) & 1
-            sub = (sub << 1) | bit
-        out[sub] = out.get(sub, 0) + c
-    return out
 
-
-def bitstring_str(bitstring: int, n_qubits: int) -> str:
-    """Render a basis-state integer as a ``'0101...'`` string (q0 first)."""
-    return format(bitstring, f"0{n_qubits}b")
-
-
-def bitstring_from_str(s: str) -> int:
-    """Parse a ``'0101...'`` string back into a basis-state integer."""
-    return int(s, 2)
-
-
-def hamming_weight(bitstring: int) -> int:
-    """Number of ones in the bitstring (population of |1> outcomes)."""
-    return bin(bitstring).count("1")
 
 
 def merge_counts(*count_maps: Counts) -> Counts:

@@ -3,6 +3,7 @@
 * :mod:`repro.trap.faults` — Table I taxonomy and coupling-fault specs.
 * :mod:`repro.trap.calibration` — per-coupling calibration registry.
 * :mod:`repro.trap.machine` — the :class:`VirtualIonTrap` backend.
+* :mod:`repro.trap.round` — compiled tests and round plans.
 * :mod:`repro.trap.timing` — operation timing model (Fig. 10 constants).
 * :mod:`repro.trap.duty_cycle` — duty-cycle accounting (Fig. 2).
 """

@@ -17,48 +17,19 @@ on the fast exact engine (any machine size); anything else runs densely on
 the compacted sub-register of touched qubits (sufficient for the paper's
 physical-scale experiments).
 
-Every test is a :class:`TestProgram` (a bare circuit is wrapped once per
-structure by :func:`as_program`), which resolves two compiled entries on
-first use and then holds them:
-
-* its XX entry per ``max_exact_qubits``: a
-  :class:`~repro.sim.xx_engine.ContractionPlan` (int8 half tables, under
-  64 KiB) and the test's *run of one* (``_XXRun``): flat calibration
-  indices of its edges, per-slot edge columns, nominal angles and drive
-  phases, and static RX/X angles.  The bounded ``_compiled_xx_test``
-  cache owns these entries and programs hold weak references, so its
-  bound is the bound on pinned plans.
-* its dense layout per residual kicks on/off: per-MS-slot targets,
-  angles and phases, R and fixed-gate parameters, slot skeleton and the
-  index merging kick and R rows into program order.  Tests sharing a
-  canonical skeleton lay their layouts side by side as one stack
-  (:class:`_DenseStack`, cached per program tuple).
-
-One route evaluates programs: :meth:`VirtualIonTrap.run_battery`, a pass
-over a list of them.  It finds every program's route before anything is
-drawn (:meth:`VirtualIonTrap._units`), then draws every test in order.
-The XX route takes *runs*: consecutive XX tests without a sampled
-component or an off-grid nominal phase form one (:func:`_compiled_runs`,
-cached per program tuple), a run the route declines splits at the tests
-it declines, and every other XX test is its own run of one.  One step
-gathers a run's calibration and checks its realized drive phases
-(:meth:`VirtualIonTrap._xx_slot_angles`); one draw, one accumulation
-and one contraction per :attr:`~repro.sim.xx_engine.ContractionPlan.structure`
-evaluate it (:meth:`VirtualIonTrap._xx_probabilities`).  A test the
-route declines (MS slots under non-XX-preserving noise, drive phases off
-the pi grid, non-XX gates) joins the stack of its canonical skeleton.
-In row order it draws only what the generator must draw there: its MS
-amplitude noise, kicks and R-slot amplitude noise
-(:meth:`VirtualIonTrap._draw_test`).  After the last unit each stack
-builds its parameter blocks once (gate times, calibration and 1/f phase
-gathers, parameter rows: :meth:`VirtualIonTrap._stack_blocks`) and is
-contracted in one call on the process-wide
-:data:`~repro.sim.dense_plan.PLAN_CACHE`.  Then one binomial draw
-samples every test's shots.  ``run_match`` is
-the pass's one-program case, returning counts; a battery is a list of
-programs run as one pass.  ``_realize_slots`` builds the same draws as
-:class:`RealizedSlot` objects: it serves ``run`` and is the oracle the
-pass is tested against, bit for bit.
+Every test is a :class:`~repro.trap.round.TestProgram` (bare circuits
+are wrapped once per structure by :func:`as_program`).  Tests run with no
+adaptation between them form a *round*: one pass of
+:meth:`VirtualIonTrap.run_battery` (``run_match`` and
+``sweep_fidelities`` run rounds of one).  A pass looks up the round's
+:class:`~repro.trap.round.RoundPlan` once (:meth:`VirtualIonTrap._routes`),
+then (:meth:`VirtualIonTrap._route_probabilities`) draws in row order
+what the generator draws there, contracts each group of the plan in one
+call (XX rows by plan structure, dense rows by canonical skeleton, each
+across the round) and samples every test's shots with one binomial
+draw.  ``run`` draws a circuit's dense layout the same way and returns
+full counts.  The tests hold the op-by-op oracle the pass is checked
+against, bit for bit (``realize_slots`` in ``tests/xx_oracle.py``).
 
 Shot batching: stochastic noise is re-drawn per *realization group* rather
 than per shot (control noise varies slowly compared to a ~ms shot cycle);
@@ -67,16 +38,13 @@ than per shot (control noise varies slowly compared to a ~ms shot cycle);
 
 from __future__ import annotations
 
-import itertools
-import math
-import weakref
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
 import numpy as np
 
 from ..noise.models import GateNoiseModel, NoiseParameters
-from ..sim.circuit import Circuit, Operation, is_multiple_of_pi
+from ..sim.circuit import Circuit
 from ..sim.sampling import (
     Counts,
     merge_counts,
@@ -84,46 +52,33 @@ from ..sim.sampling import (
     sample_counts_from_probs,
 )
 from ..sim import dense_plan
-from ..sim.dense_plan import (
-    Blocks,
-    DensePlan,
-    Segment,
-    Skeleton,
-    canonical_skeleton,
-)
+from ..sim.dense_plan import Blocks, DensePlan, Segment, Skeleton
 from ..sim.statevector import (
     MAX_DENSE_QUBITS,
     check_bitstring,
     realization_chunks,
 )
-from ..sim.xx_engine import ContractionPlan, ms_axis_sign
+from ..sim.xx_engine import ms_axis_sign
 from .calibration import CalibrationState
 from .faults import CouplingFault, CouplingPhaseFault, Pair
+from .round import (
+    Routes,
+    TestProgram,
+    _DenseStack,
+    _XXGroup,
+    _XXRun,
+    as_program,
+    realized_phases,
+    round_plan,
+)
 from .timing import TimingModel
 
 __all__ = [
     "MachineStats",
-    "RealizedSlot",
     "TestProgram",
     "VirtualIonTrap",
     "as_program",
 ]
-
-
-@dataclass(frozen=True)
-class RealizedSlot:
-    """One gate slot of a noise-realized circuit batch.
-
-    ``params`` carries one parameter row per noise realization (shape
-    ``(n_batch, n_params)``); the gate name and targets are shared by the
-    whole batch.  Slot lists are the batched counterpart of a realized
-    :class:`~repro.sim.circuit.Circuit` — they skip per-realization
-    ``Operation`` construction entirely.
-    """
-
-    gate: str
-    qubits: tuple[int, ...]
-    params: np.ndarray
 
 
 @dataclass
@@ -231,8 +186,9 @@ class VirtualIonTrap:
     ) -> Counts:
         """Execute a nominal circuit, returning full measurement counts.
 
-        Uses the dense simulator on the compacted register of touched
-        qubits, so it requires that sub-register to fit the dense limit.
+        Draws the circuit's dense layout as a stack of one, as a pass
+        draws a dense row, and evolves it on the compacted register of
+        touched qubits, so that sub-register must fit the dense limit.
         ``realizations`` overrides the machine's noise-realization count
         for this call (shot-batching granularity).
         """
@@ -240,8 +196,10 @@ class VirtualIonTrap:
             raise ValueError("shots must be positive")
         self._account([circuit.depth_two_qubit()], shots)
         groups = self._shot_groups(shots, realizations)
-        slots = self._realize_slots(circuit, len(groups))
-        counts = self._run_dense_slots(slots, groups)
+        test = as_program(circuit, 0).dense(self.noise.residual_odd_population > 0)
+        draws = _StackDraws(test.layout, len(groups), self.noise)
+        self._draw_test(draws, 0)
+        counts = self._run_dense(test.skeleton, self._stack_blocks(draws), groups)
         if self.noise.spam is not None:
             counts = self.noise.spam.apply_to_counts(
                 counts, self.n_qubits, self.rng
@@ -250,7 +208,7 @@ class VirtualIonTrap:
 
     def run_match(
         self,
-        test: "TestProgram | Circuit",
+        test: TestProgram | Circuit,
         expected: int,
         shots: int,
         realizations: int | None = None,
@@ -286,7 +244,7 @@ class VirtualIonTrap:
 
     def run_battery(
         self,
-        programs: list["TestProgram"],
+        programs: list[TestProgram],
         shots: int,
         trials: int = 1,
         realizations: int | None = None,
@@ -294,9 +252,9 @@ class VirtualIonTrap:
     ) -> np.ndarray:
         """Measured fidelities of ``programs``: shape ``(len(programs), trials)``.
 
-        The one evaluation route, one pass per call: every program's
-        route is found before anything is drawn, each program's ``trials``
-        x realization-group batch is drawn in list order (see
+        The one evaluation route, one pass per call: the round's plan is
+        looked up before anything is drawn, each program's ``trials`` x
+        realization-group batch is drawn in list order (see
         :meth:`_pass_probabilities`), and the shots of every (test, trial,
         group) are sampled with one binomial draw.  A battery (Figs. 6/7,
         the scenario matrix) is one such pass per machine.
@@ -317,7 +275,7 @@ class VirtualIonTrap:
 
     def sweep_fidelities(
         self,
-        program: "TestProgram",
+        program: TestProgram,
         pair: Pair | tuple[int, int],
         magnitudes: np.ndarray,
         shots: int,
@@ -335,10 +293,8 @@ class VirtualIonTrap:
         """
         _check_counts(shots, trials)
         self._check_widths([program])
-        run = self._own_run(program)
-        mags = np.asarray(magnitudes, dtype=np.float64)
-        angles = self._xx_slot_angles(run, sweep=(pair, mags))
-        if angles is None:
+        routes = self._routes([program], "auto")
+        if routes.xx is None:
             raise ValueError(
                 "magnitude sweeps require XX-preserving noise, an "
                 "XX-compilable test and drive phases on the pi grid "
@@ -346,8 +302,9 @@ class VirtualIonTrap:
                 "magnitude point via run_battery"
             )
         groups = self._shot_groups(shots, realizations)
-        probs = self._xx_probabilities(
-            run, angles, trials * len(groups), [program]
+        mags = np.asarray(magnitudes, dtype=np.float64)
+        probs = self._route_probabilities(
+            [program], routes, trials * len(groups), (pair, mags)
         ).reshape(mags.size, trials, len(groups))
         return self._sample_fidelities([program], probs, shots, groups)
 
@@ -355,7 +312,7 @@ class VirtualIonTrap:
 
     def _pass_probabilities(
         self,
-        programs: list["TestProgram"],
+        programs: list[TestProgram],
         shots: int,
         trials: int = 1,
         realizations: int | None = None,
@@ -363,11 +320,7 @@ class VirtualIonTrap:
     ) -> tuple[np.ndarray, np.ndarray]:
         """A pass's shot groups and ``(tests, trials, groups)`` match probabilities.
 
-        Drawn in list order, unit by unit (:meth:`_units`): an XX run by
-        :meth:`_xx_probabilities`, a declined test into its dense layout,
-        where it waits for one stacked
-        :meth:`~repro.sim.dense_plan.DensePlan.probabilities` call per
-        canonical skeleton.
+        ``engine='xx'`` refuses (:meth:`_routes`) before anything is drawn.
         """
         if engine not in ("auto", "xx", "dense"):
             raise ValueError(
@@ -375,108 +328,93 @@ class VirtualIonTrap:
             )
         _check_counts(shots, trials)
         self._check_widths(programs)
-        units = self._units(programs, engine)
-        for row, run, _ in units if engine == "xx" else ():
-            if run is None:
-                raise ValueError(
-                    "engine='xx' requested but the setting requires the "
-                    "dense fallback (non-XX-preserving noise, a dense-only "
-                    "test, or drive phases off the pi grid)"
-                )
-            # A run's first test is never sampled: runs hold none.
-            if programs[row].xx(self.max_exact_qubits).plan.sampled:
-                raise ValueError(
-                    "engine='xx' requested but a coupling component exceeds "
-                    f"max_exact_qubits={self.max_exact_qubits}, so the XX "
-                    "route would sample it"
-                )
+        routes = self._routes(programs, engine)
+        if routes.refusal is not None:
+            raise ValueError(routes.refusal)
         groups = self._shot_groups(shots, realizations)
-        n_batch = trials * len(groups)
-        probs = np.empty((len(programs), n_batch))
-        # Declined tests by canonical skeleton, in draw order: each such
-        # stack is drawn test by test and contracted in one call.
-        members: dict[Skeleton, list[int]] = {}
-        kicks = self.noise.residual_odd_population > 0
-        for row, run, _ in units:
-            if run is None:
-                test = programs[row].dense(kicks)
-                if test.skeleton:
-                    members.setdefault(test.canonical, []).append(row)
-                else:
-                    probs[row] = 1.0 if programs[row].expected == 0 else 0.0
-        draws: dict[int, tuple[_StackDraws, int]] = {}
-        for rows in members.values():
-            stack = _compiled_stack(tuple(programs[r] for r in rows), kicks)
-            stacked = _StackDraws(stack, n_batch, self.noise)
-            draws.update((r, (stacked, t)) for t, r in enumerate(rows))
-        for row, run, angles in units:
-            if run is not None:
-                stop = row + len(run.n_ms)
-                probs[row:stop] = self._xx_probabilities(
-                    run, angles, n_batch, programs[row:stop]
-                )[:, 0]
-            elif row in draws:
-                self._draw_test(*draws[row])
-        for rows in members.values():
-            plans = self._dense_plans_for(
-                [programs[r].dense(kicks).skeleton for r in rows]
-            )
-            segments = [
-                Segment(plan, programs[r].expected, n_batch)
-                for plan, r in zip(plans, rows)
-            ]
-            probs[rows] = plans[0].probabilities(
-                self._stack_blocks(draws[rows[0]][0]),
-                segments,
-                self.max_batch_bytes,
-            ).reshape(len(rows), n_batch)
+        probs = self._route_probabilities(programs, routes, trials * len(groups))
         return groups, probs.reshape(len(programs), trials, len(groups))
 
-    def _units(
-        self, programs: list["TestProgram"], engine: str
-    ) -> list[tuple[int, "_XXRun | None", np.ndarray | None]]:
-        """A pass's units in draw order, found before anything is drawn.
-
-        A unit is ``(row, run, angles)``: an XX run from ``row`` with its
-        slot angles (:meth:`_xx_slot_angles`), or ``run = None`` for a
-        test the XX route declines.  A round's stretches of two or more
-        XX tests are runs (:func:`_compiled_runs`); one the route
-        declines as a whole (a drive-phase offset off the pi grid, say)
-        splits at the tests it declines.  Other tests are runs of one.
-        """
-        xx_route = engine != "dense"
-        runs = (
-            _compiled_runs(tuple(programs), self.max_exact_qubits)
-            if xx_route and len(programs) > 1 and self.noise.is_xx_preserving()
-            else {}
+    def _routes(self, programs: list[TestProgram], engine: str) -> Routes:
+        """The round's :class:`~repro.trap.round.Routes` on this machine: one
+        :func:`~repro.trap.round.round_plan` lookup, then the routes for
+        the rows this machine's drive-phase offsets decline."""
+        programs, noise = tuple(programs), self.noise
+        key = (
+            engine,
+            noise.is_xx_preserving(),
+            noise.residual_odd_population > 0,
+            self.max_exact_qubits,
         )
-        units, row = [], 0
-        while row < len(programs):
-            run = runs.get(row)
-            if run is None and xx_route:
-                run = self._own_run(programs[row])
-            angles = self._xx_slot_angles(run)
-            if angles is None and row in runs:
-                # Re-plan each stretch: the taken as runs, the declined dense.
-                stop = row + len(run.n_ms)
-                for ok, rows in itertools.groupby(
-                    range(row, stop),
-                    lambda k: self._xx_slot_angles(self._own_run(programs[k]))
-                    is not None,
-                ):
-                    first, *rest = rows
-                    part = programs[first : first + 1 + len(rest)]
-                    units += [
-                        (first + k, *unit)
-                        for k, *unit in self._units(part, engine if ok else "dense")
-                    ]
-                row = stop
-                continue
-            units.append((row, None if angles is None else run, angles))
-            row += 1 if angles is None else len(run.n_ms)
-        return units
+        plan = round_plan(programs, key)
+        return plan.routes(programs, plan.declined(self.calibration.phase_offsets))
 
-    def _check_widths(self, programs: list["TestProgram"]) -> None:
+    def _route_probabilities(
+        self,
+        programs: list[TestProgram],
+        routes: Routes,
+        n_batch: int,
+        sweep: tuple[Pair | tuple[int, int], np.ndarray] | None = None,
+    ) -> np.ndarray:
+        """Match probabilities of a round's rows: shape ``(rows, M * n_batch)``.
+
+        Draws in row order: a stretch of XX rows one ``(n_ms, n_batch)``
+        amplitude-noise block, shared by the ``M`` columns of
+        :meth:`_xx_slot_angles` and summed per edge in slot order; a dense
+        row into its stack (:meth:`_draw_test`).  A sampled XX row is
+        contracted right after its stretch, every other group after the
+        last draw.  Draws, arithmetic and clock are those of realizing
+        each test on its own, op by op, in row order.
+        """
+        xx = routes.xx
+        slot_angles = None if xx is None else self._xx_slot_angles(xx, sweep)
+        n_cols = 1 if slot_angles is None else slot_angles.shape[1]
+        rows = n_cols * n_batch
+        probs = np.empty((len(programs), rows))
+        acc = None if xx is None else np.empty((rows, xx.edge_index.size))
+        draws = [
+            _StackDraws(stack.layout, n_batch, self.noise)
+            for stack in routes.stacks
+        ]
+        sigma = self.noise.amplitude_sigma
+        gate_dt = self.timing.gate_time(self.n_qubits)
+        for step in routes.schedule:
+            if type(step) is tuple:
+                self._draw_test(draws[step[0]], step[1])
+                continue
+            angles = slot_angles[step.slots, :, None]
+            n_ms = angles.shape[0]
+            if sigma > 0 and n_ms:
+                xi = self.rng.normal(0.0, sigma, (n_ms, n_batch))
+                angles = angles * (1.0 + xi[:, None, :])
+            else:
+                angles = np.broadcast_to(angles, (n_ms, n_cols, n_batch))
+            n_edges = step.edges.stop - step.edges.start
+            # Bin r * E + e sums row r's angles on edge e in slot order.
+            bins = np.arange(rows) * n_edges + step.slot_edge[:, None]
+            acc[:, step.edges] = np.bincount(
+                bins.reshape(-1), angles.reshape(-1), rows * n_edges
+            ).reshape(rows, n_edges)
+            for count in step.n_ms:
+                self._clock += n_batch * count * gate_dt
+            if step.sampled is not None:
+                probs[step.sampled.rows] = self._xx_probabilities(
+                    step.sampled, acc, programs
+                )
+        for group in routes.groups:
+            probs[group.rows] = self._xx_probabilities(group, acc, programs)
+        for stack, drawn in zip(routes.stacks, draws):
+            plans = self._dense_plans_for(stack.skeletons)
+            segments = [
+                Segment(plan, programs[r].expected, n_batch)
+                for plan, r in zip(plans, stack.rows)
+            ]
+            probs[stack.rows] = plans[0].probabilities(
+                self._stack_blocks(drawn), segments, self.max_batch_bytes
+            ).reshape(len(stack.rows), n_batch)
+        return probs
+
+    def _check_widths(self, programs: list[TestProgram]) -> None:
         for program in programs:
             if program.circuit.n_qubits != self.n_qubits:
                 raise ValueError(
@@ -484,7 +422,7 @@ class VirtualIonTrap:
                     f"machine has {self.n_qubits}"
                 )
 
-    def _spam_factors(self, programs: list["TestProgram"]) -> np.ndarray:
+    def _spam_factors(self, programs: list[TestProgram]) -> np.ndarray:
         """Each program's readout factor (with a SPAM channel; without one
         every factor is 1)."""
         spam, n = self.noise.spam, self.n_qubits
@@ -494,7 +432,7 @@ class VirtualIonTrap:
 
     def _sample_fidelities(
         self,
-        programs: list["TestProgram"],
+        programs: list[TestProgram],
         probs: np.ndarray,
         shots: int,
         groups: np.ndarray,
@@ -527,47 +465,22 @@ class VirtualIonTrap:
 
     # -- compiled XX route -------------------------------------------------------
 
-    def _own_run(self, program: "TestProgram") -> "_XXRun | None":
-        """``program``'s compiled run of one, or ``None`` where the XX route
-        declines; under non-XX-preserving noise a program with two-qubit
-        gates is declined without compiling a plan it would never use."""
-        if program.n_two_qubit and not self.noise.is_xx_preserving():
-            return None
-        xx = program.xx(self.max_exact_qubits)
-        return None if xx is None else xx.run
-
     def _xx_slot_angles(
         self,
-        run: "_XXRun | None",
+        run: _XXRun,
         sweep: tuple[Pair | tuple[int, int], np.ndarray] | None = None,
-    ) -> np.ndarray | None:
-        """The XX route's eligibility step: each slot's calibrated angle.
+    ) -> np.ndarray:
+        """Each MS/XX slot's calibrated angle ``sign * theta * (1 - u)``.
 
-        Returns ``None`` (nothing drawn, clock untouched) when the route
-        declines the run: no compiled run, MS slots under
-        non-XX-preserving noise, or a realized drive phase (nominal plus
-        the coupling's offset) off the pi grid.  A run with no MS slot is
-        taken under any noise: its RX/X angles are static.  Otherwise
-        returns the ``(n_ms, M)`` angles ``sign * theta * (1 - u)`` of
-        every MS/XX slot, with the X-basis axis sign of its realized
-        drive phases; calibration is gathered once per edge.
+        Shape ``(n_ms, M)``, with the X-basis axis sign of the slot's
+        realized drive phases and calibration gathered once per edge.
         ``M`` is 1, or with ``sweep = (pair, magnitudes)`` one column per
         magnitude, each replacing ``pair``'s under-rotation.
         """
-        if run is None or (
-            not self.noise.is_xx_preserving() and run.slot_edge.size
-        ):
-            return None
         calibration = self.calibration
         theta = run.slot_theta
-        offsets = calibration.phase_offsets.take(run.edge_index)
-        if run.slot_phases is not None or np.count_nonzero(offsets):
-            # (n_ms, 2), or (n_ms, 1) for both phases when nominally 0.
-            phases = offsets[run.slot_edge, None] + (
-                0.0 if run.slot_phases is None else run.slot_phases
-            )
-            if not np.all(is_multiple_of_pi(phases)):
-                return None
+        phases = realized_phases(run, calibration.phase_offsets)
+        if phases is not None:
             theta = ms_axis_sign(phases[:, 0], phases[:, -1]) * theta
         unders = calibration.under_rotations.take(run.edge_index)[:, None]
         if sweep is not None:
@@ -582,144 +495,26 @@ class VirtualIonTrap:
         return theta[:, None] * (1.0 - unders)[run.slot_edge]
 
     def _xx_probabilities(
-        self,
-        run: "_XXRun",
-        slot_angles: np.ndarray,
-        n_batch: int,
-        programs: list["TestProgram"],
+        self, group: _XXGroup, acc: np.ndarray, programs: list[TestProgram]
     ) -> np.ndarray:
-        """Match probabilities of ``run``'s tests: shape ``(tests, M, n_batch)``.
-
-        The one XX draw, for a run of any length (``programs`` are its
-        tests): ``slot_angles`` (:meth:`_xx_slot_angles`) times ``1 + xi``
-        for one ``(n_ms, n_batch)`` amplitude-noise draw shared by all
-        ``M`` columns, each slot summed into the run's ``(M x n_batch,
-        edges)`` block in slot order, and the clock advanced test by
-        test: :meth:`_realize_slots`'s draws, arithmetic and clock.  Each
-        structure group is contracted in one call on its first member's
-        plan over its members' stacked rows; a sampled plan (always a run
-        of one) draws its spins from the machine's generator.
-        """
-        n_ms, n_cols = slot_angles.shape
-        sigma = self.noise.amplitude_sigma
-        if sigma > 0 and n_ms:
-            xi = self.rng.normal(0.0, sigma, (n_ms, n_batch))
-            angles = slot_angles[:, :, None] * (1.0 + xi[:, None, :])
-        else:
-            angles = np.broadcast_to(
-                slot_angles[:, :, None], (n_ms, n_cols, n_batch)
-            )
-        rows = n_cols * n_batch
-        n_edges = run.edge_index.size
-        # Bin r * E + e sums row r's angles on edge e in slot order.
-        bins = np.arange(rows) * n_edges + run.slot_edge[:, None]
-        acc = np.bincount(
-            bins.reshape(-1), angles.reshape(-1), rows * n_edges
-        ).reshape(rows, n_edges)
-        gate_dt = self.timing.gate_time(self.n_qubits)
-        for count in run.n_ms:
-            self._clock += n_batch * count * gate_dt
-        probs = np.empty((len(run.n_ms), rows))
-        for group in run.groups:
-            tests, width = group.edge_rows.shape
-            thetas = acc[:, group.edge_rows].transpose(1, 0, 2)
-            lin = group.linear
-            plan = programs[group.rows[0]].xx(self.max_exact_qubits).plan
-            probs[group.rows] = plan.probabilities(
-                thetas.reshape(tests * rows, width),
-                np.repeat(lin, rows, axis=0) if lin.size else None,
-                self.max_batch_bytes,
-                self.rng,
-            ).reshape(tests, rows)
-        return probs.reshape(len(run.n_ms), n_cols, n_batch)
-
-    # -- batched (slot-based) realization and evaluation ---------------------------
-
-    def _realize_slots(
-        self, circuit: Circuit, n_batch: int
-    ) -> list[RealizedSlot]:
-        """Realize ``n_batch`` noisy copies of a nominal circuit as slots.
-
-        One copy per noise-realization group: each slot draws its
-        per-realization noise parameters in one RNG call, and no
-        per-realization ``Operation`` objects are built.  Realization g's
-        clock starts where realization g-1's gates ended.
-        """
-        gate_dt = self.timing.gate_time(self.n_qubits)
-        ms_ops = [op for op in circuit.ops if op.gate in ("MS", "XX")]
-        n_ms = len(ms_ops)
-        start = self._clock + np.arange(n_batch) * (n_ms * gate_dt)
-        p_odd = self.noise.residual_odd_population
-        # Block draws: every MS slot's amplitude noise comes from one RNG
-        # call, every residual kick from another — circuit depth adds
-        # array rows, not Python calls.
-        ms_params = None
-        if n_ms:
-            q1s, q2s = np.array([op.qubits for op in ms_ops], dtype=np.intp).T
-            phases = np.array(
-                [op.params[1:] if op.gate == "MS" else (0, 0) for op in ms_ops],
-                dtype=float,
-            )
-            # Deterministic drive-phase miscalibration of each coupling
-            # (the phase-fault scenario species): applied to the physical
-            # MS drive realizing either abstraction.
-            offsets = self.calibration.phase_offsets[q1s, q2s]
-            ts_block = start[None, :] + np.arange(n_ms)[:, None] * gate_dt
-            ms_params = self.noise_model.noisy_ms_params_block(
-                q1s,
-                q2s,
-                np.array([op.params[0] for op in ms_ops], dtype=float),
-                self.calibration.under_rotations[q1s, q2s],
-                phases[:, 0] + offsets,
-                phases[:, 1] + offsets,
-                ts_block,
-            )
-        kick_params = None
-        if n_ms and p_odd > 0:
-            kick_params = self.noise_model.residual_kick_params_block(
-                2 * n_ms, n_batch
-            )
-        slots: list[RealizedSlot] = []
-        k_ms = 0
-        for op in circuit.ops:
-            if op.gate in ("MS", "XX"):
-                q1, q2 = op.qubits
-                slots.append(
-                    RealizedSlot("MS", (q1, q2), ms_params[k_ms])
-                )
-                if kick_params is not None:
-                    for j, q in enumerate((q1, q2)):
-                        slots.append(
-                            RealizedSlot("R", (q,), kick_params[2 * k_ms + j])
-                        )
-                k_ms += 1
-            elif op.gate == "R":
-                ts = start + k_ms * gate_dt
-                slots.append(
-                    RealizedSlot(
-                        "R",
-                        op.qubits,
-                        self.noise_model.noisy_r_params(
-                            op.qubits[0], op.params[0], op.params[1], ts
-                        ),
-                    )
-                )
-            else:
-                params = np.broadcast_to(
-                    np.array(op.params, dtype=float),
-                    (n_batch, len(op.params)),
-                )
-                slots.append(RealizedSlot(op.gate, op.qubits, params))
-        self._clock += n_batch * n_ms * gate_dt
-        return slots
+        """One XX group's match probabilities, ``(members, rows)``: one
+        contraction on the first member's plan over every member's rows
+        of ``acc``.  A sampled plan draws its spins from ``self.rng``."""
+        tests, width = group.edge_rows.shape
+        rows = acc.shape[0]
+        thetas = acc[:, group.edge_rows].transpose(1, 0, 2)
+        lin = group.linear
+        plan = programs[group.rows[0]].xx(self.max_exact_qubits).plan
+        return plan.probabilities(
+            thetas.reshape(tests * rows, width),
+            np.repeat(lin, rows, axis=0) if lin.size else None,
+            self.max_batch_bytes,
+            self.rng,
+        ).reshape(tests, rows)
 
     # -- compiled dense route ------------------------------------------------------
 
-    def _dense_test(self, program: "TestProgram") -> "_CompiledDenseTest":
-        """``program``'s dense layout under this machine's noise."""
-        return program.dense(self.noise.residual_odd_population > 0)
-
-    def _draw_test(self, draws: "_StackDraws", t: int) -> None:
+    def _draw_test(self, draws: _StackDraws, t: int) -> None:
         """Draw test ``t`` of a stack: what the generator draws in row order.
 
         Its clock, the amplitude noise of its MS slots, its residual
@@ -746,15 +541,15 @@ class VirtualIonTrap:
                 )
         self._clock += n_batch * n_ms * self.timing.gate_time(self.n_qubits)
 
-    def _stack_blocks(self, draws: "_StackDraws") -> Blocks:
+    def _stack_blocks(self, draws: _StackDraws) -> Blocks:
         """A drawn stack's :class:`~repro.sim.dense_plan.DensePlan` blocks.
 
         Built once for all ``T`` tests, each ``(rows, T * n_batch,
         n_params)`` with test ``t`` in columns ``t * n_batch`` on: gate
         times from each test's clock, one calibration gather per
         quantity, one 1/f phase gather per MS target, and the kick and
-        R rows merged into program order.  Value for value these are the
-        rows :meth:`_realize_slots` builds for each test.
+        R rows merged into program order: value for value the rows of
+        each test realized on its own.
         """
         stack, n_batch = draws.stack, draws.n_batch
         gate_dt = self.timing.gate_time(self.n_qubits)
@@ -805,17 +600,6 @@ class VirtualIonTrap:
             )
         return blocks
 
-    def _draw_dense(self, test: "_CompiledDenseTest", n_batch: int) -> Blocks:
-        """Draw ``n_batch`` realizations of one test straight into its blocks.
-
-        A stack of one: :meth:`_draw_test`, then :meth:`_stack_blocks`.
-        Draw for draw, value for value and clock for clock this is
-        :meth:`_realize_slots` without its slot objects.
-        """
-        draws = _StackDraws(test.layout, n_batch, self.noise)
-        self._draw_test(draws, 0)
-        return self._stack_blocks(draws)
-
     def _dense_plans_for(self, skeletons: list[Skeleton]) -> list[DensePlan]:
         """The compiled :class:`~repro.sim.dense_plan.DensePlan` of each skeleton.
 
@@ -853,18 +637,17 @@ class VirtualIonTrap:
         """One skeleton's compiled plan (see :meth:`_dense_plans_for`)."""
         return self._dense_plans_for([skeleton])[0]
 
-    def _run_dense_slots(
-        self, slots: list[RealizedSlot], groups: np.ndarray
+    def _run_dense(
+        self, skeleton: Skeleton, blocks: Blocks, groups: np.ndarray
     ) -> Counts:
         """Full-counts dense execution of all realization groups.
 
         Chunked like the match path so peak memory stays within
         ``max_batch_bytes`` (or the global amplitude cap).
         """
-        if not slots or not {q for slot in slots for q in slot.qubits}:
+        if not skeleton:
             return {0: int(groups.sum())}
-        plan = self._dense_plan_for(_skeleton(slots))
-        blocks = slot_blocks(slots)
+        plan = self._dense_plan_for(skeleton)
         counts_parts = []
         for start, stop in realization_chunks(
             plan.n_local, len(groups), self.max_batch_bytes
@@ -928,7 +711,7 @@ class CompiledBattery:
     :meth:`VirtualIonTrap.run_battery`; it keeps no cache.
     """
 
-    def __init__(self, tests: list["TestProgram"]):
+    def __init__(self, tests: list[TestProgram]):
         self.tests = list(tests)
 
     def trial_fidelities(
@@ -944,457 +727,6 @@ class CompiledBattery:
         return machine.run_battery(
             [self.tests[index]], shots, trials, realizations, engine
         )[0]
-
-
-#: Programs wrapped per process by :func:`as_program` (least recently
-#: used dropped first).  A program holds its circuit, its dense layouts
-#: and weak references to its XX entries, so entries stay small.
-_PROGRAM_CACHE_SIZE = 2048
-
-
-@dataclass(frozen=True)
-class TestProgram:
-    """A built test, resolved once: what ``run_match`` and batteries run.
-
-    Holds the nominal circuit (a private copy: do not mutate it), the
-    expected bitstring, the two-qubit gate count charged per shot and the
-    structure ``key`` ``(n_qubits, ops, expected)``, hashed once; two
-    programs are equal when their keys are.  The compiled entries are
-    resolved on first use and then held: the XX entry per
-    ``max_exact_qubits`` (:meth:`xx`) and the dense layout per residual
-    kicks on/off (:meth:`dense`).  Build programs with :func:`as_program`
-    or :func:`repro.core.protocol.built_test`.
-    """
-
-    __test__ = False  # not a pytest test class
-
-    circuit: Circuit = field(compare=False)
-    expected: int = field(compare=False)
-    #: Two-qubit gate applications per shot, for cost accounting.
-    n_two_qubit: int = field(compare=False)
-    key: tuple[int, tuple[Operation, ...], int]
-    _hash: int = field(init=False, repr=False, compare=False)
-    #: ``max_exact_qubits -> weakref to the entry``, or ``None`` when the
-    #: XX route cannot take the test.  Held weakly so that
-    #: ``_compiled_xx_test``'s bound is the bound on pinned plan blocks.
-    _xx: dict = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
-    #: ``kicks -> _CompiledDenseTest`` (index arrays, no plans).
-    _dense: dict = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash(self.key))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def xx(self, max_exact_qubits: int) -> "_CompiledXXTest | None":
-        """The compiled XX entry, or ``None`` where the XX route declines."""
-        ref = self._xx.get(max_exact_qubits)
-        if ref is not None:
-            test = ref()
-            if test is not None:
-                return test
-        elif max_exact_qubits in self._xx:
-            return None  # the XX route cannot take this test
-        test = _compiled_xx_test(self, max_exact_qubits)
-        self._xx[max_exact_qubits] = None if test is None else weakref.ref(test)
-        return test
-
-    def dense(self, kicks: bool) -> "_CompiledDenseTest":
-        """The dense layout, with or without residual-kick slots."""
-        test = self._dense.get(kicks)
-        if test is None:
-            test = _compiled_dense_test(self.key[1], kicks)
-            self._dense[kicks] = test
-        return test
-
-
-def as_program(circuit: Circuit, expected: int) -> TestProgram:
-    """``(circuit, expected)`` as a :class:`TestProgram`, one per structure.
-
-    An ``expected`` outside ``[0, 2^n_qubits)`` raises ``ValueError``.
-    """
-    return _program(circuit.n_qubits, tuple(circuit.ops), expected)
-
-
-@lru_cache(maxsize=_PROGRAM_CACHE_SIZE)
-def _program(
-    n_qubits: int, ops: tuple[Operation, ...], expected: int
-) -> TestProgram:
-    check_bitstring(expected, n_qubits)
-    circuit = Circuit(n_qubits, list(ops))
-    return TestProgram(
-        circuit, expected, circuit.depth_two_qubit(), (n_qubits, ops, expected)
-    )
-
-
-@dataclass(frozen=True)
-class _RunGroup:
-    """The tests of one run that share a plan structure.
-
-    ``rows`` holds each member's index in the run (the first one's plan
-    contracts the group), ``edge_rows`` each member's edge columns as
-    columns of the run's accumulated block, ``(k, E)``, and ``linear`` each
-    member's static RX/X angles, ``(k, L)``.
-    """
-
-    rows: np.ndarray
-    edge_rows: np.ndarray
-    linear: np.ndarray
-
-
-@dataclass(frozen=True)
-class _XXRun:
-    """Consecutive XX tests as one layout; a compiled XX test is a run of one.
-
-    ``edge_index`` holds the flat calibration index ``q1 * N + q2`` (``q1
-    < q2``) of every test's edge columns, concatenated: the columns of the
-    run's accumulated block and the calibration gather index.  Each MS/XX
-    slot has its column ``slot_edge`` and nominal angle ``slot_theta``; ``slot_phases``
-    holds the slots' nominal drive phases, ``(n_ms, 2)``, or is ``None``
-    when every one is 0 (XX gates and every protocol test).  ``n_ms``
-    holds each test's slot count for the clock.
-    """
-
-    edge_index: np.ndarray
-    slot_edge: np.ndarray
-    slot_theta: np.ndarray
-    slot_phases: np.ndarray | None
-    n_ms: tuple[int, ...]
-    groups: tuple[_RunGroup, ...]
-
-
-@dataclass(frozen=True)
-class _CompiledXXTest:
-    """Machine-independent structure of one XX test: its run of one and
-    plan.  ``run``'s edge columns follow ``plan.edge_keys``; its group's
-    linear row sums the static RX/X angles per ``plan.linear_keys``."""
-
-    run: _XXRun
-    plan: ContractionPlan
-
-
-#: Compiled XX tests kept per process (least recently resolved dropped
-#: first), their one owner: programs hold weak references.  Plans stay
-#: under 64 KiB up to the 20-qubit exact limit, so all pin at most 64 MiB.
-_XX_TEST_CACHE_SIZE = 1024
-
-
-@lru_cache(maxsize=_XX_TEST_CACHE_SIZE)
-def _compiled_xx_test(
-    program: TestProgram, max_exact_qubits: int
-) -> _CompiledXXTest | None:
-    """The compiled XX structure of a program's nominal ops.
-
-    ``None`` for structures with non-XX gates (cached too, so such tests
-    go dense without being re-examined).  A component above
-    ``max_exact_qubits`` compiles as a sampled one.  Thread-safe:
-    concurrent misses on one key may both compile, equivalently.
-    """
-    n_qubits, ops, expected = program.key
-    edge_index: dict[Pair, int] = {}
-    slot_edge: list[int] = []
-    slot_theta: list[float] = []
-    slot_phases: list[tuple[float, float]] = []
-    linear: dict[int, float] = {}
-    for op in ops:
-        if op.gate in ("MS", "XX"):
-            col = edge_index.setdefault(frozenset(op.qubits), len(edge_index))
-            slot_edge.append(col)
-            slot_theta.append(op.params[0])
-            slot_phases.append(op.params[1:] if op.gate == "MS" else (0.0, 0.0))
-        elif op.gate == "RX":
-            q = op.qubits[0]
-            linear[q] = linear.get(q, 0.0) + op.params[0]
-        elif op.gate == "X":
-            q = op.qubits[0]
-            linear[q] = linear.get(q, 0.0) + math.pi
-        else:
-            return None
-    plan = ContractionPlan(
-        n_qubits,
-        list(edge_index),
-        list(linear),
-        expected,
-        max_exact_qubits=max_exact_qubits,
-    )
-    edges = np.array(
-        [sorted(pair) for pair in edge_index], dtype=np.intp
-    ).reshape(-1, 2)
-    phases = np.array(slot_phases, dtype=np.float64).reshape(len(slot_edge), 2)
-    run = _XXRun(
-        edge_index=edges[:, 0] * n_qubits + edges[:, 1],
-        slot_edge=np.array(slot_edge, dtype=np.intp),
-        slot_theta=np.array(slot_theta, dtype=np.float64),
-        slot_phases=phases if phases.any() else None,
-        n_ms=(len(slot_edge),),
-        groups=(
-            _RunGroup(
-                rows=np.zeros(1, dtype=np.intp),
-                edge_rows=np.arange(len(edge_index), dtype=np.intp)[None, :],
-                linear=np.array([list(linear.values())], dtype=np.float64),
-            ),
-        ),
-    )
-    return _CompiledXXTest(run=run, plan=plan)
-
-
-#: Rounds (and stretches of declined runs) whose XX runs are kept per
-#: process, least recently used dropped first: index and angle arrays,
-#: 16 bytes per MS slot (an N = 16 battery at 16 repetitions: 100 KB).
-_ROUND_CACHE_SIZE = 256
-
-
-@lru_cache(maxsize=_ROUND_CACHE_SIZE)
-def _compiled_runs(
-    programs: tuple[TestProgram, ...], max_exact_qubits: int
-) -> dict[int, _XXRun]:
-    """A round's XX runs of two or more tests, by first row: maximal
-    stretches of programs whose XX entry has no sampled component and
-    nominal drive phases on the pi grid.  Do not mutate the dict."""
-    entries = [program.xx(max_exact_qubits) for program in programs]
-    runs: dict[int, _XXRun] = {}
-    start = 0
-    for stop, entry in enumerate([*entries, None]):
-        if (
-            entry is not None
-            and not entry.plan.sampled
-            and (
-                entry.run.slot_phases is None
-                or np.all(is_multiple_of_pi(entry.run.slot_phases))
-            )
-        ):
-            continue
-        if stop - start > 1:
-            runs[start] = _xx_run(entries[start:stop])
-        start = stop + 1
-    return runs
-
-
-def _xx_run(tests: list[_CompiledXXTest]) -> _XXRun:
-    """Consecutive XX tests' runs of one, concatenated and grouped by structure."""
-    runs = [test.run for test in tests]
-    offsets = np.cumsum([0] + [run.edge_index.size for run in runs])
-    members: dict[tuple, list[int]] = {}
-    for k, test in enumerate(tests):
-        members.setdefault(test.plan.structure, []).append(k)
-    groups = tuple(
-        _RunGroup(
-            rows=np.array(ks, dtype=np.intp),
-            edge_rows=offsets[ks][:, None] + runs[ks[0]].groups[0].edge_rows,
-            linear=np.concatenate([runs[k].groups[0].linear for k in ks]),
-        )
-        for ks in members.values()
-    )
-    phases = None
-    if any(run.slot_phases is not None for run in runs):
-        phases = np.concatenate(
-            [
-                np.zeros((run.slot_edge.size, 2))
-                if run.slot_phases is None
-                else run.slot_phases
-                for run in runs
-            ]
-        )
-    return _XXRun(
-        edge_index=np.concatenate([run.edge_index for run in runs]),
-        slot_edge=np.concatenate(
-            [run.slot_edge + off for run, off in zip(runs, offsets)]
-        ),
-        slot_theta=np.concatenate([run.slot_theta for run in runs]),
-        slot_phases=phases,
-        n_ms=tuple(run.slot_edge.size for run in runs),
-        groups=groups,
-    )
-
-
-@dataclass(frozen=True)
-class _DenseStack:
-    """The dense layouts of tests sharing one canonical skeleton, side by side.
-
-    Per-slot arrays are ``(slots, T)``, column ``t`` holding test
-    ``t``'s values: each MS/XX application's targets ``ms_q1``/``ms_q2``
-    (also the calibration gather index), nominal angle and nominal
-    drive phases ``ms_phi1``/``ms_phi2`` (0 for XX), and each R gate's
-    qubit, angle and phase.  What the canonical skeleton fixes is
-    shared: the MS slot count, whether a residual-kick slot pair follows
-    each MS slot (``kicks``), the MS slots before each R gate (``r_ms``)
-    and the index putting the kick rows, then the R rows, into program
-    order (``r_order``, ``None`` when they already are, as in every
-    battery test).  ``static`` holds every other kind's parameter rows,
-    ``(rows, T, 1, n_params)``, or ``(rows, 1, 1, n_params)`` when all
-    tests share them.
-    """
-
-    n_tests: int
-    n_ms: int
-    ms_q1: np.ndarray
-    ms_q2: np.ndarray
-    ms_theta: np.ndarray
-    ms_phi1: np.ndarray
-    ms_phi2: np.ndarray
-    kicks: bool
-    r_q: np.ndarray
-    r_theta: np.ndarray
-    r_phi: np.ndarray
-    r_ms: np.ndarray
-    r_order: np.ndarray | None
-    static: tuple[tuple[str, np.ndarray], ...]
-
-    @classmethod
-    def of(cls, layouts: tuple["_DenseStack", ...]) -> "_DenseStack":
-        """One stack of ``layouts`` (which share a canonical skeleton)."""
-        first = layouts[0]
-        if len(layouts) == 1:
-            return first
-
-        def columns(name: str) -> np.ndarray:
-            return np.concatenate([getattr(s, name) for s in layouts], axis=1)
-
-        static = []
-        for k, (kind, rows) in enumerate(first.static):
-            each = [layout.static[k][1] for layout in layouts]
-            shared = all(np.array_equal(rows, other) for other in each)
-            static.append((kind, rows if shared else np.concatenate(each, axis=1)))
-        return replace(
-            first,
-            n_tests=len(layouts),
-            **{
-                name: columns(name)
-                for name in (
-                    "ms_q1", "ms_q2", "ms_theta", "ms_phi1", "ms_phi2",
-                    "r_q", "r_theta", "r_phi",
-                )
-            },
-            static=tuple(static),
-        )
-
-
-@dataclass(frozen=True)
-class _CompiledDenseTest:
-    """Machine-independent dense layout of one nominal op list.
-
-    ``layout`` is the test's :class:`_DenseStack` of one; a draw builds
-    a :class:`~repro.sim.dense_plan.DensePlan`'s per-kind blocks from
-    it.  ``canonical`` is the skeleton's
-    :func:`~repro.sim.dense_plan.canonical_skeleton`, the key a battery
-    pass stacks tests by; both skeletons hash once.
-    """
-
-    layout: _DenseStack
-    skeleton: Skeleton
-    canonical: Skeleton
-
-    @property
-    def kicks(self) -> bool:
-        return self.layout.kicks
-
-    @property
-    def ms_theta(self) -> np.ndarray:
-        return self.layout.ms_theta
-
-
-def _compiled_dense_test(
-    ops: tuple[Operation, ...], kicks: bool
-) -> _CompiledDenseTest:
-    """The dense layout of a nominal op list (held by its program).
-
-    ``kicks`` (residual motional coupling on) inserts the two kick slots
-    after every MS slot, as :meth:`VirtualIonTrap._realize_slots` does.
-    """
-    ms: list[tuple[int, int, float, float, float]] = []
-    r_slots: list[tuple[int, float, float, int]] = []
-    static: dict[str, list[tuple[float, ...]]] = {}
-    skeleton: list[tuple[str, tuple[int, ...]]] = []
-    # Program-order R-kind rows as ("kick", k) or ("r", k) draws.
-    r_rows: list[tuple[str, int]] = []
-    for op in ops:
-        if op.gate in ("MS", "XX"):
-            k = len(ms)
-            phases = op.params[1:] if op.gate == "MS" else (0.0, 0.0)
-            ms.append((*op.qubits, op.params[0], *phases))
-            skeleton.append(("MS", op.qubits))
-            if kicks:
-                skeleton += [("R", (q,)) for q in op.qubits]
-                r_rows += [("kick", 2 * k), ("kick", 2 * k + 1)]
-        elif op.gate == "R":
-            skeleton.append(("R", op.qubits))
-            r_rows.append(("r", len(r_slots)))
-            r_slots.append((op.qubits[0], op.params[0], op.params[1], len(ms)))
-        else:
-            skeleton.append((op.gate, op.qubits))
-            static.setdefault(op.gate, []).append(op.params)
-    n_ms = len(ms)
-    kicks = kicks and n_ms > 0
-    first_row = {"kick": 0, "r": 2 * n_ms if kicks else 0}
-    r_order = [first_row[block] + i for block, i in r_rows]
-    ms_cols = np.array(ms, dtype=float).reshape(n_ms, 5).T[:, :, None]
-    r_cols = np.array(r_slots, dtype=float).reshape(len(r_slots), 4).T[:, :, None]
-    layout = _DenseStack(
-        n_tests=1,
-        n_ms=n_ms,
-        ms_q1=ms_cols[0].astype(np.intp),
-        ms_q2=ms_cols[1].astype(np.intp),
-        ms_theta=ms_cols[2].copy(),
-        ms_phi1=ms_cols[3].copy(),
-        ms_phi2=ms_cols[4].copy(),
-        kicks=kicks,
-        r_q=r_cols[0].astype(np.intp),
-        r_theta=r_cols[1].copy(),
-        r_phi=r_cols[2].copy(),
-        r_ms=r_cols[3, :, 0].astype(np.intp),
-        r_order=(
-            None
-            if r_order == list(range(len(r_order)))
-            else np.array(r_order, dtype=np.intp)
-        ),
-        static=tuple(
-            (
-                gate,
-                np.array(rows, dtype=float).reshape(len(rows), 1, 1, len(rows[0])),
-            )
-            for gate, rows in static.items()
-        ),
-    )
-    return _CompiledDenseTest(
-        layout=layout,
-        skeleton=_HashedSkeleton(skeleton),
-        canonical=_HashedSkeleton(canonical_skeleton(skeleton)),
-    )
-
-
-class _HashedSkeleton(tuple):
-    """A skeleton tuple that computes its hash once.
-
-    Skeletons run to hundreds of slots, and a pass keys its stacks and
-    plan lookups by them test by test; a plain tuple rehashes every
-    time.  Pickling drops the cached hash (string hashes differ between
-    processes).
-    """
-
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            self._hash = tuple.__hash__(self)
-            return self._hash
-
-    def __reduce__(self):
-        return (_HashedSkeleton, (tuple(self),))
-
-
-@lru_cache(maxsize=_ROUND_CACHE_SIZE)
-def _compiled_stack(
-    programs: tuple[TestProgram, ...], kicks: bool
-) -> _DenseStack:
-    """The stack of ``programs``' dense layouts (one canonical skeleton)."""
-    return _DenseStack.of(
-        tuple(program.dense(kicks).layout for program in programs)
-    )
 
 
 class _StackDraws:
@@ -1426,23 +758,6 @@ class _StackDraws:
             if n_r and noise.amplitude_sigma_1q > 0
             else None
         )
-
-
-def slot_blocks(slots: list[RealizedSlot]) -> Blocks:
-    """Realized slots as a :class:`~repro.sim.dense_plan.DensePlan`'s input.
-
-    One ``np.stack`` per gate kind of the slots' ``(B, n_params)`` rows,
-    in program order: ``{kind: (rows, B, n_params)}``.
-    """
-    rows: dict[str, list[np.ndarray]] = {}
-    for slot in slots:
-        rows.setdefault(slot.gate, []).append(slot.params)
-    return {gate: np.stack(params) for gate, params in rows.items()}
-
-
-def _skeleton(slots: list[RealizedSlot]) -> Skeleton:
-    """The ``(gate, qubits)`` sequence of a realized slot list."""
-    return tuple((s.gate, s.qubits) for s in slots)
 
 
 def _expand_counts(

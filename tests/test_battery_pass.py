@@ -7,23 +7,32 @@ carry it:
 * a stacked :meth:`~repro.sim.dense_plan.DensePlan.probabilities` call
   returns, row for row, exactly what one call per segment returns;
 * the pass equals an oracle built from the per-call slot path: every
-  test realized in order by ``_realize_slots`` and evaluated on its own
+  test realized in order by ``realize_slots`` and evaluated on its own
   plan, then one binomial draw over every (test, trial, group).  That
   holds for ``run_battery`` and for ``TestExecutor.execute_round``.
 
 Both are compared with ``==``; machine clock, RNG state and
 :class:`~repro.trap.machine.MachineStats` must match too (the pass on a
-fresh process plan cache, the oracle on its own).  Consecutive XX tests
-form a run: one draw, one accumulation and one contraction per plan
-structure, which the mixed rounds below break with dense, sampled and
-declined tests; a lone XX test is a run of one.
+fresh process plan cache, the oracle on its own).  A round's plan groups
+its XX rows by plan structure and its dense rows by canonical skeleton,
+each across the whole round, while draws keep row order: the mixed
+rounds below put dense, sampled and declined tests between rows of one
+structure.
 """
 
 import math
 
 import numpy as np
 import pytest
-from xx_oracle import match_probabilities_slots, plan_cache, slots_xx_only
+from xx_oracle import (
+    draw_dense,
+    match_probabilities_slots,
+    plan_cache,
+    realize_slots,
+    slot_blocks,
+    slot_skeleton,
+    slots_xx_only,
+)
 
 from repro.core.multi_fault import battery_specs
 from repro.core.protocol import TestExecutor as Executor
@@ -35,15 +44,9 @@ from repro.sim.circuit import Circuit
 from repro.sim.dense_plan import DensePlanCache, Segment
 from repro.trap.faults import CouplingFault, CouplingPhaseFault
 from repro.sim.xx_engine import ContractionPlan
-from repro.trap.machine import (
-    MachineStats,
-    VirtualIonTrap,
-    _compiled_runs,
-    _compiled_xx_test,
-    _skeleton,
-    as_program,
-    slot_blocks,
-)
+from repro.trap import machine as machine_module
+from repro.trap.machine import MachineStats, VirtualIonTrap, as_program
+from repro.trap.round import RoundPlan, TestProgram, _compiled_xx_test
 
 #: The full Sec. VI error model (Figs. 6/7): phase noise and kicks.
 SEC6 = NoiseParameters(
@@ -93,9 +96,9 @@ def test_stacked_probabilities_equal_one_call_per_segment(repetitions):
     cache = DensePlanCache()
     cores = {}
     for program in _programs(n_qubits, repetitions):
-        test = machine._dense_test(program)
+        test = program.dense(True)
         plan, _ = cache.get(n_qubits, test.skeleton)
-        blocks = machine._draw_dense(test, n_batch)
+        blocks = draw_dense(machine, program, n_batch)
         cores.setdefault(test.canonical, []).append(
             (plan, program.expected, blocks)
         )
@@ -131,12 +134,12 @@ def test_stacked_probabilities_refuse_foreign_segments():
     cache = DensePlanCache()
     tests = {}
     for program in _programs(12, 2):
-        test = machine._dense_test(program)
+        test = program.dense(True)
         tests.setdefault(test.canonical, (program, test))
     (a, test_a), (b, test_b) = list(tests.values())[:2]
     plan_a, _ = cache.get(12, test_a.skeleton)
     plan_b, _ = cache.get(12, test_b.skeleton)
-    blocks = machine._draw_dense(test_a, 3)
+    blocks = draw_dense(machine, a, 3)
     with pytest.raises(ValueError, match="compiled core"):
         plan_a.probabilities(blocks, [Segment(plan_b, b.expected, 3)])
     with pytest.raises(ValueError, match="segments cover"):
@@ -155,14 +158,14 @@ def _oracle_pass(programs, plans, machine, shots, trials):
     n_batch = trials * len(groups)
     probs = []
     for program in programs:
-        slots = machine._realize_slots(program.circuit, n_batch)
+        slots = realize_slots(machine, program.circuit, n_batch)
         if slots_xx_only(slots):
             probs.append(
                 match_probabilities_slots(machine, slots, program.expected)
             )
             continue
         with plan_cache(plans):
-            plan = machine._dense_plan_for(_skeleton(slots))
+            plan = machine._dense_plan_for(slot_skeleton(slots))
         probs.append(
             plan.probabilities(
                 slot_blocks(slots), program.expected, machine.max_batch_bytes
@@ -223,10 +226,7 @@ def test_pass_equals_in_order_oracle(case, fresh_plan_cache):
     specs = battery_specs(n_qubits, 2) + battery_specs(n_qubits, 4)
     programs = _programs(n_qubits, 2) + _programs(n_qubits, 4)
     compiled, oracle = _twins(n_qubits, noise, faults, noise_realizations=3)
-    routes = {
-        compiled._xx_slot_angles(compiled._own_run(program)) is not None
-        for program in programs
-    }
+    routes = {bool(compiled._routes([p], "auto").xx_rows) for p in programs}
     assert routes == {"sec6": {False}, "xx-preserving": {True}}.get(
         case, {False, True}
     )
@@ -340,26 +340,28 @@ def test_mixed_round_equals_in_order_oracle(offset, monkeypatch, fresh_plan_cach
     compiled, oracle = _twins(
         8, AMPLITUDE, faults, noise_realizations=3, max_exact_qubits=3
     )
-    runs = _compiled_runs(tuple(programs), compiled.max_exact_qubits)
-    # The dense test (row 6) and the sampled one (row 11) break the round.
-    assert {start: start + len(run.n_ms) for start, run in runs.items()} == {
-        0: 6,
-        7: 11,
-        12: 15,
-    }
+    # The dense-only test (row 6) and, off the grid, the tests on {2, 3}
+    # (rows 1, 4, 8 and 13) go dense; the sampled row 11 is its own group.
+    dense = {6} | ({1, 4, 8, 13} if offset == 0.6 else set())
+    assert compiled._routes(programs, "auto").xx_rows == tuple(
+        row for row in range(len(programs)) if row not in dense
+    )
     assert programs[11].xx(3).plan.sampled
     assert programs[2].xx(3).plan.forced_zero
-    # Each run holds a structure group of two or more tests.
-    assert all(
-        max(group.rows.size for group in run.groups) > 1 for run in runs.values()
-    )
-    starts = {id(run): start for start, run in runs.items()}
+    structures = {}
+    for row in range(len(programs)):
+        if row not in dense | {11}:
+            structure = programs[row].xx(3).plan.structure
+            structures.setdefault(structure, []).append(row)
+    # Groups span the dense rows, and some hold two or more tests.
+    assert any(min(rows) < 6 < max(rows) for rows in structures.values())
+    assert max(map(len, structures.values())) > 1
     taken = []
     original = VirtualIonTrap._xx_probabilities
 
-    def spy(self, run, *args):
-        taken.append(starts.get(id(run), len(run.n_ms)))
-        return original(self, run, *args)
+    def spy(self, group, *args):
+        taken.append(group.rows.tolist())
+        return original(self, group, *args)
 
     monkeypatch.setattr(VirtualIonTrap, "_xx_probabilities", spy)
     plans = DensePlanCache()
@@ -368,15 +370,77 @@ def test_mixed_round_equals_in_order_oracle(offset, monkeypatch, fresh_plan_cach
         ref = _oracle_pass(programs, plans, oracle, 60, trials)
         assert (fids == ref).all()
         _assert_same_machine_state(compiled, oracle)
-    # Every run holds a test on {2, 3}.  At pi its offset keeps the
-    # phases on the grid, so the runs stack; off the grid each run splits
-    # at its tests on {2, 3} (rows 1, 4, 8 and 13), which go dense: the
-    # stretches 2-3 and 9-10 stay stacked (2), the rest are runs of one.
-    if offset == 0.6:
-        own = [1, 2, 1, 1, 2, 1, 1, 1]
-    else:
-        own = [0, 7, 1, 12]  # the sampled row 11 is a run of one
-    assert taken == own * 2
+    # The sampled row is contracted as it is drawn, then each structure
+    # once across the round.
+    assert taken == ([[11]] + list(structures.values())) * 2
+
+
+def test_round_plan_groups_across_dense_rows(monkeypatch, fresh_plan_cache):
+    """Rows 0 and 12 share a plan structure with dense rows between them
+    (an off-grid phase sends the tests on {2, 3} dense): one contraction
+    takes both.  A warm pass looks its round plan up once and finds no
+    row's route; it equals the in-order oracle, the sampled row 11 drawing
+    its spins before row 12 draws."""
+    programs = _mixed_round()
+    faults = [
+        CouplingFault(frozenset({0, 1}), 0.3),
+        CouplingPhaseFault(frozenset({2, 3}), 0.6),
+    ]
+    compiled, oracle = _twins(
+        8, AMPLITUDE, faults, noise_realizations=3, max_exact_qubits=3
+    )
+    routes = compiled._routes(programs, "auto")
+    assert not {1, 4, 6, 8} & set(routes.xx_rows)
+    (group,) = [group for group in routes.groups if 0 in group.rows]
+    assert 12 in group.rows
+    structure = programs[0].xx(3).plan.structure
+    counts = dict.fromkeys(("lookup", "compile", "angles", "dense", "xx"), 0)
+
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    calls = []
+    contract = ContractionPlan.probabilities
+
+    def counted_contract(self, thetas, *args):
+        calls.append((self.structure, thetas.shape[0]))
+        return contract(self, thetas, *args)
+
+    for name, owner, attr in (
+        ("lookup", machine_module, "round_plan"),
+        ("compile", RoundPlan, "_compile"),
+        ("angles", VirtualIonTrap, "_xx_slot_angles"),
+        ("dense", TestProgram, "dense"),
+        ("xx", TestProgram, "xx"),
+    ):
+        monkeypatch.setattr(owner, attr, counting(name, getattr(owner, attr)))
+    monkeypatch.setattr(ContractionPlan, "probabilities", counted_contract)
+    plans = DensePlanCache()
+    for _ in range(2):
+        counts.update(dict.fromkeys(counts, 0))
+        calls.clear()
+        fids = compiled.run_battery(programs, 60)
+        seen = (dict(counts), list(calls))
+        ref = _oracle_pass(programs, plans, oracle, 60, 1)
+        assert (fids == ref).all()
+        _assert_same_machine_state(compiled, oracle)
+    warm, calls = seen
+    # One contraction per group, and one for the sampled row.
+    contractions = len(routes.groups) + 1
+    assert contractions < len(routes.xx_rows)
+    assert warm == {
+        "lookup": 1,
+        "compile": 0,
+        "angles": 1,
+        "dense": 0,
+        "xx": contractions,
+    }
+    assert len(calls) == contractions
+    assert (structure, group.rows.size * 3) in calls
 
 
 def test_round_equals_one_pass_per_test():
@@ -384,7 +448,8 @@ def test_round_equals_one_pass_per_test():
     programs = _programs(8, 2) + _programs(8, 4)
     faults = (CouplingFault(frozenset({0, 4}), 0.4),)
     whole, single = _twins(8, AMPLITUDE, faults)
-    assert list(_compiled_runs(tuple(programs), whole.max_exact_qubits)) == [0]
+    (stretch,) = whole._routes(programs, "auto").schedule
+    assert len(stretch.n_ms) == len(programs)
     _, probs = whole._pass_probabilities(programs, 80, 2)
     rows = [single._pass_probabilities([p], 80, 2)[1][0] for p in programs]
     # BLAS may pick another kernel for the stacked row count.
@@ -442,7 +507,9 @@ def test_xx_refusal_after_a_run_draws_nothing(refused):
     else:
         battery.append(_programs(8, 2)[0])
     machine = VirtualIonTrap(8, noise=AMPLITUDE, seed=3, max_exact_qubits=3)
-    assert list(_compiled_runs(tuple(battery), 3)) == [0]
+    # The refused row ends a stretch of XX rows (a sampled one closes it).
+    stretch = machine._routes(battery, "auto").schedule[0]
+    assert len(stretch.n_ms) == (3 if refused == "dense" else 4)
     state = machine.rng.bit_generator.state
     with pytest.raises(ValueError, match="engine='xx'"):
         machine.run_battery(battery, 100, engine="xx")
@@ -475,20 +542,29 @@ def test_dense_only_round_compiles_no_xx_plan(monkeypatch, fresh_plan_cache):
 
 def test_declined_run_splits_at_its_declined_tests(monkeypatch, fresh_plan_cache):
     """An off-grid offset on one coupling sends only the tests holding it
-    dense; the stretches between them stay stacked and draw as the
-    per-test fallback (every test its own run) draws."""
+    dense; they split the round's XX rows into stretches, one draw block
+    each, while every plan structure still contracts once, and the round
+    draws as the in-order oracle draws."""
     specs = battery_specs(12, 2)
     programs = _programs(12, 2)
     faults = (
         CouplingPhaseFault(frozenset({0, 5}), 0.6),
         CouplingFault(frozenset({2, 9}), 0.3),
     )
-    split, fallback = _twins(12, AMPLITUDE, faults)
-    assert list(_compiled_runs(tuple(programs), 20)) == [0]
-    declined = [
-        split._xx_slot_angles(split._own_run(p)) is None for p in programs
-    ]
+    split, oracle = _twins(12, AMPLITUDE, faults)
+    declined = [not split._routes([p], "auto").xx_rows for p in programs]
     assert 0 < sum(declined) < len(programs)
+    routes = split._routes(programs, "auto")
+    assert routes.xx_rows == tuple(
+        row for row, off in enumerate(declined) if not off
+    )
+    starts = sum(
+        1
+        for row, off in enumerate(declined)
+        if not off and (row == 0 or declined[row - 1])
+    )
+    stretches = [s for s in routes.schedule if not isinstance(s, tuple)]
+    assert len(stretches) == starts > 1
     calls = []
     original = ContractionPlan.probabilities
 
@@ -498,31 +574,17 @@ def test_declined_run_splits_at_its_declined_tests(monkeypatch, fresh_plan_cache
 
     monkeypatch.setattr(ContractionPlan, "probabilities", counted)
     results = Executor(split, shots=100).execute_round(specs)
-    stacked = len(calls)
-    # Each stretch of accepted tests contracts once per plan structure.
-    stretches = [[]]
-    for program, off in zip(programs, declined):
-        if off:
-            stretches.append([])
-        else:
-            stretches[-1].append(program.xx(20).plan.structure)
-    assert stacked == sum(len(set(s)) for s in stretches)
-    calls.clear()
-    monkeypatch.setattr(
-        "repro.trap.machine._compiled_runs", lambda programs, limit: {}
+    assert len(calls) == len(
+        {programs[row].xx(20).plan.structure for row in routes.xx_rows}
     )
-    with plan_cache(DensePlanCache()):
-        reference = Executor(fallback, shots=100).execute_round(specs)
-    assert len(calls) == len(programs) - sum(declined) > stacked
-    assert [r.fidelity for r in results] == [r.fidelity for r in reference]
-    _assert_same_machine_state(split, fallback)
+    reference = _oracle_pass(programs, DensePlanCache(), oracle, 100, 1)
+    assert [r.fidelity for r in results] == list(reference[:, 0])
+    _assert_same_machine_state(split, oracle)
 
 
 def test_lone_xx_test_resolves_once(monkeypatch):
     """One XX-route ``execute`` gathers its angles, contracts and samples
     once each, and ends where a one-spec round ends."""
-    from repro.trap import machine as machine_module
-
     spec = battery_specs(12, 2)[3]
     faults = (CouplingFault(frozenset({2, 9}), 0.3),)
     lone, round_ = _twins(12, AMPLITUDE, faults)

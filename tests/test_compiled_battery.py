@@ -3,7 +3,7 @@
 A battery is a list of :class:`~repro.trap.machine.TestProgram`
 objects; a ``run_battery`` pass evaluates each one's compiled XX
 structure with ``run_match``'s own XX draw.  The
-oracle is the per-call slot path (``_realize_slots`` followed by
+oracle is the per-call slot path (``realize_slots`` followed by
 ``xx_oracle.match_probabilities_slots``) on a twin same-seed machine: trial
 probabilities must be ``==``-equal to it, with the same clock and RNG
 state afterwards.  A ``sweep_fidelities`` row is a twin's XX run with
@@ -14,7 +14,14 @@ import math
 
 import numpy as np
 import pytest
-from xx_oracle import XXCircuitEvaluator, match_probabilities_slots, slots_to_circuits
+from xx_oracle import (
+    XXCircuitEvaluator,
+    match_probabilities_slots,
+    realize_slots,
+    slot_blocks,
+    slot_skeleton,
+    slots_to_circuits,
+)
 
 from repro.analysis.experiments.fig8 import class_test_for_pair
 from repro.core.multi_fault import battery_specs
@@ -24,7 +31,7 @@ from repro.noise.models import NoiseParameters
 from repro.sim.circuit import Circuit
 from repro.sim.statevector import simulate
 from repro.trap.faults import CouplingFault
-from repro.trap.machine import VirtualIonTrap, _skeleton, as_program, slot_blocks
+from repro.trap.machine import VirtualIonTrap, as_program
 
 
 def _twins(n_qubits, seed=5, under=(), **kwargs):
@@ -39,7 +46,7 @@ def _twins(n_qubits, seed=5, under=(), **kwargs):
 
 def _slot_oracle(machine, circuit, expected, n_batch):
     return match_probabilities_slots(
-        machine, machine._realize_slots(circuit, n_batch), expected
+        machine, realize_slots(machine, circuit, n_batch), expected
     )
 
 
@@ -242,7 +249,7 @@ def test_deterministic_machine_matches_realized_evaluator():
     machine.set_under_rotation((0, 1), 0.3)
     program = as_program(circuit, expected)
     compiled = machine._pass_probabilities([program], 1, 1, 1)[1][0, 0, 0]
-    (realized,) = slots_to_circuits(machine, machine._realize_slots(circuit, 1))
+    (realized,) = slots_to_circuits(machine, realize_slots(machine, circuit, 1))
     reference = XXCircuitEvaluator(realized).probability_of(expected)
     assert abs(compiled - reference) < 1e-12
 
@@ -265,15 +272,15 @@ def test_ms_drive_phases_both_reach_every_route(phases):
     exact = np.abs(simulate(circuit)) ** 2
     assert exact[0] == pytest.approx(0.75)
     machine = VirtualIonTrap(3, noise=NoiseParameters.noiseless(), seed=0)
-    slots = machine._realize_slots(circuit, 1)
-    states = machine._dense_plan_for(_skeleton(slots)).states(slot_blocks(slots))
+    slots = realize_slots(machine, circuit, 1)
+    states = machine._dense_plan_for(slot_skeleton(slots)).states(slot_blocks(slots))
     assert np.abs(states[0]) ** 2 == pytest.approx(exact, abs=1e-12)
     support = {k for k, p in enumerate(exact) if p > 1e-12}
     assert set(machine.run(circuit, 2000)) <= support
     counts = machine.run_match(circuit, 0, 20000)
     assert counts[0] / 20000 == pytest.approx(0.75, abs=0.02)
     program = as_program(circuit, 0)
-    assert machine._xx_slot_angles(program.xx(machine.max_exact_qubits).run) is not None
+    assert machine._routes([program], "auto").xx_rows == (0,)
     for engine in ("xx", "dense"):
         probs = machine._pass_probabilities([program], 1, 1, 1, engine)[1][0]
         assert probs[0, 0] == pytest.approx(exact[0], abs=1e-12)

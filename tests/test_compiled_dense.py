@@ -4,7 +4,7 @@ Batteries and ``run_match``'s non-XX fallback draw their noise straight
 into the dense layout a :class:`TestProgram` holds instead of realizing
 slot objects per call; battery tests the XX route
 takes run through ``run_match``'s XX draw.  The oracle is the per-call
-path: ``_realize_slots`` followed by a :class:`DensePlan` resolved
+path: ``realize_slots`` followed by a :class:`DensePlan` resolved
 through the oracle's own plan cache (or ``xx_oracle``'s slot XX path
 when a draw stays X-diagonal, where the compiled route takes the XX
 entry).  On twin same-seed machines, the compiled one on a fresh process
@@ -19,8 +19,12 @@ import numpy as np
 import pytest
 from xx_oracle import (
     dense_match_probabilities_slots,
+    draw_dense,
     match_probabilities_slots,
     plan_cache,
+    realize_slots,
+    slot_blocks,
+    slot_skeleton,
     slots_xx_only,
 )
 
@@ -33,9 +37,9 @@ from repro.sim import dense_plan
 from repro.sim.circuit import Circuit
 from repro.sim.dense_plan import DensePlan, DensePlanCache
 from repro.sim.sampling import sample_bernoulli_counts_batch
-from repro.trap import machine as machine_mod
+from repro.trap import round as round_mod
 from repro.trap.faults import CouplingFault, CouplingPhaseFault
-from repro.trap.machine import VirtualIonTrap, as_program, slot_blocks
+from repro.trap.machine import VirtualIonTrap, as_program
 
 #: Compiled twins start from an empty process plan cache, as their
 #: oracle twins start from an empty cache of their own.
@@ -116,7 +120,7 @@ def _assert_same_machine_state(a: VirtualIonTrap, b: VirtualIonTrap):
 
 def _oracle_probabilities(machine, plans, circuit, expected, n_batch, force):
     """The per-call slot path the compiled route replaces."""
-    slots = machine._realize_slots(circuit, n_batch)
+    slots = realize_slots(machine, circuit, n_batch)
     if not slots:
         return np.full(n_batch, 1.0 if expected == 0 else 0.0)
     if not force and slots_xx_only(slots):
@@ -197,14 +201,37 @@ def test_draw_matches_realize_slots(noise, name):
     )
     compiled, oracle = _twins(noise, faults=faults)
     for n_batch in (1, 5):
-        test = compiled._dense_test(as_program(circuit, expected))
-        blocks = compiled._draw_dense(test, n_batch)
-        slots = oracle._realize_slots(circuit, n_batch)
+        program = as_program(circuit, expected)
+        test = program.dense(noise.residual_odd_population > 0)
+        blocks = draw_dense(compiled, program, n_batch)
+        slots = realize_slots(oracle, circuit, n_batch)
         assert test.skeleton == tuple((s.gate, s.qubits) for s in slots)
         oracle_blocks = slot_blocks(slots)
         assert blocks.keys() == oracle_blocks.keys()
         for kind, block in oracle_blocks.items():
             assert np.array_equal(blocks[kind], block), kind
+        _assert_same_machine_state(compiled, oracle)
+
+
+@pytest.mark.parametrize("noise", [SEC6, KICKS_1Q, AMPLITUDE])
+@pytest.mark.parametrize("name", sorted(CIRCUITS))
+def test_run_counts_equal_slot_oracle(noise, name):
+    """``run`` draws a circuit's dense layout as a stack of one: its full
+    counts, clock, RNG state and stats equal the op-by-op oracle's."""
+    circuit, _ = CIRCUITS[name]()
+    faults = (CouplingPhaseFault(frozenset({1, 2}), 0.4),)
+    compiled, oracle = _twins(noise, faults=faults)
+    plans = DensePlanCache()
+    for shots in (1, 40):
+        counts = compiled.run(circuit, shots)
+        oracle._account([circuit.depth_two_qubit()], shots)
+        groups = oracle._shot_groups(shots)
+        slots = realize_slots(oracle, circuit, len(groups))
+        with plan_cache(plans):
+            reference = oracle._run_dense(
+                slot_skeleton(slots), slot_blocks(slots), groups
+            )
+        assert counts == reference
         _assert_same_machine_state(compiled, oracle)
 
 
@@ -328,20 +355,23 @@ def test_programs_hold_their_dense_layouts(monkeypatch):
     program, so later dense calls, from any of them, compile nothing.
     """
     compiles = []
-    original = machine_mod._compiled_dense_test
+    original = round_mod._compiled_dense_test
 
     def counted(ops, kicks):
         compiles.append(kicks)
         return original(ops, kicks)
 
-    monkeypatch.setattr(machine_mod, "_compiled_dense_test", counted)
+    monkeypatch.setattr(round_mod, "_compiled_dense_test", counted)
     circuit, expected = _mixed()
     # A fresh op tuple: a structure no other test has wrapped.
     circuit = Circuit(N, list(circuit.ops) + [circuit.ops[0]])
     program = as_program(circuit, expected)
     a, b = _twins(SEC6)
-    assert a._dense_test(program) is b._dense_test(program)
-    assert a._dense_test(program).kicks and compiles == [True]
+    first, second = (
+        program.dense(m.noise.residual_odd_population > 0) for m in (a, b)
+    )
+    assert first is second
+    assert first.kicks and compiles == [True]
     # A battery holds the same program; its dense calls reuse the layout.
     mixed = [as_program(circuit, expected)]
     assert mixed == [program] and mixed[0] is program
@@ -357,7 +387,7 @@ def test_programs_hold_their_dense_layouts(monkeypatch):
 
 def test_layout_without_kicks_or_ms_slots():
     circuit, _ = _no_ms()
-    test = machine_mod._compiled_dense_test(tuple(circuit.ops), True)
+    test = round_mod._compiled_dense_test(tuple(circuit.ops), True)
     assert not test.kicks, "no MS slot, so no kick slots"
     assert test.ms_theta.size == 0
     assert test.skeleton == tuple((op.gate, op.qubits) for op in circuit.ops)
@@ -389,7 +419,7 @@ def test_out_of_range_expected_fails_closed(noise, route, expected):
     assert sum(machine.run_match(circuit, 12, 100).values()) == 100
     with pytest.raises(ValueError, match="outside"):
         as_program(circuit, expected)
-    slots = machine._realize_slots(circuit, 3)
+    slots = realize_slots(machine, circuit, 3)
     plan = DensePlan(4, tuple((s.gate, s.qubits) for s in slots))
     with pytest.raises(ValueError, match="outside"):
         plan.probabilities(slot_blocks(slots), expected)

@@ -3,7 +3,7 @@
 ``VirtualIonTrap.run_match`` serves XX tests from the compiled entry a
 :class:`TestProgram` resolves once, out of a process-wide bounded cache
 (one streaming contraction plan per test structure).  The
-per-call slot path (``_realize_slots`` + ``match_probabilities_slots``
+per-call slot path (``realize_slots`` + ``match_probabilities_slots``
 from ``xx_oracle``) is the oracle: on twin same-seed machines both
 routes must return ``==``-equal probabilities, equal counts, the same
 clock and the same RNG state.  Settings the compiled route does not cover
@@ -21,7 +21,12 @@ import threading
 
 import numpy as np
 import pytest
-from xx_oracle import match_probabilities_slots, plan_cache, slot_run_match
+from xx_oracle import (
+    match_probabilities_slots,
+    plan_cache,
+    realize_slots,
+    slot_run_match,
+)
 
 from repro.core import protocol
 from repro.core.protocol import TestExecutor as Executor
@@ -33,7 +38,7 @@ from repro.noise.spam import SpamModel
 from repro.sim.circuit import Circuit
 from repro.sim.dense_plan import DensePlan, DensePlanCache
 from repro.sim.xx_engine import ContractionPlan
-from repro.trap import machine as machine_mod
+from repro.trap import round as round_mod
 from repro.trap.faults import CouplingFault
 from repro.trap.machine import VirtualIonTrap, as_program
 
@@ -69,18 +74,17 @@ def _rng_state(m: VirtualIonTrap) -> dict:
 def _xx_route(machine, circuit, expected, n_batch):
     """``run_match``'s XX route: ``None`` (nothing drawn) if it declines."""
     program = as_program(circuit, expected)
-    run = machine._own_run(program)
-    angles = machine._xx_slot_angles(run)
-    if angles is None:
+    routes = machine._routes([program], "auto")
+    if routes.xx is None:
         return None
-    return machine._xx_probabilities(run, angles, n_batch, [program])[0, 0]
+    return machine._route_probabilities([program], routes, n_batch)[0]
 
 
 def _assert_identical(compiled, slots, circuit, expected):
     p = _xx_route(compiled, circuit, expected, GROUPS)
     assert p is not None, "the compiled route should apply"
     ref = match_probabilities_slots(
-        slots, slots._realize_slots(circuit, GROUPS), expected
+        slots, realize_slots(slots, circuit, GROUPS), expected
     )
     assert p.dtype == ref.dtype and p.shape == ref.shape
     assert (p == ref).all()
@@ -185,7 +189,7 @@ def test_component_above_exact_limit_is_sampled_on_the_xx_route(max_exact):
     compiled, oracle = twins()
     p = _xx_route(compiled, circuit, expected, GROUPS)
     ref = match_probabilities_slots(
-        oracle, oracle._realize_slots(circuit, GROUPS), expected
+        oracle, realize_slots(oracle, circuit, GROUPS), expected
     )
     assert np.max(np.abs(p - ref)) < 1e-12
     assert compiled._clock == oracle._clock
@@ -195,7 +199,7 @@ def test_component_above_exact_limit_is_sampled_on_the_xx_route(max_exact):
     fids = by_pass.run_battery([program], 300, trials=2)
     groups = np.asarray(oracle._shot_groups(300), dtype=np.int64)
     probs = match_probabilities_slots(
-        oracle, oracle._realize_slots(circuit, 2 * len(groups)), expected
+        oracle, realize_slots(oracle, circuit, 2 * len(groups)), expected
     )
     want = oracle._sample_fidelities(
         [program], probs.reshape(1, 2, len(groups)), 300, groups
@@ -269,7 +273,7 @@ def test_one_spec_round_equals_execute(route, monkeypatch):
 
 @pytest.fixture
 def fresh_cache():
-    cache = machine_mod._compiled_xx_test
+    cache = round_mod._compiled_xx_test
     cache.cache_clear()
     yield cache
     cache.cache_clear()
@@ -300,7 +304,7 @@ def test_one_plan_serves_many_machines(fresh_cache, monkeypatch):
 
 def test_cache_stays_within_its_bound(fresh_cache):
     bound = fresh_cache.cache_info().maxsize
-    assert bound == machine_mod._XX_TEST_CACHE_SIZE
+    assert bound == round_mod._XX_TEST_CACHE_SIZE
     m = VirtualIonTrap(8, seed=1, noise=NoiseParameters.noiseless())
     for k in range(bound + 5):
         circuit = Circuit(8).ms(k % 7, k % 7 + 1, 0.001 * k)

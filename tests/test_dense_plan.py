@@ -10,7 +10,7 @@ scenario — and a warm trial loop recompiles no plan.
 
 import numpy as np
 import pytest
-from xx_oracle import slots_to_circuits
+from xx_oracle import realize_slots, slot_blocks, slots_to_circuits
 
 from repro.analysis.experiments.fig6 import battery_specs
 from repro.core.protocol import TestExecutor as Executor
@@ -20,7 +20,7 @@ from repro.noise.models import NoiseParameters
 from repro.sim.circuit import Circuit
 from repro.sim.dense_plan import DensePlan, DensePlanCache, canonical_skeleton
 from repro.sim.statevector import StatevectorSimulator, subregister_bitstring
-from repro.trap.machine import VirtualIonTrap, slot_blocks
+from repro.trap.machine import VirtualIonTrap
 
 
 def _fig6_noise() -> NoiseParameters:
@@ -68,7 +68,7 @@ def test_dense_plan_matches_reference_on_fig6_battery(repetitions):
     for spec in battery_specs(n_qubits, repetitions):
         circuit = build_test_circuit(spec, n_qubits)
         expected = expected_output(spec, n_qubits)
-        slots = machine._realize_slots(circuit, 6)
+        slots = realize_slots(machine, circuit, 6)
         skeleton = tuple((s.gate, s.qubits) for s in slots)
         plan = DensePlan(n_qubits, skeleton)
         compiled = plan.probabilities(slot_blocks(slots), expected)
@@ -91,7 +91,7 @@ def test_dense_plan_matches_reference_on_fig7_drift_scenario(rng):
     for spec in battery_specs(n_qubits, 8)[:4]:
         circuit = build_test_circuit(spec, n_qubits)
         expected = expected_output(spec, n_qubits)
-        slots = machine._realize_slots(circuit, 5)
+        slots = realize_slots(machine, circuit, 5)
         skeleton = tuple((s.gate, s.qubits) for s in slots)
         plan = DensePlan(n_qubits, skeleton)
         compiled = plan.probabilities(slot_blocks(slots), expected)
@@ -105,7 +105,7 @@ def test_fused_plan_states_match_statevector_oracle():
     machine = VirtualIonTrap(n_qubits, noise=_fig6_noise(), seed=2)
     spec = battery_specs(n_qubits, 4)[0]
     circuit = build_test_circuit(spec, n_qubits)
-    slots = machine._realize_slots(circuit, 4)
+    slots = realize_slots(machine, circuit, 4)
     skeleton = tuple((s.gate, s.qubits) for s in slots)
     plan = DensePlan(n_qubits, skeleton)
     assert plan.apply_count() < len(skeleton)
@@ -122,7 +122,7 @@ def test_plan_chunking_is_exact():
     n_qubits = 6
     machine = VirtualIonTrap(n_qubits, noise=_fig7_noise(), seed=5)
     circuit = Circuit(n_qubits).ms(0, 1, np.pi / 2).ms(2, 3, np.pi / 2)
-    slots = machine._realize_slots(circuit, 12)
+    slots = realize_slots(machine, circuit, 12)
     skeleton = tuple((s.gate, s.qubits) for s in slots)
     plan = DensePlan(n_qubits, skeleton)
     blocks = slot_blocks(slots)
@@ -229,7 +229,7 @@ def test_structural_rebind_matches_fresh_compile():
     plans = {}
     for label, spec in (("a", spec_a), ("b", spec_b)):
         circuit = build_test_circuit(spec, n_qubits)
-        slots = machine._realize_slots(circuit, 6)
+        slots = realize_slots(machine, circuit, 6)
         skeleton = tuple((s.gate, s.qubits) for s in slots)
         plan, hit = cache.get(n_qubits, skeleton)
         assert not hit
@@ -318,7 +318,7 @@ def test_single_slot_chain_matches_reference():
     machine = VirtualIonTrap(n_qubits, noise=_fig6_noise(), seed=13)
     machine.set_under_rotation((1, 3), 0.35)
     circuit = Circuit(n_qubits).ms(1, 3, np.pi / 2)
-    slots = machine._realize_slots(circuit, 7)
+    slots = realize_slots(machine, circuit, 7)
     skeleton = tuple((s.gate, s.qubits) for s in slots)
     plan = DensePlan(n_qubits, skeleton)
     # Only the touched pair survives compaction.
@@ -343,7 +343,7 @@ def test_two_qubit_register_end_to_end():
     machine = VirtualIonTrap(n_qubits, noise=_fig6_noise(), seed=21)
     machine.set_under_rotation((0, 1), 0.3)
     circuit = Circuit(n_qubits).ms(0, 1, np.pi / 2).ms(0, 1, np.pi / 2)
-    slots = machine._realize_slots(circuit, 6)
+    slots = realize_slots(machine, circuit, 6)
     skeleton = tuple((s.gate, s.qubits) for s in slots)
     plan = DensePlan(n_qubits, skeleton)
     assert plan.n_local == 2
@@ -367,7 +367,7 @@ def test_tiny_byte_bound_with_plan_cache_eviction_stays_exact():
     plans = []
     slot_sets = []
     for circuit in circuits:
-        slots = machine._realize_slots(circuit, 9)
+        slots = realize_slots(machine, circuit, 9)
         slot_sets.append(slots)
         plans.append(
             DensePlan(n_qubits, tuple((s.gate, s.qubits) for s in slots))
@@ -414,7 +414,7 @@ def _mixed_plan():
     n_qubits = 4
     machine = VirtualIonTrap(n_qubits, noise=_fig7_noise(), seed=3)
     circuit = Circuit(n_qubits).ms(0, 1, np.pi / 2).rx(2, 0.3).ms(1, 2, 0.4)
-    slots = machine._realize_slots(circuit, 3)
+    slots = realize_slots(machine, circuit, 3)
     plan = DensePlan(n_qubits, tuple((s.gate, s.qubits) for s in slots))
     return plan, slot_blocks(slots)
 
@@ -423,7 +423,7 @@ def test_slot_blocks_group_rows_by_kind_in_program_order():
     n_qubits = 4
     machine = VirtualIonTrap(n_qubits, noise=_fig7_noise(), seed=3)
     circuit = Circuit(n_qubits).ms(0, 1, np.pi / 2).rx(2, 0.3).h(3)
-    slots = machine._realize_slots(circuit, 3)
+    slots = realize_slots(machine, circuit, 3)
     blocks = slot_blocks(slots)
     assert {k: b.shape for k, b in blocks.items()} == {
         "MS": (1, 3, 3),

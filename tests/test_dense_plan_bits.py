@@ -4,9 +4,9 @@
 seeded cases as computed by the factored link-chain kernel (see
 CHANGES.md for the commit and the snippet that wrote it; the record
 before it came from the padded matmul-tree kernel, within 1.3e-15 of
-this one).  Each case realizes a nominal circuit with ``_realize_slots``
-on a seeded machine, compiles its :class:`~repro.sim.dense_plan.DensePlan`
-and evaluates it:
+this one).  Each case realizes a nominal circuit with the oracle's
+``realize_slots`` on a seeded machine, compiles its
+:class:`~repro.sim.dense_plan.DensePlan` and evaluates it:
 
 * battery shapes on 2/4/6/8 compacted qubits at 2 and 4 MS repetitions;
 * qubit-swapped MS groups, with and without residual kicks;
@@ -34,6 +34,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from xx_oracle import realize_slots, slot_blocks, slot_skeleton
 
 from repro.core.multi_fault import battery_specs
 from repro.core.tests_builder import build_test_circuit, expected_output
@@ -41,7 +42,6 @@ from repro.noise.models import NoiseParameters
 from repro.sim.circuit import Circuit, Operation
 from repro.sim.dense_plan import DensePlan, DensePlanCache
 from repro.sim.statevector import StatevectorSimulator
-from repro.trap import machine as machine_mod
 from repro.trap.faults import CouplingPhaseFault
 from repro.trap.machine import VirtualIonTrap
 
@@ -154,13 +154,9 @@ def _machine(noise: NoiseParameters, seed: int) -> VirtualIonTrap:
     return m
 
 
-def _skeleton(slots) -> tuple:
-    return tuple((s.gate, s.qubits) for s in slots)
-
-
 def _plan_case(noise, seed, circuit, expected, n_batch=B, budget=None):
-    slots = _machine(noise, seed)._realize_slots(circuit, n_batch)
-    return DensePlan(N, _skeleton(slots)), slots, expected, budget
+    slots = realize_slots(_machine(noise, seed), circuit, n_batch)
+    return DensePlan(N, slot_skeleton(slots)), slots, expected, budget
 
 
 def _rebound_case():
@@ -170,8 +166,8 @@ def _rebound_case():
     specs = [s for s in battery_specs(N, 2) if s.kind == "class"][:2]
     for spec in specs:
         circuit = build_test_circuit(spec, N)
-        slots = m._realize_slots(circuit, B)
-        plan, _ = cache.get(N, _skeleton(slots))
+        slots = realize_slots(m, circuit, B)
+        plan, _ = cache.get(N, slot_skeleton(slots))
     assert cache.rebinds == 1
     return plan, slots, expected_output(spec, N), None
 
@@ -240,7 +236,7 @@ def test_fixture_covers_every_case():
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_probabilities_equal_recorded_bits(name):
     plan, slots, expected, budget = _case(name)
-    got = plan.probabilities(machine_mod.slot_blocks(slots), expected, budget)
+    got = plan.probabilities(slot_blocks(slots), expected, budget)
     want = np.array([float.fromhex(h) for h in _recorded()[name]])
     assert got.shape == want.shape
     assert np.array_equal(got, want), name
@@ -249,7 +245,7 @@ def test_probabilities_equal_recorded_bits(name):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_states_match_per_realization_statevector(name):
     plan, slots, _, _ = _case(name)
-    states = plan.states(machine_mod.slot_blocks(slots))
+    states = plan.states(slot_blocks(slots))
     for g in range(states.shape[0]):
         sim = StatevectorSimulator(plan.n_local)
         for slot in slots:

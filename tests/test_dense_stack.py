@@ -6,7 +6,7 @@ amplitude noise, kicks, R-slot amplitude noise), then builds every
 canonical stack's parameter blocks in one step: gate times, 1/f phase
 gathers, calibration gathers and parameter rows.  The stacked blocks
 must equal, column block for column block, the blocks each test's own
-slot realization gives (``_realize_slots``, the per-test draw), with the
+slot realization gives (``realize_slots``, the per-test draw), with the
 same generator state, clock and plan counters afterwards.  A plan
 memoizes each expected bitstring's amplitude index, so a rebound plan,
 which shares its donor's compiled core but reads another touched map,
@@ -19,7 +19,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from xx_oracle import plan_cache
+from xx_oracle import plan_cache, realize_slots, slot_blocks, slot_skeleton
 
 from repro.core.multi_fault import battery_specs
 from repro.core.protocol import built_test
@@ -28,12 +28,7 @@ from repro.sim.circuit import Circuit
 from repro.sim.dense_plan import DensePlan, DensePlanCache, Segment
 from repro.sim.statevector import realization_chunks
 from repro.trap.faults import CouplingFault, CouplingPhaseFault
-from repro.trap.machine import (
-    VirtualIonTrap,
-    _skeleton,
-    as_program,
-    slot_blocks,
-)
+from repro.trap.machine import VirtualIonTrap, as_program
 
 N = 12
 HALF = math.pi / 2
@@ -129,10 +124,9 @@ def _per_test_draws(machine, programs, n_batch):
     and plans, keyed by row (XX tests draw the same and are skipped)."""
     drawn = {}
     for row, program in enumerate(programs):
-        slots = machine._realize_slots(program.circuit, n_batch)
-        xx = machine._xx_slot_angles(machine._own_run(program)) is not None
-        if not xx:
-            plan = machine._dense_plan_for(_skeleton(slots))
+        slots = realize_slots(machine, program.circuit, n_batch)
+        if not machine._routes([program], "auto").xx_rows:
+            plan = machine._dense_plan_for(slot_skeleton(slots))
             drawn[row] = (slot_blocks(slots), plan)
     return drawn
 
@@ -197,7 +191,7 @@ def test_stacked_blocks_equal_per_test_draws(
 def _pair_plan_blocks(seed: int) -> dict:
     """Sec. VI blocks of one MS slot and its kicks, four realizations."""
     machine = VirtualIonTrap(6, noise=SEC6_1Q, seed=seed)
-    return slot_blocks(machine._realize_slots(Circuit(6).ms(0, 2, HALF), 4))
+    return slot_blocks(realize_slots(machine, Circuit(6).ms(0, 2, HALF), 4))
 
 
 @pytest.mark.parametrize("donor_first", [True, False])

@@ -9,21 +9,26 @@ three evaluation paths:
   (``StatevectorSimulator`` over the materialized circuits),
 * the compiled ``DensePlan`` fused path.
 
-Sharing draws (one ``_realize_slots`` call feeds every path) turns a
+Sharing draws (one ``realize_slots`` call feeds every path) turns a
 statistical comparison into an exact one, so any divergence is a real
 engine bug, not sampling noise.
 """
 
 import numpy as np
 import pytest
-from xx_oracle import XXCircuitEvaluator, slots_to_circuits
+from xx_oracle import (
+    XXCircuitEvaluator,
+    realize_slots,
+    slot_blocks,
+    slots_to_circuits,
+)
 
 from repro.noise.models import NoiseParameters
 from repro.sim.dense_plan import DensePlan
 from repro.sim.statevector import StatevectorSimulator, subregister_bitstring
 from repro.sim.circuit import Circuit
 from repro.trap.calibration import all_pairs
-from repro.trap.machine import VirtualIonTrap, slot_blocks
+from repro.trap.machine import VirtualIonTrap
 
 
 def _random_xx_circuit(
@@ -83,7 +88,7 @@ def test_random_circuits_agree_across_all_three_engines(case, rng):
     circuit = _random_xx_circuit(rng, n_qubits, int(rng.integers(4, 16)))
     machine = _random_faulty_machine(rng, n_qubits)
     realizations = 5
-    slots = machine._realize_slots(circuit, realizations)
+    slots = realize_slots(machine, circuit, realizations)
     skeleton = tuple((s.gate, s.qubits) for s in slots)
     plan = DensePlan(n_qubits, skeleton)
     realized = slots_to_circuits(machine, slots)
@@ -109,6 +114,6 @@ def test_fault_under_rotation_actually_enters_the_draws(rng):
         n_qubits, noise=NoiseParameters.noiseless(), seed=3
     )
     faulty.calibration.set_under_rotation((0, 1), 0.4)
-    clean_theta = clean._realize_slots(circuit, 1)[0].params[0, 0]
-    faulty_theta = faulty._realize_slots(circuit, 1)[0].params[0, 0]
+    clean_theta = realize_slots(clean, circuit, 1)[0].params[0, 0]
+    faulty_theta = realize_slots(faulty, circuit, 1)[0].params[0, 0]
     assert faulty_theta == pytest.approx(clean_theta * 0.6)

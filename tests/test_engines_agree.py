@@ -7,6 +7,9 @@ import pytest
 from xx_oracle import (
     XXCircuitEvaluator,
     match_probabilities_slots,
+    realize_slots,
+    slot_blocks,
+    slot_skeleton,
     slots_to_circuits,
 )
 
@@ -39,13 +42,13 @@ def test_xx_engine_matches_statevector():
 def test_batched_statevector_matches_single():
     """Batched dense evolution equals per-circuit dense evolution.
 
-    The oracle's realized slots (``_realize_slots`` under the full
+    The oracle's realized slots (``realize_slots`` under the full
     Sec. VI error model) evolve as one batch through the dense plan
     ``run`` uses; each realization must match its own circuit on the
     single-state simulator.
     """
     from repro.noise.models import NoiseParameters
-    from repro.trap.machine import VirtualIonTrap, _skeleton, slot_blocks
+    from repro.trap.machine import VirtualIonTrap
 
     circ = Circuit(3)
     circ.ms(0, 1, 1.3, 0.2, 0.1)
@@ -57,8 +60,8 @@ def test_batched_statevector_matches_single():
         amplitude_sigma=0.2, phase_noise_rms=0.05, residual_odd_population=0.01
     )
     machine = VirtualIonTrap(3, noise=noise, seed=4)
-    slots = machine._realize_slots(circ, 5)
-    plan = machine._dense_plan_for(_skeleton(slots))
+    slots = realize_slots(machine, circ, 5)
+    plan = machine._dense_plan_for(slot_skeleton(slots))
     assert plan.touched == [0, 1, 2]
     states = plan.states(slot_blocks(slots))
     for g, realized in enumerate(slots_to_circuits(machine, slots)):
@@ -69,7 +72,7 @@ def test_batched_statevector_matches_single():
 
 def test_batched_machine_matches_reference_statistically():
     """Batched slot evaluation agrees in distribution with per-circuit
-    dense evaluation of single realizations from ``_realize_slots``."""
+    dense evaluation of single realizations from ``realize_slots``."""
     from repro.noise.models import NoiseParameters
     from repro.trap.machine import VirtualIonTrap
 
@@ -89,7 +92,7 @@ def test_batched_machine_matches_reference_statistically():
     p_batched = np.concatenate(
         [
             match_probabilities_slots(
-                batched, batched._realize_slots(circ, 8), expected
+                batched, realize_slots(batched, circ, 8), expected
             )
             for _ in range(25)
         ]
@@ -98,7 +101,7 @@ def test_batched_machine_matches_reference_statistically():
     p_reference = []
     for _ in range(200):
         (realized,) = slots_to_circuits(
-            reference, reference._realize_slots(circ, 1)
+            reference, realize_slots(reference, circ, 1)
         )
         sim = StatevectorSimulator(4)
         sim.run(realized)
@@ -110,7 +113,7 @@ def test_batched_machine_matches_reference_statistically():
 
 def test_batched_machine_full_counts_agree():
     """``run`` totals and dominant outcome agree with sampling each shot
-    group from a dense simulation of one ``_realize_slots`` realization."""
+    group from a dense simulation of one ``realize_slots`` realization."""
     from repro.noise.models import NoiseParameters
     from repro.sim.sampling import merge_counts
     from repro.trap.machine import VirtualIonTrap
@@ -127,7 +130,7 @@ def test_batched_machine_full_counts_agree():
     parts = []
     for group_shots in reference._shot_groups(shots):
         (realized,) = slots_to_circuits(
-            reference, reference._realize_slots(circ, 1)
+            reference, realize_slots(reference, circ, 1)
         )
         sim = StatevectorSimulator(4)
         sim.run(realized)

@@ -25,7 +25,7 @@ from repro.noise.models import NoiseParameters
 from repro.noise.spam import SpamModel
 from repro.sim.circuit import Circuit, Operation
 from repro.sim.dense_plan import DensePlanCache
-from repro.trap import machine as machine_mod
+from repro.trap import round as round_mod
 from repro.trap.calibration import CalibrationState, all_pairs
 from repro.trap.faults import CouplingFault, CouplingPhaseFault
 from repro.trap.machine import VirtualIonTrap, as_program
@@ -255,9 +255,9 @@ def test_held_programs_pin_no_more_plans_than_the_cache_bound(resident_bytes):
     """Programs kept alive (as the 2048-entry built-test cache keeps
     them) hold their XX entries weakly: only the cache's 1024 entries,
     at most 64 KiB of plan arrays each, stay alive."""
-    cache = machine_mod._compiled_xx_test
+    cache = round_mod._compiled_xx_test
     bound = cache.cache_info().maxsize
-    assert bound == machine_mod._XX_TEST_CACHE_SIZE == 1024
+    assert bound == round_mod._XX_TEST_CACHE_SIZE == 1024
     cache.cache_clear()
     try:
         programs = [

@@ -9,7 +9,7 @@ battery's forced ``engine="xx"`` vs ``engine="dense"`` dispatch.
 Non-XX scenarios (phase-miscalibrated couplings) must *refuse* the XX
 engine and transparently fall back to the dense path.
 
-Sharing draws (one ``_realize_slots`` call feeds every path, or two
+Sharing draws (one ``realize_slots`` call feeds every path, or two
 same-seed machines that consume the RNG identically) turns a statistical
 comparison into an exact one: any divergence is an engine bug, not
 sampling noise.
@@ -17,7 +17,13 @@ sampling noise.
 
 import numpy as np
 import pytest
-from xx_oracle import match_probabilities_slots, slots_to_circuits, slots_xx_only
+from xx_oracle import (
+    match_probabilities_slots,
+    realize_slots,
+    slot_blocks,
+    slots_to_circuits,
+    slots_xx_only,
+)
 
 from repro.core.multi_fault import battery_specs
 from repro.core.protocol import built_test
@@ -25,7 +31,7 @@ from repro.core.tests_builder import build_test_circuit, expected_output
 from repro.scenarios.spec import SCENARIO_KINDS, build_scenario
 from repro.sim.dense_plan import DensePlan
 from repro.sim.statevector import StatevectorSimulator, subregister_bitstring
-from repro.trap.machine import VirtualIonTrap, slot_blocks
+from repro.trap.machine import VirtualIonTrap
 
 #: Taxonomy kinds whose default instance stays on the exact XX engine.
 XX_KINDS = [k for k in SCENARIO_KINDS if build_scenario(k).is_xx_preserving()]
@@ -85,7 +91,7 @@ def test_xx_scenarios_agree_across_all_three_engines(
     test = _fault_test(spec, machine, repetitions)
     circuit = build_test_circuit(test, n_qubits)
     expected = expected_output(test, n_qubits)
-    slots = machine._realize_slots(circuit, REALIZATIONS)
+    slots = realize_slots(machine, circuit, REALIZATIONS)
     assert slots_xx_only(slots), "scenario must stay XX-preserving"
     xx = match_probabilities_slots(machine, slots, expected)
     skeleton = tuple((s.gate, s.qubits) for s in slots)
@@ -129,7 +135,7 @@ def test_non_xx_scenarios_fall_back_to_dense(kind, n_qubits):
     test = _fault_test(spec, machine, 2)
     assert test in battery_specs(n_qubits, 2)
     program = built_test(tuple(test.pairs), test.repetitions, n_qubits)
-    assert machine._xx_slot_angles(program.xx(machine.max_exact_qubits).run) is None
+    assert machine._routes([program], "auto").xx_rows == ()
     with pytest.raises(ValueError, match="dense fallback"):
         machine._pass_probabilities(
             [program], 100, trials=1, realizations=2, engine="xx"
@@ -157,7 +163,7 @@ def test_non_xx_scenario_dense_plan_matches_per_trial_reference(kind):
     test = _fault_test(spec, machine, 2)
     circuit = build_test_circuit(test, n_qubits)
     expected = expected_output(test, n_qubits)
-    slots = machine._realize_slots(circuit, REALIZATIONS)
+    slots = realize_slots(machine, circuit, REALIZATIONS)
     assert not slots_xx_only(slots)
     skeleton = tuple((s.gate, s.qubits) for s in slots)
     plan = DensePlan(n_qubits, skeleton)
@@ -175,8 +181,8 @@ def test_phase_offset_changes_the_realization():
     offset = VirtualIonTrap(n_qubits, seed=3)
     offset.calibration.set_phase_offset((0, 1), 0.4)
     circuit = Circuit(n_qubits).ms(0, 1, np.pi / 2).ms(2, 3, np.pi / 2)
-    slots_plain = plain._realize_slots(circuit, 2)
-    slots_offset = offset._realize_slots(circuit, 2)
+    slots_plain = realize_slots(plain, circuit, 2)
+    slots_offset = realize_slots(offset, circuit, 2)
     faulty = [
         (a, b)
         for a, b in zip(slots_plain, slots_offset)

@@ -12,7 +12,7 @@ route: X-diagonal slots go through a one-shot plan
 ``max_exact_qubits``, through one Monte-Carlo estimate per realization
 and component (:func:`sampled_amplitude`); any other slot list goes
 through the machine's cached dense plan.  Tests replay the machine's
-draws with ``_realize_slots`` and check its routes against this path.
+draws with :func:`realize_slots` and check its routes against this path.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ from repro.sim.xx_engine import (
     batch_amplitudes_from_terms,
     ms_axis_sign,
 )
-from repro.trap.machine import _skeleton, slot_blocks
+from repro.sim.dense_plan import Blocks, Skeleton
+from repro.trap.machine import _StackDraws
 
 
 @dataclass
@@ -189,6 +190,117 @@ def sampled_amplitude(
 # -- the slot path ----------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class RealizedSlot:
+    """One gate slot of a noise-realized circuit batch.
+
+    ``params`` carries one parameter row per noise realization (shape
+    ``(n_batch, n_params)``); the gate name and targets are shared by the
+    whole batch.  Slot lists are the batched counterpart of a realized
+    :class:`~repro.sim.circuit.Circuit` — they skip per-realization
+    ``Operation`` construction entirely.
+    """
+
+    gate: str
+    qubits: tuple[int, ...]
+    params: np.ndarray
+
+
+def realize_slots(machine, circuit: Circuit, n_batch: int) -> list[RealizedSlot]:
+    """Realize ``n_batch`` noisy copies of a nominal circuit on ``machine``.
+
+    The oracle the machine's draws are checked against: op by op, one
+    copy per noise-realization group, each slot's per-realization noise
+    parameters drawn in one RNG call and the machine's clock advanced as
+    a pass advances it (realization g's clock starts where realization
+    g-1's gates ended).
+    """
+    gate_dt = machine.timing.gate_time(machine.n_qubits)
+    ms_ops = [op for op in circuit.ops if op.gate in ("MS", "XX")]
+    n_ms = len(ms_ops)
+    start = machine._clock + np.arange(n_batch) * (n_ms * gate_dt)
+    p_odd = machine.noise.residual_odd_population
+    # Block draws: every MS slot's amplitude noise comes from one RNG
+    # call, every residual kick from another — circuit depth adds
+    # array rows, not Python calls.
+    ms_params = None
+    if n_ms:
+        q1s, q2s = np.array([op.qubits for op in ms_ops], dtype=np.intp).T
+        phases = np.array(
+            [op.params[1:] if op.gate == "MS" else (0, 0) for op in ms_ops],
+            dtype=float,
+        )
+        # Deterministic drive-phase miscalibration of each coupling
+        # (the phase-fault scenario species): applied to the physical
+        # MS drive realizing either abstraction.
+        offsets = machine.calibration.phase_offsets[q1s, q2s]
+        ts_block = start[None, :] + np.arange(n_ms)[:, None] * gate_dt
+        ms_params = machine.noise_model.noisy_ms_params_block(
+            q1s,
+            q2s,
+            np.array([op.params[0] for op in ms_ops], dtype=float),
+            machine.calibration.under_rotations[q1s, q2s],
+            phases[:, 0] + offsets,
+            phases[:, 1] + offsets,
+            ts_block,
+        )
+    kick_params = None
+    if n_ms and p_odd > 0:
+        kick_params = machine.noise_model.residual_kick_params_block(
+            2 * n_ms, n_batch
+        )
+    slots: list[RealizedSlot] = []
+    k_ms = 0
+    for op in circuit.ops:
+        if op.gate in ("MS", "XX"):
+            q1, q2 = op.qubits
+            slots.append(
+                RealizedSlot("MS", (q1, q2), ms_params[k_ms])
+            )
+            if kick_params is not None:
+                for j, q in enumerate((q1, q2)):
+                    slots.append(
+                        RealizedSlot("R", (q,), kick_params[2 * k_ms + j])
+                    )
+            k_ms += 1
+        elif op.gate == "R":
+            ts = start + k_ms * gate_dt
+            slots.append(
+                RealizedSlot(
+                    "R",
+                    op.qubits,
+                    machine.noise_model.noisy_r_params(
+                        op.qubits[0], op.params[0], op.params[1], ts
+                    ),
+                )
+            )
+        else:
+            params = np.broadcast_to(
+                np.array(op.params, dtype=float),
+                (n_batch, len(op.params)),
+            )
+            slots.append(RealizedSlot(op.gate, op.qubits, params))
+    machine._clock += n_batch * n_ms * gate_dt
+    return slots
+
+
+def slot_blocks(slots: list[RealizedSlot]) -> Blocks:
+    """Realized slots as a :class:`~repro.sim.dense_plan.DensePlan`'s input.
+
+    One ``np.stack`` per gate kind of the slots' ``(B, n_params)`` rows,
+    in program order: ``{kind: (rows, B, n_params)}``.
+    """
+    rows: dict[str, list[np.ndarray]] = {}
+    for slot in slots:
+        rows.setdefault(slot.gate, []).append(slot.params)
+    return {gate: np.stack(params) for gate, params in rows.items()}
+
+
+def slot_skeleton(slots: list[RealizedSlot]) -> Skeleton:
+    """The ``(gate, qubits)`` sequence of a realized slot list."""
+    return tuple((s.gate, s.qubits) for s in slots)
+
+
 def slots_xx_only(slots) -> bool:
     """True if every realized slot is diagonal in the X basis."""
     for slot in slots:
@@ -230,9 +342,21 @@ def plan_cache(cache):
         dense_plan.PLAN_CACHE = saved
 
 
+def draw_dense(machine, program, n_batch: int):
+    """``program``'s dense layout drawn as a stack of one: its plan blocks.
+
+    Draw for draw, value for value and clock for clock this is
+    ``realize_slots`` without its slot objects.
+    """
+    layout = program.dense(machine.noise.residual_odd_population > 0).layout
+    draws = _StackDraws(layout, n_batch, machine.noise)
+    machine._draw_test(draws, 0)
+    return machine._stack_blocks(draws)
+
+
 def dense_match_probabilities_slots(machine, slots, expected: int) -> np.ndarray:
     """Match probabilities of ``slots`` on the machine's cached dense plan."""
-    plan = machine._dense_plan_for(_skeleton(slots))
+    plan = machine._dense_plan_for(slot_skeleton(slots))
     return plan.probabilities(slot_blocks(slots), expected, machine.max_batch_bytes)
 
 
@@ -290,7 +414,7 @@ def slot_run_match(machine, circuit: Circuit, expected: int, shots: int):
     """``run_match`` on the slot path: realize, evaluate, one binomial."""
     machine._account([circuit.depth_two_qubit()], shots)
     groups = machine._shot_groups(shots)
-    slots = machine._realize_slots(circuit, len(groups))
+    slots = realize_slots(machine, circuit, len(groups))
     if slots:
         p = match_probabilities_slots(machine, slots, expected)
     else:
