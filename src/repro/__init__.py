@@ -72,14 +72,12 @@ from .scenarios import (
     ScenarioFault,
     ScenarioSpec,
     build_scenario,
-    default_scenarios,
 )
 from .arena import (
     Diagnosis,
     DiagnoserContext,
     TimeBudget,
     build_diagnoser,
-    default_diagnosers,
     run_bounded,
 )
 from .fleet import (
@@ -123,12 +121,10 @@ __all__ = [
     "ScenarioFault",
     "ScenarioSpec",
     "build_scenario",
-    "default_scenarios",
     "Diagnosis",
     "DiagnoserContext",
     "TimeBudget",
     "build_diagnoser",
-    "default_diagnosers",
     "run_bounded",
     "EventLoop",
     "FleetTrap",

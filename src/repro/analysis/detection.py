@@ -26,61 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = [
-    "threshold_from_baseline",
-    "two_cluster_threshold",
-    "CalibratedThresholds",
-    "calibrate_thresholds",
-    "BaselineBank",
-]
-
-
-def threshold_from_baseline(
-    baseline_fidelities: np.ndarray,
-    quantile: float = 0.02,
-    margin: float = 0.05,
-    relative: bool = True,
-) -> float:
-    """Threshold below the fault-free population's lower quantile.
-
-    With ``relative=True`` (default) the margin is multiplicative:
-    ``threshold = quantile(baseline, q) * (1 - margin)``.  Fault effects
-    are multiplicative on test fidelity (each coupling contributes a
-    factor), so a relative margin keeps detection contrast uniform even
-    when the baseline itself is small (deep tests on many couplings).
-    ``relative=False`` subtracts the margin instead.
-    """
-    values = np.asarray(baseline_fidelities, dtype=float)
-    if values.size == 0:
-        raise ValueError("need baseline fidelities")
-    if not 0.0 <= quantile <= 0.5:
-        raise ValueError("quantile must be in [0, 0.5]")
-    base = float(np.quantile(values, quantile))
-    if relative:
-        return base * (1.0 - margin)
-    return base - margin
-
-
-def two_cluster_threshold(fidelities: np.ndarray) -> float:
-    """Otsu-style split of a mixed fidelity population into two clusters.
-
-    Maximizes between-class variance over candidate cut points; used when
-    fault and no-fault fidelities are observed together and the operator
-    wants the contrast-maximizing cut (the Fig. 5 adjustment rule).
-    """
-    values = np.sort(np.asarray(fidelities, dtype=float))
-    if values.size < 2:
-        raise ValueError("need at least two fidelities to split")
-    best_cut = values[0]
-    best_score = -1.0
-    for k in range(1, values.size):
-        lo, hi = values[:k], values[k:]
-        w0, w1 = lo.size / values.size, hi.size / values.size
-        score = w0 * w1 * (hi.mean() - lo.mean()) ** 2
-        if score > best_score:
-            best_score = score
-            best_cut = (lo.max() + hi.min()) / 2.0
-    return float(best_cut)
+__all__ = ["CalibratedThresholds", "BaselineBank"]
 
 
 @dataclass
@@ -154,45 +100,3 @@ class BaselineBank:
         from few calibration trials.
         """
         return self.verify_mean - margin * max(self.verify_std, min_std)
-
-
-def calibrate_thresholds(
-    machine_factory,
-    specs_by_key,
-    shots: int = 300,
-    trials: int = 20,
-    quantile: float = 0.02,
-    margin: float = 0.05,
-) -> CalibratedThresholds:
-    """Measure fault-free baselines and derive thresholds.
-
-    Parameters
-    ----------
-    machine_factory:
-        Zero-argument callable returning a *fault-free* machine with the
-        target noise configuration (fresh seed per call is fine).
-    specs_by_key:
-        Mapping ``(repetitions, kind) -> list[TestSpec]`` of representative
-        tests to baseline.
-    shots, trials:
-        Sampling effort per spec.
-    quantile, margin:
-        Passed to :func:`threshold_from_baseline`.
-    """
-    from ..core.protocol import TestExecutor
-
-    calibrated = CalibratedThresholds()
-    for (repetitions, kind), specs in specs_by_key.items():
-        fidelities: list[float] = []
-        for trial in range(trials):
-            machine = machine_factory()
-            executor = TestExecutor(machine, thresholds=calibrated, shots=shots)
-            fidelities.extend(r.fidelity for r in executor.execute_round(specs))
-        calibrated.set(
-            repetitions,
-            kind,
-            threshold_from_baseline(
-                np.array(fidelities), quantile=quantile, margin=margin
-            ),
-        )
-    return calibrated

@@ -15,7 +15,7 @@ from .fig3 import Fig3Config, Fig3Point, run_fig3
 from .fig6 import Fig6Config, Fig6Result, Fig6Row, battery_specs, run_fig6
 from .fig7 import Fig7Config, Fig7Result, run_fig7
 from .fig8 import Fig8Config, Fig8Series, class_test_for_pair, run_fig8
-from .fig9 import Fig9Config, Fig9Panel, distribution_snapshot, run_fig9
+from .fig9 import Fig9Config, Fig9Panel, run_fig9
 from .fig10 import Fig10Config, Fig10Row, run_fig10, sec9_headline
 from .fig11 import Fig11Config, Fig11Row, run_fig11
 from .fleet import FleetConfig, FleetResult, run_fleet_experiment
@@ -57,7 +57,6 @@ __all__ = [
     "run_fig8",
     "Fig9Config",
     "Fig9Panel",
-    "distribution_snapshot",
     "run_fig9",
     "Fig10Config",
     "Fig10Row",

@@ -8,8 +8,7 @@ couplings separate from the bulk *by magnitude*, and the Fig. 5 loop
 identifies the largest one, two, three faults with increasing success.
 
 Panels: 2-MS and 4-MS test variants x N = 8/16/32, each showing
-P(top-1), P(top-2), P(top-3) vs sigma (plus the panel-G distribution
-snapshot, reproduced by :func:`distribution_snapshot`).
+P(top-1), P(top-2), P(top-3) vs sigma.
 
 Success criterion: the j largest-under-rotation couplings are exactly the
 first j couplings the loop diagnoses, ordered by measured magnitude
@@ -42,7 +41,7 @@ from ...noise.models import NoiseParameters
 from ...trap.calibration import all_pairs
 from ...trap.machine import VirtualIonTrap
 
-__all__ = ["Fig9Config", "Fig9Panel", "run_fig9", "distribution_snapshot"]
+__all__ = ["Fig9Config", "Fig9Panel", "run_fig9"]
 
 Pair = frozenset[int]
 
@@ -92,15 +91,6 @@ class Fig9Panel:
     repetitions: int
     sigmas: tuple[float, ...]
     success: dict[int, tuple[float, ...]]  # top_k -> per-sigma probability
-
-
-def distribution_snapshot(
-    sigma: float, n_couplings: int, seed: int = 0, knee: float = 0.06
-) -> np.ndarray:
-    """Panel G: one sorted sample of per-coupling under-rotations."""
-    dist = CompositeUnderRotationDistribution(sigma, knee=knee)
-    values = dist.sample(n_couplings, np.random.default_rng(seed))
-    return np.sort(values)[::-1]
 
 
 def _calibrate(

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-__all__ = ["ascii_table", "format_percent", "series_csv"]
+__all__ = ["ascii_table", "series_csv"]
 
 
 def ascii_table(
@@ -32,11 +32,6 @@ def ascii_table(
     for row in str_rows:
         lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-def format_percent(value: float, digits: int = 0) -> str:
-    """Format a fraction as a percentage string."""
-    return f"{100.0 * value:.{digits}f}%"
 
 
 def series_csv(

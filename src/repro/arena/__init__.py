@@ -34,7 +34,6 @@ from .diagnosers import (
     SyndromeDiagnoser,
     WorstDiagnoser,
     build_diagnoser,
-    default_diagnosers,
     run_bounded,
 )
 from .report import (
@@ -66,7 +65,6 @@ __all__ = [
     "WorstDiagnoser",
     "arena_payload",
     "build_diagnoser",
-    "default_diagnosers",
     "grade_trial",
     "hard_deadline",
     "has_hard_deadline",

@@ -67,7 +67,6 @@ __all__ = [
     "SyndromeDiagnoser",
     "WorstDiagnoser",
     "build_diagnoser",
-    "default_diagnosers",
     "run_bounded",
 ]
 
@@ -499,11 +498,6 @@ def build_diagnoser(name: str, ctx: DiagnoserContext):
             f"unknown diagnoser {name!r}; known: {sorted(_REGISTRY)}"
         ) from None
     return cls(ctx)
-
-
-def default_diagnosers(ctx: DiagnoserContext) -> list:
-    """All five strategies plus the three baselines, leaderboard order."""
-    return [build_diagnoser(name, ctx) for name in (*STRATEGY_NAMES, *BASELINE_NAMES)]
 
 
 def run_bounded(

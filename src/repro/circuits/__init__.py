@@ -2,9 +2,7 @@
 
 from .coupling_usage import (
     SuiteUsage,
-    apply_mapping,
     coupling_usage,
-    map_around_faults,
     suite_usage,
     usage_fraction,
 )
@@ -24,9 +22,7 @@ from .library import (
 
 __all__ = [
     "SuiteUsage",
-    "apply_mapping",
     "coupling_usage",
-    "map_around_faults",
     "suite_usage",
     "usage_fraction",
     "CIRCUIT_SUITE",

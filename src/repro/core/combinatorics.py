@@ -34,9 +34,7 @@ __all__ = [
     "subcube_class",
     "class_pairs",
     "shared_bits",
-    "is_bit_complementary",
     "syndrome_of_pair",
-    "xor_signature",
     "all_couplings",
 ]
 
@@ -90,11 +88,6 @@ def shared_bits(p: int, q: int, n: int) -> list[tuple[int, int]]:
     return [(i, bit(p, i)) for i in range(n) if bit(p, i) == bit(q, i)]
 
 
-def is_bit_complementary(p: int, q: int, n: int) -> bool:
-    """True iff ``p`` and ``q`` differ in every one of the ``n`` bits."""
-    return (p ^ q) == (1 << n) - 1
-
-
 def syndrome_of_pair(pair: Pair, n_qubits: int) -> frozenset[tuple[int, int]]:
     """The set of ``(i, b)`` class tests a faulty ``pair`` would fail.
 
@@ -104,23 +97,6 @@ def syndrome_of_pair(pair: Pair, n_qubits: int) -> frozenset[tuple[int, int]]:
     p, q = sorted(pair)
     n = num_bits(n_qubits)
     return frozenset(shared_bits(p, q, n))
-
-
-def xor_signature(value: int, positions: list[int]) -> int:
-    """Consecutive-XOR signature over the given bit positions.
-
-    Bit ``j-1`` of the result is ``bit(value, positions[j-1]) XOR
-    bit(value, positions[j])``.  Two integers that are bit-complementary
-    on ``positions`` share the same signature (Theorem V.7's proof), and
-    distinct complementary pairs have distinct signatures.
-    """
-    if len(positions) < 1:
-        raise ValueError("need at least one position")
-    sig = 0
-    for j in range(1, len(positions)):
-        x = bit(value, positions[j - 1]) ^ bit(value, positions[j])
-        sig |= x << (j - 1)
-    return sig
 
 
 def all_couplings(n_qubits: int) -> list[Pair]:

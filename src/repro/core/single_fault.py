@@ -21,7 +21,7 @@ not yet diagnosed, or simply unused) only shrinks the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .combinatorics import bit, class_pairs, num_bits, subcube_class

@@ -9,8 +9,7 @@ with machinery that survives real infrastructure failures:
     ``cancelled``) — nothing aborts a sweep.
 :mod:`~repro.exec.retry`
     :class:`~repro.exec.retry.RetryPolicy` — exponential backoff with
-    seeded deterministic jitter — and the in-process
-    :func:`~repro.exec.retry.retry_call` primitive.
+    seeded deterministic jitter.
 :mod:`~repro.exec.pool`
     The supervised worker pool: crash isolation, deadline kills,
     policy-scheduled retries, ordered outcomes.
@@ -31,7 +30,7 @@ with machinery that survives real infrastructure failures:
 
 from .chaos import ChaosConfig, ChaosTransientError, chaos_hook
 from .integrity import load_verified_json, stamp_integrity
-from .journal import JournalWriter, journal_path, load_journal
+from .journal import JournalWriter, load_journal
 from .outcomes import (
     AttemptRecord,
     JobFailedError,
@@ -39,7 +38,7 @@ from .outcomes import (
     raise_outcome,
 )
 from .pool import run_supervised
-from .retry import RetryPolicy, retry_call
+from .retry import RetryPolicy
 
 __all__ = [
     "AttemptRecord",
@@ -50,11 +49,9 @@ __all__ = [
     "JournalWriter",
     "RetryPolicy",
     "chaos_hook",
-    "journal_path",
     "load_journal",
     "load_verified_json",
     "raise_outcome",
-    "retry_call",
     "run_supervised",
     "stamp_integrity",
 ]

@@ -37,16 +37,10 @@ import time
 from pathlib import Path
 from typing import Any
 
-__all__ = ["JOURNAL_SCHEMA", "JournalWriter", "journal_path", "load_journal"]
+__all__ = ["JOURNAL_SCHEMA", "JournalWriter", "load_journal"]
 
 #: Schema tag stamped into every ``begin`` record.
 JOURNAL_SCHEMA = "repro-journal/v1"
-
-
-def journal_path(out: Path | str) -> Path:
-    """The journal sitting next to output ``out`` (suffix → .journal.jsonl)."""
-    out = Path(out)
-    return out.with_name(out.stem + ".journal.jsonl")
 
 
 class JournalWriter:

@@ -8,30 +8,19 @@ fraction for attempt ``k`` of job ``key`` is drawn from a
 rerun of the same sweep schedules byte-identical delays — retries never
 make a run irreproducible.
 
-:func:`retry_call` is the in-process primitive: it drives a callable
-through the policy with each attempt bounded by the arena's existing
-thread-deadline mechanism
-(:func:`repro.arena.budget.run_with_thread_deadline`), optionally under
-an overall :class:`~repro.arena.budget.TimeBudget` — once the budget's
-soft bound is spent, remaining attempts are forfeited.  The supervised
-pool (:mod:`repro.exec.pool`) reuses the same policy arithmetic but
-enforces attempt deadlines by killing worker processes, which is the
-only reliable way to stop a stalled fork.
+The supervised pool (:mod:`repro.exec.pool`) schedules retries with
+this arithmetic and enforces attempt deadlines by killing worker
+processes, which is the only reliable way to stop a stalled fork.
 """
 
 from __future__ import annotations
 
-import time
 import zlib
 from dataclasses import dataclass
-from typing import Any, Callable
 
 import numpy as np
 
-from ..arena.budget import DiagnosisTimeout, TimeBudget, run_with_thread_deadline
-from .outcomes import AttemptRecord, JobOutcome
-
-__all__ = ["RetryPolicy", "retry_call"]
+__all__ = ["RetryPolicy"]
 
 
 def _key_entropy(key: str) -> int:
@@ -92,89 +81,3 @@ class RetryPolicy:
     def allows_retry(self, attempt: int) -> bool:
         """Whether another attempt may follow 0-based attempt ``attempt``."""
         return attempt + 1 < self.max_attempts
-
-
-def retry_call(
-    fn: Callable[[], Any],
-    policy: RetryPolicy | None = None,
-    key: str = "call",
-    budget: TimeBudget | None = None,
-    sleep: Callable[[float], None] = time.sleep,
-) -> JobOutcome:
-    """Run ``fn`` under a retry policy, in-process, never raising.
-
-    Each attempt runs under the arena's thread-deadline mechanism when
-    the policy carries a ``timeout`` (so a stalled callable is abandoned
-    on a daemon worker, exactly like a stalled diagnoser), and failures
-    are converted into :class:`~repro.exec.outcomes.AttemptRecord` rows
-    instead of propagating.  ``budget`` optionally bounds the *whole*
-    session: the clock starts on entry (if not already started) and
-    once ``budget.soft_expired()`` no further attempts are scheduled —
-    the outcome lands in ``timed_out``.  ``sleep`` is injectable so
-    tests can observe backoff without waiting.
-    """
-    policy = policy or RetryPolicy()
-    if budget is not None and budget.started_at is None:
-        budget.begin()
-    attempts: list[AttemptRecord] = []
-    attempt = 0
-    while True:
-        delay = policy.delay_before(key, attempt)
-        if delay > 0.0:
-            sleep(delay)
-        started = time.perf_counter()
-        try:
-            if policy.timeout is not None:
-                value = run_with_thread_deadline(fn, policy.timeout)
-            else:
-                value = fn()
-        except DiagnosisTimeout as exc:
-            attempts.append(
-                AttemptRecord(
-                    attempt=attempt,
-                    cause="timed_out",
-                    wall_seconds=time.perf_counter() - started,
-                    delay_seconds=delay,
-                    error_type=type(exc).__name__,
-                    message=str(exc),
-                )
-            )
-        except Exception as exc:
-            attempts.append(
-                AttemptRecord(
-                    attempt=attempt,
-                    cause="error",
-                    wall_seconds=time.perf_counter() - started,
-                    delay_seconds=delay,
-                    error_type=type(exc).__name__,
-                    message=str(exc),
-                )
-            )
-        else:
-            attempts.append(
-                AttemptRecord(
-                    attempt=attempt,
-                    cause="ok",
-                    wall_seconds=time.perf_counter() - started,
-                    delay_seconds=delay,
-                )
-            )
-            return JobOutcome(
-                index=0,
-                key=key,
-                status="ok" if attempt == 0 else "retried",
-                attempts=attempts,
-                value=value,
-            )
-        budget_spent = budget is not None and budget.soft_expired()
-        if policy.allows_retry(attempt) and not budget_spent:
-            attempt += 1
-            continue
-        last = attempts[-1].cause
-        if budget_spent or last == "timed_out":
-            status = "timed_out"
-        else:
-            status = "gave_up"
-        return JobOutcome(
-            index=0, key=key, status=status, attempts=attempts, value=None
-        )

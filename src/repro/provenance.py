@@ -37,7 +37,6 @@ __all__ = [
     "report_fields",
     "shape_problems",
     "strip_volatile",
-    "validate_provenance_block",
 ]
 
 #: Payload keys that legitimately differ between equivalent runs:
@@ -243,13 +242,6 @@ PROVENANCE_SHAPE = Shape(
         "numpy": Shape("str"),
     },
 )
-
-
-def validate_provenance_block(
-    block: Any, where: str = "provenance"
-) -> list[str]:
-    """Schema problems (empty list = valid) for a stamped provenance block."""
-    return shape_problems(block, PROVENANCE_SHAPE, where)
 
 
 def report_fields(schema_id: str) -> dict[str, Shape]:

@@ -21,7 +21,6 @@ from .spec import (
     ScenarioKindInfo,
     ScenarioSpec,
     build_scenario,
-    default_scenarios,
 )
 
 __all__ = [
@@ -32,7 +31,6 @@ __all__ = [
     "ScenarioKindInfo",
     "ScenarioSpec",
     "build_scenario",
-    "default_scenarios",
     "matrix_payload",
     "validate_matrix_payload",
 ]

@@ -58,7 +58,6 @@ __all__ = [
     "ScenarioSpec",
     "TAXONOMY",
     "build_scenario",
-    "default_scenarios",
 ]
 
 Pair = frozenset[int]
@@ -404,11 +403,3 @@ def build_scenario(kind: str, n_qubits: int = 8) -> ScenarioSpec:
         f"unknown scenario kind {kind!r}; known: {', '.join(SCENARIO_KINDS)}"
     )
 
-
-def default_scenarios(
-    n_qubits: int = 8, kinds: tuple[str, ...] | None = None
-) -> tuple[ScenarioSpec, ...]:
-    """One default instance of every (selected) kind, sized to a machine."""
-    return tuple(
-        build_scenario(kind, n_qubits) for kind in (kinds or SCENARIO_KINDS)
-    )

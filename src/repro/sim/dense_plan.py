@@ -46,9 +46,9 @@ gate columns in order, and :meth:`DensePlan.probabilities` has it form
 only the expected amplitude, at its index in the final axis order
 (memoized per plan), while :meth:`DensePlan.states` forms every
 amplitude the same way and un-permutes once.  Realization rows are
-chunked to a byte budget.  Plans depend only on ``(n_qubits,
-skeleton)`` — they are machine-independent and meant to be cached
-across trials and machines (see :data:`PLAN_CACHE`).
+chunked under the combined amplitude cap.  Plans depend only on
+``(n_qubits, skeleton)`` — they are machine-independent and meant to be
+cached across trials and machines (see :data:`PLAN_CACHE`).
 
 **Stacking.**  Every step acts per batch row, so the rows of several
 tests that share one canonical skeleton stack along the batch axis into
@@ -574,27 +574,22 @@ class DensePlan:
         return [chain.products(ms, factors, n_batch) for chain in self._chains]
 
     def _evolve(
-        self,
-        blocks: Blocks,
-        n_batch: int,
-        max_batch_bytes: int | None,
-        rows: np.ndarray | None = None,
+        self, blocks: Blocks, n_batch: int, rows: np.ndarray | None = None
     ) -> np.ndarray:
         """Run the axis-order program: ``(B, 2^n_local)`` in final order.
 
         With ``rows`` (each row's amplitude index in the final order)
         only those amplitudes are formed, shape ``(B,)`` (see
-        :meth:`_last_step`).  The state block must fit
-        ``max_batch_bytes``; the budget is enforced by
-        :func:`~repro.sim.statevector.zero_states`, which allocates it,
-        so chunker and guard agree.
+        :meth:`_last_step`).  The state block must fit the amplitude
+        cap, which :func:`~repro.sim.statevector.zero_states` enforces as
+        it allocates it, so chunker and guard agree.
         """
         bufsize = np.setbufsize(_UFUNC_BUFSIZE)
         try:
             products = self._products(blocks, n_batch)
         finally:
             np.setbufsize(bufsize)
-        psi = zero_states(self.n_local, n_batch, max_batch_bytes)
+        psi = zero_states(self.n_local, n_batch)
         # Transposes and products alternate between two state buffers.
         spare = np.empty_like(psi)
         shape = (n_batch,) + (2,) * self.n_local
@@ -645,18 +640,16 @@ class DensePlan:
             total += terms[lead + (j,)]
         return total.reshape(psi.shape[0], -1) if rows is None else total
 
-    def states(
-        self, blocks: Blocks, max_batch_bytes: int | None = None
-    ) -> np.ndarray:
+    def states(self, blocks: Blocks) -> np.ndarray:
         """Evolved compacted states in logical qubit order, ``(B, 2^n_local)``.
 
         ``blocks`` maps each gate kind to its ``(rows, B, n_params)``
         parameter block (see the module docstring).  The state block must
-        fit ``max_batch_bytes``: callers chunk realization rows first
-        (see :meth:`probabilities`).
+        fit the amplitude cap: callers chunk realization rows first (see
+        :meth:`probabilities`).
         """
         n_batch = self._check_blocks(blocks)
-        psi = self._evolve(blocks, n_batch, max_batch_bytes)
+        psi = self._evolve(blocks, n_batch)
         if self._unpermute is None:
             return psi
         shape = (n_batch,) + (2,) * self.n_local
@@ -688,15 +681,14 @@ class DensePlan:
         self,
         blocks: Blocks,
         expected: int | Sequence[Segment],
-        max_batch_bytes: int | None = None,
     ) -> np.ndarray:
         """Per-realization probabilities of the full-width ``expected``.
 
         ``expected`` is one bitstring for every row, or the
         :class:`Segment` runs that stack several tests' rows in order:
         each run is read for its own bitstring on its own plan's touched
-        map.  Realization rows are evaluated in contiguous chunks sized
-        to ``max_batch_bytes`` (or the global amplitude cap), so peak
+        map.  Realization rows are evaluated in contiguous chunks under
+        :data:`~repro.sim.statevector.MAX_BATCH_AMPLITUDES`, so peak
         memory stays bounded for stacked trials-times-groups batches; a
         chunk may split a segment.  Untouched qubits must read 0 in a
         bitstring; otherwise its rows' probability is identically zero.
@@ -728,13 +720,13 @@ class DensePlan:
         forced = rows < 0
         rows[forced] = 0
         parts = []
-        for start, stop in realization_chunks(self.n_local, n_batch, max_batch_bytes):
+        for start, stop in realization_chunks(self.n_local, n_batch):
             chunk = (
                 blocks
                 if (start, stop) == (0, n_batch)
                 else {k: b[:, start:stop] for k, b in blocks.items()}
             )
-            amps = self._evolve(chunk, stop - start, max_batch_bytes, rows[start:stop])
+            amps = self._evolve(chunk, stop - start, rows[start:stop])
             parts.append(np.abs(amps) ** 2)
         probs = np.clip(np.concatenate(parts), 0.0, 1.0)
         probs[forced] = 0.0
@@ -791,9 +783,9 @@ class DensePlanCache:
     residency is tiny; the cap is a guard against unbounded skeleton
     churn, not a byte budget.
 
-    Cache keys are ``(n_qubits, skeleton)`` and nothing else: evaluation
-    knobs (``max_batch_bytes``, shot counts, trial counts) never enter
-    the key, so changing them between calls must never recompile.
+    Cache keys are ``(n_qubits, skeleton)`` and nothing else: shot and
+    trial counts never enter the key, so changing them between calls
+    must never recompile.
     ``evictions`` counts LRU drops since construction.
 
     Raw-key misses consult a second, *structural* index keyed by the

@@ -41,7 +41,6 @@ __all__ = [
     "cnot",
     "cz",
     "swap",
-    "controlled",
     "gate_on_qubits",
 ]
 
@@ -221,13 +220,6 @@ def swap() -> np.ndarray:
     """SWAP gate exchanging two qubits."""
     m = np.eye(4, dtype=complex)
     m[[1, 2]] = m[[2, 1]]
-    return m
-
-
-def controlled(u: np.ndarray) -> np.ndarray:
-    """Two-qubit controlled-``u`` with qubit 0 as control."""
-    m = np.eye(4, dtype=complex)
-    m[2:, 2:] = u
     return m
 
 

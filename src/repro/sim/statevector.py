@@ -146,16 +146,12 @@ def simulate(circuit: Circuit) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def zero_states(
-    n_qubits: int, batch: int, max_batch_bytes: int | None = None
-) -> np.ndarray:
+def zero_states(n_qubits: int, batch: int) -> np.ndarray:
     """``batch`` copies of ``|0...0>`` as a ``(batch, 2^n)`` state block.
 
     Refuses blocks above the dense caps: :data:`MAX_DENSE_QUBITS` per
-    state, :data:`MAX_BATCH_AMPLITUDES` combined and, when given,
-    ``max_batch_bytes`` of complex128.  Like :func:`realization_chunks`,
-    a single realization is always within the byte budget, so every
-    chunk that helper emits passes.
+    state and :data:`MAX_BATCH_AMPLITUDES` combined.  Every chunk
+    :func:`realization_chunks` emits passes.
     """
     if n_qubits < 1:
         raise ValueError("need at least one qubit")
@@ -170,39 +166,22 @@ def zero_states(
             f"batch of {batch} states on {n_qubits} qubits exceeds the "
             f"combined amplitude cap (2^{MAX_BATCH_AMPLITUDES.bit_length() - 1})"
         )
-    if max_batch_bytes is not None:
-        budget_amps = max(1, max_batch_bytes // 16)
-        if batch > max(1, budget_amps // 2**n_qubits):
-            raise ValueError(
-                f"batch of {batch} states on {n_qubits} qubits exceeds "
-                f"the {max_batch_bytes}-byte budget; chunk realization "
-                "groups with realization_chunks()"
-            )
     states = np.zeros((batch, 2**n_qubits), dtype=complex)
     states[:, 0] = 1.0
     return states
 
 
-def realization_chunks(
-    n_qubits: int, n_batch: int, max_batch_bytes: int | None = None
-) -> list[tuple[int, int]]:
+def realization_chunks(n_qubits: int, n_batch: int) -> list[tuple[int, int]]:
     """Split a realization batch into contiguous ``(start, stop)`` chunks.
 
     Each chunk's dense state block (``chunk * 2^n`` complex128
-    amplitudes) fits the memory budget: ``max_batch_bytes`` when given,
-    otherwise the global :data:`MAX_BATCH_AMPLITUDES` cap.  A single
-    realization always forms a valid chunk even if it alone exceeds the
-    budget (the per-state :data:`MAX_DENSE_QUBITS` cap governs that).
+    amplitudes) fits :data:`MAX_BATCH_AMPLITUDES`.  A single realization
+    always forms a chunk (the per-state :data:`MAX_DENSE_QUBITS` cap
+    keeps it under the combined one).
     """
     if n_batch < 1:
         raise ValueError("batch must be positive")
-    if max_batch_bytes is None:
-        budget_amps = MAX_BATCH_AMPLITUDES
-    else:
-        # A user budget can tighten the global cap but never widen it —
-        # every chunk must pass the zero_states guard.
-        budget_amps = min(MAX_BATCH_AMPLITUDES, max(1, max_batch_bytes // 16))
-    per_chunk = max(1, budget_amps // 2**n_qubits)
+    per_chunk = max(1, MAX_BATCH_AMPLITUDES // 2**n_qubits)
     return [
         (start, min(start + per_chunk, n_batch))
         for start in range(0, n_batch, per_chunk)

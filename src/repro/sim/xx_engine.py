@@ -224,8 +224,7 @@ class _PlanComponent:
     phi_A(s_A) + phi_B(s_B) + s_A^T Theta s_B``, ``Theta`` holding the
     cross edges' ``-theta / 2``, and ``chi = chi_A(s_A) chi_B(s_B)``.
     Edge columns come ordered A, B, cross; linear columns A, B.  Only
-    int8 tables, characters and index arrays stay resident;
-    ``row_bytes`` bounds one realization row's transient arrays.
+    int8 tables, characters and index arrays stay resident.
 
     Without linear (RX/X) terms the phase is even under the global spin
     flip ``s -> -s`` and the character picks up ``(-1)^|z|``: for even
@@ -234,7 +233,6 @@ class _PlanComponent:
     compiles to a component, the plan is zero outright.
     """
 
-    row_bytes: int
     edge_cols: np.ndarray | slice
     lin_cols: np.ndarray
     half_a: _Half
@@ -418,10 +416,6 @@ class ContractionPlan:
         )
         #: Whether a component is estimated from spin samples.
         self.sampled = bool(self._sampled)
-        #: Largest transient bytes per row, for memory-budget row chunking.
-        self._row_bytes = max(
-            (c.row_bytes for c in self._components), default=24
-        )
         #: What the plan computes from its rows, up to qubit labels: column
         #: counts and each component's size, sampling, and local terms.
         #: Plans with equal keys can contract each other's rows.
@@ -493,20 +487,14 @@ class ContractionPlan:
         weight = 1.0 / (rows_a * rows_b)
         half_a = half(0, a, rows_a, weight, slice(0, n_aa), slice(0, n_la))
         half_b = None
-        # Per row: a table's phase, cos and sin; or the cross factors and
-        # pairs, E_L and E_H with doubling operands, G, K and B's phase.
-        row_bytes = 24 * rows_a
         if a < m:
             half_b = half(a, m, rows_b, 1.0, slice(n_aa, n_ab), slice(n_la, None))
-            b, width = m - a, 2**n_low + 2 ** (m - a - n_low)
-            row_bytes = 8 * rows_a * (7 * b + 3 * width) + 40 * rows_b
         cross = edges[n_ab:]
         edge_cols = np.array([c for c, _, _ in edges], dtype=np.intp)
         if np.array_equal(edge_cols, np.arange(len(self.edge_keys))):
             # One component owns every edge in order: a slice skips the gather.
             edge_cols = slice(None)
         return _PlanComponent(
-            row_bytes=row_bytes,
             edge_cols=edge_cols,
             lin_cols=np.array([c for c, _ in lins], dtype=np.intp),
             half_a=half_a,
@@ -539,7 +527,6 @@ class ContractionPlan:
         self,
         thetas: np.ndarray,
         lin_thetas: np.ndarray | None = None,
-        max_batch_bytes: int | None = None,
         rng: np.random.Generator | None = None,
     ) -> np.ndarray:
         """Per-realization amplitudes ``<z|U_g|0...0>`` from angle rows.
@@ -552,9 +539,6 @@ class ContractionPlan:
         lin_thetas:
             ``(B, L)`` accumulated linear angles (``linear_keys`` order);
             may be omitted when the plan has no linear terms.
-        max_batch_bytes:
-            When set, realization rows are processed in chunks whose
-            transient arrays stay within this budget.
         rng:
             The generator a :attr:`sampled` plan draws its spins from;
             without one such a plan raises ``ValueError``.
@@ -584,23 +568,16 @@ class ContractionPlan:
             return np.zeros(n_batch, dtype=complex)
         if not ((self._components or self.sampled) and n_batch):
             return np.ones(n_batch, dtype=complex)
-        if max_batch_bytes is None:
-            rows = n_batch
-        else:
-            rows = max(1, max_batch_bytes // self._row_bytes)
-        chunks = []
-        for start in range(0, n_batch, rows):
-            # The phase's -1/2, applied once for every component.
-            th = -0.5 * thetas[start : start + rows]
-            ln = None if lin_thetas is None else -0.5 * lin_thetas[start : start + rows]
-            parts = [comp.amplitudes(th, ln) for comp in self._components]
-            if self.sampled:
-                parts.extend(self._sample(th, ln, rng))
-            amps = parts[0]
-            for part in parts[1:]:
-                amps *= part
-            chunks.append(amps)
-        return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+        # The phase's -1/2, applied once for every component.
+        th = -0.5 * thetas
+        ln = None if lin_thetas is None else -0.5 * lin_thetas
+        parts = [comp.amplitudes(th, ln) for comp in self._components]
+        if self.sampled:
+            parts.extend(self._sample(th, ln, rng))
+        amps = parts[0]
+        for part in parts[1:]:
+            amps *= part
+        return amps
 
     def _sample(
         self, th: np.ndarray, ln: np.ndarray | None, rng: np.random.Generator
@@ -617,11 +594,10 @@ class ContractionPlan:
         self,
         thetas: np.ndarray,
         lin_thetas: np.ndarray | None = None,
-        max_batch_bytes: int | None = None,
         rng: np.random.Generator | None = None,
     ) -> np.ndarray:
         """Per-realization probabilities of the bitstring, clipped to [0, 1]."""
-        amps = self.amplitudes(thetas, lin_thetas, max_batch_bytes, rng)
+        amps = self.amplitudes(thetas, lin_thetas, rng)
         # |amp|^2 >= 0, so only the upper clip can bind.
         return np.minimum(np.abs(amps) ** 2, 1.0)
 
@@ -632,14 +608,13 @@ def batch_amplitudes_from_terms(
     linear_angles: dict[int, np.ndarray],
     bitstring: int,
     max_exact_qubits: int = 20,
-    max_batch_bytes: int | None = None,
 ) -> np.ndarray:
     """Per-realization amplitudes from array-valued coupling terms.
 
     A one-shot helper: the terms carry one accumulated angle *per noise
     realization* (``(G,)`` values in both dicts), and a throwaway
     :class:`ContractionPlan` computes what the machine's cached plans
-    compute, for all G rows at once (``max_batch_bytes`` chunks them).
+    compute, for all G rows at once.
     Nothing in the package calls it; it serves the tests' slot-path
     oracle and the traced benchmark's kernel accounting.  A component
     above ``max_exact_qubits`` raises ``ValueError``: it takes no
@@ -669,4 +644,4 @@ def batch_amplitudes_from_terms(
         if linear_keys
         else None
     )
-    return plan.amplitudes(thetas, lin_thetas, max_batch_bytes=max_batch_bytes)
+    return plan.amplitudes(thetas, lin_thetas)

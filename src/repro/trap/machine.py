@@ -133,11 +133,6 @@ class VirtualIonTrap:
     max_exact_qubits:
         Largest coupling-graph component the XX route sums exactly; it
         samples bigger ones from the machine's generator.
-    max_batch_bytes:
-        Optional memory budget for batched evaluation: dense
-        realization batches are chunked so the state block stays within
-        this many bytes (default: the global combined-amplitude cap),
-        and the budget is threaded into the XX engine's row chunking.
     """
 
     n_qubits: int
@@ -145,7 +140,6 @@ class VirtualIonTrap:
     seed: int = 0
     noise_realizations: int = 8
     max_exact_qubits: int = 20
-    max_batch_bytes: int | None = None
     timing: TimingModel = field(default_factory=TimingModel)
 
     def __post_init__(self) -> None:
@@ -410,7 +404,7 @@ class VirtualIonTrap:
                 for plan, r in zip(plans, stack.rows)
             ]
             probs[stack.rows] = plans[0].probabilities(
-                self._stack_blocks(drawn), segments, self.max_batch_bytes
+                self._stack_blocks(drawn), segments
             ).reshape(len(stack.rows), n_batch)
         return probs
 
@@ -508,7 +502,6 @@ class VirtualIonTrap:
         return plan.probabilities(
             thetas.reshape(tests * rows, width),
             np.repeat(lin, rows, axis=0) if lin.size else None,
-            self.max_batch_bytes,
             self.rng,
         ).reshape(tests, rows)
 
@@ -642,20 +635,15 @@ class VirtualIonTrap:
     ) -> Counts:
         """Full-counts dense execution of all realization groups.
 
-        Chunked like the match path so peak memory stays within
-        ``max_batch_bytes`` (or the global amplitude cap).
+        Chunked like the match path so peak memory stays within the
+        global amplitude cap.
         """
         if not skeleton:
             return {0: int(groups.sum())}
         plan = self._dense_plan_for(skeleton)
         counts_parts = []
-        for start, stop in realization_chunks(
-            plan.n_local, len(groups), self.max_batch_bytes
-        ):
-            states = plan.states(
-                {k: b[:, start:stop] for k, b in blocks.items()},
-                self.max_batch_bytes,
-            )
+        for start, stop in realization_chunks(plan.n_local, len(groups)):
+            states = plan.states({k: b[:, start:stop] for k, b in blocks.items()})
             probs = np.abs(states) ** 2
             counts_parts.extend(
                 _expand_counts(

@@ -92,3 +92,22 @@ def fresh_plan_cache(monkeypatch):
     cache = dense_plan.DensePlanCache()
     monkeypatch.setattr(dense_plan, "PLAN_CACHE", cache)
     return cache
+
+
+@pytest.fixture
+def amplitude_cap(monkeypatch):
+    """Lower the dense amplitude cap for one test, so that dense
+    evaluation splits its realization rows into chunks.
+
+    ``amplitude_cap(rows, n_local)`` lets a chunk hold ``rows`` states of
+    ``n_local`` qubits; ``amplitude_cap(None)`` restores the default.
+    """
+    from repro.sim import statevector
+
+    default = statevector.MAX_BATCH_AMPLITUDES
+
+    def cap(rows, n_local=0):
+        value = default if rows is None else rows * 2**n_local
+        monkeypatch.setattr(statevector, "MAX_BATCH_AMPLITUDES", value)
+
+    return cap

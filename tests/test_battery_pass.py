@@ -89,7 +89,9 @@ def _assert_same_machine_state(a, b):
 
 
 @pytest.mark.parametrize("repetitions", [2, 4])
-def test_stacked_probabilities_equal_one_call_per_segment(repetitions):
+def test_stacked_probabilities_equal_one_call_per_segment(
+    repetitions, amplitude_cap
+):
     """N = 12: 4-, 6- and 8-local cores, a forced-zero segment, split chunks."""
     n_qubits, n_batch = 12, 6
     machine = VirtualIonTrap(n_qubits, noise=SEC6, seed=7)
@@ -118,10 +120,11 @@ def test_stacked_probabilities_equal_one_call_per_segment(repetitions):
         }
         segments = [Segment(p, e, n_batch) for p, e, _ in members]
         # Four rows per chunk: chunks split the six-row segments.
-        for budget in (None, 4 * 16 * 2**plan.n_local):
-            got = plan.probabilities(stacked, segments, budget)
+        for rows in (None, 4):
+            amplitude_cap(rows, plan.n_local)
+            got = plan.probabilities(stacked, segments)
             want = np.concatenate(
-                [p.probabilities(b, e, budget) for p, e, b in members]
+                [p.probabilities(b, e) for p, e, b in members]
             )
             assert got.shape == want.shape == (n_batch * len(members),)
             assert (got == want).all()
@@ -167,9 +170,7 @@ def _oracle_pass(programs, plans, machine, shots, trials):
         with plan_cache(plans):
             plan = machine._dense_plan_for(slot_skeleton(slots))
         probs.append(
-            plan.probabilities(
-                slot_blocks(slots), program.expected, machine.max_batch_bytes
-            )
+            plan.probabilities(slot_blocks(slots), program.expected)
         )
     spam = machine.noise.spam
     factors = np.array(

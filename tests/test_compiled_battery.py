@@ -125,21 +125,6 @@ def test_magnitude_broadcast_matches_per_point_loop(monkeypatch):
         assert twin._clock == machine._clock
 
 
-def test_broadcast_row_chunking_is_exact():
-    """max_batch_bytes chunking changes memory, not results."""
-    n_qubits = 8
-    spec = class_test_for_pair(n_qubits, (0, 1), 2)
-    program = _program(spec, n_qubits)
-    full, chunked = (
-        VirtualIonTrap(n_qubits, seed=3, max_batch_bytes=budget)
-        for budget in (None, 1)
-    )
-    p_full = full._pass_probabilities([program], 100, 4, None)[1]
-    p_chunked = chunked._pass_probabilities([program], 100, 4, None)[1]
-    # Chunk boundaries change the BLAS kernel, not the math.
-    assert np.max(np.abs(p_full - p_chunked)) < 1e-12
-
-
 def test_trial_and_sweep_fidelities_shapes_and_accounting():
     """Machine-facing evaluation: shapes, [0,1] range, stats accounting."""
     n_qubits = 8

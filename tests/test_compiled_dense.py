@@ -332,12 +332,12 @@ def test_fresh_battery_passes_equal_slot_oracle(noise, faults, engine):
     assert compiled.stats.dense_plan_hits > 0
 
 
-def test_tiny_batch_budget_is_bit_identical():
+def test_tiny_batch_budget_is_bit_identical(amplitude_cap):
     """Realization rows chunked two at a time change nothing."""
-    budget = 2 * 16 * 2**N
+    amplitude_cap(2, N)
     program = as_program(*_mixed())
     plans = DensePlanCache()
-    compiled, oracle = _twins(SEC6, max_batch_bytes=budget)
+    compiled, oracle = _twins(SEC6)
     for _ in range(2):
         fids = compiled.run_battery([program], 50, trials=3, engine="dense")[0]
         ref = _oracle_trial_fidelities(plans, oracle, program, 50, 3, force=True)

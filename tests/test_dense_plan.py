@@ -117,8 +117,8 @@ def test_fused_plan_states_match_statevector_oracle():
         assert np.max(np.abs(state - sim.state)) < 1e-9
 
 
-def test_plan_chunking_is_exact():
-    """max_batch_bytes chunking changes memory, not probabilities."""
+def test_plan_chunking_is_exact(amplitude_cap):
+    """Row chunking changes memory, not probabilities."""
     n_qubits = 6
     machine = VirtualIonTrap(n_qubits, noise=_fig7_noise(), seed=5)
     circuit = Circuit(n_qubits).ms(0, 1, np.pi / 2).ms(2, 3, np.pi / 2)
@@ -127,9 +127,8 @@ def test_plan_chunking_is_exact():
     plan = DensePlan(n_qubits, skeleton)
     blocks = slot_blocks(slots)
     full = plan.probabilities(blocks, 0)
-    chunked = plan.probabilities(
-        blocks, 0, max_batch_bytes=2 * 2**plan.n_local * 16
-    )
+    amplitude_cap(2, plan.n_local)
+    chunked = plan.probabilities(blocks, 0)
     assert np.array_equal(full, chunked)
 
 
@@ -354,10 +353,10 @@ def test_two_qubit_register_end_to_end():
     assert sum(counts.values()) == 80
 
 
-def test_tiny_byte_bound_with_plan_cache_eviction_stays_exact():
-    """A 1-byte batch budget (single-row chunks) plus constant plan-cache
-    eviction churn (``max_plans=1`` over two alternating skeletons)
-    changes memory behaviour only — never probabilities."""
+def test_tiny_byte_bound_with_plan_cache_eviction_stays_exact(amplitude_cap):
+    """Single-row chunks plus constant plan-cache eviction churn
+    (``max_plans=1`` over two alternating skeletons) change memory
+    behaviour only — never probabilities."""
     n_qubits = 6
     machine = VirtualIonTrap(n_qubits, noise=_fig7_noise(), seed=17)
     circuits = [
@@ -377,6 +376,7 @@ def test_tiny_byte_bound_with_plan_cache_eviction_stays_exact():
         for plan, slots in zip(plans, slot_sets)
     ]
     cache = DensePlanCache(max_plans=1)
+    amplitude_cap(1, plans[0].n_local)
     for _ in range(3):
         for circuit, slots, reference in zip(
             circuits, slot_sets, unchunked
@@ -384,9 +384,7 @@ def test_tiny_byte_bound_with_plan_cache_eviction_stays_exact():
             skeleton = tuple((s.gate, s.qubits) for s in slots)
             plan, was_cached = cache.get(n_qubits, skeleton)
             assert not was_cached  # max_plans=1 evicts the other skeleton
-            chunked = plan.probabilities(
-                slot_blocks(slots), 0, max_batch_bytes=1
-            )
+            chunked = plan.probabilities(slot_blocks(slots), 0)
             assert np.array_equal(chunked, reference)
     assert len(cache) == 1
 

@@ -17,8 +17,8 @@ this one).  Each case realizes a nominal circuit with the oracle's
 * link chains of length 1, 3 and 8, an MS-only chain without kicks on
   a phase-faulted coupling, and one chain mixing kick, R, fixed and
   qubit-swapped MS links;
-* a structurally rebound plan and a call chunked under a tight
-  ``max_batch_bytes``.
+* a structurally rebound plan and a call whose rows are chunked two at
+  a time under a lowered amplitude cap.
 
 The probabilities must be ``np.array_equal`` to the record, and the
 evolved states must agree with per-realization
@@ -154,9 +154,9 @@ def _machine(noise: NoiseParameters, seed: int) -> VirtualIonTrap:
     return m
 
 
-def _plan_case(noise, seed, circuit, expected, n_batch=B, budget=None):
+def _plan_case(noise, seed, circuit, expected, n_batch=B, chunk_rows=None):
     slots = realize_slots(_machine(noise, seed), circuit, n_batch)
-    return DensePlan(N, slot_skeleton(slots)), slots, expected, budget
+    return DensePlan(N, slot_skeleton(slots)), slots, expected, chunk_rows
 
 
 def _rebound_case():
@@ -200,7 +200,7 @@ def _cases() -> dict:
         KICKS_1Q, 25, _generic(), _bit(0) | _bit(2)
     )
     cases["chunked-8q"] = lambda: _plan_case(
-        SEC6, 27, *_battery_test(8, 2), n_batch=7, budget=2 * 16 * 2**8
+        SEC6, 27, *_battery_test(8, 2), n_batch=7, chunk_rows=2
     )
     cases["rebound"] = _rebound_case
     cases["chain-1-link"] = lambda: _plan_case(AMPLITUDE, 31, _pair_chain(1), 0)
@@ -221,7 +221,7 @@ CASES = _cases()
 
 
 def _case(name: str):
-    """``(plan, realized slots, expected, max_batch_bytes)`` of a case."""
+    """``(plan, realized slots, expected, rows per chunk)`` of a case."""
     return CASES[name]()
 
 
@@ -234,9 +234,10 @@ def test_fixture_covers_every_case():
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_probabilities_equal_recorded_bits(name):
-    plan, slots, expected, budget = _case(name)
-    got = plan.probabilities(slot_blocks(slots), expected, budget)
+def test_probabilities_equal_recorded_bits(name, amplitude_cap):
+    plan, slots, expected, chunk_rows = _case(name)
+    amplitude_cap(chunk_rows, plan.n_local)
+    got = plan.probabilities(slot_blocks(slots), expected)
     want = np.array([float.fromhex(h) for h in _recorded()[name]])
     assert got.shape == want.shape
     assert np.array_equal(got, want), name

@@ -26,7 +26,6 @@ from repro.core.protocol import built_test
 from repro.noise.models import NoiseParameters
 from repro.sim.circuit import Circuit
 from repro.sim.dense_plan import DensePlan, DensePlanCache, Segment
-from repro.sim.statevector import realization_chunks
 from repro.trap.faults import CouplingFault, CouplingPhaseFault
 from repro.trap.machine import VirtualIonTrap, as_program
 
@@ -89,12 +88,10 @@ ROUNDS = {
 }
 
 
-def _twins(noise, **kwargs):
+def _twins(noise):
     machines = []
     for _ in range(2):
-        machine = VirtualIonTrap(
-            N, noise=noise, seed=5, noise_realizations=3, **kwargs
-        )
+        machine = VirtualIonTrap(N, noise=noise, seed=5, noise_realizations=3)
         machine.inject_fault(CouplingFault(frozenset({0, 1}), 0.3))
         machine.inject_fault(CouplingPhaseFault(frozenset({2, 3}), 0.6))
         machines.append(machine)
@@ -102,21 +99,18 @@ def _twins(noise, **kwargs):
 
 
 def _stacked_calls(machine, programs, trials, monkeypatch):
-    """``machine``'s pass probabilities and every kernel call's blocks."""
+    """Every kernel call's blocks and segments in ``machine``'s pass."""
     calls = []
     original = DensePlan.probabilities
 
-    def spy(self, blocks, expected, max_batch_bytes=None):
+    def spy(self, blocks, expected):
         calls.append((blocks, list(expected)))
-        rows = next(iter(blocks.values())).shape[1]
-        splits.append(len(realization_chunks(self.n_local, rows, max_batch_bytes)))
-        return original(self, blocks, expected, max_batch_bytes)
+        return original(self, blocks, expected)
 
-    splits = []
     with monkeypatch.context() as patch:
         patch.setattr(DensePlan, "probabilities", spy)
-        _, probs = machine._pass_probabilities(programs, 60, trials)
-    return probs, calls, splits
+        machine._pass_probabilities(programs, 60, trials)
+    return calls
 
 
 def _per_test_draws(machine, programs, n_batch):
@@ -140,8 +134,7 @@ def test_stacked_blocks_equal_per_test_draws(
     programs = make()
     stacked, oracle = _twins(noise)
     n_batch = trials * len(stacked._shot_groups(60))
-    probs, calls, splits = _stacked_calls(stacked, programs, trials, monkeypatch)
-    assert set(splits) == {1}
+    calls = _stacked_calls(stacked, programs, trials, monkeypatch)
     with plan_cache(DensePlanCache()):
         drawn = _per_test_draws(oracle, programs, n_batch)
     # Under amplitude noise the tests holding {2, 3} go dense beside the
@@ -171,21 +164,6 @@ def test_stacked_blocks_equal_per_test_draws(
     assert stacked._clock == oracle._clock
     assert stacked.rng.bit_generator.state == oracle.rng.bit_generator.state
     assert stacked.stats == oracle.stats
-    # Chunks of two rows on three qubits (one on more) split the stacks:
-    # the same draws, the same probabilities, bit for bit.
-    chunked, _ = _twins(noise, max_batch_bytes=2 * 16 * 2**3)
-    with plan_cache(DensePlanCache()):
-        chunk_probs, chunk_calls, splits = _stacked_calls(
-            chunked, programs, trials, monkeypatch
-        )
-    assert max(splits) > 1 and all(
-        split > 1 for (_, segments), split in zip(chunk_calls, splits)
-        if len(segments) > 1
-    )
-    assert np.array_equal(chunk_probs, probs)
-    for (blocks, _), (chunk_blocks, _) in zip(calls, chunk_calls):
-        assert all(np.array_equal(blocks[k], chunk_blocks[k]) for k in blocks)
-    assert chunked.rng.bit_generator.state == stacked.rng.bit_generator.state
 
 
 def _pair_plan_blocks(seed: int) -> dict:
@@ -242,9 +220,9 @@ def test_k6_stack_kernel_allocates_at_most_one_mebibyte(fresh_plan_cache):
     calls = []
     original = DensePlan.probabilities
 
-    def spy(self, blocks, expected, max_batch_bytes=None):
+    def spy(self, blocks, expected):
         calls.append((self, blocks, list(expected)))
-        return original(self, blocks, expected, max_batch_bytes)
+        return original(self, blocks, expected)
 
     DensePlan.probabilities = spy
     try:

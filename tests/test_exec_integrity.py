@@ -15,10 +15,11 @@ from repro.exec.integrity import (
     verify_payload,
 )
 from repro.provenance import (
+    PROVENANCE_SHAPE,
     payload_fingerprint,
     payloads_equivalent,
+    shape_problems,
     strip_volatile,
-    validate_provenance_block,
 )
 
 
@@ -135,12 +136,12 @@ def test_payload_fingerprint_ignores_provenance_only_diffs():
 
 
 def test_validate_provenance_block_flags_each_field():
-    assert validate_provenance_block(None)
-    assert validate_provenance_block({"repro_version": ""})
+    assert shape_problems(None, PROVENANCE_SHAPE)
+    assert shape_problems({"repro_version": ""}, PROVENANCE_SHAPE)
     good = {
         "repro_version": "1.8.0",
         "git_sha": None,
         "python": "3.11.0",
         "numpy": "1.26.0",
     }
-    assert validate_provenance_block(good) == []
+    assert shape_problems(good, PROVENANCE_SHAPE) == []

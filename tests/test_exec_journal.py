@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.exec.journal import JournalWriter, journal_path, load_journal
+from repro.exec.journal import JournalWriter, load_journal
 from repro.exec.outcomes import AttemptRecord
 
 
@@ -19,14 +19,6 @@ def _write_journal(path, digest="abcd1234abcd1234", n=3):
             [AttemptRecord(attempt=0, cause="error").to_payload()],
         )
     return path
-
-
-def test_journal_path_derives_from_output():
-    from pathlib import Path
-
-    assert journal_path(Path("out/fig8-smoke.json")) == Path(
-        "out/fig8-smoke.journal.jsonl"
-    )
 
 
 def test_round_trip_partitions_finished_and_failed(tmp_path):

@@ -1,11 +1,8 @@
-"""RetryPolicy arithmetic and the in-process retry_call primitive."""
-
-import time
+"""RetryPolicy arithmetic: validation, attempt counts and seeded backoff."""
 
 import pytest
 
-from repro.arena.budget import TimeBudget
-from repro.exec.retry import RetryPolicy, retry_call
+from repro.exec.retry import RetryPolicy
 
 
 def test_policy_rejects_nonsense():
@@ -58,71 +55,3 @@ def test_delay_caps_at_max_delay():
         max_attempts=20, base_delay=1.0, backoff=3.0, max_delay=2.0, jitter=0.0
     )
     assert policy.delay_before("k", 10) == 2.0
-
-
-def test_retry_call_first_try_success():
-    outcome = retry_call(lambda: 42)
-    assert outcome.ok
-    assert outcome.status == "ok"
-    assert outcome.value == 42
-    assert outcome.n_attempts == 1
-    assert outcome.causes == []  # no failure causes on the happy path
-
-
-def test_retry_call_recovers_then_reports_retried():
-    calls = {"n": 0}
-
-    def flaky():
-        calls["n"] += 1
-        if calls["n"] < 3:
-            raise OSError("transient")
-        return "done"
-
-    slept: list[float] = []
-    policy = RetryPolicy(max_attempts=5, base_delay=0.25, jitter=0.0)
-    outcome = retry_call(flaky, policy, key="flaky", sleep=slept.append)
-    assert outcome.status == "retried"
-    assert outcome.value == "done"
-    assert outcome.n_attempts == 3
-    assert outcome.causes == ["error", "error"]
-    assert outcome.last_error == (None, None)  # final attempt succeeded
-    assert outcome.attempts[0].error_type == "OSError"
-    # Backoff consulted the policy: 0.25 then 0.5 (no jitter).
-    assert slept == [0.25, 0.5]
-
-
-def test_retry_call_exhaustion_gives_up_without_raising():
-    policy = RetryPolicy(max_attempts=3)
-
-    def doomed():
-        raise ValueError("always")
-
-    outcome = retry_call(doomed, policy, key="doomed")
-    assert outcome.status == "gave_up"
-    assert not outcome.ok
-    assert outcome.value is None
-    assert outcome.n_attempts == 3
-    assert outcome.last_error == ("ValueError", "always")
-
-
-def test_retry_call_timeout_off_main_thread():
-    """A stalled callable is abandoned on its deadline thread."""
-    policy = RetryPolicy(max_attempts=2, timeout=0.05)
-    outcome = retry_call(lambda: time.sleep(5), policy, key="stall")
-    assert outcome.status == "timed_out"
-    assert outcome.causes == ["timed_out", "timed_out"]
-    assert outcome.attempts[0].error_type == "DiagnosisTimeout"
-
-
-def test_retry_call_budget_forfeits_remaining_attempts():
-    """A spent TimeBudget stops the retry loop before max_attempts."""
-    budget = TimeBudget(soft_seconds=0.0)  # expires immediately
-
-    def doomed():
-        raise ValueError("always")
-
-    outcome = retry_call(
-        doomed, RetryPolicy(max_attempts=10), key="budgeted", budget=budget
-    )
-    assert outcome.status == "timed_out"
-    assert outcome.n_attempts == 1  # nine attempts forfeited

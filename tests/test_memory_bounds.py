@@ -1,47 +1,38 @@
-"""Memory bounds: what a compiled XX plan keeps, and batch chunking.
+"""Memory bounds: what a compiled XX plan keeps, and dense row chunking.
 
 A :class:`~repro.sim.xx_engine.ContractionPlan` keeps int8 half tables,
 characters and index arrays, at most 64 KiB for any component up to the
 20-qubit exact limit; each call forms its phases transiently, bounded
-per realization row by ``_CHUNK_SPINS`` and across rows by
-``max_batch_bytes``.  Dense batches are bounded the same way.
+per realization row by ``_CHUNK_SPINS``.  Dense evaluation splits its
+realization rows into chunks whose state blocks fit
+:data:`~repro.sim.statevector.MAX_BATCH_AMPLITUDES`; the tests lower
+that cap to make the chunks small.
 """
 
 import numpy as np
 import pytest
+from xx_oracle import realize_slots, slot_blocks, slot_skeleton
 
+from repro.sim.circuit import Circuit
+from repro.sim.dense_plan import DensePlan
 from repro.sim.statevector import (
     MAX_BATCH_AMPLITUDES,
     realization_chunks,
     zero_states,
 )
-from repro.sim.circuit import Circuit
 from repro.sim.xx_engine import ContractionPlan, batch_amplitudes_from_terms
 from repro.trap.machine import VirtualIonTrap
 
 
-def test_batch_amplitudes_chunking_is_exact(rng):
-    edges = {
-        frozenset({q, q + 1}): rng.normal(np.pi / 2, 0.1, 32)
-        for q in range(9)
-    }
-    linear = {3: rng.normal(0.0, 0.05, 32)}
-    full = batch_amplitudes_from_terms(10, edges, linear, 5)
-    chunked = batch_amplitudes_from_terms(
-        10, edges, linear, 5, max_batch_bytes=1
-    )
-    # Chunk boundaries change the BLAS kernel, not the math.
-    assert np.max(np.abs(full - chunked)) < 1e-12
-
-
-def test_batched_simulator_enforces_byte_budget():
-    """The dense plan's state block allocation guards its byte budget."""
-    zero_states(4, 8, max_batch_bytes=8 * 16 * 16)
-    with pytest.raises(ValueError, match="byte budget"):
-        zero_states(4, 8, max_batch_bytes=8 * 16 * 16 - 1)
-    # A single realization is always accepted, mirroring
-    # realization_chunks — chunks the helper emits always construct.
-    zero_states(18, 1, max_batch_bytes=1_000_000)
+def test_batched_simulator_enforces_byte_budget(amplitude_cap):
+    """The dense plan's state block allocation guards the amplitude cap."""
+    amplitude_cap(8, 4)
+    zero_states(4, 8)
+    with pytest.raises(ValueError, match="combined amplitude cap"):
+        zero_states(4, 9)
+    amplitude_cap(None)
+    with pytest.raises(ValueError, match="dense limit"):
+        zero_states(23, 1)
     states = zero_states(2, 3)
     assert states.shape == (3, 4) and (states[:, 0] == 1).all()
     assert not states[:, 1:].any()
@@ -88,20 +79,16 @@ def test_execution_only_fields_do_not_bust_the_cache_digest():
         assert serial == parallel, f"{name}.{knob} busts the digest"
 
 
-def test_realization_chunks_cover_the_batch():
-    chunks = realization_chunks(3, 10, max_batch_bytes=2 * 8 * 16)
-    assert chunks == [(0, 2), (2, 4), (4, 6), (6, 8), (8, 10)]
+def test_realization_chunks_cover_the_batch(amplitude_cap):
     assert realization_chunks(3, 10) == [(0, 10)]
     assert realization_chunks(22, 2**3 + 1)[0] == (
         0,
         MAX_BATCH_AMPLITUDES // 2**22,
     )
-    # A budget above the global cap must not yield over-cap chunks (every
-    # chunk has to pass the zero_states guard).
-    huge = realization_chunks(20, 64, max_batch_bytes=2 * 2**30)
-    assert max(stop - start for start, stop in huge) <= (
-        MAX_BATCH_AMPLITUDES // 2**20
-    )
+    amplitude_cap(2, 3)
+    assert realization_chunks(3, 10) == [(0, 2), (2, 4), (4, 6), (6, 8), (8, 10)]
+    # A state above the cap still forms a chunk of one row.
+    assert realization_chunks(5, 3) == [(0, 1), (1, 2), (2, 3)]
 
 
 def test_batch_amplitudes_rejects_empty_terms():
@@ -109,14 +96,37 @@ def test_batch_amplitudes_rejects_empty_terms():
         batch_amplitudes_from_terms(4, {}, {}, 0)
 
 
-def test_machine_chunked_dense_paths_match_unchunked():
-    """A tiny max_batch_bytes changes memory use, not sampled counts."""
+def test_machine_chunked_dense_paths_match_unchunked(amplitude_cap, monkeypatch):
+    """Rows split under a lowered amplitude cap change memory use, not
+    probabilities, sampled counts or the generator's state: through
+    ``DensePlan.probabilities``, ``VirtualIonTrap.run`` and ``run_match``."""
     circuit = Circuit(3).ms(0, 1, np.pi / 2).r(2, 0.3, 0.1).ms(1, 2, np.pi / 2)
-    kwargs = dict(seed=11, noise_realizations=6)
-    reference = VirtualIonTrap(3, **kwargs)
-    chunked = VirtualIonTrap(3, max_batch_bytes=2 * 2**3 * 16, **kwargs)
-    assert reference.run(circuit, shots=120) == chunked.run(circuit, shots=120)
-    # run() consumed identical RNG streams, so run_match stays aligned too.
-    assert reference.run_match(circuit, 0, 120) == chunked.run_match(
-        circuit, 0, 120
-    )
+    evolutions = []
+    original = DensePlan._evolve
+
+    def spy(self, blocks, n_batch, rows=None):
+        evolutions.append(n_batch)
+        return original(self, blocks, n_batch, rows)
+
+    monkeypatch.setattr(DensePlan, "_evolve", spy)
+
+    def outputs():
+        evolutions.clear()
+        machine = VirtualIonTrap(3, seed=11, noise_realizations=6)
+        slots = realize_slots(machine, circuit, 6)
+        probs = DensePlan(3, slot_skeleton(slots)).probabilities(
+            slot_blocks(slots), 0b011
+        )
+        counts = machine.run(circuit, shots=120)
+        match = machine.run_match(circuit, 0, 120)
+        state = machine.rng.bit_generator.state
+        return probs, counts, match, state, list(evolutions)
+
+    probs, counts, match, state, whole = outputs()
+    amplitude_cap(2, 3)
+    chunked = outputs()
+    # One evolution of six rows per call, or three of two rows.
+    assert whole == [6, 6, 6]
+    assert chunked[4] == [2] * 9
+    assert np.array_equal(chunked[0], probs)
+    assert chunked[1:4] == (counts, match, state)

@@ -1,12 +1,11 @@
 """Dense-plan cache keys and the invalidation counter.
 
 The regression these tests pin: plans are keyed by ``(n_qubits, slot
-skeleton)`` and *nothing else* — changing an evaluation knob such as
-``max_batch_bytes`` between calls on the same machine must be served
-from cache, never silently recompiled.  ``MachineStats`` carries an
-explicit ``dense_plan_invalidations`` counter (LRU evictions of the
-process-wide cache during the machine's lookups) so a stable workload
-can assert zero churn and a skeleton-churning one can see its
+skeleton)`` and *nothing else* — evaluating under another chunk size
+must be served from cache, never silently recompiled.  ``MachineStats``
+carries an explicit ``dense_plan_invalidations`` counter (LRU evictions
+of the process-wide cache during the machine's lookups) so a stable
+workload can assert zero churn and a skeleton-churning one can see its
 evictions.  Tests that count per-machine builds start from a fresh
 process cache (the ``fresh_plan_cache`` fixture).
 """
@@ -29,60 +28,36 @@ DENSE_NOISE = NoiseParameters(
 )
 
 
-def _dense_machine(**kwargs) -> VirtualIonTrap:
-    return VirtualIonTrap(
-        6, noise=DENSE_NOISE, seed=9, noise_realizations=2, **kwargs
-    )
+def _dense_machine() -> VirtualIonTrap:
+    return VirtualIonTrap(6, noise=DENSE_NOISE, seed=9, noise_realizations=2)
 
 
 def _programs(specs, n_qubits):
     return [built_test(tuple(s.pairs), s.repetitions, n_qubits) for s in specs]
 
 
-def test_battery_cache_key_ignores_max_batch_bytes(fresh_plan_cache):
-    """Changing max_batch_bytes between calls must not recompile plans."""
-    machine = _dense_machine()
-    specs = battery_specs(machine.n_qubits, 2)
-    programs = _programs(specs, machine.n_qubits)
-    for program in programs:
-        machine.run_battery([program], 50, realizations=2)
-    builds = machine.stats.dense_plan_builds
-    assert builds + machine.stats.dense_plan_rebinds == len(specs)
-    assert machine.stats.dense_plan_hits == 0
-    for budget in (1 << 12, 1 << 20, None):
-        machine.max_batch_bytes = budget
-        for program in programs:
-            machine.run_battery([program], 50, realizations=2)
-    assert machine.stats.dense_plan_builds == builds, (
-        "a max_batch_bytes change silently recompiled cached plans"
-    )
-    assert machine.stats.dense_plan_hits == 3 * len(specs)
-    assert machine.stats.dense_plan_invalidations == 0
-
-
-def test_battery_results_stable_across_batch_budgets():
-    """Chunked evaluation under a tiny budget equals the unchunked run."""
+def test_battery_results_stable_across_batch_budgets(
+    fresh_plan_cache, amplitude_cap
+):
+    """Chunking a round's rows under a tiny amplitude cap equals the
+    unchunked run, and is served from the plans the first run compiled:
+    the cache key holds no evaluation setting."""
+    specs = battery_specs(6, 2)
     probs = []
-    for budget in (None, 1 << 10):
-        machine = _dense_machine(max_batch_bytes=budget)
-        specs = battery_specs(machine.n_qubits, 2)
-        p = machine._pass_probabilities(
-            _programs(specs[:1], machine.n_qubits), 50, trials=3, realizations=2
-        )[1][0]
-        probs.append(p)
+    for rows in (None, 1):
+        amplitude_cap(rows, 6)
+        machine = _dense_machine()
+        probs.append(
+            machine._pass_probabilities(
+                _programs(specs, machine.n_qubits), 50, trials=3, realizations=2
+            )[1]
+        )
+        for program in _programs(specs, machine.n_qubits):
+            machine.run_match(program, program.expected, shots=20)
     assert np.max(np.abs(probs[0] - probs[1])) < 1e-12
-
-
-def test_machine_run_cache_key_ignores_max_batch_bytes():
-    """``run_match``'s plan lookups are budget-agnostic too."""
-    machine = _dense_machine()
-    circuit = Circuit(6).ms(0, 1, np.pi / 2).ms(1, 2, np.pi / 2)
-    machine.run_match(circuit, 0, shots=20)
-    builds = machine.stats.dense_plan_builds
-    machine.max_batch_bytes = 1 << 14
-    machine.run_match(circuit, 0, shots=20)
-    assert machine.stats.dense_plan_builds == builds
-    assert machine.stats.dense_plan_hits >= 1
+    assert machine.stats.dense_plan_builds == 0
+    assert machine.stats.dense_plan_rebinds == 0
+    assert machine.stats.dense_plan_hits > 0
     assert machine.stats.dense_plan_invalidations == 0
 
 

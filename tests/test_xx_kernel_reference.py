@@ -10,8 +10,8 @@ table in complex arithmetic, and the dense statevector knows nothing of
 either.  Up to 8 spins the plan must equal the one-table formula written
 out here, bit for bit; above, all three must agree to 1e-12 on seeded
 random coupling graphs up to 16 spins (complete and sparse), with and
-without RX/X terms, for even and odd output parity, on plans that mix
-split and unsplit components, and with the realization rows chunked.
+without RX/X terms, for even and odd output parity, and on plans that
+mix split and unsplit components.
 At 18 and 20 spins two different A/L/H splits must agree to 1e-12.
 """
 
@@ -236,24 +236,6 @@ def test_two_splits_of_one_component_agree(rng, monkeypatch, m):
         )
         assert np.max(np.abs(other - amps)) < 1e-12
     assert np.abs(amps).max() > 1e-6
-
-
-def test_row_chunks_of_a_split_plan_match_the_oracle(rng):
-    """A ``max_batch_bytes`` that splits the rows leaves every row's
-    amplitude where the oracle puts it."""
-    edges, lin, groups = _structure(rng, (11, 4), 9, True)
-    expected = _bitstring(rng, 15, groups, odd=True)
-    thetas = rng.normal(math.pi / 2, 0.4, (5, len(edges)))
-    lin_thetas = rng.normal(0.3, 0.5, (5, len(lin)))
-    plan = ContractionPlan(15, edges, lin, expected)
-    per_row = 24 * min(2**11, xx_engine._CHUNK_SPINS)
-    chunked = plan.amplitudes(thetas, lin_thetas, max_batch_bytes=2 * per_row)
-    whole = plan.amplitudes(thetas, lin_thetas)
-    assert np.max(np.abs(chunked - whole)) < 1e-15
-    for g in range(5):
-        circuit = _circuit(15, edges, thetas[g], lin, lin_thetas[g], x_gates=False)
-        reference = XXCircuitEvaluator(circuit).amplitude(expected)
-        assert abs(chunked[g] - reference) < 1e-12
 
 
 def test_odd_parity_without_linear_terms_is_exactly_zero(rng):

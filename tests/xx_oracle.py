@@ -357,7 +357,7 @@ def draw_dense(machine, program, n_batch: int):
 def dense_match_probabilities_slots(machine, slots, expected: int) -> np.ndarray:
     """Match probabilities of ``slots`` on the machine's cached dense plan."""
     plan = machine._dense_plan_for(slot_skeleton(slots))
-    return plan.probabilities(slot_blocks(slots), expected, machine.max_batch_bytes)
+    return plan.probabilities(slot_blocks(slots), expected)
 
 
 def match_probabilities_slots(machine, slots, expected: int) -> np.ndarray:
@@ -395,7 +395,6 @@ def match_probabilities_slots(machine, slots, expected: int) -> np.ndarray:
             linear_angles,
             expected,
             max_exact_qubits=machine.max_exact_qubits,
-            max_batch_bytes=machine.max_batch_bytes,
         )
     except ValueError:
         # A component above the exact limit: sampled per realization.
