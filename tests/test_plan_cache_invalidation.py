@@ -36,12 +36,36 @@ def _programs(specs, n_qubits):
     return [built_test(tuple(s.pairs), s.repetitions, n_qubits) for s in specs]
 
 
-def test_battery_results_stable_across_batch_budgets(
+def test_battery_cache_key_ignores_max_batch_bytes(
     fresh_plan_cache, amplitude_cap
 ):
+    """Changing the chunk size between calls must not recompile plans.
+
+    The per-call ``max_batch_bytes`` knob is gone; the chunk size it set
+    is now the amplitude cap, which the plan cache key must ignore too.
+    """
+    machine = _dense_machine()
+    specs = battery_specs(machine.n_qubits, 2)
+    programs = _programs(specs, machine.n_qubits)
+    for program in programs:
+        machine.run_battery([program], 50, realizations=2)
+    builds = machine.stats.dense_plan_builds
+    assert builds + machine.stats.dense_plan_rebinds == len(specs)
+    assert machine.stats.dense_plan_hits == 0
+    for rows in (1, 4, None):
+        amplitude_cap(rows, machine.n_qubits)
+        for program in programs:
+            machine.run_battery([program], 50, realizations=2)
+    assert machine.stats.dense_plan_builds == builds, (
+        "a chunk-size change silently recompiled cached plans"
+    )
+    assert machine.stats.dense_plan_hits == 3 * len(specs)
+    assert machine.stats.dense_plan_invalidations == 0
+
+
+def test_battery_results_stable_across_batch_budgets(amplitude_cap):
     """Chunking a round's rows under a tiny amplitude cap equals the
-    unchunked run, and is served from the plans the first run compiled:
-    the cache key holds no evaluation setting."""
+    unchunked run."""
     specs = battery_specs(6, 2)
     probs = []
     for rows in (None, 1):
@@ -52,12 +76,21 @@ def test_battery_results_stable_across_batch_budgets(
                 _programs(specs, machine.n_qubits), 50, trials=3, realizations=2
             )[1]
         )
-        for program in _programs(specs, machine.n_qubits):
-            machine.run_match(program, program.expected, shots=20)
     assert np.max(np.abs(probs[0] - probs[1])) < 1e-12
-    assert machine.stats.dense_plan_builds == 0
-    assert machine.stats.dense_plan_rebinds == 0
-    assert machine.stats.dense_plan_hits > 0
+
+
+def test_machine_run_cache_key_ignores_max_batch_bytes(
+    fresh_plan_cache, amplitude_cap
+):
+    """``run_match``'s plan lookups are chunk-size-agnostic too."""
+    machine = _dense_machine()
+    circuit = Circuit(6).ms(0, 1, np.pi / 2).ms(1, 2, np.pi / 2)
+    machine.run_match(circuit, 0, shots=20)
+    builds = machine.stats.dense_plan_builds
+    amplitude_cap(1, machine.n_qubits)
+    machine.run_match(circuit, 0, shots=20)
+    assert machine.stats.dense_plan_builds == builds
+    assert machine.stats.dense_plan_hits >= 1
     assert machine.stats.dense_plan_invalidations == 0
 
 
